@@ -35,12 +35,13 @@ struct SeedScores {
 /// One full system build + run + consensus scoring for one seed. Pure
 /// function of (delta_ms, seed), so seeds fan out across the pool.
 SeedScores run_consensus_seed(std::int64_t delta_ms, std::uint64_t seed) {
-  core::SystemConfig sys;
+  core::ShardedSystemConfig config;
+  core::SystemConfig& sys = config.base;
   sys.num_sensors = 3;
   sys.sim.seed = seed;
   sys.sim.horizon = SimTime::zero() + Duration::seconds(60);
   sys.delta = Duration::millis(delta_ms);
-  core::PervasiveSystem system(sys);
+  core::ShardedPervasiveSystem system(config);
   core::enable_all_observers(system);
 
   world::ExhibitionHallConfig hall_cfg;
@@ -62,8 +63,8 @@ SeedScores run_consensus_seed(std::int64_t delta_ms, std::uint64_t seed) {
   const auto phi =
       core::parse_predicate("overcrowded", "sum(entered) - sum(exited) > 50");
   const core::GroundTruthOracle oracle(phi, system.sensing());
-  const auto truth =
-      oracle.evaluate(system.timeline(), SimTime::zero() + Duration::seconds(60));
+  const auto truth = oracle.evaluate(system.world().timeline(),
+                                     SimTime::zero() + Duration::seconds(60));
   analysis::ScoreConfig score_cfg;
   score_cfg.tolerance = Duration::millis(2 * delta_ms + 1);
 

@@ -17,7 +17,7 @@
 #include "core/detectors.hpp"
 #include "core/oracle.hpp"
 #include "core/predicate_parser.hpp"
-#include "core/system.hpp"
+#include "core/sharded_system.hpp"
 
 int main() {
   using namespace psn;
@@ -26,13 +26,14 @@ int main() {
   const Duration period = Duration::seconds(2);
   const Duration hot_for = Duration::millis(600);
 
-  core::SystemConfig sys;
+  core::ShardedSystemConfig config;
+  core::SystemConfig& sys = config.base;
   sys.num_sensors = 2;
   sys.sim.seed = 5;
   sys.sim.horizon = SimTime::zero() + period * (kOccurrences + 1);
   sys.delay_kind = core::DelayKind::kUniformBounded;
   sys.delta = Duration::millis(60);
-  core::PervasiveSystem system(sys);
+  core::ShardedPervasiveSystem system(config);
 
   // P_1 senses temperature, P_2 senses motion; the thermostat rule of the
   // paper: "reset thermostat to 28 C each time 'motion detected' AND
@@ -69,7 +70,8 @@ int main() {
   const auto phi =
       core::parse_predicate("hot_and_motion", "temp[1] > 30 && motion[2]");
   const core::GroundTruthOracle oracle(phi, system.sensing());
-  const auto truth = oracle.evaluate(system.timeline(), sys.sim.horizon);
+  const auto truth =
+      oracle.evaluate(system.world().timeline(), sys.sim.horizon);
 
   std::printf(
       "E10: every-occurrence detection — thermostat rule fires %zu times in "

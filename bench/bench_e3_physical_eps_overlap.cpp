@@ -16,7 +16,7 @@
 #include "core/detectors.hpp"
 #include "core/oracle.hpp"
 #include "core/predicate_parser.hpp"
-#include "core/system.hpp"
+#include "core/sharded_system.hpp"
 
 namespace {
 
@@ -33,14 +33,15 @@ EpisodeResult run_pulses(Duration overlap, Duration epsilon,
   const Duration pulse = Duration::millis(5);
   const Duration episode_gap = Duration::millis(50);
 
-  core::SystemConfig sys;
+  core::ShardedSystemConfig config;
+  core::SystemConfig& sys = config.base;
   sys.num_sensors = 2;
   sys.sim.seed = seed;
   sys.sim.horizon = SimTime::zero() + episode_gap * (kEpisodes + 2);
   sys.delay_kind = core::DelayKind::kFixed;
   sys.delta = Duration::millis(2);
   sys.clock_config.sync_epsilon = epsilon;
-  core::PervasiveSystem system(sys);
+  core::ShardedPervasiveSystem system(config);
 
   const auto o1 = system.world().create_object("pulse1");
   const auto o2 = system.world().create_object("pulse2");
@@ -72,7 +73,8 @@ EpisodeResult run_pulses(Duration overlap, Duration epsilon,
 
   const auto phi = core::parse_predicate("p", "x[1] > 0 && x[2] > 0");
   const core::GroundTruthOracle oracle(phi, system.sensing());
-  const auto truth = oracle.evaluate(system.timeline(), sys.sim.horizon);
+  const auto truth =
+      oracle.evaluate(system.world().timeline(), sys.sim.horizon);
 
   const auto detections =
       core::PhysicalClockDetector().run(system.log(), phi);

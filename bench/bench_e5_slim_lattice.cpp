@@ -17,7 +17,7 @@
 #include "common/table.hpp"
 #include "core/execution_view.hpp"
 #include "core/lattice.hpp"
-#include "core/system.hpp"
+#include "core/sharded_system.hpp"
 #include "world/generators.hpp"
 
 int main() {
@@ -42,7 +42,8 @@ int main() {
   for (const std::int64_t delta_ms : {-1, 400, 100, 25, 5, 0}) {
     Row acc;
     for (std::uint64_t seed = 1; seed <= kReps; ++seed) {
-      core::SystemConfig sys;
+      core::ShardedSystemConfig config;
+      core::SystemConfig& sys = config.base;
       sys.num_sensors = kSensors;
       sys.sim.seed = seed;
       sys.sim.horizon = SimTime::zero() + Duration::seconds(4);
@@ -57,7 +58,7 @@ int main() {
         sys.delay_kind = core::DelayKind::kFixed;
         sys.delta = Duration::seconds(100);
       }
-      core::PervasiveSystem system(sys);
+      core::ShardedPervasiveSystem system(config);
 
       std::vector<std::unique_ptr<world::AttributeDriver>> drivers;
       for (ProcessId pid = 1; pid <= kSensors; ++pid) {

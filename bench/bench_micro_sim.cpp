@@ -8,7 +8,7 @@
 #include "core/execution_view.hpp"
 #include "core/lattice.hpp"
 #include "core/predicate_parser.hpp"
-#include "core/system.hpp"
+#include "core/sharded_system.hpp"
 #include "world/generators.hpp"
 
 namespace {
@@ -60,12 +60,13 @@ void BM_FullOccupancySecond(benchmark::State& state) {
   // including sensing, stamping, broadcast, and logging.
   const auto doors = static_cast<std::size_t>(state.range(0));
   for (auto _ : state) {
-    core::SystemConfig sys;
+    core::ShardedSystemConfig config;
+    core::SystemConfig& sys = config.base;
     sys.num_sensors = doors;
     sys.sim.seed = 1;
     sys.sim.horizon = SimTime::zero() + Duration::seconds(1);
     sys.delta = Duration::millis(50);
-    core::PervasiveSystem system(sys);
+    core::ShardedPervasiveSystem system(config);
     std::vector<std::unique_ptr<world::AttributeDriver>> drivers;
     for (ProcessId pid = 1; pid <= doors; ++pid) {
       const auto obj = system.world().create_object("o" + std::to_string(pid));
@@ -85,12 +86,13 @@ BENCHMARK(BM_FullOccupancySecond)->RangeMultiplier(2)->Range(2, 16);
 
 void BM_DetectorThroughput(benchmark::State& state) {
   // Updates/second each online detector can process, on a prebuilt log.
-  core::SystemConfig sys;
+  core::ShardedSystemConfig config;
+  core::SystemConfig& sys = config.base;
   sys.num_sensors = 4;
   sys.sim.seed = 3;
   sys.sim.horizon = SimTime::zero() + Duration::seconds(30);
   sys.delta = Duration::millis(50);
-  core::PervasiveSystem system(sys);
+  core::ShardedPervasiveSystem system(config);
   std::vector<std::unique_ptr<world::AttributeDriver>> drivers;
   for (ProcessId pid = 1; pid <= 4; ++pid) {
     const auto obj = system.world().create_object("o" + std::to_string(pid));
@@ -120,12 +122,13 @@ BENCHMARK(BM_DetectorThroughput)->DenseRange(0, 3);
 void BM_LatticeCount(benchmark::State& state) {
   // Consistent-cut counting cost on a strobe execution of growing size.
   const auto events_per_proc = static_cast<double>(state.range(0));
-  core::SystemConfig sys;
+  core::ShardedSystemConfig config;
+  core::SystemConfig& sys = config.base;
   sys.num_sensors = 4;
   sys.sim.seed = 9;
   sys.sim.horizon = SimTime::zero() + Duration::seconds(4);
   sys.delta = Duration::millis(100);
-  core::PervasiveSystem system(sys);
+  core::ShardedPervasiveSystem system(config);
   std::vector<std::unique_ptr<world::AttributeDriver>> drivers;
   for (ProcessId pid = 1; pid <= 4; ++pid) {
     const auto obj = system.world().create_object("o" + std::to_string(pid));

@@ -28,13 +28,14 @@ int main(int argc, char** argv) {
   const auto seconds = argc > 1 ? std::atoll(argv[1]) : 300;
   const auto seed = argc > 2 ? static_cast<std::uint64_t>(std::atoll(argv[2])) : 17;
 
-  core::SystemConfig sys;
+  core::ShardedSystemConfig config;
+  core::SystemConfig& sys = config.base;
   sys.num_sensors = 2;
   sys.sim.seed = seed;
   sys.sim.horizon = SimTime::zero() + Duration::seconds(seconds);
   sys.delay_kind = core::DelayKind::kUniformBounded;
   sys.delta = Duration::millis(60);
-  core::PervasiveSystem system(sys);
+  core::ShardedPervasiveSystem system(config);
 
   const auto room = system.world().create_object("server_room");
   system.world().object(room).set_attribute("temp", 26.0);
@@ -100,7 +101,8 @@ int main(int argc, char** argv) {
   const core::GroundTruthOracle oracle(
       core::parse_predicate("hot", "temp[1] > 30 && occupied[2]"),
       system.sensing());
-  const auto truth = oracle.evaluate(system.timeline(), sys.sim.horizon);
+  const auto truth =
+      oracle.evaluate(system.world().timeline(), sys.sim.horizon);
   SampleSet episode_ms;
   for (const auto& occ : truth.occurrences) {
     episode_ms.add(occ.duration().to_seconds() * 1e3);

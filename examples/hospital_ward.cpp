@@ -19,7 +19,7 @@
 #include "core/detectors.hpp"
 #include "core/oracle.hpp"
 #include "core/predicate_parser.hpp"
-#include "core/system.hpp"
+#include "core/sharded_system.hpp"
 #include "world/scenarios.hpp"
 
 int main(int argc, char** argv) {
@@ -30,13 +30,14 @@ int main(int argc, char** argv) {
 
   world::HospitalWardConfig ward_cfg;
 
-  core::SystemConfig sys;
+  core::ShardedSystemConfig config;
+  core::SystemConfig& sys = config.base;
   // P_1, P_2: waiting-room door sensors; P_3: ward sensor.
   sys.num_sensors = static_cast<std::size_t>(ward_cfg.waiting_room_doors) + 1;
   sys.sim.seed = seed;
   sys.sim.horizon = SimTime::zero() + Duration::seconds(seconds);
   sys.delta = Duration::millis(80);
-  core::PervasiveSystem system(sys);
+  core::ShardedPervasiveSystem system(config);
 
   world::HospitalWard hospital(system.world(), ward_cfg,
                                system.sim().rng_for("hospital"));
@@ -67,7 +68,8 @@ int main(int argc, char** argv) {
 
   for (const core::Predicate* phi : {&overcrowded, &violation}) {
     const core::GroundTruthOracle oracle(*phi, system.sensing());
-    const auto truth = oracle.evaluate(system.timeline(), sys.sim.horizon);
+    const auto truth =
+        oracle.evaluate(system.world().timeline(), sys.sim.horizon);
     std::printf("predicate '%s': %zu true occurrences (%.1f%% of time)\n",
                 phi->name().c_str(), truth.occurrences.size(),
                 100.0 * truth.fraction_true);
@@ -90,7 +92,8 @@ int main(int argc, char** argv) {
     std::printf("%s\n", table.ascii().c_str());
   }
 
-  const auto& strobes = system.message_stats().of(net::MessageKind::kStrobe);
+  const net::MessageStats stats = system.message_stats();
+  const auto& strobes = stats.of(net::MessageKind::kStrobe);
   std::printf("strobe traffic: %zu transmissions, %zu delivered, %zu bytes\n",
               strobes.sent, strobes.delivered, strobes.bytes_sent);
   return 0;

@@ -8,6 +8,8 @@
 //                              incrementally with bounded memory — from
 //                              stdin, or many at once via --listen
 //
+// A missing or unknown subcommand prints usage and exits 2.
+//
 // Shared scenario options (run / check):
 //     --scenario hall|office|hospital|city   (default hall)
 //     --doors N          door/sensor count for hall        (default 4)
@@ -42,10 +44,12 @@
 // serve-only: --procs N --retention MS --metrics-every N --lenient
 //             --listen PORT|UNIX-PATH --max-streams N --max-buffer BYTES
 //             --idle-timeout SECS
+//             (--max-buffer caps one line, on stdin and on every socket)
 //
-// Exit codes: 0 ok · 1 violations · 2 usage/config error · 3 stream input
-// rejected (serve) · 4 trace ring truncated under check. Multi-stream serve
-// aggregates across sessions: 3 beats 1 beats 0.
+// Exit codes: 0 ok · 1 violations · 2 usage/config error or missing/unknown
+// subcommand · 3 stream input rejected (serve) · 4 trace ring truncated
+// under check. Multi-stream serve aggregates across sessions: 3 beats 1
+// beats 0.
 //
 // Exit 2 covers every option combination the sharded driver cannot honor,
 // each rejected with a one-line remedy before anything runs:
@@ -62,16 +66,17 @@
 //   psn_cli check --mode scalar              # clock-contract replay, CI-style
 //   psn_cli run --trace /dev/stdout --trace-cap 200000 | psn_cli serve
 //   psn_cli serve --listen 7070 --max-streams 16   # socket soak server
-//
-// The pre-subcommand flat-flag form (psn_cli --check ...) still works as a
-// deprecated alias and prints a migration hint on stderr.
 
+#include <unistd.h>
+
+#include <cerrno>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <iostream>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "analysis/export.hpp"
@@ -79,14 +84,14 @@
 #include "common/error.hpp"
 #include "common/table.hpp"
 #include "serve/listener.hpp"
-#include "serve/soak_server.hpp"
+#include "serve/session.hpp"
 #include "sim/fault.hpp"
 
 namespace {
 
 using namespace psn;
 
-enum class Command { kRun, kCheck, kLegacy };
+enum class Command { kRun, kCheck };
 
 struct CliOptions {
   std::string scenario = "hall";
@@ -115,7 +120,6 @@ struct CliOptions {
   bool fifo = false;
   std::string faults;  // fault-plan spec (sim::parse_fault_plan grammar)
   std::string ge;      // Gilbert–Elliott params "g2b,b2g,loss_good,loss_bad"
-  bool check = false;  // legacy flat-flag form only
 };
 
 [[noreturn]] void usage_error(const std::string& why) {
@@ -174,8 +178,8 @@ CliOptions parse_cli(const std::vector<std::string>& args, Command cmd) {
       if (i + 1 >= args.size()) usage_error("missing value for " + flag);
       return args[++i];
     };
-    // Flags restricted to `run` (and the legacy flat form).
-    const bool run_like = cmd != Command::kCheck;
+    // Flags restricted to `run`.
+    const bool run_like = cmd == Command::kRun;
     if (flag == "--scenario") {
       opt.scenario = value();
     } else if (flag == "--doors") {
@@ -237,9 +241,7 @@ CliOptions parse_cli(const std::vector<std::string>& args, Command cmd) {
       opt.metrics = true;
     } else if (run_like && flag == "--trace") {
       opt.trace = value();
-    } else if (cmd == Command::kLegacy && flag == "--check") {
-      opt.check = true;
-    } else if (cmd == Command::kRun && flag == "--check") {
+    } else if (run_like && flag == "--check") {
       usage_error("--check moved to the `check` subcommand: psn_cli check");
     } else {
       usage_error("unknown flag " + flag);
@@ -376,8 +378,8 @@ void print_header(std::FILE* out, const CliOptions& opt,
   }
 }
 
-/// The checker half of the legacy flat-flag form and the whole `check`
-/// subcommand. Returns the process exit code.
+/// The `check` subcommand's run through the checker. Returns the process
+/// exit code.
 int run_check(const analysis::OccupancyConfig& base, const CliOptions& opt) {
   analysis::OccupancyConfig checked = base;
   checked.check = true;
@@ -406,9 +408,9 @@ int run_check(const analysis::OccupancyConfig& base, const CliOptions& opt) {
   return 0;
 }
 
-/// The trace-writing half of `run` (and the legacy form): the sweep merges
-/// snapshots but keeps no raw per-run trace, so re-run the base point
-/// (first seed) once with the trace ring enabled.
+/// The trace-writing half of `run`: the sweep merges snapshots but keeps no
+/// raw per-run trace, so re-run the base point (first seed) once with the
+/// trace ring enabled.
 int write_trace(const analysis::OccupancyConfig& base, const CliOptions& opt) {
   analysis::OccupancyConfig traced = base;
   traced.trace_capacity = opt.trace_cap;
@@ -443,7 +445,7 @@ int write_trace(const analysis::OccupancyConfig& base, const CliOptions& opt) {
   return 0;
 }
 
-int cmd_run(const CliOptions& opt, bool legacy) {
+int cmd_run(const CliOptions& opt) {
   const analysis::OccupancyConfig cfg = occupancy_config_of(opt);
   std::FILE* human = trace_is_stdout(opt) ? stderr : stdout;
   print_header(human, opt, cfg);
@@ -487,10 +489,6 @@ int cmd_run(const CliOptions& opt, bool legacy) {
                  result.points.front().metrics.table().ascii().c_str());
   }
 
-  if (legacy && opt.check) {
-    const int code = run_check(cfg, opt);
-    if (code != 0) return code;
-  }
   if (!opt.trace.empty()) {
     const int code = write_trace(cfg, opt);
     if (code != 0) return code;
@@ -502,6 +500,26 @@ int cmd_check(const CliOptions& opt) {
   const analysis::OccupancyConfig cfg = occupancy_config_of(opt);
   print_header(stdout, opt, cfg);
   return run_check(cfg, opt);
+}
+
+/// `serve` without --listen: stdin is one Session over fd 0, reassembling
+/// lines from raw reads exactly as a socket stream does (--max-buffer caps
+/// them the same way). A failed stdout write — the consumer is gone and
+/// SIGPIPE is ignored — stops the session instead of killing the process.
+int serve_stdin(const serve::SessionConfig& cfg) {
+  serve::Session session(cfg, [](std::string_view chunk) {
+    return std::fwrite(chunk.data(), 1, chunk.size(), stdout) == chunk.size();
+  });
+  char buf[std::size_t{1} << 16];
+  while (!session.stopped()) {
+    const ssize_t n = ::read(STDIN_FILENO, buf, sizeof(buf));
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) break;  // EOF or a read error: finish what arrived
+    session.on_data(std::string_view(buf, static_cast<std::size_t>(n)));
+  }
+  const int code = session.finish().exit_code;
+  std::fflush(stdout);
+  return code;
 }
 
 int cmd_serve(const std::vector<std::string>& args) {
@@ -578,9 +596,10 @@ int cmd_serve(const std::vector<std::string>& args) {
       return 2;
     }
   }
-  serve::SoakServer server(cfg, std::cout);
-  const serve::SoakReport report = server.run(std::cin);
-  return report.exit_code;
+  serve::SessionConfig session_cfg;
+  session_cfg.soak = cfg;
+  session_cfg.max_line_bytes = max_buffer;
+  return serve_stdin(session_cfg);
 }
 
 }  // namespace
@@ -595,7 +614,7 @@ int main(int argc, char** argv) {
   std::vector<std::string> args(argv + 1, argv + argc);
   if (!args.empty() && args[0] == "run") {
     args.erase(args.begin());
-    return cmd_run(parse_cli(args, Command::kRun), /*legacy=*/false);
+    return cmd_run(parse_cli(args, Command::kRun));
   }
   if (!args.empty() && args[0] == "check") {
     args.erase(args.begin());
@@ -608,11 +627,11 @@ int main(int argc, char** argv) {
   if (!args.empty() && (args[0] == "--help" || args[0] == "-h")) {
     print_usage_and_exit();
   }
-  if (!args.empty()) {
-    std::fprintf(stderr,
-                 "psn_cli: flat-flag invocation is deprecated; use "
-                 "`psn_cli run ...`, `psn_cli check ...`, or "
-                 "`psn_cli serve ...` (this alias keeps working for now)\n");
-  }
-  return cmd_run(parse_cli(args, Command::kLegacy), /*legacy=*/true);
+  const std::string why = args.empty() ? "missing subcommand"
+                                       : "unknown subcommand '" + args[0] + "'";
+  std::fprintf(stderr,
+               "psn_cli: %s\nusage: psn_cli <run|check|serve> [options] "
+               "(--help lists them)\n",
+               why.c_str());
+  return 2;
 }

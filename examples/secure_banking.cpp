@@ -17,7 +17,7 @@
 
 #include "common/table.hpp"
 #include "core/interval_algebra.hpp"
-#include "core/system.hpp"
+#include "core/sharded_system.hpp"
 
 int main(int argc, char** argv) {
   using namespace psn;
@@ -25,12 +25,13 @@ int main(int argc, char** argv) {
   const int sessions = argc > 1 ? std::atoi(argv[1]) : 12;
   const auto seed = argc > 2 ? static_cast<std::uint64_t>(std::atoll(argv[2])) : 8;
 
-  core::SystemConfig sys;
+  core::ShardedSystemConfig config;
+  core::SystemConfig& sys = config.base;
   sys.num_sensors = 2;
   sys.sim.seed = seed;
   sys.sim.horizon = SimTime::zero() + Duration::seconds(10 * (sessions + 1));
   sys.delta = Duration::millis(120);
-  core::PervasiveSystem system(sys);
+  core::ShardedPervasiveSystem system(config);
 
   const auto pwd_terminal = system.world().create_object("password_terminal");
   const auto bio_terminal = system.world().create_object("biometric_reader");

@@ -26,7 +26,7 @@
 #include "core/lattice.hpp"
 #include "core/oracle.hpp"
 #include "core/predicate_parser.hpp"
-#include "core/system.hpp"
+#include "core/sharded_system.hpp"
 #include "world/scenarios.hpp"
 
 int main(int argc, char** argv) {
@@ -35,13 +35,14 @@ int main(int argc, char** argv) {
   const auto seconds = argc > 1 ? std::atoll(argv[1]) : 60;
   const auto seed = argc > 2 ? static_cast<std::uint64_t>(std::atoll(argv[2])) : 11;
 
-  core::SystemConfig sys;
+  core::ShardedSystemConfig config;
+  core::SystemConfig& sys = config.base;
   sys.num_sensors = 2;
   sys.sim.seed = seed;
   sys.sim.horizon = SimTime::zero() + Duration::seconds(seconds);
   sys.delay_kind = core::DelayKind::kUniformBounded;
   sys.delta = Duration::millis(100);
-  core::PervasiveSystem system(sys);
+  core::ShardedPervasiveSystem system(config);
 
   world::SmartOfficeConfig office_cfg;
   office_cfg.rooms = 1;
@@ -66,7 +67,7 @@ int main(int argc, char** argv) {
 
   const core::GroundTruthOracle oracle(phi, system.sensing());
   const core::OracleResult truth =
-      oracle.evaluate(system.timeline(), sys.sim.horizon);
+      oracle.evaluate(system.world().timeline(), sys.sim.horizon);
   std::printf("ground truth: %zu occurrences, %.1f%% of the time\n\n",
               truth.occurrences.size(), 100.0 * truth.fraction_true);
 

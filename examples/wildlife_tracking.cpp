@@ -22,7 +22,7 @@
 #include "core/oracle.hpp"
 #include "core/predicate_parser.hpp"
 #include "core/proximity.hpp"
-#include "core/system.hpp"
+#include "core/sharded_system.hpp"
 #include "world/mobility.hpp"
 
 int main(int argc, char** argv) {
@@ -31,13 +31,14 @@ int main(int argc, char** argv) {
   const auto seconds = argc > 1 ? std::atoll(argv[1]) : 600;
   const auto seed = argc > 2 ? static_cast<std::uint64_t>(std::atoll(argv[2])) : 21;
 
-  core::SystemConfig sys;
+  core::ShardedSystemConfig config;
+  core::SystemConfig& sys = config.base;
   sys.num_sensors = 3;
   sys.sim.seed = seed;
   sys.sim.horizon = SimTime::zero() + Duration::seconds(seconds);
   sys.delay_kind = core::DelayKind::kUniformBounded;
   sys.delta = Duration::millis(400);  // wilderness radios: slow, duty-cycled
-  core::PervasiveSystem system(sys);
+  core::ShardedPervasiveSystem system(config);
 
   core::ProximityField field(
       system, {{1, {20.0, 30.0}, 18.0},
@@ -70,7 +71,8 @@ int main(int argc, char** argv) {
        {"sum(near_zebra) >= 1", "near_zebra[1] && near_zebra[2]"}) {
     const auto phi = core::parse_predicate(text, text);
     const core::GroundTruthOracle oracle(phi, system.sensing());
-    const auto truth = oracle.evaluate(system.timeline(), sys.sim.horizon);
+    const auto truth =
+        oracle.evaluate(system.world().timeline(), sys.sim.horizon);
     std::printf("predicate %-32s: %zu true episodes (%.1f%% of time)\n", text,
                 truth.occurrences.size(), 100.0 * truth.fraction_true);
 

@@ -227,29 +227,14 @@ OccupancyRunResult run_occupancy_experiment(
   // offline detectors append their kDetect records (which it would ignore
   // anyway, but checking the smaller window is cheaper).
   if (config.check) {
-    if (!tracing) {
-      throw ConfigError(
-          "psn::check: tracing was off for this run; set "
-          "OccupancyConfig::trace_capacity > 0 and rerun");
-    }
     check::CheckOptions check_options;
     check_options.validity_horizon = config.validity_horizon;
     // trace_records() already merged the schedule's fault records into the
     // canonical order; the options pointer lets the drift contract subtract
     // declared clock faults exactly.
     check_options.faults = system.faults();
-    check::RunInputs inputs;
-    inputs.num_processes = system.num_processes();
-    inputs.sync_epsilon = sys.clock_config.sync_epsilon;
-    inputs.drifting = sys.clock_config.drifting;
-    inputs.executions.resize(inputs.num_processes);  // the root's stays empty
-    const auto executions = system.sensor_executions();
-    for (ProcessId p = 1; p < inputs.num_processes; ++p) {
-      inputs.executions[p] = *executions[p - 1];
-    }
-    inputs.trace = result.trace;
-    inputs.trace_evicted = result.trace_evicted;
-    result.check = check::check_run(inputs, check_options);
+    result.check = check::check_run(check::inputs_from(system, result.trace),
+                                    check_options);
   }
 
   for (const auto& detector : core::all_online_detectors()) {

@@ -4,7 +4,7 @@
 
 #include "check/stream_checker.hpp"
 #include "common/error.hpp"
-#include "core/system.hpp"
+#include "core/sharded_system.hpp"
 
 namespace psn::check {
 
@@ -139,35 +139,33 @@ CheckReport check_run(const RunInputs& inputs, const CheckOptions& options) {
   return checker.finish();
 }
 
-RunInputs inputs_from(const core::PervasiveSystem& system) {
-  const sim::TraceRecorder* trace = system.sim().trace();
-  if (trace == nullptr) {
+RunInputs inputs_from(const core::ShardedPervasiveSystem& system) {
+  return inputs_from(system, system.trace_records());
+}
+
+RunInputs inputs_from(const core::ShardedPervasiveSystem& system,
+                      std::vector<sim::TraceRecord> trace) {
+  const core::SystemConfig& cfg = system.config().base;
+  if (cfg.sim.trace_capacity == 0) {
     throw ConfigError(
         "psn::check: tracing was off for this run; set "
-        "SimConfig::trace_capacity > 0 (or SimConfig::check) and rerun");
+        "SimConfig::trace_capacity > 0 and rerun");
   }
   RunInputs in;
   in.num_processes = system.num_processes();
-  in.sync_epsilon = system.config().clock_config.sync_epsilon;
-  in.drifting = system.config().clock_config.drifting;
+  in.sync_epsilon = cfg.clock_config.sync_epsilon;
+  in.drifting = cfg.clock_config.drifting;
   in.executions.resize(in.num_processes);  // the root's stays empty
+  const auto executions = system.sensor_executions();
   for (ProcessId p = 1; p < in.num_processes; ++p) {
-    in.executions[p] = system.sensor(p).events();
+    in.executions[p] = *executions[p - 1];
   }
-  in.trace = trace->records();
-  in.trace_evicted = trace->evicted();
-  if (system.faults() != nullptr) {
-    // The serial system never emits fault records live (they would ride the
-    // trace ring and could evict real message records); synthesize them here
-    // and restore the canonical order so the checker sees one merged stream.
-    system.faults()->append_trace_records(in.trace,
-                                          system.config().sim.horizon);
-    sim::canonical_trace_order(in.trace);
-  }
+  in.trace = std::move(trace);
+  in.trace_evicted = system.trace_evicted();
   return in;
 }
 
-CheckReport check_system(const core::PervasiveSystem& system,
+CheckReport check_system(const core::ShardedPervasiveSystem& system,
                          const CheckOptions& options) {
   CheckOptions opts = options;
   // Compensate declared clock faults automatically when the caller did not

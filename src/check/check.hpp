@@ -15,7 +15,7 @@
 #include "sim/trace.hpp"
 
 namespace psn::core {
-class PervasiveSystem;
+class ShardedPervasiveSystem;
 }  // namespace psn::core
 
 /// psn::check — the causality & clock-contract checker (DESIGN.md §10).
@@ -141,7 +141,7 @@ class TraceWindowError : public ConfigError {
 
 /// Everything the checker needs from one finished run. Synthesize (and
 /// corrupt) these directly in mutation tests; `inputs_from` extracts them
-/// from a PervasiveSystem.
+/// from a core::ShardedPervasiveSystem.
 struct RunInputs {
   std::size_t num_processes = 0;  ///< including the root P_0
   Duration sync_epsilon = Duration::zero();
@@ -157,12 +157,20 @@ struct RunInputs {
 /// an evicted trace without allow_partial_window).
 CheckReport check_run(const RunInputs& inputs, const CheckOptions& options = {});
 
-/// Extracts RunInputs from a finished system run. Requires tracing to have
-/// been enabled (SimConfig::trace_capacity > 0).
-RunInputs inputs_from(const core::PervasiveSystem& system);
+/// Extracts RunInputs from a finished run of a core::ShardedPervasiveSystem
+/// at any shard count. Requires tracing to have been enabled
+/// (SimConfig::trace_capacity > 0). The trace is the system's
+/// trace_records(): every shard's ring plus the fault plan's records in
+/// canonical order. A caller that already holds it passes it in, so it is
+/// not merged and sorted twice.
+RunInputs inputs_from(const core::ShardedPervasiveSystem& system);
+RunInputs inputs_from(const core::ShardedPervasiveSystem& system,
+                      std::vector<sim::TraceRecord> trace);
 
-/// inputs_from + check_run.
-CheckReport check_system(const core::PervasiveSystem& system,
+/// inputs_from + check_run over a finished core::ShardedPervasiveSystem run,
+/// compensating the system's declared clock faults unless `options` names
+/// a schedule of its own.
+CheckReport check_system(const core::ShardedPervasiveSystem& system,
                          const CheckOptions& options = {});
 
 }  // namespace psn::check

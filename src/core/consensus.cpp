@@ -6,7 +6,7 @@
 
 namespace psn::core {
 
-void enable_all_observers(PervasiveSystem& system) {
+void enable_all_observers(ShardedPervasiveSystem& system) {
   for (ProcessId pid = 1; pid < system.num_processes(); ++pid) {
     system.sensor(pid).enable_observation_log(system.num_processes(),
                                               system.delta_bound());
@@ -14,7 +14,7 @@ void enable_all_observers(PervasiveSystem& system) {
 }
 
 std::vector<const ObservationLog*> ConsensusStrobeDetector::observer_logs(
-    const PervasiveSystem& system) {
+    const ShardedPervasiveSystem& system) {
   std::vector<const ObservationLog*> logs;
   logs.push_back(&system.log());  // the root is always observer 0
   for (ProcessId pid = 1; pid < system.num_processes(); ++pid) {

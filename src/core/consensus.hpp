@@ -6,7 +6,7 @@
 #include "core/detectors.hpp"
 #include "core/observation.hpp"
 #include "core/predicate.hpp"
-#include "core/system.hpp"
+#include "core/sharded_system.hpp"
 
 namespace psn::core {
 
@@ -39,10 +39,10 @@ class ConsensusStrobeDetector {
   /// Convenience: collects the root log plus every sensor log that was
   /// enabled on `system`.
   static std::vector<const ObservationLog*> observer_logs(
-      const PervasiveSystem& system);
+      const ShardedPervasiveSystem& system);
 };
 
 /// Enables observation logs on all sensors of `system` (call before run()).
-void enable_all_observers(PervasiveSystem& system);
+void enable_all_observers(ShardedPervasiveSystem& system);
 
 }  // namespace psn::core

@@ -15,7 +15,7 @@ ExecutionView::ExecutionView(std::vector<ProcessId> pids,
 }
 
 ExecutionView ExecutionView::from_strobe_stamps(
-    const PervasiveSystem& system) {
+    const ShardedPervasiveSystem& system) {
   std::vector<ProcessId> pids;
   std::vector<std::vector<Event>> histories;
   for (const auto* events : system.sensor_executions()) {
@@ -40,7 +40,7 @@ ExecutionView ExecutionView::from_strobe_stamps(
 }
 
 ExecutionView ExecutionView::from_causal_stamps(
-    const PervasiveSystem& system) {
+    const ShardedPervasiveSystem& system) {
   std::vector<ProcessId> pids;
   std::vector<std::vector<Event>> histories;
   for (const auto* events : system.sensor_executions()) {

@@ -5,7 +5,7 @@
 #include "clocks/timestamp.hpp"
 #include "common/sim_time.hpp"
 #include "common/types.hpp"
-#include "core/system.hpp"
+#include "core/sharded_system.hpp"
 #include "core/variables.hpp"
 
 namespace psn::core {
@@ -32,10 +32,12 @@ class ExecutionView {
                 std::vector<std::vector<Event>> events);
 
   /// Sense events of all sensors, stamped with the *strobe* vector clock.
-  static ExecutionView from_strobe_stamps(const PervasiveSystem& system);
+  static ExecutionView from_strobe_stamps(
+      const ShardedPervasiveSystem& system);
   /// Every causal-ticking event of all sensors, stamped with the causal
   /// Mattern/Fidge clock.
-  static ExecutionView from_causal_stamps(const PervasiveSystem& system);
+  static ExecutionView from_causal_stamps(
+      const ShardedPervasiveSystem& system);
 
   std::size_t num_processes() const { return events_.size(); }
   ProcessId pid(std::size_t p) const { return pids_[p]; }

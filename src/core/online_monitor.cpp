@@ -7,7 +7,8 @@
 
 namespace psn::core {
 
-OnlineMonitor::OnlineMonitor(PervasiveSystem& system, Predicate predicate,
+OnlineMonitor::OnlineMonitor(ShardedPervasiveSystem& system,
+                             Predicate predicate,
                              std::vector<ActuationRule> rules)
     : system_(system),
       detector_(std::move(predicate)),

@@ -4,7 +4,7 @@
 #include <vector>
 
 #include "core/detectors.hpp"
-#include "core/system.hpp"
+#include "core/sharded_system.hpp"
 
 namespace psn::core {
 
@@ -35,11 +35,11 @@ struct ActuationRule {
 /// control loop, so actuation effects become world events that are sensed
 /// again.
 ///
-/// Construct after PervasiveSystem and before run(); keep alive for the
-/// whole run.
+/// Construct after the system and before run(); keep alive for the whole
+/// run. Needs a live single-shard system (it sends through transport()).
 class OnlineMonitor {
  public:
-  OnlineMonitor(PervasiveSystem& system, Predicate predicate,
+  OnlineMonitor(ShardedPervasiveSystem& system, Predicate predicate,
                 std::vector<ActuationRule> rules = {});
 
   /// Transitions detected so far (complete after system.run()).
@@ -63,7 +63,7 @@ class OnlineMonitor {
  private:
   void on_update(const ReceivedUpdate& update, std::size_t index);
 
-  PervasiveSystem& system_;
+  ShardedPervasiveSystem& system_;
   IncrementalStrobeVectorDetector detector_;
   std::vector<ActuationRule> rules_;
   std::vector<Detection> detections_;

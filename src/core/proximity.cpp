@@ -6,7 +6,7 @@
 
 namespace psn::core {
 
-ProximityField::ProximityField(PervasiveSystem& system,
+ProximityField::ProximityField(ShardedPervasiveSystem& system,
                                std::vector<SensorZone> zones)
     : system_(system), zones_(std::move(zones)) {
   PSN_CHECK(!zones_.empty(), "proximity field needs at least one zone");

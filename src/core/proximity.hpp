@@ -3,7 +3,7 @@
 #include <string>
 #include <vector>
 
-#include "core/system.hpp"
+#include "core/sharded_system.hpp"
 #include "world/world_model.hpp"
 
 namespace psn::core {
@@ -35,7 +35,8 @@ class ProximityField {
   /// Registers the zones and subscribes to world movement. Must be created
   /// after the system and before run(). Zone objects are created in the
   /// world and assigned to their sensors.
-  ProximityField(PervasiveSystem& system, std::vector<SensorZone> zones);
+  ProximityField(ShardedPervasiveSystem& system,
+                 std::vector<SensorZone> zones);
 
   /// Starts tracking `object`; its presence variable is named
   /// "near_<object-name>". Emits the initial containment state immediately.
@@ -57,7 +58,7 @@ class ProximityField {
     std::vector<bool> inside;  ///< per zone index
   };
 
-  PervasiveSystem& system_;
+  ShardedPervasiveSystem& system_;
   std::vector<SensorZone> zones_;
   std::vector<world::ObjectId> zone_objects_;
   std::vector<Tracked> tracked_;

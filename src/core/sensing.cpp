@@ -183,7 +183,7 @@ void SensorNode::on_message(const net::Message& msg) {
     }
     case net::MessageKind::kActuation: {
       // Apply the command to the world plane as an a-event. Requires the
-      // world to have been bound (PervasiveSystem does this).
+      // world to have been bound (ShardedPervasiveSystem::world() does this).
       const auto& cmd = msg.actuation();
       PSN_CHECK(world_ != nullptr,
                 "actuation command received but no world bound");

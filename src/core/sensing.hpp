@@ -68,7 +68,8 @@ class SensorNode {
                const std::string& attribute, world::AttributeValue value);
 
   /// Binds the world plane so incoming actuation commands (kActuation
-  /// messages) can be applied as a-events. Set by PervasiveSystem.
+  /// messages) can be applied as a-events. Set by
+  /// ShardedPervasiveSystem::world().
   void bind_world(world::WorldModel* world) { world_ = world; }
 
   /// Makes this sensor record every strobe it receives (and its own sense

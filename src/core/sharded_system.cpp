@@ -21,7 +21,9 @@ struct ShardedPervasiveSystem::Shard {
   std::vector<std::unique_ptr<SensorNode>> sensors;  ///< owned pids only
   ProcessId sensor_base = 1;                         ///< pid of sensors[0]
 
-  SensorNode& sensor(ProcessId pid) { return *sensors[pid - sensor_base]; }
+  SensorNode& sensor(ProcessId pid) const {
+    return *sensors[pid - sensor_base];
+  }
 };
 
 /// Replays one sensor's subsequence of the pre-rolled world timeline as a
@@ -188,6 +190,8 @@ void ShardedPervasiveSystem::assign(world::ObjectId object,
 void ShardedPervasiveSystem::set_world_events(
     std::vector<world::WorldEvent> events) {
   PSN_CHECK(!ran_, "world events must be installed before run()");
+  PSN_CHECK(world_ == nullptr,
+            "a run replays set_world_events() or drives world(), not both");
   for (std::size_t i = 1; i < events.size(); ++i) {
     PSN_CHECK(events[i - 1].when <= events[i].when,
               "world timeline must be in true-time order");
@@ -203,7 +207,42 @@ void ShardedPervasiveSystem::reserve_root_logs(std::size_t expected_updates) {
   for (const auto& sh : shards_) sh->root->log().updates.reserve(per_shard);
 }
 
+ShardedPervasiveSystem::Shard& ShardedPervasiveSystem::single_shard() {
+  PSN_CHECK(shards_.size() == 1,
+            "the live world, sim, transport and root need shards == 1");
+  return *shards_[0];
+}
+
+world::WorldModel& ShardedPervasiveSystem::world() {
+  Shard& sh = single_shard();
+  if (world_ == nullptr) {
+    PSN_CHECK(!ran_, "the live world must be built before run()");
+    PSN_CHECK(timeline_.empty(), "a replayed run has no live world");
+    world_ = std::make_unique<world::WorldModel>(*sh.sim);
+    for (const auto& node : sh.sensors) node->bind_world(world_.get());
+    // Route assigned world events to their sensors the instant they happen.
+    world_->add_sink([this](const world::WorldEvent& ev) {
+      const ProcessId pid = sensing_.sensor_of(ev.object, ev.attribute);
+      if (pid != kNoProcess) sensor(pid).sense(ev);
+    });
+  }
+  return *world_;
+}
+
+sim::Simulation& ShardedPervasiveSystem::sim() { return *single_shard().sim; }
+
+net::Transport& ShardedPervasiveSystem::transport() {
+  return *single_shard().transport;
+}
+
+RootMonitor& ShardedPervasiveSystem::root() { return *single_shard().root; }
+
 SensorNode& ShardedPervasiveSystem::sensor(ProcessId pid) {
+  PSN_CHECK(pid >= 1 && pid < n_, "not a sensor pid");
+  return shards_[shard_map_.shard_of(pid)]->sensor(pid);
+}
+
+const SensorNode& ShardedPervasiveSystem::sensor(ProcessId pid) const {
   PSN_CHECK(pid >= 1 && pid < n_, "not a sensor pid");
   return shards_[shard_map_.shard_of(pid)]->sensor(pid);
 }
@@ -328,7 +367,14 @@ std::size_t ShardedPervasiveSystem::run() {
   return total;
 }
 
+const ObservationLog& ShardedPervasiveSystem::log() const {
+  return world_ != nullptr ? shards_[0]->root->log() : merged_log_;
+}
+
 void ShardedPervasiveSystem::merge_root_logs() {
+  // A live run has one root, whose log is already the serial delivery
+  // order; sorting it could reorder same-instant deliveries under Δ = 0.
+  if (world_ != nullptr) return;
   merged_log_ = ObservationLog{};
   merged_log_.num_processes = n_;
   merged_log_.delta_bound = delta_bound();
@@ -421,8 +467,7 @@ ShardedPervasiveSystem::sensor_executions() const {
   std::vector<const std::vector<ProcessEvent>*> out;
   out.reserve(n_ - 1);
   for (ProcessId pid = 1; pid < n_; ++pid) {
-    const Shard& sh = *shards_[shard_map_.shard_of(pid)];
-    out.push_back(&sh.sensors[pid - sh.sensor_base]->events());
+    out.push_back(&sensor(pid).events());
   }
   return out;
 }

@@ -12,10 +12,11 @@
 #include "net/shard_map.hpp"
 #include "sim/trace.hpp"
 #include "world/event.hpp"
+#include "world/world_model.hpp"
 
 namespace psn::core {
 
-/// Configuration for the Δ-windowed sharded runner (DESIGN.md §14).
+/// Configuration of a ShardedPervasiveSystem (DESIGN.md §14).
 struct ShardedSystemConfig {
   /// The system being replicated per shard. Every shard is constructed from
   /// this exact config (same master seed, same models), which is what makes
@@ -35,7 +36,12 @@ struct ShardedSystemConfig {
   bool unicast_reports = false;
 };
 
-/// Space-partitioned execution of one ⟨P, L, O, C⟩ system (DESIGN.md §14).
+/// The assembled ⟨P, L, O, C⟩ system — the repo's one system type: world
+/// plane ⟨O, C⟩, network plane ⟨P, L⟩ with the root monitor P_0 and sensor
+/// processes P_1..P_n, wired so that every assigned world event is sensed,
+/// stamped under every clock model, and strobed system-wide. After run(),
+/// the root's ObservationLog and the world timeline feed the detectors and
+/// the oracle respectively. Executes in space partitions (DESIGN.md §14).
 ///
 /// The process space is cut into K contiguous shards (net::ShardMap); each
 /// shard owns a full Simulation + Transport + its range of SensorNodes, and
@@ -55,29 +61,49 @@ struct ShardedSystemConfig {
 ///    merge under sim::canonical_trace_order; metrics merge by summation in
 ///    shard order.
 ///
-/// The world plane is *not* replicated. The caller pre-rolls the world
-/// timeline once (scenarios are autonomous — they draw only from their own
-/// RNG substream) and hands it to set_world_events(); each sensor's event
-/// subsequence is replayed by a per-pid timer chain inside its owner shard.
-/// The K = 1 path uses the same replay machinery, so a 1-shard run is the
-/// golden reference for every K — and for the pre-sharding serial runner.
+/// The world plane enters in one of two ways, decided by whether
+/// set_world_events() was called:
 ///
-/// Not supported (callers reject these before construction): transports'
-/// causal-delivery mode, actuation messages (no world plane is bound), and
-/// K > 1 under delay models with a zero minimum one-hop delay.
+///  - replay (any K): the caller pre-rolls the world timeline once
+///    (scenarios are autonomous — they draw only from their own RNG
+///    substream) and hands it to set_world_events(); each sensor's event
+///    subsequence is replayed by a per-pid timer chain inside its owner
+///    shard. A 1-shard replay is the golden reference for every K.
+///  - live (K = 1 only): world() is a WorldModel bound to the one shard's
+///    Simulation, built on first use. Its events are sensed the instant
+///    they are emitted, and actuation commands apply to it, so closed-loop
+///    runs, proximity fields and scripted emits work. The root's log is the
+///    single shard's delivery order, unsorted.
+///
+/// Not supported at K > 1 (callers reject these before construction): FIFO
+/// channels, Gilbert–Elliott loss, and delay models with a zero minimum
+/// one-hop delay.
 class ShardedPervasiveSystem {
  public:
   explicit ShardedPervasiveSystem(ShardedSystemConfig config);
   ~ShardedPervasiveSystem();
 
-  /// Routes (object, attribute) world events to `sensor` during replay.
+  /// Routes (object, attribute) world events to `sensor`.
   void assign(world::ObjectId object, const std::string& attribute,
               ProcessId sensor);
   const SensingMap& sensing() const { return sensing_; }
 
   /// Installs the pre-rolled ground-truth timeline to replay (`when`
-  /// non-decreasing, indices assigned). Call once, before run().
+  /// non-decreasing, indices assigned). Call once, before run(), and never
+  /// together with world().
   void set_world_events(std::vector<world::WorldEvent> events);
+
+  // --- The live single-shard system. Each of these PSN_CHECKs K == 1.
+  /// The live world plane, built on first call (before run()); its sensors
+  /// are bound to it for actuation. Not available once set_world_events()
+  /// was called.
+  world::WorldModel& world();
+  sim::Simulation& sim();
+  net::Transport& transport();
+  RootMonitor& root();
+
+  SensorNode& sensor(ProcessId pid);
+  const SensorNode& sensor(ProcessId pid) const;
 
   /// Pre-sizes every per-shard root log (city-scale runs append millions of
   /// updates; growing the logs inside the window loop would allocate).
@@ -87,13 +113,14 @@ class ShardedPervasiveSystem {
   std::size_t num_shards() const { return shard_map_.num_shards(); }
   const net::ShardMap& shard_map() const { return shard_map_; }
   /// End-to-end Δ bound (hop bound × topology diameter, computed in closed
-  /// form per TopologyKind — the O(n²) BFS sweep is intractable at 10^5).
+  /// form per TopologyKind — an O(n²) BFS sweep is intractable at 10^5), or
+  /// Duration::max() if the delay model is unbounded.
   Duration delta_bound() const;
   /// Window width W used by the K > 1 drive loop (zero when K = 1).
   Duration window() const { return window_; }
 
-  /// Replays the world timeline through all shards to the horizon; returns
-  /// total events executed. Call once.
+  /// Runs all shards to the horizon; returns total events executed. Call
+  /// once.
   std::size_t run();
   bool truncated() const { return truncated_; }
   /// Δ-windows executed (0 when K = 1 — no window machinery ran).
@@ -101,10 +128,7 @@ class ShardedPervasiveSystem {
 
   // --- Merged run artifacts. Valid after run(); each is bit-identical to
   // --- the corresponding serial artifact at every K.
-  const ObservationLog& log() const { return merged_log_; }
-  const std::vector<world::WorldEvent>& world_events() const {
-    return timeline_;
-  }
+  const ObservationLog& log() const;
   net::MessageStats message_stats() const;
   MetricsSnapshot metrics_snapshot() const;
   /// Shard 0's registry — where post-run, analysis-level counters belong
@@ -129,7 +153,8 @@ class ShardedPervasiveSystem {
   struct ReplayCursor;
 
   std::unique_ptr<Shard> build_shard(std::size_t s);
-  SensorNode& sensor(ProcessId pid);
+  /// The one shard of a K = 1 system (PSN_CHECKs K == 1).
+  Shard& single_shard();
   void install_cursors();
   std::size_t exchange_outboxes();
   void merge_root_logs();
@@ -144,6 +169,7 @@ class ShardedPervasiveSystem {
   std::vector<std::vector<std::vector<net::PendingDelivery>>> outboxes_;
   std::vector<net::PendingDelivery> exchange_scratch_;
   std::vector<world::WorldEvent> timeline_;
+  std::unique_ptr<world::WorldModel> world_;  ///< live world, built by world()
   std::vector<std::unique_ptr<ReplayCursor>> cursors_;
   SensingMap sensing_;
   ObservationLog merged_log_;

@@ -102,103 +102,4 @@ net::Overlay make_system_overlay(TopologyKind kind, std::size_t n) {
   return net::Overlay(1);
 }
 
-PervasiveSystem::PervasiveSystem(SystemConfig config)
-    : config_(std::move(config)) {
-  PSN_CHECK(config_.num_sensors >= 1, "need at least one sensor");
-  const std::size_t n = config_.num_sensors + 1;
-
-  faults_ = make_fault_schedule(config_);
-  sim_ = std::make_unique<sim::Simulation>(config_.sim);
-  world_ = std::make_unique<world::WorldModel>(*sim_);
-  transport_ = std::make_unique<net::Transport>(
-      *sim_, make_system_overlay(config_.topology, n),
-      make_delay_model(config_), make_loss_model(config_),
-      sim_->rng_for("transport"));
-  transport_->set_clock_mode(config_.clock_mode);
-  transport_->set_fifo_channels(config_.fifo_channels);
-  if (faults_ != nullptr) transport_->set_fault_schedule(faults_.get());
-
-  root_ = std::make_unique<RootMonitor>(0, n, *sim_, config_.clock_config,
-                                        sim_->rng_for("clock", 0));
-  transport_->register_handler(
-      0, [this](const net::Message& msg) { root_->on_message(msg); });
-
-  for (ProcessId pid = 1; pid < n; ++pid) {
-    sensors_.push_back(std::make_unique<SensorNode>(
-        pid, n, *sim_, *transport_, config_.clock_config,
-        sim_->rng_for("clock", pid)));
-    SensorNode* node = sensors_.back().get();
-    node->bind_world(world_.get());
-    if (faults_ != nullptr) node->set_fault_schedule(faults_.get());
-    transport_->register_handler(
-        pid, [node](const net::Message& msg) { node->on_message(msg); });
-  }
-
-  if (config_.duty_cycle.has_value()) {
-    PSN_CHECK(config_.duty_cycle->valid(), "invalid duty cycle");
-    Rng phase_rng = sim_->rng_for("duty_phase");
-    for (ProcessId pid = 1; pid < n; ++pid) {
-      net::DutyCycle dc = *config_.duty_cycle;
-      if (!config_.duty_phases_aligned) {
-        dc.phase = phase_rng.uniform_duration(
-            Duration::zero(), dc.period - Duration::nanos(1));
-      }
-      transport_->set_wake_schedule(pid, dc);
-    }
-  }
-
-  // Route assigned world events to their sensors.
-  world_->add_sink([this](const world::WorldEvent& ev) {
-    const ProcessId pid = sensing_.sensor_of(ev.object, ev.attribute);
-    if (pid == kNoProcess) return;
-    sensor(pid).sense(ev);
-  });
-
-  // The root's ObservationLog advertises the end-to-end Δ bound and the
-  // deployment's temporal-validity policy.
-  root_->log().delta_bound = delta_bound();
-  root_->log().validity = config_.validity_horizon;
-}
-
-void PervasiveSystem::assign(world::ObjectId object,
-                             const std::string& attribute, ProcessId sensor) {
-  PSN_CHECK(sensor >= 1 && sensor <= config_.num_sensors,
-            "sensing must be assigned to a sensor process (1..n)");
-  sensing_.assign(object, attribute, sensor);
-}
-
-SensorNode& PervasiveSystem::sensor(ProcessId pid) {
-  PSN_CHECK(pid >= 1 && pid <= sensors_.size(), "not a sensor pid");
-  return *sensors_[pid - 1];
-}
-
-const SensorNode& PervasiveSystem::sensor(ProcessId pid) const {
-  PSN_CHECK(pid >= 1 && pid <= sensors_.size(), "not a sensor pid");
-  return *sensors_[pid - 1];
-}
-
-Duration PervasiveSystem::delta_bound() const {
-  const Duration hop = transport_->delay_model().bound();
-  if (hop == Duration::max()) return Duration::max();
-  std::size_t diameter = 1;
-  const auto& ov = transport_->overlay();
-  for (ProcessId a = 0; a < ov.size(); ++a) {
-    for (ProcessId b = a + 1; b < ov.size(); ++b) {
-      const std::size_t d = ov.hop_distance(a, b);
-      if (d != SIZE_MAX) diameter = std::max(diameter, d);
-    }
-  }
-  return hop * static_cast<std::int64_t>(diameter);
-}
-
-std::size_t PervasiveSystem::run() { return sim_->run(); }
-
-std::vector<const std::vector<ProcessEvent>*>
-PervasiveSystem::sensor_executions() const {
-  std::vector<const std::vector<ProcessEvent>*> out;
-  out.reserve(sensors_.size());
-  for (const auto& s : sensors_) out.push_back(&s->events());
-  return out;
-}
-
 }  // namespace psn::core

@@ -8,7 +8,6 @@
 #include "net/transport.hpp"
 #include "sim/fault.hpp"
 #include "sim/simulation.hpp"
-#include "world/world_model.hpp"
 
 namespace psn::core {
 
@@ -45,8 +44,8 @@ struct SystemConfig {
 
   /// Optional Gilbert–Elliott burst-loss channel, combined with the other
   /// loss sources. Its good/bad state advances per drop() call, so results
-  /// depend on the global transmission order: the sharded runner rejects it
-  /// for K > 1 (use loss_windows for shard-stable bursts).
+  /// depend on the global transmission order: it is rejected at K > 1
+  /// shards (use loss_windows for shard-stable bursts).
   struct GilbertElliottParams {
     double p_good_to_bad = 0.0;
     double p_bad_to_good = 0.0;
@@ -70,9 +69,9 @@ struct SystemConfig {
   /// unsynchronized baseline (per-node random phases).
   bool duty_phases_aligned = true;
 
-  /// Per-channel FIFO (causal) delivery on the transport. The sharded
-  /// runner rejects this mode (arrival instants would depend on delivery
-  /// state the verbatim outbox replay does not re-examine).
+  /// Per-channel FIFO (causal) delivery on the transport. Rejected at
+  /// K > 1 shards (arrival instants would depend on delivery state the
+  /// verbatim outbox replay does not re-examine).
   bool fifo_channels = false;
 
   /// Temporal-validity policy stamped onto every received observation
@@ -82,73 +81,16 @@ struct SystemConfig {
 };
 
 /// Factories mapping a SystemConfig onto concrete network models — one
-/// definition shared by PervasiveSystem and the sharded runner (DESIGN.md
-/// §14), so both assemble bit-identical planes from the same config.
+/// definition every shard of a ShardedPervasiveSystem (DESIGN.md §14) builds
+/// from, so all shards assemble bit-identical planes from the same config.
 std::unique_ptr<net::DelayModel> make_delay_model(const SystemConfig& config);
 std::unique_ptr<net::LossModel> make_loss_model(const SystemConfig& config);
 net::Overlay make_system_overlay(TopologyKind kind, std::size_t n);
 
 /// Compiles (and validates) a config's fault plan against its topology:
 /// every cut edge must exist in the base overlay, and crash/drift pids must
-/// name real processes. Returns nullptr for an empty plan. Shared by
-/// PervasiveSystem and the sharded runner so both reject the same configs.
+/// name real processes. Returns nullptr for an empty plan.
 std::unique_ptr<sim::FaultSchedule> make_fault_schedule(
     const SystemConfig& config);
-
-/// The assembled system: world plane ⟨O, C⟩, network plane ⟨P, L⟩ with the
-/// root monitor P_0 and sensor processes P_1..P_n, wired so that every
-/// assigned world event is sensed, stamped under every clock model, and
-/// strobed system-wide. After run(), the root's ObservationLog and the world
-/// timeline feed the detectors and the oracle respectively.
-class PervasiveSystem {
- public:
-  explicit PervasiveSystem(SystemConfig config);
-
-  sim::Simulation& sim() { return *sim_; }
-  const sim::Simulation& sim() const { return *sim_; }
-  world::WorldModel& world() { return *world_; }
-  net::Transport& transport() { return *transport_; }
-  SensingMap& sensing() { return sensing_; }
-  const SensingMap& sensing() const { return sensing_; }
-
-  /// Shorthand: route (object, attribute) world events to `sensor`.
-  void assign(world::ObjectId object, const std::string& attribute,
-              ProcessId sensor);
-
-  std::size_t num_processes() const { return sensors_.size() + 1; }
-  SensorNode& sensor(ProcessId pid);
-  const SensorNode& sensor(ProcessId pid) const;
-  RootMonitor& root() { return *root_; }
-
-  /// End-to-end delay bound Δ seen by any message (hop bound × diameter),
-  /// or Duration::max() if the delay model is unbounded.
-  Duration delta_bound() const;
-
-  /// Runs the simulation to its horizon; returns events executed.
-  std::size_t run();
-
-  const ObservationLog& log() const { return root_->log(); }
-  const world::WorldTimeline& timeline() const { return world_->timeline(); }
-  const net::MessageStats& message_stats() const {
-    return transport_->stats();
-  }
-  /// Recorded local executions of the sensors (index 0 = P_1).
-  std::vector<const std::vector<ProcessEvent>*> sensor_executions() const;
-
-  const SystemConfig& config() const { return config_; }
-
-  /// The compiled fault schedule, or nullptr when the config has no faults.
-  const sim::FaultSchedule* faults() const { return faults_.get(); }
-
- private:
-  SystemConfig config_;
-  std::unique_ptr<sim::FaultSchedule> faults_;
-  std::unique_ptr<sim::Simulation> sim_;
-  std::unique_ptr<world::WorldModel> world_;
-  std::unique_ptr<net::Transport> transport_;
-  std::unique_ptr<RootMonitor> root_;
-  std::vector<std::unique_ptr<SensorNode>> sensors_;
-  SensingMap sensing_;
-};
 
 }  // namespace psn::core

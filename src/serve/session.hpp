@@ -47,8 +47,8 @@ struct SoakReport {
   std::size_t records_fed = 0;
   std::size_t malformed_lines = 0;
   std::size_t out_of_order_lines = 0;
-  /// Lines that outgrew the reassembly buffer cap (socket mode's
-  /// slow-producer policy; see SessionConfig::max_line_bytes).
+  /// Lines that outgrew the reassembly buffer cap (the slow-producer
+  /// policy; see SessionConfig::max_line_bytes).
   std::size_t overlong_lines = 0;
   std::size_t detect_records = 0;
   std::size_t violations = 0;
@@ -69,19 +69,20 @@ struct SessionConfig {
   /// single-stream output is byte-identical to the pre-socket server.
   std::optional<std::uint64_t> stream_id;
 
-  /// Cap on the per-session line-reassembly buffer. A producer that sends
-  /// more than this without a newline hits the slow-producer policy: strict
-  /// mode rejects the session (exit 3), lenient mode drops bytes up to the
-  /// next newline and counts the loss (SoakReport::overlong_lines).
+  /// Cap on the per-session line-reassembly buffer (`--max-buffer`, stdin
+  /// and sockets alike). A producer that sends more than this without a
+  /// newline hits the slow-producer policy: strict mode rejects the session
+  /// (exit 3), lenient mode drops bytes up to the next newline and counts
+  /// the loss (SoakReport::overlong_lines).
   std::size_t max_line_bytes = std::size_t{1} << 16;
 };
 
-/// One verification stream: the session core shared by the stdin SoakServer
-/// and every socket connection of serve::Listener (DESIGN.md §12). Owns a
-/// bounded trace-only StreamChecker, the line-reassembly buffer, and the
-/// JSONL event writer; emits the same event lines as the single-stream
-/// server by construction, which is what makes the multi-stream equivalence
-/// suite a byte-compare.
+/// One verification stream: the session core shared by `psn_cli serve` on
+/// stdin and every socket connection of serve::Listener (DESIGN.md §12),
+/// both fed raw read() chunks through on_data(). Owns a bounded trace-only
+/// StreamChecker, the line-reassembly buffer, and the JSONL event writer;
+/// stdin and every socket stream emit the same event lines by construction,
+/// which is what makes the multi-stream equivalence suite a byte-compare.
 ///
 /// Writes go through the injected Writer; a false return means the
 /// downstream consumer is gone (EPIPE, closed socket) and tears the session
@@ -92,11 +93,11 @@ class Session {
 
   Session(const SessionConfig& config, Writer writer);
 
-  /// Line-oriented entry (stdin mode, tests): one complete line, no '\n'.
+  /// Line-oriented entry (tests, benchmarks): one complete line, no '\n'.
   /// No-op once the session has stopped.
   void feed_line(std::string_view line);
 
-  /// Byte-oriented entry (socket mode): reassembles lines out of arbitrary
+  /// Byte-oriented entry (stdin and sockets): reassembles lines out of any
   /// read chunks, honoring max_line_bytes. No-op once stopped.
   void on_data(std::string_view bytes);
 
@@ -137,7 +138,7 @@ class Session {
   MetricsRegistry::Counter stale_;
   SoakReport report_;
 
-  std::string buffer_;          ///< line reassembly (socket mode)
+  std::string buffer_;          ///< line reassembly (on_data)
   bool discarding_line_ = false;  ///< lenient overlong: drop to next '\n'
   SimTime last_ = SimTime::zero();
   bool have_last_ = false;

@@ -13,7 +13,7 @@
 #include <vector>
 
 #include "common/error.hpp"
-#include "core/system.hpp"
+#include "core/sharded_system.hpp"
 #include "world/generators.hpp"
 
 namespace psn::check {
@@ -25,13 +25,14 @@ using namespace psn::time_literals;
 /// computation messages (full s/r edge coverage), and internal events, with
 /// the trace ring sized to hold everything.
 RunInputs clean_inputs(std::uint64_t seed = 7) {
-  core::SystemConfig cfg;
+  core::ShardedSystemConfig config;
+  core::SystemConfig& cfg = config.base;
   cfg.num_sensors = 3;
   cfg.sim.seed = seed;
   cfg.sim.horizon = SimTime::zero() + 10_s;
   cfg.sim.trace_capacity = std::size_t{1} << 14;
   cfg.delta = 20_ms;
-  core::PervasiveSystem system(cfg);
+  core::ShardedPervasiveSystem system(config);
 
   std::vector<std::unique_ptr<world::AttributeDriver>> drivers;
   for (ProcessId pid = 1; pid < system.num_processes(); ++pid) {

@@ -12,7 +12,7 @@
 #include <vector>
 
 #include "check/check.hpp"
-#include "core/system.hpp"
+#include "core/sharded_system.hpp"
 #include "net/message.hpp"
 #include "world/generators.hpp"
 
@@ -24,14 +24,15 @@ using namespace psn::time_literals;
 /// Same shape as check_test's clean run — strobes, computation edges,
 /// internal events — but parameterized on the wire clock mode.
 RunInputs traced_run(net::ClockMode mode, std::uint64_t seed = 7) {
-  core::SystemConfig cfg;
+  core::ShardedSystemConfig config;
+  core::SystemConfig& cfg = config.base;
   cfg.num_sensors = 3;
   cfg.sim.seed = seed;
   cfg.sim.horizon = SimTime::zero() + 10_s;
   cfg.sim.trace_capacity = std::size_t{1} << 14;
   cfg.delta = 20_ms;
   cfg.clock_mode = mode;
-  core::PervasiveSystem system(cfg);
+  core::ShardedPervasiveSystem system(config);
 
   std::vector<std::unique_ptr<world::AttributeDriver>> drivers;
   for (ProcessId pid = 1; pid < system.num_processes(); ++pid) {

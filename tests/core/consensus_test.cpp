@@ -17,12 +17,13 @@ SimTime t(std::int64_t ms) { return SimTime::zero() + Duration::millis(ms); }
 
 struct ConsensusFixture {
   explicit ConsensusFixture(Duration delta, std::uint64_t seed = 1) {
-    SystemConfig sys;
+    ShardedSystemConfig config;
+    SystemConfig& sys = config.base;
     sys.num_sensors = 2;
     sys.sim.seed = seed;
     sys.sim.horizon = SimTime::zero() + 60_s;
     sys.delta = delta;
-    system = std::make_unique<PervasiveSystem>(sys);
+    system = std::make_unique<ShardedPervasiveSystem>(config);
     enable_all_observers(*system);
 
     o1 = system->world().create_object("o1");
@@ -33,7 +34,7 @@ struct ConsensusFixture {
     system->assign(o2, "x", 2);
   }
 
-  std::unique_ptr<PervasiveSystem> system;
+  std::unique_ptr<ShardedPervasiveSystem> system;
   world::ObjectId o1 = world::kNoObject;
   world::ObjectId o2 = world::kNoObject;
 };
@@ -111,12 +112,13 @@ TEST_P(ConsensusPropertyTest, ConsensusBorderlineCoversErrors) {
   // confident detections should have precision at least as good as the
   // single-observer vector detector, because disagreement catches races the
   // stamp heuristic can miss.
-  SystemConfig sys;
+  ShardedSystemConfig config;
+  SystemConfig& sys = config.base;
   sys.num_sensors = 3;
   sys.sim.seed = GetParam();
   sys.sim.horizon = SimTime::zero() + 60_s;
   sys.delta = 120_ms;
-  PervasiveSystem system(sys);
+  ShardedPervasiveSystem system(config);
   enable_all_observers(system);
 
   std::vector<std::unique_ptr<world::AttributeDriver>> drivers;
@@ -136,7 +138,7 @@ TEST_P(ConsensusPropertyTest, ConsensusBorderlineCoversErrors) {
   const auto phi = parse_predicate("p", "sum(count) > 300");
   const GroundTruthOracle oracle(phi, system.sensing());
   const auto truth =
-      oracle.evaluate(system.timeline(), SimTime::zero() + 60_s);
+      oracle.evaluate(system.world().timeline(), SimTime::zero() + 60_s);
 
   analysis::ScoreConfig score_cfg;
   score_cfg.tolerance = 300_ms;

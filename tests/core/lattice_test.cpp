@@ -35,7 +35,7 @@ struct ViewBuilder {
 };
 
 // Stamps below use dimension 3: index 0 is the root (never ticks), indices
-// 1, 2 are the two sensors — matching how PervasiveSystem numbers processes.
+// 1, 2 are the two sensors — matching how the system numbers processes.
 
 TEST(LatticeCountTest, IndependentProcessesGiveFullProduct) {
   // No process ever hears of the other: all (a+1)(b+1) cuts are consistent.

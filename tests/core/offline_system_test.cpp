@@ -8,7 +8,7 @@
 #include "core/lattice.hpp"
 #include "core/oracle.hpp"
 #include "core/predicate_parser.hpp"
-#include "core/system.hpp"
+#include "core/sharded_system.hpp"
 
 namespace psn::core {
 namespace {
@@ -19,12 +19,13 @@ SimTime t(std::int64_t ms) { return SimTime::zero() + Duration::millis(ms); }
 
 struct TwoSensorRun {
   explicit TwoSensorRun(Duration delta, std::uint64_t seed = 1) {
-    SystemConfig sys;
+    ShardedSystemConfig config;
+    SystemConfig& sys = config.base;
     sys.num_sensors = 2;
     sys.sim.seed = seed;
     sys.sim.horizon = SimTime::zero() + 30_s;
     sys.delta = delta;
-    system = std::make_unique<PervasiveSystem>(sys);
+    system = std::make_unique<ShardedPervasiveSystem>(config);
     o1 = system->world().create_object("o1");
     o2 = system->world().create_object("o2");
     system->world().object(o1).set_attribute("x", std::int64_t{0});
@@ -38,7 +39,7 @@ struct TwoSensorRun {
       system->world().emit(obj, attr, v);
     });
   }
-  std::unique_ptr<PervasiveSystem> system;
+  std::unique_ptr<ShardedPervasiveSystem> system;
   world::ObjectId o1 = world::kNoObject, o2 = world::kNoObject;
 };
 
@@ -111,7 +112,7 @@ TEST(OfflineSystemTest, PossiblyAgreesWithOracleWhenNoRaces) {
     const auto phi = parse_predicate("p", "x[1] > 0 && y[2] > 0");
     const GroundTruthOracle oracle(phi, run.system->sensing());
     const auto truth =
-        oracle.evaluate(run.system->timeline(), SimTime::zero() + 30_s);
+        oracle.evaluate(run.system->world().timeline(), SimTime::zero() + 30_s);
     EXPECT_EQ(lattice::possibly(view, phi), !truth.occurrences.empty());
   }
 }

@@ -15,13 +15,14 @@ SimTime t(std::int64_t ms) { return SimTime::zero() + Duration::millis(ms); }
 struct LoopFixture {
   explicit LoopFixture(Duration delta = Duration::millis(20),
                        std::uint64_t seed = 1) {
-    SystemConfig sys;
+    ShardedSystemConfig config;
+    SystemConfig& sys = config.base;
     sys.num_sensors = 2;
     sys.sim.seed = seed;
     sys.sim.horizon = SimTime::zero() + 60_s;
     sys.delay_kind = DelayKind::kFixed;
     sys.delta = delta;
-    system = std::make_unique<PervasiveSystem>(sys);
+    system = std::make_unique<ShardedPervasiveSystem>(config);
 
     room = system->world().create_object("room");
     system->world().object(room).set_attribute("temp", 22.0);
@@ -31,7 +32,7 @@ struct LoopFixture {
     system->assign(hall, "motion", 2);
   }
 
-  std::unique_ptr<PervasiveSystem> system;
+  std::unique_ptr<ShardedPervasiveSystem> system;
   world::ObjectId room = world::kNoObject;
   world::ObjectId hall = world::kNoObject;
 };

@@ -16,19 +16,20 @@ using namespace psn::time_literals;
 
 struct Field {
   explicit Field(std::uint64_t seed = 1, Duration delta = 50_ms) {
-    SystemConfig sys;
+    ShardedSystemConfig config;
+    SystemConfig& sys = config.base;
     sys.num_sensors = 2;
     sys.sim.seed = seed;
     sys.sim.horizon = SimTime::zero() + 120_s;
     sys.delta = delta;
-    system = std::make_unique<PervasiveSystem>(sys);
+    system = std::make_unique<ShardedPervasiveSystem>(config);
     // Two overlapping zones: sensor 1 at x=0, sensor 2 at x=15, radius 10 —
     // the overlap is x in [5, 10].
     field = std::make_unique<ProximityField>(
         *system, std::vector<ProximityField::SensorZone>{
                      {1, {0.0, 0.0}, 10.0}, {2, {15.0, 0.0}, 10.0}});
   }
-  std::unique_ptr<PervasiveSystem> system;
+  std::unique_ptr<ShardedPervasiveSystem> system;
   std::unique_ptr<ProximityField> field;
 };
 
@@ -83,7 +84,7 @@ TEST(ProximityFieldTest, OverlapPredicateDetectedEndToEnd) {
       "in_overlap", "near_zebra[1] && near_zebra[2]");
   const GroundTruthOracle oracle(phi, f.system->sensing());
   const auto truth =
-      oracle.evaluate(f.system->timeline(),
+      oracle.evaluate(f.system->world().timeline(),
                       SimTime::zero() + 120_s);
   // One traversal of the overlap per direction change: several occurrences.
   EXPECT_GE(truth.occurrences.size(), 3u);
@@ -118,9 +119,10 @@ TEST(ProximityFieldTest, MultipleTrackedObjects) {
 }
 
 TEST(ProximityFieldTest, Validation) {
-  SystemConfig sys;
+  ShardedSystemConfig config;
+  SystemConfig& sys = config.base;
   sys.num_sensors = 1;
-  PervasiveSystem system(sys);
+  ShardedPervasiveSystem system(config);
   EXPECT_THROW(ProximityField(system, {}), InvariantError);
   EXPECT_THROW(ProximityField(
                    system, {{0, {0.0, 0.0}, 5.0}}),  // root cannot sense

@@ -2,7 +2,7 @@
 // to assigned sensors, strobes reach the root, clock invariants hold across
 // a full simulated run.
 
-#include "core/system.hpp"
+#include "core/sharded_system.hpp"
 
 #include <gtest/gtest.h>
 
@@ -15,18 +15,18 @@ namespace {
 
 using namespace psn::time_literals;
 
-SystemConfig base_config(std::size_t sensors, Duration delta,
-                         std::uint64_t seed = 1) {
-  SystemConfig cfg;
-  cfg.num_sensors = sensors;
-  cfg.sim.seed = seed;
-  cfg.sim.horizon = SimTime::zero() + 20_s;
-  cfg.delta = delta;
+ShardedSystemConfig base_config(std::size_t sensors, Duration delta,
+                                std::uint64_t seed = 1) {
+  ShardedSystemConfig cfg;
+  cfg.base.num_sensors = sensors;
+  cfg.base.sim.seed = seed;
+  cfg.base.sim.horizon = SimTime::zero() + 20_s;
+  cfg.base.delta = delta;
   return cfg;
 }
 
 /// Attaches periodic counter drivers, one world object per sensor.
-void attach_counters(PervasiveSystem& system, Duration period,
+void attach_counters(ShardedPervasiveSystem& system, Duration period,
                      std::vector<std::unique_ptr<world::AttributeDriver>>& keep) {
   for (ProcessId pid = 1; pid < system.num_processes(); ++pid) {
     const auto obj =
@@ -44,12 +44,12 @@ void attach_counters(PervasiveSystem& system, Duration period,
 }
 
 TEST(SystemIntegrationTest, EveryAssignedWorldEventIsSensedAndReported) {
-  PervasiveSystem system(base_config(3, 50_ms));
+  ShardedPervasiveSystem system(base_config(3, 50_ms));
   std::vector<std::unique_ptr<world::AttributeDriver>> drivers;
   attach_counters(system, 1_s, drivers);
   system.run();
 
-  const std::size_t world_events = system.timeline().size();
+  const std::size_t world_events = system.world().timeline().size();
   EXPECT_GT(world_events, 30u);
 
   // Each sensor recorded one sense event per its world events.
@@ -68,7 +68,7 @@ TEST(SystemIntegrationTest, EveryAssignedWorldEventIsSensedAndReported) {
 }
 
 TEST(SystemIntegrationTest, RootLogIsInDeliveryOrder) {
-  PervasiveSystem system(base_config(4, 200_ms));
+  ShardedPervasiveSystem system(base_config(4, 200_ms));
   std::vector<std::unique_ptr<world::AttributeDriver>> drivers;
   attach_counters(system, 500_ms, drivers);
   system.run();
@@ -84,7 +84,7 @@ TEST(SystemIntegrationTest, StrobeTrafficNeverTicksCausalClocks) {
   // messages, each sensor's causal vector clock must count ONLY its own
   // events — all components for other processes stay 0 even though strobes
   // flew everywhere.
-  PervasiveSystem system(base_config(3, 50_ms));
+  ShardedPervasiveSystem system(base_config(3, 50_ms));
   std::vector<std::unique_ptr<world::AttributeDriver>> drivers;
   attach_counters(system, 1_s, drivers);
   system.run();
@@ -110,7 +110,7 @@ TEST(SystemIntegrationTest, StrobeTrafficNeverTicksCausalClocks) {
 }
 
 TEST(SystemIntegrationTest, ComputationMessagesDriveCausalClocks) {
-  PervasiveSystem system(base_config(2, 10_ms));
+  ShardedPervasiveSystem system(base_config(2, 10_ms));
   // P1 sends a computation message to P2 at t=1s.
   system.sim().scheduler().schedule_at(SimTime::zero() + 1_s, [&] {
     system.sensor(1).send_computation(2, "hello");
@@ -128,7 +128,7 @@ TEST(SystemIntegrationTest, ComputationMessagesDriveCausalClocks) {
 
 TEST(SystemIntegrationTest, SameSeedIsBitIdentical) {
   auto run_once = [](std::uint64_t seed) {
-    PervasiveSystem system(base_config(3, 100_ms, seed));
+    ShardedPervasiveSystem system(base_config(3, 100_ms, seed));
     std::vector<std::unique_ptr<world::AttributeDriver>> drivers;
     attach_counters(system, 700_ms, drivers);
     system.run();
@@ -143,19 +143,19 @@ TEST(SystemIntegrationTest, SameSeedIsBitIdentical) {
 }
 
 TEST(SystemIntegrationTest, DeltaBoundScalesWithTopologyDiameter) {
-  SystemConfig cfg = base_config(4, 100_ms);
-  cfg.topology = TopologyKind::kComplete;
-  EXPECT_EQ(PervasiveSystem(cfg).delta_bound(), 100_ms);
-  cfg.topology = TopologyKind::kLine;  // 5 processes in a line: diameter 4
-  EXPECT_EQ(PervasiveSystem(cfg).delta_bound(), 400_ms);
-  cfg.delay_kind = DelayKind::kExponential;
-  EXPECT_EQ(PervasiveSystem(cfg).delta_bound(), Duration::max());
+  ShardedSystemConfig cfg = base_config(4, 100_ms);
+  cfg.base.topology = TopologyKind::kComplete;
+  EXPECT_EQ(ShardedPervasiveSystem(cfg).delta_bound(), 100_ms);
+  cfg.base.topology = TopologyKind::kLine;  // 5 processes in a line: diameter 4
+  EXPECT_EQ(ShardedPervasiveSystem(cfg).delta_bound(), 400_ms);
+  cfg.base.delay_kind = DelayKind::kExponential;
+  EXPECT_EQ(ShardedPervasiveSystem(cfg).delta_bound(), Duration::max());
 }
 
 TEST(SystemIntegrationTest, SynchronousDeltaZeroDelivery) {
-  SystemConfig cfg = base_config(2, Duration::zero());
-  cfg.delay_kind = DelayKind::kSynchronous;
-  PervasiveSystem system(cfg);
+  ShardedSystemConfig cfg = base_config(2, Duration::zero());
+  cfg.base.delay_kind = DelayKind::kSynchronous;
+  ShardedPervasiveSystem system(cfg);
   std::vector<std::unique_ptr<world::AttributeDriver>> drivers;
   attach_counters(system, 1_s, drivers);
   system.run();
@@ -165,15 +165,15 @@ TEST(SystemIntegrationTest, SynchronousDeltaZeroDelivery) {
 }
 
 TEST(SystemIntegrationTest, LossReducesDeliveredReports) {
-  SystemConfig cfg = base_config(2, 50_ms, 5);
-  cfg.loss_probability = 0.5;
-  PervasiveSystem lossy(cfg);
+  ShardedSystemConfig cfg = base_config(2, 50_ms, 5);
+  cfg.base.loss_probability = 0.5;
+  ShardedPervasiveSystem lossy(cfg);
   std::vector<std::unique_ptr<world::AttributeDriver>> d1;
   attach_counters(lossy, 200_ms, d1);
   lossy.run();
 
-  SystemConfig clean_cfg = base_config(2, 50_ms, 5);
-  PervasiveSystem clean(clean_cfg);
+  ShardedSystemConfig clean_cfg = base_config(2, 50_ms, 5);
+  ShardedPervasiveSystem clean(clean_cfg);
   std::vector<std::unique_ptr<world::AttributeDriver>> d2;
   attach_counters(clean, 200_ms, d2);
   clean.run();
@@ -183,7 +183,7 @@ TEST(SystemIntegrationTest, LossReducesDeliveredReports) {
 }
 
 TEST(SystemIntegrationTest, ExecutionViewsAlignWithClockComponents) {
-  PervasiveSystem system(base_config(2, 50_ms));
+  ShardedPervasiveSystem system(base_config(2, 50_ms));
   std::vector<std::unique_ptr<world::AttributeDriver>> drivers;
   attach_counters(system, 1_s, drivers);
   system.run();
@@ -204,15 +204,37 @@ TEST(SystemIntegrationTest, ExecutionViewsAlignWithClockComponents) {
   EXPECT_TRUE(causal_view.consistent(causal_view.final_cut()));
 }
 
+TEST(SystemIntegrationTest, LiveAccessorsNeedOneShard) {
+  ShardedSystemConfig cfg = base_config(3, 50_ms);
+  cfg.shards = 2;
+  ShardedPervasiveSystem system(cfg);
+  EXPECT_THROW(system.world(), InvariantError);
+  EXPECT_THROW(system.sim(), InvariantError);
+  EXPECT_THROW(system.transport(), InvariantError);
+  EXPECT_THROW(system.root(), InvariantError);
+}
+
+TEST(SystemIntegrationTest, LiveWorldAndReplayAreExclusive) {
+  ShardedPervasiveSystem live(base_config(2, 50_ms));
+  live.world();
+  EXPECT_THROW(live.set_world_events({}), InvariantError);
+
+  ShardedPervasiveSystem replay(base_config(2, 50_ms));
+  world::WorldEvent ev;
+  ev.when = SimTime::zero() + 1_s;
+  replay.set_world_events({ev});
+  EXPECT_THROW(replay.world(), InvariantError);
+}
+
 TEST(SystemIntegrationTest, AssignValidation) {
-  PervasiveSystem system(base_config(2, 50_ms));
+  ShardedPervasiveSystem system(base_config(2, 50_ms));
   const auto obj = system.world().create_object("o");
   EXPECT_THROW(system.assign(obj, "x", 0), InvariantError);   // root senses nothing
   EXPECT_THROW(system.assign(obj, "x", 9), InvariantError);   // no such sensor
   system.assign(obj, "x", 1);
   EXPECT_THROW(system.assign(obj, "x", 2), InvariantError);   // double assign
   EXPECT_THROW(system.sensor(0), InvariantError);
-  EXPECT_THROW(PervasiveSystem(base_config(0, 50_ms)), InvariantError);
+  EXPECT_THROW(ShardedPervasiveSystem(base_config(0, 50_ms)), InvariantError);
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -254,6 +255,38 @@ TEST(WireBytesTest, ClockModeNames) {
   EXPECT_STREQ(to_string(ClockMode::kScalarStrobe), "scalar");
   EXPECT_STREQ(to_string(ClockMode::kVectorStrobe), "vector");
   EXPECT_STREQ(to_string(ClockMode::kPhysical), "physical");
+}
+
+TEST(FifoTransportTest, FifoClampPreventsOvertaking) {
+  sim::SimConfig cfg;
+  cfg.horizon = SimTime::zero() + Duration::seconds(100);
+  sim::Simulation sim(cfg);
+  Transport transport(sim, Overlay::complete(2),
+                      std::make_unique<UniformBoundedDelay>(
+                          Duration::millis(1), Duration::millis(100)),
+                      std::make_unique<NoLoss>(), Rng(3));
+  transport.set_fifo_channels(true);
+  std::vector<std::string> arrived;
+  transport.register_handler(0, [](const Message&) {});
+  transport.register_handler(1, [&](const Message& msg) {
+    arrived.push_back(msg.computation().tag);
+  });
+  for (int k = 0; k < 50; ++k) {
+    Message m;
+    m.src = 0;
+    m.dst = 1;
+    m.kind = MessageKind::kComputation;
+    ComputationPayload payload;
+    payload.stamps.causal_vector = clocks::VectorStamp(2);
+    payload.tag = std::to_string(k);
+    m.payload = payload;
+    transport.unicast(std::move(m));
+  }
+  sim.scheduler().run();
+  ASSERT_EQ(arrived.size(), 50u);
+  for (int k = 0; k < 50; ++k) {
+    EXPECT_EQ(arrived[static_cast<std::size_t>(k)], std::to_string(k));
+  }
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 
 #include "analysis/experiments.hpp"
 #include "clocks/timestamp.hpp"
+#include "core/sharded_system.hpp"
 
 namespace psn::analysis {
 namespace {
@@ -101,12 +102,13 @@ TEST_P(DetectorPropertyTest, StrobeStampsOrderedWhenEventsFarApart) {
   // Sense events separated by more than the end-to-end Δ bound must carry
   // ordered (never concurrent) strobe vector stamps.
   const auto cfg = config();
-  core::SystemConfig sys;
+  core::ShardedSystemConfig scfg;
+  core::SystemConfig& sys = scfg.base;
   sys.num_sensors = cfg.doors;
   sys.sim.seed = cfg.seed;
   sys.sim.horizon = SimTime::zero() + cfg.horizon;
   sys.delta = cfg.delta;
-  core::PervasiveSystem system(sys);
+  core::ShardedPervasiveSystem system(scfg);
 
   world::ExhibitionHallConfig hall_cfg;
   hall_cfg.doors = static_cast<int>(cfg.doors);

@@ -1,6 +1,6 @@
 // Multi-stream socket listener tests (DESIGN.md §12). The load-bearing
 // property is equivalence: N concurrent socket clients must each receive
-// byte-identical output to N sequential stdin `serve` runs over the same
+// byte-identical output to N sequential stdin-style sessions over the same
 // traces (modulo the `"stream":<id>` field on metrics/eof events). The rest
 // pins the protocol edges: --max-streams over-limit rejection, surviving an
 // abrupt client disconnect, graceful drain on stop, exit-code aggregation
@@ -22,6 +22,7 @@
 #include <cstring>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -30,7 +31,7 @@
 #include "analysis/export.hpp"
 #include "common/error.hpp"
 #include "common/fd.hpp"
-#include "serve/soak_server.hpp"
+#include "serve/session.hpp"
 
 namespace psn::serve {
 namespace {
@@ -219,19 +220,25 @@ std::size_t count_lines(const std::string& text, const std::string& needle) {
 }
 
 // The tentpole acceptance test: three concurrent socket clients, disjoint
-// real traces, each client's bytes compared against a sequential stdin run.
+// real traces, each client's bytes compared against a sequential session.
 TEST(ListenerTest, ConcurrentStreamsAreByteIdenticalToSequentialServes) {
   const std::uint64_t seeds[] = {11, 22, 33};
   std::vector<std::string> traces;
   std::vector<std::string> expected;
   for (const std::uint64_t seed : seeds) {
     traces.push_back(occupancy_trace(seed));
-    std::istringstream in(traces.back());
-    std::ostringstream out;
-    SoakServer server(occupancy_session_config(), out);
-    const SoakReport report = server.run(in);
+    // The sequential reference: one stdin-style Session over the whole trace.
+    std::string out;
+    SessionConfig session_cfg;
+    session_cfg.soak = occupancy_session_config();
+    Session session(session_cfg, [&out](std::string_view chunk) {
+      out.append(chunk);
+      return true;
+    });
+    session.on_data(traces.back());
+    const SoakReport report = session.finish();
     EXPECT_EQ(report.exit_code, 0) << "seed " << seed;
-    expected.push_back(out.str());
+    expected.push_back(out);
   }
 
   ListenerConfig cfg;
