@@ -70,6 +70,8 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <charconv>
+#include <cmath>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
@@ -77,6 +79,7 @@
 #include <map>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <vector>
 
 #include "analysis/export.hpp"
@@ -126,6 +129,27 @@ struct CliOptions {
   std::fprintf(stderr, "psn_cli: %s (run with --help for usage)\n",
                why.c_str());
   std::exit(2);
+}
+
+/// The value of a numeric flag: all of `text` must be one base-10 number
+/// of type T — no sign on unsigned types, no trailing characters, no
+/// overflow, and finite for floating point. Anything else is a usage error.
+template <typename T>
+T parse_number(const std::string& flag, const std::string& text) {
+  T value{};
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  bool ok = ec == std::errc() && ptr == end;
+  if constexpr (std::is_floating_point_v<T>) ok = ok && std::isfinite(value);
+  if (!ok) {
+    const char* want = std::is_floating_point_v<T> ? "a finite number"
+                       : std::is_signed_v<T>       ? "an integer"
+                                                   : "a non-negative integer";
+    usage_error(flag + " wants " + want + ", got '" + text + "'" +
+                (ec == std::errc::result_out_of_range ? " (out of range)"
+                                                      : ""));
+  }
+  return value;
 }
 
 void print_shared_usage() {
@@ -178,41 +202,42 @@ CliOptions parse_cli(const std::vector<std::string>& args, Command cmd) {
       if (i + 1 >= args.size()) usage_error("missing value for " + flag);
       return args[++i];
     };
+    auto number = [&]<typename T>(T& out) {
+      out = parse_number<T>(flag, value());
+    };
     // Flags restricted to `run`.
     const bool run_like = cmd == Command::kRun;
     if (flag == "--scenario") {
       opt.scenario = value();
     } else if (flag == "--doors") {
-      opt.doors = static_cast<std::size_t>(std::atoll(value().c_str()));
+      number(opt.doors);
     } else if (flag == "--capacity") {
-      opt.capacity = std::atoi(value().c_str());
+      number(opt.capacity);
     } else if (flag == "--rate") {
-      opt.rate = std::atof(value().c_str());
+      number(opt.rate);
     } else if (flag == "--delta") {
-      opt.delta_ms = std::atoll(value().c_str());
+      number(opt.delta_ms);
     } else if (flag == "--delay") {
       opt.delay = value();
     } else if (flag == "--eps") {
-      opt.eps_us = std::atoll(value().c_str());
+      number(opt.eps_us);
     } else if (flag == "--loss") {
-      opt.loss = std::atof(value().c_str());
+      number(opt.loss);
     } else if (flag == "--seconds") {
-      opt.seconds = std::atoll(value().c_str());
+      number(opt.seconds);
     } else if (flag == "--seed") {
-      opt.seed = static_cast<std::uint64_t>(std::atoll(value().c_str()));
+      number(opt.seed);
     } else if (flag == "--mode") {
       opt.mode = value();
     } else if (flag == "--validity") {
-      opt.validity_ms = std::atoll(value().c_str());
+      number(opt.validity_ms);
       if (opt.validity_ms < 0) usage_error("--validity must be >= 0");
     } else if (flag == "--shards") {
-      const long long shards = std::atoll(value().c_str());
-      if (shards <= 0) usage_error("--shards must be >= 1");
-      opt.shards = static_cast<std::size_t>(shards);
+      number(opt.shards);
+      if (opt.shards == 0) usage_error("--shards must be >= 1");
     } else if (flag == "--shard-threads") {
-      const long long n = std::atoll(value().c_str());
-      if (n <= 0) usage_error("--shard-threads must be >= 1");
-      opt.shard_threads = static_cast<std::size_t>(n);
+      number(opt.shard_threads);
+      if (opt.shard_threads == 0) usage_error("--shard-threads must be >= 1");
     } else if (flag == "--topology") {
       opt.topology = value();
     } else if (flag == "--lean-clocks") {
@@ -226,15 +251,12 @@ CliOptions parse_cli(const std::vector<std::string>& args, Command cmd) {
     } else if (flag == "--ge") {
       opt.ge = value();
     } else if (flag == "--trace-cap") {
-      const long long cap = std::atoll(value().c_str());
-      if (cap <= 0) usage_error("--trace-cap must be > 0");
-      opt.trace_cap = static_cast<std::size_t>(cap);
+      number(opt.trace_cap);
+      if (opt.trace_cap == 0) usage_error("--trace-cap must be > 0");
     } else if (run_like && flag == "--reps") {
-      opt.reps = static_cast<std::size_t>(std::atoll(value().c_str()));
+      number(opt.reps);
     } else if (run_like && flag == "--threads") {
-      const int threads = std::atoi(value().c_str());
-      if (threads < 0) usage_error("--threads must be >= 0");
-      opt.threads = static_cast<unsigned>(threads);
+      number(opt.threads);
     } else if (run_like && flag == "--csv") {
       opt.csv = value();
     } else if (run_like && flag == "--metrics") {
@@ -337,7 +359,7 @@ analysis::OccupancyConfig occupancy_config_of(const CliOptions& opt) {
         usage_error("--ge wants four comma-separated probabilities "
                     "g2b,b2g,loss_good,loss_bad");
       }
-      v[i] = std::atof(opt.ge.substr(pos, comma - pos).c_str());
+      v[i] = parse_number<double>("--ge", opt.ge.substr(pos, comma - pos));
       if (v[i] < 0.0 || v[i] > 1.0) {
         usage_error("--ge probabilities must be in [0, 1]");
       }
@@ -523,10 +545,10 @@ int serve_stdin(const serve::SessionConfig& cfg) {
 }
 
 int cmd_serve(const std::vector<std::string>& args) {
-  serve::SoakServerConfig cfg;
+  serve::SessionConfig session_cfg;
+  serve::SoakServerConfig& cfg = session_cfg.soak;
   std::string listen;
   std::size_t max_streams = 64;
-  std::size_t max_buffer = std::size_t{1} << 16;
   double idle_timeout_secs = 0.0;
   for (std::size_t i = 0; i < args.size(); ++i) {
     const std::string& flag = args[i];
@@ -535,36 +557,38 @@ int cmd_serve(const std::vector<std::string>& args) {
       if (i + 1 >= args.size()) usage_error("missing value for " + flag);
       return args[++i];
     };
+    auto number = [&]<typename T>(T& out) {
+      out = parse_number<T>(flag, value());
+    };
     if (flag == "--procs") {
-      const long long n = std::atoll(value().c_str());
-      if (n < 0) usage_error("--procs must be >= 0");
-      cfg.num_processes = static_cast<std::size_t>(n);
+      number(cfg.num_processes);
     } else if (flag == "--retention") {
-      const long long ms = std::atoll(value().c_str());
+      std::int64_t ms = 0;
+      number(ms);
       if (ms <= 0) usage_error("--retention must be > 0 ms");
       cfg.send_retention = Duration::millis(ms);
     } else if (flag == "--validity") {
-      const long long ms = std::atoll(value().c_str());
+      std::int64_t ms = 0;
+      number(ms);
       if (ms < 0) usage_error("--validity must be >= 0");
       if (ms > 0) cfg.validity_horizon.lifetime = Duration::millis(ms);
     } else if (flag == "--metrics-every") {
-      cfg.metrics_every =
-          static_cast<std::size_t>(std::atoll(value().c_str()));
+      number(cfg.metrics_every);
     } else if (flag == "--lenient") {
       cfg.lenient = true;
     } else if (flag == "--listen") {
       listen = value();
       if (listen.empty()) usage_error("--listen needs a port or unix path");
     } else if (flag == "--max-streams") {
-      const long long n = std::atoll(value().c_str());
-      if (n <= 0) usage_error("--max-streams must be > 0");
-      max_streams = static_cast<std::size_t>(n);
+      number(max_streams);
+      if (max_streams == 0) usage_error("--max-streams must be > 0");
     } else if (flag == "--max-buffer") {
-      const long long n = std::atoll(value().c_str());
-      if (n <= 0) usage_error("--max-buffer must be > 0 bytes");
-      max_buffer = static_cast<std::size_t>(n);
+      number(session_cfg.max_line_bytes);
+      if (session_cfg.max_line_bytes == 0) {
+        usage_error("--max-buffer must be > 0 bytes");
+      }
     } else if (flag == "--idle-timeout") {
-      idle_timeout_secs = std::atof(value().c_str());
+      number(idle_timeout_secs);
       if (idle_timeout_secs <= 0) usage_error("--idle-timeout must be > 0 s");
     } else {
       usage_error("unknown flag " + flag + " for serve");
@@ -577,8 +601,7 @@ int cmd_serve(const std::vector<std::string>& args) {
     serve::ListenerConfig listener_cfg;
     listener_cfg.listen = listen;
     listener_cfg.max_streams = max_streams;
-    listener_cfg.session = cfg;
-    listener_cfg.max_line_bytes = max_buffer;
+    listener_cfg.session = session_cfg;
     listener_cfg.idle_timeout_ms =
         static_cast<std::int64_t>(idle_timeout_secs * 1000.0);
     try {
@@ -596,9 +619,6 @@ int cmd_serve(const std::vector<std::string>& args) {
       return 2;
     }
   }
-  serve::SessionConfig session_cfg;
-  session_cfg.soak = cfg;
-  session_cfg.max_line_bytes = max_buffer;
   return serve_stdin(session_cfg);
 }
 

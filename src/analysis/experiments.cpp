@@ -188,7 +188,6 @@ OccupancyRunResult run_occupancy_experiment(
   result.world_events = world.timeline().size();
   result.delta_bound = system.delta_bound();
   result.shard_windows = system.windows();
-  result.shard_cut_edges = system.shard_map().cut_edges();
 
   const bool tracing = sys.sim.trace_capacity > 0;
   if (tracing) {
@@ -278,10 +277,7 @@ OccupancyRunResult run_occupancy_experiment(
   // checker violation. Lossy, faulty, and duty-cycled runs audit at full
   // strictness — their non-race causes are in the trace, not excuses.
   if (result.check) {
-    const bool audit_eligible =
-        config.delay_kind == core::DelayKind::kUniformBounded &&
-        result.check->trace_evicted == 0;
-    if (audit_eligible) {
+    if (config.delay_kind == core::DelayKind::kUniformBounded) {
       check::RaceScanConfig delta_scan;
       delta_scan.window = result.delta_bound;
       const std::vector<check::RaceEvent> delta_races =

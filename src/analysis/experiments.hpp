@@ -138,11 +138,10 @@ struct OccupancyRunResult {
   /// Clock-contract + Δ-race-audit report (set iff config.check was on).
   std::optional<check::CheckReport> check;
 
-  /// Δ-windows the sharded drive loop executed (0 when shards = 1) and the
-  /// overlay edges cut by the partition. Diagnostics only — deliberately
-  /// kept out of `metrics` so snapshots stay byte-identical across K.
+  /// Δ-windows the sharded drive loop executed (0 when shards = 1).
+  /// Diagnostics only — deliberately kept out of `metrics` so snapshots stay
+  /// byte-identical across K.
   std::size_t shard_windows = 0;
-  std::size_t shard_cut_edges = 0;
 
   const DetectorOutcome& outcome(const std::string& detector) const;
 };

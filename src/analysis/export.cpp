@@ -9,37 +9,6 @@
 
 namespace psn::analysis {
 
-Table timeline_table(const world::WorldTimeline& timeline) {
-  Table t({"time_s", "object", "attribute", "value", "covert_cause"});
-  for (const auto& ev : timeline.events()) {
-    t.row()
-        .cell(ev.when.to_seconds(), 9)
-        .cell(static_cast<std::int64_t>(ev.object))
-        .cell(ev.attribute)
-        .cell(ev.value.to_string())
-        .cell(ev.covert_cause == world::kNoWorldEvent
-                  ? std::int64_t{-1}
-                  : static_cast<std::int64_t>(ev.covert_cause));
-  }
-  return t;
-}
-
-Table observation_table(const core::ObservationLog& log) {
-  Table t({"delivered_s", "reporter", "attribute", "value", "sensed_s",
-           "strobe_scalar", "strobe_vector"});
-  for (const auto& u : log.updates) {
-    t.row()
-        .cell(u.delivered_at.to_seconds(), 9)
-        .cell(static_cast<std::int64_t>(u.reporter))
-        .cell(u.report.attribute)
-        .cell(u.report.value.to_string())
-        .cell(u.report.true_sense_time.to_seconds(), 9)
-        .cell(u.report.strobe_scalar.to_string())
-        .cell(u.report.strobe_vector.to_string());
-  }
-  return t;
-}
-
 Table detections_table(const std::vector<core::Detection>& detections) {
   Table t({"detected_s", "to_true", "borderline", "cause_s", "update_index"});
   for (const auto& d : detections) {
@@ -51,10 +20,6 @@ Table detections_table(const std::vector<core::Detection>& detections) {
         .cell(d.update_index);
   }
   return t;
-}
-
-Table metrics_table(const MetricsSnapshot& snapshot) {
-  return snapshot.table();
 }
 
 std::string json_escape(const std::string& s) {
@@ -163,17 +128,6 @@ std::string metrics_json(const MetricsSnapshot& snapshot) {
   }
   out += '}';
   return out;
-}
-
-Table occurrences_table(const core::OracleResult& oracle) {
-  Table t({"begin_s", "end_s", "duration_s"});
-  for (const auto& occ : oracle.occurrences) {
-    t.row()
-        .cell(occ.begin.to_seconds(), 9)
-        .cell(occ.end.to_seconds(), 9)
-        .cell(occ.duration().to_seconds(), 9);
-  }
-  return t;
 }
 
 }  // namespace psn::analysis

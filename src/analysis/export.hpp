@@ -6,37 +6,17 @@
 #include "common/metrics.hpp"
 #include "common/table.hpp"
 #include "core/detectors.hpp"
-#include "core/observation.hpp"
-#include "core/oracle.hpp"
 #include "sim/trace.hpp"
-#include "world/timeline.hpp"
 
 namespace psn::analysis {
 
-/// CSV/Table exporters for the run artifacts — the interchange layer a user
-/// needs to plot results or post-process detections outside C++. All
-/// exporters return a Table (ASCII-renderable, CSV-writable via
-/// Table::write_csv / Table::csv).
+/// Exporters for the run artifacts — the interchange layer a user needs to
+/// plot results or post-process detections outside C++.
 
-/// Ground-truth world events: time_s, object, attribute, value,
-/// covert_cause (-1 if spontaneous).
-Table timeline_table(const world::WorldTimeline& timeline);
-
-/// The root's observation log: delivered_s, reporter, attribute, value,
-/// sensed_s, scalar stamp, vector stamp.
-Table observation_table(const core::ObservationLog& log);
-
-/// A detector's transition stream: detected_s, to_true, borderline,
-/// cause_s, update_index.
+/// A detector's transition stream as a Table (ASCII-renderable,
+/// CSV-writable via Table::write_csv / Table::csv): detected_s, to_true,
+/// borderline, cause_s, update_index.
 Table detections_table(const std::vector<core::Detection>& detections);
-
-/// Oracle occurrences: begin_s, end_s, duration_s.
-Table occurrences_table(const core::OracleResult& oracle);
-
-/// Metric snapshot rows: name, kind, value (stats/histograms render compact
-/// summaries). Same rows as MetricsSnapshot::table(); exported here so the
-/// interchange layer is one include.
-Table metrics_table(const MetricsSnapshot& snapshot);
 
 /// Escapes a string for embedding in a JSON string literal (quotes,
 /// backslashes, and control characters; no surrounding quotes added).
@@ -62,7 +42,8 @@ void write_trace_jsonl(const std::vector<sim::TraceRecord>& records,
 
 /// One compact JSON object of a snapshot's counters and gauges (name-sorted,
 /// no trailing newline) for streaming emitters — the soak server's periodic
-/// metrics lines. Stats and histograms render via metrics_table instead.
+/// metrics lines. Stats and histograms render via MetricsSnapshot::table()
+/// instead.
 std::string metrics_json(const MetricsSnapshot& snapshot);
 
 }  // namespace psn::analysis

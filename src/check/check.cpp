@@ -36,7 +36,6 @@ const char* to_string(Verdict v) {
   switch (v) {
     case Verdict::kClean: return "clean";
     case Verdict::kViolations: return "violations";
-    case Verdict::kPartialWindow: return "partial-window";
   }
   return "?";
 }
@@ -62,17 +61,9 @@ void CheckReport::add_contract(ContractResult result) {
 std::string CheckReport::summary() const {
   std::string out = "psn-check verdict: ";
   out += to_string(verdict);
-  out += " (" + std::to_string(total_violations()) + " violation(s)";
-  if (trace_evicted > 0) {
-    out += ", trace evicted " + std::to_string(trace_evicted) + " record(s)";
-  }
-  out += ")\n";
+  out += " (" + std::to_string(total_violations()) + " violation(s))\n";
   for (const auto& c : contracts) {
     out += "  " + c.contract + ": ";
-    if (!c.checked) {
-      out += "skipped (partial trace window)\n";
-      continue;
-    }
     out += std::to_string(c.events_checked) + " event(s)";
     if (c.pairs_checked > 0) {
       out += ", " + std::to_string(c.pairs_checked) + " pair(s)";
@@ -104,13 +95,12 @@ CheckReport check_run(const RunInputs& inputs, const CheckOptions& options) {
         std::to_string(inputs.executions.size()) + ", want " +
         std::to_string(inputs.num_processes) + ")");
   }
-  if (inputs.trace_evicted > 0 && !options.allow_partial_window) {
+  if (inputs.trace_evicted > 0) {
     throw TraceWindowError(
         "psn::check: trace ring evicted " +
         std::to_string(inputs.trace_evicted) +
         " record(s); the happens-before oracle needs the complete window. "
-        "Raise trace_capacity, set allow_partial_window for a "
-        "partial-window verdict, or stream records through "
+        "Raise trace_capacity, or stream records through "
         "check::StreamChecker (psn_cli serve), which needs no ring.");
   }
 
@@ -120,27 +110,9 @@ CheckReport check_run(const RunInputs& inputs, const CheckOptions& options) {
   cfg.drifting = inputs.drifting;
   cfg.options = options;
   cfg.executions = &inputs.executions;
-  cfg.trace_evicted = inputs.trace_evicted;
   StreamChecker checker(cfg);
-
-  if (inputs.trace_evicted > 0) {
-    // Window-independent contracts only: per-event physical bounds and the
-    // program-order half of the Lamport condition. Message edges, vector
-    // equality, and the strobe replays all need the complete trace window.
-    checker.skip_windowed_contracts();
-    for (ProcessId p = 0; p < inputs.num_processes; ++p) {
-      for (const core::ProcessEvent& e : inputs.executions[p]) {
-        checker.feed_execution_only(p, e);
-      }
-    }
-  } else {
-    for (const sim::TraceRecord& r : inputs.trace) checker.feed(r);
-  }
+  for (const sim::TraceRecord& r : inputs.trace) checker.feed(r);
   return checker.finish();
-}
-
-RunInputs inputs_from(const core::ShardedPervasiveSystem& system) {
-  return inputs_from(system, system.trace_records());
 }
 
 RunInputs inputs_from(const core::ShardedPervasiveSystem& system,
@@ -163,15 +135,6 @@ RunInputs inputs_from(const core::ShardedPervasiveSystem& system,
   in.trace = std::move(trace);
   in.trace_evicted = system.trace_evicted();
   return in;
-}
-
-CheckReport check_system(const core::ShardedPervasiveSystem& system,
-                         const CheckOptions& options) {
-  CheckOptions opts = options;
-  // Compensate declared clock faults automatically when the caller did not
-  // supply a schedule of their own.
-  if (opts.faults == nullptr) opts.faults = system.faults();
-  return check_run(inputs_from(system), opts);
 }
 
 }  // namespace psn::check

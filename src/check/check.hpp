@@ -74,7 +74,6 @@ struct CheckViolation {
 /// keeps counting past the cap.
 struct ContractResult {
   std::string contract;
-  bool checked = true;  ///< false when skipped (e.g. partial trace window)
   std::size_t events_checked = 0;
   std::size_t pairs_checked = 0;  ///< pairwise scans only
   std::size_t violations_total = 0;
@@ -82,16 +81,16 @@ struct ContractResult {
 };
 
 enum class Verdict : std::uint8_t {
-  kClean,          ///< every contract checked, zero violations
-  kViolations,     ///< at least one contract violated
-  kPartialWindow,  ///< trace ring evicted records: only window-independent
-                   ///< contracts ran; no violations among those
+  kClean,       ///< every contract checked, zero violations
+  kViolations,  ///< at least one contract violated
 };
 
 const char* to_string(Verdict v);
 
 struct CheckReport {
   Verdict verdict = Verdict::kClean;
+  /// Always 0: check_run refuses an evicted trace. Kept for bench/suite,
+  /// which reads it.
   std::size_t trace_evicted = 0;
   std::vector<ContractResult> contracts;
 
@@ -106,17 +105,13 @@ struct CheckReport {
   std::string summary() const;
 };
 
+/// Strobe-soundness pairwise scan: if the run has more sense events than
+/// this, a deterministic stride-sample of this size is scanned instead.
+inline constexpr std::size_t kMaxPairwiseEvents = 1500;
+
 struct CheckOptions {
   /// Violation witnesses kept per contract; counting continues past the cap.
   std::size_t max_recorded_violations = 16;
-  /// Strobe-soundness pairwise scan: if the run has more sense events than
-  /// this, a deterministic stride-sample of this size is scanned instead.
-  std::size_t max_pairwise_events = 1500;
-  /// A trace ring that evicted records cannot support the HB oracle. By
-  /// default the checker refuses (throws TraceWindowError); set this to
-  /// downgrade to a partial-window verdict that runs window-independent
-  /// contracts only.
-  bool allow_partial_window = false;
   /// Temporal-validity policy for observations: a strobe delivered more than
   /// this after its sense violates the Kopetz-Steiner validity interval
   /// (kStaleObservation under the "validity-horizon" contract). Unbounded by
@@ -130,8 +125,8 @@ struct CheckOptions {
   const sim::FaultSchedule* faults = nullptr;
 };
 
-/// Thrown when the trace ring evicted records and the options forbid the
-/// partial-window downgrade. A distinct type so callers (psn_cli) can exit
+/// Thrown when the trace ring evicted records: the happens-before oracle
+/// needs the complete window. A distinct type so callers (psn_cli) can exit
 /// with a dedicated status and a concrete remedy — raise the ring capacity,
 /// or switch to the streaming checker, which needs no retained window.
 class TraceWindowError : public ConfigError {
@@ -153,24 +148,15 @@ struct RunInputs {
 };
 
 /// Runs every contract check over one run. Throws ConfigError on
-/// structurally unusable inputs (no processes, executions/pid mismatch, or
-/// an evicted trace without allow_partial_window).
+/// structurally unusable inputs (no processes or executions/pid mismatch)
+/// and TraceWindowError on an evicted trace.
 CheckReport check_run(const RunInputs& inputs, const CheckOptions& options = {});
 
 /// Extracts RunInputs from a finished run of a core::ShardedPervasiveSystem
 /// at any shard count. Requires tracing to have been enabled
-/// (SimConfig::trace_capacity > 0). The trace is the system's
-/// trace_records(): every shard's ring plus the fault plan's records in
-/// canonical order. A caller that already holds it passes it in, so it is
-/// not merged and sorted twice.
-RunInputs inputs_from(const core::ShardedPervasiveSystem& system);
+/// (SimConfig::trace_capacity > 0). `trace` is the system's trace_records():
+/// every shard's ring plus the fault plan's records in canonical order.
 RunInputs inputs_from(const core::ShardedPervasiveSystem& system,
                       std::vector<sim::TraceRecord> trace);
-
-/// inputs_from + check_run over a finished core::ShardedPervasiveSystem run,
-/// compensating the system's declared clock faults unless `options` names
-/// a schedule of its own.
-CheckReport check_system(const core::ShardedPervasiveSystem& system,
-                         const CheckOptions& options = {});
 
 }  // namespace psn::check

@@ -62,7 +62,7 @@ std::vector<RaceEvent> scan_races(const core::ObservationLog& log,
       race.strobe_concurrent = va.size() > 0 && va.size() == vb.size() &&
                                clocks::concurrent(va, vb);
       races.push_back(race);
-      if (races.size() >= config.max_races) return races;
+      if (races.size() >= kMaxRaces) return races;
     }
   }
   return races;
@@ -263,9 +263,8 @@ ContractResult audit_detector(const std::string& detector,
       result.events_checked++;
       if (explained_by_race(t, races, config.slack)) continue;
       if (explained_by_fault(t, fault_spans, config.slack)) continue;
-      if (!config.strict) continue;
       result.violations_total++;
-      if (result.violations.size() < config.max_recorded_violations) {
+      if (result.violations.size() < kMaxAuditWitnesses) {
         CheckViolation v;
         v.kind = kind;
         v.at = t;
@@ -282,15 +281,6 @@ ContractResult audit_detector(const std::string& detector,
   audit(fn_occurrence_times, ViolationKind::kUnexplainedFalseNegative,
         "false negative");
   return result;
-}
-
-ContractResult audit_detector(const std::string& detector,
-                              const std::vector<RaceEvent>& races,
-                              const std::vector<SimTime>& fp_cause_times,
-                              const std::vector<SimTime>& fn_occurrence_times,
-                              const AuditConfig& config) {
-  return audit_detector(detector, races, {}, fp_cause_times,
-                        fn_occurrence_times, config);
 }
 
 }  // namespace psn::check

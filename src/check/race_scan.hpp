@@ -33,13 +33,14 @@ struct RaceEvent {
   bool strobe_concurrent = false;
 };
 
+/// Safety cap on emitted races (the scan is a sliding window, so pathological
+/// inputs — everything simultaneous — are quadratic in the window population).
+inline constexpr std::size_t kMaxRaces = 100000;
+
 struct RaceScanConfig {
   /// Race window: Δ for delivery/strobe detectors, 2ε for physical-timestamp
   /// detectors. Pairs with true-time gap strictly below this are races.
   Duration window = Duration::zero();
-  /// Safety cap on emitted races (the scan is a sliding window, so pathological
-  /// inputs — everything simultaneous — are quadratic in the window population).
-  std::size_t max_races = 100000;
 };
 
 /// Scans the root's observation log for Δ-race pairs. O(u log u + races).
@@ -99,35 +100,28 @@ std::vector<FaultSpan> collect_fault_spans(
     const std::vector<sim::TraceRecord>& trace,
     const core::ObservationLog& log, const FaultSpanConfig& config);
 
+/// Violation witnesses an audit keeps; counting continues past the cap.
+inline constexpr std::size_t kMaxAuditWitnesses = 16;
+
 struct AuditConfig {
   /// An error at true time t is explained by a race whose true-time span
   /// [true_a - slack, true_b + slack] contains t (and likewise for fault
   /// spans).
   Duration slack = Duration::zero();
-  /// When true, every unexplained confident error becomes a violation
-  /// (kUnexplainedFalsePositive / kUnexplainedFalseNegative). Sound whenever
-  /// every non-race error source is visible to the audit: Δ-bounded delay
-  /// plus an untruncated trace window, with losses, crashes, partitions,
-  /// duty deferrals, and expired horizons supplied as fault spans.
-  bool strict = true;
-  std::size_t max_recorded_violations = 16;
 };
 
 /// Cross-checks one detector's confident errors against the scanned races
 /// and the run's fault spans: each false positive (by cause true time) and
 /// false negative (by missed occurrence start) must fall inside some race or
-/// fault span. Returns a ContractResult named "race-audit." + detector; feed
-/// it to CheckReport::add_contract.
+/// fault span, or it becomes a violation (kUnexplainedFalsePositive /
+/// kUnexplainedFalseNegative). Sound whenever every non-race error source is
+/// visible to the audit: Δ-bounded delay plus an untruncated trace window,
+/// with losses, crashes, partitions, duty deferrals, and expired horizons
+/// supplied as fault spans. Returns a ContractResult named "race-audit." +
+/// detector; feed it to CheckReport::add_contract.
 ContractResult audit_detector(const std::string& detector,
                               const std::vector<RaceEvent>& races,
                               const std::vector<FaultSpan>& fault_spans,
-                              const std::vector<SimTime>& fp_cause_times,
-                              const std::vector<SimTime>& fn_occurrence_times,
-                              const AuditConfig& config);
-
-/// Fault-oblivious form (lossless runs): audits against races alone.
-ContractResult audit_detector(const std::string& detector,
-                              const std::vector<RaceEvent>& races,
                               const std::vector<SimTime>& fp_cause_times,
                               const std::vector<SimTime>& fn_occurrence_times,
                               const AuditConfig& config);

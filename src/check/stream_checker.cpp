@@ -290,21 +290,6 @@ void StreamChecker::check_down_activity(const sim::TraceRecord& r) {
   }
 }
 
-void StreamChecker::feed_execution_only(ProcessId pid,
-                                        const core::ProcessEvent& event) {
-  check_physical(pid, event);
-  check_lamport_program_order(pid, event);
-  lamport_.events_checked++;
-}
-
-void StreamChecker::skip_windowed_contracts() {
-  partial_ = true;
-  for (ContractResult* c :
-       {&hb_, &vector_, &strobe_scalar_, &strobe_vector_, &soundness_}) {
-    c->checked = false;
-  }
-}
-
 /// Consumes execution events of `p` up to and including the one matching
 /// (type, seq). Intermediate events are consumed as catch-up: internal
 /// compute/actuate events are expected there; message-bearing events are
@@ -561,13 +546,12 @@ PSN_HOT void StreamChecker::evict_expired(SimTime now) {
 /// V(a) < V(b) with true(b) < true(a) is impossible in a correct run.
 void StreamChecker::scan_soundness() {
   std::vector<const SenseSample*> picked;
-  picked.reserve(std::min(senses_.size(), cfg_.options.max_pairwise_events));
-  if (senses_.size() <= cfg_.options.max_pairwise_events) {
+  picked.reserve(std::min(senses_.size(), kMaxPairwiseEvents));
+  if (senses_.size() <= kMaxPairwiseEvents) {
     for (const auto& s : senses_) picked.push_back(&s);
   } else {
     const std::size_t stride =
-        (senses_.size() + cfg_.options.max_pairwise_events - 1) /
-        cfg_.options.max_pairwise_events;
+        (senses_.size() + kMaxPairwiseEvents - 1) / kMaxPairwiseEvents;
     for (std::size_t i = 0; i < senses_.size(); i += stride) {
       picked.push_back(&senses_[i]);
     }
@@ -596,7 +580,7 @@ void StreamChecker::scan_soundness() {
 }
 
 CheckReport StreamChecker::finish() {
-  if (bound() && !partial_) {
+  if (bound()) {
     // Drain events past the last trace record (trailing compute/actuate
     // events; anything message-bearing left here was never traced).
     for (ProcessId p = 0; p < cfg_.num_processes; ++p) {
@@ -613,10 +597,9 @@ CheckReport StreamChecker::finish() {
       }
     }
   }
-  if (!partial_) scan_soundness();
+  scan_soundness();
 
   CheckReport report;
-  report.trace_evicted = cfg_.trace_evicted;
   report.contracts = {std::move(hb_),            std::move(lamport_),
                       std::move(vector_),        std::move(strobe_scalar_),
                       std::move(strobe_vector_), std::move(soundness_),
@@ -630,15 +613,8 @@ CheckReport StreamChecker::finish() {
   // Likewise the fault-model contract: it only exists for streams that
   // carried fault records, so fault-free reports keep the pinned shape.
   if (saw_fault_records_) report.contracts.push_back(std::move(fault_));
-  std::size_t violations = 0;
-  for (const auto& c : report.contracts) violations += c.violations_total;
-  if (violations > 0) {
-    report.verdict = Verdict::kViolations;
-  } else if (cfg_.trace_evicted > 0) {
-    report.verdict = Verdict::kPartialWindow;
-  } else {
-    report.verdict = Verdict::kClean;
-  }
+  report.verdict = report.total_violations() > 0 ? Verdict::kViolations
+                                                 : Verdict::kClean;
   return report;
 }
 

@@ -56,10 +56,6 @@ struct StreamCheckerConfig {
   /// Duration::max() retains entries until matched, which is the exact batch
   /// semantics `check_run` relies on for byte-identical reports.
   Duration send_retention = Duration::max();
-
-  /// Records the producing ring evicted before this checker saw the stream
-  /// (batch use only); downgrades a violation-free verdict to kPartialWindow.
-  std::size_t trace_evicted = 0;
 };
 
 class StreamChecker {
@@ -70,15 +66,6 @@ class StreamChecker {
   /// the first violation this record witnessed, if any; every violation is
   /// also accumulated into the final report regardless of the return value.
   std::optional<CheckViolation> feed(const sim::TraceRecord& record);
-
-  /// Partial-window mode (batch only): runs the window-independent,
-  /// per-event contracts over one execution event. Call
-  /// skip_windowed_contracts() first; do not mix with feed().
-  void feed_execution_only(ProcessId pid, const core::ProcessEvent& event);
-
-  /// Marks every contract that needs the complete trace window as skipped
-  /// (hb-graph, vector, both strobe replays, strobe-soundness).
-  void skip_windowed_contracts();
 
   /// Drains trailing execution events past the last trace record, runs the
   /// pairwise strobe-soundness scan, and assembles the report. The checker
@@ -183,7 +170,6 @@ class StreamChecker {
   std::vector<unsigned char> down_;
   std::vector<std::pair<ProcessId, ProcessId>> cut_edges_;
   std::size_t records_fed_ = 0;
-  bool partial_ = false;
   /// First violation witnessed by the in-flight feed() call, for its return.
   std::optional<CheckViolation> feed_violation_;
   bool in_feed_ = false;

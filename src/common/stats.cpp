@@ -50,11 +50,6 @@ double RunningStats::stddev() const { return std::sqrt(variance()); }
 double RunningStats::min() const { return n_ ? min_ : 0.0; }
 double RunningStats::max() const { return n_ ? max_ : 0.0; }
 
-double RunningStats::ci95_halfwidth() const {
-  if (n_ < 2) return 0.0;
-  return 1.96 * stddev() / std::sqrt(static_cast<double>(n_));
-}
-
 std::string RunningStats::summary() const {
   char buf[160];
   std::snprintf(buf, sizeof buf, "n=%zu mean=%.6g sd=%.6g min=%.6g max=%.6g",
@@ -143,33 +138,6 @@ std::string Histogram::ascii(std::size_t width) const {
     out += '\n';
   }
   return out;
-}
-
-double Proportion::value() const {
-  return trials ? static_cast<double>(successes) / static_cast<double>(trials)
-                : 0.0;
-}
-
-namespace {
-// Wilson score bounds with z = 1.96.
-double wilson(double p, double n, bool upper) {
-  if (n <= 0.0) return 0.0;
-  constexpr double z = 1.96;
-  const double z2 = z * z;
-  const double denom = 1.0 + z2 / n;
-  const double center = p + z2 / (2.0 * n);
-  const double margin = z * std::sqrt(p * (1.0 - p) / n + z2 / (4.0 * n * n));
-  const double v = (center + (upper ? margin : -margin)) / denom;
-  return std::clamp(v, 0.0, 1.0);
-}
-}  // namespace
-
-double Proportion::wilson_lo() const {
-  return wilson(value(), static_cast<double>(trials), /*upper=*/false);
-}
-
-double Proportion::wilson_hi() const {
-  return wilson(value(), static_cast<double>(trials), /*upper=*/true);
 }
 
 }  // namespace psn

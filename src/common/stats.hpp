@@ -22,8 +22,6 @@ class RunningStats {
   double min() const;
   double max() const;
   double sum() const { return sum_; }
-  /// Half-width of the ~95% normal-approximation confidence interval.
-  double ci95_halfwidth() const;
 
   std::string summary() const;
 
@@ -83,21 +81,6 @@ class Histogram {
   double lo_, hi_;
   std::vector<std::size_t> counts_;
   std::size_t underflow_ = 0, overflow_ = 0, total_ = 0;
-};
-
-/// Wilson score interval for a binomial proportion; robust near 0 and 1,
-/// which is where detection-accuracy experiments live.
-struct Proportion {
-  std::size_t successes = 0;
-  std::size_t trials = 0;
-
-  void add(bool success) {
-    trials++;
-    if (success) successes++;
-  }
-  double value() const;
-  double wilson_lo() const;
-  double wilson_hi() const;
 };
 
 }  // namespace psn

@@ -70,11 +70,11 @@ std::vector<Duration> OnlineMonitor::actuation_latencies() const {
   // a-events (in order). Each command produces exactly one a-event at its
   // target, so a per-actuator two-pointer pairing is exact.
   std::vector<Duration> out;
+  // sensor_executions() builds a fresh n-entry vector; index 0 is P_1.
+  const auto executions = system_.sensor_executions();
   for (ProcessId pid = 1; pid < system_.num_processes(); ++pid) {
     std::vector<SimTime> applied;
-    // sensor_executions() index 0 is P_1.
-    const auto& events = *system_.sensor_executions()[pid - 1];
-    for (const auto& e : events) {
+    for (const auto& e : *executions[pid - 1]) {
       if (e.type == EventType::kActuate) {
         applied.push_back(e.clocks.true_time);
       }

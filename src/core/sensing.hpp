@@ -29,10 +29,6 @@ class SensingMap {
                       const std::string& attribute) const;
   VarRef var_of(world::ObjectId object, const std::string& attribute) const;
   bool is_assigned(world::ObjectId object, const std::string& attribute) const;
-  const std::map<std::pair<world::ObjectId, std::string>, ProcessId>&
-  assignments() const {
-    return map_;
-  }
 
  private:
   std::map<std::pair<world::ObjectId, std::string>, ProcessId> map_;
@@ -95,7 +91,6 @@ class SensorNode {
   /// this: 10^5 sensors strobe-broadcasting would be O(n^2) messages per
   /// world tick. kNoProcess restores broadcasting.
   void set_report_target(ProcessId target) { report_target_ = target; }
-  ProcessId report_target() const { return report_target_; }
 
   /// Transport delivery callback.
   void on_message(const net::Message& msg);

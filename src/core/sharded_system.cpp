@@ -250,8 +250,8 @@ const SensorNode& ShardedPervasiveSystem::sensor(ProcessId pid) const {
 Duration ShardedPervasiveSystem::delta_bound() const {
   const Duration hop = make_delay_model(config_.base)->bound();
   if (hop == Duration::max()) return Duration::max();
-  // Closed-form diameters (the serial system's all-pairs BFS sweep is
-  // O(n^2) — intractable at city scale). Matches Overlay's builders.
+  // Closed-form diameters (an all-pairs BFS sweep would be O(n^2) —
+  // intractable at city scale). Matches Overlay's builders.
   std::size_t diameter = 1;
   switch (config_.base.topology) {
     case TopologyKind::kComplete: diameter = 1; break;

@@ -71,15 +71,6 @@ const std::vector<ProcessId>& Overlay::neighbors(ProcessId p) const {
   return adj_[p];
 }
 
-bool Overlay::is_connected() const {
-  if (n_ == 1) return true;
-  std::size_t reached = 0;
-  for (ProcessId p = 0; p < n_; ++p) {
-    if (hop_distance(0, p) != SIZE_MAX) reached++;
-  }
-  return reached == n_;
-}
-
 const std::vector<std::size_t>& Overlay::distance_row(ProcessId from) const {
   std::vector<std::size_t>& dist = dist_rows_[from];
   if (row_valid_[from]) return dist;

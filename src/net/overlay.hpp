@@ -28,7 +28,6 @@ class Overlay {
   bool has_edge(ProcessId a, ProcessId b) const;
   const std::vector<ProcessId>& neighbors(ProcessId p) const;
 
-  bool is_connected() const;
   /// Hop count of the shortest path, or SIZE_MAX if unreachable.
   ///
   /// O(1) in steady state: the transport asks this once per transmitted

@@ -155,11 +155,6 @@ void Transport::set_wake_schedule(ProcessId pid, const DutyCycle& schedule) {
   wake_[pid] = schedule;
 }
 
-void Transport::clear_wake_schedule(ProcessId pid) {
-  PSN_CHECK(pid < wake_.size(), "pid out of range");
-  wake_[pid].reset();
-}
-
 void Transport::register_handler(ProcessId pid, Handler handler) {
   PSN_CHECK(pid < handlers_.size(), "pid out of range");
   PSN_CHECK(static_cast<bool>(handler), "null handler");

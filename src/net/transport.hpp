@@ -101,10 +101,8 @@ class Transport {
   /// When enabled, deliveries between each ordered (src, dst) pair never
   /// overtake one another: a message's delivery time is clamped to be after
   /// the pair's previous delivery. Off by default (radio links reorder);
-  /// protocols that assume FIFO channels (e.g. Chandy–Lamport snapshots)
-  /// enable it.
+  /// `psn_cli run --fifo` enables it.
   void set_fifo_channels(bool fifo) { fifo_ = fifo; }
-  bool fifo_channels() const { return fifo_; }
 
   /// Installs the run's fault schedule (sim/fault, DESIGN.md §15). The
   /// transport then (a) replays partition transitions onto its overlay copy
@@ -125,7 +123,6 @@ class Transport {
   /// while asleep are held by the MAC and delivered at the next wake edge
   /// (paper §5, duty-cycled habitat monitoring). No schedule = always on.
   void set_wake_schedule(ProcessId pid, const DutyCycle& schedule);
-  void clear_wake_schedule(ProcessId pid);
 
   using Handler = std::function<void(const Message&)>;
   /// Installs the delivery callback for process `pid`. Must be set before
@@ -163,7 +160,6 @@ class Transport {
 
   Overlay& overlay() { return overlay_; }
   const Overlay& overlay() const { return overlay_; }
-  DelayModel& delay_model() { return *delay_; }
   const MessageStats& stats() const { return stats_; }
 
  private:

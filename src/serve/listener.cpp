@@ -145,10 +145,8 @@ void Listener::accept_one() {
   auto conn = std::make_unique<Connection>();
   conn->id = next_stream_id_++;
   conn->fd = std::move(client);
-  SessionConfig session_cfg;
-  session_cfg.soak = cfg_.session;
+  SessionConfig session_cfg = cfg_.session;
   session_cfg.stream_id = conn->id;
-  session_cfg.max_line_bytes = cfg_.max_line_bytes;
   const int fd = conn->fd.get();
   conn->session = std::make_unique<Session>(
       session_cfg,

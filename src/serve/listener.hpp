@@ -26,11 +26,9 @@ struct ListenerConfig {
   /// server's exit code.
   std::size_t max_streams = 64;
 
-  /// Per-session checker configuration (same knobs as stdin mode).
-  SoakServerConfig session;
-
-  /// Per-session line-reassembly cap (SessionConfig::max_line_bytes).
-  std::size_t max_line_bytes = std::size_t{1} << 16;
+  /// Per-session configuration, the same one stdin mode uses; the listener
+  /// stamps each connection's `stream_id` into its copy.
+  SessionConfig session;
 
   /// Evict a session after this much wall-clock time without a byte from
   /// its producer (0 = never). Eviction is the normal end-of-stream path:

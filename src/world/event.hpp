@@ -25,12 +25,6 @@ struct WorldEvent {
   AttributeValue value;
   Point2D location;
 
-  /// If this event was induced by another world event through a covert
-  /// channel in C (paper §2.1), the index of that cause; kNoWorldEvent if the
-  /// event is spontaneous. The network plane cannot observe this field — it
-  /// exists so experiments can compare inferred causality against the truth.
-  WorldEventIndex covert_cause = kNoWorldEvent;
-
   /// Sequence number assigned by the timeline on insertion.
   WorldEventIndex index = kNoWorldEvent;
 };

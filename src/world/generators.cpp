@@ -30,10 +30,6 @@ Duration PeriodicArrivals::next_gap(Rng& rng) {
   return gap < Duration::nanos(1) ? Duration::nanos(1) : gap;
 }
 
-double PeriodicArrivals::mean_rate() const {
-  return 1.0 / period_.to_seconds();
-}
-
 BurstyArrivals::BurstyArrivals(double quiet_rate, double burst_rate,
                                Duration mean_quiet_dwell,
                                Duration mean_burst_dwell)
@@ -68,12 +64,6 @@ Duration BurstyArrivals::next_gap(Rng& rng) {
     dwell_remaining_ = Duration::zero();
     bursting_ = !bursting_;
   }
-}
-
-double BurstyArrivals::mean_rate() const {
-  const double tq = mean_quiet_dwell_.to_seconds();
-  const double tb = mean_burst_dwell_.to_seconds();
-  return (quiet_rate_ * tq + burst_rate_ * tb) / (tq + tb);
 }
 
 AttributeValue CounterValue::next(const AttributeValue& current, Rng&) {
@@ -134,7 +124,6 @@ void AttributeDriver::fire() {
                                      ? obj.attribute(attribute_)
                                      : AttributeValue();
   world_.emit(object_, attribute_, values_->next(current, rng_));
-  emitted_++;
   schedule_next();
 }
 

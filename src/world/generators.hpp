@@ -16,8 +16,6 @@ class ArrivalProcess {
  public:
   virtual ~ArrivalProcess() = default;
   virtual Duration next_gap(Rng& rng) = 0;
-  /// Long-run mean rate in events/second (for reporting).
-  virtual double mean_rate() const = 0;
 };
 
 /// Memoryless arrivals at a fixed rate (events/second).
@@ -25,7 +23,6 @@ class PoissonArrivals final : public ArrivalProcess {
  public:
   explicit PoissonArrivals(double rate_per_second);
   Duration next_gap(Rng& rng) override;
-  double mean_rate() const override { return rate_; }
 
  private:
   double rate_;
@@ -36,7 +33,6 @@ class PeriodicArrivals final : public ArrivalProcess {
  public:
   explicit PeriodicArrivals(Duration period, Duration jitter = Duration::zero());
   Duration next_gap(Rng& rng) override;
-  double mean_rate() const override;
 
  private:
   Duration period_;
@@ -51,7 +47,6 @@ class BurstyArrivals final : public ArrivalProcess {
   BurstyArrivals(double quiet_rate, double burst_rate, Duration mean_quiet_dwell,
                  Duration mean_burst_dwell);
   Duration next_gap(Rng& rng) override;
-  double mean_rate() const override;
 
  private:
   double quiet_rate_, burst_rate_;
@@ -113,7 +108,6 @@ class AttributeDriver {
                   std::unique_ptr<ValueProcess> values, Rng rng);
 
   void start();
-  std::size_t events_emitted() const { return emitted_; }
 
  private:
   void schedule_next();
@@ -125,7 +119,6 @@ class AttributeDriver {
   std::unique_ptr<ArrivalProcess> arrivals_;
   std::unique_ptr<ValueProcess> values_;
   Rng rng_;
-  std::size_t emitted_ = 0;
 };
 
 }  // namespace psn::world

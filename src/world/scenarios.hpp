@@ -45,8 +45,6 @@ class ExhibitionHall {
 
   int doors() const { return config_.doors; }
   ObjectId door_object(int k) const;
-  /// Ground-truth occupancy right now.
-  int true_occupancy() const { return occupancy_; }
   const ExhibitionHallConfig& config() const { return config_; }
 
  private:

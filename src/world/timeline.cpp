@@ -1,6 +1,6 @@
 #include "world/timeline.hpp"
 
-#include <algorithm>
+#include <utility>
 
 #include "common/error.hpp"
 
@@ -11,7 +11,6 @@ WorldEventIndex WorldTimeline::append(WorldEvent ev) {
             "timeline events must be appended in time order");
   const WorldEventIndex idx = events_.size();
   ev.index = idx;
-  per_variable_[{ev.object, ev.attribute}].push_back(idx);
   events_.push_back(std::move(ev));
   return idx;
 }
@@ -19,38 +18,6 @@ WorldEventIndex WorldTimeline::append(WorldEvent ev) {
 const WorldEvent& WorldTimeline::at(WorldEventIndex i) const {
   PSN_CHECK(i < events_.size(), "world event index out of range");
   return events_[i];
-}
-
-std::optional<AttributeValue> WorldTimeline::value_at(
-    ObjectId object, const std::string& attribute, SimTime t) const {
-  const auto it = per_variable_.find({object, attribute});
-  if (it == per_variable_.end()) return std::nullopt;
-  const auto& hist = it->second;
-  // Find last event with when <= t.
-  auto pos = std::upper_bound(
-      hist.begin(), hist.end(), t,
-      [&](SimTime when, WorldEventIndex i) { return when < events_[i].when; });
-  if (pos == hist.begin()) return std::nullopt;
-  return events_[*std::prev(pos)].value;
-}
-
-std::vector<WorldEventIndex> WorldTimeline::history(
-    ObjectId object, const std::string& attribute) const {
-  const auto it = per_variable_.find({object, attribute});
-  return it == per_variable_.end() ? std::vector<WorldEventIndex>{}
-                                   : it->second;
-}
-
-bool WorldTimeline::covert_ancestor(WorldEventIndex a,
-                                    WorldEventIndex b) const {
-  PSN_CHECK(a < events_.size() && b < events_.size(),
-            "world event index out of range");
-  WorldEventIndex cur = b;
-  while (cur != kNoWorldEvent) {
-    if (cur == a) return true;
-    cur = events_[cur].covert_cause;
-  }
-  return false;
 }
 
 }  // namespace psn::world

@@ -1,9 +1,5 @@
 #pragma once
 
-#include <map>
-#include <optional>
-#include <string>
-#include <utility>
 #include <vector>
 
 #include "world/event.hpp"
@@ -25,25 +21,8 @@ class WorldTimeline {
   bool empty() const { return events_.empty(); }
   const WorldEvent& at(WorldEventIndex i) const;
 
-  /// Value of (object, attribute) as of time `t` (the last change at or
-  /// before `t`), or nullopt if it never changed by then.
-  std::optional<AttributeValue> value_at(ObjectId object,
-                                         const std::string& attribute,
-                                         SimTime t) const;
-
-  /// All events touching (object, attribute), in time order.
-  std::vector<WorldEventIndex> history(ObjectId object,
-                                       const std::string& attribute) const;
-
-  /// True-time causal ancestry through covert channels: is `a` an ancestor
-  /// of `b` via the covert_cause chain?
-  bool covert_ancestor(WorldEventIndex a, WorldEventIndex b) const;
-
  private:
   std::vector<WorldEvent> events_;
-  // (object, attribute) -> indices of its change events, in time order.
-  std::map<std::pair<ObjectId, std::string>, std::vector<WorldEventIndex>>
-      per_variable_;
 };
 
 }  // namespace psn::world

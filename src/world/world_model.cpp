@@ -22,13 +22,6 @@ const WorldObject& WorldModel::object(ObjectId id) const {
   return objects_[id];
 }
 
-void WorldModel::add_covert_channel(CovertChannelSpec spec) {
-  PSN_CHECK(spec.from < objects_.size() && spec.to < objects_.size(),
-            "covert channel endpoints must be existing objects");
-  PSN_CHECK(spec.delay >= Duration::zero(), "covert channel delay negative");
-  channels_.push_back(std::move(spec));
-}
-
 void WorldModel::move(ObjectId object_id, const Point2D& to) {
   WorldObject& obj = object(object_id);
   obj.move_to(to);
@@ -37,8 +30,7 @@ void WorldModel::move(ObjectId object_id, const Point2D& to) {
 
 WorldEventIndex WorldModel::emit(ObjectId object_id,
                                  const std::string& attribute,
-                                 AttributeValue value,
-                                 WorldEventIndex covert_cause) {
+                                 AttributeValue value) {
   WorldObject& obj = object(object_id);
   obj.set_attribute(attribute, value);
 
@@ -46,27 +38,13 @@ WorldEventIndex WorldModel::emit(ObjectId object_id,
   ev.when = sim_.now();
   ev.object = object_id;
   ev.attribute = attribute;
-  ev.value = value;
+  ev.value = std::move(value);
   ev.location = obj.location();
-  ev.covert_cause = covert_cause;
   const WorldEventIndex idx = timeline_.append(std::move(ev));
 
   // Sinks observe the recorded (indexed) event.
   const WorldEvent& recorded = timeline_.at(idx);
   for (const auto& sink : sinks_) sink(recorded);
-
-  // Covert propagation: schedule induced changes. Captured by value so the
-  // spec may be mutated/extended later without dangling.
-  for (const auto& ch : channels_) {
-    if (ch.from != object_id || ch.trigger_attribute != attribute) continue;
-    const AttributeValue induced = ch.transform ? ch.transform(value) : value;
-    const ObjectId to = ch.to;
-    const std::string induced_attr = ch.induced_attribute;
-    sim_.scheduler().schedule_after(ch.delay, [this, to, induced_attr, induced,
-                                               idx] {
-      emit(to, induced_attr, induced, /*covert_cause=*/idx);
-    });
-  }
   return idx;
 }
 

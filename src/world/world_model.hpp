@@ -12,26 +12,11 @@
 
 namespace psn::world {
 
-/// A covert (hidden) channel in the world-plane overlay C (paper §2.1):
-/// when `trigger_attribute` of `from` changes, `induced_attribute` of `to`
-/// changes `delay` later. The network plane cannot observe this channel; it
-/// exists so that the world has true causality that detectors can be scored
-/// against (paper §4.1: pen hand-offs, wind spreading fire, posted letters).
-struct CovertChannelSpec {
-  ObjectId from = kNoObject;
-  std::string trigger_attribute;
-  ObjectId to = kNoObject;
-  std::string induced_attribute;
-  Duration delay = Duration::millis(100);
-  /// Maps the triggering value to the induced value; identity by default.
-  std::function<AttributeValue(const AttributeValue&)> transform;
-};
-
-/// The world plane ⟨O, C⟩: a set of passive objects plus covert channels,
-/// attached to a simulation. Attribute changes are *emitted* into the model;
-/// the model updates the object, appends ground truth to the timeline,
-/// notifies sinks (the sensing layer subscribes here), and fires covert
-/// channels.
+/// The world plane: the objects O of the paper's ⟨O, C⟩, attached to a
+/// simulation. The covert channels C (paper §2.1) are not simulated, because
+/// no experiment needs them. Attribute changes are *emitted* into the model;
+/// the model updates the object, appends ground truth to the timeline, and
+/// notifies sinks (the sensing layer subscribes here).
 class WorldModel {
  public:
   explicit WorldModel(sim::Simulation& sim) : sim_(sim) {}
@@ -41,8 +26,6 @@ class WorldModel {
   const WorldObject& object(ObjectId id) const;
   std::size_t num_objects() const { return objects_.size(); }
 
-  void add_covert_channel(CovertChannelSpec spec);
-
   /// Observer of emitted world events. Sinks see events in emission order at
   /// the instant they happen (they model physical co-location of a sensor
   /// with the object, not network transmission).
@@ -51,8 +34,7 @@ class WorldModel {
 
   /// Records a change of `attribute` of `object` to `value`, now.
   WorldEventIndex emit(ObjectId object, const std::string& attribute,
-                       AttributeValue value,
-                       WorldEventIndex covert_cause = kNoWorldEvent);
+                       AttributeValue value);
 
   /// Observer of object movement. Mobility models (world/mobility) call
   /// move(); proximity sensing (core/proximity) subscribes here. Movement is
@@ -70,7 +52,6 @@ class WorldModel {
  private:
   sim::Simulation& sim_;
   std::vector<WorldObject> objects_;
-  std::vector<CovertChannelSpec> channels_;
   std::vector<Sink> sinks_;
   std::vector<MoveSink> move_sinks_;
   WorldTimeline timeline_;

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -13,76 +14,25 @@ using namespace psn::time_literals;
 
 SimTime t(std::int64_t ms) { return SimTime::zero() + Duration::millis(ms); }
 
-TEST(ExportTest, TimelineTable) {
-  world::WorldTimeline timeline;
-  world::WorldEvent ev;
-  ev.when = t(1500);
-  ev.object = 2;
-  ev.attribute = "entered";
-  ev.value = world::AttributeValue(std::int64_t{7});
-  timeline.append(ev);
-  world::WorldEvent induced = ev;
-  induced.when = t(1600);
-  induced.object = 3;
-  induced.covert_cause = 0;
-  timeline.append(induced);
-
-  const Table table = timeline_table(timeline);
-  EXPECT_EQ(table.num_rows(), 2u);
-  EXPECT_EQ(table.at(0, 0), "1.5");
-  EXPECT_EQ(table.at(0, 2), "entered");
-  EXPECT_EQ(table.at(0, 4), "-1");
-  EXPECT_EQ(table.at(1, 4), "0");
-}
-
-TEST(ExportTest, ObservationTableCarriesStamps) {
-  core::ObservationLog log;
-  log.num_processes = 2;
-  core::ReceivedUpdate u;
-  u.delivered_at = t(205);
-  u.reporter = 1;
-  u.report.attribute = "x";
-  u.report.value = world::AttributeValue(true);
-  u.report.true_sense_time = t(200);
-  u.report.strobe_scalar = {4, 1};
-  u.report.strobe_vector = clocks::VectorStamp({0, 4});
-  log.updates.push_back(u);
-
-  const Table table = observation_table(log);
-  EXPECT_EQ(table.at(0, 0), "0.205");
-  EXPECT_EQ(table.at(0, 3), "true");
-  EXPECT_EQ(table.at(0, 5), "4@1");
-  EXPECT_EQ(table.at(0, 6), "[0,4]");
+core::Detection detection(std::int64_t at_ms, std::size_t update_index) {
+  core::Detection d;
+  d.detected_at = t(at_ms);
+  d.to_true = true;
+  d.borderline = true;
+  d.cause_true_time = t(at_ms - 50);
+  d.update_index = update_index;
+  return d;
 }
 
 TEST(ExportTest, DetectionsTable) {
-  std::vector<core::Detection> dets;
-  core::Detection d;
-  d.detected_at = t(300);
-  d.to_true = true;
-  d.borderline = true;
-  d.cause_true_time = t(250);
-  d.update_index = 9;
-  dets.push_back(d);
-  const Table table = detections_table(dets);
+  const Table table = detections_table({detection(300, 9)});
   EXPECT_EQ(table.at(0, 1), "1");
   EXPECT_EQ(table.at(0, 2), "1");
   EXPECT_EQ(table.at(0, 4), "9");
 }
 
-TEST(ExportTest, OccurrencesTable) {
-  core::OracleResult oracle;
-  oracle.occurrences.push_back({t(100), t(350)});
-  const Table table = occurrences_table(oracle);
-  EXPECT_EQ(table.at(0, 0), "0.1");
-  EXPECT_EQ(table.at(0, 2), "0.25");
-}
-
 TEST(ExportTest, CsvRoundTripThroughFile) {
-  core::OracleResult oracle;
-  oracle.occurrences.push_back({t(100), t(350)});
-  oracle.occurrences.push_back({t(500), t(900)});
-  const Table table = occurrences_table(oracle);
+  const Table table = detections_table({detection(300, 1), detection(900, 2)});
 
   const std::string path = "/tmp/psn_export_roundtrip_test.csv";
   table.write_csv(path);

@@ -58,7 +58,7 @@ RunInputs traced_run(net::ClockMode mode, std::uint64_t seed = 7) {
         [&system, src] { system.sensor(src).compute(); });
   }
   system.run();
-  return inputs_from(system);
+  return inputs_from(system, system.trace_records());
 }
 
 /// Record-by-record streaming replay with the exact configuration check_run
@@ -70,7 +70,6 @@ CheckReport stream_report(const RunInputs& in, const CheckOptions& opt = {}) {
   cfg.drifting = in.drifting;
   cfg.options = opt;
   cfg.executions = &in.executions;
-  cfg.trace_evicted = in.trace_evicted;
   StreamChecker checker(cfg);
   for (const sim::TraceRecord& r : in.trace) checker.feed(r);
   return checker.finish();

@@ -15,7 +15,6 @@ TEST(RunningStatsTest, EmptyDefaults) {
   EXPECT_EQ(s.count(), 0u);
   EXPECT_DOUBLE_EQ(s.mean(), 0.0);
   EXPECT_DOUBLE_EQ(s.variance(), 0.0);
-  EXPECT_DOUBLE_EQ(s.ci95_halfwidth(), 0.0);
 }
 
 TEST(RunningStatsTest, KnownValues) {
@@ -141,37 +140,6 @@ TEST(HistogramTest, AsciiRendersOneRowPerBin) {
   h.add(1.5);
   const std::string art = h.ascii(10);
   EXPECT_EQ(std::count(art.begin(), art.end(), '\n'), 2);
-}
-
-TEST(ProportionTest, ValueAndBounds) {
-  Proportion p;
-  for (int i = 0; i < 80; ++i) p.add(true);
-  for (int i = 0; i < 20; ++i) p.add(false);
-  EXPECT_DOUBLE_EQ(p.value(), 0.8);
-  EXPECT_LT(p.wilson_lo(), 0.8);
-  EXPECT_GT(p.wilson_hi(), 0.8);
-  EXPECT_GT(p.wilson_lo(), 0.7);
-  EXPECT_LT(p.wilson_hi(), 0.9);
-}
-
-TEST(ProportionTest, ExtremesStayInUnitInterval) {
-  Proportion all;
-  for (int i = 0; i < 10; ++i) all.add(true);
-  EXPECT_DOUBLE_EQ(all.value(), 1.0);
-  EXPECT_LE(all.wilson_hi(), 1.0);
-  EXPECT_LT(all.wilson_lo(), 1.0);
-
-  Proportion none;
-  for (int i = 0; i < 10; ++i) none.add(false);
-  EXPECT_DOUBLE_EQ(none.value(), 0.0);
-  EXPECT_GE(none.wilson_lo(), 0.0);
-  EXPECT_GT(none.wilson_hi(), 0.0);
-}
-
-TEST(ProportionTest, EmptyIsZero) {
-  Proportion p;
-  EXPECT_DOUBLE_EQ(p.value(), 0.0);
-  EXPECT_DOUBLE_EQ(p.wilson_lo(), 0.0);
 }
 
 }  // namespace

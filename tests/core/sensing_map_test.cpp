@@ -19,7 +19,6 @@ TEST(SensingMapTest, AssignAndLookup) {
   EXPECT_EQ(map.sensor_of(3, "pressure"), kNoProcess);
   EXPECT_TRUE(map.is_assigned(3, "temp"));
   EXPECT_FALSE(map.is_assigned(3, "pressure"));
-  EXPECT_EQ(map.assignments().size(), 3u);
 }
 
 TEST(SensingMapTest, VarOfBuildsPaperSubscript) {

@@ -117,37 +117,6 @@ TEST(DutyCycleTransportTest, SleepDefersDelivery) {
   EXPECT_EQ(deliveries[2], t(1060));
 }
 
-TEST(DutyCycleTransportTest, ClearRestoresAlwaysOn) {
-  sim::SimConfig cfg;
-  cfg.horizon = SimTime::zero() + 100_s;
-  sim::Simulation sim(cfg);
-  Transport transport(sim, Overlay::complete(2),
-                      std::make_unique<FixedDelay>(10_ms),
-                      std::make_unique<NoLoss>(), Rng(2));
-  DutyCycle dc;
-  dc.period = 1000_ms;
-  dc.window = 10_ms;
-  transport.set_wake_schedule(1, dc);
-  transport.clear_wake_schedule(1);
-
-  SimTime delivered;
-  transport.register_handler(0, [](const Message&) {});
-  transport.register_handler(
-      1, [&](const Message& msg) { delivered = msg.delivered_at; });
-  sim.scheduler().schedule_at(t(500), [&transport] {
-    Message m;
-    m.src = 0;
-    m.dst = 1;
-    m.kind = MessageKind::kComputation;
-    ComputationPayload payload;
-    payload.stamps.causal_vector = clocks::VectorStamp(2);
-    m.payload = payload;
-    transport.unicast(std::move(m));
-  });
-  sim.run();
-  EXPECT_EQ(delivered, t(510));
-}
-
 TEST(DutyCycleTransportTest, InvalidScheduleRejected) {
   sim::SimConfig cfg;
   sim::Simulation sim(cfg);

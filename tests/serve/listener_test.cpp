@@ -243,7 +243,7 @@ TEST(ListenerTest, ConcurrentStreamsAreByteIdenticalToSequentialServes) {
 
   ListenerConfig cfg;
   cfg.listen = "0";
-  cfg.session = occupancy_session_config();
+  cfg.session.soak = occupancy_session_config();
   Harness harness(cfg);
 
   std::vector<std::string> got(traces.size());
@@ -427,7 +427,7 @@ TEST(ListenerTest, IdleStreamIsEvictedThroughTheNormalFinishPath) {
 TEST(ListenerTest, AggregatesExitCodesWithRejectionOutrankingViolations) {
   ListenerConfig cfg;
   cfg.listen = "0";
-  cfg.session.validity_horizon.lifetime = Duration::seconds(1);
+  cfg.session.soak.validity_horizon.lifetime = Duration::seconds(1);
   Harness harness(cfg);
 
   {  // clean stream → 0
@@ -466,7 +466,7 @@ TEST(ListenerTest, AggregatesExitCodesWithRejectionOutrankingViolations) {
 TEST(ListenerTest, ViolationsAloneAggregateToExitOne) {
   ListenerConfig cfg;
   cfg.listen = "0";
-  cfg.session.validity_horizon.lifetime = Duration::seconds(1);
+  cfg.session.soak.validity_horizon.lifetime = Duration::seconds(1);
   Harness harness(cfg);
 
   Client c = Client::connect_tcp(harness.listener.port());

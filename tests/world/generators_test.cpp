@@ -16,7 +16,6 @@ TEST(PoissonArrivalsTest, MeanGapMatchesRate) {
   RunningStats s;
   for (int i = 0; i < 20000; ++i) s.add(p.next_gap(rng).to_seconds());
   EXPECT_NEAR(s.mean(), 0.05, 0.002);
-  EXPECT_DOUBLE_EQ(p.mean_rate(), 20.0);
 }
 
 TEST(PoissonArrivalsTest, RejectsNonPositiveRate) {
@@ -28,7 +27,6 @@ TEST(PeriodicArrivalsTest, ExactWithoutJitter) {
   PeriodicArrivals p(100_ms);
   Rng rng(2);
   for (int i = 0; i < 10; ++i) EXPECT_EQ(p.next_gap(rng), 100_ms);
-  EXPECT_DOUBLE_EQ(p.mean_rate(), 10.0);
 }
 
 TEST(PeriodicArrivalsTest, JitterBounded) {
@@ -59,7 +57,6 @@ TEST(BurstyArrivalsTest, MeanRateBetweenRegimes) {
   const double rate = static_cast<double>(events) / total.to_seconds();
   EXPECT_GT(rate, 10.0);   // far above the quiet regime
   EXPECT_LT(rate, 100.0);  // below the pure burst regime
-  EXPECT_NEAR(b.mean_rate(), 50.5, 1e-9);
 }
 
 TEST(BurstyArrivalsTest, Validation) {
@@ -126,7 +123,6 @@ TEST(AttributeDriverTest, EmitsUntilHorizon) {
                          std::make_unique<CounterValue>(), Rng(9));
   driver.start();
   sim.run();
-  EXPECT_EQ(driver.events_emitted(), 10u);
   EXPECT_EQ(world.object(obj).attribute("count").as_int(), 10);
   EXPECT_EQ(world.timeline().size(), 10u);
 }

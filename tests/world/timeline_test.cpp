@@ -10,14 +10,12 @@ namespace {
 using namespace psn::time_literals;
 
 WorldEvent make_event(std::int64_t ms, ObjectId obj, const std::string& attr,
-                      AttributeValue value,
-                      WorldEventIndex cause = kNoWorldEvent) {
+                      AttributeValue value) {
   WorldEvent ev;
   ev.when = SimTime::zero() + Duration::millis(ms);
   ev.object = obj;
   ev.attribute = attr;
   ev.value = value;
-  ev.covert_cause = cause;
   return ev;
 }
 
@@ -41,59 +39,11 @@ TEST(WorldTimelineTest, AllowsEqualTimes) {
   EXPECT_NO_THROW(t.append(make_event(10, 1, "y", 2)));
 }
 
-TEST(WorldTimelineTest, ValueAtPicksLatestNotAfter) {
-  WorldTimeline t;
-  t.append(make_event(10, 0, "x", 1));
-  t.append(make_event(20, 0, "x", 2));
-  t.append(make_event(30, 0, "x", 3));
-
-  auto at = [&](std::int64_t ms) {
-    return t.value_at(0, "x", SimTime::zero() + Duration::millis(ms));
-  };
-  EXPECT_FALSE(at(5).has_value());
-  EXPECT_EQ(at(10)->as_int(), 1);
-  EXPECT_EQ(at(15)->as_int(), 1);
-  EXPECT_EQ(at(20)->as_int(), 2);
-  EXPECT_EQ(at(99)->as_int(), 3);
-}
-
-TEST(WorldTimelineTest, ValueAtUnknownVariable) {
-  WorldTimeline t;
-  t.append(make_event(10, 0, "x", 1));
-  EXPECT_FALSE(t.value_at(0, "y", SimTime::max()).has_value());
-  EXPECT_FALSE(t.value_at(9, "x", SimTime::max()).has_value());
-}
-
-TEST(WorldTimelineTest, HistoryPerVariable) {
-  WorldTimeline t;
-  t.append(make_event(1, 0, "x", 1));
-  t.append(make_event(2, 1, "x", 5));
-  t.append(make_event(3, 0, "x", 2));
-  t.append(make_event(4, 0, "y", 9));
-  EXPECT_EQ(t.history(0, "x"), (std::vector<WorldEventIndex>{0, 2}));
-  EXPECT_EQ(t.history(1, "x"), (std::vector<WorldEventIndex>{1}));
-  EXPECT_EQ(t.history(0, "y"), (std::vector<WorldEventIndex>{3}));
-  EXPECT_TRUE(t.history(2, "z").empty());
-}
-
-TEST(WorldTimelineTest, CovertAncestryChain) {
-  WorldTimeline t;
-  t.append(make_event(1, 0, "x", 1));                      // 0: spontaneous
-  t.append(make_event(2, 1, "y", 2, /*cause=*/0));          // 1: caused by 0
-  t.append(make_event(3, 2, "z", 3, /*cause=*/1));          // 2: caused by 1
-  t.append(make_event(4, 3, "w", 4));                       // 3: spontaneous
-  EXPECT_TRUE(t.covert_ancestor(0, 2));
-  EXPECT_TRUE(t.covert_ancestor(1, 2));
-  EXPECT_TRUE(t.covert_ancestor(2, 2));  // reflexive
-  EXPECT_FALSE(t.covert_ancestor(2, 0));
-  EXPECT_FALSE(t.covert_ancestor(0, 3));
-}
-
 TEST(WorldTimelineTest, OutOfRangeIndexThrows) {
   WorldTimeline t;
   EXPECT_THROW(t.at(0), InvariantError);
   t.append(make_event(1, 0, "x", 1));
-  EXPECT_THROW(t.covert_ancestor(0, 5), InvariantError);
+  EXPECT_THROW(t.at(5), InvariantError);
 }
 
 }  // namespace

@@ -54,85 +54,6 @@ TEST(WorldModelTest, SinksSeeEventsInEmissionOrder) {
             (std::vector<std::string>{"x", "x-second", "y", "y-second"}));
 }
 
-TEST(WorldModelTest, CovertChannelInducesDelayedEvent) {
-  sim::Simulation sim(quick_config());
-  WorldModel world(sim);
-  const ObjectId pen = world.create_object("pen");
-  const ObjectId desk = world.create_object("desk");
-  CovertChannelSpec ch;
-  ch.from = pen;
-  ch.trigger_attribute = "moved";
-  ch.to = desk;
-  ch.induced_attribute = "pen_present";
-  ch.delay = 50_ms;
-  world.add_covert_channel(ch);
-
-  world.emit(pen, "moved", true);
-  EXPECT_EQ(world.timeline().size(), 1u);
-  sim.run();
-  ASSERT_EQ(world.timeline().size(), 2u);
-  const WorldEvent& induced = world.timeline().at(1);
-  EXPECT_EQ(induced.object, desk);
-  EXPECT_EQ(induced.attribute, "pen_present");
-  EXPECT_EQ(induced.when, SimTime::zero() + 50_ms);
-  EXPECT_EQ(induced.covert_cause, 0u);
-  EXPECT_TRUE(world.timeline().covert_ancestor(0, 1));
-}
-
-TEST(WorldModelTest, CovertChannelTransform) {
-  sim::Simulation sim(quick_config());
-  WorldModel world(sim);
-  const ObjectId a = world.create_object("a");
-  const ObjectId b = world.create_object("b");
-  CovertChannelSpec ch;
-  ch.from = a;
-  ch.trigger_attribute = "count";
-  ch.to = b;
-  ch.induced_attribute = "count";
-  ch.delay = 1_ms;
-  ch.transform = [](const AttributeValue& v) {
-    return AttributeValue(v.as_int() * 10);
-  };
-  world.add_covert_channel(ch);
-  world.emit(a, "count", std::int64_t{4});
-  sim.run();
-  EXPECT_EQ(world.object(b).attribute("count").as_int(), 40);
-}
-
-TEST(WorldModelTest, CovertChainPropagates) {
-  sim::Simulation sim(quick_config());
-  WorldModel world(sim);
-  const ObjectId a = world.create_object("a");
-  const ObjectId b = world.create_object("b");
-  const ObjectId c = world.create_object("c");
-  for (auto [from, to] : {std::pair{a, b}, std::pair{b, c}}) {
-    CovertChannelSpec ch;
-    ch.from = from;
-    ch.trigger_attribute = "fire";
-    ch.to = to;
-    ch.induced_attribute = "fire";
-    ch.delay = 10_ms;
-    world.add_covert_channel(ch);
-  }
-  world.emit(a, "fire", true);  // wind spreading a forest fire (paper §4.1)
-  sim.run();
-  ASSERT_EQ(world.timeline().size(), 3u);
-  EXPECT_TRUE(world.timeline().covert_ancestor(0, 2));
-  EXPECT_EQ(world.timeline().at(2).when, SimTime::zero() + 20_ms);
-}
-
-TEST(WorldModelTest, ChannelValidation) {
-  sim::Simulation sim(quick_config());
-  WorldModel world(sim);
-  world.create_object("only");
-  CovertChannelSpec ch;
-  ch.from = 0;
-  ch.to = 5;  // nonexistent
-  ch.trigger_attribute = "x";
-  ch.induced_attribute = "y";
-  EXPECT_THROW(world.add_covert_channel(ch), InvariantError);
-}
-
 TEST(WorldObjectTest, AttributeAccess) {
   WorldObject o(0, "thing", {});
   EXPECT_FALSE(o.has_attribute("temp"));

@@ -166,12 +166,12 @@ psn::analysis::OccupancyConfig draw_config(std::uint64_t round_seed) {
 /// the *environment* breaking the deployment's freshness claim, which the
 /// contract exists to surface; it is not a simulator defect. Every other
 /// contract (causality, clock replays, soundness, epsilon/drift envelopes)
-/// must be spotless, and a partial-window verdict always fails: the ring
-/// was sized for the horizon, so eviction means the harness itself is wrong.
+/// must be spotless. An evicted trace never gets here: the checker throws
+/// TraceWindowError, which fails the round — the ring was sized for the
+/// horizon, so eviction means the harness itself is wrong.
 bool acceptable(const psn::check::CheckReport& report,
                 const psn::analysis::OccupancyConfig& cfg) {
   if (report.clean()) return true;
-  if (report.verdict != psn::check::Verdict::kViolations) return false;
   for (const auto& contract : report.contracts) {
     if (contract.violations_total == 0) continue;
     if (contract.contract == "validity-horizon" &&
