@@ -16,7 +16,7 @@
 
 #include <deque>
 
-#include "analysis/experiments.hpp"
+#include "analysis/claims.hpp"
 #include "clocks/lamport.hpp"
 #include "clocks/vector_clock.hpp"
 #include "common/table.hpp"
@@ -132,24 +132,14 @@ int main() {
     cfg.score_tolerance = Duration::millis(1);
     cfg.horizon = Duration::seconds(60);
     cfg.seed = seed;
-    const auto run = analysis::run_occupancy_experiment(cfg);
-    const auto& s = run.outcome("strobe-scalar");
-    const auto& v = run.outcome("strobe-vector");
-    bool identical = s.detections.size() == v.detections.size();
-    if (identical) {
-      for (std::size_t i = 0; i < s.detections.size(); ++i) {
-        identical &= s.detections[i].to_true == v.detections[i].to_true &&
-                     s.detections[i].cause_true_time ==
-                         v.detections[i].cause_true_time;
-      }
-    }
+    const auto eq = analysis::compare_strobes(cfg);
     t1.row()
         .cell(seed)
-        .cell(s.detections.size())
-        .cell(v.detections.size())
-        .cell(identical ? "yes" : "NO")
-        .cell(s.score.false_positives + s.score.false_negatives)
-        .cell(v.score.false_positives + v.score.false_negatives);
+        .cell(eq.scalar_transitions)
+        .cell(eq.vector_transitions)
+        .cell(eq.identical ? "yes" : "NO")
+        .cell(eq.scalar_errors)
+        .cell(eq.vector_errors);
   }
   std::printf("%s\n", t1.ascii().c_str());
 

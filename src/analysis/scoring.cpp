@@ -32,6 +32,18 @@ double DetectionScore::recall_with_borderline() const {
              : 1.0;
 }
 
+double DetectionScore::fn_rate() const {
+  return oracle_occurrences ? static_cast<double>(false_negatives) /
+                                  static_cast<double>(oracle_occurrences)
+                            : 0.0;
+}
+
+double DetectionScore::fp_rate() const {
+  return confident_detections ? static_cast<double>(false_positives) /
+                                    static_cast<double>(confident_detections)
+                              : 0.0;
+}
+
 DetectionScore& DetectionScore::operator+=(const DetectionScore& other) {
   oracle_occurrences += other.oracle_occurrences;
   confident_detections += other.confident_detections;

@@ -54,6 +54,10 @@ struct DetectionScore {
   /// Recall when borderline detections are treated as positives — the
   /// "err on the safe side" reading of the borderline bin (§5).
   double recall_with_borderline() const;
+  /// FN / occurrences (0 with no occurrences).
+  double fn_rate() const;
+  /// FP / confident detections (0 with no confident detections).
+  double fp_rate() const;
 
   /// Accumulates counts across replications (latency samples concatenate).
   DetectionScore& operator+=(const DetectionScore& other);
