@@ -6,13 +6,6 @@
 
 namespace psn {
 
-std::uint64_t mix64(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
-
 std::uint64_t hash_name(std::string_view name) {
   std::uint64_t h = 0xcbf29ce484222325ULL;
   for (const char c : name) {
@@ -23,17 +16,15 @@ std::uint64_t hash_name(std::string_view name) {
 }
 
 Rng Rng::substream(std::string_view name, std::uint64_t index) const {
-  // Fold the parent engine's *seed-equivalent state* is not recoverable, so
-  // substreams are derived from a snapshot draw of a copy; this keeps the
-  // parent's own sequence untouched.
-  std::mt19937_64 probe = engine_;
-  const std::uint64_t base = probe();
+  // Keyed by the parent's next draw, read without stepping the parent:
+  // deriving a substream never perturbs the parent's own sequence.
+  const std::uint64_t base = mix64(state_);
   return Rng(mix64(base ^ mix64(hash_name(name)) ^ mix64(index + 1)));
 }
 
 double Rng::uniform01() {
   // 53-bit mantissa construction: uniform in [0, 1).
-  return static_cast<double>(engine_() >> 11) * 0x1.0p-53;
+  return static_cast<double>((*this)() >> 11) * 0x1.0p-53;
 }
 
 double Rng::uniform(double lo, double hi) {
@@ -44,7 +35,7 @@ double Rng::uniform(double lo, double hi) {
 std::int64_t Rng::uniform_int(std::int64_t lo, std::int64_t hi) {
   PSN_CHECK(lo <= hi, "uniform_int bounds inverted");
   std::uniform_int_distribution<std::int64_t> d(lo, hi);
-  return d(engine_);
+  return d(*this);
 }
 
 bool Rng::bernoulli(double p) {
@@ -61,7 +52,7 @@ double Rng::exponential(double mean) {
 double Rng::normal(double mean, double stddev) {
   PSN_CHECK(stddev >= 0.0, "normal stddev must be non-negative");
   std::normal_distribution<double> d(mean, stddev);
-  return d(engine_);
+  return d(*this);
 }
 
 Duration Rng::exponential_gap(double rate_per_second) {

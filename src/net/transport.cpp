@@ -106,7 +106,7 @@ Transport::Transport(sim::Simulation& sim, Overlay overlay,
       // One draw from the injected substream seeds every per-message Rng.
       // Shard replicas built from the same master seed get the same value,
       // so a message's delay/loss draws match wherever its sender lives.
-      msg_seed_(rng.engine()()),
+      msg_seed_(rng()),
       per_source_next_(overlay_.size(), 0),
       wake_(overlay_.size()) {
   PSN_CHECK(delay_ != nullptr, "transport needs a delay model");
