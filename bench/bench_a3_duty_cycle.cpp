@@ -90,9 +90,9 @@ int main() {
   std::printf(
       "Reading: the always-on root keeps median latency near Delta, but the\n"
       "tail stretches toward the sleep time and confident recall erodes as\n"
-      "duty falls (sleeping sensors merge strobes late -> more races);\n"
-      "synchronized phases beat random phases at every duty level — the\n"
-      "value of the paper's duty-cycle synchronization via distributed\n"
-      "timers. The borderline bin absorbs nearly all of the loss.\n");
+      "duty falls (sleeping sensors merge strobes late -> more races).\n"
+      "Synchronized and random phases differ by less than the seed-to-seed\n"
+      "spread in confident recall (EXPERIMENTS.md A3). The borderline bin\n"
+      "absorbs nearly all of the loss.\n");
   return 0;
 }
