@@ -8,43 +8,10 @@
 //                              incrementally with bounded memory — from
 //                              stdin, or many at once via --listen
 //
-// A missing or unknown subcommand prints usage and exits 2.
-//
-// Shared scenario options (run / check):
-//     --scenario hall|office|hospital|city   (default hall)
-//     --doors N          door/sensor count for hall        (default 4)
-//     --capacity N       hall capacity threshold           (default 200)
-//     --rate R           world events per second           (default 20)
-//     --delta MS         delay bound Delta in ms           (default 100)
-//     --delay uniform|fixed|exp|sync    delay model        (default uniform)
-//     --eps US           sync-clock epsilon in us          (default 100)
-//     --loss P           per-transmission loss prob        (default 0)
-//     --seconds S        horizon                           (default 60)
-//     --seed N           RNG seed                          (default 1)
-//     --mode scalar|vector|physical     wire clock mode    (default vector)
-//     --validity MS      observation validity horizon, 0 = unbounded
-//     --shards K         space partitions, run in lockstep Δ-windows
-//                        (default 1; results byte-identical at every K)
-//     --shard-threads N  worker threads for the shard fan-out (default 1)
-//     --topology complete|star|ring|line    overlay        (default complete)
-//     --lean-clocks      drop O(n) vector clocks (city scale)
-//     --unicast          sense reports unicast to the root, not broadcast
-//     --fifo             per-channel FIFO delivery (unsharded only)
-//     --faults SPEC      deterministic fault plan: `;`-separated clauses
-//                          crash:<pid>@<begin_s>+<dur_s>
-//                          cut:<a>-<b>@<begin_s>+<dur_s>
-//                          drift:<pid>@<begin_s>+<dur_s>:<ppm>
-//                        e.g. --faults 'crash:2@10+5;cut:1-3@20+4'
-//     --ge A,B,C,D       Gilbert–Elliott burst loss (unsharded only):
-//                        P(good→bad), P(bad→good), loss in good, loss in bad
-//
-// run-only:  --reps N --threads N --csv PATH --metrics --trace PATH
-//            --trace-cap N
-// check-only: --trace-cap N
-// serve-only: --procs N --retention MS --metrics-every N --lenient
-//             --listen PORT|UNIX-PATH --max-streams N --max-buffer BYTES
-//             --idle-timeout SECS
-//             (--max-buffer caps one line, on stdin and on every socket)
+// `psn_cli --help` lists every option of every subcommand (the usage text
+// below is the one list); `run` and `check` echo the resolved scenario in
+// their first output line. A missing or unknown subcommand prints usage and
+// exits 2.
 //
 // Exit codes: 0 ok · 1 violations · 2 usage/config error or missing/unknown
 // subcommand · 3 stream input rejected (serve) · 4 trace ring truncated
@@ -62,7 +29,7 @@
 // Examples:
 //   psn_cli run --scenario hall --doors 8 --delta 250 --reps 10
 //   psn_cli run --delay sync --delta 0       # the Δ=0 collapse
-//   psn_cli run --trace /tmp/run.jsonl       # sense/send/deliver/... log
+//   psn_cli run --trace /tmp/run.jsonl       # first seed's event log
 //   psn_cli check --mode scalar              # clock-contract replay, CI-style
 //   psn_cli run --trace /dev/stdout --trace-cap 200000 | psn_cli serve
 //   psn_cli serve --listen 7070 --max-streams 16   # socket soak server
@@ -96,33 +63,20 @@ using namespace psn;
 
 enum class Command { kRun, kCheck };
 
-struct CliOptions {
+/// A `run` or `check` invocation. Every flag with a config field parses
+/// straight into `config`; the rest is what no config has a field for.
+struct Invocation {
+  analysis::OccupancyConfig config;
   std::string scenario = "hall";
-  std::size_t doors = 4;
-  int capacity = 200;
-  double rate = 20.0;
-  std::int64_t delta_ms = 100;
-  std::string delay = "uniform";
-  std::int64_t eps_us = 100;
-  double loss = 0.0;
-  std::int64_t seconds = 60;
-  std::uint64_t seed = 1;
   std::size_t reps = 1;
   unsigned threads = 0;  // 0 = one worker per hardware thread
   std::string csv;
-  std::string mode = "vector";
-  bool metrics = false;
   std::string trace;
   std::size_t trace_cap = 1000000;
-  std::int64_t validity_ms = 0;  // 0 = unbounded
-  std::size_t shards = 1;
-  std::size_t shard_threads = 1;
-  std::string topology;  // empty = scenario default
-  bool lean_clocks = false;
-  bool unicast = false;
-  bool fifo = false;
-  std::string faults;  // fault-plan spec (sim::parse_fault_plan grammar)
-  std::string ge;      // Gilbert–Elliott params "g2b,b2g,loss_good,loss_bad"
+  bool metrics = false;
+  // Flags the city preset yields to, but only when they were given.
+  bool doors_given = false;
+  bool topology_given = false;
 };
 
 [[noreturn]] void usage_error(const std::string& why) {
@@ -150,6 +104,87 @@ T parse_number(const std::string& flag, const std::string& text) {
                                                       : ""));
   }
   return value;
+}
+
+/// A duration flag: an integer count of `unit`, small enough that the
+/// duration's nanoseconds do not overflow.
+Duration parse_duration(const std::string& flag, const std::string& text,
+                        Duration unit) {
+  const auto n = parse_number<std::int64_t>(flag, text);
+  const std::int64_t limit = Duration::max().count_nanos() / unit.count_nanos();
+  if (n > limit || n < -limit) {
+    usage_error(flag + " wants an integer, got '" + text + "' (out of range)");
+  }
+  return unit * n;
+}
+
+/// `--validity MS`: the observation validity horizon; 0 = unbounded.
+core::ValidityHorizon parse_validity(const std::string& text) {
+  const Duration lifetime =
+      parse_duration("--validity", text, Duration::millis(1));
+  if (lifetime < Duration::zero()) usage_error("--validity must be >= 0");
+  core::ValidityHorizon horizon;
+  if (lifetime > Duration::zero()) horizon.lifetime = lifetime;
+  return horizon;
+}
+
+/// `--ge g2b,b2g,loss_good,loss_bad`: the Gilbert–Elliott channel.
+core::SystemConfig::GilbertElliottParams parse_ge(const std::string& spec) {
+  double v[4];
+  std::size_t pos = 0;
+  for (int i = 0; i < 4; i++) {
+    const std::size_t comma = spec.find(',', pos);
+    if ((comma == std::string::npos) != (i == 3)) {
+      usage_error("--ge wants four comma-separated probabilities "
+                  "g2b,b2g,loss_good,loss_bad");
+    }
+    v[i] = parse_number<double>("--ge", spec.substr(pos, comma - pos));
+    if (v[i] < 0.0 || v[i] > 1.0) {
+      usage_error("--ge probabilities must be in [0, 1]");
+    }
+    pos = comma + 1;
+  }
+  return {v[0], v[1], v[2], v[3]};
+}
+
+/// The names an enum flag accepts, one table per enum: parsing looks a
+/// name up, the run header looks a value up.
+template <typename E>
+struct Named {
+  const char* name;
+  E value;
+};
+
+constexpr Named<core::DelayKind> kDelayKinds[] = {
+    {"uniform", core::DelayKind::kUniformBounded},
+    {"fixed", core::DelayKind::kFixed},
+    {"exp", core::DelayKind::kExponential},
+    {"sync", core::DelayKind::kSynchronous}};
+constexpr Named<core::TopologyKind> kTopologies[] = {
+    {"complete", core::TopologyKind::kComplete},
+    {"star", core::TopologyKind::kStar},
+    {"ring", core::TopologyKind::kRing},
+    {"line", core::TopologyKind::kLine}};
+constexpr Named<net::ClockMode> kClockModes[] = {
+    {"scalar", net::ClockMode::kScalarStrobe},
+    {"vector", net::ClockMode::kVectorStrobe},
+    {"physical", net::ClockMode::kPhysical}};
+
+template <typename E, std::size_t N>
+E value_named(const Named<E> (&table)[N], const std::string& name,
+              const char* what) {
+  for (const auto& entry : table) {
+    if (name == entry.name) return entry.value;
+  }
+  usage_error(std::string("unknown ") + what + " '" + name + "'");
+}
+
+template <typename E, std::size_t N>
+const char* name_of(const Named<E> (&table)[N], E value) {
+  for (const auto& entry : table) {
+    if (entry.value == value) return entry.name;
+  }
+  return "?";
 }
 
 void print_shared_usage() {
@@ -193,8 +228,39 @@ void print_shared_usage() {
   std::exit(0);
 }
 
-CliOptions parse_cli(const std::vector<std::string>& args, Command cmd) {
-  CliOptions opt;
+/// Scenario presets, applied after every flag is read: office and hospital
+/// cap the movement rate and fix the capacity; city is a large-n star.
+void apply_scenario(Invocation& in) {
+  analysis::OccupancyConfig& cfg = in.config;
+  if (in.scenario == "office") {
+    cfg.doors = std::max<std::size_t>(2, cfg.doors);
+    cfg.capacity = 5;  // small-room occupancy
+    cfg.movement_rate = std::min(cfg.movement_rate, 2.0);
+  } else if (in.scenario == "hospital") {
+    cfg.capacity = 30;
+    cfg.movement_rate = std::min(cfg.movement_rate, 6.0);
+  } else if (in.scenario == "city") {
+    // City-scale deployment (DESIGN.md §14): 10^5 door sensors on a star,
+    // each reporting up to the mains-powered root as one unicast, lean
+    // clocks (O(n)-wide vectors are intractable at this n), physical wire
+    // mode. Sized for the `--shards` scaling bench; pass --doors to shrink.
+    if (!in.doors_given) cfg.doors = 100000;
+    cfg.capacity = static_cast<int>(cfg.doors / 2);
+    cfg.movement_rate = std::max(cfg.movement_rate, 2000.0);
+    if (!in.topology_given) cfg.topology = core::TopologyKind::kStar;
+    cfg.clock_mode = net::ClockMode::kPhysical;
+    cfg.lean_clocks = true;
+    cfg.unicast_reports = true;
+  } else if (in.scenario != "hall") {
+    usage_error("unknown scenario '" + in.scenario + "'");
+  }
+}
+
+/// Reads `run`/`check` flags, then applies the scenario preset.
+Invocation parse_cli(const std::vector<std::string>& args, Command cmd) {
+  Invocation in;
+  analysis::OccupancyConfig& cfg = in.config;
+  cfg.doors = 4;  // the CLI's default hall; the harness defaults to 2
   for (std::size_t i = 0; i < args.size(); ++i) {
     const std::string& flag = args[i];
     if (flag == "--help" || flag == "-h") print_usage_and_exit();
@@ -205,194 +271,103 @@ CliOptions parse_cli(const std::vector<std::string>& args, Command cmd) {
     auto number = [&]<typename T>(T& out) {
       out = parse_number<T>(flag, value());
     };
+    auto duration = [&](Duration unit) {
+      return parse_duration(flag, value(), unit);
+    };
     // Flags restricted to `run`.
     const bool run_like = cmd == Command::kRun;
     if (flag == "--scenario") {
-      opt.scenario = value();
+      in.scenario = value();
     } else if (flag == "--doors") {
-      number(opt.doors);
+      number(cfg.doors);
+      in.doors_given = true;
     } else if (flag == "--capacity") {
-      number(opt.capacity);
+      number(cfg.capacity);
     } else if (flag == "--rate") {
-      number(opt.rate);
+      number(cfg.movement_rate);
     } else if (flag == "--delta") {
-      number(opt.delta_ms);
+      cfg.delta = duration(Duration::millis(1));
     } else if (flag == "--delay") {
-      opt.delay = value();
+      cfg.delay_kind = value_named(kDelayKinds, value(), "delay model");
     } else if (flag == "--eps") {
-      number(opt.eps_us);
+      cfg.sync_epsilon = duration(Duration::micros(1));
     } else if (flag == "--loss") {
-      number(opt.loss);
+      number(cfg.loss_probability);
     } else if (flag == "--seconds") {
-      number(opt.seconds);
+      cfg.horizon = duration(Duration::seconds(1));
     } else if (flag == "--seed") {
-      number(opt.seed);
+      number(cfg.seed);
     } else if (flag == "--mode") {
-      opt.mode = value();
+      cfg.clock_mode = value_named(kClockModes, value(), "clock mode");
     } else if (flag == "--validity") {
-      number(opt.validity_ms);
-      if (opt.validity_ms < 0) usage_error("--validity must be >= 0");
+      cfg.validity_horizon = parse_validity(value());
     } else if (flag == "--shards") {
-      number(opt.shards);
-      if (opt.shards == 0) usage_error("--shards must be >= 1");
+      number(cfg.shards);
+      if (cfg.shards == 0) usage_error("--shards must be >= 1");
     } else if (flag == "--shard-threads") {
-      number(opt.shard_threads);
-      if (opt.shard_threads == 0) usage_error("--shard-threads must be >= 1");
+      number(cfg.shard_threads);
+      if (cfg.shard_threads == 0) usage_error("--shard-threads must be >= 1");
     } else if (flag == "--topology") {
-      opt.topology = value();
+      cfg.topology = value_named(kTopologies, value(), "topology");
+      in.topology_given = true;
     } else if (flag == "--lean-clocks") {
-      opt.lean_clocks = true;
+      cfg.lean_clocks = true;
     } else if (flag == "--unicast") {
-      opt.unicast = true;
+      cfg.unicast_reports = true;
     } else if (flag == "--fifo") {
-      opt.fifo = true;
+      cfg.fifo_channels = true;
     } else if (flag == "--faults") {
-      opt.faults = value();
+      try {
+        cfg.faults = sim::parse_fault_plan(value());
+      } catch (const ConfigError& e) {
+        usage_error(e.what());
+      }
     } else if (flag == "--ge") {
-      opt.ge = value();
+      cfg.gilbert_elliott = parse_ge(value());
     } else if (flag == "--trace-cap") {
-      number(opt.trace_cap);
-      if (opt.trace_cap == 0) usage_error("--trace-cap must be > 0");
+      number(in.trace_cap);
+      if (in.trace_cap == 0) usage_error("--trace-cap must be > 0");
     } else if (run_like && flag == "--reps") {
-      number(opt.reps);
+      number(in.reps);
     } else if (run_like && flag == "--threads") {
-      number(opt.threads);
+      number(in.threads);
     } else if (run_like && flag == "--csv") {
-      opt.csv = value();
+      in.csv = value();
     } else if (run_like && flag == "--metrics") {
-      opt.metrics = true;
+      in.metrics = true;
     } else if (run_like && flag == "--trace") {
-      opt.trace = value();
-    } else if (run_like && flag == "--check") {
-      usage_error("--check moved to the `check` subcommand: psn_cli check");
+      in.trace = value();
     } else {
       usage_error("unknown flag " + flag);
     }
   }
-  if (opt.doors == 0 || opt.reps == 0 || opt.seconds <= 0) {
+  if (cfg.doors == 0 || in.reps == 0 || cfg.horizon <= Duration::zero()) {
     usage_error("doors, reps, and seconds must be positive");
   }
-  return opt;
-}
-
-core::DelayKind delay_kind_of(const std::string& name) {
-  if (name == "uniform") return core::DelayKind::kUniformBounded;
-  if (name == "fixed") return core::DelayKind::kFixed;
-  if (name == "exp") return core::DelayKind::kExponential;
-  if (name == "sync") return core::DelayKind::kSynchronous;
-  usage_error("unknown delay model '" + name + "'");
-}
-
-core::TopologyKind topology_of(const std::string& name) {
-  if (name == "complete") return core::TopologyKind::kComplete;
-  if (name == "star") return core::TopologyKind::kStar;
-  if (name == "ring") return core::TopologyKind::kRing;
-  if (name == "line") return core::TopologyKind::kLine;
-  usage_error("unknown topology '" + name + "'");
-}
-
-net::ClockMode clock_mode_of(const std::string& name) {
-  if (name == "scalar") return net::ClockMode::kScalarStrobe;
-  if (name == "vector") return net::ClockMode::kVectorStrobe;
-  if (name == "physical") return net::ClockMode::kPhysical;
-  usage_error("unknown clock mode '" + name + "'");
-}
-
-/// Maps the shared scenario options onto the occupancy harness;
-/// office/hospital presets adjust rate/capacity flavor.
-analysis::OccupancyConfig occupancy_config_of(const CliOptions& opt) {
-  analysis::OccupancyConfig cfg;
-  cfg.doors = opt.doors;
-  cfg.capacity = opt.capacity;
-  cfg.movement_rate = opt.rate;
-  cfg.delay_kind = delay_kind_of(opt.delay);
-  cfg.delta = Duration::millis(opt.delta_ms);
-  cfg.sync_epsilon = Duration::micros(opt.eps_us);
-  cfg.loss_probability = opt.loss;
-  cfg.horizon = Duration::seconds(opt.seconds);
-  cfg.seed = opt.seed;
-  cfg.clock_mode = clock_mode_of(opt.mode);
-  if (opt.validity_ms > 0) {
-    cfg.validity_horizon.lifetime = Duration::millis(opt.validity_ms);
-  }
-  cfg.shards = opt.shards;
-  cfg.shard_threads = opt.shard_threads;
-  cfg.lean_clocks = opt.lean_clocks;
-  cfg.unicast_reports = opt.unicast;
-  cfg.fifo_channels = opt.fifo;
-  if (opt.scenario == "office") {
-    cfg.doors = std::max<std::size_t>(2, opt.doors);
-    cfg.capacity = 5;  // small-room occupancy
-    cfg.movement_rate = std::min(opt.rate, 2.0);
-  } else if (opt.scenario == "hospital") {
-    cfg.capacity = 30;
-    cfg.movement_rate = std::min(opt.rate, 6.0);
-  } else if (opt.scenario == "city") {
-    // City-scale deployment (DESIGN.md §14): 10^5 door sensors on a star,
-    // each reporting up to the mains-powered root as one unicast, lean
-    // clocks (O(n)-wide vectors are intractable at this n), physical wire
-    // mode. Sized for the `--shards` scaling bench; pass --doors to shrink.
-    if (opt.doors == 4) cfg.doors = 100000;  // 4 = the flag's default
-    cfg.capacity = static_cast<int>(cfg.doors / 2);
-    cfg.movement_rate = std::max(opt.rate, 2000.0);
-    cfg.topology = core::TopologyKind::kStar;
-    cfg.clock_mode = net::ClockMode::kPhysical;
-    cfg.lean_clocks = true;
-    cfg.unicast_reports = true;
-  } else if (opt.scenario != "hall") {
-    usage_error("unknown scenario '" + opt.scenario + "'");
-  }
-  if (!opt.topology.empty()) cfg.topology = topology_of(opt.topology);
-  if (!opt.faults.empty()) {
-    try {
-      cfg.faults = sim::parse_fault_plan(opt.faults);
-    } catch (const ConfigError& e) {
-      usage_error(e.what());
-    }
-  }
-  if (!opt.ge.empty()) {
-    double v[4];
-    std::size_t pos = 0;
-    for (int i = 0; i < 4; i++) {
-      const std::size_t comma = opt.ge.find(',', pos);
-      if ((comma == std::string::npos) != (i == 3)) {
-        usage_error("--ge wants four comma-separated probabilities "
-                    "g2b,b2g,loss_good,loss_bad");
-      }
-      v[i] = parse_number<double>("--ge", opt.ge.substr(pos, comma - pos));
-      if (v[i] < 0.0 || v[i] > 1.0) {
-        usage_error("--ge probabilities must be in [0, 1]");
-      }
-      pos = comma + 1;
-    }
-    core::SystemConfig::GilbertElliottParams params;
-    params.p_good_to_bad = v[0];
-    params.p_bad_to_good = v[1];
-    params.loss_in_good = v[2];
-    params.loss_in_bad = v[3];
-    cfg.gilbert_elliott = params;
-  }
-  return cfg;
+  apply_scenario(in);
+  return in;
 }
 
 /// A trace destined for stdout turns the process into a JSONL producer
 /// (`psn_cli run --trace /dev/stdout | psn_cli serve`): every human-readable
 /// line must then go to stderr or it would corrupt the stream.
-bool trace_is_stdout(const CliOptions& opt) {
-  return opt.trace == "-" || opt.trace == "/dev/stdout";
+bool trace_is_stdout(const Invocation& in) {
+  return in.trace == "-" || in.trace == "/dev/stdout";
 }
 
-void print_header(std::FILE* out, const CliOptions& opt,
-                  const analysis::OccupancyConfig& cfg) {
+void print_header(std::FILE* out, const Invocation& in) {
+  const analysis::OccupancyConfig& cfg = in.config;
   std::fprintf(
       out,
       "scenario=%s doors=%zu capacity=%d rate=%.1f/s delay=%s delta=%lldms "
       "eps=%lldus loss=%.2f horizon=%llds reps=%zu seed=%llu mode=%s\n\n",
-      opt.scenario.c_str(), cfg.doors, cfg.capacity, cfg.movement_rate,
-      opt.delay.c_str(), static_cast<long long>(opt.delta_ms),
-      static_cast<long long>(opt.eps_us), opt.loss,
-      static_cast<long long>(opt.seconds), opt.reps,
-      static_cast<unsigned long long>(opt.seed),
+      in.scenario.c_str(), cfg.doors, cfg.capacity, cfg.movement_rate,
+      name_of(kDelayKinds, cfg.delay_kind),
+      static_cast<long long>(cfg.delta.count_nanos() / 1'000'000),
+      static_cast<long long>(cfg.sync_epsilon.count_nanos() / 1'000),
+      cfg.loss_probability,
+      static_cast<long long>(cfg.horizon.count_nanos() / 1'000'000'000),
+      in.reps, static_cast<unsigned long long>(cfg.seed),
       net::to_string(cfg.clock_mode));
   if (cfg.shards > 1) {
     std::fprintf(out, "shards=%zu shard-threads=%zu\n\n", cfg.shards,
@@ -400,15 +375,89 @@ void print_header(std::FILE* out, const CliOptions& opt,
   }
 }
 
-/// The `check` subcommand's run through the checker. Returns the process
-/// exit code.
-int run_check(const analysis::OccupancyConfig& base, const CliOptions& opt) {
-  analysis::OccupancyConfig checked = base;
-  checked.check = true;
-  if (checked.trace_capacity == 0) checked.trace_capacity = opt.trace_cap;
+/// `run`: replication r simulates seed + r, once. With --trace, replication
+/// 0 also records the trace that is written after the scorecard.
+int cmd_run(const Invocation& in) {
+  std::FILE* human = trace_is_stdout(in) ? stderr : stdout;
+  print_header(human, in);
+
+  std::vector<analysis::OccupancyConfig> configs(in.reps, in.config);
+  for (std::size_t r = 0; r < configs.size(); ++r) configs[r].seed += r;
+  if (!in.trace.empty()) configs.front().trace_capacity = in.trace_cap;
+  std::vector<analysis::OccupancyRunResult> runs;
+  try {
+    runs = analysis::run_specs(configs, in.threads);
+  } catch (const ConfigError& e) {
+    std::fprintf(stderr, "psn_cli: %s\n", e.what());
+    return 2;
+  }
+  analysis::PointResult merged;
+  for (const analysis::OccupancyRunResult& run : runs) merged.add(run);
+
+  Table table({"detector", "occurrences", "TP", "FP", "FN", "borderline",
+               "recall", "recall w/ bin", "precision", "belief acc"});
+  for (const auto& [name, outcome] : merged.detectors) {
+    table.row()
+        .cell(name)
+        .cell(outcome.score.oracle_occurrences)
+        .cell(outcome.score.true_positives)
+        .cell(outcome.score.false_positives)
+        .cell(outcome.score.false_negatives)
+        .cell(outcome.score.borderline_detections)
+        .cell(outcome.score.recall(), 3)
+        .cell(outcome.score.recall_with_borderline(), 3)
+        .cell(outcome.score.precision(), 3)
+        .cell(outcome.belief_accuracy.mean(), 4);
+  }
+  std::fprintf(human, "%s", table.ascii().c_str());
+  if (!in.csv.empty()) {
+    table.write_csv(in.csv);
+    std::fprintf(human, "\nwrote %s\n", in.csv.c_str());
+  }
+
+  if (in.metrics) {
+    std::fprintf(human, "\nmetrics (merged over %zu run%s):\n", runs.size(),
+                 runs.size() == 1 ? "" : "s");
+    std::fprintf(human, "%s", merged.metrics.table().ascii().c_str());
+  }
+
+  if (in.trace.empty()) return 0;
+  const analysis::OccupancyRunResult& traced = runs.front();
+  try {
+    if (trace_is_stdout(in)) {
+      std::fputs(analysis::trace_jsonl(traced.trace).c_str(), stdout);
+      std::fflush(stdout);
+      std::fprintf(stderr, "psn_cli: wrote %zu trace records to stdout\n",
+                   traced.trace.size());
+    } else {
+      analysis::write_trace_jsonl(traced.trace, in.trace);
+      std::printf("\nwrote %s (%zu records%s)\n", in.trace.c_str(),
+                  traced.trace.size(),
+                  traced.trace_evicted > 0
+                      ? ", ring overflowed — oldest evicted"
+                      : "");
+    }
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "psn_cli: %s\n", e.what());
+    return 1;
+  }
+  if (traced.trace_evicted > 0) {
+    std::fprintf(stderr,
+                 "psn_cli: trace ring evicted %zu records; rerun with "
+                 "--trace-cap > %zu for a complete trace\n",
+                 traced.trace_evicted, in.trace_cap);
+  }
+  return 0;
+}
+
+/// `check`: one traced run through the checker. Returns the exit code.
+int cmd_check(Invocation in) {
+  print_header(stdout, in);
+  in.config.check = true;
+  in.config.trace_capacity = in.trace_cap;
   try {
     const analysis::OccupancyRunResult run =
-        analysis::run_occupancy_experiment(checked);
+        analysis::run_occupancy_experiment(in.config);
     std::printf("\n%s", run.check->summary().c_str());
     if (!run.check->clean()) return 1;
   } catch (const check::TraceWindowError& e) {
@@ -428,100 +477,6 @@ int run_check(const analysis::OccupancyConfig& base, const CliOptions& opt) {
     return 1;
   }
   return 0;
-}
-
-/// The trace-writing half of `run`: the sweep merges snapshots but keeps no
-/// raw per-run trace, so re-run the base point (first seed) once with the
-/// trace ring enabled.
-int write_trace(const analysis::OccupancyConfig& base, const CliOptions& opt) {
-  analysis::OccupancyConfig traced = base;
-  traced.trace_capacity = opt.trace_cap;
-  try {
-    const analysis::OccupancyRunResult run =
-        analysis::run_occupancy_experiment(traced);
-    if (trace_is_stdout(opt)) {
-      std::fputs(analysis::trace_jsonl(run.trace).c_str(), stdout);
-      std::fflush(stdout);
-      std::fprintf(stderr, "psn_cli: wrote %zu trace records to stdout\n",
-                   run.trace.size());
-    } else {
-      analysis::write_trace_jsonl(run.trace, opt.trace);
-      std::printf("\nwrote %s (%zu records%s)\n", opt.trace.c_str(),
-                  run.trace.size(),
-                  run.trace_evicted > 0 ? ", ring overflowed — oldest evicted"
-                                        : "");
-    }
-    if (run.trace_evicted > 0) {
-      std::fprintf(stderr,
-                   "psn_cli: trace ring evicted %zu records; rerun with "
-                   "--trace-cap > %zu for a complete trace\n",
-                   run.trace_evicted, opt.trace_cap);
-    }
-  } catch (const ConfigError& e) {
-    std::fprintf(stderr, "psn_cli: %s\n", e.what());
-    return 2;
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "psn_cli: %s\n", e.what());
-    return 1;
-  }
-  return 0;
-}
-
-int cmd_run(const CliOptions& opt) {
-  const analysis::OccupancyConfig cfg = occupancy_config_of(opt);
-  std::FILE* human = trace_is_stdout(opt) ? stderr : stdout;
-  print_header(human, opt, cfg);
-
-  analysis::SweepResult result;
-  try {
-    result = analysis::sweep(cfg)
-                 .replications(opt.reps)
-                 .threads(opt.threads)
-                 .run();
-  } catch (const ConfigError& e) {
-    std::fprintf(stderr, "psn_cli: %s\n", e.what());
-    return 2;
-  }
-
-  Table table({"detector", "occurrences", "TP", "FP", "FN", "borderline",
-               "recall", "recall w/ bin", "precision", "belief acc"});
-  for (const auto& [name, outcome] : result.points.front().detectors) {
-    table.row()
-        .cell(name)
-        .cell(outcome.score.oracle_occurrences)
-        .cell(outcome.score.true_positives)
-        .cell(outcome.score.false_positives)
-        .cell(outcome.score.false_negatives)
-        .cell(outcome.score.borderline_detections)
-        .cell(outcome.score.recall(), 3)
-        .cell(outcome.score.recall_with_borderline(), 3)
-        .cell(outcome.score.precision(), 3)
-        .cell(outcome.belief_accuracy.mean(), 4);
-  }
-  std::fprintf(human, "%s", table.ascii().c_str());
-  if (!opt.csv.empty()) {
-    table.write_csv(opt.csv);
-    std::fprintf(human, "\nwrote %s\n", opt.csv.c_str());
-  }
-
-  if (opt.metrics) {
-    std::fprintf(human, "\nmetrics (merged over %zu run%s):\n", result.runs,
-                 result.runs == 1 ? "" : "s");
-    std::fprintf(human, "%s",
-                 result.points.front().metrics.table().ascii().c_str());
-  }
-
-  if (!opt.trace.empty()) {
-    const int code = write_trace(cfg, opt);
-    if (code != 0) return code;
-  }
-  return 0;
-}
-
-int cmd_check(const CliOptions& opt) {
-  const analysis::OccupancyConfig cfg = occupancy_config_of(opt);
-  print_header(stdout, opt, cfg);
-  return run_check(cfg, opt);
 }
 
 /// `serve` without --listen: stdin is one Session over fd 0, reassembling
@@ -544,12 +499,11 @@ int serve_stdin(const serve::SessionConfig& cfg) {
   return code;
 }
 
+/// `serve`: flags parse straight into the listener's config; stdin mode runs
+/// its `session` member.
 int cmd_serve(const std::vector<std::string>& args) {
-  serve::SessionConfig session_cfg;
-  serve::SoakServerConfig& cfg = session_cfg.soak;
-  std::string listen;
-  std::size_t max_streams = 64;
-  double idle_timeout_secs = 0.0;
+  serve::ListenerConfig cfg;
+  serve::SoakServerConfig& soak = cfg.session.soak;
   for (std::size_t i = 0; i < args.size(); ++i) {
     const std::string& flag = args[i];
     if (flag == "--help" || flag == "-h") print_usage_and_exit();
@@ -561,65 +515,57 @@ int cmd_serve(const std::vector<std::string>& args) {
       out = parse_number<T>(flag, value());
     };
     if (flag == "--procs") {
-      number(cfg.num_processes);
+      number(soak.num_processes);
     } else if (flag == "--retention") {
-      std::int64_t ms = 0;
-      number(ms);
-      if (ms <= 0) usage_error("--retention must be > 0 ms");
-      cfg.send_retention = Duration::millis(ms);
+      soak.send_retention = parse_duration(flag, value(), Duration::millis(1));
+      if (soak.send_retention <= Duration::zero()) {
+        usage_error("--retention must be > 0 ms");
+      }
     } else if (flag == "--validity") {
-      std::int64_t ms = 0;
-      number(ms);
-      if (ms < 0) usage_error("--validity must be >= 0");
-      if (ms > 0) cfg.validity_horizon.lifetime = Duration::millis(ms);
+      soak.validity_horizon = parse_validity(value());
     } else if (flag == "--metrics-every") {
-      number(cfg.metrics_every);
+      number(soak.metrics_every);
     } else if (flag == "--lenient") {
-      cfg.lenient = true;
+      soak.lenient = true;
     } else if (flag == "--listen") {
-      listen = value();
-      if (listen.empty()) usage_error("--listen needs a port or unix path");
+      cfg.listen = value();
+      if (cfg.listen.empty()) usage_error("--listen needs a port or unix path");
     } else if (flag == "--max-streams") {
-      number(max_streams);
-      if (max_streams == 0) usage_error("--max-streams must be > 0");
+      number(cfg.max_streams);
+      if (cfg.max_streams == 0) usage_error("--max-streams must be > 0");
     } else if (flag == "--max-buffer") {
-      number(session_cfg.max_line_bytes);
-      if (session_cfg.max_line_bytes == 0) {
+      number(cfg.session.max_line_bytes);
+      if (cfg.session.max_line_bytes == 0) {
         usage_error("--max-buffer must be > 0 bytes");
       }
     } else if (flag == "--idle-timeout") {
-      number(idle_timeout_secs);
-      if (idle_timeout_secs <= 0) usage_error("--idle-timeout must be > 0 s");
+      double secs = 0.0;
+      number(secs);
+      if (secs <= 0) usage_error("--idle-timeout must be > 0 s");
+      // Rounded up: a positive timeout never becomes 0 ms, which means never.
+      cfg.idle_timeout_ms = static_cast<std::int64_t>(std::ceil(secs * 1000.0));
     } else {
       usage_error("unknown flag " + flag + " for serve");
     }
   }
-  if (idle_timeout_secs > 0 && listen.empty()) {
+  if (cfg.idle_timeout_ms > 0 && cfg.listen.empty()) {
     usage_error("--idle-timeout needs --listen (stdin mode has one stream)");
   }
-  if (!listen.empty()) {
-    serve::ListenerConfig listener_cfg;
-    listener_cfg.listen = listen;
-    listener_cfg.max_streams = max_streams;
-    listener_cfg.session = session_cfg;
-    listener_cfg.idle_timeout_ms =
-        static_cast<std::int64_t>(idle_timeout_secs * 1000.0);
-    try {
-      serve::Listener listener(listener_cfg, std::cout);
-      listener.open();
-      if (listener.port() != 0) {
-        std::fprintf(stderr, "psn_cli: serving on 127.0.0.1:%u\n",
-                     listener.port());
-      } else {
-        std::fprintf(stderr, "psn_cli: serving on %s\n", listen.c_str());
-      }
-      return listener.run();
-    } catch (const ConfigError& e) {
-      std::fprintf(stderr, "psn_cli: %s\n", e.what());
-      return 2;
+  if (cfg.listen.empty()) return serve_stdin(cfg.session);
+  try {
+    serve::Listener listener(cfg, std::cout);
+    listener.open();
+    if (listener.port() != 0) {
+      std::fprintf(stderr, "psn_cli: serving on 127.0.0.1:%u\n",
+                   listener.port());
+    } else {
+      std::fprintf(stderr, "psn_cli: serving on %s\n", cfg.listen.c_str());
     }
+    return listener.run();
+  } catch (const ConfigError& e) {
+    std::fprintf(stderr, "psn_cli: %s\n", e.what());
+    return 2;
   }
-  return serve_stdin(session_cfg);
 }
 
 }  // namespace

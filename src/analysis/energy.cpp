@@ -36,15 +36,4 @@ EnergyBreakdown fleet_energy(const EnergyModel& model, Duration duration,
   return e;
 }
 
-TrafficTotals strobe_traffic(const net::MessageStats& stats) {
-  const auto& s = stats.of(net::MessageKind::kStrobe);
-  TrafficTotals t;
-  t.bytes_sent = s.bytes_sent;
-  // Delivered fraction of the sent bytes is what receivers actually spent
-  // energy on (drops are approximated as not received).
-  t.bytes_received =
-      s.sent ? s.bytes_sent * s.delivered / s.sent : 0;
-  return t;
-}
-
 }  // namespace psn::analysis

@@ -6,7 +6,6 @@
 
 #include "common/sim_time.hpp"
 #include "net/duty_cycle.hpp"
-#include "net/transport.hpp"
 
 namespace psn::analysis {
 
@@ -51,13 +50,5 @@ EnergyBreakdown fleet_energy(const EnergyModel& model, Duration duration,
                              std::size_t nodes, std::size_t bytes_sent,
                              std::size_t bytes_received,
                              const std::optional<net::DutyCycle>& duty);
-
-/// Convenience: the strobe traffic of a MessageStats, as the byte totals
-/// fleet_energy() needs. `fanout` = receivers per broadcast.
-struct TrafficTotals {
-  std::size_t bytes_sent = 0;
-  std::size_t bytes_received = 0;
-};
-TrafficTotals strobe_traffic(const net::MessageStats& stats);
 
 }  // namespace psn::analysis

@@ -9,6 +9,17 @@
 
 namespace psn::analysis {
 
+void PointResult::add(const OccupancyRunResult& run) {
+  world_events += run.world_events;
+  observed_updates += run.observed_updates;
+  metrics.merge(run.metrics);
+  for (const DetectorOutcome& out : run.outcomes) {
+    AggregatedOutcome& agg = detectors[out.detector];
+    agg.score += out.score;
+    agg.belief_accuracy.add(out.belief_accuracy);
+  }
+}
+
 const AggregatedOutcome& PointResult::at(const std::string& detector) const {
   const auto it = detectors.find(detector);
   PSN_CHECK(it != detectors.end(), "no outcome for detector: " + detector);
@@ -66,11 +77,6 @@ Table SweepResult::metrics_table() const {
   return table;
 }
 
-SweepSpec& SweepSpec::base(OccupancyConfig cfg) {
-  base_ = std::move(cfg);
-  return *this;
-}
-
 SweepSpec& SweepSpec::vary_doors(std::vector<std::size_t> doors) {
   std::vector<Mutator> axis;
   for (const std::size_t d : doors) {
@@ -91,30 +97,6 @@ SweepSpec& SweepSpec::vary_delta(std::vector<Duration> deltas) {
   std::vector<Mutator> axis;
   for (const Duration d : deltas) {
     axis.push_back([d](OccupancyConfig& c) { c.delta = d; });
-  }
-  return vary_custom(std::move(axis));
-}
-
-SweepSpec& SweepSpec::vary_capacity(std::vector<int> capacities) {
-  std::vector<Mutator> axis;
-  for (const int cap : capacities) {
-    axis.push_back([cap](OccupancyConfig& c) { c.capacity = cap; });
-  }
-  return vary_custom(std::move(axis));
-}
-
-SweepSpec& SweepSpec::vary_loss(std::vector<double> probabilities) {
-  std::vector<Mutator> axis;
-  for (const double p : probabilities) {
-    axis.push_back([p](OccupancyConfig& c) { c.loss_probability = p; });
-  }
-  return vary_custom(std::move(axis));
-}
-
-SweepSpec& SweepSpec::vary_sync_epsilon(std::vector<Duration> epsilons) {
-  std::vector<Mutator> axis;
-  for (const Duration e : epsilons) {
-    axis.push_back([e](OccupancyConfig& c) { c.sync_epsilon = e; });
   }
   return vary_custom(std::move(axis));
 }
@@ -175,43 +157,31 @@ std::vector<RunSpec> SweepSpec::expand() const {
 }
 
 SweepResult SweepSpec::run() const {
-  const std::vector<OccupancyConfig> configs = point_configs();
   const std::vector<RunSpec> specs = expand();
+  std::vector<OccupancyConfig> configs;
+  configs.reserve(specs.size());
+  for (const RunSpec& spec : specs) configs.push_back(spec.config);
 
   const auto t0 = std::chrono::steady_clock::now();
-  ThreadPool pool(threads_);
-  // Fan out every (point, replication) run; collect in submission order so
-  // the merge below never observes completion order.
-  const std::vector<OccupancyRunResult> runs = parallel_map(
-      pool, specs,
-      [](const RunSpec& spec) { return run_occupancy_experiment(spec.config); });
+  const std::vector<OccupancyRunResult> runs = run_specs(configs, threads_);
   const auto t1 = std::chrono::steady_clock::now();
 
   SweepResult result;
   result.runs = specs.size();
-  result.threads_used = pool.size();
+  result.threads_used =
+      threads_ == 0 ? ThreadPool::hardware_threads() : threads_;
   result.wall_seconds = std::chrono::duration<double>(t1 - t0).count();
-  result.points.resize(configs.size());
-  for (std::size_t p = 0; p < configs.size(); ++p) {
-    result.points[p].config = configs[p];
-  }
-  // Deterministic merge: flat run order is (point-major, seed order), the
-  // exact order the old sequential loops accumulated in.
+  result.points.resize(specs.size() / replications_);
+  // Deterministic merge: flat run order is (point-major, seed order), and a
+  // point's first replication carries the point's own config.
   for (std::size_t i = 0; i < specs.size(); ++i) {
     PointResult& point = result.points[specs[i].point];
-    point.world_events += runs[i].world_events;
-    point.observed_updates += runs[i].observed_updates;
-    point.metrics.merge(runs[i].metrics);
-    for (const auto& out : runs[i].outcomes) {
-      auto& agg = point.detectors[out.detector];
-      agg.score += out.score;
-      agg.belief_accuracy.add(out.belief_accuracy);
-    }
+    if (specs[i].replication == 0) point.config = specs[i].config;
+    point.add(runs[i]);
   }
   return result;
 }
 
-SweepSpec sweep() { return SweepSpec(); }
 SweepSpec sweep(OccupancyConfig base) { return SweepSpec(std::move(base)); }
 
 std::vector<OccupancyRunResult> run_specs(

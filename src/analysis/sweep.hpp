@@ -34,6 +34,10 @@ struct PointResult {
   /// seed order — deterministic at any thread count, like the scores.
   MetricsSnapshot metrics;
 
+  /// Folds one replication's run into the point. Every merged result — a
+  /// sweep point, `psn_cli run`'s scorecard — is these folds in seed order.
+  void add(const OccupancyRunResult& run);
+
   const AggregatedOutcome& at(const std::string& detector) const;
 };
 
@@ -56,7 +60,7 @@ struct SweepResult {
 };
 
 /// Builder for a config × seed grid, the single entry point for every
-/// parameter-sweep experiment (the E1–E10/A1–A4 benches, the CLI, tests):
+/// parameter-sweep experiment (the E1–E10/A1–A4 benches, tests):
 ///
 ///   const auto result = analysis::sweep(base)
 ///                           .vary_doors({2, 4, 8})
@@ -75,16 +79,11 @@ class SweepSpec {
   /// An axis value: an edit applied to the base config to reach the point.
   using Mutator = std::function<void(OccupancyConfig&)>;
 
-  SweepSpec() = default;
   explicit SweepSpec(OccupancyConfig base) : base_(std::move(base)) {}
 
-  SweepSpec& base(OccupancyConfig cfg);
   SweepSpec& vary_doors(std::vector<std::size_t> doors);
   SweepSpec& vary_rate(std::vector<double> rates);
   SweepSpec& vary_delta(std::vector<Duration> deltas);
-  SweepSpec& vary_capacity(std::vector<int> capacities);
-  SweepSpec& vary_loss(std::vector<double> probabilities);
-  SweepSpec& vary_sync_epsilon(std::vector<Duration> epsilons);
   /// Escape hatch for axes without a dedicated setter (delay kind, duty
   /// cycle, tolerance, …): each mutator is one value of the axis.
   SweepSpec& vary_custom(std::vector<Mutator> cases);
@@ -109,13 +108,13 @@ class SweepSpec {
   unsigned threads_ = 0;
 };
 
-SweepSpec sweep();
 SweepSpec sweep(OccupancyConfig base);
 
 /// Lower-level engine: runs every config across a fixed pool of `threads`
 /// workers (0 = hardware) and returns the full per-run results **in input
-/// order**. For experiments that need raw runs rather than merged scores
-/// (e.g. E8's paired clean/lossy comparison). All configs are validated
+/// order**. SweepSpec::run fans out through it; so do callers that need raw
+/// runs rather than merged scores (E8's paired clean/lossy comparison,
+/// `psn_cli run`'s trace of its first seed). All configs are validated
 /// before any simulation starts.
 std::vector<OccupancyRunResult> run_specs(
     const std::vector<OccupancyConfig>& configs, unsigned threads = 0);

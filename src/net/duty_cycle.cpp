@@ -1,7 +1,5 @@
 #include "net/duty_cycle.hpp"
 
-#include <algorithm>
-
 #include "common/error.hpp"
 
 namespace psn::net {
@@ -21,13 +19,6 @@ SimTime DutyCycle::next_wake(SimTime t) const {
   if (offset < 0) offset += p;
   if (offset < window.count_nanos()) return t;  // already awake
   return t + Duration(p - offset);              // next window start
-}
-
-void align_phases(std::vector<DutyCycle>& schedules) {
-  if (schedules.empty()) return;
-  Duration earliest = schedules.front().phase;
-  for (const auto& s : schedules) earliest = std::min(earliest, s.phase);
-  for (auto& s : schedules) s.phase = earliest;
 }
 
 Duration worst_case_wait(const DutyCycle& schedule) {

@@ -1,8 +1,5 @@
 #pragma once
 
-#include <optional>
-#include <vector>
-
 #include "common/sim_time.hpp"
 #include "common/types.hpp"
 
@@ -37,11 +34,6 @@ struct DutyCycle {
   /// Earliest instant ≥ t at which the receiver is on (t itself if awake).
   SimTime next_wake(SimTime t) const;
 };
-
-/// Aligns every schedule's phase to the earliest one — what a duty-cycle
-/// synchronization protocol achieves (the paper's distributed-timer
-/// suggestion); misaligned phases model the unsynchronized baseline.
-void align_phases(std::vector<DutyCycle>& schedules);
 
 /// Worst-case extra delivery latency caused by a schedule: a message can
 /// arrive just after the window closes and wait out the sleep.

@@ -167,9 +167,4 @@ inline constexpr std::size_t kWireHeaderBytes = 12;
 /// payloads are mode-independent).
 std::size_t wire_bytes(const Message& msg, ClockMode mode);
 
-/// Convenience overload for the fattest (vector-strobe) pricing — what the
-/// simulated broadcast actually carries. Per-mode accounting must use the
-/// two-argument form.
-std::size_t wire_bytes(const Message& msg);
-
 }  // namespace psn::net

@@ -70,10 +70,6 @@ std::size_t wire_bytes(const Message& msg, ClockMode mode) {
   return kWireHeaderBytes + 16;  // actuation: command id + issue time
 }
 
-std::size_t wire_bytes(const Message& msg) {
-  return wire_bytes(msg, ClockMode::kVectorStrobe);
-}
-
 std::size_t MessageStats::StrobeModeBytes::of(ClockMode mode) const {
   switch (mode) {
     case ClockMode::kScalarStrobe: return scalar;

@@ -30,42 +30,6 @@ Duration PeriodicArrivals::next_gap(Rng& rng) {
   return gap < Duration::nanos(1) ? Duration::nanos(1) : gap;
 }
 
-BurstyArrivals::BurstyArrivals(double quiet_rate, double burst_rate,
-                               Duration mean_quiet_dwell,
-                               Duration mean_burst_dwell)
-    : quiet_rate_(quiet_rate),
-      burst_rate_(burst_rate),
-      mean_quiet_dwell_(mean_quiet_dwell),
-      mean_burst_dwell_(mean_burst_dwell) {
-  PSN_CHECK(quiet_rate_ > 0.0 && burst_rate_ > 0.0, "rates must be positive");
-  PSN_CHECK(mean_quiet_dwell_ > Duration::zero() &&
-                mean_burst_dwell_ > Duration::zero(),
-            "dwell times must be positive");
-}
-
-Duration BurstyArrivals::next_gap(Rng& rng) {
-  Duration total = Duration::zero();
-  for (;;) {
-    if (dwell_remaining_ == Duration::zero()) {
-      const Duration mean =
-          bursting_ ? mean_burst_dwell_ : mean_quiet_dwell_;
-      dwell_remaining_ = Duration::from_seconds(
-          std::max(1e-9, rng.exponential(mean.to_seconds())));
-    }
-    const double rate = bursting_ ? burst_rate_ : quiet_rate_;
-    const Duration candidate = rng.exponential_gap(rate);
-    if (candidate <= dwell_remaining_) {
-      dwell_remaining_ -= candidate;
-      return total + candidate;
-    }
-    // The dwell period ended before the next arrival; switch state and
-    // resample (memorylessness makes discarding the candidate valid).
-    total += dwell_remaining_;
-    dwell_remaining_ = Duration::zero();
-    bursting_ = !bursting_;
-  }
-}
-
 AttributeValue CounterValue::next(const AttributeValue& current, Rng&) {
   return AttributeValue(current.is_int() ? current.as_int() + step_ : step_);
 }
@@ -84,17 +48,6 @@ AttributeValue RandomWalkValue::next(const AttributeValue& current, Rng& rng) {
   const double cur = current.numeric();
   const double step = rng.uniform(-max_step_, max_step_);
   return AttributeValue(std::clamp(cur + step, lo_, hi_));
-}
-
-ChoiceValue::ChoiceValue(std::vector<std::int64_t> levels)
-    : levels_(std::move(levels)) {
-  PSN_CHECK(!levels_.empty(), "choice set must be non-empty");
-}
-
-AttributeValue ChoiceValue::next(const AttributeValue&, Rng& rng) {
-  const auto i = static_cast<std::size_t>(
-      rng.uniform_int(0, static_cast<std::int64_t>(levels_.size()) - 1));
-  return AttributeValue(levels_[i]);
 }
 
 AttributeDriver::AttributeDriver(WorldModel& world, ObjectId object,

@@ -2,7 +2,6 @@
 
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "common/rng.hpp"
 #include "world/world_model.hpp"
@@ -39,22 +38,6 @@ class PeriodicArrivals final : public ArrivalProcess {
   Duration jitter_;
 };
 
-/// Two-state Markov-modulated Poisson process: alternates between a quiet
-/// rate and a burst rate, with exponentially distributed dwell times. Models
-/// e.g. crowd surges through exhibition-hall doors.
-class BurstyArrivals final : public ArrivalProcess {
- public:
-  BurstyArrivals(double quiet_rate, double burst_rate, Duration mean_quiet_dwell,
-                 Duration mean_burst_dwell);
-  Duration next_gap(Rng& rng) override;
-
- private:
-  double quiet_rate_, burst_rate_;
-  Duration mean_quiet_dwell_, mean_burst_dwell_;
-  bool bursting_ = false;
-  Duration dwell_remaining_ = Duration::zero();
-};
-
 /// How the attribute's value evolves at each change.
 class ValueProcess {
  public:
@@ -86,16 +69,6 @@ class RandomWalkValue final : public ValueProcess {
 
  private:
   double max_step_, lo_, hi_;
-};
-
-/// Uniform choice from a fixed set of integer levels.
-class ChoiceValue final : public ValueProcess {
- public:
-  explicit ChoiceValue(std::vector<std::int64_t> levels);
-  AttributeValue next(const AttributeValue& current, Rng& rng) override;
-
- private:
-  std::vector<std::int64_t> levels_;
 };
 
 /// Drives one (object, attribute) pair: draws gaps from the arrival process

@@ -62,23 +62,5 @@ TEST(FleetEnergyTest, Validation) {
       InvariantError);
 }
 
-TEST(StrobeTrafficTest, LossReducesReceivedBytes) {
-  net::MessageStats stats;
-  auto& s = stats.of(net::MessageKind::kStrobe);
-  s.sent = 100;
-  s.delivered = 50;
-  s.bytes_sent = 10'000;
-  const auto t = strobe_traffic(stats);
-  EXPECT_EQ(t.bytes_sent, 10'000u);
-  EXPECT_EQ(t.bytes_received, 5'000u);
-}
-
-TEST(StrobeTrafficTest, EmptyStats) {
-  net::MessageStats stats;
-  const auto t = strobe_traffic(stats);
-  EXPECT_EQ(t.bytes_sent, 0u);
-  EXPECT_EQ(t.bytes_received, 0u);
-}
-
 }  // namespace
 }  // namespace psn::analysis

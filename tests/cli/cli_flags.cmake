@@ -1,7 +1,8 @@
 # psn_cli numeric-flag test: every numeric flag of run, check and serve is
 # parsed strictly. A sign on an unsigned value, trailing characters, or an
 # out-of-range number must exit 2 with one diagnostic line on stderr, before
-# anything runs; a well-formed invocation still runs. Run via
+# anything runs, as must an unknown flag such as the removed `run --check`;
+# a well-formed invocation still runs. Run via
 #   cmake -DPSN_CLI=<psn_cli binary> -P cli_flags.cmake
 
 set(bad_invocations
@@ -9,6 +10,8 @@ set(bad_invocations
   "run --reps -1"
   "run --seed 12abc"
   "run --doors 99999999999999999999999"
+  "run --delta 99999999999999"
+  "run --check"
   "run --rate nan"
   "run --ge 0.1,0.2,x,0.3"
   "check --rate fast"

@@ -68,15 +68,6 @@ TEST(DutyCycleTest, Validity) {
   EXPECT_FALSE(dc.valid());
 }
 
-TEST(DutyCycleTest, AlignPhases) {
-  std::vector<DutyCycle> fleet(3);
-  fleet[0].phase = 300_ms;
-  fleet[1].phase = 50_ms;
-  fleet[2].phase = 700_ms;
-  align_phases(fleet);
-  for (const auto& dc : fleet) EXPECT_EQ(dc.phase, 50_ms);
-}
-
 TEST(DutyCycleTransportTest, SleepDefersDelivery) {
   sim::SimConfig cfg;
   cfg.horizon = SimTime::zero() + 100_s;

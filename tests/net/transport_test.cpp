@@ -117,7 +117,8 @@ TEST(TransportTest, UnreachableNotCountedAsSent) {
   const auto& ks = f.transport.stats().of(MessageKind::kComputation);
   EXPECT_EQ(ks.unreachable, 1u);
   EXPECT_EQ(ks.sent, 1u);  // only the reachable one
-  EXPECT_EQ(ks.bytes_sent, wire_bytes(f.computation(0, 1)));
+  EXPECT_EQ(ks.bytes_sent,
+            wire_bytes(f.computation(0, 1), ClockMode::kVectorStrobe));
   EXPECT_EQ(f.transport.stats().total_sent(), 1u);
 }
 
@@ -204,15 +205,14 @@ TEST(WireBytesTest, ModeAwareOverloadDispatches) {
             p.wire_bytes_vector_mode());
   EXPECT_EQ(wire_bytes(m, ClockMode::kPhysical),
             p.wire_bytes_physical_mode());
-  // The one-argument convenience form is the fattest (vector) pricing.
-  EXPECT_EQ(wire_bytes(m), p.wire_bytes_vector_mode());
   // Mode only affects sense reports; computation payloads are unchanged.
   Message c;
   c.kind = MessageKind::kComputation;
   ComputationPayload cp;
   cp.stamps.causal_vector = clocks::VectorStamp(5);
   c.payload = cp;
-  EXPECT_EQ(wire_bytes(c, ClockMode::kScalarStrobe), wire_bytes(c));
+  EXPECT_EQ(wire_bytes(c, ClockMode::kScalarStrobe),
+            wire_bytes(c, ClockMode::kVectorStrobe));
 }
 
 TEST(TransportTest, ActiveClockModePricesTheWire) {

@@ -44,27 +44,6 @@ TEST(PeriodicArrivalsTest, Validation) {
   EXPECT_THROW(PeriodicArrivals(10_ms, 10_ms), InvariantError);
 }
 
-TEST(BurstyArrivalsTest, MeanRateBetweenRegimes) {
-  BurstyArrivals b(1.0, 100.0, 1_s, 1_s);
-  Rng rng(4);
-  // Count events over simulated time via accumulated gaps.
-  Duration total = Duration::zero();
-  std::size_t events = 0;
-  while (total < Duration::seconds(200)) {
-    total += b.next_gap(rng);
-    events++;
-  }
-  const double rate = static_cast<double>(events) / total.to_seconds();
-  EXPECT_GT(rate, 10.0);   // far above the quiet regime
-  EXPECT_LT(rate, 100.0);  // below the pure burst regime
-}
-
-TEST(BurstyArrivalsTest, Validation) {
-  EXPECT_THROW(BurstyArrivals(0.0, 1.0, 1_s, 1_s), InvariantError);
-  EXPECT_THROW(BurstyArrivals(1.0, 1.0, Duration::zero(), 1_s),
-               InvariantError);
-}
-
 TEST(CounterValueTest, IncrementsFromCurrent) {
   CounterValue c(2);
   Rng rng(5);
@@ -98,16 +77,6 @@ TEST(RandomWalkValueTest, StaysWithinBoundsAndStep) {
 TEST(RandomWalkValueTest, Validation) {
   EXPECT_THROW(RandomWalkValue(0.0, 0.0, 1.0), InvariantError);
   EXPECT_THROW(RandomWalkValue(1.0, 2.0, 1.0), InvariantError);
-}
-
-TEST(ChoiceValueTest, DrawsFromSet) {
-  ChoiceValue c({10, 20, 30});
-  Rng rng(8);
-  for (int i = 0; i < 200; ++i) {
-    const auto v = c.next(AttributeValue(), rng).as_int();
-    EXPECT_TRUE(v == 10 || v == 20 || v == 30);
-  }
-  EXPECT_THROW(ChoiceValue({}), InvariantError);
 }
 
 TEST(AttributeDriverTest, EmitsUntilHorizon) {
