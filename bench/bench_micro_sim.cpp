@@ -1,9 +1,10 @@
 // Micro-benchmarks of the simulation substrate: event-calendar throughput,
 // strobe broadcast fan-out through the transport, end-to-end system steps,
-// and lattice enumeration cost.
+// detector evaluation, and lattice enumeration cost.
 
 #include <benchmark/benchmark.h>
 
+#include "common/alloc_guard.hpp"
 #include "core/detectors.hpp"
 #include "core/execution_view.hpp"
 #include "core/lattice.hpp"
@@ -118,6 +119,37 @@ void BM_DetectorThroughput(benchmark::State& state) {
       static_cast<std::int64_t>(system.log().updates.size()));
 }
 BENCHMARK(BM_DetectorThroughput)->DenseRange(0, 3);
+
+void BM_AggregateEvaluate(benchmark::State& state) {
+  // Detector-evaluation ladder row: one steady-state update of the
+  // exhibition-hall predicate over n doors (2·n variables), i.e. what the
+  // oracle and every detector do per delivered report.
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const auto phi =
+      core::parse_predicate("hall", "sum(entered) - sum(exited) > 0");
+  core::GlobalState global;
+  std::vector<core::VarRef> vars;
+  for (ProcessId pid = 1; pid <= n; ++pid) {
+    vars.push_back({pid, "entered"});
+    vars.push_back({pid, "exited"});
+  }
+  std::vector<double> counts(vars.size(), 0.0);
+  for (const core::VarRef& v : vars) global.set(v, 0.0);
+  std::size_t next = 0;
+  std::uint64_t allocs = 0;  // counted per update, so the harness's own
+                             // start/stop allocations are not charged
+  for (auto _ : state) {
+    const std::uint64_t before = alloc_guard::thread_allocations();
+    global.set(vars[next], ++counts[next]);
+    benchmark::DoNotOptimize(phi.holds(global));
+    allocs += alloc_guard::thread_allocations() - before;
+    if (++next == vars.size()) next = 0;
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+  state.counters["allocs_per_update"] =
+      static_cast<double>(allocs) / static_cast<double>(state.iterations());
+}
+BENCHMARK(BM_AggregateEvaluate)->Arg(32)->Arg(3000);
 
 void BM_LatticeCount(benchmark::State& state) {
   // Consistent-cut counting cost on a strobe execution of growing size.

@@ -83,7 +83,8 @@ jq -s --slurpfile base "${baseline}" \
           elif ($b.real_time_ns // 0) > 0 and .real_time > 0
           then ($b.real_time_ns / .real_time * 1000 | round / 1000)
           else null end)
-      }
+      } + (if .allocs_per_update != null
+           then {allocs_per_update: .allocs_per_update} else {} end)
     ]
   }' "${tmp_dir}/bench_micro_sim.json" "${tmp_dir}/bench_micro_clocks.json" \
      "${tmp_dir}/bench_micro_shards.json" \

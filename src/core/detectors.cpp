@@ -94,6 +94,14 @@ class VarInterner {
     return index;
   }
 
+  /// Index of an already-interned variable, in O(log V); nullopt if the
+  /// variable was never seen.
+  std::optional<std::uint32_t> find(const VarRef& var) const {
+    const auto it = index_of_.find(var);
+    if (it == index_of_.end()) return std::nullopt;
+    return it->second;
+  }
+
   std::size_t size() const { return vars_.size(); }
   const VarRef& var(std::uint32_t index) const { return vars_[index]; }
 
@@ -171,12 +179,7 @@ struct IncrementalStrobeVectorDetector::Impl {
     for (const VarRef& v : read) {
       // Only interned (i.e. ever-reported) variables can carry a stamp, so
       // only they matter for the race scan below.
-      for (std::uint32_t i = 0; i < interner.size(); ++i) {
-        if (interner.var(i) == v) {
-          in_read_set[i] = 1;
-          break;
-        }
-      }
+      if (const auto i = interner.find(v)) in_read_set[*i] = 1;
     }
     read_set_state_size = tracker.state().size();
   }

@@ -94,23 +94,27 @@ class AggregateExpr final : public Expr {
       : op_(op), name_(std::move(name)) {}
 
   double evaluate(const GlobalState& state) const override {
-    // for_each_named, not vars_named: this runs once per delivered update
-    // inside the PSN_HOT detector feed, and materializing a vector of
-    // string-copied VarRefs per evaluation was one allocation per event —
-    // exactly what the alloc-guard suite pins at zero.
-    std::size_t n = 0;
+    // This runs once per delivered update inside the PSN_HOT detector feed:
+    // sum and count come from GlobalState's running totals in O(1); only
+    // min, max, and a sum the totals cannot reproduce bit for bit fold over
+    // the variables (allocation-free, in pid order).
+    if (op_ == AggregateOp::kCount) {
+      return static_cast<double>(state.count_named(name_));
+    }
+    if (op_ == AggregateOp::kSum) {
+      if (const auto sum = state.exact_sum_named(name_)) return *sum;
+    }
+    bool first = true;
     double acc = 0.0;
     state.for_each_named(name_, [&](const VarRef&, double v) {
       switch (op_) {
         case AggregateOp::kSum: acc += v; break;
-        case AggregateOp::kMin: acc = n == 0 ? v : std::min(acc, v); break;
-        case AggregateOp::kMax: acc = n == 0 ? v : std::max(acc, v); break;
-        case AggregateOp::kCount: break;  // only n matters
+        case AggregateOp::kMin: acc = first ? v : std::min(acc, v); break;
+        case AggregateOp::kMax: acc = first ? v : std::max(acc, v); break;
+        case AggregateOp::kCount: break;  // answered above
       }
-      n++;
+      first = false;
     });
-    if (n == 0) return 0.0;
-    if (op_ == AggregateOp::kCount) return static_cast<double>(n);
     return acc;
   }
   bool is_fully_defined(const GlobalState& state) const override {

@@ -18,7 +18,8 @@
 //      copy).
 //   3. IncrementalStrobeVectorDetector::feed, including feeds that flip the
 //      predicate (transitions must not build a vector to return one
-//      detection).
+//      detection); and the root-side GlobalState::set + Predicate::holds of
+//      sum(a) - sum(b) > c on the running aggregate totals.
 //   4. StreamChecker::feed in trace-only mode — the soak server's always-on
 //      mode — with a bounded retention window (PoolArena recycles the
 //      matching working set). Bound mode is NOT pinned: replaying claimed
@@ -224,6 +225,30 @@ TEST(AllocGuard, DetectorFeedIsAllocationFreeIncludingTransitions) {
   // The workload must actually exercise the transition branch, at scale.
   EXPECT_GT(transitions, 100u);
   EXPECT_EQ(allocs, 0u);
+}
+
+// Root-side evaluation of the exhibition-hall predicate in steady state:
+// overwriting an existing variable keeps the per-name running totals up to
+// date in place, and sum/count read them without building anything.
+TEST(AllocGuard, AggregateSetAndHoldsIsAllocationFree) {
+  const core::Predicate phi(
+      "hall", (core::aggregate(core::AggregateOp::kSum, "a") -
+               core::aggregate(core::AggregateOp::kSum, "b")) > 40.0);
+  core::GlobalState state;
+  const std::vector<core::VarRef> vars = {
+      {1, "a"}, {2, "a"}, {3, "a"}, {1, "b"}, {2, "b"}, {3, "b"}};
+  for (const core::VarRef& v : vars) state.set(v, 0.0);
+
+  std::uint64_t holds = 0;
+  Scope scope;
+  for (std::size_t i = 0; i < 4096; i++) {
+    const core::VarRef& v = vars[i % vars.size()];
+    state.set(v, static_cast<double>((i * 7) % 31));
+    if (phi.holds(state)) holds++;
+  }
+  EXPECT_EQ(scope.allocations(), 0u);
+  EXPECT_GT(holds, 0u);
+  EXPECT_LT(holds, 4096u);
 }
 
 // --- 4. stream checker (trace-only mode) -----------------------------------
