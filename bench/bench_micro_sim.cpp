@@ -1,6 +1,6 @@
 // Micro-benchmarks of the simulation substrate: event-calendar throughput,
 // strobe broadcast fan-out through the transport, end-to-end system steps,
-// detector evaluation, and lattice enumeration cost.
+// detector evaluation, trace ordering, and lattice enumeration cost.
 
 #include <benchmark/benchmark.h>
 
@@ -10,6 +10,7 @@
 #include "core/lattice.hpp"
 #include "core/predicate_parser.hpp"
 #include "core/sharded_system.hpp"
+#include "sim/trace.hpp"
 #include "world/generators.hpp"
 
 namespace {
@@ -150,6 +151,76 @@ void BM_AggregateEvaluate(benchmark::State& state) {
       static_cast<double>(allocs) / static_cast<double>(state.iterations());
 }
 BENCHMARK(BM_AggregateEvaluate)->Arg(32)->Arg(3000);
+
+void BM_TraceMerge(benchmark::State& state) {
+  // Trace-recording ladder row: canonical_trace_order over what a 4-shard
+  // run hands over — four rings, each nondecreasing in `at` with a strobe's
+  // co-instant send fan-out and sense, then the fault plan's unsorted tail.
+  constexpr std::size_t kRecords = std::size_t{1} << 18;
+  constexpr std::size_t kRings = 4;
+  constexpr std::size_t kFaults = 16;
+  Rng rng(42);
+  std::vector<sim::TraceRecord> input;
+  input.reserve(kRecords);
+  std::uint64_t seq = 1;
+  for (std::size_t ring = 0; ring < kRings; ++ring) {
+    SimTime t = SimTime::zero();
+    const std::size_t end = (ring + 1) * (kRecords - kFaults) / kRings;
+    while (input.size() < end) {
+      t = t + Duration::micros(rng.uniform_int(1, 2000));
+      const auto pid = static_cast<ProcessId>(rng.uniform_int(1, 32));
+      switch (rng.uniform_int(0, 2)) {
+        case 0:  // a sense and its strobe fan-out
+          for (ProcessId peer = 0; peer < 4 && input.size() < end; ++peer) {
+            input.push_back({t, sim::TraceKind::kSend, pid, peer, 1, 57, {},
+                             seq});
+          }
+          if (input.size() < end) {
+            input.push_back({t, sim::TraceKind::kSense, pid, kNoProcess, -1, 0,
+                             "entered", seq});
+          }
+          ++seq;
+          break;
+        case 1:
+          input.push_back({t, sim::TraceKind::kDeliver, pid, 0, 1, 57, {},
+                           seq - 1});
+          break;
+        default:
+          input.push_back({t, sim::TraceKind::kReceive, pid, 0, 0, 0, {},
+                           seq - 1});
+          break;
+      }
+    }
+  }
+  while (input.size() < kRecords) {
+    const SimTime at =
+        SimTime::zero() + Duration::millis(rng.uniform_int(0, 60'000));
+    input.push_back({at, sim::TraceKind::kCrash,
+                     static_cast<ProcessId>(rng.uniform_int(1, 32)), kNoProcess,
+                     -1, 0, {}, 0});
+  }
+  std::uint64_t allocs = 0;
+  std::uint64_t bytes = 0;
+  std::vector<sim::TraceRecord> records;
+  for (auto _ : state) {
+    state.PauseTiming();
+    records = input;
+    state.ResumeTiming();
+    const std::uint64_t allocs_before = alloc_guard::thread_allocations();
+    const std::uint64_t bytes_before = alloc_guard::thread_bytes();
+    sim::canonical_trace_order(records);
+    allocs += alloc_guard::thread_allocations() - allocs_before;
+    bytes += alloc_guard::thread_bytes() - bytes_before;
+    benchmark::DoNotOptimize(records.data());
+  }
+  const auto processed =
+      static_cast<double>(state.iterations()) * static_cast<double>(kRecords);
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(kRecords));
+  state.counters["allocs_per_update"] = static_cast<double>(allocs) / processed;
+  state.counters["bytes_per_record"] = static_cast<double>(bytes) / processed;
+}
+BENCHMARK(BM_TraceMerge);
 
 void BM_LatticeCount(benchmark::State& state) {
   // Consistent-cut counting cost on a strobe execution of growing size.

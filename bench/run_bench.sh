@@ -85,6 +85,8 @@ jq -s --slurpfile base "${baseline}" \
           else null end)
       } + (if .allocs_per_update != null
            then {allocs_per_update: .allocs_per_update} else {} end)
+        + (if .bytes_per_record != null
+           then {bytes_per_record: .bytes_per_record} else {} end)
     ]
   }' "${tmp_dir}/bench_micro_sim.json" "${tmp_dir}/bench_micro_clocks.json" \
      "${tmp_dir}/bench_micro_shards.json" \

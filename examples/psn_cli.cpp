@@ -425,8 +425,7 @@ int cmd_run(const Invocation& in) {
   const analysis::OccupancyRunResult& traced = runs.front();
   try {
     if (trace_is_stdout(in)) {
-      std::fputs(analysis::trace_jsonl(traced.trace).c_str(), stdout);
-      std::fflush(stdout);
+      analysis::write_trace_jsonl(traced.trace, stdout);
       std::fprintf(stderr, "psn_cli: wrote %zu trace records to stdout\n",
                    traced.trace.size());
     } else {

@@ -232,8 +232,11 @@ OccupancyRunResult run_occupancy_experiment(
     // canonical order; the options pointer lets the drift contract subtract
     // declared clock faults exactly.
     check_options.faults = system.faults();
-    result.check = check::check_run(check::inputs_from(system, result.trace),
-                                    check_options);
+    // The trace moves into the checker's inputs and back: no record copied.
+    check::RunInputs inputs =
+        check::inputs_from(system, std::move(result.trace));
+    result.check = check::check_run(inputs, check_options);
+    result.trace = std::move(inputs.trace);
   }
 
   for (const auto& detector : core::all_online_detectors()) {

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cstdio>
 #include <string>
 #include <vector>
 
@@ -32,11 +33,21 @@ std::string json_fixed(double v, int precision);
 /// Locale-independent "%.<precision>g", same rationale.
 std::string json_general(double v, int precision);
 
-/// Serializes trace records as JSON Lines, one object per record:
+/// Appends one trace record as a JSON Lines object, newline included:
 ///   {"t":1.25,"kind":"send","pid":3,"peer":0,"msg":"strobe","bytes":57}
 /// `msg` carries the net::MessageKind name (omitted for non-message
 /// records); `note` appears when non-empty (sense attribute, detector name).
+/// The one trace formatter: every function below goes through it.
+void append_trace_line(std::string& out, const sim::TraceRecord& r);
+
+/// The whole trace as one JSON Lines document.
 std::string trace_jsonl(const std::vector<sim::TraceRecord>& records);
+
+/// Streams the trace as JSON Lines to `out` (or to a file created at
+/// `path`), writing every ~64 KiB so the document is never held whole.
+/// Throws InvariantError when the file cannot be opened or a write fails.
+void write_trace_jsonl(const std::vector<sim::TraceRecord>& records,
+                       std::FILE* out);
 void write_trace_jsonl(const std::vector<sim::TraceRecord>& records,
                        const std::string& path);
 

@@ -116,7 +116,7 @@ CheckReport check_run(const RunInputs& inputs, const CheckOptions& options) {
 }
 
 RunInputs inputs_from(const core::ShardedPervasiveSystem& system,
-                      std::vector<sim::TraceRecord> trace) {
+                      std::vector<sim::TraceRecord>&& trace) {
   const core::SystemConfig& cfg = system.config().base;
   if (cfg.sim.trace_capacity == 0) {
     throw ConfigError(

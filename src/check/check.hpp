@@ -155,8 +155,10 @@ CheckReport check_run(const RunInputs& inputs, const CheckOptions& options = {})
 /// Extracts RunInputs from a finished run of a core::ShardedPervasiveSystem
 /// at any shard count. Requires tracing to have been enabled
 /// (SimConfig::trace_capacity > 0). `trace` is the system's trace_records():
-/// every shard's ring plus the fault plan's records in canonical order.
+/// every shard's ring plus the fault plan's records in canonical order. It
+/// is taken by rvalue so the trace moves in; a caller that still needs it
+/// moves it back out of RunInputs::trace after check_run.
 RunInputs inputs_from(const core::ShardedPervasiveSystem& system,
-                      std::vector<sim::TraceRecord> trace);
+                      std::vector<sim::TraceRecord>&& trace);
 
 }  // namespace psn::check

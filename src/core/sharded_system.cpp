@@ -433,13 +433,24 @@ MetricsSnapshot ShardedPervasiveSystem::metrics_snapshot() const {
   return out;
 }
 
-std::vector<sim::TraceRecord> ShardedPervasiveSystem::trace_records() const {
+std::vector<sim::TraceRecord> ShardedPervasiveSystem::trace_records() {
+  PSN_CHECK(!trace_taken_, "trace_records() drains the rings; call it once");
+  trace_taken_ = true;
+  std::size_t total = 0;
+  for (const auto& sh : shards_) {
+    if (const sim::TraceRecorder* tr = sh->sim->trace()) total += tr->size();
+  }
   std::vector<sim::TraceRecord> out;
   for (const auto& sh : shards_) {
-    if (const sim::TraceRecorder* tr = sh->sim->trace()) {
-      std::vector<sim::TraceRecord> records = tr->records();
-      out.insert(out.end(), std::make_move_iterator(records.begin()),
-                 std::make_move_iterator(records.end()));
+    sim::TraceRecorder* tr = sh->sim->trace();
+    if (tr == nullptr) continue;
+    std::vector<sim::TraceRecord> ring = tr->take();
+    if (out.empty()) {
+      out = std::move(ring);
+      out.reserve(total);
+    } else {
+      out.insert(out.end(), std::make_move_iterator(ring.begin()),
+                 std::make_move_iterator(ring.end()));
     }
   }
   // Fault-plan transitions are synthesized from the schedule exactly once,

@@ -135,8 +135,11 @@ class ShardedPervasiveSystem {
   /// (written exactly once, never per shard, so merged snapshots stay
   /// K-independent).
   MetricsRegistry& metrics();
-  /// All shards' trace rings, merged under sim::canonical_trace_order.
-  std::vector<sim::TraceRecord> trace_records() const;
+  /// All shards' trace rings plus the fault plan's records, merged under
+  /// sim::canonical_trace_order. Drains the rings (no record is copied), so
+  /// call it once per run; a second call PSN_CHECKs. trace_evicted() stays
+  /// valid afterwards.
+  std::vector<sim::TraceRecord> trace_records();
   std::size_t trace_evicted() const;
   /// Recorded local executions of the sensors (index 0 = P_1), pid order.
   std::vector<const std::vector<ProcessEvent>*> sensor_executions() const;
@@ -176,6 +179,7 @@ class ShardedPervasiveSystem {
   bool truncated_ = false;
   std::size_t windows_ = 0;
   bool ran_ = false;
+  bool trace_taken_ = false;  ///< trace_records() drained the rings
 };
 
 }  // namespace psn::core

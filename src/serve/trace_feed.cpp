@@ -284,9 +284,10 @@ ParsedRecord parse_trace_line(std::string_view line) {
 }
 
 std::string trace_line(const sim::TraceRecord& record) {
-  // Delegate to the batch exporter so the two can never drift apart.
-  std::string out = analysis::trace_jsonl({record});
-  if (!out.empty() && out.back() == '\n') out.pop_back();
+  // The exporter's one formatter, so the two can never drift apart.
+  std::string out;
+  analysis::append_trace_line(out, record);
+  out.pop_back();  // the '\n'
   return out;
 }
 

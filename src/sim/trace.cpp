@@ -1,6 +1,7 @@
 #include "sim/trace.hpp"
 
 #include <algorithm>
+#include <cstddef>
 #include <tuple>
 #include <utility>
 
@@ -39,13 +40,48 @@ auto canonical_key(const TraceRecord& r) {
   return std::make_tuple(r.at, r.seq, co_instant_group(r.kind), r.peer, r.pid,
                          static_cast<int>(r.kind));
 }
+
+bool canonical_less(const TraceRecord& a, const TraceRecord& b) {
+  return canonical_key(a) < canonical_key(b);
+}
+
+bool earlier(const TraceRecord& a, const TraceRecord& b) { return a.at < b.at; }
 }  // namespace
 
 void canonical_trace_order(std::vector<TraceRecord>& records) {
-  std::stable_sort(records.begin(), records.end(),
-                   [](const TraceRecord& a, const TraceRecord& b) {
-                     return canonical_key(a) < canonical_key(b);
-                   });
+  const auto pos = [&records](std::size_t i) {
+    return records.begin() + static_cast<std::ptrdiff_t>(i);
+  };
+  // Start offsets of the maximal runs nondecreasing in `at`, plus the end.
+  std::vector<std::size_t> bounds{0};
+  for (std::size_t i = 1; i < records.size(); ++i) {
+    if (records[i].at < records[i - 1].at) bounds.push_back(i);
+  }
+  bounds.push_back(records.size());
+  // Merge neighbouring runs pairwise until one is left. Merging only
+  // neighbours, left run first on ties, keeps every equal-`at` bucket in
+  // input order — what a stable sort on the full key starts from.
+  while (bounds.size() > 2) {
+    std::size_t kept = 1;
+    std::size_t r = 0;
+    for (; r + 2 < bounds.size(); r += 2) {
+      std::inplace_merge(pos(bounds[r]), pos(bounds[r + 1]),
+                         pos(bounds[r + 2]), earlier);
+      bounds[kept++] = bounds[r + 2];
+    }
+    if (r + 1 < bounds.size()) bounds[kept++] = bounds[r + 1];
+    bounds.resize(kept);
+  }
+  // Order each co-instant bucket by the rest of the key, stably.
+  for (auto first = records.begin(); first != records.end();) {
+    const auto last = std::find_if(
+        first + 1, records.end(),
+        [&first](const TraceRecord& r) { return r.at != first->at; });
+    if (!std::is_sorted(first, last, canonical_less)) {
+      std::stable_sort(first, last, canonical_less);
+    }
+    first = last;
+  }
 }
 
 const char* to_string(TraceKind k) {
@@ -77,21 +113,21 @@ void TraceRecorder::record(TraceRecord r) {
   }
   ring_[head_] = std::move(r);
   head_ = (head_ + 1) % capacity_;
+  evicted_++;
 }
 
-std::vector<TraceRecord> TraceRecorder::records() const {
-  std::vector<TraceRecord> out;
-  out.reserve(ring_.size());
-  for (std::size_t i = 0; i < ring_.size(); ++i) {
-    out.push_back(ring_[(head_ + i) % ring_.size()]);
-  }
-  return out;
+std::vector<TraceRecord> TraceRecorder::take() {
+  std::rotate(ring_.begin(), ring_.begin() + static_cast<std::ptrdiff_t>(head_),
+              ring_.end());
+  head_ = 0;
+  return std::exchange(ring_, {});
 }
 
 void TraceRecorder::clear() {
   ring_.clear();
   head_ = 0;
   recorded_ = 0;
+  evicted_ = 0;
 }
 
 }  // namespace psn::sim

@@ -60,6 +60,14 @@ struct TraceRecord {
 /// JSONL byte-identical across layouts. kDetect records sort last at their
 /// instant; callers that append them after a post-run detector pass need
 /// not re-sort.
+///
+/// The result is exactly the permutation std::stable_sort on the key gives,
+/// for any input. The work is linear on what the recorders produce: every
+/// ring is nondecreasing in `at` (each record is stamped with its shard's
+/// current time), so the sort finds the maximal nondecreasing runs, merges
+/// them pairwise with a stable merge on `at` alone, and then sorts only the
+/// equal-`at` buckets that are not already in key order. Input with no run
+/// structure still sorts in O(n log n).
 void canonical_trace_order(std::vector<TraceRecord>& records);
 
 /// Bounded ring buffer of TraceRecords: when full, the oldest record is
@@ -75,12 +83,15 @@ class TraceRecorder {
   std::size_t capacity() const { return capacity_; }
   /// Records currently retained (≤ capacity).
   std::size_t size() const { return ring_.size(); }
-  /// Records ever recorded, including evicted ones.
+  /// Records ever recorded, including evicted ones. Unchanged by take().
   std::size_t recorded() const { return recorded_; }
-  std::size_t evicted() const { return recorded_ - ring_.size(); }
+  /// Records the ring overwrote. Unchanged by take().
+  std::size_t evicted() const { return evicted_; }
 
-  /// Retained records, oldest first.
-  std::vector<TraceRecord> records() const;
+  /// Moves the retained records out, oldest first, without copying one: a
+  /// wrapped ring is rotated in place first. The ring is left empty (same
+  /// capacity), while recorded() and evicted() keep describing the run.
+  std::vector<TraceRecord> take();
 
   void clear();
 
@@ -89,6 +100,7 @@ class TraceRecorder {
   std::vector<TraceRecord> ring_;
   std::size_t head_ = 0;  ///< next slot to overwrite once the ring is full
   std::size_t recorded_ = 0;
+  std::size_t evicted_ = 0;
 };
 
 }  // namespace psn::sim

@@ -28,6 +28,10 @@
 //      traffic, and fence exchange recycle everything once warm.
 //   6. The fault layer (DESIGN.md §15): FaultSchedule's per-message queries
 //      and the stream checker's fault-record replay.
+//   7. The trace hand-off (DESIGN.md §14): trace_records() moves the ring
+//      out and orders it in place, so it allocates far less than one copy
+//      of the trace. Not a zero pin: the run index and the per-instant sort
+//      may allocate a little.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -44,6 +48,7 @@
 #include "common/pool_alloc.hpp"
 #include "common/sim_time.hpp"
 #include "core/detectors.hpp"
+#include "core/sharded_system.hpp"
 #include "core/observation.hpp"
 #include "core/predicate.hpp"
 #include "net/delay_model.hpp"
@@ -55,6 +60,7 @@
 #include "sim/sharded.hpp"
 #include "sim/simulation.hpp"
 #include "sim/trace.hpp"
+#include "world/generators.hpp"
 
 namespace psn {
 namespace {
@@ -479,6 +485,42 @@ TEST(AllocGuard, FaultScheduleQueriesAreAllocationFree) {
 
 TEST(AllocGuard, StreamCheckerFaultFeedIsAllocationFree) {
   EXPECT_EQ(checker_fault_feed_allocs(2'000), 0u);
+}
+
+// --- 7. trace hand-off ------------------------------------------------------
+
+// A K = 1 traced run whose ring kept everything. Copying the trace, or a
+// stable sort's N/2-record buffer, would cost at least half the trace's
+// bytes; the hand-off must stay under a quarter.
+TEST(AllocGuard, TraceHandOffCopiesNoRecords) {
+  core::ShardedSystemConfig config;
+  config.base.num_sensors = 6;
+  config.base.sim.seed = 11;
+  config.base.sim.horizon = SimTime::zero() + Duration::seconds(20);
+  config.base.sim.trace_capacity = 1 << 20;
+  core::ShardedPervasiveSystem system(config);
+  std::vector<std::unique_ptr<world::AttributeDriver>> drivers;
+  for (ProcessId pid = 1; pid <= 6; ++pid) {
+    const auto obj = system.world().create_object("o" + std::to_string(pid));
+    system.world().object(obj).set_attribute("count", std::int64_t{0});
+    system.assign(obj, "count", pid);
+    drivers.push_back(std::make_unique<world::AttributeDriver>(
+        system.world(), obj, "count",
+        std::make_unique<world::PoissonArrivals>(20.0),
+        std::make_unique<world::CounterValue>(),
+        system.sim().rng_for("d", pid)));
+    drivers.back()->start();
+  }
+  system.run();
+  ASSERT_EQ(system.trace_evicted(), 0u);
+
+  Scope scope;
+  const std::vector<sim::TraceRecord> trace = system.trace_records();
+  const std::uint64_t bytes = scope.bytes();
+  ASSERT_GT(trace.size(), 10'000u);
+  EXPECT_LT(bytes, sizeof(sim::TraceRecord) * trace.size() / 4)
+      << bytes << " bytes allocated handing off " << trace.size()
+      << " records";
 }
 
 // --- 8-thread repeat -------------------------------------------------------
