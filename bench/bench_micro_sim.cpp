@@ -1,15 +1,21 @@
 // Micro-benchmarks of the simulation substrate: event-calendar throughput,
 // strobe broadcast fan-out through the transport, end-to-end system steps,
-// detector evaluation, trace ordering, and lattice enumeration cost.
+// detector evaluation, trace ordering, wire ingest, and lattice enumeration
+// cost.
 
 #include <benchmark/benchmark.h>
 
+#include "analysis/experiments.hpp"
+#include "analysis/export.hpp"
 #include "common/alloc_guard.hpp"
 #include "core/detectors.hpp"
 #include "core/execution_view.hpp"
 #include "core/lattice.hpp"
 #include "core/predicate_parser.hpp"
 #include "core/sharded_system.hpp"
+#include "serve/session.hpp"
+#include "serve/trace_feed.hpp"
+#include "sim/fault.hpp"
 #include "sim/trace.hpp"
 #include "world/generators.hpp"
 
@@ -221,6 +227,73 @@ void BM_TraceMerge(benchmark::State& state) {
   state.counters["bytes_per_record"] = static_cast<double>(bytes) / processed;
 }
 BENCHMARK(BM_TraceMerge);
+
+/// The exporter's JSONL for one faulty 8-door occupancy run: every record
+/// kind, detect lines and notes included, about 90 bytes a line.
+const std::string& exporter_trace() {
+  static const std::string wire = [] {
+    analysis::OccupancyConfig cfg;
+    cfg.doors = 8;
+    cfg.horizon = Duration::seconds(60);
+    cfg.loss_probability = 0.05;
+    cfg.faults = sim::parse_fault_plan("crash:2@5+4;cut:1-3@20+10");
+    cfg.trace_capacity = std::size_t{1} << 22;
+    return analysis::trace_jsonl(
+        analysis::run_occupancy_experiment(cfg).trace);
+  }();
+  return wire;
+}
+
+void BM_TraceFeedParse(benchmark::State& state) {
+  // trace_feed ladder row: serve::parse_trace_line over every line of an
+  // exporter trace, the record dropped as the Session drops it.
+  std::vector<std::string_view> lines;
+  const std::string& wire = exporter_trace();
+  for (std::size_t i = 0, nl; i < wire.size(); i = nl + 1) {
+    nl = wire.find('\n', i);
+    lines.emplace_back(wire.data() + i, nl - i);
+  }
+  std::uint64_t allocs = 0;
+  for (auto _ : state) {
+    const std::uint64_t allocs_before = alloc_guard::thread_allocations();
+    for (const std::string_view line : lines) {
+      const serve::ParsedRecord parsed = serve::parse_trace_line(line);
+      benchmark::DoNotOptimize(parsed.record.at);
+    }
+    allocs += alloc_guard::thread_allocations() - allocs_before;
+  }
+  const auto processed = static_cast<double>(state.iterations()) *
+                         static_cast<double>(lines.size());
+  state.SetItemsProcessed(static_cast<std::int64_t>(processed));
+  state.counters["allocs_per_line"] = static_cast<double>(allocs) / processed;
+}
+BENCHMARK(BM_TraceFeedParse);
+
+void BM_SessionOnData(benchmark::State& state) {
+  // serve::Session ladder row: a fresh stdin-mode session fed the exporter
+  // trace in 64 KiB chunks, as `psn_cli serve` reads it, through finish().
+  constexpr std::size_t kChunk = std::size_t{1} << 16;
+  const std::string& wire = exporter_trace();
+  serve::SessionConfig cfg;
+  cfg.soak.num_processes = 9;
+  std::size_t records = 0;
+  for (auto _ : state) {
+    std::size_t written = 0;
+    serve::Session session(cfg, [&written](std::string_view chunk) {
+      written += chunk.size();
+      return true;
+    });
+    for (std::size_t i = 0; i < wire.size(); i += kChunk) {
+      session.on_data(std::string_view(wire).substr(i, kChunk));
+    }
+    const serve::SoakReport& report = session.finish();
+    if (report.exit_code != 0) state.SkipWithError("trace did not verify");
+    records += report.records_fed;
+    benchmark::DoNotOptimize(written);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(records));
+}
+BENCHMARK(BM_SessionOnData);
 
 void BM_LatticeCount(benchmark::State& state) {
   // Consistent-cut counting cost on a strobe execution of growing size.

@@ -87,6 +87,8 @@ jq -s --slurpfile base "${baseline}" \
            then {allocs_per_update: .allocs_per_update} else {} end)
         + (if .bytes_per_record != null
            then {bytes_per_record: .bytes_per_record} else {} end)
+        + (if .allocs_per_line != null
+           then {allocs_per_line: .allocs_per_line} else {} end)
     ]
   }' "${tmp_dir}/bench_micro_sim.json" "${tmp_dir}/bench_micro_clocks.json" \
      "${tmp_dir}/bench_micro_shards.json" \

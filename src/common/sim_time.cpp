@@ -9,6 +9,7 @@ namespace psn {
 
 Duration Duration::from_seconds(double s) {
   PSN_CHECK(std::isfinite(s), "duration seconds must be finite");
+  PSN_CHECK(seconds_fit_nanos(s), "duration must be within +-2^63 ns");
   return Duration(static_cast<std::int64_t>(std::llround(s * 1e9)));
 }
 
@@ -39,6 +40,7 @@ std::string Duration::to_string() const { return format_nanos(nanos_); }
 
 SimTime SimTime::from_seconds(double s) {
   PSN_CHECK(std::isfinite(s) && s >= 0.0, "absolute time must be finite and >= 0");
+  PSN_CHECK(seconds_fit_nanos(s), "absolute time must be below 2^63 ns");
   return SimTime(static_cast<std::int64_t>(std::llround(s * 1e9)));
 }
 

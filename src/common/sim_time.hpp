@@ -7,6 +7,19 @@
 
 namespace psn {
 
+/// 2^63 ns, about 292 years: the exclusive bound on |s · 1e9| for any
+/// floating-point second count that is converted to integer nanoseconds.
+inline constexpr double kNanosBound = 9223372036854775808.0;
+
+/// True when `s` seconds rounds to a representable nanosecond count, i.e.
+/// s · 1e9 lies in [-2^63, 2^63). NaN and the infinities fail. Parsers of
+/// untrusted second counts test this before calling from_seconds, which
+/// checks it too.
+constexpr bool seconds_fit_nanos(double s) {
+  const double ns = s * 1e9;
+  return ns >= -kNanosBound && ns < kNanosBound;
+}
+
 /// Simulated physical ("true") time, in integer nanoseconds.
 ///
 /// The whole library uses fixed-point nanoseconds rather than floating-point

@@ -103,6 +103,12 @@ void Session::on_data(std::string_view bytes) {
       continue;
     }
     if (nl != std::string_view::npos) {
+      if (buffer_.empty() && nl - i <= cfg_.max_line_bytes) {
+        // The whole line sits inside this chunk: parse it in place.
+        ingest_line(bytes.substr(i, nl - i));
+        i = nl + 1;
+        continue;
+      }
       buffer_.append(bytes.substr(i, nl - i));
       i = nl + 1;
       if (buffer_.size() > cfg_.max_line_bytes) {

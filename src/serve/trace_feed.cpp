@@ -1,7 +1,9 @@
 #include "serve/trace_feed.hpp"
 
+#include <array>
 #include <charconv>
 #include <cmath>
+#include <cstdint>
 #include <string>
 
 #if !defined(__cpp_lib_to_chars) || __cpp_lib_to_chars < 201611L
@@ -18,56 +20,117 @@ namespace psn::serve {
 
 namespace {
 
-/// Hand-rolled scanner for the flat one-object-per-line schema. The wire
+enum class Key : std::uint8_t {
+  kT, kKind, kPid, kPeer, kMsg, kBytes, kSeq, kNote
+};
+
+constexpr std::array<std::string_view, 8> kKeyNames = {
+    "t", "kind", "pid", "peer", "msg", "bytes", "seq", "note"};
+
+constexpr std::size_t kTraceKinds =
+    static_cast<std::size_t>(sim::TraceKind::kHeal) + 1;
+constexpr std::size_t kMessageKinds =
+    static_cast<std::size_t>(net::MessageKind::kActuation) + 1;
+
+/// The wire names of the N values of Enum, built once from the to_string
+/// the exporter writes with, so the two cannot drift apart.
+template <typename Enum, std::size_t N>
+const std::array<std::string_view, N>& wire_names(const char* (*name)(Enum)) {
+  static const auto names = [name] {
+    std::array<std::string_view, N> out{};
+    for (std::size_t k = 0; k < N; ++k) out[k] = name(static_cast<Enum>(k));
+    return out;
+  }();
+  return names;
+}
+
+/// Index of `s` in `names`, or -1. The first bytes are compared before the
+/// whole names: they tell most candidates apart without a memcmp call.
+template <std::size_t N>
+int find_name(const std::array<std::string_view, N>& names,
+              std::string_view s) {
+  if (s.empty()) return -1;
+  for (std::size_t k = 0; k < N; ++k) {
+    const std::string_view name = names[k];
+    if (name[0] == s[0] && name == s) return static_cast<int>(k);
+  }
+  return -1;
+}
+
+bool is_digit(char c) { return c >= '0' && c <= '9'; }
+
+/// Below 2^50 ns the double path is exact: from_chars and the product with
+/// 1e9 each round once, a relative error of at most 2^-52 in all, which is
+/// under 0.25 ns there, so llround lands on the same integer as the digits.
+constexpr std::int64_t kExactNanos = std::int64_t{1} << 50;
+
+/// Single-pass scanner for the flat one-object-per-line schema. The wire
 /// format never nests, so a full JSON parser would only add failure modes;
 /// this one accepts exactly what analysis::trace_jsonl produces (any key
-/// order) and rejects everything else with a pointed diagnostic.
+/// order) and rejects everything else with a pointed diagnostic. String
+/// tokens are views into the line; only a token with a backslash is decoded,
+/// into one scratch buffer. Diagnostics are built on the failure path only.
 class LineParser {
  public:
-  explicit LineParser(std::string_view line) : p_(line.data()), end_(line.data() + line.size()) {}
+  LineParser(std::string_view line, ParsedRecord& out)
+      : p_(line.data()), end_(line.data() + line.size()), out_(out) {}
 
-  ParsedRecord parse() {
-    ParsedRecord out;
+  /// True when the line is a record; false with the diagnostic set.
+  bool parse() {
     skip_ws();
-    if (!consume('{')) return fail(out, "expected '{'");
+    if (!consume('{')) return fail("expected '{'");
     skip_ws();
-    if (consume('}')) {
-      finish(out);
-      return out;
-    }
-    while (true) {
-      std::string key;
-      if (!parse_string(key)) return fail(out, "expected key string");
-      skip_ws();
-      if (!consume(':')) return fail(out, "expected ':' after key \"" + key + "\"");
-      skip_ws();
-      if (!parse_value(key, out)) return out;
-      skip_ws();
-      if (consume(',')) {
+    if (!consume('}')) {
+      while (true) {
+        std::string_view name;
+        if (!scan_string(name)) return fail("expected key string");
         skip_ws();
-        continue;
+        if (!consume(':')) return fail("expected ':' after key ", name);
+        skip_ws();
+        const int k = find_name(kKeyNames, name);
+        if (k < 0) return fail("unknown key ", name);
+        const Key key = static_cast<Key>(k);
+        if (!parse_value(key)) return false;
+        skip_ws();
+        if (consume(',')) {
+          skip_ws();
+          continue;
+        }
+        if (consume('}')) break;
+        return fail("expected ',' or '}' after value of ",
+                    kKeyNames[static_cast<std::size_t>(k)]);
       }
-      if (consume('}')) break;
-      return fail(out, "expected ',' or '}' after value of \"" + key + "\"");
+      skip_ws();
+      if (p_ != end_) return fail("trailing content after '}'");
     }
-    skip_ws();
-    if (p_ != end_) return fail(out, "trailing content after '}'");
-    finish(out);
-    return out;
+    if (!has(Key::kT)) return fail("missing required key \"t\"");
+    if (!has(Key::kKind)) return fail("missing required key \"kind\"");
+    if (!has(Key::kPid)) return fail("missing required key \"pid\"");
+    return true;
   }
 
  private:
-  ParsedRecord& fail(ParsedRecord& out, const std::string& why) {
-    if (out.error.empty()) out.error = why;
-    return out;
+  /// Sets the diagnostic and returns false, for `return fail(...)`.
+  [[gnu::cold]] [[gnu::noinline]] bool fail(std::string_view why) {
+    out_.error.assign(why);
+    return false;
   }
 
-  void finish(ParsedRecord& out) {
-    if (!out.error.empty()) return;
-    if (!have_t_) out.error = "missing required key \"t\"";
-    else if (!have_kind_) out.error = "missing required key \"kind\"";
-    else if (!have_pid_) out.error = "missing required key \"pid\"";
+  /// `before`, then `name` quoted as a JSON string (a decoded name may hold
+  /// control characters; the diagnostic stays one line), then `after`.
+  [[gnu::cold]] [[gnu::noinline]] bool fail(std::string_view before,
+                                            std::string_view name,
+                                            std::string_view after = {}) {
+    out_.error.assign(before);
+    out_.error += '"';
+    out_.error += analysis::json_escape(std::string(name));
+    out_.error += '"';
+    out_.error += after;
+    return false;
   }
+
+  bool has(Key k) const { return (seen_ & bit(k)) != 0; }
+  static unsigned bit(Key k) { return 1u << static_cast<unsigned>(k); }
 
   void skip_ws() {
     while (p_ != end_ && (*p_ == ' ' || *p_ == '\t' || *p_ == '\r')) p_++;
@@ -79,24 +142,44 @@ class LineParser {
     return true;
   }
 
-  bool parse_string(std::string& out) {
+  /// Scans a string token. `out` views the line when the token has no
+  /// escapes, else the decoded text in scratch_ (valid until the next
+  /// escaped token).
+  bool scan_string(std::string_view& out) {
     if (!consume('"')) return false;
-    out.clear();
+    const char* const begin = p_;
+    while (p_ != end_ && *p_ != '"' && *p_ != '\\') p_++;
+    if (p_ == end_) return false;
+    if (*p_ == '"') {
+      out = std::string_view(begin, static_cast<std::size_t>(p_ - begin));
+      p_++;
+      return true;
+    }
+    scratch_.assign(begin, p_);
+    if (!decode_rest()) return false;
+    out = scratch_;
+    return true;
+  }
+
+  /// Decodes the rest of a string token with escapes into scratch_ and
+  /// consumes its closing quote. Out of line: the exporter escapes only
+  /// notes, so the scanner's common path stays small.
+  [[gnu::noinline]] bool decode_rest() {
     while (p_ != end_ && *p_ != '"') {
       char c = *p_++;
       if (c != '\\') {
-        out += c;
+        scratch_ += c;
         continue;
       }
       if (p_ == end_) return false;
       const char esc = *p_++;
       switch (esc) {
-        case '"': out += '"'; break;
-        case '\\': out += '\\'; break;
-        case '/': out += '/'; break;
-        case 'n': out += '\n'; break;
-        case 'r': out += '\r'; break;
-        case 't': out += '\t'; break;
+        case '"': scratch_ += '"'; break;
+        case '\\': scratch_ += '\\'; break;
+        case '/': scratch_ += '/'; break;
+        case 'n': scratch_ += '\n'; break;
+        case 'r': scratch_ += '\r'; break;
+        case 't': scratch_ += '\t'; break;
         case 'u': {
           if (end_ - p_ < 4) return false;
           unsigned code = 0;
@@ -109,7 +192,7 @@ class LineParser {
             else return false;
           }
           if (code > 0x7f) return false;  // the exporter only escapes ASCII
-          out += static_cast<char>(code);
+          scratch_ += static_cast<char>(code);
           break;
         }
         default: return false;
@@ -118,20 +201,59 @@ class LineParser {
     return consume('"');
   }
 
+  /// Decimal digits into a uint64: exactly the strings std::from_chars
+  /// base 10 accepts (at least one digit, no sign), failing on overflow.
+  bool parse_uint(std::uint64_t& out) {
+    constexpr std::uint64_t kMax = UINT64_MAX;
+    if (p_ == end_ || !is_digit(*p_)) return false;
+    std::uint64_t v = 0;
+    do {
+      const auto d = static_cast<std::uint64_t>(*p_ - '0');
+      if (v > kMax / 10 || (v == kMax / 10 && d > kMax % 10)) return false;
+      v = v * 10 + d;
+      p_++;
+    } while (p_ != end_ && is_digit(*p_));
+    out = v;
+    return true;
+  }
+
+  /// The exporter's `t` shape, `<digits>.<9 digits>` with no further
+  /// digit, '.', or exponent after it, straight to integer nanoseconds.
+  /// Declines (consuming nothing) anything else and anything at or above
+  /// kExactNanos, which the double path then parses.
+  bool fixed_point_nanos(std::int64_t& nanos) {
+    const char* q = p_;
+    std::int64_t whole = 0;
+    // 2^50 ns is 1125899.9 s: more than 7 integer digits is out of range.
+    while (q != end_ && is_digit(*q) && q - p_ < 8) {
+      whole = whole * 10 + (*q++ - '0');
+    }
+    const auto whole_digits = q - p_;
+    if (whole_digits == 0 || whole_digits > 7) return false;
+    if (end_ - q < 10 || *q != '.') return false;
+    q++;
+    std::int64_t frac = 0;
+    for (const char* const stop = q + 9; q != stop; q++) {
+      if (!is_digit(*q)) return false;
+      frac = frac * 10 + (*q - '0');
+    }
+    if (q != end_ && (is_digit(*q) || *q == '.' || *q == 'e' || *q == 'E')) {
+      return false;
+    }
+    const std::int64_t n = whole * 1'000'000'000 + frac;
+    if (n >= kExactNanos) return false;
+    nanos = n;
+    p_ = q;
+    return true;
+  }
+
   // Numbers go through std::from_chars, never strtod/strtoull: the strto*
   // family honors LC_NUMERIC, so under a comma-decimal locale every
   // fractional timestamp would be truncated at the '.' (and the trailing
   // ".5" then rejected as garbage). from_chars is locale-independent by
-  // specification and needs no NUL terminator.
-  bool parse_uint(std::uint64_t& out) {
-    if (p_ == end_ || *p_ < '0' || *p_ > '9') return false;
-    const auto res = std::from_chars(p_, end_, out, 10);
-    if (res.ec != std::errc() || res.ptr == p_) return false;
-    p_ = res.ptr;
-    return true;
-  }
-
-  bool parse_double(double& out) {
+  // specification and needs no NUL terminator. Out of line: exporter lines
+  // take the fixed-point path.
+  [[gnu::noinline]] bool parse_double(double& out) {
 #if defined(__cpp_lib_to_chars) && __cpp_lib_to_chars >= 201611L
     const auto res = std::from_chars(p_, end_, out);
     if (res.ec != std::errc() || res.ptr == p_) return false;
@@ -172,115 +294,91 @@ class LineParser {
 #endif
   }
 
-  bool seen(ParsedRecord& out, bool& flag, const std::string& key) {
-    if (flag) {
-      fail(out, "duplicate key \"" + key + "\"");
+  bool parse_time(SimTime& at) {
+    std::int64_t nanos = 0;
+    if (fixed_point_nanos(nanos)) {
+      at = SimTime(nanos);
       return true;
     }
-    flag = true;
-    return false;
+    double seconds = 0.0;
+    if (!parse_double(seconds) || !std::isfinite(seconds) || seconds < 0.0) {
+      return fail("\"t\" must be a non-negative number of seconds");
+    }
+    if (!seconds_fit_nanos(seconds)) {
+      return fail("\"t\" is out of range: time must be below 2^63 ns");
+    }
+    at = SimTime::from_seconds(seconds);
+    return true;
   }
 
-  /// Dispatches one key/value pair into the record. Returns false (with
-  /// out.error set) on any malformation.
-  bool parse_value(const std::string& key, ParsedRecord& out) {
-    if (key == "t") {
-      if (seen(out, have_t_, key)) return false;
-      double seconds = 0.0;
-      if (!parse_double(seconds) || !std::isfinite(seconds) ||
-          seconds < 0.0) {
-        fail(out, "\"t\" must be a non-negative number of seconds");
-        return false;
+  /// Parses the value of `key` into the record. Returns false (with the
+  /// diagnostic set) on any malformation.
+  bool parse_value(Key key) {
+    const auto k = static_cast<std::size_t>(key);
+    if (has(key)) return fail("duplicate key ", kKeyNames[k]);
+    seen_ |= bit(key);
+    sim::TraceRecord& r = out_.record;
+    switch (key) {
+      case Key::kT: return parse_time(r.at);
+      case Key::kKind: {
+        std::string_view name;
+        if (!scan_string(name)) return fail("\"kind\" must be a string");
+        const int kind = find_name(
+            wire_names<sim::TraceKind, kTraceKinds>(sim::to_string), name);
+        if (kind < 0) return fail("unknown trace kind ", name);
+        r.kind = static_cast<sim::TraceKind>(kind);
+        return true;
       }
-      out.record.at = SimTime::from_seconds(seconds);
-      return true;
-    }
-    if (key == "kind") {
-      if (seen(out, have_kind_, key)) return false;
-      std::string name;
-      if (!parse_string(name)) {
-        fail(out, "\"kind\" must be a string");
-        return false;
-      }
-      for (int k = 0; k <= static_cast<int>(sim::TraceKind::kHeal); ++k) {
-        if (name == sim::to_string(static_cast<sim::TraceKind>(k))) {
-          out.record.kind = static_cast<sim::TraceKind>(k);
-          return true;
+      case Key::kPid:
+      case Key::kPeer: {
+        std::uint64_t v = 0;
+        if (!parse_uint(v) || v >= kNoProcess) {
+          return fail("", kKeyNames[k], " must be a process id");
         }
+        (key == Key::kPid ? r.pid : r.peer) = static_cast<ProcessId>(v);
+        return true;
       }
-      fail(out, "unknown trace kind \"" + name + "\"");
-      return false;
-    }
-    if (key == "pid" || key == "peer") {
-      bool& flag = key == "pid" ? have_pid_ : have_peer_;
-      if (seen(out, flag, key)) return false;
-      std::uint64_t v = 0;
-      if (!parse_uint(v) || v >= kNoProcess) {
-        fail(out, "\"" + key + "\" must be a process id");
-        return false;
+      case Key::kMsg: {
+        std::string_view name;
+        if (!scan_string(name)) return fail("\"msg\" must be a string");
+        r.message_kind = find_name(
+            wire_names<net::MessageKind, kMessageKinds>(net::to_string), name);
+        if (r.message_kind < 0) return fail("unknown message kind ", name);
+        return true;
       }
-      (key == "pid" ? out.record.pid : out.record.peer) =
-          static_cast<ProcessId>(v);
-      return true;
-    }
-    if (key == "msg") {
-      if (seen(out, have_msg_, key)) return false;
-      std::string name;
-      if (!parse_string(name)) {
-        fail(out, "\"msg\" must be a string");
-        return false;
-      }
-      for (int k = 0; k <= static_cast<int>(net::MessageKind::kActuation);
-           ++k) {
-        if (name == net::to_string(static_cast<net::MessageKind>(k))) {
-          out.record.message_kind = k;
-          return true;
+      case Key::kBytes:
+      case Key::kSeq: {
+        std::uint64_t v = 0;
+        if (!parse_uint(v)) {
+          return fail("", kKeyNames[k], " must be a non-negative integer");
         }
+        if (key == Key::kBytes) r.bytes = static_cast<std::size_t>(v);
+        else r.seq = v;
+        return true;
       }
-      fail(out, "unknown message kind \"" + name + "\"");
-      return false;
-    }
-    if (key == "bytes") {
-      if (seen(out, have_bytes_, key)) return false;
-      std::uint64_t v = 0;
-      if (!parse_uint(v)) {
-        fail(out, "\"bytes\" must be a non-negative integer");
-        return false;
+      case Key::kNote: {
+        std::string_view note;
+        if (!scan_string(note)) return fail("\"note\" must be a string");
+        r.note.assign(note);
+        return true;
       }
-      out.record.bytes = static_cast<std::size_t>(v);
-      return true;
     }
-    if (key == "seq") {
-      if (seen(out, have_seq_, key)) return false;
-      if (!parse_uint(out.record.seq)) {
-        fail(out, "\"seq\" must be a non-negative integer");
-        return false;
-      }
-      return true;
-    }
-    if (key == "note") {
-      if (seen(out, have_note_, key)) return false;
-      if (!parse_string(out.record.note)) {
-        fail(out, "\"note\" must be a string");
-        return false;
-      }
-      return true;
-    }
-    fail(out, "unknown key \"" + key + "\"");
     return false;
   }
 
   const char* p_;
   const char* end_;
-  bool have_t_ = false, have_kind_ = false, have_pid_ = false,
-       have_peer_ = false, have_msg_ = false, have_bytes_ = false,
-       have_seq_ = false, have_note_ = false;
+  ParsedRecord& out_;
+  unsigned seen_ = 0;    ///< bit(Key) per key already parsed
+  std::string scratch_;  ///< decoded text of the last escaped token
 };
 
 }  // namespace
 
 ParsedRecord parse_trace_line(std::string_view line) {
-  return LineParser(line).parse();
+  ParsedRecord out;
+  LineParser(line, out).parse();
+  return out;
 }
 
 std::string trace_line(const sim::TraceRecord& record) {

@@ -32,6 +32,10 @@ SimTime parse_seconds(const std::string& clause, const std::string& field) {
   if (end == nullptr || *end != '\0' || s < 0.0) {
     bad_spec(clause, "'" + field + "' is not a non-negative seconds value");
   }
+  if (!seconds_fit_nanos(s)) {
+    bad_spec(clause,
+             "'" + field + "' is out of range (must be finite, below 2^63 ns)");
+  }
   return SimTime::from_seconds(s);
 }
 
@@ -62,6 +66,9 @@ std::pair<SimTime, SimTime> parse_window(const std::string& clause,
   const SimTime dur_as_time = parse_seconds(clause, field.substr(plus + 1));
   const Duration dur = Duration(dur_as_time.count_nanos());
   if (dur <= Duration::zero()) bad_spec(clause, "duration must be > 0");
+  if (dur > SimTime::max() - begin) {
+    bad_spec(clause, "window end is out of range (must be below 2^63 ns)");
+  }
   return {begin, begin + dur};
 }
 

@@ -1,8 +1,9 @@
 # psn_cli numeric-flag test: every numeric flag of run, check and serve is
 # parsed strictly. A sign on an unsigned value, trailing characters, or an
 # out-of-range number must exit 2 with one diagnostic line on stderr, before
-# anything runs, as must an unknown flag such as the removed `run --check`;
-# a well-formed invocation still runs. Run via
+# anything runs, as must an unknown flag such as the removed `run --check`
+# and a fault plan whose time is not finite or reaches 2^63 ns; a
+# well-formed invocation still runs. Run via
 #   cmake -DPSN_CLI=<psn_cli binary> -P cli_flags.cmake
 
 set(bad_invocations
@@ -17,7 +18,10 @@ set(bad_invocations
   "check --rate fast"
   "check --seconds 60s"
   "serve --procs 1x"
-  "serve --max-buffer -64")
+  "serve --max-buffer -64"
+  "run --faults crash:2@inf+4"
+  "run --faults crash:2@nan+4"
+  "run --faults crash:2@1e300+4")
 
 foreach(invocation IN LISTS bad_invocations)
   separate_arguments(args UNIX_COMMAND "${invocation}")

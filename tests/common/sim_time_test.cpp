@@ -105,6 +105,23 @@ TEST(SimTimeTest, FromSecondsRejectsNegative) {
   EXPECT_THROW(SimTime::from_seconds(-1.0), InvariantError);
 }
 
+// Seconds whose nanosecond count reaches 2^63 used to overflow llround
+// (undefined behaviour; INT64_MIN in practice) and wrap to a negative time.
+TEST(SimTimeTest, FromSecondsRejectsOutOfRange) {
+  EXPECT_TRUE(seconds_fit_nanos(9e9));
+  EXPECT_FALSE(seconds_fit_nanos(9.3e9));
+  EXPECT_FALSE(seconds_fit_nanos(std::nan("")));
+  EXPECT_FALSE(seconds_fit_nanos(-std::numeric_limits<double>::infinity()));
+  EXPECT_EQ(SimTime::from_seconds(9e9).count_nanos(),
+            9'000'000'000'000'000'000);
+  EXPECT_THROW(SimTime::from_seconds(9.3e9), InvariantError);
+  EXPECT_THROW(SimTime::from_seconds(1e300), InvariantError);
+  EXPECT_EQ(Duration::from_seconds(-9e9).count_nanos(),
+            -9'000'000'000'000'000'000);
+  EXPECT_THROW(Duration::from_seconds(9.3e9), InvariantError);
+  EXPECT_THROW(Duration::from_seconds(-1e300), InvariantError);
+}
+
 TEST(SimTimeTest, DefaultIsZero) {
   EXPECT_EQ(SimTime{}, SimTime::zero());
   EXPECT_EQ(Duration{}, Duration::zero());

@@ -32,16 +32,22 @@
 //      out and orders it in place, so it allocates far less than one copy
 //      of the trace. Not a zero pin: the run index and the per-instant sort
 //      may allocate a little.
+//   8. Wire ingest (DESIGN.md §12): Session::on_data over 64 KiB chunks of
+//      exporter lines parses each line in place, and parse_trace_line
+//      builds nothing for a line without a note.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <string>
+#include <string_view>
 #include <thread>
 #include <utility>
 #include <vector>
 
+#include "analysis/export.hpp"
 #include "check/stream_checker.hpp"
 #include "clocks/timestamp.hpp"
 #include "common/alloc_guard.hpp"
@@ -56,6 +62,8 @@
 #include "net/message.hpp"
 #include "net/overlay.hpp"
 #include "net/transport.hpp"
+#include "serve/session.hpp"
+#include "serve/trace_feed.hpp"
 #include "sim/fault.hpp"
 #include "sim/sharded.hpp"
 #include "sim/simulation.hpp"
@@ -523,6 +531,103 @@ TEST(AllocGuard, TraceHandOffCopiesNoRecords) {
       << " records";
 }
 
+// --- 8. wire ingest --------------------------------------------------------
+
+/// Exporter lines of `rounds` clean 10 ms rounds from round `first` on, in
+/// time order: every process senses (a strobe the other processes deliver)
+/// and sends one computation message the root receives.
+std::string wire_rounds(std::uint64_t first, std::uint64_t rounds) {
+  constexpr ProcessId kProcesses = 8;
+  std::string out;
+  sim::TraceRecord rec;
+  for (std::uint64_t round = first; round < first + rounds; round++) {
+    SimTime at = SimTime::zero() +
+                 Duration::millis(static_cast<std::int64_t>(round) * 10);
+    const auto emit = [&](sim::TraceKind kind, ProcessId pid, ProcessId peer,
+                          net::MessageKind msg, std::uint64_t seq) {
+      at += Duration::micros(10);
+      rec.at = at;
+      rec.kind = kind;
+      rec.pid = pid;
+      rec.peer = peer;
+      rec.message_kind = static_cast<int>(msg);
+      rec.bytes = kind == sim::TraceKind::kSense ? 0 : 57;
+      rec.seq = seq;
+      rec.note = kind == sim::TraceKind::kSense ? "entered" : "";
+      analysis::append_trace_line(out, rec);
+    };
+    for (ProcessId p = 1; p < kProcesses; p++) {
+      const std::uint64_t seq = 2 * (round * kProcesses + p);
+      emit(sim::TraceKind::kSense, p, kNoProcess, net::MessageKind::kStrobe,
+           seq);
+      for (ProcessId q = 0; q < kProcesses; q++) {
+        if (q == p) continue;
+        emit(sim::TraceKind::kDeliver, q, p, net::MessageKind::kStrobe, seq);
+      }
+      emit(sim::TraceKind::kSend, p, 0, net::MessageKind::kComputation,
+           seq + 1);
+      emit(sim::TraceKind::kReceive, 0, p, net::MessageKind::kComputation,
+           seq + 1);
+    }
+  }
+  return out;
+}
+
+std::uint64_t wire_ingest_allocs(std::uint64_t rounds) {
+  constexpr std::size_t kChunk = std::size_t{1} << 16;
+  constexpr std::uint64_t kWarmupRounds = 512;
+  const std::string warmup = wire_rounds(0, kWarmupRounds);
+  const std::string measured = wire_rounds(kWarmupRounds, rounds);
+  serve::SessionConfig cfg;
+  cfg.soak.num_processes = 8;
+  cfg.soak.send_retention = Duration::seconds(2);
+  cfg.soak.metrics_every = 0;
+  std::size_t written = 0;
+  serve::Session session(cfg, [&written](std::string_view chunk) {
+    written += chunk.size();
+    return true;
+  });
+  const auto feed = [&session](std::string_view wire) {
+    for (std::size_t i = 0; i < wire.size(); i += kChunk) {
+      session.on_data(wire.substr(i, kChunk));
+    }
+  };
+  // Warmup: past the retention window, so the checker's working set and
+  // the reassembly buffer have reached their peak.
+  feed(warmup);
+  Scope scope;
+  feed(measured);
+  const std::uint64_t allocs = scope.allocations();
+  EXPECT_EQ(written, 0u) << "workload must emit no events before eof";
+  const serve::SoakReport& report = session.finish();
+  EXPECT_EQ(report.exit_code, 0);
+  EXPECT_EQ(report.records_fed, (kWarmupRounds + rounds) * 7 * 10);
+  return allocs;
+}
+
+TEST(AllocGuard, WireIngestIsAllocationFree) {
+  EXPECT_EQ(wire_ingest_allocs(512), 0u);
+
+  const std::string lines = wire_rounds(0, 1);
+  std::vector<std::string_view> no_note;
+  for (std::size_t i = 0; i < lines.size();) {
+    const std::size_t nl = lines.find('\n', i);
+    const std::string_view line(lines.data() + i, nl - i);
+    if (line.find("\"note\"") == std::string_view::npos) {
+      no_note.push_back(line);
+    }
+    i = nl + 1;
+  }
+  ASSERT_FALSE(no_note.empty());
+  Scope scope;
+  std::size_t parsed = 0;
+  for (const std::string_view line : no_note) {
+    parsed += serve::parse_trace_line(line).ok() ? 1u : 0u;
+  }
+  EXPECT_EQ(scope.allocations(), 0u);
+  EXPECT_EQ(parsed, no_note.size());
+}
+
 // --- 8-thread repeat -------------------------------------------------------
 
 // Counters are thread-local, so each thread independently asserts zero for
@@ -537,7 +642,7 @@ TEST(AllocGuard, AllPinnedPathsStayAllocationFreeOn8Threads) {
   for (int t = 0; t < kThreads; t++) {
     threads.emplace_back([t, &allocs] {
       std::uint64_t total = 0;
-      switch (t % 7) {
+      switch (t % 8) {
         case 0:
           total = scheduler_steady_allocs(2'000);
           break;
@@ -558,6 +663,9 @@ TEST(AllocGuard, AllPinnedPathsStayAllocationFreeOn8Threads) {
           break;
         case 6:
           total = checker_fault_feed_allocs(512);
+          break;
+        case 7:
+          total = wire_ingest_allocs(64);
           break;
       }
       allocs[static_cast<std::size_t>(t)] = total;

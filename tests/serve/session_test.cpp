@@ -5,19 +5,26 @@
 // mode, and keep going in lenient mode. The session core additionally pins
 // the serve-layer bugfixes: locale-safe number parsing, no duplicate metrics
 // line at metrics_every boundaries, write-failure teardown, and the
-// strict-vs-lenient exit-code precedence.
+// strict-vs-lenient exit-code precedence. The single-pass parser is pinned
+// against the double path on exporter times up to 2^62 ns, against seeded
+// byte mutations, and against read chunking from 1 byte to the whole input.
 
 #include "serve/session.hpp"
 
 #include <gtest/gtest.h>
 
+#include <charconv>
 #include <clocale>
+#include <cmath>
+#include <cstdint>
 #include <sstream>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "analysis/experiments.hpp"
 #include "analysis/export.hpp"
+#include "common/rng.hpp"
 #include "net/message.hpp"
 #include "serve/trace_feed.hpp"
 
@@ -60,6 +67,27 @@ SoakReport serve_input(const SoakServerConfig& config, std::string_view input,
   Session session(session_cfg, out.fn());
   session.on_data(input);
   return session.finish();
+}
+
+bool same_record(const sim::TraceRecord& a, const sim::TraceRecord& b) {
+  return a.at == b.at && a.kind == b.kind && a.pid == b.pid &&
+         a.peer == b.peer && a.message_kind == b.message_kind &&
+         a.bytes == b.bytes && a.seq == b.seq && a.note == b.note;
+}
+
+/// The exporter's lines of a small real run: every record kind the
+/// occupancy scenario produces, notes and detect records included.
+std::vector<std::string> run_trace_lines() {
+  analysis::OccupancyConfig cfg;
+  cfg.doors = 3;
+  cfg.movement_rate = 10.0;
+  cfg.horizon = 20_s;
+  cfg.trace_capacity = std::size_t{1} << 18;
+  const analysis::OccupancyRunResult run =
+      analysis::run_occupancy_experiment(cfg);
+  std::vector<std::string> lines;
+  for (const sim::TraceRecord& r : run.trace) lines.push_back(trace_line(r));
+  return lines;
 }
 
 TEST(TraceFeedTest, RoundTripsTheBatchExporterByteForByte) {
@@ -125,13 +153,140 @@ TEST(TraceFeedTest, RejectsGarbageWithSpecificDiagnostics) {
       {"{\"t\":1.0,\"kind\":\"sense\",\"pid\":\"x\"}", "process id"},
       {"{\"t\":1.0,\"kind\":\"send\",\"pid\":1,\"msg\":\"carrier\"}",
        "unknown message kind"},
+      // An escaped key is the key it decodes to.
+      {"{\"t\":1.0,\"\\u0074\":2.0,\"kind\":\"sense\",\"pid\":1}",
+       "duplicate key \"t\""},
+      // Decoded names are quoted escaped, so the diagnostic stays one line.
+      {"{\"t\":1.0,\"kind\":\"se\\nse\",\"pid\":1}",
+       "unknown trace kind \"se\\nse\""},
+      {"{\"t\":1.0,\"kind\":\"sense\",\"pid\":1,\"seq\":18446744073709551616}",
+       "\"seq\" must be a non-negative integer"},
+      {"{\"t\":1.0,\"kind\":\"sense\",\"pid\":4294967295}",
+       "\"pid\" must be a process id"},
+      {"{\"t\":1.0,\"kind\":\"send\",\"pid\":1,\"peer\":4294967295}",
+       "\"peer\" must be a process id"},
+      // t·1e9 at or above 2^63 used to wrap to a negative time.
+      {"{\"t\":1e300,\"kind\":\"sense\",\"pid\":1}", "out of range"},
+      {"{\"t\":9300000000,\"kind\":\"sense\",\"pid\":1}", "out of range"},
+      {"{\"t\":9223372036.854775808,\"kind\":\"sense\",\"pid\":1}",
+       "out of range"},
   };
   for (const auto& c : cases) {
     const ParsedRecord parsed = parse_trace_line(c.line);
     EXPECT_FALSE(parsed.ok()) << c.line;
     EXPECT_NE(parsed.error.find(c.why), std::string::npos)
         << "line: " << c.line << " error: " << parsed.error;
+    EXPECT_EQ(parsed.error.find('\n'), std::string::npos) << parsed.error;
   }
+
+  // Accepted spellings the exporter never writes: `t` off its fixed-point
+  // shape, and escapes, which decode before keys and names are matched.
+  const struct {
+    const char* line;
+    std::int64_t nanos;
+  } accepted[] = {
+      {"{\"\\u0074\":1.5,\"kind\":\"s\\u0065nse\",\"pid\":1}", 1'500'000'000},
+      {"{\"t\":1e3,\"kind\":\"sense\",\"pid\":1}", 1'000'000'000'000},
+      {"{\"t\":1.000000000e3,\"kind\":\"sense\",\"pid\":1}",
+       1'000'000'000'000},
+      {"{\"t\":0.1234567891,\"kind\":\"sense\",\"pid\":1}", 123'456'789},
+      {"{\"t\":00.000000001,\"kind\":\"sense\",\"pid\":1}", 1},
+      {"{\"t\":-0,\"kind\":\"sense\",\"pid\":1}", 0},
+      {"{\"t\":9000000000.000000000,\"kind\":\"sense\",\"pid\":1}",
+       9'000'000'000'000'000'000},
+  };
+  for (const auto& c : accepted) {
+    const ParsedRecord parsed = parse_trace_line(c.line);
+    ASSERT_TRUE(parsed.ok()) << c.line << ": " << parsed.error;
+    EXPECT_EQ(parsed.record.at.count_nanos(), c.nanos) << c.line;
+    EXPECT_EQ(parsed.record.kind, sim::TraceKind::kSense) << c.line;
+  }
+  const ParsedRecord big = parse_trace_line(
+      "{\"t\":1.0,\"kind\":\"send\",\"pid\":4294967294,"
+      "\"seq\":18446744073709551615}");
+  ASSERT_TRUE(big.ok()) << big.error;
+  EXPECT_EQ(big.record.pid, 4294967294u);
+  EXPECT_EQ(big.record.seq, 18446744073709551615u);
+}
+
+// The fixed-point `t` path must give exactly what the double path gives:
+// llround(from_chars(token) * 1e9), for times in the exporter's format.
+// N is drawn log-uniformly so every magnitude up to 2^62 ns is covered,
+// including the band just above the fast path's 2^50 ns bound.
+TEST(TraceFeedTest, FixedPointTimeMatchesTheDoublePath) {
+  constexpr std::int64_t k50 = std::int64_t{1} << 50;
+  std::vector<std::int64_t> nanos = {0,
+                                     1,
+                                     999'999'999,
+                                     k50 - 1,
+                                     k50,
+                                     k50 + 1,
+                                     1'000'000'000'000'000,
+                                     (std::int64_t{1} << 62) - 1};
+  Rng rng(20111);
+  for (int i = 0; i < 200'000; ++i) {
+    const auto bits = static_cast<unsigned>(rng.uniform_int(1, 62));
+    nanos.push_back(static_cast<std::int64_t>(rng() >> (64 - bits)));
+  }
+  for (const std::int64_t n : nanos) {
+    const std::string token = analysis::json_fixed(SimTime(n).to_seconds(), 9);
+    double seconds = 0.0;
+    const auto res =
+        std::from_chars(token.data(), token.data() + token.size(), seconds);
+    ASSERT_EQ(res.ec, std::errc()) << token;
+    const auto expected =
+        static_cast<std::int64_t>(std::llround(seconds * 1e9));
+    const ParsedRecord parsed = parse_trace_line(
+        "{\"t\":" + token + ",\"kind\":\"sense\",\"pid\":1}");
+    ASSERT_TRUE(parsed.ok()) << token << ": " << parsed.error;
+    ASSERT_EQ(parsed.record.at.count_nanos(), expected) << token;
+    if (n < k50) {
+      ASSERT_EQ(expected, n) << token;
+    }
+  }
+}
+
+// Seeded byte mutations of real exporter lines: each mutant is either
+// rejected with a one-line diagnostic, or it is a record the exporter
+// writes back to a line that parses to the same record.
+TEST(TraceFeedTest, MutatedLinesRejectCleanlyOrRoundTrip) {
+  const std::vector<std::string> lines = run_trace_lines();
+  ASSERT_FALSE(lines.empty());
+  const std::string_view special = "{}\":,.\\0123456789eE-+ ntu/";
+  Rng rng(7);
+  std::size_t accepted = 0;
+  for (int i = 0; i < 30'000; ++i) {
+    std::string line = lines[static_cast<std::size_t>(rng.uniform_int(
+        0, static_cast<std::int64_t>(lines.size()) - 1))];
+    for (std::int64_t m = rng.uniform_int(1, 3); m > 0; --m) {
+      const char byte =
+          rng.bernoulli(0.7)
+              ? special[static_cast<std::size_t>(rng.uniform_int(
+                    0, static_cast<std::int64_t>(special.size()) - 1))]
+              : static_cast<char>(rng.uniform_int(0, 255));
+      const auto pos = static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<std::int64_t>(line.size()) - 1));
+      switch (rng.uniform_int(0, 2)) {
+        case 0: line.erase(pos, 1); break;
+        case 1: line.insert(pos, 1, byte); break;
+        default: line[pos] = byte; break;
+      }
+    }
+    const ParsedRecord parsed = parse_trace_line(line);
+    if (!parsed.ok()) {
+      EXPECT_EQ(parsed.error.find('\n'), std::string::npos)
+          << "line: " << line << " error: " << parsed.error;
+      continue;
+    }
+    accepted++;
+    const ParsedRecord again = parse_trace_line(trace_line(parsed.record));
+    ASSERT_TRUE(again.ok()) << "line: " << line << " error: " << again.error;
+    EXPECT_TRUE(same_record(again.record, parsed.record))
+        << "line: " << line << " rewritten: " << trace_line(parsed.record);
+  }
+  // The round exercises both outcomes.
+  EXPECT_GT(accepted, 1000u);
+  EXPECT_LT(accepted, 29'000u);
 }
 
 TEST(SoakServerTest, VerifiesARealRunTraceClean) {
@@ -404,6 +559,95 @@ TEST(SessionTest, ChunkedBytesMatchLineFeeding) {
   EXPECT_EQ(by_chunks.text, by_lines.text);
   EXPECT_EQ(chunk_report.records_fed, line_report.records_fed);
   EXPECT_EQ(chunk_report.lines_read, line_report.lines_read);
+}
+
+/// Feeds `wire` to a fresh session in `chunk`-byte on_data calls and
+/// returns the events it wrote.
+std::string serve_chunked(const SessionConfig& cfg, std::string_view wire,
+                          std::size_t chunk, SoakReport& report) {
+  CollectingWriter out;
+  Session session(cfg, out.fn());
+  for (std::size_t i = 0; i < wire.size(); i += chunk) {
+    session.on_data(wire.substr(i, chunk));
+  }
+  report = session.finish();
+  return out.text;
+}
+
+// The same on a real run trace, at chunk sizes from one byte to the whole
+// input: lines arrive whole inside a chunk (parsed in place) or split
+// across chunks (reassembled), and the output must not tell them apart.
+// Lines of exactly max_line_bytes and one byte more straddle 4096-byte
+// chunk boundaries: the first is a record, the second is overlong.
+TEST(SessionTest, ChunkedRealTraceMatchesLineFeeding) {
+  const std::vector<std::string> lines = run_trace_lines();
+  SessionConfig cfg;
+  cfg.soak.num_processes = 4;
+  cfg.soak.metrics_every = 1000;
+  cfg.max_line_bytes = 256;
+
+  std::string wire;
+  CollectingWriter by_lines;
+  Session line_session(cfg, by_lines.fn());
+  for (const std::string& line : lines) {
+    ASSERT_LT(line.size(), cfg.max_line_bytes);
+    wire += line;
+    wire += '\n';
+    line_session.feed_line(line);
+  }
+  const SoakReport line_report = line_session.finish();
+  ASSERT_EQ(line_report.exit_code, 0);
+  ASSERT_GT(line_report.detect_records, 0u);
+  for (const std::size_t chunk : {std::size_t{1}, std::size_t{7},
+                                  std::size_t{4096}, wire.size()}) {
+    SoakReport report;
+    EXPECT_EQ(serve_chunked(cfg, wire, chunk, report), by_lines.text)
+        << "chunk " << chunk;
+    EXPECT_EQ(report.lines_read, line_report.lines_read);
+    EXPECT_EQ(report.records_fed, line_report.records_fed);
+  }
+
+  // Pad two lines with trailing blanks, which the parser skips, to
+  // max_line_bytes and max_line_bytes + 1, each starting less than 64
+  // bytes before a multiple of 4096.
+  std::string edges;
+  std::size_t boundary = 4096;
+  std::size_t padded = 0;
+  std::size_t lines_before_overlong = 0;
+  for (std::size_t i = 0; i < lines.size(); ++i) {
+    while (edges.size() >= boundary) boundary += 4096;
+    std::string line = lines[i];
+    if (padded < 2 && edges.size() + 64 > boundary) {
+      line.resize(cfg.max_line_bytes + padded, ' ');
+      if (padded == 1) lines_before_overlong = i;
+      padded++;
+    }
+    edges += line;
+    edges += '\n';
+  }
+  ASSERT_EQ(padded, 2u);
+
+  for (const bool lenient : {false, true}) {
+    SessionConfig mode = cfg;
+    mode.soak.lenient = lenient;
+    SoakReport whole;
+    const std::string expected =
+        serve_chunked(mode, edges, edges.size(), whole);
+    EXPECT_EQ(whole.overlong_lines, 1u);
+    EXPECT_EQ(whole.malformed_lines, 0u);
+    EXPECT_EQ(whole.exit_code, lenient ? 0 : 3);
+    EXPECT_EQ(whole.records_fed,
+              lenient ? lines.size() - 1 : lines_before_overlong);
+    for (const std::size_t chunk :
+         {std::size_t{1}, std::size_t{7}, std::size_t{4096}}) {
+      SoakReport report;
+      EXPECT_EQ(serve_chunked(mode, edges, chunk, report), expected)
+          << "chunk " << chunk << (lenient ? " lenient" : " strict");
+      EXPECT_EQ(report.lines_read, whole.lines_read);
+      EXPECT_EQ(report.records_fed, whole.records_fed);
+      EXPECT_EQ(report.overlong_lines, 1u);
+    }
+  }
 }
 
 // The slow-producer policy: a line that outgrows the reassembly cap is
