@@ -8,6 +8,7 @@
 #include <utility>
 
 #include "clocks/timestamp.hpp"
+#include "common/error.hpp"
 #include "net/message.hpp"
 
 namespace psn::check {
@@ -221,32 +222,6 @@ std::vector<FaultSpan> collect_fault_spans(
   return spans;
 }
 
-namespace {
-
-/// True iff t falls inside some race span [true_a - slack, true_b + slack].
-/// Races are emitted in nondecreasing true_a order, so we can stop early.
-bool explained_by_race(SimTime t, const std::vector<RaceEvent>& races,
-                       Duration slack) {
-  for (const RaceEvent& r : races) {
-    if (r.true_a - slack > t) break;
-    if (t <= r.true_b + slack) return true;
-  }
-  return false;
-}
-
-/// True iff t falls inside some fault span [begin - slack, end + slack].
-/// Spans are sorted by begin; open-ended spans saturate at SimTime::max().
-bool explained_by_fault(SimTime t, const std::vector<FaultSpan>& spans,
-                        Duration slack) {
-  for (const FaultSpan& s : spans) {
-    if (t + slack < s.begin) break;
-    if (s.end == SimTime::max() || t <= s.end + slack) return true;
-  }
-  return false;
-}
-
-}  // namespace
-
 ContractResult audit_detector(const std::string& detector,
                               const std::vector<RaceEvent>& races,
                               const std::vector<FaultSpan>& fault_spans,
@@ -256,13 +231,57 @@ ContractResult audit_detector(const std::string& detector,
   ContractResult result;
   result.contract = "race-audit." + detector;
   result.pairs_checked = races.size();
+  const Duration slack = config.slack;
+
+  // Both interval lists are sorted by their start, so the intervals that
+  // start (less slack) at or before t are a prefix, and one of them reaches
+  // t iff the largest end in that prefix does. One pass builds the prefix
+  // maxima; each error time then costs two binary searches. A prefix's
+  // largest span end is SimTime::max() exactly when it holds an open-ended
+  // span, which explains every later time without adding slack to it.
+  std::vector<SimTime> race_reach(races.size());
+  for (std::size_t i = 0; i < races.size(); ++i) {
+    PSN_CHECK(i == 0 || races[i - 1].true_a <= races[i].true_a,
+              "race audit needs races sorted by true_a");
+    race_reach[i] =
+        i == 0 ? races[i].true_b : std::max(race_reach[i - 1], races[i].true_b);
+  }
+  std::vector<SimTime> span_reach(fault_spans.size());
+  for (std::size_t i = 0; i < fault_spans.size(); ++i) {
+    PSN_CHECK(i == 0 || fault_spans[i - 1].begin <= fault_spans[i].begin,
+              "race audit needs fault spans sorted by begin");
+    span_reach[i] = i == 0 ? fault_spans[i].end
+                           : std::max(span_reach[i - 1], fault_spans[i].end);
+  }
+  // True iff t falls inside some race span [true_a - slack, true_b + slack].
+  const auto explained_by_race = [&](SimTime t) {
+    const auto k = static_cast<std::size_t>(
+        std::partition_point(races.begin(), races.end(),
+                             [&](const RaceEvent& r) {
+                               return !(r.true_a - slack > t);
+                             }) -
+        races.begin());
+    return k > 0 && t <= race_reach[k - 1] + slack;
+  };
+  // True iff t falls inside some fault span [begin - slack, end + slack].
+  const auto explained_by_fault = [&](SimTime t) {
+    const auto k = static_cast<std::size_t>(
+        std::partition_point(fault_spans.begin(), fault_spans.end(),
+                             [&](const FaultSpan& s) {
+                               return !(t + slack < s.begin);
+                             }) -
+        fault_spans.begin());
+    if (k == 0) return false;
+    const SimTime reach = span_reach[k - 1];
+    return reach == SimTime::max() || t <= reach + slack;
+  };
 
   auto audit = [&](const std::vector<SimTime>& times, ViolationKind kind,
                    const char* label) {
     for (const SimTime t : times) {
       result.events_checked++;
-      if (explained_by_race(t, races, config.slack)) continue;
-      if (explained_by_fault(t, fault_spans, config.slack)) continue;
+      if (explained_by_race(t)) continue;
+      if (explained_by_fault(t)) continue;
       result.violations_total++;
       if (result.violations.size() < kMaxAuditWitnesses) {
         CheckViolation v;

@@ -117,8 +117,12 @@ struct AuditConfig {
 /// kUnexplainedFalseNegative). Sound whenever every non-race error source is
 /// visible to the audit: Δ-bounded delay plus an untruncated trace window,
 /// with losses, crashes, partitions, duty deferrals, and expired horizons
-/// supplied as fault spans. Returns a ContractResult named "race-audit." +
-/// detector; feed it to CheckReport::add_contract.
+/// supplied as fault spans. `races` must be nondecreasing in true_a (as
+/// scan_races emits them) and `fault_spans` in begin (as collect_fault_spans
+/// returns them); unsorted input throws InvariantError. Costs O(R + S) for
+/// one prefix pass plus O(log R + log S) per error time. Returns a
+/// ContractResult named "race-audit." + detector; feed it to
+/// CheckReport::add_contract.
 ContractResult audit_detector(const std::string& detector,
                               const std::vector<RaceEvent>& races,
                               const std::vector<FaultSpan>& fault_spans,
