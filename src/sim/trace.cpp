@@ -116,6 +116,10 @@ void TraceRecorder::record(TraceRecord r) {
   evicted_++;
 }
 
+void TraceRecorder::reserve(std::size_t records) {
+  ring_.reserve(std::min(records, capacity_));
+}
+
 std::vector<TraceRecord> TraceRecorder::take() {
   std::rotate(ring_.begin(), ring_.begin() + static_cast<std::ptrdiff_t>(head_),
               ring_.end());

@@ -79,6 +79,9 @@ class TraceRecorder {
   explicit TraceRecorder(std::size_t capacity);
 
   void record(TraceRecord r);
+  /// Pre-sizes the ring for `records` records (capped at the capacity), so
+  /// a run whose volume is known up front never grows it by doubling.
+  void reserve(std::size_t records);
 
   std::size_t capacity() const { return capacity_; }
   /// Records currently retained (≤ capacity).
