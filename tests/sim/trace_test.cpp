@@ -94,6 +94,21 @@ TEST(TraceRecorderTest, RecordedAndEvictedSurviveTake) {
   EXPECT_EQ(tr.size(), 0u);
 }
 
+TEST(TraceRecorderTest, ReserveBeyondCapacityKeepsTheRingBounded) {
+  TraceRecorder tr(3);
+  tr.reserve(100);  // capped at the capacity
+  EXPECT_EQ(tr.size(), 0u);
+  EXPECT_EQ(tr.recorded(), 0u);
+  for (std::size_t i = 0; i < 5; ++i) tr.record(at_step(i));
+  EXPECT_EQ(tr.size(), 3u);
+  EXPECT_EQ(tr.evicted(), 2u);
+  const auto records = tr.take();
+  ASSERT_EQ(records.size(), 3u);
+  EXPECT_EQ(records[0].pid, 2u);
+  EXPECT_EQ(records[2].pid, 4u);
+  EXPECT_LE(records.capacity(), 3u);
+}
+
 TEST(TraceRecorderTest, SecondTraceRecordsCallThrows) {
   core::ShardedSystemConfig config;
   config.base.num_sensors = 2;
