@@ -9,6 +9,7 @@
 #include "clocks/strobe_scalar.hpp"
 #include "clocks/strobe_vector.hpp"
 #include "clocks/vector_clock.hpp"
+#include "common/alloc_guard.hpp"
 #include "common/rng.hpp"
 
 namespace {
@@ -98,6 +99,33 @@ void BM_VectorStampCompare(benchmark::State& state) {
   state.SetComplexityN(state.range(0));
 }
 BENCHMARK(BM_VectorStampCompare)
+    ->RangeMultiplier(4)
+    ->Range(4, 256)
+    ->Complexity();
+
+void BM_VectorStampOrdered(benchmark::State& state) {
+  // Ordered stamps differ only in the last component, so every order test
+  // scans all n components -- the case the strobe-soundness scan pays on
+  // causally related senses. Random stamps (the row above) differ early and
+  // exit after a couple of components at every n.
+  const auto n = static_cast<std::size_t>(state.range(0));
+  Rng rng(1);
+  VectorStamp a(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    a[i] = static_cast<std::uint64_t>(rng.uniform_int(0, 100));
+  }
+  VectorStamp b = a;
+  b[n - 1] += 1;
+  const alloc_guard::Scope allocs;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(compare(a, b));
+  }
+  state.SetComplexityN(state.range(0));
+  state.counters["allocs_per_op"] =
+      static_cast<double>(allocs.allocations()) /
+      static_cast<double>(state.iterations());
+}
+BENCHMARK(BM_VectorStampOrdered)
     ->RangeMultiplier(4)
     ->Range(4, 256)
     ->Complexity();

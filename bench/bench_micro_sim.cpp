@@ -1,12 +1,17 @@
 // Micro-benchmarks of the simulation substrate: event-calendar throughput,
 // strobe broadcast fan-out through the transport, end-to-end system steps,
-// detector evaluation, trace ordering, wire ingest, and lattice enumeration
-// cost.
+// detector evaluation, trace recording and ordering, wire ingest, the race
+// audit, and lattice enumeration cost.
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <memory>
+#include <vector>
+
 #include "analysis/experiments.hpp"
 #include "analysis/export.hpp"
+#include "check/race_scan.hpp"
 #include "common/alloc_guard.hpp"
 #include "core/detectors.hpp"
 #include "core/execution_view.hpp"
@@ -228,6 +233,50 @@ void BM_TraceMerge(benchmark::State& state) {
 }
 BENCHMARK(BM_TraceMerge);
 
+void BM_TraceRecord(benchmark::State& state) {
+  // Trace-recording ladder row: TraceRecorder::record per record, in the
+  // pattern a broadcast run writes (a sense, then a send and a delivery per
+  // copy of its strobe). Arg 1 pre-sizes the ring as a replayed run does;
+  // arg 0 grows it by doubling.
+  constexpr std::size_t kRecords = std::size_t{1} << 16;
+  constexpr ProcessId kFanOut = 8;
+  const bool presized = state.range(0) != 0;
+  std::uint64_t allocs = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    auto recorder = std::make_unique<sim::TraceRecorder>(kRecords);
+    state.ResumeTiming();
+    const std::uint64_t allocs_before = alloc_guard::thread_allocations();
+    if (presized) recorder->reserve(kRecords);
+    SimTime t = SimTime::zero();
+    std::uint64_t seq = 1;
+    for (std::size_t n = 0; n < kRecords; ++seq) {
+      t = t + Duration::micros(50);
+      const auto pid = static_cast<ProcessId>(seq % 32 + 1);
+      recorder->record({t, sim::TraceKind::kSense, pid, kNoProcess, -1, 0,
+                        "entered", seq});
+      ++n;
+      for (ProcessId peer = 0; peer < kFanOut && n < kRecords; ++peer, ++n) {
+        recorder->record({t, sim::TraceKind::kSend, pid, peer, 1, 57, {}, seq});
+      }
+      for (ProcessId peer = 0; peer < kFanOut && n < kRecords; ++peer, ++n) {
+        recorder->record(
+            {t, sim::TraceKind::kDeliver, peer, pid, 1, 57, {}, seq});
+      }
+    }
+    allocs += alloc_guard::thread_allocations() - allocs_before;
+    benchmark::DoNotOptimize(recorder->size());
+    state.PauseTiming();
+    recorder.reset();
+    state.ResumeTiming();
+  }
+  const auto processed =
+      static_cast<double>(state.iterations()) * static_cast<double>(kRecords);
+  state.SetItemsProcessed(static_cast<std::int64_t>(processed));
+  state.counters["allocs_per_op"] = static_cast<double>(allocs) / processed;
+}
+BENCHMARK(BM_TraceRecord)->ArgName("presized")->Arg(0)->Arg(1);
+
 /// The exporter's JSONL for one faulty 8-door occupancy run: every record
 /// kind, detect lines and notes included, about 90 bytes a line.
 const std::string& exporter_trace() {
@@ -324,5 +373,57 @@ void BM_LatticeCount(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_LatticeCount)->DenseRange(4, 20, 8);
+
+void BM_RaceAudit(benchmark::State& state) {
+  // Race-audit ladder row: check::audit_detector over 2^15 races and a few
+  // fault spans, 2^10 error times (half false positives, half false
+  // negatives), items = error times audited.
+  constexpr std::size_t kRaces = std::size_t{1} << 15;
+  constexpr std::size_t kTimes = std::size_t{1} << 10;
+  constexpr std::size_t kSpans = 64;
+  Rng rng(5);
+  const auto ms = [](std::int64_t v) {
+    return SimTime::zero() + Duration::millis(v);
+  };
+  std::vector<check::RaceEvent> races(kRaces);
+  std::int64_t a = 0;
+  for (check::RaceEvent& r : races) {
+    a += rng.uniform_int(0, 30);
+    r.true_a = ms(a);
+    r.true_b = ms(a + rng.uniform_int(0, 99));
+    r.gap = r.true_b - r.true_a;
+  }
+  std::vector<check::FaultSpan> spans(kSpans);
+  for (check::FaultSpan& s : spans) {
+    const std::int64_t begin = rng.uniform_int(0, a);
+    s.begin = ms(begin);
+    s.end = ms(begin + rng.uniform_int(0, 5000));
+  }
+  std::sort(spans.begin(), spans.end(),
+            [](const check::FaultSpan& x, const check::FaultSpan& y) {
+              return x.begin < y.begin;
+            });
+  std::vector<SimTime> fp(kTimes / 2);
+  std::vector<SimTime> fn(kTimes / 2);
+  for (SimTime& t : fp) t = ms(rng.uniform_int(0, a));
+  for (SimTime& t : fn) t = ms(rng.uniform_int(0, a));
+  std::sort(fp.begin(), fp.end());
+  std::sort(fn.begin(), fn.end());
+  check::AuditConfig cfg;
+  cfg.slack = Duration::millis(20);
+  std::uint64_t allocs = 0;
+  for (auto _ : state) {
+    const std::uint64_t allocs_before = alloc_guard::thread_allocations();
+    const check::ContractResult result =
+        check::audit_detector("probe", races, spans, fp, fn, cfg);
+    allocs += alloc_guard::thread_allocations() - allocs_before;
+    benchmark::DoNotOptimize(result.violations_total);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(kTimes));
+  state.counters["allocs_per_op"] =
+      static_cast<double>(allocs) / static_cast<double>(state.iterations());
+}
+BENCHMARK(BM_RaceAudit);
 
 }  // namespace
