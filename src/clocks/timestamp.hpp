@@ -55,9 +55,6 @@ class VectorStamp {
   /// Component-wise max into this (the merge step of VC3/SVC2).
   void merge(const VectorStamp& other);
 
-  /// a ≤ b component-wise.
-  bool dominated_by(const VectorStamp& other) const;
-
   friend bool operator==(const VectorStamp&, const VectorStamp&) = default;
 
   std::string to_string() const;
