@@ -45,6 +45,8 @@ class SensorNode {
              Rng rng);
 
   ProcessId id() const { return pid_; }
+  /// The transport of this sensor's shard.
+  const net::Transport& transport() const { return transport_; }
   clocks::ClockBundle& clocks() { return bundle_; }
   const std::vector<ProcessEvent>& events() const { return events_; }
 

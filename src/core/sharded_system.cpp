@@ -61,32 +61,37 @@ std::size_t per_shard_share(std::size_t total, std::size_t shards) {
   return total / shards + total / (4 * shards) + 64;
 }
 
-net::ShardMap make_shard_map(const ShardedSystemConfig& cfg) {
+net::ShardMap make_shard_map(const ShardedSystemConfig& cfg,
+                             const net::Overlay& topology) {
   PSN_CHECK(cfg.base.num_sensors >= 1, "need at least one sensor");
-  const std::size_t n = cfg.base.num_sensors + 1;
-  return net::ShardMap::partition(make_system_overlay(cfg.base.topology, n),
-                                  cfg.shards);
+  return net::ShardMap::partition(topology, cfg.shards);
 }
 
 }  // namespace
 
 ShardedPervasiveSystem::ShardedPervasiveSystem(ShardedSystemConfig config)
     : config_(std::move(config)),
-      faults_(make_fault_schedule(config_.base)),
       n_(config_.base.num_sensors + 1),
-      shard_map_(make_shard_map(config_)) {
+      topology_(net::Overlay::build(config_.base.topology, n_)),
+      faults_(make_fault_schedule(config_.base.faults, topology_)),
+      shard_map_(make_shard_map(config_, topology_)) {
   PSN_CHECK(config_.pool_threads >= 1, "pool_threads must be >= 1");
   // Gilbert–Elliott loss keeps good/bad state across drop() calls, so its
   // draws depend on the global transmission order — only the K = 1 layout
   // reproduces the serial run (callers reject with a friendly error first).
   PSN_CHECK(!config_.base.gilbert_elliott.has_value() || config_.shards == 1,
             "Gilbert-Elliott loss is not supported with shards > 1");
+  const std::unique_ptr<net::DelayModel> delay = make_delay_model(config_.base);
+  const Duration hop = delay->bound();
+  if (hop != Duration::max()) {
+    delta_bound_ = hop * static_cast<std::int64_t>(topology_.diameter());
+  }
   if (config_.shards > 1) {
     // Conservative lookahead: the window W must be covered by the minimum
     // one-hop delay, or a send inside a window could land inside the same
     // window on another shard. Callers reject zero-lookahead delay kinds
     // with a friendly error before getting here; this is the backstop.
-    window_ = make_delay_model(config_.base)->min_delay();
+    window_ = delay->min_delay();
     PSN_CHECK(window_ > Duration::zero(),
               "sharded execution needs a delay model with a positive minimum "
               "one-hop delay (fixed or Delta-bounded kinds)");
@@ -110,7 +115,7 @@ ShardedPervasiveSystem::build_shard(std::size_t s) {
   // values in every shard — replicated state is bit-identical by build.
   sh->sim = std::make_unique<sim::Simulation>(base.sim);
   sh->transport = std::make_unique<net::Transport>(
-      *sh->sim, make_system_overlay(base.topology, n_),
+      *sh->sim, topology_,
       make_delay_model(base), make_loss_model(base),
       sh->sim->rng_for("transport"));
   sh->transport->set_clock_mode(base.clock_mode);
@@ -131,7 +136,7 @@ ShardedPervasiveSystem::build_shard(std::size_t s) {
   // merge into the serial delivery order after the run.
   sh->root = std::make_unique<RootMonitor>(0, n_, *sh->sim, base.clock_config,
                                            sh->sim->rng_for("clock", 0));
-  sh->root->log().delta_bound = delta_bound();
+  sh->root->log().delta_bound = delta_bound_;
   sh->root->log().validity = base.validity_horizon;
   RootMonitor* root = sh->root.get();
   sh->transport->register_handler(
@@ -265,21 +270,6 @@ const SensorNode& ShardedPervasiveSystem::sensor(ProcessId pid) const {
   return shards_[shard_map_.shard_of(pid)]->sensor(pid);
 }
 
-Duration ShardedPervasiveSystem::delta_bound() const {
-  const Duration hop = make_delay_model(config_.base)->bound();
-  if (hop == Duration::max()) return Duration::max();
-  // Closed-form diameters (an all-pairs BFS sweep would be O(n^2) —
-  // intractable at city scale). Matches Overlay's builders.
-  std::size_t diameter = 1;
-  switch (config_.base.topology) {
-    case TopologyKind::kComplete: diameter = 1; break;
-    case TopologyKind::kStar: diameter = n_ <= 2 ? 1 : 2; break;
-    case TopologyKind::kRing: diameter = std::max<std::size_t>(1, n_ / 2); break;
-    case TopologyKind::kLine: diameter = n_ - 1; break;
-  }
-  return hop * static_cast<std::int64_t>(diameter);
-}
-
 void ShardedPervasiveSystem::install_cursors() {
   // Group the timeline by owning sensor pid, preserving timeline order, so
   // each pid replays exactly its subsequence — event counts and instants
@@ -396,7 +386,7 @@ void ShardedPervasiveSystem::merge_root_logs() {
   if (world_ != nullptr) return;
   merged_log_ = ObservationLog{};
   merged_log_.num_processes = n_;
-  merged_log_.delta_bound = delta_bound();
+  merged_log_.delta_bound = delta_bound_;
   merged_log_.validity = config_.base.validity_horizon;
   std::size_t total = 0;
   for (const auto& sh : shards_) total += sh->root->log().updates.size();

@@ -112,10 +112,10 @@ class ShardedPervasiveSystem {
   std::size_t num_processes() const { return n_; }
   std::size_t num_shards() const { return shard_map_.num_shards(); }
   const net::ShardMap& shard_map() const { return shard_map_; }
-  /// End-to-end Δ bound (hop bound × topology diameter, computed in closed
-  /// form per TopologyKind — an O(n²) BFS sweep is intractable at 10^5), or
-  /// Duration::max() if the delay model is unbounded.
-  Duration delta_bound() const;
+  /// End-to-end Δ bound (hop bound × the topology's closed-form diameter,
+  /// computed once at construction), or Duration::max() if the delay model
+  /// is unbounded.
+  Duration delta_bound() const { return delta_bound_; }
   /// Window width W used by the K > 1 drive loop (zero when K = 1).
   Duration window() const { return window_; }
 
@@ -165,8 +165,12 @@ class ShardedPervasiveSystem {
   void merge_root_logs();
 
   ShardedSystemConfig config_;
-  std::unique_ptr<sim::FaultSchedule> faults_;
   std::size_t n_ = 0;              ///< processes incl. the root
+  /// The one topology: the shard map, the fault-plan validation and every
+  /// shard's transport read this adjacency.
+  net::Overlay topology_;
+  std::unique_ptr<sim::FaultSchedule> faults_;
+  Duration delta_bound_ = Duration::max();
   Duration window_ = Duration::zero();
   net::ShardMap shard_map_;
   std::vector<std::unique_ptr<Shard>> shards_;

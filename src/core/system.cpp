@@ -65,41 +65,29 @@ std::unique_ptr<net::LossModel> make_loss_model(const SystemConfig& cfg) {
 }
 
 std::unique_ptr<sim::FaultSchedule> make_fault_schedule(
-    const SystemConfig& cfg) {
-  if (cfg.faults.empty()) return nullptr;
-  const std::size_t n = cfg.num_sensors + 1;
-  for (const sim::CrashWindow& w : cfg.faults.crashes) {
+    const sim::FaultPlan& plan, const net::Overlay& topology) {
+  if (plan.empty()) return nullptr;
+  const std::size_t n = topology.size();
+  for (const sim::CrashWindow& w : plan.crashes) {
     if (w.pid >= n) {
       throw ConfigError("fault plan: crash pid " + std::to_string(w.pid) +
                         " is not a process (n = " + std::to_string(n) + ")");
     }
   }
-  for (const sim::ClockFaultWindow& w : cfg.faults.clock_faults) {
+  for (const sim::ClockFaultWindow& w : plan.clock_faults) {
     if (w.pid >= n) {
       throw ConfigError("fault plan: drift pid " + std::to_string(w.pid) +
                         " is not a process (n = " + std::to_string(n) + ")");
     }
   }
-  const net::Overlay overlay = make_system_overlay(cfg.topology, n);
-  for (const sim::PartitionWindow& w : cfg.faults.partitions) {
-    if (w.a >= n || w.b >= n || !overlay.has_edge(w.a, w.b)) {
+  for (const sim::PartitionWindow& w : plan.partitions) {
+    if (w.a >= n || w.b >= n || !topology.has_edge(w.a, w.b)) {
       throw ConfigError("fault plan: cut edge " + std::to_string(w.a) + "-" +
                         std::to_string(w.b) +
                         " does not exist in the configured topology");
     }
   }
-  return std::make_unique<sim::FaultSchedule>(cfg.faults);
-}
-
-net::Overlay make_system_overlay(TopologyKind kind, std::size_t n) {
-  switch (kind) {
-    case TopologyKind::kComplete: return net::Overlay::complete(n);
-    case TopologyKind::kStar: return net::Overlay::star(n);
-    case TopologyKind::kRing: return net::Overlay::ring(n);
-    case TopologyKind::kLine: return net::Overlay::line(n);
-  }
-  PSN_CHECK(false, "unknown topology kind");
-  return net::Overlay(1);
+  return std::make_unique<sim::FaultSchedule>(plan);
 }
 
 }  // namespace psn::core

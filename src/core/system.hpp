@@ -19,7 +19,7 @@ enum class DelayKind {
   kExponential,     ///< mean `delta`, unbounded tail
 };
 
-enum class TopologyKind { kComplete, kStar, kRing, kLine };
+using net::TopologyKind;
 
 /// Everything needed to stand up one ⟨P, L, O, C⟩ system instance.
 struct SystemConfig {
@@ -85,12 +85,11 @@ struct SystemConfig {
 /// from, so all shards assemble bit-identical planes from the same config.
 std::unique_ptr<net::DelayModel> make_delay_model(const SystemConfig& config);
 std::unique_ptr<net::LossModel> make_loss_model(const SystemConfig& config);
-net::Overlay make_system_overlay(TopologyKind kind, std::size_t n);
 
-/// Compiles (and validates) a config's fault plan against its topology:
-/// every cut edge must exist in the base overlay, and crash/drift pids must
-/// name real processes. Returns nullptr for an empty plan.
+/// Compiles (and validates) a fault plan against the system's topology:
+/// every cut edge must exist in it, and crash/drift pids must name real
+/// processes. Returns nullptr for an empty plan.
 std::unique_ptr<sim::FaultSchedule> make_fault_schedule(
-    const SystemConfig& config);
+    const sim::FaultPlan& plan, const net::Overlay& topology);
 
 }  // namespace psn::core

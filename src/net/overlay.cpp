@@ -1,110 +1,204 @@
 #include "net/overlay.hpp"
 
 #include <algorithm>
+#include <cstdint>
 
 #include "common/error.hpp"
+#include "common/hot.hpp"
 
 namespace psn::net {
 
-Overlay::Overlay(std::size_t n)
-    : n_(n), adj_(n), dist_rows_(n), row_valid_(n, 0) {
+Overlay::Overlay(std::size_t n, std::optional<TopologyKind> kind,
+                 ProcessId hub, const std::vector<Edge>& edges)
+    : n_(n), kind_(kind), hub_(hub) {
   PSN_CHECK(n > 0, "overlay needs at least one process");
+  auto adj = std::make_shared<Adjacency>();
+  // Counting sort into CSR: each list receives its edges in listing order.
+  adj->offsets.assign(n + 1, 0);
+  for (const auto& [a, b] : edges) {
+    PSN_CHECK(a < n && b < n, "edge endpoint out of range");
+    PSN_CHECK(a != b, "self-loops not allowed");
+    adj->offsets[a + 1]++;
+    adj->offsets[b + 1]++;
+  }
+  for (std::size_t p = 0; p < n; ++p) adj->offsets[p + 1] += adj->offsets[p];
+  adj->targets.resize(adj->offsets[n]);
+  std::vector<std::size_t> fill(adj->offsets.begin(), adj->offsets.end() - 1);
+  for (const auto& [a, b] : edges) {
+    adj->targets[fill[a]++] = b;
+    adj->targets[fill[b]++] = a;
+  }
+  // Drop repeated edges, keeping each neighbour's first listing: seen[q] ==
+  // p marks q as already in p's list. Compacts in place (write <= read).
+  std::vector<ProcessId> seen(n, kNoProcess);
+  std::size_t write = 0;
+  for (std::size_t p = 0; p < n; ++p) {
+    const std::size_t begin = adj->offsets[p];
+    const std::size_t end = adj->offsets[p + 1];
+    adj->offsets[p] = write;
+    for (std::size_t i = begin; i < end; ++i) {
+      const ProcessId q = adj->targets[i];
+      if (seen[q] == p) continue;
+      seen[q] = static_cast<ProcessId>(p);
+      adj->targets[write++] = q;
+    }
+  }
+  adj->offsets[n] = write;
+  adj->targets.resize(write);
+  adj_ = std::move(adj);
 }
 
 Overlay Overlay::complete(std::size_t n) {
-  Overlay o(n);
+  std::vector<Edge> edges;
+  edges.reserve(n * (n - 1) / 2);
   for (ProcessId a = 0; a < n; ++a) {
-    for (ProcessId b = a + 1; b < n; ++b) o.add_edge(a, b);
+    for (ProcessId b = a + 1; b < n; ++b) edges.emplace_back(a, b);
   }
-  return o;
+  return Overlay(n, TopologyKind::kComplete, 0, edges);
 }
 
 Overlay Overlay::star(std::size_t n, ProcessId hub) {
-  Overlay o(n);
   PSN_CHECK(hub < n, "hub out of range");
+  std::vector<Edge> edges;
+  edges.reserve(n - 1);
   for (ProcessId p = 0; p < n; ++p) {
-    if (p != hub) o.add_edge(hub, p);
+    if (p != hub) edges.emplace_back(hub, p);
   }
-  return o;
+  return Overlay(n, TopologyKind::kStar, hub, edges);
 }
 
 Overlay Overlay::ring(std::size_t n) {
-  Overlay o(n);
-  if (n == 1) return o;
-  for (ProcessId p = 0; p < n; ++p) {
-    o.add_edge(p, static_cast<ProcessId>((p + 1) % n));
+  std::vector<Edge> edges;
+  // ring(2)'s closing edge 1-0 repeats 0-1 and is dropped: one edge.
+  if (n > 1) {
+    edges.reserve(n);
+    for (ProcessId p = 0; p < n; ++p) {
+      edges.emplace_back(p, static_cast<ProcessId>((p + 1) % n));
+    }
   }
-  return o;
+  return Overlay(n, TopologyKind::kRing, 0, edges);
 }
 
 Overlay Overlay::line(std::size_t n) {
-  Overlay o(n);
-  for (ProcessId p = 0; p + 1 < n; ++p) {
-    o.add_edge(p, static_cast<ProcessId>(p + 1));
+  std::vector<Edge> edges;
+  for (ProcessId p = 0; p + 1 < n; ++p) edges.emplace_back(p, p + 1);
+  return Overlay(n, TopologyKind::kLine, 0, edges);
+}
+
+Overlay Overlay::build(TopologyKind kind, std::size_t n) {
+  switch (kind) {
+    case TopologyKind::kComplete: return complete(n);
+    case TopologyKind::kStar: return star(n);
+    case TopologyKind::kRing: return ring(n);
+    case TopologyKind::kLine: return line(n);
   }
-  return o;
+  PSN_CHECK(false, "unknown topology kind");
+  return line(n);
 }
 
-void Overlay::add_edge(ProcessId a, ProcessId b) {
-  PSN_CHECK(a < n_ && b < n_, "edge endpoint out of range");
-  PSN_CHECK(a != b, "self-loops not allowed");
-  if (has_edge(a, b)) return;
-  adj_[a].push_back(b);
-  adj_[b].push_back(a);
-  std::fill(row_valid_.begin(), row_valid_.end(), 0);
-}
-
-void Overlay::remove_edge(ProcessId a, ProcessId b) {
-  PSN_CHECK(a < n_ && b < n_, "edge endpoint out of range");
-  std::erase(adj_[a], b);
-  std::erase(adj_[b], a);
-  std::fill(row_valid_.begin(), row_valid_.end(), 0);
+Overlay Overlay::from_edges(std::size_t n, const std::vector<Edge>& edges) {
+  return Overlay(n, std::nullopt, 0, edges);
 }
 
 bool Overlay::has_edge(ProcessId a, ProcessId b) const {
   PSN_CHECK(a < n_ && b < n_, "edge endpoint out of range");
-  return std::find(adj_[a].begin(), adj_[a].end(), b) != adj_[a].end();
-}
-
-const std::vector<ProcessId>& Overlay::neighbors(ProcessId p) const {
-  PSN_CHECK(p < n_, "process out of range");
-  return adj_[p];
-}
-
-const std::vector<std::size_t>& Overlay::distance_row(ProcessId from) const {
-  std::vector<std::size_t>& dist = dist_rows_[from];
-  if (row_valid_[from]) return dist;
-  dist.assign(n_, SIZE_MAX);
-  bfs_queue_.clear();
-  dist[from] = 0;
-  bfs_queue_.push_back(from);
-  // Plain vector + read cursor as the BFS queue: push_back never outruns n_,
-  // so after the first row both buffers sit at full capacity and a
-  // recomputation allocates nothing.
-  for (std::size_t head = 0; head < bfs_queue_.size(); ++head) {
-    const ProcessId cur = bfs_queue_[head];
-    for (const ProcessId nb : adj_[cur]) {
-      if (dist[nb] != SIZE_MAX) continue;
-      dist[nb] = dist[cur] + 1;
-      bfs_queue_.push_back(nb);
-    }
+  // Scan the shorter list: a star leaf's, never the hub's.
+  const std::span<const ProcessId> na = neighbors(a);
+  const std::span<const ProcessId> nb = neighbors(b);
+  if (na.size() <= nb.size()) {
+    return std::find(na.begin(), na.end(), b) != na.end();
   }
-  row_valid_[from] = 1;
-  return dist;
+  return std::find(nb.begin(), nb.end(), a) != nb.end();
+}
+
+std::span<const ProcessId> Overlay::neighbors(ProcessId p) const {
+  PSN_CHECK(p < n_, "process out of range");
+  const std::size_t begin = adj_->offsets[p];
+  return {adj_->targets.data() + begin, adj_->offsets[p + 1] - begin};
 }
 
 std::size_t Overlay::hop_distance(ProcessId from, ProcessId to) const {
   PSN_CHECK(from < n_ && to < n_, "process out of range");
   if (from == to) return 0;
-  // Small-degree fast path: a leaf that only ever talks to a direct
-  // neighbor (a city-scale sensor unicasting to the star hub) answers from
-  // its adjacency list and never materializes an O(n) BFS row — at 10^5
-  // processes the rows alone would be tens of GB.
-  if (!row_valid_[from] && adj_[from].size() <= kDirectScanDegree) {
-    const auto& nb = adj_[from];
-    if (std::find(nb.begin(), nb.end(), to) != nb.end()) return 1;
+  if (!kind_.has_value()) return CutMask(*this).hop_distance(from, to);
+  const std::size_t d = from < to ? to - from : from - to;
+  switch (*kind_) {
+    case TopologyKind::kComplete: return 1;
+    case TopologyKind::kStar: return from == hub_ || to == hub_ ? 1 : 2;
+    case TopologyKind::kRing: return std::min(d, n_ - d);
+    case TopologyKind::kLine: return d;
   }
-  return distance_row(from)[to];
+  PSN_CHECK(false, "unknown topology kind");
+  return SIZE_MAX;
+}
+
+std::size_t Overlay::diameter() const {
+  PSN_CHECK(kind_.has_value(), "diameter needs a closed-form topology");
+  if (n_ == 1) return 0;
+  switch (*kind_) {
+    case TopologyKind::kComplete: return 1;
+    case TopologyKind::kStar: return n_ == 2 ? 1 : 2;
+    case TopologyKind::kRing: return n_ / 2;
+    case TopologyKind::kLine: return n_ - 1;
+  }
+  PSN_CHECK(false, "unknown topology kind");
+  return SIZE_MAX;
+}
+
+CutMask::CutMask(Overlay overlay) : overlay_(std::move(overlay)) {
+  row_.reserve(overlay_.size());
+  queue_.reserve(overlay_.size());
+}
+
+void CutMask::cut(ProcessId a, ProcessId b) {
+  if (is_cut(a, b)) return;
+  cuts_.emplace_back(std::minmax(a, b));
+  row_source_ = kNoProcess;
+}
+
+void CutMask::heal(ProcessId a, ProcessId b) {
+  const auto it = std::find(cuts_.begin(), cuts_.end(),
+                            Overlay::Edge(std::minmax(a, b)));
+  if (it == cuts_.end()) return;
+  cuts_.erase(it);
+  row_source_ = kNoProcess;
+}
+
+bool CutMask::is_cut(ProcessId a, ProcessId b) const {
+  return std::find(cuts_.begin(), cuts_.end(),
+                   Overlay::Edge(std::minmax(a, b))) != cuts_.end();
+}
+
+PSN_HOT std::size_t CutMask::hop_distance(ProcessId from, ProcessId to) {
+  if (cuts_.empty() && overlay_.kind().has_value()) {
+    return overlay_.hop_distance(from, to);
+  }
+  PSN_CHECK(from < overlay_.size() && to < overlay_.size(),
+            "process out of range");
+  if (row_source_ != from && row_source_ != to) {
+    fill_row(overlay_.neighbors(to).size() > overlay_.neighbors(from).size()
+                 ? to
+                 : from);
+  }
+  return row_[row_source_ == from ? to : from];
+}
+
+PSN_HOT void CutMask::fill_row(ProcessId source) {
+  // Both buffers were reserved to n at construction and never outgrow it,
+  // so a recomputation allocates nothing.
+  row_.assign(overlay_.size(), SIZE_MAX);
+  queue_.clear();
+  row_[source] = 0;
+  queue_.push_back(source);
+  for (std::size_t head = 0; head < queue_.size(); ++head) {
+    const ProcessId cur = queue_[head];
+    for (const ProcessId nb : overlay_.neighbors(cur)) {
+      if (row_[nb] != SIZE_MAX || is_cut(cur, nb)) continue;
+      row_[nb] = row_[cur] + 1;
+      queue_.push_back(nb);
+    }
+  }
+  row_source_ = source;
 }
 
 }  // namespace psn::net

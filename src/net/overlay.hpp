@@ -1,19 +1,32 @@
 #pragma once
 
 #include <cstddef>
+#include <memory>
+#include <optional>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "common/types.hpp"
 
 namespace psn::net {
 
+/// The overlay shapes a system config names. Each has closed-form hop
+/// distances and diameter, so routing on them needs no graph search.
+enum class TopologyKind { kComplete, kStar, kRing, kLine };
+
 /// The logical network overlay L over which processes in P communicate
 /// (paper §2.1). Undirected; multi-hop delivery accumulates one delay sample
-/// per hop along the shortest path. L "is a dynamically changing graph" in
-/// the paper; edges may be added/removed mid-run.
+/// per hop along the shortest path.
+///
+/// Immutable: a builder fills the adjacency (flat CSR) once in O(n + m), and
+/// every copy of an Overlay shares it, so all shards of a system read one
+/// topology. The paper's L "is a dynamically changing graph"; its changes
+/// here are partition cuts, which a CutMask lays over the shared topology
+/// without editing it.
 class Overlay {
  public:
-  explicit Overlay(std::size_t n);
+  using Edge = std::pair<ProcessId, ProcessId>;
 
   static Overlay complete(std::size_t n);
   /// Star centered on `hub` (the common root-P0 configuration).
@@ -21,38 +34,76 @@ class Overlay {
   static Overlay ring(std::size_t n);
   /// Path 0-1-2-…-(n-1); the worst diameter, for stress tests.
   static Overlay line(std::size_t n);
+  /// The `kind` topology over n processes (a star is centered on P_0).
+  static Overlay build(TopologyKind kind, std::size_t n);
+  /// A hand-built graph. An edge listed more than once, in either
+  /// orientation, is kept once; each neighbour list is in order of first
+  /// listing. It has no kind, so its distances come from a graph search.
+  static Overlay from_edges(std::size_t n, const std::vector<Edge>& edges);
 
   std::size_t size() const { return n_; }
-  void add_edge(ProcessId a, ProcessId b);
-  void remove_edge(ProcessId a, ProcessId b);
+  /// The builder's shape; nullopt for a from_edges graph.
+  std::optional<TopologyKind> kind() const { return kind_; }
   bool has_edge(ProcessId a, ProcessId b) const;
-  const std::vector<ProcessId>& neighbors(ProcessId p) const;
+  std::span<const ProcessId> neighbors(ProcessId p) const;
 
-  /// Hop count of the shortest path, or SIZE_MAX if unreachable.
-  ///
-  /// O(1) in steady state: the transport asks this once per transmitted
-  /// copy, so BFS rows are computed lazily per source and cached until the
-  /// next add_edge/remove_edge (the alloc-guard suite pins the transmit
-  /// path at zero allocations — a per-call BFS was three). The cache makes
-  /// this const method non-reentrant: an Overlay must not be shared across
-  /// threads, matching the one-overlay-per-run ownership everywhere else.
+  /// Hop count of the shortest path, or SIZE_MAX if unreachable. O(1) in
+  /// closed form for the four kinds; a from_edges graph runs a graph search
+  /// per call (CutMask keeps a row for repeated queries).
   std::size_t hop_distance(ProcessId from, ProcessId to) const;
+  /// The longest shortest path, in closed form (PSN_CHECKs a kind).
+  std::size_t diameter() const;
 
  private:
-  /// Degree at or below which hop_distance answers direct-neighbor queries
-  /// by scanning the adjacency list instead of building a BFS row.
-  static constexpr std::size_t kDirectScanDegree = 4;
+  struct Adjacency {
+    std::vector<std::size_t> offsets;  ///< n + 1 fence posts into targets
+    std::vector<ProcessId> targets;
+  };
 
-  const std::vector<std::size_t>& distance_row(ProcessId from) const;
+  Overlay(std::size_t n, std::optional<TopologyKind> kind, ProcessId hub,
+          const std::vector<Edge>& edges);
 
   std::size_t n_;
-  std::vector<std::vector<ProcessId>> adj_;
-  /// Lazy shortest-path cache: dist_rows_[p] is p's BFS row when
-  /// row_valid_[p], recomputed in place (capacity reused) after edge
-  /// mutations. bfs_queue_ is the BFS scratch, likewise recycled.
-  mutable std::vector<std::vector<std::size_t>> dist_rows_;
-  mutable std::vector<char> row_valid_;
-  mutable std::vector<ProcessId> bfs_queue_;
+  std::optional<TopologyKind> kind_;
+  ProcessId hub_ = 0;  ///< the star's center
+  std::shared_ptr<const Adjacency> adj_;
+};
+
+/// Hop distances over a shared Overlay minus a set of cut edges: the
+/// partition cuts a Transport has replayed from its fault schedule
+/// (DESIGN.md §15). With no cut, a closed-form topology answers directly.
+/// Otherwise a breadth-first search over the overlay minus the cuts fills
+/// one cached row, kept until the next cut or heal. On a miss the row is
+/// computed from the higher-degree endpoint (ties: `from`), so leaf→hub
+/// traffic is served from the hub's row and a broadcast from its source's.
+/// Scratch is sized at construction: O(n) memory, and no allocation once
+/// the cut list has reached its peak size.
+class CutMask {
+ public:
+  explicit CutMask(Overlay overlay);
+
+  const Overlay& overlay() const { return overlay_; }
+  /// Masks edge {a, b}; cutting a cut edge is a no-op.
+  void cut(ProcessId a, ProcessId b);
+  /// Unmasks edge {a, b}; healing an uncut edge is a no-op.
+  void heal(ProcessId a, ProcessId b);
+  /// Number of edges currently cut.
+  std::size_t active() const { return cuts_.size(); }
+  /// Pre-sizes the cut list for `cuts` simultaneous cuts.
+  void reserve(std::size_t cuts) { cuts_.reserve(cuts); }
+
+  /// Hop count of the shortest path avoiding every cut edge, or SIZE_MAX.
+  std::size_t hop_distance(ProcessId from, ProcessId to);
+
+ private:
+  bool is_cut(ProcessId a, ProcessId b) const;
+  void fill_row(ProcessId source);
+
+  Overlay overlay_;
+  std::vector<Overlay::Edge> cuts_;  ///< normalized to (min, max)
+  std::vector<std::size_t> row_;     ///< hop counts from row_source_
+  std::vector<ProcessId> queue_;     ///< search frontier, read by cursor
+  ProcessId row_source_ = kNoProcess;  ///< kNoProcess: no valid row
 };
 
 }  // namespace psn::net

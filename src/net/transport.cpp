@@ -95,16 +95,16 @@ Transport::Transport(sim::Simulation& sim, Overlay overlay,
                      std::unique_ptr<DelayModel> delay,
                      std::unique_ptr<LossModel> loss, Rng rng)
     : sim_(sim),
-      overlay_(std::move(overlay)),
+      routes_(std::move(overlay)),
       delay_(std::move(delay)),
       loss_(std::move(loss)),
-      handlers_(overlay_.size()),
+      handlers_(routes_.overlay().size()),
       // One draw from the injected substream seeds every per-message Rng.
       // Shard replicas built from the same master seed get the same value,
       // so a message's delay/loss draws match wherever its sender lives.
       msg_seed_(rng()),
-      per_source_next_(overlay_.size(), 0),
-      wake_(overlay_.size()) {
+      per_source_next_(routes_.overlay().size(), 0),
+      wake_(routes_.overlay().size()) {
   PSN_CHECK(delay_ != nullptr, "transport needs a delay model");
   PSN_CHECK(loss_ != nullptr, "transport needs a loss model");
   MetricsRegistry& m = sim_.metrics();
@@ -119,8 +119,9 @@ Transport::Transport(sim::Simulation& sim, Overlay overlay,
 void Transport::set_fault_schedule(const sim::FaultSchedule* faults) {
   faults_ = faults;
   partitions_applied_ = 0;
-  cut_edges_active_ = 0;
   if (faults_ == nullptr) return;
+  // Room for every cut at once, so replaying transitions never allocates.
+  routes_.reserve(faults_->plan().partitions.size());
   // Registered only under a fault plan: fault-free runs keep their exact
   // metric set (golden metrics CSVs pin it byte-for-byte).
   MetricsRegistry& m = sim_.metrics();
@@ -136,11 +137,9 @@ PSN_HOT void Transport::apply_partition_epoch() {
     const sim::PartitionTransition& t =
         faults_->partition_transitions()[partitions_applied_++];
     if (t.cut) {
-      overlay_.remove_edge(t.a, t.b);
-      cut_edges_active_++;
+      routes_.cut(t.a, t.b);
     } else {
-      overlay_.add_edge(t.a, t.b);
-      cut_edges_active_--;
+      routes_.heal(t.a, t.b);
     }
   }
 }
@@ -162,12 +161,12 @@ PSN_HOT std::uint64_t Transport::next_seq_for(ProcessId src) {
   // n·|P| + s + 1. Ids stay run-unique and 1-based, but no longer depend on
   // the global send interleaving — shard the run any way you like and every
   // message keeps its id.
-  return per_source_next_[src]++ * static_cast<std::uint64_t>(overlay_.size()) +
-         src + 1;
+  const auto n = static_cast<std::uint64_t>(overlay().size());
+  return per_source_next_[src]++ * n + src + 1;
 }
 
 PSN_HOT std::uint64_t Transport::unicast(Message msg) {
-  PSN_CHECK(msg.src < overlay_.size() && msg.dst < overlay_.size(),
+  PSN_CHECK(msg.src < overlay().size() && msg.dst < overlay().size(),
             "message endpoints out of range");
   PSN_CHECK(msg.src != msg.dst, "self-addressed message");
   msg.seq = next_seq_for(msg.src);
@@ -178,14 +177,14 @@ PSN_HOT std::uint64_t Transport::unicast(Message msg) {
 }
 
 PSN_HOT std::uint64_t Transport::broadcast(Message msg) {
-  PSN_CHECK(msg.src < overlay_.size(), "broadcast source out of range");
+  PSN_CHECK(msg.src < overlay().size(), "broadcast source out of range");
   msg.seq = next_seq_for(msg.src);  // one logical message; copies share it
   const std::uint64_t seq = msg.seq;
   // Every fan-out copy shares msg's immutable payload cell (one stamp
   // allocation per broadcast, not one per recipient) and — since wire size
   // is a pure function of payload, kind, and mode — the same byte price.
   const std::size_t bytes = wire_bytes(msg, clock_mode_);
-  for (ProcessId p = 0; p < overlay_.size(); ++p) {
+  for (ProcessId p = 0; p < overlay().size(); ++p) {
     if (p == msg.src) continue;
     Message copy = msg;
     copy.dst = p;
@@ -198,7 +197,7 @@ PSN_HOT void Transport::transmit(Message msg, std::size_t bytes) {
   auto& ks = stats_.of(msg.kind);
   const auto kind_index = static_cast<int>(msg.kind);
 
-  // Partition transitions with at <= now must be on the overlay before any
+  // Partition transitions with at <= now must be in the mask before any
   // routing decision — reachability is then a pure function of send time.
   if (faults_ != nullptr) apply_partition_epoch();
 
@@ -207,11 +206,11 @@ PSN_HOT void Transport::transmit(Message msg, std::size_t bytes) {
   // overstate radio cost). Unreachable is its own tally. With a cut window
   // active the lost route is attributed to the partition (the note feeds
   // the fault-aware audit's span builder).
-  const std::size_t hops = overlay_.hop_distance(msg.src, msg.dst);
+  const std::size_t hops = routes_.hop_distance(msg.src, msg.dst);
   if (hops == SIZE_MAX) {
     ks.unreachable++;
     unreachable_metric_.inc();
-    const bool partitioned = faults_ != nullptr && cut_edges_active_ > 0;
+    const bool partitioned = faults_ != nullptr && routes_.active() > 0;
     if (partitioned) drops_partition_metric_.inc();
     if (sim::TraceRecorder* tr = sim_.trace()) {
       tr->record({sim_.now(), sim::TraceKind::kUnreachable, msg.src, msg.dst,

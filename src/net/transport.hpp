@@ -105,9 +105,9 @@ class Transport {
   void set_fifo_channels(bool fifo) { fifo_ = fifo; }
 
   /// Installs the run's fault schedule (sim/fault, DESIGN.md §15). The
-  /// transport then (a) replays partition transitions onto its overlay copy
-  /// lazily before routing — cached hop rows invalidate exactly at window
-  /// boundaries; (b) drops deliveries landing inside the destination's crash
+  /// transport then (a) replays partition transitions into its cut mask
+  /// lazily before routing, so routes change exactly at window boundaries
+  /// and the shared overlay is never edited; (b) drops deliveries landing inside the destination's crash
   /// windows, sender-side, so the decision is a pure function of the message
   /// and identical at every shard layout; (c) splits drop accounting into
   /// per-cause counters (net.drops.loss / crashed_dst / partition /
@@ -158,17 +158,15 @@ class Transport {
   void inject_delivery(SimTime at, std::uint64_t tie, Message msg,
                        std::size_t bytes);
 
-  Overlay& overlay() { return overlay_; }
-  const Overlay& overlay() const { return overlay_; }
+  const Overlay& overlay() const { return routes_.overlay(); }
   const MessageStats& stats() const { return stats_; }
 
  private:
   /// Allocates the next per-source-strided sequence id for `src`.
   std::uint64_t next_seq_for(ProcessId src);
-  /// Replays fault-plan partition transitions with at <= now onto the local
-  /// overlay copy. Time is monotonic within a shard, so the replay cursor
-  /// only moves forward; each transition mutates one edge, which invalidates
-  /// exactly the overlay's affected cached hop rows.
+  /// Replays fault-plan partition transitions with at <= now into the cut
+  /// mask. Time is monotonic within a shard, so the replay cursor only moves
+  /// forward; each transition cuts or heals one edge.
   void apply_partition_epoch();
   /// `bytes` is the wire price of the message under the active clock mode,
   /// computed once per logical message (unicast: per message; broadcast:
@@ -176,7 +174,8 @@ class Transport {
   void transmit(Message msg, std::size_t bytes);
 
   sim::Simulation& sim_;
-  Overlay overlay_;
+  /// The shared overlay and the partition cuts active on it.
+  CutMask routes_;
   std::unique_ptr<DelayModel> delay_;
   std::unique_ptr<LossModel> loss_;
   std::vector<Handler> handlers_;
@@ -200,7 +199,6 @@ class Transport {
   MetricsRegistry::Counter drops_duty_metric_;
   const sim::FaultSchedule* faults_ = nullptr;
   std::size_t partitions_applied_ = 0;  ///< transitions replayed so far
-  std::size_t cut_edges_active_ = 0;    ///< currently-cut edges (attribution)
   bool fifo_ = false;
   /// Last scheduled delivery time per (src, dst), for FIFO clamping.
   std::map<std::pair<ProcessId, ProcessId>, SimTime> last_delivery_;

@@ -22,9 +22,9 @@ struct CrashWindow {
 };
 
 /// An overlay partition interval: the edge {a, b} is cut over [begin, end)
-/// and healed at `end`. Cuts compose with the overlay's cached hop_distance
-/// rows through epoch invalidation — every transition bumps the partition
-/// epoch, and transports replay transitions onto their overlay copy lazily.
+/// and healed at `end`. Every transition bumps the partition epoch, and each
+/// transport replays transitions lazily into its cut mask, which routes
+/// around the cut edges of the one shared, immutable overlay.
 struct PartitionWindow {
   ProcessId a = kNoProcess;
   ProcessId b = kNoProcess;
@@ -69,7 +69,7 @@ struct PartitionTransition {
   SimTime at;
   ProcessId a = kNoProcess;
   ProcessId b = kNoProcess;
-  bool cut = false;  ///< true = remove the edge, false = add it back
+  bool cut = false;  ///< true = cut the edge, false = heal it
 };
 
 /// A validated, query-optimized compilation of a FaultPlan. All queries are
@@ -95,8 +95,8 @@ class FaultSchedule {
 
   /// Edge cut/heal events sorted by (at, a, b, cut); `partition_epoch(t)` is
   /// the number of transitions with at <= t. A transport replays
-  /// transitions[applied..epoch) onto its overlay before routing, so cached
-  /// hop_distance rows invalidate exactly at window boundaries.
+  /// transitions[applied..epoch) into its cut mask before routing, so routes
+  /// change exactly at window boundaries.
   const std::vector<PartitionTransition>& partition_transitions() const {
     return transitions_;
   }

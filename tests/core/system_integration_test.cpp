@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "core/execution_view.hpp"
 #include "core/predicate_parser.hpp"
 #include "world/generators.hpp"
@@ -150,6 +152,21 @@ TEST(SystemIntegrationTest, DeltaBoundScalesWithTopologyDiameter) {
   EXPECT_EQ(ShardedPervasiveSystem(cfg).delta_bound(), 400_ms);
   cfg.base.delay_kind = DelayKind::kExponential;
   EXPECT_EQ(ShardedPervasiveSystem(cfg).delta_bound(), Duration::max());
+}
+
+TEST(SystemIntegrationTest, EveryShardReadsOneTopology) {
+  ShardedSystemConfig cfg = base_config(40, 100_ms);
+  cfg.base.topology = TopologyKind::kStar;
+  cfg.shards = 4;
+  const ShardedPervasiveSystem system(cfg);
+  const ProcessId* adjacency =
+      system.sensor(1).transport().overlay().neighbors(0).data();
+  for (std::size_t s = 0; s < system.num_shards(); ++s) {
+    const ProcessId pid = std::max<ProcessId>(1, system.shard_map().begin(s));
+    const net::Overlay& overlay = system.sensor(pid).transport().overlay();
+    EXPECT_EQ(overlay.size(), 41u);
+    EXPECT_EQ(overlay.neighbors(0).data(), adjacency) << "shard " << s;
+  }
 }
 
 TEST(SystemIntegrationTest, SynchronousDeltaZeroDelivery) {

@@ -95,9 +95,7 @@ TEST(TransportTest, MultiHopDelayScalesWithDistance) {
 }
 
 TEST(TransportTest, UnreachableDestinationCounted) {
-  Overlay disconnected(3);
-  disconnected.add_edge(0, 1);  // node 2 isolated
-  Fixture f(std::move(disconnected));
+  Fixture f(Overlay::from_edges(3, {{0, 1}}));  // node 2 isolated
   f.transport.unicast(f.computation(0, 2));
   f.sim.run();
   EXPECT_TRUE(f.deliveries.empty());
@@ -108,9 +106,7 @@ TEST(TransportTest, UnreachableDestinationCounted) {
 // the destination was unreachable, so partition scenarios overstated radio
 // traffic. A message that never leaves the node must not be "sent".
 TEST(TransportTest, UnreachableNotCountedAsSent) {
-  Overlay disconnected(3);
-  disconnected.add_edge(0, 1);  // node 2 isolated
-  Fixture f(std::move(disconnected));
+  Fixture f(Overlay::from_edges(3, {{0, 1}}));  // node 2 isolated
   f.transport.unicast(f.computation(0, 2));
   f.transport.unicast(f.computation(0, 1));  // reachable control message
   f.sim.run();
