@@ -26,8 +26,9 @@
 //      executions retains a full VectorStamp per send entry by design.
 //   5. The Δ-windowed shard driver (DESIGN.md §14): window loop, outbox
 //      traffic, and fence exchange recycle everything once warm.
-//   6. The fault layer (DESIGN.md §15): FaultSchedule's per-message queries
-//      and the stream checker's fault-record replay.
+//   6. The fault layer (DESIGN.md §15): FaultSchedule's per-message queries,
+//      the stream checker's fault-record replay, and unicast and broadcast
+//      transmits routed around an active partition cut.
 //   7. The trace hand-off (DESIGN.md §14): trace_records() moves the ring
 //      out and orders it in place, so it allocates far less than one copy
 //      of the trace. Not a zero pin: the run index and the per-instant sort
@@ -493,6 +494,58 @@ TEST(AllocGuard, FaultScheduleQueriesAreAllocationFree) {
 
 TEST(AllocGuard, StreamCheckerFaultFeedIsAllocationFree) {
   EXPECT_EQ(checker_fault_feed_allocs(2'000), 0u);
+}
+
+// With a cut active the transport routes through its cut mask, whose
+// breadth-first row is recomputed on every change of source. The row and
+// its queue are sized when the transport is built, so once the calendar is
+// warm neither kind of transmit allocates.
+std::uint64_t cut_transmit_allocs(std::size_t rounds) {
+  constexpr std::size_t kProcs = 8;
+  sim::SimConfig cfg;
+  cfg.horizon = SimTime::from_seconds(3600.0);
+  sim::Simulation sim(cfg);
+  net::Transport transport(sim, net::Overlay::ring(kProcs),
+                           std::make_unique<net::FixedDelay>(
+                               Duration::millis(5)),
+                           std::make_unique<net::NoLoss>(),
+                           sim.rng_for("transport"));
+  const sim::FaultSchedule faults(sim::parse_fault_plan("cut:0-1@0+3600"));
+  transport.set_fault_schedule(&faults);
+  std::uint64_t delivered = 0;
+  for (ProcessId p = 0; p < kProcs; p++) {
+    transport.register_handler(
+        p, [&delivered](const net::Message&) { delivered++; });
+  }
+  net::SenseReportPayload report;
+  report.attribute = "x";
+  report.strobe_vector = clocks::VectorStamp(kProcs);
+  net::Message proto;
+  proto.kind = net::MessageKind::kStrobe;
+  proto.payload = net::SharedPayload(report);
+  const auto round = [&](std::size_t r) {
+    net::Message msg = proto;
+    msg.src = static_cast<ProcessId>(r % kProcs);
+    transport.broadcast(msg);
+    for (ProcessId src = 0; src < kProcs; src++) {
+      msg.src = src;
+      msg.dst = static_cast<ProcessId>((src + 3) % kProcs);
+      transport.unicast(msg);
+    }
+    sim.scheduler().run();
+  };
+  // Warmup: one round per broadcast source grows the calendar to its peak.
+  for (std::size_t r = 0; r < kProcs; r++) round(r);
+  Scope scope;
+  for (std::size_t r = 0; r < rounds; r++) round(r);
+  const std::uint64_t allocs = scope.allocations();
+  // Every copy arrived, the ones across the cut the long way round.
+  EXPECT_EQ(delivered, (rounds + kProcs) * (2 * kProcs - 1));
+  return allocs;
+}
+
+TEST(AllocGuard, TransmitAroundAnActiveCutIsAllocationFree) {
+  EXPECT_EQ(cut_transmit_allocs(256), 0u);
 }
 
 // --- 7. trace hand-off ------------------------------------------------------
