@@ -15,10 +15,14 @@
 
 #include <benchmark/benchmark.h>
 
+#include <chrono>
 #include <cstdint>
+#include <memory>
 #include <thread>
 
 #include "analysis/experiments.hpp"
+#include "common/alloc_guard.hpp"
+#include "core/sharded_system.hpp"
 
 namespace {
 
@@ -93,6 +97,44 @@ void BM_CityShardOverheadSerial(benchmark::State& state) {
   state.SetItemsProcessed(events);
 }
 BENCHMARK(BM_CityShardOverheadSerial)->Arg(1)->Arg(4)
+    ->Unit(benchmark::kMillisecond);
+
+/// Set-up alone: constructing the city preset's system (args: doors, K)
+/// builds the topology, shard map and every shard's transport, root replica
+/// and sensors, and runs nothing. Every piece is O(n), so ns/process stays
+/// flat as doors grow; a quadratic build step shows as a row that grows
+/// with doors. Teardown is not timed.
+void BM_SystemBuild(benchmark::State& state) {
+  const auto doors = static_cast<std::size_t>(state.range(0));
+  core::ShardedSystemConfig cfg;
+  cfg.base.num_sensors = doors;
+  cfg.base.topology = core::TopologyKind::kStar;
+  cfg.base.clock_mode = net::ClockMode::kPhysical;
+  cfg.base.clock_config.track_vectors = false;
+  cfg.shards = static_cast<std::size_t>(state.range(1));
+  cfg.unicast_reports = true;
+  std::uint64_t allocs = 0;
+  std::chrono::nanoseconds elapsed{0};
+  for (auto _ : state) {
+    const std::uint64_t before = alloc_guard::thread_allocations();
+    const auto start = std::chrono::steady_clock::now();
+    auto system = std::make_unique<core::ShardedPervasiveSystem>(cfg);
+    elapsed += std::chrono::steady_clock::now() - start;
+    allocs += alloc_guard::thread_allocations() - before;
+    benchmark::DoNotOptimize(system->num_processes());
+    state.PauseTiming();
+    system.reset();
+    state.ResumeTiming();
+  }
+  const double built =
+      static_cast<double>(doors + 1) * static_cast<double>(state.iterations());
+  state.SetItemsProcessed(static_cast<std::int64_t>(built));
+  state.counters["ns_per_process"] =
+      static_cast<double>(elapsed.count()) / built;
+  state.counters["allocs_per_process"] = static_cast<double>(allocs) / built;
+}
+BENCHMARK(BM_SystemBuild)
+    ->ArgsProduct({{4096, 16384, 65536}, {1, 4}})
     ->Unit(benchmark::kMillisecond);
 
 }  // namespace

@@ -91,6 +91,10 @@ jq -s --slurpfile base "${baseline}" \
            then {allocs_per_line: .allocs_per_line} else {} end)
         + (if .allocs_per_op != null
            then {allocs_per_op: .allocs_per_op} else {} end)
+        + (if .ns_per_process != null
+           then {ns_per_process: .ns_per_process} else {} end)
+        + (if .allocs_per_process != null
+           then {allocs_per_process: .allocs_per_process} else {} end)
     ]
   }' "${tmp_dir}/bench_micro_sim.json" "${tmp_dir}/bench_micro_clocks.json" \
      "${tmp_dir}/bench_micro_shards.json" \
