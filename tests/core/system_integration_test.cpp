@@ -7,9 +7,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <utility>
+#include <vector>
 
 #include "core/execution_view.hpp"
 #include "core/predicate_parser.hpp"
+#include "net/transport.hpp"
 #include "world/generators.hpp"
 
 namespace psn::core {
@@ -241,6 +244,80 @@ TEST(SystemIntegrationTest, LiveWorldAndReplayAreExclusive) {
   ev.when = SimTime::zero() + 1_s;
   replay.set_world_events({ev});
   EXPECT_THROW(replay.world(), InvariantError);
+}
+
+/// A directly driven star deployment (unicast reports to P_0, lean clocks)
+/// replaying a synthetic timeline — no experiment harness — so its metrics
+/// snapshot is exactly what the system itself reports.
+ShardedSystemConfig star_unicast_config(std::size_t shards) {
+  ShardedSystemConfig cfg = base_config(12, 40_ms, 3);
+  cfg.base.sim.horizon = SimTime::zero() + 5_s;
+  cfg.base.topology = TopologyKind::kStar;
+  cfg.base.clock_config.track_vectors = false;
+  cfg.base.loss_probability = 0.1;
+  cfg.unicast_reports = true;
+  cfg.shards = shards;
+  cfg.pool_threads = shards > 1 ? 2 : 1;
+  return cfg;
+}
+
+struct DirectRun {
+  std::size_t executed = 0;
+  net::MessageStats stats;
+  MetricsSnapshot metrics;
+};
+
+DirectRun run_star_unicast(std::size_t shards) {
+  ShardedPervasiveSystem system(star_unicast_config(shards));
+  std::vector<world::WorldEvent> events;
+  for (std::uint32_t i = 0; i < 400; ++i) {
+    world::WorldEvent ev;
+    ev.when = SimTime::zero() + Duration::millis(11 * i + 3);
+    ev.object = i % 12;
+    ev.attribute = "count";
+    ev.value = std::int64_t{i};
+    ev.index = i;
+    events.push_back(std::move(ev));
+  }
+  for (world::ObjectId obj = 0; obj < 12; ++obj) {
+    system.assign(obj, "count", static_cast<ProcessId>(obj + 1));
+  }
+  system.set_world_events(std::move(events));
+  DirectRun out;
+  out.executed = system.run();
+  out.stats = system.message_stats();
+  out.metrics = system.metrics_snapshot();
+  return out;
+}
+
+TEST(SystemIntegrationTest, DirectSnapshotMatchesTalliesAtEveryShardCount) {
+  const DirectRun one = run_star_unicast(1);
+  const DirectRun four = run_star_unicast(4);
+  for (const DirectRun* run : {&one, &four}) {
+    const auto& c = run->metrics.counters;
+    EXPECT_EQ(c.at("sim.events_executed"), run->executed);
+    std::size_t sent = 0, bytes = 0, delivered = 0, dropped = 0,
+                unreachable = 0;
+    for (const net::MessageKind kind :
+         {net::MessageKind::kComputation, net::MessageKind::kStrobe,
+          net::MessageKind::kSync, net::MessageKind::kActuation}) {
+      const auto& ks = run->stats.of(kind);
+      sent += ks.sent;
+      bytes += ks.bytes_sent;
+      delivered += ks.delivered;
+      dropped += ks.dropped;
+      unreachable += ks.unreachable;
+    }
+    EXPECT_GT(sent, 0u);
+    EXPECT_GT(dropped, 0u);
+    EXPECT_EQ(c.at("net.sent"), sent);
+    EXPECT_EQ(c.at("net.bytes_sent"), bytes);
+    EXPECT_EQ(c.at("net.delivered"), delivered);
+    EXPECT_EQ(c.at("net.dropped"), dropped);
+    EXPECT_EQ(c.at("net.unreachable"), unreachable);
+  }
+  EXPECT_EQ(one.executed, four.executed);
+  EXPECT_EQ(one.metrics.csv(), four.metrics.csv());
 }
 
 TEST(SystemIntegrationTest, AssignValidation) {
