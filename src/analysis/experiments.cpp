@@ -198,27 +198,10 @@ OccupancyRunResult run_occupancy_experiment(
   ScoreConfig score_cfg;
   score_cfg.tolerance = config.effective_tolerance();
 
-  // Per-kind traffic detail for the metric snapshot (the transport keeps
-  // aggregate counters live; the per-kind split lives in MessageStats).
-  // These land in shard 0's registry, once — never per shard — so the
-  // merged snapshot is identical at every shard count.
+  // Analysis-level counters land in shard 0's registry, once — never per
+  // shard — so the merged snapshot is identical at every shard count. The
+  // sim.* and net.* metrics come from the system's own tallies.
   MetricsRegistry& metrics = system.metrics();
-  for (const net::MessageKind kind :
-       {net::MessageKind::kComputation, net::MessageKind::kStrobe,
-        net::MessageKind::kSync, net::MessageKind::kActuation}) {
-    const auto& ks = result.message_stats.of(kind);
-    if (ks.sent == 0 && ks.unreachable == 0) continue;
-    const std::string prefix = std::string("net.") + net::to_string(kind);
-    metrics.counter(prefix + ".sent").inc(ks.sent);
-    metrics.counter(prefix + ".delivered").inc(ks.delivered);
-    metrics.counter(prefix + ".dropped").inc(ks.dropped);
-    metrics.counter(prefix + ".unreachable").inc(ks.unreachable);
-    metrics.counter(prefix + ".bytes_sent").inc(ks.bytes_sent);
-  }
-  const auto& mode_bytes = result.message_stats.strobe_mode_bytes;
-  metrics.counter("net.strobe.bytes_scalar_mode").inc(mode_bytes.scalar);
-  metrics.counter("net.strobe.bytes_vector_mode").inc(mode_bytes.vector);
-  metrics.counter("net.strobe.bytes_physical_mode").inc(mode_bytes.physical);
   metrics.counter("world.events").inc(result.world_events);
   metrics.counter("root.observed_updates").inc(result.observed_updates);
 

@@ -58,8 +58,9 @@ struct ShardedSystemConfig {
 ///  - observation: P_0 is replicated into every shard — deliveries to the
 ///    root execute locally against the replica, and the per-shard logs merge
 ///    by (delivered_at, seq) into exactly the serial delivery order. Traces
-///    merge under sim::canonical_trace_order; metrics merge by summation in
-///    shard order.
+///    merge under sim::canonical_trace_order; registries merge by summation
+///    in shard order, and the sim.*/net.* metrics are built from tallies
+///    summed over shards.
 ///
 /// The world plane enters in one of two ways, decided by whether
 /// set_world_events() was called:
@@ -130,6 +131,10 @@ class ShardedPervasiveSystem {
   // --- the corresponding serial artifact at every K.
   const ObservationLog& log() const;
   net::MessageStats message_stats() const;
+  /// The shard registries merged in shard order, plus the metrics built
+  /// here and nowhere else from the components' own tallies: sim.* from the
+  /// schedulers, net.* (aggregates, per kind, per strobe mode, and — under a
+  /// fault schedule — per drop cause) from message_stats().
   MetricsSnapshot metrics_snapshot() const;
   /// Shard 0's registry — where post-run, analysis-level counters belong
   /// (written exactly once, never per shard, so merged snapshots stay

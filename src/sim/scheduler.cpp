@@ -68,7 +68,6 @@ PSN_HOT EventHandle Scheduler::schedule_at(SimTime at, std::uint64_t tie,
     std::push_heap(heap_.begin(), heap_.end(), kHeapOrder);
   }
   live_++;
-  scheduled_metric_.inc();
   return EventHandle(slot, generation);
 }
 
@@ -85,7 +84,7 @@ PSN_HOT void Scheduler::cancel(EventHandle h) {
   release_slot(h.slot_);
   live_--;
   tombstones_++;  // the key stays in the calendar until popped or compacted
-  cancelled_metric_.inc();
+  cancelled_++;
   if (tombstones_ > kCompactFloor && tombstones_ > live_) compact();
 }
 
@@ -98,12 +97,6 @@ void Scheduler::compact() {
   std::erase_if(heap_, [this](const QueueKey& k) { return !slot_matches(k); });
   std::make_heap(heap_.begin(), heap_.end(), kHeapOrder);
   tombstones_ = 0;
-}
-
-void Scheduler::bind_metrics(MetricsRegistry& registry) {
-  executed_metric_ = registry.counter("sim.events_executed");
-  scheduled_metric_ = registry.counter("sim.events_scheduled");
-  cancelled_metric_ = registry.counter("sim.events_cancelled");
 }
 
 PSN_HOT const Scheduler::QueueKey* Scheduler::top() const {
@@ -148,7 +141,6 @@ PSN_HOT void Scheduler::execute_top(QueueKey key) {
   live_--;
   now_ = key.at;
   executed_++;
-  executed_metric_.inc();
   fn();
 }
 

@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "common/inline_fn.hpp"
-#include "common/metrics.hpp"
 #include "common/sim_time.hpp"
 
 namespace psn::sim {
@@ -98,12 +97,11 @@ class Scheduler {
   std::size_t run(std::size_t max_events = SIZE_MAX);
 
   std::size_t pending() const { return live_; }
+  /// Lifetime event tallies — the sim.events_* metrics are built from these
+  /// (core::ShardedPervasiveSystem::metrics_snapshot).
   std::uint64_t total_executed() const { return executed_; }
-
-  /// Binds the calendar's observability counters (executed/scheduled/
-  /// cancelled events). Simulation wires this to its run-local registry; an
-  /// unbound scheduler pays only a null-pointer check per event.
-  void bind_metrics(MetricsRegistry& registry);
+  std::uint64_t total_scheduled() const { return next_seq_; }
+  std::uint64_t total_cancelled() const { return cancelled_; }
 
  private:
   struct QueueKey {
@@ -154,6 +152,7 @@ class Scheduler {
   SimTime now_;
   std::uint64_t next_seq_ = 0;
   std::uint64_t executed_ = 0;
+  std::uint64_t cancelled_ = 0;
   std::size_t live_ = 0;        ///< scheduled and not yet fired or cancelled
   std::size_t tombstones_ = 0;  ///< dead keys still sitting in the calendar
   /// Monotone run: sorted ascending by (at, seq); keys are appended when
@@ -169,9 +168,6 @@ class Scheduler {
   std::uint32_t slot_count_ = 0;  ///< slots ever created (all blocks)
   std::vector<std::uint32_t> generations_;  ///< parallel to slots; starts at 1
   std::vector<std::uint32_t> free_slots_;
-  MetricsRegistry::Counter executed_metric_;
-  MetricsRegistry::Counter scheduled_metric_;
-  MetricsRegistry::Counter cancelled_metric_;
 };
 
 }  // namespace psn::sim

@@ -8,14 +8,8 @@ namespace psn::sim {
 Simulation::Simulation(SimConfig config)
     : config_(config), master_(config.seed) {
   PSN_CHECK(config_.horizon > SimTime::zero(), "horizon must be positive");
-  scheduler_.bind_metrics(metrics_);
-  if (config_.trace_capacity > 0) enable_trace(config_.trace_capacity);
-}
-
-void Simulation::enable_trace(std::size_t capacity) {
-  PSN_CHECK(capacity > 0, "trace capacity must be positive");
-  if (trace_ == nullptr || trace_->capacity() != capacity) {
-    trace_ = std::make_unique<TraceRecorder>(capacity);
+  if (config_.trace_capacity > 0) {
+    trace_ = std::make_unique<TraceRecorder>(config_.trace_capacity);
   }
 }
 
@@ -37,12 +31,7 @@ std::size_t Simulation::run() {
     scheduler_.step();
     total++;
   }
-  // Additive across merges: a merged snapshot reports total simulated time.
-  metrics_.gauge("sim.simulated_s").set(config_.horizon.to_seconds());
-  metrics_.gauge("sim.pending_at_end")
-      .set(static_cast<double>(scheduler_.pending()));
   if (truncated_) {
-    metrics_.counter("sim.truncated_runs").inc();
     PSN_WARN << "simulation hit max_events=" << config_.max_events
              << " before horizon; results are truncated";
   }

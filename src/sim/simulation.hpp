@@ -29,11 +29,13 @@ struct SimConfig {
 /// Components derive their own RNG substreams via `rng_for(name, index)`, so
 /// the draw sequence of one component is independent of the others (see Rng).
 ///
-/// Observability: every run owns a MetricsRegistry (components register
-/// named counters/gauges/histograms at wiring time and update them via cheap
-/// handles) and, when `SimConfig::trace_capacity > 0`, a TraceRecorder that
-/// components append sense/send/receive/deliver/drop/detect records to.
-/// Both are confined to the thread running the simulation.
+/// Observability: every run owns a MetricsRegistry for data no component
+/// tallies itself (components register handles at wiring time and update
+/// them cheaply; the scheduler's and transport's own tallies become metrics
+/// only in core::ShardedPervasiveSystem::metrics_snapshot) and, when
+/// `SimConfig::trace_capacity > 0`, a TraceRecorder that components append
+/// sense/send/receive/deliver/drop/detect records to. Both are confined to
+/// the thread running the simulation.
 class Simulation {
  public:
   explicit Simulation(SimConfig config);
@@ -46,13 +48,11 @@ class Simulation {
   MetricsRegistry& metrics() { return metrics_; }
   const MetricsRegistry& metrics() const { return metrics_; }
 
-  /// The per-run event trace, or nullptr when tracing is off. Hot paths
-  /// guard on the pointer, so a disabled trace costs one branch.
+  /// The per-run event trace, or nullptr when tracing is off
+  /// (`SimConfig::trace_capacity` = 0). Hot paths guard on the pointer, so
+  /// a disabled trace costs one branch.
   TraceRecorder* trace() { return trace_.get(); }
   const TraceRecorder* trace() const { return trace_.get(); }
-  /// Enables tracing with the given ring capacity (idempotent; re-enabling
-  /// with a different capacity restarts the buffer).
-  void enable_trace(std::size_t capacity);
 
   /// Independent RNG stream for a named component.
   Rng rng_for(const std::string& name, std::uint64_t index = 0) const;
