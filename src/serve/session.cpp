@@ -31,14 +31,7 @@ std::string time_field(SimTime t) {
 Session::Session(const SessionConfig& config, Writer writer)
     : cfg_(config),
       writer_(std::move(writer)),
-      checker_(checker_config(config.soak)),
-      records_(metrics_.counter("serve.records")),
-      malformed_(metrics_.counter("serve.rejects.malformed")),
-      out_of_order_(metrics_.counter("serve.rejects.out_of_order")),
-      overlong_(metrics_.counter("serve.rejects.overlong")),
-      detects_(metrics_.counter("serve.detects")),
-      violations_(metrics_.counter("serve.violations")),
-      stale_(metrics_.counter("serve.stale_observations")) {}
+      checker_(checker_config(config.soak)) {}
 
 std::string Session::event_head(std::string_view name) const {
   std::string out = "{\"event\":\"";
@@ -62,21 +55,33 @@ void Session::emit(const std::string& line) {
   }
 }
 
+MetricsSnapshot Session::metrics_snapshot() const {
+  MetricsSnapshot out;
+  out.counters["serve.records"] = report_.records_fed;
+  out.counters["serve.detects"] = report_.detect_records;
+  out.counters["serve.rejects.malformed"] = report_.malformed_lines;
+  out.counters["serve.rejects.out_of_order"] = report_.out_of_order_lines;
+  out.counters["serve.rejects.overlong"] = report_.overlong_lines;
+  out.counters["serve.violations"] = violating_records_;
+  // finish() freezes the count before it finishes the checker.
+  out.counters["serve.stale_observations"] =
+      finished_ ? report_.stale_observations : checker_.stale_observations();
+  out.gauges["serve.pending_sends"] =
+      static_cast<double>(checker_.pending_sends());
+  out.gauges["serve.peak_pending"] =
+      static_cast<double>(report_.peak_pending_sends);
+  return out;
+}
+
 void Session::emit_metrics() {
-  metrics_.gauge("serve.pending_sends")
-      .set(static_cast<double>(checker_.pending_sends()));
-  metrics_.gauge("serve.peak_pending")
-      .set(static_cast<double>(report_.peak_pending_sends));
   emit(event_head("metrics") + ",\"records\":" +
        std::to_string(report_.records_fed) +
-       ",\"data\":" + analysis::metrics_json(metrics_.snapshot()) + "}\n");
+       ",\"data\":" + analysis::metrics_json(metrics_snapshot()) + "}\n");
   last_metrics_records_ = report_.records_fed;
 }
 
-void Session::reject(const std::string& error, std::size_t& report_counter,
-                     MetricsRegistry::Counter& metric) {
+void Session::reject(const std::string& error, std::size_t& report_counter) {
   report_counter++;
-  metric.inc();
   emit("{\"event\":\"reject\",\"line\":" + std::to_string(report_.lines_read) +
        ",\"error\":\"" + analysis::json_escape(error) + "\"}\n");
   if (!cfg_.soak.lenient) {
@@ -115,7 +120,7 @@ void Session::on_data(std::string_view bytes) {
         report_.lines_read++;
         reject("line exceeds --max-buffer (" +
                    std::to_string(cfg_.max_line_bytes) + " bytes)",
-               report_.overlong_lines, overlong_);
+               report_.overlong_lines);
       } else {
         ingest_line(buffer_);
       }
@@ -128,7 +133,7 @@ void Session::on_data(std::string_view bytes) {
       report_.lines_read++;
       reject("line exceeds --max-buffer (" +
                  std::to_string(cfg_.max_line_bytes) + " bytes)",
-             report_.overlong_lines, overlong_);
+             report_.overlong_lines);
       buffer_.clear();
       discarding_line_ = true;
     }
@@ -141,7 +146,7 @@ void Session::ingest_line(std::string_view line) {
 
   const ParsedRecord parsed = parse_trace_line(line);
   if (!parsed.ok()) {
-    reject(parsed.error, report_.malformed_lines, malformed_);
+    reject(parsed.error, report_.malformed_lines);
     return;
   }
   const sim::TraceRecord& r = parsed.record;
@@ -153,7 +158,7 @@ void Session::ingest_line(std::string_view line) {
     if (have_last_ && r.at < last_) {
       reject("record time " + time_field(r.at) +
                  "s precedes previous record at " + time_field(last_) + "s",
-             report_.out_of_order_lines, out_of_order_);
+             report_.out_of_order_lines);
       return;
     }
     last_ = r.at;
@@ -162,11 +167,9 @@ void Session::ingest_line(std::string_view line) {
 
   const auto violation = checker_.feed(r);
   report_.records_fed++;
-  records_.inc();
 
   if (r.kind == sim::TraceKind::kDetect) {
     report_.detect_records++;
-    detects_.inc();
     std::string line_out = "{\"event\":\"detect\",\"t\":" + time_field(r.at) +
                            ",\"pid\":" + std::to_string(r.pid);
     if (!r.note.empty()) {
@@ -176,17 +179,12 @@ void Session::ingest_line(std::string_view line) {
     emit(line_out);
   }
   if (violation.has_value()) {
-    violations_.inc();
+    violating_records_++;
     emit("{\"event\":\"violation\",\"t\":" + time_field(violation->at) +
          ",\"kind\":\"" + check::to_string(violation->kind) +
          "\",\"pid\":" + std::to_string(violation->pid) +
          ",\"seq\":" + std::to_string(violation->seq) + ",\"detail\":\"" +
          analysis::json_escape(violation->detail) + "\"}\n");
-  }
-  const std::size_t now_stale = checker_.stale_observations();
-  if (now_stale > stale_seen_) {
-    stale_.inc(now_stale - stale_seen_);
-    stale_seen_ = now_stale;
   }
   report_.peak_pending_sends =
       std::max(report_.peak_pending_sends, checker_.pending_sends());

@@ -114,15 +114,20 @@ class Session {
 
   const SoakReport& report() const { return report_; }
 
-  /// The session's registry (serve.records, serve.violations, ...), frozen.
-  /// The listener folds this into the server-wide snapshot under
-  /// per-stream labels via MetricsSnapshot::merge_renamed.
-  MetricsSnapshot metrics_snapshot() const { return metrics_.snapshot(); }
+  /// The session's metrics as of now, built from the report, the checker
+  /// and the count of violating records: serve.records, serve.detects,
+  /// serve.rejects.{malformed,out_of_order,overlong}, serve.violations
+  /// (records whose feed returned a violation — not SoakReport::violations,
+  /// which counts every violation), serve.stale_observations (the checker's
+  /// count as of the last ingested record) and the serve.pending_sends /
+  /// serve.peak_pending gauges. Each `metrics` line carries this snapshot;
+  /// the listener folds it into the server-wide snapshot under per-stream
+  /// labels via MetricsSnapshot::merge_renamed.
+  MetricsSnapshot metrics_snapshot() const;
 
  private:
   void ingest_line(std::string_view line);
-  void reject(const std::string& error, std::size_t& report_counter,
-              MetricsRegistry::Counter& metric);
+  void reject(const std::string& error, std::size_t& report_counter);
   void emit_metrics();
   void emit(const std::string& line);
   /// Opens an event object: `{"event":"<name>"` plus the stream field when
@@ -132,17 +137,13 @@ class Session {
   SessionConfig cfg_;
   Writer writer_;
   check::StreamChecker checker_;
-  MetricsRegistry metrics_;
-  MetricsRegistry::Counter records_, malformed_, out_of_order_, overlong_,
-      detects_, violations_;
-  MetricsRegistry::Counter stale_;
   SoakReport report_;
+  std::size_t violating_records_ = 0;  ///< records whose feed flagged one
 
   std::string buffer_;          ///< line reassembly (on_data)
   bool discarding_line_ = false;  ///< lenient overlong: drop to next '\n'
   SimTime last_ = SimTime::zero();
   bool have_last_ = false;
-  std::size_t stale_seen_ = 0;
   /// records_fed at the last metrics emission — the boundary dedup: a
   /// stream whose length is an exact multiple of metrics_every must not get
   /// a duplicate trailing metrics line before `eof`.
