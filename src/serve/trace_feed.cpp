@@ -381,12 +381,4 @@ ParsedRecord parse_trace_line(std::string_view line) {
   return out;
 }
 
-std::string trace_line(const sim::TraceRecord& record) {
-  // The exporter's one formatter, so the two can never drift apart.
-  std::string out;
-  analysis::append_trace_line(out, record);
-  out.pop_back();  // the '\n'
-  return out;
-}
-
 }  // namespace psn::serve

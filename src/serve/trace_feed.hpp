@@ -28,9 +28,4 @@ struct ParsedRecord {
 /// and `note` are optional exactly as the exporter omits them.
 ParsedRecord parse_trace_line(std::string_view line);
 
-/// Serializes one record back to the wire format, byte-identical to the
-/// line analysis::trace_jsonl would emit for it (round-trip pinned by
-/// test). No trailing newline.
-std::string trace_line(const sim::TraceRecord& record);
-
 }  // namespace psn::serve

@@ -127,11 +127,4 @@ std::vector<TraceRecord> TraceRecorder::take() {
   return std::exchange(ring_, {});
 }
 
-void TraceRecorder::clear() {
-  ring_.clear();
-  head_ = 0;
-  recorded_ = 0;
-  evicted_ = 0;
-}
-
 }  // namespace psn::sim

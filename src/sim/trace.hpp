@@ -96,8 +96,6 @@ class TraceRecorder {
   /// capacity), while recorded() and evicted() keep describing the run.
   std::vector<TraceRecord> take();
 
-  void clear();
-
  private:
   std::size_t capacity_;
   std::vector<TraceRecord> ring_;

@@ -53,21 +53,6 @@ TEST(TraceRecorderTest, EvictsOldestWhenFull) {
   EXPECT_EQ(records[2].pid, 6u);
 }
 
-TEST(TraceRecorderTest, ClearResets) {
-  TraceRecorder tr(2);
-  tr.record(at_step(0));
-  tr.record(at_step(1));
-  tr.record(at_step(2));
-  tr.clear();
-  EXPECT_EQ(tr.size(), 0u);
-  EXPECT_EQ(tr.recorded(), 0u);
-  EXPECT_EQ(tr.evicted(), 0u);
-  tr.record(at_step(9));
-  const auto records = tr.take();
-  ASSERT_EQ(records.size(), 1u);
-  EXPECT_EQ(records[0].pid, 9u);
-}
-
 TEST(TraceRecorderTest, TakeOfWrappedRingIsOldestFirst) {
   // 11 records into 4 slots: the write head sits mid-ring (slot 3), so the
   // oldest retained record (7) is not at index 0 before the rotate.

@@ -24,12 +24,10 @@
 //                       json_general / from_chars paths are allowed —
 //                       strtod/atof/sscanf/printf-family formatting are not.
 //
-// Implementation: a dependency-free token-level analyzer. The container
-// ships no libclang/clang-tidy development kit, so the frontend is a small
-// C++ lexer (comments, strings, raw strings, char literals, continuations,
-// preprocessor lines) plus per-check token scans; tools/lint/CMakeLists.txt
-// probes for libclang and records the result so an AST-backed frontend can
-// slot in when the toolchain gains one. Token-level is deliberately
+// Implementation: a dependency-free token-level analyzer — a small C++
+// lexer (comments, strings, raw strings, char literals, continuations,
+// preprocessor lines) plus per-check token scans, so it needs no libclang
+// and builds wherever the project does. Token-level is deliberately
 // conservative: it flags call-shaped uses only (identifier followed by '(' ,
 // not preceded by '.', '->', or a non-std qualifier), so member functions
 // named `clock` or variables named `time` do not trip it.
