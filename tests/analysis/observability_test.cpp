@@ -68,9 +68,9 @@ TEST_P(TraceReconciliationTest, SendRecordsMatchMessageStatsExactly) {
 
   // The metric snapshot agrees with the aggregate stats.
   EXPECT_EQ(run.metrics.counters.at("net.sent"),
-            run.message_stats.total_sent());
+            run.message_stats.total().sent);
   EXPECT_EQ(run.metrics.counters.at("net.bytes_sent"),
-            run.message_stats.total_bytes());
+            run.message_stats.total().bytes_sent);
 }
 
 TEST(TraceReconciliationTest, PerCauseDropCountersMatchTraceRecords) {

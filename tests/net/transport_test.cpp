@@ -115,7 +115,7 @@ TEST(TransportTest, UnreachableNotCountedAsSent) {
   EXPECT_EQ(ks.sent, 1u);  // only the reachable one
   EXPECT_EQ(ks.bytes_sent,
             wire_bytes(f.computation(0, 1), ClockMode::kVectorStrobe));
-  EXPECT_EQ(f.transport.stats().total_sent(), 1u);
+  EXPECT_EQ(f.transport.stats().total().sent, 1u);
 }
 
 TEST(TransportTest, LossDropsAndCounts) {
@@ -139,8 +139,8 @@ TEST(TransportTest, StatsAccounting) {
   EXPECT_EQ(ks.sent, 3u);
   EXPECT_EQ(ks.delivered, 3u);
   EXPECT_GT(ks.bytes_sent, 0u);
-  EXPECT_EQ(f.transport.stats().total_sent(), 3u);
-  EXPECT_EQ(f.transport.stats().total_bytes(), ks.bytes_sent);
+  EXPECT_EQ(f.transport.stats().total().sent, 3u);
+  EXPECT_EQ(f.transport.stats().total().bytes_sent, ks.bytes_sent);
 }
 
 TEST(TransportTest, SelfAddressedRejected) {
