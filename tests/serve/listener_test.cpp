@@ -480,6 +480,76 @@ TEST(ListenerTest, ViolationsAloneAggregateToExitOne) {
   EXPECT_EQ(harness.stop_and_join(), 1);
 }
 
+// Clients connect one at a time, so stream ids and the server-wide snapshot
+// are deterministic: pin the whole snapshot. Stream 0 is clean, a client
+// over --max-streams is turned away while it is live, stream 1 delivers a
+// stale strobe (one violating record, one stale observation), and stream 2
+// is rejected under strict mode.
+TEST(ListenerTest, SequentialStreamsPinTheWholeServerSnapshot) {
+  ListenerConfig cfg;
+  cfg.listen = "0";
+  cfg.max_streams = 1;
+  cfg.session.soak.validity_horizon.lifetime = Duration::seconds(1);
+  Harness harness(cfg);
+
+  {  // stream 0: clean, holding the only slot while an extra client knocks
+    Client c = Client::connect_tcp(harness.listener.port());
+    ASSERT_TRUE(c.ok());
+    ASSERT_TRUE(c.send_bytes(
+        "{\"t\":1.0,\"kind\":\"sense\",\"pid\":1,\"seq\":1}\n"
+        "{\"t\":1.5,\"kind\":\"detect\",\"pid\":0}\n"));
+    ASSERT_TRUE(c.read_until("\"event\":\"detect\""));
+    Client extra = Client::connect_tcp(harness.listener.port());
+    ASSERT_TRUE(extra.ok());
+    EXPECT_NE(extra.read_to_eof().find("--max-streams capacity (1)"),
+              std::string::npos);
+    ASSERT_TRUE(c.send_bytes(
+        "{\"t\":2.0,\"kind\":\"sense\",\"pid\":2,\"seq\":1}\n"));
+    c.half_close();
+    c.read_to_eof();
+    EXPECT_NE(c.received().find("\"verdict\":\"clean\""), std::string::npos);
+  }
+  {  // stream 1: a strobe delivered after its validity horizon
+    Client c = Client::connect_tcp(harness.listener.port());
+    ASSERT_TRUE(c.ok());
+    ASSERT_TRUE(c.send_bytes(
+        "{\"t\":1.0,\"kind\":\"sense\",\"pid\":1,\"seq\":1}\n"
+        "{\"t\":5.0,\"kind\":\"deliver\",\"pid\":0,\"msg\":\"strobe\","
+        "\"seq\":1}\n"));
+    c.half_close();
+    c.read_to_eof();
+    EXPECT_NE(c.received().find("\"exit\":1"), std::string::npos);
+  }
+  {  // stream 2: strict rejection after one good record
+    Client c = Client::connect_tcp(harness.listener.port());
+    ASSERT_TRUE(c.ok());
+    ASSERT_TRUE(c.send_bytes(
+        "{\"t\":1.0,\"kind\":\"sense\",\"pid\":1,\"seq\":1}\n"
+        "definitely not a trace record\n"));
+    c.half_close();
+    c.read_to_eof();
+    EXPECT_NE(c.received().find("\"verdict\":\"rejected-input\""),
+              std::string::npos);
+  }
+  EXPECT_EQ(harness.stop_and_join(), 3);
+  EXPECT_EQ(harness.listener.server_metrics().csv(),
+            "name,kind,value\n"
+            "serve.stream.0.records,counter,3\n"
+            "serve.stream.0.stale,counter,0\n"
+            "serve.stream.0.violations,counter,0\n"
+            "serve.stream.1.records,counter,2\n"
+            "serve.stream.1.stale,counter,1\n"
+            "serve.stream.1.violations,counter,1\n"
+            "serve.stream.2.records,counter,1\n"
+            "serve.stream.2.stale,counter,0\n"
+            "serve.stream.2.violations,counter,0\n"
+            "serve.streams.accepted,counter,3\n"
+            "serve.streams.over_limit,counter,1\n"
+            "serve.stream.0.peak_pending,gauge,1\n"
+            "serve.stream.1.peak_pending,gauge,1\n"
+            "serve.stream.2.peak_pending,gauge,1\n");
+}
+
 TEST(ListenerTest, ServesOverAUnixSocketPathAndUnlinksIt) {
   const std::string path =
       "psn_listener_test_" + std::to_string(::getpid()) + ".sock";
