@@ -198,12 +198,13 @@ OccupancyRunResult run_occupancy_experiment(
   ScoreConfig score_cfg;
   score_cfg.tolerance = config.effective_tolerance();
 
-  // Analysis-level counters land in shard 0's registry, once — never per
-  // shard — so the merged snapshot is identical at every shard count. The
-  // sim.* and net.* metrics come from the system's own tallies.
-  MetricsRegistry& metrics = system.metrics();
-  metrics.counter("world.events").inc(result.world_events);
-  metrics.counter("root.observed_updates").inc(result.observed_updates);
+  // The system writes sim.* and net.* from its own tallies; the harness
+  // adds the names it owns (world.*, root.*, detector.*, check.*) once,
+  // after the run, so the snapshot is identical at every shard count.
+  result.metrics = system.metrics_snapshot();
+  auto& counters = result.metrics.counters;
+  counters["world.events"] += result.world_events;
+  counters["root.observed_updates"] += result.observed_updates;
 
   // Clock-contract replay runs over the network-plane trace before the
   // offline detectors append their kDetect records (which it would ignore
@@ -233,14 +234,12 @@ OccupancyRunResult run_occupancy_experiment(
     out.belief_accuracy =
         belief_accuracy(result.oracle, out.detections, sys.sim.horizon);
     const std::string prefix = "detector." + out.detector;
-    metrics.counter(prefix + ".detections").inc(out.detections.size());
-    metrics.counter(prefix + ".true_positives").inc(out.score.true_positives);
-    metrics.counter(prefix + ".false_positives")
-        .inc(out.score.false_positives);
-    metrics.counter(prefix + ".false_negatives")
-        .inc(out.score.false_negatives);
-    metrics.counter(prefix + ".borderline").inc(out.score.borderline_detections);
-    metrics.stat(prefix + ".belief_accuracy").add(out.belief_accuracy);
+    counters[prefix + ".detections"] += out.detections.size();
+    counters[prefix + ".true_positives"] += out.score.true_positives;
+    counters[prefix + ".false_positives"] += out.score.false_positives;
+    counters[prefix + ".false_negatives"] += out.score.false_negatives;
+    counters[prefix + ".borderline"] += out.score.borderline_detections;
+    result.metrics.stats[prefix + ".belief_accuracy"].add(out.belief_accuracy);
     if (tracing) {
       // Detection records are appended after the canonically ordered
       // network records (the detectors replay the log offline); `at` is
@@ -291,13 +290,10 @@ OccupancyRunResult run_occupancy_experiment(
     // metrics table localizes *which* contract a regression trips without
     // re-running anything (ROADMAP "per-contract violation metrics").
     for (const check::ContractResult& cr : result.check->contracts) {
-      metrics.counter("check." + cr.contract + ".violations")
-          .inc(cr.violations_total);
+      counters["check." + cr.contract + ".violations"] += cr.violations_total;
     }
-    metrics.counter("check.violations").inc(result.check->total_violations());
+    counters["check.violations"] += result.check->total_violations();
   }
-
-  result.metrics = system.metrics_snapshot();
   return result;
 }
 

@@ -127,8 +127,9 @@ struct OccupancyRunResult {
   std::size_t world_events = 0;
   Duration delta_bound;
 
-  /// Snapshot of the run's MetricsRegistry: sim/net/world/detector counters
-  /// (the sweep engine merges these per grid point, deterministically).
+  /// The run's metrics: the system's sim.*/net.* snapshot plus the
+  /// harness's world.*, root.*, detector.* and check.* names (the sweep
+  /// engine merges these per grid point, deterministically).
   MetricsSnapshot metrics;
   /// The run's event trace (empty unless config.trace_capacity > 0).
   std::vector<sim::TraceRecord> trace;

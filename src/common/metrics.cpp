@@ -2,8 +2,6 @@
 
 #include <cstdio>
 
-#include "common/error.hpp"
-
 namespace psn {
 
 std::string labeled_metric(std::string_view base, std::uint64_t id,
@@ -23,44 +21,8 @@ void MetricsSnapshot::merge(const MetricsSnapshot& other) {
   for (const auto& [name, v] : other.gauges) gauges[name] += v;
   for (const auto& [name, s] : other.stats) stats[name].merge(s);
   for (const auto& [name, h] : other.histograms) {
-    auto it = histograms.find(name);
-    if (it == histograms.end()) {
-      histograms.emplace(name, h);
-      continue;
-    }
-    HistogramData& mine = it->second;
-    PSN_CHECK(mine.lo == h.lo && mine.hi == h.hi &&
-                  mine.counts.size() == h.counts.size(),
-              "merging histograms of different shape: " + name);
-    for (std::size_t i = 0; i < h.counts.size(); ++i) {
-      mine.counts[i] += h.counts[i];
-    }
-    mine.underflow += h.underflow;
-    mine.overflow += h.overflow;
-    mine.total += h.total;
-  }
-}
-
-void MetricsSnapshot::merge_renamed(const MetricsSnapshot& other,
-                                    const RenameFn& rename) {
-  for (const auto& [name, v] : other.counters) {
-    const std::string to = rename(name);
-    if (!to.empty()) counters[to] += v;
-  }
-  for (const auto& [name, v] : other.gauges) {
-    const std::string to = rename(name);
-    if (!to.empty()) gauges[to] += v;
-  }
-  for (const auto& [name, s] : other.stats) {
-    const std::string to = rename(name);
-    if (!to.empty()) stats[to].merge(s);
-  }
-  for (const auto& [name, h] : other.histograms) {
-    const std::string to = rename(name);
-    if (to.empty()) continue;
-    MetricsSnapshot renamed_one;
-    renamed_one.histograms.emplace(to, h);
-    merge(renamed_one);  // reuse the shape-checked histogram merge
+    const auto [it, inserted] = histograms.emplace(name, h);
+    if (!inserted) it->second.merge(h);
   }
 }
 
@@ -80,57 +42,11 @@ Table MetricsSnapshot::table() const {
   for (const auto& [name, h] : histograms) {
     std::snprintf(buf, sizeof buf,
                   "total=%zu bins=%zu range=[%.6g, %.6g) under=%zu over=%zu",
-                  h.total, h.counts.size(), h.lo, h.hi, h.underflow,
-                  h.overflow);
+                  h.total(), h.bins(), h.bin_lo(0), h.bin_lo(h.bins()),
+                  h.underflow(), h.overflow());
     t.row().cell(name).cell("histogram").cell(buf);
   }
   return t;
-}
-
-MetricsRegistry::Counter MetricsRegistry::counter(const std::string& name) {
-  return Counter(&counters_[name]);
-}
-
-MetricsRegistry::Gauge MetricsRegistry::gauge(const std::string& name) {
-  return Gauge(&gauges_[name]);
-}
-
-MetricsRegistry::Stat MetricsRegistry::stat(const std::string& name) {
-  return Stat(&stats_[name]);
-}
-
-MetricsRegistry::Hist MetricsRegistry::histogram(const std::string& name,
-                                                 double lo, double hi,
-                                                 std::size_t bins) {
-  auto it = histograms_.find(name);
-  if (it == histograms_.end()) {
-    it = histograms_.emplace(name, Histogram(lo, hi, bins)).first;
-  } else {
-    PSN_CHECK(it->second.bin_lo(0) == lo &&
-                  it->second.bin_lo(it->second.bins()) == hi &&
-                  it->second.bins() == bins,
-              "histogram re-registered with a different shape: " + name);
-  }
-  return Hist(&it->second);
-}
-
-MetricsSnapshot MetricsRegistry::snapshot() const {
-  MetricsSnapshot snap;
-  snap.counters = counters_;
-  snap.gauges = gauges_;
-  snap.stats = stats_;
-  for (const auto& [name, h] : histograms_) {
-    MetricsSnapshot::HistogramData data;
-    data.lo = h.bin_lo(0);
-    data.hi = h.bin_lo(h.bins());
-    data.counts.resize(h.bins());
-    for (std::size_t i = 0; i < h.bins(); ++i) data.counts[i] = h.bin_count(i);
-    data.underflow = h.underflow();
-    data.overflow = h.overflow();
-    data.total = h.total();
-    snap.histograms.emplace(name, std::move(data));
-  }
-  return snap;
 }
 
 }  // namespace psn

@@ -1,11 +1,9 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <string>
 #include <string_view>
-#include <vector>
 
 #include "common/stats.hpp"
 #include "common/table.hpp"
@@ -20,30 +18,21 @@ namespace psn {
 std::string labeled_metric(std::string_view base, std::uint64_t id,
                            std::string_view suffix);
 
-/// Frozen value of every metric in a registry at one instant, detached from
-/// the registry that produced it. Snapshots are plain data: they can be
-/// copied out of a finished run, merged across replications, and serialized
-/// — which is how the sweep engine reports per-point metrics without keeping
-/// any simulation alive.
+/// The value of every metric at one instant, as plain data. There is no
+/// registry: the function that owns a count writes it straight into a
+/// snapshot (DESIGN.md §9). Snapshots can be copied out of a finished run,
+/// merged across replications, and serialized — which is how the sweep
+/// engine reports per-point metrics without keeping any simulation alive.
 ///
 /// Merging is deterministic as long as the merge *order* is fixed (the sweep
 /// engine merges in grid order): counters and histogram bins add, gauges
 /// add, stats combine via RunningStats::merge. Two sweeps of the same spec
 /// therefore serialize byte-identically at any thread count.
 struct MetricsSnapshot {
-  struct HistogramData {
-    double lo = 0.0;
-    double hi = 1.0;
-    std::vector<std::size_t> counts;
-    std::size_t underflow = 0;
-    std::size_t overflow = 0;
-    std::size_t total = 0;
-  };
-
   std::map<std::string, std::uint64_t> counters;
   std::map<std::string, double> gauges;
   std::map<std::string, RunningStats> stats;
-  std::map<std::string, HistogramData> histograms;
+  std::map<std::string, Histogram> histograms;
 
   bool empty() const {
     return counters.empty() && gauges.empty() && stats.empty() &&
@@ -54,116 +43,10 @@ struct MetricsSnapshot {
   /// histogram name (different range or bin count) throw InvariantError.
   void merge(const MetricsSnapshot& other);
 
-  /// Accumulates `other` with every metric renamed through `rename` first —
-  /// how a multi-stream server folds per-session snapshots into one
-  /// registry under per-stream labels (e.g. "serve.records" →
-  /// "serve.stream.3.records"). Returning an empty string drops that
-  /// metric. Deterministic: `other` is walked in its own sorted name order
-  /// and the destination maps stay name-sorted, so merging the same
-  /// snapshots in the same order serializes byte-identically.
-  using RenameFn = std::function<std::string(const std::string&)>;
-  void merge_renamed(const MetricsSnapshot& other, const RenameFn& rename);
-
   /// One row per metric, name-sorted within each kind: name, kind, value
   /// (stats and histograms render a compact summary string).
   Table table() const;
   std::string csv() const { return table().csv(); }
-};
-
-/// Registry of named counters, gauges, streaming stats, and histograms.
-///
-/// Lookup by name happens once, at wiring time: `counter(name)` etc. return
-/// cheap handles (a raw pointer into node-stable map storage) that hot paths
-/// update without hashing or allocation. A default-constructed handle is an
-/// inert no-op, so components can hold handles unconditionally and only bind
-/// them when a registry is available.
-///
-/// Thread-safety contract: a registry belongs to one simulation run and is
-/// confined to the thread executing that run (the sweep engine gives every
-/// run its own Simulation, hence its own registry). Neither registration nor
-/// handle updates are synchronized.
-class MetricsRegistry {
- public:
-  class Counter {
-   public:
-    Counter() = default;
-    void inc(std::uint64_t by = 1) {
-      if (v_ != nullptr) *v_ += by;
-    }
-    std::uint64_t value() const { return v_ != nullptr ? *v_ : 0; }
-
-   private:
-    friend class MetricsRegistry;
-    explicit Counter(std::uint64_t* v) : v_(v) {}
-    std::uint64_t* v_ = nullptr;
-  };
-
-  class Gauge {
-   public:
-    Gauge() = default;
-    void set(double v) {
-      if (v_ != nullptr) *v_ = v;
-    }
-    void add(double v) {
-      if (v_ != nullptr) *v_ += v;
-    }
-    double value() const { return v_ != nullptr ? *v_ : 0.0; }
-
-   private:
-    friend class MetricsRegistry;
-    explicit Gauge(double* v) : v_(v) {}
-    double* v_ = nullptr;
-  };
-
-  class Stat {
-   public:
-    Stat() = default;
-    void add(double x) {
-      if (s_ != nullptr) s_->add(x);
-    }
-
-   private:
-    friend class MetricsRegistry;
-    explicit Stat(RunningStats* s) : s_(s) {}
-    RunningStats* s_ = nullptr;
-  };
-
-  class Hist {
-   public:
-    Hist() = default;
-    void add(double x) {
-      if (h_ != nullptr) h_->add(x);
-    }
-
-   private:
-    friend class MetricsRegistry;
-    explicit Hist(Histogram* h) : h_(h) {}
-    Histogram* h_ = nullptr;
-  };
-
-  /// All accessors find-or-create by name; re-registering an existing name
-  /// returns a handle to the same metric. `histogram` requires an identical
-  /// shape on re-registration (InvariantError otherwise).
-  Counter counter(const std::string& name);
-  Gauge gauge(const std::string& name);
-  Stat stat(const std::string& name);
-  Hist histogram(const std::string& name, double lo, double hi,
-                 std::size_t bins);
-
-  std::size_t size() const {
-    return counters_.size() + gauges_.size() + stats_.size() +
-           histograms_.size();
-  }
-
-  MetricsSnapshot snapshot() const;
-
- private:
-  // std::map nodes are address-stable, which is what makes the raw-pointer
-  // handles safe for the registry's lifetime.
-  std::map<std::string, std::uint64_t> counters_;
-  std::map<std::string, double> gauges_;
-  std::map<std::string, RunningStats> stats_;
-  std::map<std::string, Histogram> histograms_;
 };
 
 }  // namespace psn

@@ -118,6 +118,18 @@ std::size_t Histogram::bin_count(std::size_t i) const {
   return counts_[i];
 }
 
+void Histogram::merge(const Histogram& other) {
+  PSN_CHECK(lo_ == other.lo_ && hi_ == other.hi_ &&
+                counts_.size() == other.counts_.size(),
+            "merging histograms of different shape");
+  for (std::size_t i = 0; i < counts_.size(); ++i) {
+    counts_[i] += other.counts_[i];
+  }
+  underflow_ += other.underflow_;
+  overflow_ += other.overflow_;
+  total_ += other.total_;
+}
+
 double Histogram::bin_lo(std::size_t i) const {
   return lo_ + (hi_ - lo_) * static_cast<double>(i) / static_cast<double>(counts_.size());
 }

@@ -74,6 +74,9 @@ class Histogram {
   double bin_hi(std::size_t i) const;
   std::size_t underflow() const { return underflow_; }
   std::size_t overflow() const { return overflow_; }
+  /// Adds `other`'s bins and tallies into this one; InvariantError unless
+  /// both have the same range and bin count.
+  void merge(const Histogram& other);
   /// Renders a terminal bar chart, one row per bin.
   std::string ascii(std::size_t width = 40) const;
 

@@ -26,15 +26,6 @@ OnlineMonitor::OnlineMonitor(ShardedPervasiveSystem& system,
 void OnlineMonitor::on_update(const ReceivedUpdate& update,
                               std::size_t index) {
   const auto detection = detector_.feed(update, index);
-  // Surface expired-state evaluations as a metric (kStaleObservation). The
-  // counter is registered lazily so runs under the default unbounded
-  // validity policy keep a byte-identical metrics table.
-  const std::size_t stale = detector_.stale_observations();
-  if (stale > stale_reported_) {
-    system_.sim().metrics().counter("detector.online.stale_observations")
-        .inc(stale - stale_reported_);
-    stale_reported_ = stale;
-  }
   if (!detection) return;
   detections_.push_back(*detection);
 

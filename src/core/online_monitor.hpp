@@ -60,6 +60,12 @@ class OnlineMonitor {
   /// a-events against issued commands.
   std::vector<Duration> actuation_latencies() const;
 
+  /// Evaluations the detector made on expired state (kStaleObservation);
+  /// stays 0 under the default unbounded validity policy.
+  std::size_t stale_observations() const {
+    return detector_.stale_observations();
+  }
+
  private:
   void on_update(const ReceivedUpdate& update, std::size_t index);
 
@@ -68,8 +74,6 @@ class OnlineMonitor {
   std::vector<ActuationRule> rules_;
   std::vector<Detection> detections_;
   std::vector<ActuationRecord> actuations_;
-  /// Stale evaluations already pushed into the metrics registry.
-  std::size_t stale_reported_ = 0;
 };
 
 }  // namespace psn::core

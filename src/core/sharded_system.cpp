@@ -393,15 +393,8 @@ net::MessageStats ShardedPervasiveSystem::message_stats() const {
   return out;
 }
 
-MetricsRegistry& ShardedPervasiveSystem::metrics() {
-  return shards_[0]->sim->metrics();
-}
-
 MetricsSnapshot ShardedPervasiveSystem::metrics_snapshot() const {
-  MetricsSnapshot out = shards_[0]->sim->metrics().snapshot();
-  for (std::size_t s = 1; s < shards_.size(); ++s) {
-    out.merge(shards_[s]->sim->metrics().snapshot());
-  }
+  MetricsSnapshot out;
 
   // sim.*: the schedulers' own tallies, summed over shards.
   std::uint64_t executed = 0;
@@ -424,6 +417,11 @@ MetricsSnapshot ShardedPervasiveSystem::metrics_snapshot() const {
 
   // net.*: the merged transport ledger.
   const net::MessageStats stats = message_stats();
+  Histogram delay_ms = shards_[0]->transport->delivery_delay_ms();
+  for (std::size_t s = 1; s < shards_.size(); ++s) {
+    delay_ms.merge(shards_[s]->transport->delivery_delay_ms());
+  }
+  out.histograms.emplace("net.delivery_delay_ms", std::move(delay_ms));
   for (const net::MessageKind kind :
        {net::MessageKind::kComputation, net::MessageKind::kStrobe,
         net::MessageKind::kSync, net::MessageKind::kActuation}) {

@@ -131,15 +131,12 @@ class ShardedPervasiveSystem {
   // --- the corresponding serial artifact at every K.
   const ObservationLog& log() const;
   net::MessageStats message_stats() const;
-  /// The shard registries merged in shard order, plus the metrics built
-  /// here and nowhere else from the components' own tallies: sim.* from the
-  /// schedulers, net.* (aggregates, per kind, per strobe mode, and — under a
-  /// fault schedule — per drop cause) from message_stats().
+  /// The system's metrics, built here and nowhere else from the
+  /// components' own tallies summed over shards: sim.* from the schedulers,
+  /// net.* (aggregates, per kind, per strobe mode, and — under a fault
+  /// schedule — per drop cause) from message_stats(), and the
+  /// net.delivery_delay_ms histogram from the transports.
   MetricsSnapshot metrics_snapshot() const;
-  /// Shard 0's registry — where post-run, analysis-level counters belong
-  /// (written exactly once, never per shard, so merged snapshots stay
-  /// K-independent).
-  MetricsRegistry& metrics();
   /// All shards' trace rings plus the fault plan's records, merged under
   /// sim::canonical_trace_order. Drains the rings (no record is copied), so
   /// call it once per run; a second call PSN_CHECKs. trace_evicted() stays

@@ -122,8 +122,6 @@ Transport::Transport(sim::Simulation& sim, Overlay overlay,
       // so a message's delay/loss draws match wherever its sender lives.
       msg_seed_(rng()),
       per_source_next_(routes_.overlay().size(), 0),
-      delay_ms_metric_(
-          sim_.metrics().histogram("net.delivery_delay_ms", 0.0, 1000.0, 50)),
       wake_(routes_.overlay().size()) {
   PSN_CHECK(delay_ != nullptr, "transport needs a delay model");
   PSN_CHECK(loss_ != nullptr, "transport needs a loss model");
@@ -332,7 +330,7 @@ PSN_HOT void Transport::deliver_now(Message msg, std::size_t bytes) {
             "no handler registered for destination process");
   msg.delivered_at = sim_.now();
   stats.delivered++;
-  delay_ms_metric_.add((msg.delivered_at - msg.sent_at).to_millis());
+  delivery_delay_ms_.add((msg.delivered_at - msg.sent_at).to_millis());
   if (sim::TraceRecorder* tr = sim_.trace()) {
     tr->record({sim_.now(), sim::TraceKind::kDeliver, dst, msg.src,
                 static_cast<int>(msg.kind), bytes, {}, msg.seq});

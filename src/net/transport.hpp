@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "common/rng.hpp"
+#include "common/stats.hpp"
 #include "net/delay_model.hpp"
 #include "net/duty_cycle.hpp"
 #include "net/loss_model.hpp"
@@ -26,9 +27,10 @@ namespace psn::net {
 /// destinations with no overlay path are tallied under `unreachable` and
 /// charge no radio bytes (the radio never keys up without a route).
 ///
-/// This is the network plane's only ledger: the `net.*` metrics are built
-/// from it (core::ShardedPervasiveSystem::metrics_snapshot), never counted a
-/// second time.
+/// With Transport::delivery_delay_ms() this is the network plane's only
+/// ledger: the `net.*` metrics are built from the two
+/// (core::ShardedPervasiveSystem::metrics_snapshot), never counted a second
+/// time.
 struct MessageStats {
   struct KindStats {
     std::size_t sent = 0;        ///< transmissions attempted (per destination)
@@ -181,6 +183,9 @@ class Transport {
 
   const Overlay& overlay() const { return routes_.overlay(); }
   const MessageStats& stats() const { return stats_; }
+  /// Every delivery's delay (delivered_at − sent_at) in ms, 50 bins over
+  /// [0, 1000); reported as net.delivery_delay_ms.
+  const Histogram& delivery_delay_ms() const { return delivery_delay_ms_; }
 
  private:
   /// Allocates the next per-source-strided sequence id for `src`.
@@ -205,9 +210,7 @@ class Transport {
   std::vector<std::uint64_t> per_source_next_;  ///< messages sent per source
   RemoteRoute remote_route_;
   ClockMode clock_mode_ = ClockMode::kVectorStrobe;
-  /// Delivery delays have no ledger, so they go straight to the run's
-  /// registry (net.delivery_delay_ms).
-  MetricsRegistry::Hist delay_ms_metric_;
+  Histogram delivery_delay_ms_{0.0, 1000.0, 50};
   const sim::FaultSchedule* faults_ = nullptr;
   std::size_t partitions_applied_ = 0;  ///< transitions replayed so far
   bool fifo_ = false;

@@ -132,7 +132,7 @@ void Listener::accept_one() {
   if (conns_.size() >= cfg_.max_streams) {
     // Clean over-limit reject: one explanatory line, then close. Flow
     // control, not an input rejection — the exit code is unaffected.
-    metrics_.counter("serve.streams.over_limit").inc();
+    over_limit_++;
     send_all(client.get(),
              "{\"event\":\"reject\",\"error\":\"server at --max-streams "
              "capacity (" +
@@ -152,7 +152,6 @@ void Listener::accept_one() {
       session_cfg,
       [fd](std::string_view chunk) { return send_all(fd, chunk); });
   conn->last_activity = std::chrono::steady_clock::now();
-  metrics_.counter("serve.streams.accepted").inc();
   log_line("{\"event\":\"accept\",\"stream\":" + std::to_string(conn->id) +
            "}\n");
   conns_.push_back(std::move(conn));
@@ -185,26 +184,22 @@ void Listener::finalize(Connection& conn) {
   const SoakReport& report = conn.session->finish();
   streams_served_++;
 
-  // Fold this stream's metrics into the server-wide snapshot under its
-  // per-stream labels; everything else the session counted stays local.
-  const std::uint64_t id = conn.id;
-  stream_metrics_.merge_renamed(
-      conn.session->metrics_snapshot(),
-      [id](const std::string& name) -> std::string {
-        if (name == "serve.records")
-          return labeled_metric("serve.stream", id, "records");
-        if (name == "serve.violations")
-          return labeled_metric("serve.stream", id, "violations");
-        if (name == "serve.peak_pending")
-          return labeled_metric("serve.stream", id, "peak_pending");
-        if (name == "serve.stale_observations")
-          return labeled_metric("serve.stream", id, "stale");
-        return std::string();
-      });
+  // Four of the session's metrics go into the server-wide snapshot under
+  // this stream's labels; everything else the session counted stays local.
+  const MetricsSnapshot snap = conn.session->metrics_snapshot();
+  const auto label = [&conn](std::string_view suffix) {
+    return labeled_metric("serve.stream", conn.id, suffix);
+  };
+  stream_metrics_.counters[label("records")] =
+      snap.counters.at("serve.records");
+  stream_metrics_.counters[label("violations")] =
+      snap.counters.at("serve.violations");
+  stream_metrics_.counters[label("stale")] =
+      snap.counters.at("serve.stale_observations");
+  stream_metrics_.gauges[label("peak_pending")] =
+      snap.gauges.at("serve.peak_pending");
 
-  if (conn.session->write_failed()) {
-    metrics_.counter("serve.streams.write_failed").inc();
-  }
+  if (conn.session->write_failed()) write_failed_++;
   // Rejection (3) takes precedence over violations (1) over clean (0).
   if (report.exit_code == 3) {
     exit_code_ = 3;
@@ -246,8 +241,8 @@ void Listener::evict_idle() {
     if (idle < cfg_.idle_timeout_ms) continue;
     // Eviction is the normal end-of-stream path: the client still gets its
     // final metrics + eof verdict before the close.
-    metrics_.counter(labeled_metric("serve.stream", conn->id, "idle_evicted"))
-        .inc();
+    stream_metrics_.counters[labeled_metric("serve.stream", conn->id,
+                                            "idle_evicted")] = 1;
     log_line("{\"event\":\"idle_evict\",\"stream\":" +
              std::to_string(conn->id) +
              ",\"idle_ms\":" + std::to_string(idle) + "}\n");
@@ -324,9 +319,15 @@ int Listener::run() {
 }
 
 MetricsSnapshot Listener::server_metrics() const {
-  MetricsSnapshot merged = metrics_.snapshot();
-  merged.merge(stream_metrics_);
-  return merged;
+  MetricsSnapshot out = stream_metrics_;
+  // Each listener count appears once it is nonzero.
+  const auto put = [&out](const char* name, std::uint64_t n) {
+    if (n > 0) out.counters[name] = n;
+  };
+  put("serve.streams.accepted", next_stream_id_);
+  put("serve.streams.over_limit", over_limit_);
+  put("serve.streams.write_failed", write_failed_);
+  return out;
 }
 
 }  // namespace psn::serve

@@ -55,10 +55,12 @@ struct ListenerConfig {
 ///   {"event":"close","stream":3,"records":...,"exit":0}
 ///   {"event":"reject","reason":"max-streams","limit":N}
 ///   {"event":"shutdown","streams":...,"exit":0,"data":{...}}
-/// The shutdown line's data object is the server-wide snapshot: listener
-/// counters plus every session's metrics folded in under per-stream labels
-/// (serve.stream.<id>.records / .violations / .peak_pending / .stale) via
-/// MetricsSnapshot::merge_renamed — deterministic name-sorted merge.
+/// The shutdown line's data object is the server-wide snapshot: the
+/// listener's counts (serve.streams.accepted / .over_limit / .write_failed,
+/// each present once it is ≥ 1) plus four names per finished stream
+/// (serve.stream.<id>.records / .violations / .stale counters and the
+/// .peak_pending gauge, copied from the session's snapshot) and
+/// serve.stream.<id>.idle_evicted for an evicted one.
 ///
 /// On SIGINT/SIGTERM (or request_stop()) the loop stops accepting, drains
 /// every live session through finish() — emitting its final metrics and
@@ -88,8 +90,8 @@ class Listener {
 
   std::size_t streams_served() const { return streams_served_; }
 
-  /// Listener counters merged with the per-stream labeled session metrics
-  /// accumulated so far.
+  /// The listener's counts plus the per-stream labeled metrics of the
+  /// streams finished so far.
   MetricsSnapshot server_metrics() const;
 
  private:
@@ -111,8 +113,9 @@ class Listener {
   int poll_timeout_ms() const;
   /// Evicts every session whose idle deadline has passed.
   void evict_idle();
-  /// Emits the session's final events, merges its metrics, logs the close
-  /// line, and folds its exit code into the aggregate. Idempotent.
+  /// Emits the session's final events, records its per-stream metrics,
+  /// logs the close line, and folds its exit code into the aggregate.
+  /// Idempotent.
   void finalize(Connection& conn);
   void close_connection(Connection& conn);
   void log_line(const std::string& line);
@@ -124,11 +127,12 @@ class Listener {
   std::string unix_path_;  ///< non-empty when listening on AF_UNIX
   std::uint16_t port_ = 0;
   std::vector<std::unique_ptr<Connection>> conns_;
-  std::uint64_t next_stream_id_ = 0;
+  std::uint64_t next_stream_id_ = 0;  ///< also the count of accepted streams
   std::size_t streams_served_ = 0;
+  std::size_t over_limit_ = 0;    ///< clients turned away at max_streams
+  std::size_t write_failed_ = 0;  ///< sessions whose client stopped reading
   int exit_code_ = 0;
-  MetricsRegistry metrics_;          ///< listener-level counters
-  MetricsSnapshot stream_metrics_;   ///< per-stream labeled session metrics
+  MetricsSnapshot stream_metrics_;  ///< serve.stream.<id>.* names
 };
 
 }  // namespace psn::serve

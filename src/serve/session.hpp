@@ -121,8 +121,8 @@ class Session {
   /// which counts every violation), serve.stale_observations (the checker's
   /// count as of the last ingested record) and the serve.pending_sends /
   /// serve.peak_pending gauges. Each `metrics` line carries this snapshot;
-  /// the listener folds it into the server-wide snapshot under per-stream
-  /// labels via MetricsSnapshot::merge_renamed.
+  /// the listener copies four of its names into the server-wide snapshot
+  /// under per-stream labels (Listener::finalize).
   MetricsSnapshot metrics_snapshot() const;
 
  private:

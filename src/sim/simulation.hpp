@@ -4,7 +4,6 @@
 #include <memory>
 #include <string>
 
-#include "common/metrics.hpp"
 #include "common/rng.hpp"
 #include "common/sim_time.hpp"
 #include "sim/scheduler.hpp"
@@ -29,13 +28,12 @@ struct SimConfig {
 /// Components derive their own RNG substreams via `rng_for(name, index)`, so
 /// the draw sequence of one component is independent of the others (see Rng).
 ///
-/// Observability: every run owns a MetricsRegistry for data no component
-/// tallies itself (components register handles at wiring time and update
-/// them cheaply; the scheduler's and transport's own tallies become metrics
-/// only in core::ShardedPervasiveSystem::metrics_snapshot) and, when
-/// `SimConfig::trace_capacity > 0`, a TraceRecorder that components append
-/// sense/send/receive/deliver/drop/detect records to. Both are confined to
-/// the thread running the simulation.
+/// Observability: a run keeps no metrics of its own. The scheduler and the
+/// components keep their own tallies, which become metrics only in
+/// core::ShardedPervasiveSystem::metrics_snapshot. When
+/// `SimConfig::trace_capacity > 0` the run owns a TraceRecorder that
+/// components append sense/send/receive/deliver/drop/detect records to; it
+/// is confined to the thread running the simulation.
 class Simulation {
  public:
   explicit Simulation(SimConfig config);
@@ -44,9 +42,6 @@ class Simulation {
   const Scheduler& scheduler() const { return scheduler_; }
   SimTime now() const { return scheduler_.now(); }
   const SimConfig& config() const { return config_; }
-
-  MetricsRegistry& metrics() { return metrics_; }
-  const MetricsRegistry& metrics() const { return metrics_; }
 
   /// The per-run event trace, or nullptr when tracing is off
   /// (`SimConfig::trace_capacity` = 0). Hot paths guard on the pointer, so
@@ -70,7 +65,6 @@ class Simulation {
  private:
   SimConfig config_;
   Rng master_;
-  MetricsRegistry metrics_;
   Scheduler scheduler_;
   std::unique_ptr<TraceRecorder> trace_;
   bool truncated_ = false;

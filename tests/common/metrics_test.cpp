@@ -9,156 +9,72 @@
 namespace psn {
 namespace {
 
-TEST(MetricsRegistryTest, CounterFindOrCreateAndInc) {
-  MetricsRegistry reg;
-  auto c = reg.counter("a");
-  EXPECT_EQ(c.value(), 0u);
-  c.inc();
-  c.inc(41);
-  EXPECT_EQ(c.value(), 42u);
-  // Re-registering the same name returns a handle to the same metric.
-  auto c2 = reg.counter("a");
-  c2.inc();
-  EXPECT_EQ(c.value(), 43u);
-  EXPECT_EQ(reg.size(), 1u);
-}
-
-TEST(MetricsRegistryTest, DefaultConstructedHandlesAreInert) {
-  MetricsRegistry::Counter c;
-  MetricsRegistry::Gauge g;
-  MetricsRegistry::Stat s;
-  MetricsRegistry::Hist h;
-  c.inc();
-  g.set(1.0);
-  g.add(2.0);
-  s.add(3.0);
-  h.add(4.0);  // none of these may crash or register anything
-  EXPECT_EQ(c.value(), 0u);
-  EXPECT_EQ(g.value(), 0.0);
-}
-
-TEST(MetricsRegistryTest, GaugeSetAndAdd) {
-  MetricsRegistry reg;
-  auto g = reg.gauge("g");
-  g.set(2.5);
-  g.add(0.5);
-  EXPECT_DOUBLE_EQ(g.value(), 3.0);
-}
-
-TEST(MetricsRegistryTest, HandlesStayValidAsRegistryGrows) {
-  MetricsRegistry reg;
-  auto first = reg.counter("m.000");
-  // Force many node insertions around the first one; the handle must still
-  // point at the same metric (std::map nodes are address-stable).
-  for (int i = 1; i < 200; ++i) {
-    reg.counter("m." + std::to_string(i)).inc();
-  }
-  first.inc(7);
-  const MetricsSnapshot snap = reg.snapshot();
-  EXPECT_EQ(snap.counters.at("m.000"), 7u);
-}
-
-TEST(MetricsRegistryTest, HistogramShapeMismatchThrows) {
-  MetricsRegistry reg;
-  reg.histogram("h", 0.0, 10.0, 5);
-  EXPECT_NO_THROW(reg.histogram("h", 0.0, 10.0, 5));
-  EXPECT_THROW(reg.histogram("h", 0.0, 10.0, 6), InvariantError);
-  EXPECT_THROW(reg.histogram("h", 0.0, 20.0, 5), InvariantError);
-}
-
 TEST(MetricsSnapshotTest, CapturesAllKinds) {
-  MetricsRegistry reg;
-  reg.counter("c").inc(3);
-  reg.gauge("g").set(1.5);
-  reg.stat("s").add(2.0);
-  reg.stat("s").add(4.0);
-  reg.histogram("h", 0.0, 10.0, 10).add(5.0);
+  MetricsSnapshot snap;
+  EXPECT_TRUE(snap.empty());
+  snap.counters["c"] = 3;
+  snap.gauges["g"] = 1.5;
+  snap.stats["s"].add(2.0);
+  snap.stats["s"].add(4.0);
+  snap.histograms.emplace("h", Histogram(0.0, 10.0, 10)).first->second.add(5.0);
 
-  const MetricsSnapshot snap = reg.snapshot();
+  EXPECT_FALSE(snap.empty());
   EXPECT_EQ(snap.counters.at("c"), 3u);
   EXPECT_DOUBLE_EQ(snap.gauges.at("g"), 1.5);
   EXPECT_EQ(snap.stats.at("s").count(), 2u);
   EXPECT_DOUBLE_EQ(snap.stats.at("s").mean(), 3.0);
-  EXPECT_EQ(snap.histograms.at("h").total, 1u);
-  EXPECT_EQ(snap.histograms.at("h").counts.size(), 10u);
+  EXPECT_EQ(snap.histograms.at("h").total(), 1u);
+  EXPECT_EQ(snap.histograms.at("h").bins(), 10u);
 }
 
 TEST(MetricsSnapshotTest, MergeAddsAndCombines) {
-  MetricsRegistry a, b;
-  a.counter("c").inc(2);
-  b.counter("c").inc(5);
-  b.counter("only_b").inc(1);
-  a.gauge("g").set(1.0);
-  b.gauge("g").set(2.0);
-  a.stat("s").add(1.0);
-  b.stat("s").add(3.0);
-  a.histogram("h", 0.0, 4.0, 4).add(1.0);
-  b.histogram("h", 0.0, 4.0, 4).add(1.5);
+  MetricsSnapshot a, b;
+  a.counters["c"] = 2;
+  b.counters["c"] = 5;
+  b.counters["only_b"] = 1;
+  a.gauges["g"] = 1.0;
+  b.gauges["g"] = 2.0;
+  a.stats["s"].add(1.0);
+  b.stats["s"].add(3.0);
+  a.histograms.emplace("h", Histogram(0.0, 4.0, 4)).first->second.add(1.0);
+  b.histograms.emplace("h", Histogram(0.0, 4.0, 4)).first->second.add(1.5);
 
-  MetricsSnapshot merged = a.snapshot();
-  merged.merge(b.snapshot());
+  MetricsSnapshot merged = a;
+  merged.merge(b);
   EXPECT_EQ(merged.counters.at("c"), 7u);
   EXPECT_EQ(merged.counters.at("only_b"), 1u);
   EXPECT_DOUBLE_EQ(merged.gauges.at("g"), 3.0);  // gauges add across runs
   EXPECT_EQ(merged.stats.at("s").count(), 2u);
   EXPECT_DOUBLE_EQ(merged.stats.at("s").mean(), 2.0);
-  EXPECT_EQ(merged.histograms.at("h").total, 2u);
-  EXPECT_EQ(merged.histograms.at("h").counts[1], 2u);  // both in [1, 2)
+  EXPECT_EQ(merged.histograms.at("h").total(), 2u);
+  EXPECT_EQ(merged.histograms.at("h").bin_count(1), 2u);  // both in [1, 2)
+}
+
+TEST(MetricsSnapshotTest, MergeAccumulatesAcrossSources) {
+  // Merging into an empty snapshot copies the first source; later sources
+  // add onto it, histograms included.
+  MetricsSnapshot a, b;
+  a.counters["c"] = 1;
+  b.counters["c"] = 2;
+  a.stats["s"].add(1.0);
+  b.stats["s"].add(3.0);
+  a.histograms.emplace("h", Histogram(0.0, 4.0, 4)).first->second.add(0.5);
+  b.histograms.emplace("h", Histogram(0.0, 4.0, 4)).first->second.add(0.5);
+
+  MetricsSnapshot out;
+  out.merge(a);
+  out.merge(b);
+  EXPECT_EQ(out.counters.at("c"), 3u);
+  EXPECT_EQ(out.stats.at("s").count(), 2u);
+  EXPECT_EQ(out.histograms.at("h").total(), 2u);
+  EXPECT_EQ(a.histograms.at("h").total(), 1u);  // sources untouched
 }
 
 TEST(MetricsSnapshotTest, MergeRejectsHistogramShapeMismatch) {
-  MetricsRegistry a, b;
-  a.histogram("h", 0.0, 4.0, 4).add(1.0);
-  b.histogram("h", 0.0, 4.0, 8).add(1.0);
-  MetricsSnapshot merged = a.snapshot();
-  EXPECT_THROW(merged.merge(b.snapshot()), InvariantError);
-}
-
-TEST(MetricsSnapshotTest, MergeRenamedRelabelsAndDrops) {
-  // The listener's per-stream fold: session metric names map onto labeled
-  // server-wide names; an empty mapping drops the metric.
-  MetricsRegistry session;
-  session.counter("serve.records").inc(83000);
-  session.counter("serve.violations").inc(2);
-  session.counter("serve.detects").inc(9);  // not folded → dropped
-  session.gauge("serve.peak_pending").set(120.0);
-
-  MetricsSnapshot server;
-  server.merge_renamed(session.snapshot(), [](const std::string& name) {
-    if (name == "serve.records") {
-      return labeled_metric("serve.stream", 3, "records");
-    }
-    if (name == "serve.violations") {
-      return labeled_metric("serve.stream", 3, "violations");
-    }
-    if (name == "serve.peak_pending") {
-      return labeled_metric("serve.stream", 3, "peak_pending");
-    }
-    return std::string();
-  });
-  EXPECT_EQ(server.counters.at("serve.stream.3.records"), 83000u);
-  EXPECT_EQ(server.counters.at("serve.stream.3.violations"), 2u);
-  EXPECT_DOUBLE_EQ(server.gauges.at("serve.stream.3.peak_pending"), 120.0);
-  EXPECT_EQ(server.counters.count("serve.detects"), 0u);
-  EXPECT_EQ(server.counters.size(), 2u);
-}
-
-TEST(MetricsSnapshotTest, MergeRenamedAccumulatesAcrossSources) {
-  MetricsRegistry a, b;
-  a.counter("c").inc(1);
-  b.counter("c").inc(2);
-  a.stat("s").add(1.0);
-  b.stat("s").add(3.0);
-  a.histogram("h", 0.0, 4.0, 4).add(0.5);
-  b.histogram("h", 0.0, 4.0, 4).add(0.5);
-
-  MetricsSnapshot out;
-  const auto same = [](const std::string& name) { return name; };
-  out.merge_renamed(a.snapshot(), same);
-  out.merge_renamed(b.snapshot(), same);
-  EXPECT_EQ(out.counters.at("c"), 3u);
-  EXPECT_EQ(out.stats.at("s").count(), 2u);
-  EXPECT_EQ(out.histograms.at("h").total, 2u);
+  MetricsSnapshot a, b;
+  a.histograms.emplace("h", Histogram(0.0, 4.0, 4)).first->second.add(1.0);
+  b.histograms.emplace("h", Histogram(0.0, 4.0, 8)).first->second.add(1.0);
+  EXPECT_THROW(a.merge(b), InvariantError);
 }
 
 TEST(MetricsSnapshotTest, LabeledMetricComposesDottedNames) {
@@ -169,18 +85,31 @@ TEST(MetricsSnapshotTest, LabeledMetricComposesDottedNames) {
 }
 
 TEST(MetricsSnapshotTest, TableIsNameSortedAndStable) {
-  MetricsRegistry reg;
-  reg.counter("z").inc();
-  reg.counter("a").inc(2);
-  reg.gauge("m").set(0.5);
-  const MetricsSnapshot snap = reg.snapshot();
+  MetricsSnapshot snap;
+  snap.counters["z"] = 1;
+  snap.counters["a"] = 2;
+  snap.gauges["m"] = 0.5;
   const Table t = snap.table();
   ASSERT_EQ(t.num_rows(), 3u);
   EXPECT_EQ(t.at(0, 0), "a");
   EXPECT_EQ(t.at(1, 0), "z");
   EXPECT_EQ(t.at(2, 0), "m");
   // Same content twice → same bytes (the determinism tests rely on this).
-  EXPECT_EQ(snap.csv(), reg.snapshot().csv());
+  const MetricsSnapshot copy = snap;
+  EXPECT_EQ(snap.csv(), copy.csv());
+}
+
+TEST(MetricsSnapshotTest, TableSummarizesAHistogramInOneCell) {
+  MetricsSnapshot snap;
+  Histogram& h =
+      snap.histograms.emplace("d", Histogram(0.0, 1000.0, 50)).first->second;
+  h.add(-1.0);
+  h.add(12.5);
+  h.add(1000.0);
+  EXPECT_EQ(snap.csv(),
+            "name,kind,value\n"
+            "d,histogram,\"total=3 bins=50 range=[0, 1000) under=1 "
+            "over=1\"\n");
 }
 
 }  // namespace

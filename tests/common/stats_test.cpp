@@ -134,6 +134,28 @@ TEST(HistogramTest, RejectsBadConstruction) {
   EXPECT_THROW(Histogram(0.0, 1.0, 0), InvariantError);
 }
 
+TEST(HistogramTest, MergeAddsBinsAndTallies) {
+  Histogram a(0.0, 4.0, 4);
+  Histogram b(0.0, 4.0, 4);
+  a.add(1.0);
+  a.add(-1.0);
+  b.add(1.5);
+  b.add(9.0);
+  a.merge(b);
+  EXPECT_EQ(a.bin_count(1), 2u);  // both in [1, 2)
+  EXPECT_EQ(a.underflow(), 1u);
+  EXPECT_EQ(a.overflow(), 1u);
+  EXPECT_EQ(a.total(), 4u);
+}
+
+TEST(HistogramTest, MergeRejectsShapeMismatch) {
+  Histogram h(0.0, 10.0, 5);
+  EXPECT_NO_THROW(h.merge(Histogram(0.0, 10.0, 5)));
+  EXPECT_THROW(h.merge(Histogram(0.0, 10.0, 6)), InvariantError);
+  EXPECT_THROW(h.merge(Histogram(0.0, 20.0, 5)), InvariantError);
+  EXPECT_THROW(h.merge(Histogram(1.0, 10.0, 5)), InvariantError);
+}
+
 TEST(HistogramTest, AsciiRendersOneRowPerBin) {
   Histogram h(0.0, 2.0, 2);
   h.add(0.5);

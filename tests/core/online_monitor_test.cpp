@@ -14,7 +14,7 @@ SimTime t(std::int64_t ms) { return SimTime::zero() + Duration::millis(ms); }
 
 struct LoopFixture {
   explicit LoopFixture(Duration delta = Duration::millis(20),
-                       std::uint64_t seed = 1) {
+                       std::uint64_t seed = 1, ValidityHorizon validity = {}) {
     ShardedSystemConfig config;
     SystemConfig& sys = config.base;
     sys.num_sensors = 2;
@@ -22,6 +22,7 @@ struct LoopFixture {
     sys.sim.horizon = SimTime::zero() + 60_s;
     sys.delay_kind = DelayKind::kFixed;
     sys.delta = delta;
+    sys.validity_horizon = validity;
     system = std::make_unique<ShardedPervasiveSystem>(config);
 
     room = system->world().create_object("room");
@@ -67,6 +68,29 @@ TEST(OnlineMonitorTest, DetectsTransitionsLive) {
   ASSERT_EQ(offline.size(), 2u);
   EXPECT_EQ(offline[0].cause_true_time,
             monitor.detections()[0].cause_true_time);
+}
+
+// Under a bounded validity horizon the monitor's stale count is its
+// detector's own: the same count an offline incremental detector gets from
+// the same log.
+TEST(OnlineMonitorTest, StaleObservationsMatchTheOfflineDetector) {
+  ValidityHorizon validity;
+  validity.lifetime = 250_ms;
+  LoopFixture f(Duration::millis(20), 1, validity);
+  const Predicate phi = parse_predicate("hot", "temp[1] > 30 && motion[2]");
+  OnlineMonitor monitor(*f.system, phi);
+  auto& sched = f.system->sim().scheduler();
+  sched.schedule_at(t(100), [&] { f.system->world().emit(f.hall, "motion", true); });
+  sched.schedule_at(t(200), [&] { f.system->world().emit(f.room, "temp", 32.0); });
+  sched.schedule_at(t(400), [&] { f.system->world().emit(f.room, "temp", 24.0); });
+  sched.schedule_at(t(900), [&] { f.system->world().emit(f.room, "temp", 33.0); });
+  f.system->run();
+
+  IncrementalStrobeVectorDetector offline(phi);
+  const auto& updates = f.system->log().updates;
+  for (std::size_t i = 0; i < updates.size(); ++i) offline.feed(updates[i], i);
+  EXPECT_GT(monitor.stale_observations(), 0u);
+  EXPECT_EQ(monitor.stale_observations(), offline.stale_observations());
 }
 
 TEST(OnlineMonitorTest, ClosedLoopActuationChangesWorld) {
