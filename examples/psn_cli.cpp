@@ -38,6 +38,7 @@
 
 #include <cerrno>
 #include <charconv>
+#include <climits>
 #include <cmath>
 #include <csignal>
 #include <cstdio>
@@ -542,7 +543,13 @@ int cmd_serve(const std::vector<std::string>& args) {
       number(secs);
       if (secs <= 0) usage_error("--idle-timeout must be > 0 s");
       // Rounded up: a positive timeout never becomes 0 ms, which means never.
-      cfg.idle_timeout_ms = static_cast<std::int64_t>(std::ceil(secs * 1000.0));
+      // The bound keeps the cast defined and poll()'s int timeout unwrapped.
+      const double ms = std::ceil(secs * 1000.0);
+      if (ms > INT_MAX) {
+        usage_error("--idle-timeout must be at most " +
+                    std::to_string(INT_MAX / 1000) + " s");
+      }
+      cfg.idle_timeout_ms = static_cast<std::int64_t>(ms);
     } else {
       usage_error("unknown flag " + flag + " for serve");
     }

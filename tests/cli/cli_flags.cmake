@@ -2,8 +2,9 @@
 # parsed strictly. A sign on an unsigned value, trailing characters, or an
 # out-of-range number must exit 2 with one diagnostic line on stderr, before
 # anything runs, as must an unknown flag such as the removed `run --check`
-# and a fault plan whose time is not finite or reaches 2^63 ns; a
-# well-formed invocation still runs. Run via
+# and a fault plan whose time is not finite or reaches 2^63 ns, or a serve
+# idle timeout past INT_MAX ms (the TIMEOUT stops the server such a value
+# used to start); a well-formed invocation still runs. Run via
 #   cmake -DPSN_CLI=<psn_cli binary> -P cli_flags.cmake
 
 set(bad_invocations
@@ -21,7 +22,9 @@ set(bad_invocations
   "serve --max-buffer -64"
   "run --faults crash:2@inf+4"
   "run --faults crash:2@nan+4"
-  "run --faults crash:2@1e300+4")
+  "run --faults crash:2@1e300+4"
+  "serve --listen 0 --idle-timeout 1e300"
+  "serve --listen 0 --idle-timeout 3000000")
 
 foreach(invocation IN LISTS bad_invocations)
   separate_arguments(args UNIX_COMMAND "${invocation}")
@@ -30,7 +33,8 @@ foreach(invocation IN LISTS bad_invocations)
     INPUT_FILE /dev/null
     OUTPUT_VARIABLE out
     ERROR_VARIABLE err
-    RESULT_VARIABLE code)
+    RESULT_VARIABLE code
+    TIMEOUT 10)
   string(REGEX MATCHALL "\n" newlines "${err}")
   list(LENGTH newlines lines)
   if(NOT code EQUAL 2 OR NOT lines EQUAL 1 OR NOT out STREQUAL "")
