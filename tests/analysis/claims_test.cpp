@@ -1,7 +1,8 @@
 // The paper's aggregate claims as assertions (`ctest -L claims`): reduced
-// scale, seed-replicated versions of EXPERIMENTS.md E1, E2 and E9, asserted
-// through the same analysis:: functions the bench_e* binaries print through
-// (analysis::sweep for E1 and E2, analysis::compare_strobes for E9).
+// scale, seed-replicated versions of EXPERIMENTS.md E1, E2, E9 and E10,
+// asserted through the same analysis:: functions the bench_e* binaries
+// print through (analysis::sweep for E1 and E2, analysis::compare_strobes
+// for E9, analysis::every_occurrence for E10).
 // Golden hashes pin bytes; these pin meaning, so a re-pin of the goldens
 // (e.g. after an RNG change) cannot silently break a reproduced claim.
 #include "analysis/claims.hpp"
@@ -93,6 +94,25 @@ TEST(ClaimsTest, E9ScalarEqualsVectorAtDeltaZero) {
     EXPECT_TRUE(eq.identical) << "seed " << seed;
     EXPECT_EQ(eq.scalar_errors, 0u) << "seed " << seed;
     EXPECT_EQ(eq.vector_errors, 0u) << "seed " << seed;
+  }
+}
+
+// E10: every occurrence of φ is reported, not only the first — each
+// detector reports exactly k became-true and k became-false transitions and
+// misses none. The workload's occurrences are 600 ms long against Δ = 60 ms,
+// so the tolerance is zero on every seed.
+TEST(ClaimsTest, E10EveryOccurrenceIsReported) {
+  constexpr std::size_t kOccurrences = 25;
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    const EveryOccurrence e10 = every_occurrence(kOccurrences, seed);
+    EXPECT_EQ(e10.occurrences, kOccurrences) << "seed " << seed;
+    ASSERT_FALSE(e10.detectors.empty());
+    for (const OccurrenceReport& r : e10.detectors) {
+      EXPECT_EQ(r.became_true, kOccurrences) << r.detector << " seed " << seed;
+      EXPECT_EQ(r.became_false, kOccurrences)
+          << r.detector << " seed " << seed;
+      EXPECT_EQ(r.false_negatives, 0u) << r.detector << " seed " << seed;
+    }
   }
 }
 
