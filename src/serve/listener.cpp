@@ -12,6 +12,7 @@
 #include <cerrno>
 #include <charconv>
 #include <chrono>
+#include <climits>
 #include <cstring>
 #include <ostream>
 #include <utility>
@@ -227,7 +228,7 @@ int Listener::poll_timeout_ms() const {
                           .count();
     nearest = std::min(nearest, cfg_.idle_timeout_ms - idle);
   }
-  return static_cast<int>(std::max<std::int64_t>(0, nearest));
+  return static_cast<int>(std::clamp<std::int64_t>(nearest, 0, INT_MAX));
 }
 
 void Listener::evict_idle() {

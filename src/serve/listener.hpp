@@ -109,7 +109,8 @@ class Listener {
   /// Reads once; feeds the session; returns true when the connection is
   /// done (EOF or error) and should be closed.
   bool service(Connection& conn);
-  /// Poll timeout honoring the nearest idle deadline (-1 = block forever).
+  /// Poll timeout honoring the nearest idle deadline (-1 = block forever),
+  /// capped at INT_MAX ms.
   int poll_timeout_ms() const;
   /// Evicts every session whose idle deadline has passed.
   void evict_idle();
