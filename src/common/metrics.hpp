@@ -18,11 +18,11 @@ namespace psn {
 std::string labeled_metric(std::string_view base, std::uint64_t id,
                            std::string_view suffix);
 
-/// The value of every metric at one instant, as plain data. There is no
-/// registry: the function that owns a count writes it straight into a
-/// snapshot (DESIGN.md §9). Snapshots can be copied out of a finished run,
-/// merged across replications, and serialized — which is how the sweep
-/// engine reports per-point metrics without keeping any simulation alive.
+/// The value of every metric at one instant, as plain data: the function
+/// that owns a count writes it straight into a snapshot (DESIGN.md §9).
+/// Snapshots can be copied out of a finished run, merged across
+/// replications, and serialized — which is how the sweep engine reports
+/// per-point metrics without keeping any simulation alive.
 ///
 /// Merging is deterministic as long as the merge *order* is fixed (the sweep
 /// engine merges in grid order): counters and histogram bins add, gauges

@@ -28,8 +28,8 @@ struct SimConfig {
 /// Components derive their own RNG substreams via `rng_for(name, index)`, so
 /// the draw sequence of one component is independent of the others (see Rng).
 ///
-/// Observability: a run keeps no metrics of its own. The scheduler and the
-/// components keep their own tallies, which become metrics only in
+/// Observability: the scheduler and the components keep their own tallies,
+/// which become metrics only in
 /// core::ShardedPervasiveSystem::metrics_snapshot. When
 /// `SimConfig::trace_capacity > 0` the run owns a TraceRecorder that
 /// components append sense/send/receive/deliver/drop/detect records to; it
