@@ -80,10 +80,14 @@ TEST(OnlineMonitorTest, StaleObservationsMatchTheOfflineDetector) {
   const Predicate phi = parse_predicate("hot", "temp[1] > 30 && motion[2]");
   OnlineMonitor monitor(*f.system, phi);
   auto& sched = f.system->sim().scheduler();
-  sched.schedule_at(t(100), [&] { f.system->world().emit(f.hall, "motion", true); });
-  sched.schedule_at(t(200), [&] { f.system->world().emit(f.room, "temp", 32.0); });
-  sched.schedule_at(t(400), [&] { f.system->world().emit(f.room, "temp", 24.0); });
-  sched.schedule_at(t(900), [&] { f.system->world().emit(f.room, "temp", 33.0); });
+  sched.schedule_at(t(100),
+                    [&] { f.system->world().emit(f.hall, "motion", true); });
+  sched.schedule_at(t(200),
+                    [&] { f.system->world().emit(f.room, "temp", 32.0); });
+  sched.schedule_at(t(400),
+                    [&] { f.system->world().emit(f.room, "temp", 24.0); });
+  sched.schedule_at(t(900),
+                    [&] { f.system->world().emit(f.room, "temp", 33.0); });
   f.system->run();
 
   IncrementalStrobeVectorDetector offline(phi);
