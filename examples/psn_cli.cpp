@@ -20,8 +20,8 @@
 //
 // Exit 2 covers every option combination the sharded driver cannot honor,
 // each rejected with a one-line remedy before anything runs:
-//   --shards K>1 with --delay sync|exp   (zero minimum one-hop delay — no
-//                                         conservative window exists)
+//   --shards K>1 with --delay sync|exp,  (zero minimum one-hop delay — no
+//     or fixed with --delta 0             conservative window exists)
 //   --shards K>1 with --fifo             (delivery-state coupling)
 //   --shards K > doors+1                 (more shards than processes)
 //   --lean-clocks with `check`           (the checker replays vector stamps)
@@ -257,7 +257,8 @@ void apply_scenario(Invocation& in) {
   }
 }
 
-/// Reads `run`/`check` flags, then applies the scenario preset.
+/// Reads `run`/`check` flags, applies the scenario preset, and validates
+/// the resulting config, so a bad one exits 2 before anything is printed.
 Invocation parse_cli(const std::vector<std::string>& args, Command cmd) {
   Invocation in;
   analysis::OccupancyConfig& cfg = in.config;
@@ -346,6 +347,12 @@ Invocation parse_cli(const std::vector<std::string>& args, Command cmd) {
     usage_error("doors, reps, and seconds must be positive");
   }
   apply_scenario(in);
+  cfg.check = cmd == Command::kCheck;
+  try {
+    analysis::validate(cfg);
+  } catch (const ConfigError& e) {
+    usage_error(e.what());
+  }
   return in;
 }
 
@@ -453,7 +460,6 @@ int cmd_run(const Invocation& in) {
 /// `check`: one traced run through the checker. Returns the exit code.
 int cmd_check(Invocation in) {
   print_header(stdout, in);
-  in.config.check = true;
   in.config.trace_capacity = in.trace_cap;
   try {
     const analysis::OccupancyRunResult run =
@@ -468,8 +474,8 @@ int cmd_check(Invocation in) {
                  "(streaming needs no ring)\n");
     return 4;
   } catch (const ConfigError& e) {
-    // Unsupported option combinations (e.g. --shards with --delay sync, or
-    // --lean-clocks under `check`) reject with a one-line remedy, exit 2.
+    // A config the system rejects while it is built (e.g. a fault plan
+    // naming a process the topology lacks): one line, exit 2.
     std::fprintf(stderr, "psn_cli: %s\n", e.what());
     return 2;
   } catch (const std::exception& e) {

@@ -17,8 +17,8 @@ void validate(const OccupancyConfig& config) {
   if (config.doors == 0) {
     throw ConfigError("OccupancyConfig: doors must be >= 1");
   }
-  if (config.movement_rate < 0.0) {
-    throw ConfigError("OccupancyConfig: movement_rate must be >= 0, got " +
+  if (config.movement_rate <= 0.0) {
+    throw ConfigError("OccupancyConfig: movement_rate must be > 0, got " +
                       std::to_string(config.movement_rate));
   }
   if (config.capacity < 0) {
@@ -28,11 +28,20 @@ void validate(const OccupancyConfig& config) {
   if (config.horizon <= Duration::zero()) {
     throw ConfigError("OccupancyConfig: horizon must be positive");
   }
-  if (config.delta <= Duration::zero() &&
-      config.delay_kind == core::DelayKind::kUniformBounded) {
+  if (config.delta < Duration::zero()) {
+    throw ConfigError("OccupancyConfig: delta must be >= 0, got " +
+                      config.delta.to_string());
+  }
+  if (config.delta == Duration::zero() &&
+      (config.delay_kind == core::DelayKind::kUniformBounded ||
+       config.delay_kind == core::DelayKind::kExponential)) {
     throw ConfigError(
-        "OccupancyConfig: delta must be positive under kUniformBounded "
-        "(use kSynchronous for the Delta = 0 model)");
+        "OccupancyConfig: delta must be positive under kUniformBounded and "
+        "kExponential (use kSynchronous for the Delta = 0 model)");
+  }
+  if (config.sync_epsilon < Duration::zero()) {
+    throw ConfigError("OccupancyConfig: sync_epsilon must be >= 0, got " +
+                      config.sync_epsilon.to_string());
   }
   if (config.loss_probability < 0.0 || config.loss_probability > 1.0) {
     throw ConfigError("OccupancyConfig: loss_probability must be in [0, 1]");
@@ -72,13 +81,16 @@ void validate(const OccupancyConfig& config) {
   if (config.shard_threads == 0) {
     throw ConfigError("OccupancyConfig: shard_threads must be >= 1");
   }
-  if (config.shards > 1 &&
-      (config.delay_kind == core::DelayKind::kSynchronous ||
-       config.delay_kind == core::DelayKind::kExponential)) {
-    throw ConfigError(
-        "OccupancyConfig: sharded execution needs a positive minimum "
-        "one-hop delay and this delay model's is zero; use --delay uniform "
-        "or fixed, or run with --shards 1");
+  if (config.shards > 1) {
+    core::SystemConfig delay;
+    delay.delay_kind = config.delay_kind;
+    delay.delta = config.delta;
+    if (core::make_delay_model(delay)->min_delay() <= Duration::zero()) {
+      throw ConfigError(
+          "OccupancyConfig: sharded execution needs a positive minimum "
+          "one-hop delay and this delay model's is zero; use --delay uniform "
+          "or fixed with a positive --delta, or run with --shards 1");
+    }
   }
   if (config.shards > 1 && config.fifo_channels) {
     throw ConfigError(

@@ -78,8 +78,9 @@ struct OccupancyConfig {
   /// Space partitions K for the sharded runner (DESIGN.md §14). Every run
   /// goes through core::ShardedPervasiveSystem; K = 1 is one shard with no
   /// window machinery (every delay kind works there). K > 1 needs a delay
-  /// model with a positive minimum one-hop delay (kUniformBounded, kFixed)
-  /// — validate() rejects the rest. Results are byte-identical at every K.
+  /// model with a positive minimum one-hop delay (kUniformBounded, or kFixed
+  /// with delta > 0) — validate() rejects the rest. Results are
+  /// byte-identical at every K.
   std::size_t shards = 1;
   /// Worker threads for the per-window shard fan-out (1 = inline). Changes
   /// wall-clock time only, never results.
@@ -147,11 +148,12 @@ struct OccupancyRunResult {
   const DetectorOutcome& outcome(const std::string& detector) const;
 };
 
-/// Rejects nonsensical configs (zero doors, negative rates or capacity,
-/// Δ ≤ 0 under the bounded-delay model, horizon ≤ 0, loss outside [0, 1],
-/// degenerate duty cycles) with ConfigError. Found by ADL from
-/// `Validated<OccupancyConfig>`, which is how experiment entry points check
-/// configs exactly once at the boundary.
+/// Rejects nonsensical configs (zero doors, a non-positive movement rate,
+/// negative capacity, Δ < 0, Δ = 0 under the bounded or exponential model,
+/// ε < 0, horizon ≤ 0, loss outside [0, 1], degenerate duty cycles, shards
+/// over a delay model with zero minimum delay) with ConfigError. Found by
+/// ADL from `Validated<OccupancyConfig>`, which is how experiment entry
+/// points check configs exactly once at the boundary.
 void validate(const OccupancyConfig& config);
 
 /// Builds the hall system, runs it, runs every online detector over the

@@ -399,18 +399,15 @@ MetricsSnapshot ShardedPervasiveSystem::metrics_snapshot() const {
   // sim.*: the schedulers' own tallies, summed over shards.
   std::uint64_t executed = 0;
   std::uint64_t scheduled = 0;
-  std::uint64_t cancelled = 0;
   std::size_t pending = 0;
   for (const auto& sh : shards_) {
     const sim::Scheduler& sch = sh->sim->scheduler();
     executed += sch.total_executed();
     scheduled += sch.total_scheduled();
-    cancelled += sch.total_cancelled();
     pending += sch.pending();
   }
   out.counters["sim.events_executed"] = executed;
   out.counters["sim.events_scheduled"] = scheduled;
-  out.counters["sim.events_cancelled"] = cancelled;
   out.gauges["sim.simulated_s"] = config_.base.sim.horizon.to_seconds();
   out.gauges["sim.pending_at_end"] = static_cast<double>(pending);
   if (truncated_) out.counters["sim.truncated_runs"] = 1;

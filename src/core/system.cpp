@@ -38,7 +38,6 @@ class CombinedLoss final : public net::LossModel {
     }
     return dropped;
   }
-  std::string name() const override { return "combined"; }
 
  private:
   std::vector<std::unique_ptr<net::LossModel>> models_;

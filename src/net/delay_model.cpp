@@ -8,8 +8,6 @@ FixedDelay::FixedDelay(Duration d) : d_(d) {
   PSN_CHECK(d_ >= Duration::zero(), "fixed delay must be non-negative");
 }
 
-std::string FixedDelay::name() const { return "fixed(" + d_.to_string() + ")"; }
-
 UniformBoundedDelay::UniformBoundedDelay(Duration min, Duration max)
     : min_(min), max_(max) {
   PSN_CHECK(min_ >= Duration::zero(), "delay must be non-negative");
@@ -26,22 +24,12 @@ Duration UniformBoundedDelay::sample(Rng& rng) {
   return rng.uniform_duration(min_, max_);
 }
 
-std::string UniformBoundedDelay::name() const {
-  return "uniform[" + min_.to_string() + "," + max_.to_string() + "]";
-}
-
-ExponentialDelay::ExponentialDelay(Duration mean, Duration floor)
-    : mean_(mean), floor_(floor) {
+ExponentialDelay::ExponentialDelay(Duration mean) : mean_(mean) {
   PSN_CHECK(mean_ > Duration::zero(), "mean delay must be positive");
-  PSN_CHECK(floor_ >= Duration::zero(), "delay floor must be non-negative");
 }
 
 Duration ExponentialDelay::sample(Rng& rng) {
-  return floor_ + Duration::from_seconds(rng.exponential(mean_.to_seconds()));
-}
-
-std::string ExponentialDelay::name() const {
-  return "exponential(mean=" + mean_.to_string() + ")";
+  return Duration::from_seconds(rng.exponential(mean_.to_seconds()));
 }
 
 }  // namespace psn::net

@@ -1,7 +1,6 @@
 #pragma once
 
 #include <memory>
-#include <string>
 
 #include "common/rng.hpp"
 #include "common/sim_time.hpp"
@@ -25,7 +24,6 @@ class DelayModel {
   /// Zero (the conservative default) means "no lookahead": such a model
   /// cannot be sharded.
   virtual Duration min_delay() const { return Duration::zero(); }
-  virtual std::string name() const = 0;
 };
 
 /// Δ = 0: instantaneous/synchronous delivery (paper §3.2.2.a). With strobes
@@ -34,7 +32,6 @@ class SynchronousDelay final : public DelayModel {
  public:
   Duration sample(Rng&) override { return Duration::zero(); }
   Duration bound() const override { return Duration::zero(); }
-  std::string name() const override { return "synchronous"; }
 };
 
 /// Constant delay d (deterministic network).
@@ -44,7 +41,6 @@ class FixedDelay final : public DelayModel {
   Duration sample(Rng&) override { return d_; }
   Duration bound() const override { return d_; }
   Duration min_delay() const override { return d_; }
-  std::string name() const override;
 
  private:
   Duration d_;
@@ -60,24 +56,21 @@ class UniformBoundedDelay final : public DelayModel {
   Duration sample(Rng& rng) override;
   Duration bound() const override { return max_; }
   Duration min_delay() const override { return min_; }
-  std::string name() const override;
 
  private:
   Duration min_, max_;
 };
 
 /// Exponential with the given mean: unbounded tail (§3.2.2.c), for worst-case
-/// experiments. A small `floor` models minimum transmission time.
+/// experiments. Its minimum delay is zero, so it cannot be sharded.
 class ExponentialDelay final : public DelayModel {
  public:
-  explicit ExponentialDelay(Duration mean, Duration floor = Duration::zero());
+  explicit ExponentialDelay(Duration mean);
   Duration sample(Rng& rng) override;
   Duration bound() const override { return Duration::max(); }
-  Duration min_delay() const override { return floor_; }
-  std::string name() const override;
 
  private:
-  Duration mean_, floor_;
+  Duration mean_;
 };
 
 }  // namespace psn::net

@@ -12,10 +12,6 @@ BernoulliLoss::BernoulliLoss(double p) : p_(p) {
 
 bool BernoulliLoss::drop(SimTime, Rng& rng) { return rng.bernoulli(p_); }
 
-std::string BernoulliLoss::name() const {
-  return "bernoulli(" + std::to_string(p_) + ")";
-}
-
 GilbertElliottLoss::GilbertElliottLoss(double p_good_to_bad,
                                        double p_bad_to_good,
                                        double loss_in_good, double loss_in_bad)

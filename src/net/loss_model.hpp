@@ -1,7 +1,5 @@
 #pragma once
 
-#include <memory>
-#include <string>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -17,13 +15,11 @@ class LossModel {
  public:
   virtual ~LossModel() = default;
   virtual bool drop(SimTime now, Rng& rng) = 0;
-  virtual std::string name() const = 0;
 };
 
 class NoLoss final : public LossModel {
  public:
   bool drop(SimTime, Rng&) override { return false; }
-  std::string name() const override { return "none"; }
 };
 
 /// Independent loss with probability p per transmission.
@@ -31,7 +27,6 @@ class BernoulliLoss final : public LossModel {
  public:
   explicit BernoulliLoss(double p);
   bool drop(SimTime, Rng& rng) override;
-  std::string name() const override;
 
  private:
   double p_;
@@ -44,7 +39,6 @@ class GilbertElliottLoss final : public LossModel {
   GilbertElliottLoss(double p_good_to_bad, double p_bad_to_good,
                      double loss_in_good, double loss_in_bad);
   bool drop(SimTime, Rng& rng) override;
-  std::string name() const override { return "gilbert-elliott"; }
 
  private:
   double p_gb_, p_bg_, loss_good_, loss_bad_;
@@ -62,7 +56,6 @@ class ScheduledBurstLoss final : public LossModel {
   };
   explicit ScheduledBurstLoss(std::vector<Window> windows);
   bool drop(SimTime now, Rng&) override;
-  std::string name() const override { return "scheduled-burst"; }
 
  private:
   std::vector<Window> windows_;

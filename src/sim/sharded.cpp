@@ -40,8 +40,8 @@ std::size_t ShardedSimulation::drain_all(SimTime fence) {
   return n;
 }
 
-bool ShardedSimulation::quiescent(SimTime horizon) {
-  for (Simulation* s : shards_) {
+bool ShardedSimulation::quiescent(SimTime horizon) const {
+  for (const Simulation* s : shards_) {
     if (s->scheduler().next_time() <= horizon) return false;
   }
   return true;
@@ -52,8 +52,8 @@ std::size_t ShardedSimulation::run(const ExchangeFn& exchange) {
   truncated_ = false;
   windows_ = 0;
   // `stop` is one tick past the horizon so the final window's exclusive
-  // fence still executes events *at* the horizon, matching the serial
-  // run_until(horizon) inclusive semantics.
+  // fence still executes events *at* the horizon, as the serial
+  // Simulation::run() does.
   const SimTime stop = config_.horizon + Duration::nanos(1);
   std::size_t max_events = SIZE_MAX;
   for (const Simulation* s : shards_) {

@@ -66,7 +66,7 @@ class ShardedSimulation {
 
  private:
   std::size_t drain_all(SimTime fence);
-  bool quiescent(SimTime horizon);
+  bool quiescent(SimTime horizon) const;
 
   std::vector<Simulation*> shards_;
   Config config_;

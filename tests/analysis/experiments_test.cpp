@@ -99,6 +99,40 @@ TEST(OccupancyExperimentTest, RejectsInvalidConfig) {
   EXPECT_THROW(run_occupancy_experiment(bad), ConfigError);
 }
 
+TEST(OccupancyExperimentTest, RejectsConfigsTheModelsWouldAbortOn) {
+  // Each of these once passed validate() and then failed an invariant
+  // check inside a delay model, the hall, or the sharded window driver.
+  using core::DelayKind;
+  const auto config = [](DelayKind kind, Duration delta,
+                         std::size_t shards = 1) {
+    OccupancyConfig cfg = small_config();
+    cfg.delay_kind = kind;
+    cfg.delta = delta;
+    cfg.shards = shards;
+    return cfg;
+  };
+  for (const DelayKind kind :
+       {DelayKind::kSynchronous, DelayKind::kFixed, DelayKind::kUniformBounded,
+        DelayKind::kExponential}) {
+    EXPECT_THROW(validate(config(kind, -(5_ms))), ConfigError);
+  }
+  EXPECT_THROW(validate(config(DelayKind::kExponential, 0_ms)), ConfigError);
+  EXPECT_THROW(validate(config(DelayKind::kUniformBounded, 0_ms)), ConfigError);
+
+  // Sharding needs a positive minimum one-hop delay: fixed 0 has none.
+  EXPECT_NO_THROW(validate(config(DelayKind::kFixed, 0_ms)));
+  EXPECT_THROW(validate(config(DelayKind::kFixed, 0_ms, 2)), ConfigError);
+  EXPECT_THROW(validate(config(DelayKind::kSynchronous, 0_ms, 2)), ConfigError);
+  EXPECT_NO_THROW(validate(config(DelayKind::kFixed, 50_ms, 2)));
+
+  OccupancyConfig cfg = small_config();
+  cfg.sync_epsilon = -(5_us);
+  EXPECT_THROW(validate(cfg), ConfigError);
+  cfg = small_config();
+  cfg.movement_rate = 0.0;
+  EXPECT_THROW(validate(cfg), ConfigError);
+}
+
 TEST(ReplicationTest, SumsAcrossSeeds) {
   const auto agg =
       sweep(small_config(10)).replications(3).run().points.front().detectors;

@@ -1,12 +1,11 @@
 // Window-barrier stress (`ctest -L par`; CI repeats the label under
 // -DPSN_SANITIZE=thread). Two layers:
 //
-//   1. The ShardedSimulation driver alone, fed a cancel-heavy workload —
-//      every shard tick schedules a decoy and cancels it, the duty-cycle
-//      wake re-plan pattern at full rate — across a real 8-thread pool,
-//      with cross-shard traffic through the outbox exchange every window.
-//      TSan's targets: the submit/future window barrier, the one-task-per-
-//      shard scheduler confinement, and the driver-thread-only exchange.
+//   1. The ShardedSimulation driver alone, every shard ticking each
+//      millisecond across a real 8-thread pool, with cross-shard ring
+//      traffic through the outbox exchange every window. TSan's targets:
+//      the submit/future window barrier, the one-task-per-shard scheduler
+//      confinement, and the driver-thread-only exchange.
 //
 //   2. The full sharded occupancy system at 8 shards × 8 pool threads
 //      under unaligned duty cycling plus burst loss — run twice, artifacts
@@ -31,7 +30,7 @@
 namespace psn::analysis {
 namespace {
 
-// --- 1. driver-level cancel storm ------------------------------------------
+// --- 1. driver-level ring storm --------------------------------------------
 
 struct StormShard {
   sim::Simulation* sim = nullptr;
@@ -47,17 +46,10 @@ struct StormShard {
     sim->scheduler().schedule_after(
         Duration::millis(1), sim::Scheduler::Callback([this] {
           ++fired;
-          // The churn: plan a wake, immediately re-plan (cancel) it — twice.
-          sim::Scheduler& sched = sim->scheduler();
-          const sim::EventHandle a = sched.schedule_after(
-              Duration::millis(3), sim::Scheduler::Callback([] {}));
-          const sim::EventHandle b = sched.schedule_after(
-              Duration::millis(7), sim::Scheduler::Callback([] {}));
-          sched.cancel(a);
-          sched.cancel(b);
           // Cross-shard send: arrives >= one window (5 ms) ahead, so the
           // conservative-lookahead contract holds.
-          outbox->push_back({sched.now() + Duration::millis(5), fired});
+          outbox->push_back({sim->scheduler().now() + Duration::millis(5),
+                             fired});
           arm();
         }));
   }
@@ -75,7 +67,7 @@ struct StormTotals {
   }
 };
 
-StormTotals run_cancel_storm(std::size_t shards, std::size_t pool_threads,
+StormTotals run_ring_storm(std::size_t shards, std::size_t pool_threads,
                              std::size_t ticks_per_shard) {
   std::vector<std::unique_ptr<sim::Simulation>> sims;
   std::vector<sim::Simulation*> raw;
@@ -125,17 +117,17 @@ StormTotals run_cancel_storm(std::size_t shards, std::size_t pool_threads,
 TEST(ShardedStressTest, CancelStormAcrossWindowBarrierIsLosslessAndRepeatable) {
   const std::size_t kShards = 8;
   const std::size_t kTicks = 400;
-  const StormTotals par = run_cancel_storm(kShards, 8, kTicks);
+  const StormTotals par = run_ring_storm(kShards, 8, kTicks);
   // Every tick fired, every cross-shard send arrived, nothing double-ran.
   EXPECT_EQ(par.fired, kShards * kTicks);
   EXPECT_EQ(par.received, kShards * kTicks);
   EXPECT_GT(par.windows, kTicks / 5);
   // The pool must not change anything the serial driver would have done —
-  // including the executed-event count (cancelled decoys never execute).
-  const StormTotals serial = run_cancel_storm(kShards, 1, kTicks);
+  // including the executed-event count.
+  const StormTotals serial = run_ring_storm(kShards, 1, kTicks);
   EXPECT_TRUE(par == serial) << "pooled run diverged from inline run";
   // And a second pooled run must reproduce the first exactly.
-  EXPECT_TRUE(run_cancel_storm(kShards, 8, kTicks) == par);
+  EXPECT_TRUE(run_ring_storm(kShards, 8, kTicks) == par);
 }
 
 // --- 2. system-level duty churn at full fan-out -----------------------------

@@ -4,7 +4,11 @@
 # anything runs, as must an unknown flag such as the removed `run --check`
 # and a fault plan whose time is not finite or reaches 2^63 ns, or a serve
 # idle timeout past INT_MAX ms (the TIMEOUT stops the server such a value
-# used to start); a well-formed invocation still runs. Run via
+# used to start). So must every config analysis::validate rejects, such as
+# a delay model with no usable delta, a negative epsilon, a zero movement
+# rate, shards over a zero minimum one-hop delay, or lean clocks under
+# check: none may print the scenario header first. A well-formed invocation
+# still runs. Run via
 #   cmake -DPSN_CLI=<psn_cli binary> -P cli_flags.cmake
 
 set(bad_invocations
@@ -24,7 +28,16 @@ set(bad_invocations
   "run --faults crash:2@nan+4"
   "run --faults crash:2@1e300+4"
   "serve --listen 0 --idle-timeout 1e300"
-  "serve --listen 0 --idle-timeout 3000000")
+  "serve --listen 0 --idle-timeout 3000000"
+  "run --delay exp --delta 0"
+  "run --delay fixed --delta -5"
+  "run --delay fixed --delta 0 --shards 2"
+  "check --delay fixed --delta 0 --shards 2"
+  "run --delay uniform --delta 0"
+  "run --shards 2 --delay sync"
+  "check --lean-clocks"
+  "run --eps -5"
+  "run --rate 0")
 
 foreach(invocation IN LISTS bad_invocations)
   separate_arguments(args UNIX_COMMAND "${invocation}")

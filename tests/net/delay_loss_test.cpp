@@ -71,12 +71,6 @@ TEST(ExponentialDelayTest, MeanAndUnboundedness) {
   EXPECT_EQ(d.bound(), Duration::max());
 }
 
-TEST(ExponentialDelayTest, FloorRespected) {
-  ExponentialDelay d(10_ms, 5_ms);
-  Rng rng(6);
-  for (int i = 0; i < 1000; ++i) EXPECT_GE(d.sample(rng), 5_ms);
-}
-
 TEST(NoLossTest, NeverDrops) {
   NoLoss l;
   Rng rng(7);
@@ -126,15 +120,6 @@ TEST(ScheduledBurstLossTest, DropsOnlyInsideWindows) {
 
 TEST(ScheduledBurstLossTest, RejectsInvertedWindow) {
   EXPECT_THROW(ScheduledBurstLoss({{t(5), t(1)}}), InvariantError);
-}
-
-TEST(DelayModelTest, NamesAreInformative) {
-  EXPECT_EQ(SynchronousDelay().name(), "synchronous");
-  EXPECT_NE(FixedDelay(1_ms).name().find("fixed"), std::string::npos);
-  EXPECT_NE(UniformBoundedDelay(0_ms, 1_ms).name().find("uniform"),
-            std::string::npos);
-  EXPECT_NE(ExponentialDelay(1_ms).name().find("exponential"),
-            std::string::npos);
 }
 
 }  // namespace

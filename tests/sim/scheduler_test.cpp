@@ -61,49 +61,19 @@ TEST(SchedulerTest, SameInstantSelfScheduleRunsAfterQueued) {
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
 }
 
-TEST(SchedulerTest, CancelPreventsExecution) {
-  Scheduler s;
-  bool ran = false;
-  const EventHandle h = s.schedule_at(at(1), [&] { ran = true; });
-  s.cancel(h);
-  s.run();
-  EXPECT_FALSE(ran);
-  EXPECT_EQ(s.pending(), 0u);
-}
-
-TEST(SchedulerTest, CancelAfterFireIsNoop) {
-  Scheduler s;
-  const EventHandle h = s.schedule_at(at(1), [] {});
-  s.run();
-  s.cancel(h);  // must not throw
-  s.cancel(EventHandle{});
-}
-
-TEST(SchedulerTest, RunUntilStopsInclusive) {
+TEST(SchedulerTest, RunUntilBeforeStopsExclusive) {
   Scheduler s;
   std::vector<int> order;
   s.schedule_at(at(10), [&] { order.push_back(1); });
   s.schedule_at(at(20), [&] { order.push_back(2); });
   s.schedule_at(at(30), [&] { order.push_back(3); });
-  const std::size_t n = s.run_until(at(20));
-  EXPECT_EQ(n, 2u);
-  EXPECT_EQ(order, (std::vector<int>{1, 2}));
-  EXPECT_EQ(s.now(), at(20));
-  EXPECT_EQ(s.pending(), 1u);
-}
-
-TEST(SchedulerTest, RunUntilAdvancesTimeWhenIdle) {
-  Scheduler s;
-  s.run_until(at(100));
-  EXPECT_EQ(s.now(), at(100));
-}
-
-TEST(SchedulerTest, NextTimeSkipsCancelled) {
-  Scheduler s;
-  const EventHandle h = s.schedule_at(at(1), [] {});
-  s.schedule_at(at(2), [] {});
-  s.cancel(h);
-  EXPECT_EQ(s.next_time(), at(2));
+  EXPECT_EQ(s.run_until_before(at(20)), 1u);
+  EXPECT_EQ(order, (std::vector<int>{1}));
+  EXPECT_EQ(s.now(), at(10));  // left at the last event, not the fence
+  EXPECT_EQ(s.next_time(), at(20));
+  EXPECT_EQ(s.run_until_before(at(31)), 2u);
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+  EXPECT_EQ(s.pending(), 0u);
 }
 
 TEST(SchedulerTest, NextTimeEmpty) {
@@ -151,36 +121,6 @@ TEST(SchedulerTest, TotalExecutedCountsAcrossRuns) {
   EXPECT_EQ(s.total_executed(), 2u);
 }
 
-TEST(SchedulerSlabTest, StaleHandleCannotCancelRecycledSlot) {
-  // Generation safety: after A fires, its slab slot is recycled for B.
-  // Cancelling A's (now stale) handle must not touch B.
-  Scheduler s;
-  bool a_ran = false;
-  bool b_ran = false;
-  const EventHandle a = s.schedule_at(at(1), [&] { a_ran = true; });
-  s.run();
-  ASSERT_TRUE(a_ran);
-  s.schedule_at(at(2), [&] { b_ran = true; });  // reuses A's slot
-  s.cancel(a);                                  // stale: must be a no-op
-  EXPECT_EQ(s.pending(), 1u);
-  s.run();
-  EXPECT_TRUE(b_ran);
-}
-
-TEST(SchedulerSlabTest, CancelledHandleStaysStaleAcrossReuse) {
-  // Cancel, recycle, cancel again: the second cancel of the same handle must
-  // not release the slot out from under its new tenant.
-  Scheduler s;
-  bool b_ran = false;
-  const EventHandle a = s.schedule_at(at(1), [] {});
-  s.cancel(a);
-  s.schedule_at(at(1), [&] { b_ran = true; });  // reuses the freed slot
-  s.cancel(a);                                  // double-cancel: no-op
-  EXPECT_EQ(s.pending(), 1u);
-  s.run();
-  EXPECT_TRUE(b_ran);
-}
-
 TEST(SchedulerSlabTest, CallbackBeyondInlineCapacityStillRuns) {
   // The slab's inline buffer is a fast path, not a capacity limit: a closure
   // past kCallbackInlineBytes falls back to a heap cell transparently.
@@ -199,43 +139,17 @@ TEST(SchedulerSlabTest, CallbackBeyondInlineCapacityStillRuns) {
   EXPECT_EQ(seen, 3);
 }
 
-TEST(SchedulerSlabTest, CancelHeavyWorkloadCompactsAndPreservesOrder) {
-  // Duty-cycle pattern: mass-schedule timers, cancel most before they fire.
-  // Tombstone compaction must bound the calendar while the survivors run in
-  // exactly their (time, schedule-seq) order.
-  Scheduler s;
-  std::vector<int> fired;
-  std::vector<EventHandle> handles;
-  for (int i = 0; i < 2000; ++i) {
-    handles.push_back(
-        s.schedule_at(at(i + 1), [&fired, i] { fired.push_back(i); }));
-  }
-  for (int i = 0; i < 2000; ++i) {
-    if (i % 10 != 0) s.cancel(handles[static_cast<std::size_t>(i)]);
-  }
-  EXPECT_EQ(s.pending(), 200u);
-  s.run();
-  ASSERT_EQ(fired.size(), 200u);
-  for (int i = 0; i < 200; ++i) {
-    EXPECT_EQ(fired[static_cast<std::size_t>(i)], i * 10);
-  }
-  EXPECT_EQ(s.pending(), 0u);
-}
-
 TEST(SchedulerSlabTest, SlotsRecycleUnderSteadyChurn) {
   // A bounded schedule/fire cycle must reuse slab slots rather than grow:
-  // observable as handles repeating the same slots (same handle values are
-  // private, so assert indirectly: massive churn, then cancellation of an
-  // early stale handle is still a no-op and order still holds).
+  // massive churn leaves the calendar empty with every event fired once.
   Scheduler s;
-  EventHandle first = s.schedule_at(at(1), [] {});
+  s.schedule_at(at(1), [] {});
   s.run();
   std::size_t fired = 0;
   for (int round = 0; round < 1000; ++round) {
     s.schedule_after(Duration::millis(1), [&fired] { fired++; });
     s.run();
   }
-  s.cancel(first);  // ancient handle, slot long since recycled
   EXPECT_EQ(fired, 1000u);
   EXPECT_EQ(s.pending(), 0u);
 }
@@ -273,23 +187,6 @@ TEST(SchedulerOrderTest, RunRecyclesAfterDrainDuringExecution) {
   s.run();
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
   EXPECT_EQ(s.now(), at(102));
-}
-
-TEST(SchedulerOrderTest, CancelFrontTombstoneIsSkippedAcrossContainers) {
-  // Tombstones at the head of either container must be drained lazily
-  // without disturbing the live merge order.
-  Scheduler s;
-  std::vector<int> order;
-  auto push = [&order](int v) { return [&order, v] { order.push_back(v); }; };
-  const EventHandle run_front = s.schedule_at(at(20), push(0));
-  const EventHandle heap_front = s.schedule_at(at(10), push(1));
-  s.schedule_at(at(25), push(2));
-  s.schedule_at(at(12), push(3));
-  s.cancel(run_front);
-  s.cancel(heap_front);
-  EXPECT_EQ(s.next_time(), at(12));
-  s.run();
-  EXPECT_EQ(order, (std::vector<int>{3, 2}));
 }
 
 TEST(SchedulerTest, RunawaySelfReschedulerStopsAtCap) {
