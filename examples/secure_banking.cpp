@@ -108,5 +108,23 @@ int main(int argc, char** argv) {
       "A 'NO (race)' row would mean the order rests only on eps-accurate\n"
       "timestamps — the strobe partial order could not certify it.\n",
       matches.size(), legitimate);
+
+  // The claim: every legitimate session, and nothing else, is matched, each
+  // match causally certified within the 5 s window.
+  bool certified = true;
+  for (const auto& m : matches) {
+    certified = certified && m.causally_certified &&
+                m.y.when.begin - m.x.when.end <= spec.max_gap;
+  }
+  const bool claim = legitimate > 0 &&
+                     matches.size() == static_cast<std::size_t>(legitimate) &&
+                     certified;
+  if (!claim) {
+    std::fprintf(stderr,
+                 "secure_banking: claim failed: %zu matches for %d legitimate "
+                 "sessions, all certified within 5 s: %s\n",
+                 matches.size(), legitimate, certified ? "yes" : "no");
+    return 1;
+  }
   return 0;
 }

@@ -73,8 +73,8 @@ struct ShardedSystemConfig {
 ///  - live (K = 1 only): world() is a WorldModel bound to the one shard's
 ///    Simulation, built on first use. Its events are sensed the instant
 ///    they are emitted, and actuation commands apply to it, so closed-loop
-///    runs, proximity fields and scripted emits work. The root's log is the
-///    single shard's delivery order, unsorted.
+///    runs and scripted emits work. The root's log is the single shard's
+///    delivery order, unsorted.
 ///
 /// Not supported at K > 1 (callers reject these before construction): FIFO
 /// channels, Gilbert–Elliott loss, and delay models with a zero minimum

@@ -23,7 +23,6 @@ struct WorldEvent {
   ObjectId object = kNoObject;
   std::string attribute;
   AttributeValue value;
-  Point2D location;
 
   /// Sequence number assigned by the timeline on insertion.
   WorldEventIndex index = kNoWorldEvent;

@@ -1,6 +1,5 @@
 #pragma once
 
-#include <cmath>
 #include <cstdint>
 #include <map>
 #include <string>
@@ -12,31 +11,16 @@ namespace psn::world {
 using ObjectId = std::uint32_t;
 inline constexpr ObjectId kNoObject = UINT32_MAX;
 
-/// Planar location; sensors have a sensing radius over this plane.
-struct Point2D {
-  double x = 0.0;
-  double y = 0.0;
-
-  double distance_to(const Point2D& o) const {
-    const double dx = x - o.x;
-    const double dy = y - o.y;
-    return std::sqrt(dx * dx + dy * dy);
-  }
-  bool operator==(const Point2D&) const = default;
-};
-
 /// A passive external-world object (paper §2.1: o ∈ O). It has attributes
 /// that can be sensed/actuated by processes in P, but no clock of its own and
 /// no network presence.
 class WorldObject {
  public:
-  WorldObject(ObjectId id, std::string name, Point2D location)
-      : id_(id), name_(std::move(name)), location_(location) {}
+  WorldObject(ObjectId id, std::string name)
+      : id_(id), name_(std::move(name)) {}
 
   ObjectId id() const { return id_; }
   const std::string& name() const { return name_; }
-  const Point2D& location() const { return location_; }
-  void move_to(const Point2D& p) { location_ = p; }
 
   bool has_attribute(const std::string& attr) const {
     return attrs_.contains(attr);
@@ -52,7 +36,6 @@ class WorldObject {
  private:
   ObjectId id_;
   std::string name_;
-  Point2D location_;
   std::map<std::string, AttributeValue> attrs_;
 };
 

@@ -18,9 +18,8 @@ ExhibitionHall::ExhibitionHall(WorldModel& world, ExhibitionHallConfig config,
   entered_.assign(static_cast<std::size_t>(config_.doors), 0);
   exited_.assign(static_cast<std::size_t>(config_.doors), 0);
   for (int k = 0; k < config_.doors; ++k) {
-    const auto id = world_.create_object(
-        config_.name_prefix + "_" + std::to_string(k),
-        Point2D{static_cast<double>(k) * 10.0, 0.0});
+    const auto id =
+        world_.create_object(config_.name_prefix + "_" + std::to_string(k));
     world_.object(id).set_attribute("entered", std::int64_t{0});
     world_.object(id).set_attribute("exited", std::int64_t{0});
     door_objects_.push_back(id);
@@ -77,9 +76,7 @@ SmartOffice::SmartOffice(WorldModel& world, SmartOfficeConfig config, Rng rng)
     : world_(world), config_(config) {
   PSN_CHECK(config_.rooms > 0, "office needs at least one room");
   for (int k = 0; k < config_.rooms; ++k) {
-    const auto id = world_.create_object(
-        "room_" + std::to_string(k),
-        Point2D{0.0, static_cast<double>(k) * 5.0});
+    const auto id = world_.create_object("room_" + std::to_string(k));
     world_.object(id).set_attribute("temp", 22.0);
     world_.object(id).set_attribute("occupied", false);
     room_objects_.push_back(id);
@@ -126,7 +123,7 @@ HospitalWard::HospitalWard(WorldModel& world, HospitalWardConfig config,
   waiting_room_ = std::make_unique<ExhibitionHall>(world_, hall,
                                                    rng.substream("waiting"));
 
-  ward_ = world_.create_object("infectious_ward", Point2D{100.0, 0.0});
+  ward_ = world_.create_object("infectious_ward");
   world_.object(ward_).set_attribute("occupied", false);
   world_.object(ward_).set_attribute("restricted", true);
 

@@ -6,9 +6,9 @@
 
 namespace psn::world {
 
-ObjectId WorldModel::create_object(const std::string& name, Point2D location) {
+ObjectId WorldModel::create_object(const std::string& name) {
   const auto id = static_cast<ObjectId>(objects_.size());
-  objects_.emplace_back(id, name, location);
+  objects_.emplace_back(id, name);
   return id;
 }
 
@@ -22,12 +22,6 @@ const WorldObject& WorldModel::object(ObjectId id) const {
   return objects_[id];
 }
 
-void WorldModel::move(ObjectId object_id, const Point2D& to) {
-  WorldObject& obj = object(object_id);
-  obj.move_to(to);
-  for (const auto& sink : move_sinks_) sink(object_id, to);
-}
-
 WorldEventIndex WorldModel::emit(ObjectId object_id,
                                  const std::string& attribute,
                                  AttributeValue value) {
@@ -39,7 +33,6 @@ WorldEventIndex WorldModel::emit(ObjectId object_id,
   ev.object = object_id;
   ev.attribute = attribute;
   ev.value = std::move(value);
-  ev.location = obj.location();
   const WorldEventIndex idx = timeline_.append(std::move(ev));
 
   // Sinks observe the recorded (indexed) event.

@@ -21,7 +21,7 @@ class WorldModel {
  public:
   explicit WorldModel(sim::Simulation& sim) : sim_(sim) {}
 
-  ObjectId create_object(const std::string& name, Point2D location = {});
+  ObjectId create_object(const std::string& name);
   WorldObject& object(ObjectId id);
   const WorldObject& object(ObjectId id) const;
   std::size_t num_objects() const { return objects_.size(); }
@@ -36,16 +36,6 @@ class WorldModel {
   WorldEventIndex emit(ObjectId object, const std::string& attribute,
                        AttributeValue value);
 
-  /// Observer of object movement. Mobility models (world/mobility) call
-  /// move(); proximity sensing (core/proximity) subscribes here. Movement is
-  /// continuous physical state, not an attribute change, so it does not
-  /// enter the event timeline by itself.
-  using MoveSink = std::function<void(ObjectId, const Point2D&)>;
-  void add_move_sink(MoveSink sink) { move_sinks_.push_back(std::move(sink)); }
-
-  /// Relocates an object and notifies move sinks.
-  void move(ObjectId object, const Point2D& to);
-
   const WorldTimeline& timeline() const { return timeline_; }
   sim::Simulation& simulation() { return sim_; }
 
@@ -53,7 +43,6 @@ class WorldModel {
   sim::Simulation& sim_;
   std::vector<WorldObject> objects_;
   std::vector<Sink> sinks_;
-  std::vector<MoveSink> move_sinks_;
   WorldTimeline timeline_;
 };
 

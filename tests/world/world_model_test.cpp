@@ -18,13 +18,12 @@ sim::SimConfig quick_config() {
 TEST(WorldModelTest, CreateAndAccessObjects) {
   sim::Simulation sim(quick_config());
   WorldModel world(sim);
-  const ObjectId a = world.create_object("door", {1.0, 2.0});
+  const ObjectId a = world.create_object("door");
   const ObjectId b = world.create_object("room");
   EXPECT_EQ(a, 0u);
   EXPECT_EQ(b, 1u);
   EXPECT_EQ(world.num_objects(), 2u);
   EXPECT_EQ(world.object(a).name(), "door");
-  EXPECT_EQ(world.object(a).location(), (Point2D{1.0, 2.0}));
   EXPECT_THROW(world.object(7), InvariantError);
 }
 
@@ -55,7 +54,7 @@ TEST(WorldModelTest, SinksSeeEventsInEmissionOrder) {
 }
 
 TEST(WorldObjectTest, AttributeAccess) {
-  WorldObject o(0, "thing", {});
+  WorldObject o(0, "thing");
   EXPECT_FALSE(o.has_attribute("temp"));
   EXPECT_THROW(o.attribute("temp"), InvariantError);
   o.set_attribute("temp", 21.5);
