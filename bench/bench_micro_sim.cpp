@@ -1,12 +1,13 @@
 // Micro-benchmarks of the simulation substrate: event-calendar throughput,
 // strobe broadcast fan-out through the transport, end-to-end system steps,
-// detector evaluation, trace recording and ordering, wire ingest, the race
-// audit, and lattice enumeration cost.
+// detector and oracle evaluation, trace recording and ordering, wire ingest,
+// the race audit, and lattice enumeration cost.
 
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "analysis/experiments.hpp"
@@ -16,6 +17,7 @@
 #include "core/detectors.hpp"
 #include "core/execution_view.hpp"
 #include "core/lattice.hpp"
+#include "core/oracle.hpp"
 #include "core/predicate_parser.hpp"
 #include "core/sharded_system.hpp"
 #include "serve/session.hpp"
@@ -23,6 +25,7 @@
 #include "sim/fault.hpp"
 #include "sim/trace.hpp"
 #include "world/generators.hpp"
+#include "world/scenarios.hpp"
 
 namespace {
 
@@ -82,7 +85,9 @@ void BM_FullOccupancySecond(benchmark::State& state) {
     core::ShardedPervasiveSystem system(config);
     std::vector<std::unique_ptr<world::AttributeDriver>> drivers;
     for (ProcessId pid = 1; pid <= doors; ++pid) {
-      const auto obj = system.world().create_object("o" + std::to_string(pid));
+      std::string name = "o";
+      name += std::to_string(pid);
+      const auto obj = system.world().create_object(name);
       system.world().object(obj).set_attribute("count", std::int64_t{0});
       system.assign(obj, "count", pid);
       drivers.push_back(std::make_unique<world::AttributeDriver>(
@@ -108,7 +113,9 @@ void BM_DetectorThroughput(benchmark::State& state) {
   core::ShardedPervasiveSystem system(config);
   std::vector<std::unique_ptr<world::AttributeDriver>> drivers;
   for (ProcessId pid = 1; pid <= 4; ++pid) {
-    const auto obj = system.world().create_object("o" + std::to_string(pid));
+    std::string name = "o";
+    name += std::to_string(pid);
+    const auto obj = system.world().create_object(name);
     system.world().object(obj).set_attribute("count", std::int64_t{0});
     system.assign(obj, "count", pid);
     drivers.push_back(std::make_unique<world::AttributeDriver>(
@@ -161,7 +168,55 @@ void BM_AggregateEvaluate(benchmark::State& state) {
   state.counters["allocs_per_update"] =
       static_cast<double>(allocs) / static_cast<double>(state.iterations());
 }
-BENCHMARK(BM_AggregateEvaluate)->Arg(32)->Arg(3000);
+BENCHMARK(BM_AggregateEvaluate)->Arg(32)->Arg(3000)->Arg(100000);
+
+void BM_OracleEvaluate(benchmark::State& state) {
+  // Oracle ladder row: GroundTruthOracle::evaluate over a pre-rolled city
+  // timeline (psn_cli's city preset at n doors, 2 s, seed 1), reported per
+  // world event.
+  const auto doors = static_cast<int>(state.range(0));
+  sim::SimConfig sim_cfg;
+  sim_cfg.seed = 1;
+  sim_cfg.horizon = SimTime::zero() + Duration::seconds(2);
+  sim::Simulation sim(sim_cfg);
+  world::WorldModel world(sim);
+  world::ExhibitionHallConfig hall_cfg;
+  hall_cfg.doors = doors;
+  hall_cfg.capacity = doors / 2;
+  hall_cfg.movement_rate = 2000.0;
+  hall_cfg.target_occupancy = static_cast<double>(hall_cfg.capacity);
+  hall_cfg.initial_occupancy = hall_cfg.capacity - 10;
+  world::ExhibitionHall hall(world, hall_cfg, sim.rng_for("hall"));
+  hall.start();
+  sim.run();
+  core::SensingMap sensing;
+  for (int k = 0; k < doors; ++k) {
+    const auto pid = static_cast<ProcessId>(k + 1);
+    sensing.assign(hall.door_object(k), "entered", pid);
+    sensing.assign(hall.door_object(k), "exited", pid);
+  }
+  std::string phi = "sum(entered) - sum(exited) > ";
+  phi += std::to_string(hall_cfg.capacity);
+  const core::GroundTruthOracle oracle(core::parse_predicate("hall", phi),
+                                       sensing);
+  const auto events = static_cast<double>(world.timeline().size());
+  std::uint64_t allocs = 0;
+  for (auto _ : state) {
+    const std::uint64_t before = alloc_guard::thread_allocations();
+    benchmark::DoNotOptimize(
+        oracle.evaluate(world.timeline(), sim_cfg.horizon));
+    allocs += alloc_guard::thread_allocations() - before;
+  }
+  // Inverted iteration-invariant rate: elapsed / (iterations · events · 1e-9)
+  // is nanoseconds per world event.
+  state.counters["ns_per_world_event"] = benchmark::Counter(
+      events * 1e-9, benchmark::Counter::kIsIterationInvariantRate |
+                         benchmark::Counter::kInvert);
+  state.counters["allocs_per_world_event"] =
+      static_cast<double>(allocs) /
+      (static_cast<double>(state.iterations()) * events);
+}
+BENCHMARK(BM_OracleEvaluate)->Arg(3000)->Arg(100000);
 
 void BM_TraceMerge(benchmark::State& state) {
   // Trace-recording ladder row: canonical_trace_order over what a 4-shard
@@ -356,7 +411,9 @@ void BM_LatticeCount(benchmark::State& state) {
   core::ShardedPervasiveSystem system(config);
   std::vector<std::unique_ptr<world::AttributeDriver>> drivers;
   for (ProcessId pid = 1; pid <= 4; ++pid) {
-    const auto obj = system.world().create_object("o" + std::to_string(pid));
+    std::string name = "o";
+    name += std::to_string(pid);
+    const auto obj = system.world().create_object(name);
     system.world().object(obj).set_attribute("count", std::int64_t{0});
     system.assign(obj, "count", pid);
     drivers.push_back(std::make_unique<world::AttributeDriver>(

@@ -70,11 +70,25 @@ std::string CheckReport::summary() const {
     }
     out += ", " + std::to_string(c.violations_total) + " violation(s)\n";
     for (const auto& v : c.violations) {
-      out += "    [" + std::string(to_string(v.kind)) + "] pid " +
-             std::to_string(v.pid) + " event " +
-             std::to_string(v.local_index) + " seq " + std::to_string(v.seq) +
-             " @" + std::to_string(v.at.to_seconds()) + "s: " + v.detail +
-             "\n";
+      out += "    [";
+      out += to_string(v.kind);
+      out += "] ";
+      // A witness of no process (the race audit's) has no event or seq
+      // either; its detail names the detector.
+      if (v.pid != kNoProcess) {
+        out += "pid ";
+        out += std::to_string(v.pid);
+        out += " event ";
+        out += std::to_string(v.local_index);
+        out += " seq ";
+        out += std::to_string(v.seq);
+        out += ' ';
+      }
+      out += '@';
+      out += std::to_string(v.at.to_seconds());
+      out += "s: ";
+      out += v.detail;
+      out += '\n';
     }
   }
   return out;

@@ -1,10 +1,9 @@
 #include "core/detectors.hpp"
 
 #include <algorithm>
-#include <map>
 #include <optional>
 #include <set>
-#include <string_view>
+#include <span>
 #include <utility>
 
 #include "clocks/timestamp.hpp"
@@ -55,59 +54,28 @@ class TransitionTracker {
   bool holding_;
 };
 
-VarRef var_of(const ReceivedUpdate& u) {
-  return VarRef{u.reporter, u.report.attribute};
-}
+using ColumnId = GlobalState::ColumnId;
 
-/// Heterogeneous ordering so an update's (pid, attribute) can be looked up
-/// against interned VarRefs without materializing a VarRef (no string copy
-/// on the hot path).
-struct VarKeyLess {
-  using is_transparent = void;
-  using Key = std::pair<ProcessId, std::string_view>;
-  static Key key(const VarRef& v) { return {v.pid, v.name}; }
-  bool operator()(const VarRef& a, const VarRef& b) const {
-    return key(a) < key(b);
-  }
-  bool operator()(const VarRef& a, const Key& b) const { return key(a) < b; }
-  bool operator()(const Key& a, const VarRef& b) const { return a < key(b); }
-};
-
-/// Dense VarRef interner (DESIGN.md §11): maps each distinct sensed variable
-/// to a small index, so per-update detector state lives in flat vectors
-/// indexed by interned id instead of ordered maps keyed by (pid, string).
-/// The ordered side table is touched only on first sight of a variable —
-/// steady state is one O(log V) comparison-based lookup with V = number of
-/// distinct variables (small), and no allocation.
-class VarInterner {
+/// A per-variable detector table, keyed by the tracked state's own
+/// (column, pid) index. Rows grow on first sight of a variable; steady state
+/// neither searches nor allocates.
+template <typename T>
+class VarTable {
  public:
-  /// Index of (pid, attribute), interning it on first sight.
-  PSN_HOT std::uint32_t intern(ProcessId pid, const std::string& name) {
-    const VarKeyLess::Key key{pid, name};
-    const auto it = index_of_.lower_bound(key);
-    if (it != index_of_.end() && VarKeyLess::key(it->first) == key) {
-      return it->second;
-    }
-    const auto index = static_cast<std::uint32_t>(vars_.size());
-    vars_.push_back(VarRef{pid, name});
-    index_of_.emplace_hint(it, vars_.back(), index);
-    return index;
+  T& at(ColumnId column, ProcessId pid) {
+    if (column >= rows_.size()) rows_.resize(std::size_t{column} + 1);
+    std::vector<T>& row = rows_[column];
+    if (pid >= row.size()) row.resize(std::size_t{pid} + 1);
+    return row[pid];
   }
-
-  /// Index of an already-interned variable, in O(log V); nullopt if the
-  /// variable was never seen.
-  std::optional<std::uint32_t> find(const VarRef& var) const {
-    const auto it = index_of_.find(var);
-    if (it == index_of_.end()) return std::nullopt;
-    return it->second;
+  /// The column's entries by pid (empty if none was ever touched).
+  std::span<const T> row(ColumnId column) const {
+    if (column >= rows_.size()) return {};
+    return rows_[column];
   }
-
-  std::size_t size() const { return vars_.size(); }
-  const VarRef& var(std::uint32_t index) const { return vars_[index]; }
 
  private:
-  std::map<VarRef, std::uint32_t, VarKeyLess> index_of_;
-  std::vector<VarRef> vars_;
+  std::vector<std::vector<T>> rows_;
 };
 
 }  // namespace
@@ -118,7 +86,8 @@ std::vector<Detection> DeliveryOrderDetector::run(
   TransitionTracker tracker(predicate);
   for (std::size_t i = 0; i < log.updates.size(); ++i) {
     const auto& u = log.updates[i];
-    tracker.state().set(var_of(u), u.report.value.numeric());
+    tracker.state().set(u.reporter, u.report.attribute,
+                        u.report.value.numeric());
     tracker.evaluate(u, i, /*borderline=*/false, out);
   }
   return out;
@@ -128,61 +97,78 @@ std::vector<Detection> StrobeScalarDetector::run(
     const ObservationLog& log, const Predicate& predicate) const {
   std::vector<Detection> out;
   TransitionTracker tracker(predicate);
-  VarInterner interner;
-  // Dense per-variable freshness table; one lookup per update (the old
-  // map<VarRef, Stamp> did a find *and* an operator[] re-hash per accepted
-  // update, plus a string-keyed rebalance).
-  std::vector<std::optional<clocks::ScalarStamp>> latest;
+  VarTable<std::optional<clocks::ScalarStamp>> latest;
 
   for (std::size_t i = 0; i < log.updates.size(); ++i) {
     const auto& u = log.updates[i];
-    const std::uint32_t var = interner.intern(u.reporter, u.report.attribute);
-    if (var >= latest.size()) latest.resize(interner.size());
+    const ColumnId column = tracker.state().column(u.report.attribute);
     const clocks::ScalarStamp stamp = u.report.strobe_scalar;
-    std::optional<clocks::ScalarStamp>& current = latest[var];
+    std::optional<clocks::ScalarStamp>& current = latest.at(column, u.reporter);
     if (current.has_value() && !(*current < stamp)) {
       continue;  // stale under the (value, pid) total order
     }
     current = stamp;
-    tracker.state().set(interner.var(var), u.report.value.numeric());
+    tracker.state().set(column, u.reporter, u.report.value.numeric());
     tracker.evaluate(u, i, /*borderline=*/false, out);
   }
   return out;
 }
 
 struct IncrementalStrobeVectorDetector::Impl {
-  explicit Impl(Predicate p) : predicate(std::move(p)), tracker(predicate) {}
+  explicit Impl(Predicate p) : predicate(std::move(p)), tracker(predicate) {
+    // φ's read set in the tracked state's columns, fixed for the detector's
+    // lifetime: whole columns for aggregated names, single variables for
+    // the ones named outright (unless their whole column is read anyway).
+    std::set<std::string> names;
+    predicate.expr()->collect_aggregate_names(names);
+    std::set<VarRef> vars;
+    predicate.expr()->collect_vars(vars);
+    GlobalState& state = tracker.state();
+    for (const std::string& name : names) {
+      read_columns.push_back(state.column(name));
+    }
+    for (const VarRef& v : vars) {
+      if (!names.contains(v.name)) {
+        read_vars.emplace_back(state.column(v.name), v.pid);
+      }
+    }
+  }
+
+  /// What the detector retains per variable.
+  struct Fresh {
+    /// Freshest accepted vector stamp; nullopt until the first one.
+    std::optional<clocks::VectorStamp> stamp;
+    /// Instant the retained observation expires (temporal validity;
+    /// SimTime::max() while unbounded).
+    SimTime expires = SimTime::max();
+  };
+
+  /// True iff `pred` holds for some read variable other than
+  /// (column, pid) that has an accepted update.
+  template <typename Pred>
+  bool any_other_read(ColumnId column, ProcessId pid, Pred pred) const {
+    const auto test = [&](ColumnId c, ProcessId p, const Fresh& f) {
+      return (c != column || p != pid) && f.stamp.has_value() && pred(f);
+    };
+    for (const ColumnId c : read_columns) {
+      const std::span<const Fresh> row = fresh.row(c);
+      for (std::size_t p = 0; p < row.size(); ++p) {
+        if (test(c, static_cast<ProcessId>(p), row[p])) return true;
+      }
+    }
+    for (const auto& [c, p] : read_vars) {
+      const std::span<const Fresh> row = fresh.row(c);
+      if (p < row.size() && test(c, p, row[p])) return true;
+    }
+    return false;
+  }
 
   Predicate predicate;
   TransitionTracker tracker;
-  VarInterner interner;
-  /// Interned index → freshest accepted vector stamp (dense; nullopt until
-  /// the variable's first accepted update).
-  std::vector<std::optional<clocks::VectorStamp>> latest;
-  /// Interned index → instant the retained observation expires (temporal
-  /// validity; SimTime::max() while unbounded or not yet reported).
-  std::vector<SimTime> expires;
+  VarTable<Fresh> fresh;
+  std::vector<ColumnId> read_columns;
+  std::vector<std::pair<ColumnId, ProcessId>> read_vars;
   std::size_t stale_observations = 0;
-  /// Cached predicate read-set by interned index, plus the state size it was
-  /// computed against. collect_vars expands aggregates against the tracked
-  /// state, so the set can only change when the state's variable universe
-  /// grows — recomputing per feed (the old code built a std::set<VarRef>
-  /// from scratch on *every* update) is pure waste in steady state.
-  std::vector<char> in_read_set;
-  std::size_t read_set_state_size = SIZE_MAX;
-
-  void refresh_read_set() {
-    if (tracker.state().size() == read_set_state_size) return;
-    std::set<VarRef> read;
-    predicate.expr()->collect_vars(tracker.state(), read);
-    in_read_set.assign(interner.size(), 0);
-    for (const VarRef& v : read) {
-      // Only interned (i.e. ever-reported) variables can carry a stamp, so
-      // only they matter for the race scan below.
-      if (const auto i = interner.find(v)) in_read_set[*i] = 1;
-    }
-    read_set_state_size = tracker.state().size();
-  }
 };
 
 IncrementalStrobeVectorDetector::IncrementalStrobeVectorDetector(
@@ -210,15 +196,12 @@ std::size_t IncrementalStrobeVectorDetector::stale_observations() const {
 PSN_HOT std::optional<Detection> IncrementalStrobeVectorDetector::feed(
     const ReceivedUpdate& u, std::size_t index) {
   Impl& impl = *impl_;
-  const std::uint32_t var = impl.interner.intern(u.reporter, u.report.attribute);
-  if (var >= impl.latest.size()) {
-    impl.latest.resize(impl.interner.size());
-    impl.expires.resize(impl.interner.size(), SimTime::max());
-  }
+  const ColumnId column = impl.tracker.state().column(u.report.attribute);
+  Impl::Fresh& mine = impl.fresh.at(column, u.reporter);
   const clocks::VectorStamp& stamp = u.report.strobe_vector;
 
-  if (impl.latest[var].has_value()) {
-    const clocks::Ordering ord = clocks::compare(stamp, *impl.latest[var]);
+  if (mine.stamp.has_value()) {
+    const clocks::Ordering ord = clocks::compare(stamp, *mine.stamp);
     if (ord == clocks::Ordering::kBefore || ord == clocks::Ordering::kEqual) {
       return std::nullopt;  // causally superseded by what we already applied
     }
@@ -227,20 +210,11 @@ PSN_HOT std::optional<Detection> IncrementalStrobeVectorDetector::feed(
   // Race check (the borderline-bin rule, DESIGN.md §6.3): is this update
   // concurrent with the current update of any *other* variable that the
   // predicate reads? If so, the assembled state may not correspond to any
-  // instant of the single time axis. The read-set is the cached one — it
-  // only changes when the tracked state gains a variable.
-  impl.refresh_read_set();
-  bool race = false;
-  for (std::uint32_t other = 0; other < impl.latest.size(); ++other) {
-    if (other == var || !impl.latest[other].has_value()) continue;
-    if (other >= impl.in_read_set.size() || impl.in_read_set[other] == 0) {
-      continue;
-    }
-    if (clocks::concurrent(stamp, *impl.latest[other])) {
-      race = true;
-      break;
-    }
-  }
+  // instant of the single time axis.
+  const bool race =
+      impl.any_other_read(column, u.reporter, [&](const Impl::Fresh& f) {
+        return clocks::concurrent(stamp, *f.stamp);
+      });
 
   // Temporal validity (Kopetz-Steiner): an evaluation is stale when this
   // update's own validity interval lapsed before it arrived, or when any
@@ -250,22 +224,15 @@ PSN_HOT std::optional<Detection> IncrementalStrobeVectorDetector::feed(
   bool stale =
       u.validity.expired(u.report.synced_timestamp, u.delivered_at);
   if (u.validity.bounded() && !stale) {
-    for (std::uint32_t other = 0; other < impl.latest.size(); ++other) {
-      if (other == var || !impl.latest[other].has_value()) continue;
-      if (other >= impl.in_read_set.size() || impl.in_read_set[other] == 0) {
-        continue;
-      }
-      if (u.delivered_at > impl.expires[other]) {
-        stale = true;
-        break;
-      }
-    }
+    stale = impl.any_other_read(column, u.reporter, [&](const Impl::Fresh& f) {
+      return u.delivered_at > f.expires;
+    });
   }
   if (stale) impl.stale_observations++;
 
-  impl.latest[var] = stamp;
-  impl.expires[var] = u.validity.expires_at(u.report.synced_timestamp);
-  impl.tracker.state().set(impl.interner.var(var), u.report.value.numeric());
+  mine.stamp = stamp;
+  mine.expires = u.validity.expires_at(u.report.synced_timestamp);
+  impl.tracker.state().set(column, u.reporter, u.report.value.numeric());
   return impl.tracker.evaluate_one(u, index, race || stale);
 }
 
@@ -309,7 +276,8 @@ std::vector<Detection> PhysicalClockDetector::run(
   for (const std::size_t i : order) {
     const auto& u = log.updates[i];
     watermark = std::max(watermark, u.delivered_at);
-    tracker.state().set(var_of(u), u.report.value.numeric());
+    tracker.state().set(u.reporter, u.report.attribute,
+                        u.report.value.numeric());
     const std::size_t before = out.size();
     tracker.evaluate(u, i, /*borderline=*/false, out);
     if (out.size() > before) out.back().detected_at = watermark;

@@ -24,9 +24,9 @@ OracleResult GroundTruthOracle::evaluate(const world::WorldTimeline& timeline,
   Duration total_true = Duration::zero();
   for (const auto& ev : timeline.events()) {
     if (ev.when > horizon) break;
-    if (!sensing_.is_assigned(ev.object, ev.attribute)) continue;
-    const VarRef var = sensing_.var_of(ev.object, ev.attribute);
-    state.set(var, ev.value.numeric());
+    const ProcessId pid = sensing_.sensor_of(ev.object, ev.attribute);
+    if (pid == kNoProcess) continue;
+    state.set(pid, ev.attribute, ev.value.numeric());
 
     const bool now_holds = predicate_.holds(state);
     if (now_holds == holding) continue;

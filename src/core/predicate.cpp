@@ -9,14 +9,6 @@
 
 namespace psn::core {
 
-std::vector<VarRef> GlobalState::vars_named(const std::string& name) const {
-  std::vector<VarRef> out;
-  for (const auto& [ref, _] : values_) {
-    if (ref.name == name) out.push_back(ref);
-  }
-  return out;
-}
-
 const char* to_string(BinaryOp op) {
   switch (op) {
     case BinaryOp::kAdd: return "+";
@@ -55,8 +47,7 @@ class ConstExpr final : public Expr {
  public:
   explicit ConstExpr(double v) : v_(v) {}
   double evaluate(const GlobalState&) const override { return v_; }
-  bool is_fully_defined(const GlobalState&) const override { return true; }
-  void collect_vars(const GlobalState&, std::set<VarRef>&) const override {}
+  void collect_vars(std::set<VarRef>&) const override {}
   void collect_aggregate_names(std::set<std::string>&) const override {}
   std::string to_string() const override {
     char buf[32];
@@ -74,15 +65,9 @@ class VarExpr final : public Expr {
   double evaluate(const GlobalState& state) const override {
     return state.get(ref_).value_or(0.0);
   }
-  bool is_fully_defined(const GlobalState& state) const override {
-    return state.has(ref_);
-  }
-  void collect_vars(const GlobalState&, std::set<VarRef>& out) const override {
-    out.insert(ref_);
-  }
+  void collect_vars(std::set<VarRef>& out) const override { out.insert(ref_); }
   void collect_aggregate_names(std::set<std::string>&) const override {}
   std::string to_string() const override { return ref_.to_string(); }
-  const VarRef& ref() const { return ref_; }
 
  private:
   VarRef ref_;
@@ -106,7 +91,7 @@ class AggregateExpr final : public Expr {
     }
     bool first = true;
     double acc = 0.0;
-    state.for_each_named(name_, [&](const VarRef&, double v) {
+    state.for_each_named(name_, [&](ProcessId, double v) {
       switch (op_) {
         case AggregateOp::kSum: acc += v; break;
         case AggregateOp::kMin: acc = first ? v : std::min(acc, v); break;
@@ -117,15 +102,7 @@ class AggregateExpr final : public Expr {
     });
     return acc;
   }
-  bool is_fully_defined(const GlobalState& state) const override {
-    // An aggregate is defined over whatever has been reported; it is "fully
-    // defined" once at least one instance of the name exists.
-    return state.has_named(name_);
-  }
-  void collect_vars(const GlobalState& state,
-                    std::set<VarRef>& out) const override {
-    for (const auto& r : state.vars_named(name_)) out.insert(r);
-  }
+  void collect_vars(std::set<VarRef>&) const override {}
   void collect_aggregate_names(std::set<std::string>& out) const override {
     out.insert(name_);
   }
@@ -147,12 +124,8 @@ class UnaryExpr final : public Expr {
     const double v = e_->evaluate(state);
     return op_ == UnaryOp::kNeg ? -v : (v == 0.0 ? 1.0 : 0.0);
   }
-  bool is_fully_defined(const GlobalState& state) const override {
-    return e_->is_fully_defined(state);
-  }
-  void collect_vars(const GlobalState& state,
-                    std::set<VarRef>& out) const override {
-    e_->collect_vars(state, out);
+  void collect_vars(std::set<VarRef>& out) const override {
+    e_->collect_vars(out);
   }
   void collect_aggregate_names(std::set<std::string>& out) const override {
     e_->collect_aggregate_names(out);
@@ -160,7 +133,6 @@ class UnaryExpr final : public Expr {
   std::string to_string() const override {
     return std::string(psn::core::to_string(op_)) + "(" + e_->to_string() + ")";
   }
-  const ExprPtr& operand() const { return e_; }
 
  private:
   UnaryOp op_;
@@ -202,13 +174,9 @@ class BinaryExpr final : public Expr {
     }
     return 0.0;
   }
-  bool is_fully_defined(const GlobalState& state) const override {
-    return lhs_->is_fully_defined(state) && rhs_->is_fully_defined(state);
-  }
-  void collect_vars(const GlobalState& state,
-                    std::set<VarRef>& out) const override {
-    lhs_->collect_vars(state, out);
-    rhs_->collect_vars(state, out);
+  void collect_vars(std::set<VarRef>& out) const override {
+    lhs_->collect_vars(out);
+    rhs_->collect_vars(out);
   }
   void collect_aggregate_names(std::set<std::string>& out) const override {
     lhs_->collect_aggregate_names(out);
@@ -236,21 +204,16 @@ class BinaryExpr final : public Expr {
   ExprPtr lhs_, rhs_;
 };
 
-/// Collects the pids of all plain variables in `e`; returns false if the
-/// expression contains an aggregate (which spans all processes).
+/// Collects the pids of the variables `e` names outright; returns false if
+/// the expression aggregates a name (an aggregate spans all processes).
 bool collect_pids(const ExprPtr& e, std::set<ProcessId>& pids) {
-  if (const auto* v = dynamic_cast<const VarExpr*>(e.get())) {
-    pids.insert(v->ref().pid);
-    return true;
-  }
-  if (dynamic_cast<const AggregateExpr*>(e.get()) != nullptr) return false;
-  if (const auto* u = dynamic_cast<const UnaryExpr*>(e.get())) {
-    return collect_pids(u->operand(), pids);
-  }
-  if (const auto* b = dynamic_cast<const BinaryExpr*>(e.get())) {
-    return collect_pids(b->lhs(), pids) && collect_pids(b->rhs(), pids);
-  }
-  return true;  // constants
+  std::set<std::string> names;
+  e->collect_aggregate_names(names);
+  if (!names.empty()) return false;
+  std::set<VarRef> vars;
+  e->collect_vars(vars);
+  for (const VarRef& v : vars) pids.insert(v.pid);
+  return true;
 }
 
 /// Flattens nested ANDs into conjuncts.

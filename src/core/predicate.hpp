@@ -39,15 +39,12 @@ class Expr {
   virtual ~Expr() = default;
 
   /// Evaluates against an assembled global state. Missing variables evaluate
-  /// as 0 (a sensor that has reported nothing yet contributes nothing); use
-  /// is_fully_defined() when that distinction matters.
+  /// as 0 (a sensor that has reported nothing yet contributes nothing).
   virtual double evaluate(const GlobalState& state) const = 0;
-  /// True iff every variable the expression reads is present in `state`.
-  virtual bool is_fully_defined(const GlobalState& state) const = 0;
-  /// All concrete VarRefs read (aggregates expand against `state`).
-  virtual void collect_vars(const GlobalState& state,
-                            std::set<VarRef>& out) const = 0;
-  /// Attribute names referenced via aggregates (sum(x) reads every x[i]).
+  /// The read set, a fixed property of the expression: a variable is read
+  /// iff the expression names it outright (collect_vars) or aggregates its
+  /// name (collect_aggregate_names: sum(x) reads every x[i]).
+  virtual void collect_vars(std::set<VarRef>& out) const = 0;
   virtual void collect_aggregate_names(std::set<std::string>& out) const = 0;
   virtual std::string to_string() const = 0;
 

@@ -19,18 +19,6 @@ ProcessId SensingMap::sensor_of(world::ObjectId object,
   return it == map_.end() ? kNoProcess : it->second;
 }
 
-VarRef SensingMap::var_of(world::ObjectId object,
-                          const std::string& attribute) const {
-  const ProcessId pid = sensor_of(object, attribute);
-  PSN_CHECK(pid != kNoProcess, "variable not assigned to any sensor");
-  return VarRef{pid, attribute};
-}
-
-bool SensingMap::is_assigned(world::ObjectId object,
-                             const std::string& attribute) const {
-  return map_.contains({object, attribute});
-}
-
 SensorNode::SensorNode(ProcessId pid, std::size_t n, sim::Simulation& sim,
                        net::Transport& transport,
                        clocks::ClockBundleConfig clock_config, Rng rng)

@@ -17,9 +17,9 @@
 namespace psn::core {
 
 /// Maps world-plane variables to the sensor processes that track them:
-/// (object, attribute) → VarRef{sensor pid, attribute name}. The oracle uses
-/// it to translate world events into predicate variables; sensors use it to
-/// know what to observe.
+/// (object, attribute) → sensor pid, so the variable is VarRef{pid,
+/// attribute}. The oracle uses it to translate world events into predicate
+/// variables; the system uses it to route world events to sensors.
 class SensingMap {
  public:
   void assign(world::ObjectId object, const std::string& attribute,
@@ -27,8 +27,6 @@ class SensingMap {
   /// Sensor responsible for (object, attribute), or kNoProcess.
   ProcessId sensor_of(world::ObjectId object,
                       const std::string& attribute) const;
-  VarRef var_of(world::ObjectId object, const std::string& attribute) const;
-  bool is_assigned(world::ObjectId object, const std::string& attribute) const;
 
  private:
   std::map<std::pair<world::ObjectId, std::string>, ProcessId> map_;

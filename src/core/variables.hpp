@@ -3,11 +3,13 @@
 #include <cmath>
 #include <compare>
 #include <cstddef>
-#include <map>
+#include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
+#include "common/error.hpp"
 #include "common/types.hpp"
 
 namespace psn::core {
@@ -30,56 +32,72 @@ struct VarRef {
 /// A (possibly partial) assembled global state: numeric values of sensed
 /// variables across the system, as known to an observer at some point. Both
 /// the ground-truth oracle and every detector evaluate predicates against
-/// one of these.
+/// one of these, and it is the only index of sensed variables: a variable
+/// is (column, pid), where the column is its attribute name's small id.
 ///
-/// Incremental aggregates (DESIGN.md §11): set() keeps a per-name record of
-/// count and exact running sum, so sum(x) and count(x) evaluate in O(1)
+/// Variable store (DESIGN.md §11): each column holds its values and present
+/// flags in vectors indexed by pid, so a column is walked in pid order, plus
+/// a running count and exact sum, so sum(x) and count(x) evaluate in O(1)
 /// instead of walking every variable once per delivered update.
 class GlobalState {
  public:
-  void set(const VarRef& var, double value) {
-    const auto [it, inserted] = values_.try_emplace(var, value);
-    auto totals = totals_.find(var.name);
-    if (totals == totals_.end()) {
-      totals = totals_.emplace(var.name, NameTotals{}).first;
+  using ColumnId = std::uint32_t;
+
+  /// The column of attribute `name`, added on first sight. A scenario senses
+  /// a handful of attributes, so a linear scan finds it.
+  ColumnId column(std::string_view name) {
+    if (const Column* c = find(name)) {
+      return static_cast<ColumnId>(c - columns_.data());
     }
-    if (inserted) {
-      totals->second.count++;
+    columns_.emplace_back().name = name;
+    return static_cast<ColumnId>(columns_.size() - 1);
+  }
+
+  void set(ColumnId column, ProcessId pid, double value) {
+    PSN_CHECK(pid != kNoProcess, "a sensed variable needs a process");
+    Column& c = columns_[column];
+    if (pid >= c.values.size()) {
+      c.values.resize(std::size_t{pid} + 1);
+      c.present.resize(std::size_t{pid} + 1);
+    }
+    if (c.present[pid] != 0) {
+      c.totals.leave(c.values[pid]);
     } else {
-      totals->second.leave(it->second);
-      it->second = value;
+      c.present[pid] = 1;
+      c.totals.count++;
     }
-    totals->second.enter(value);
+    c.values[pid] = value;
+    c.totals.enter(value);
   }
+  void set(ProcessId pid, std::string_view name, double value) {
+    set(column(name), pid, value);
+  }
+  void set(const VarRef& var, double value) { set(var.pid, var.name, value); }
+
   std::optional<double> get(const VarRef& var) const {
-    const auto it = values_.find(var);
-    if (it == values_.end()) return std::nullopt;
-    return it->second;
+    const Column* c = find(var.name);
+    if (c == nullptr || var.pid >= c->values.size() ||
+        c->present[var.pid] == 0) {
+      return std::nullopt;
+    }
+    return c->values[var.pid];
   }
-  bool has(const VarRef& var) const { return values_.contains(var); }
 
-  /// All variables with the given name, across processes — the domain of the
-  /// paper's system-wide relational predicates such as Σ(x_i − y_i).
-  std::vector<VarRef> vars_named(const std::string& name) const;
-
-  /// Allocation-free visitation of every (var, value) whose name matches, in
-  /// pid order — the fold min/max (and a sum the running total cannot
+  /// Allocation-free visitation of every (pid, value) of this name, in pid
+  /// order — the fold min/max (and a sum the running total cannot
   /// reproduce exactly) evaluate through.
   template <typename Fn>
-  void for_each_named(const std::string& name, Fn&& fn) const {
-    for (const auto& [ref, value] : values_) {
-      if (ref.name == name) fn(ref, value);
+  void for_each_named(std::string_view name, Fn&& fn) const {
+    const Column* c = find(name);
+    if (c == nullptr) return;
+    for (std::size_t pid = 0; pid < c->values.size(); ++pid) {
+      if (c->present[pid] != 0) fn(static_cast<ProcessId>(pid), c->values[pid]);
     }
   }
-  /// Number of variables with this name: one lookup among the distinct
-  /// names (a handful), never a walk of the variables.
-  std::size_t count_named(const std::string& name) const {
-    const auto it = totals_.find(name);
-    return it == totals_.end() ? 0 : it->second.count;
-  }
-  /// True iff at least one variable with this name has been reported.
-  bool has_named(const std::string& name) const {
-    return count_named(name) > 0;
+  /// Number of variables with this name.
+  std::size_t count_named(std::string_view name) const {
+    const Column* c = find(name);
+    return c == nullptr ? 0 : c->totals.count;
   }
   /// The sum of every variable with this name, when the running total is
   /// bit-identical to a fold over them in pid order; nullopt otherwise.
@@ -87,16 +105,13 @@ class GlobalState {
   /// and there are at most 2^20 of them, so every partial sum of any fold
   /// is an integer below 2^52 and no addition rounds. Variables are never
   /// removed, so once the count passes 2^20 the total is never read again.
-  std::optional<double> exact_sum_named(const std::string& name) const {
-    const auto it = totals_.find(name);
-    if (it == totals_.end()) return 0.0;
-    const NameTotals& t = it->second;
+  std::optional<double> exact_sum_named(std::string_view name) const {
+    const Column* c = find(name);
+    if (c == nullptr) return 0.0;
+    const NameTotals& t = c->totals;
     if (t.inexact != 0 || t.count > kMaxExactCount) return std::nullopt;
     return t.exact_sum;
   }
-
-  std::size_t size() const { return values_.size(); }
-  const std::map<VarRef, double>& values() const { return values_; }
 
  private:
   static constexpr std::size_t kMaxExactCount = std::size_t{1} << 20;
@@ -129,8 +144,22 @@ class GlobalState {
     }
   };
 
-  std::map<VarRef, double> values_;
-  std::map<std::string, NameTotals> totals_;
+  /// Every variable of one attribute name, indexed by pid.
+  struct Column {
+    std::string name;
+    std::vector<double> values;
+    std::vector<char> present;
+    NameTotals totals;
+  };
+
+  const Column* find(std::string_view name) const {
+    for (const Column& c : columns_) {
+      if (c.name == name) return &c;
+    }
+    return nullptr;
+  }
+
+  std::vector<Column> columns_;
 };
 
 }  // namespace psn::core

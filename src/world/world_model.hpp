@@ -24,7 +24,6 @@ class WorldModel {
   ObjectId create_object(const std::string& name);
   WorldObject& object(ObjectId id);
   const WorldObject& object(ObjectId id) const;
-  std::size_t num_objects() const { return objects_.size(); }
 
   /// Observer of emitted world events. Sinks see events in emission order at
   /// the instant they happen (they model physical co-location of a sensor

@@ -76,8 +76,7 @@ TEST(CheckSummaryGoldenTest, LosslessRunFlagsUnexplainedErrors) {
       " has no Δ-race or recorded fault within the audit window to explain "
       "it\n";
   const auto fn = [&](const char* at) {
-    return std::string("    [unexplained-false-negative] pid 4294967295 "
-                       "event 0 seq 0 @") +
+    return std::string("    [unexplained-false-negative] @") +
            at + "s: physical-eps: confident false negative at t=" + at + "s" +
            tail;
   };
@@ -95,9 +94,8 @@ TEST(CheckSummaryGoldenTest, LosslessRunFlagsUnexplainedErrors) {
             "  physical-drift: 9458 event(s), 0 violation(s)\n"
             "  race-audit.delivery-order: 169 event(s), 35529 pair(s), "
             "1 violation(s)\n"
-            "    [unexplained-false-positive] pid 4294967295 event 0 seq 0 "
-            "@120.024342s: delivery-order: confident false positive at "
-            "t=120.024342s" +
+            "    [unexplained-false-positive] @120.024342s: delivery-order: "
+            "confident false positive at t=120.024342s" +
                 tail +
                 "  race-audit.strobe-scalar: 115 event(s), 35529 pair(s), "
                 "0 violation(s)\n"

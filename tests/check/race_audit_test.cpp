@@ -11,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "check/check.hpp"
 #include "check/race_scan.hpp"
 #include "common/error.hpp"
 #include "common/rng.hpp"
@@ -196,6 +197,20 @@ TEST(RaceAuditEquivalenceTest, OpenSpanExplainsEveryLaterTime) {
   expect_same_audit(got, reference_audit("probe", {}, spans, fp, {}, cfg));
   // 50 and 250 fall outside every window; 90, 210 and 290 sit on the edges.
   EXPECT_EQ(got.violations_total, 2u);
+}
+
+TEST(RaceAuditTest, SummaryWitnessNamesTimeKindAndDetectorOnly) {
+  // An audit witness belongs to no process, event or message, so the
+  // summary prints none of those fields.
+  CheckReport report;
+  report.add_contract(
+      audit_detector("physical-eps", {}, {}, {}, {at_ms(4659)}, {}));
+  EXPECT_EQ(report.summary(),
+            "psn-check verdict: violations (1 violation(s))\n"
+            "  race-audit.physical-eps: 1 event(s), 1 violation(s)\n"
+            "    [unexplained-false-negative] @4.659000s: physical-eps: "
+            "confident false negative at t=4.659000s has no Δ-race or "
+            "recorded fault within the audit window to explain it\n");
 }
 
 TEST(RaceAuditEquivalenceTest, UnsortedInputThrows) {

@@ -123,7 +123,9 @@ TEST_P(ConsensusPropertyTest, ConsensusBorderlineCoversErrors) {
 
   std::vector<std::unique_ptr<world::AttributeDriver>> drivers;
   for (ProcessId pid = 1; pid <= 3; ++pid) {
-    const auto obj = system.world().create_object("o" + std::to_string(pid));
+    std::string name = "o";
+    name += std::to_string(pid);
+    const auto obj = system.world().create_object(name);
     system.world().object(obj).set_attribute("count", std::int64_t{0});
     system.assign(obj, "count", pid);
     drivers.push_back(std::make_unique<world::AttributeDriver>(

@@ -140,6 +140,31 @@ TEST(StrobeVectorDetectorTest, RaceWithIrrelevantVariableIgnored) {
   EXPECT_FALSE(detections[0].borderline);
 }
 
+TEST(StrobeVectorDetectorTest, AggregateReadsEveryVariableOfItsName) {
+  // sum(x) reads x[1] and x[2] though φ names neither: their concurrent
+  // updates decide the transition, so it is borderline.
+  LogBuilder b(3);
+  b.update(10, 1, "x", 1.0, {1, 1}, {0, 1, 0});
+  b.update(12, 2, "x", 1.0, {1, 2}, {0, 0, 1});  // concurrent with the above
+  const auto detections =
+      StrobeVectorDetector().run(b.log, parse_predicate("p", "sum(x) > 1"));
+  ASSERT_EQ(detections.size(), 1u);
+  EXPECT_TRUE(detections[0].to_true);
+  EXPECT_TRUE(detections[0].borderline);
+}
+
+TEST(StrobeVectorDetectorTest, AggregateIgnoresRaceWithAnotherName) {
+  // y[2] is concurrent with x[1], but sum(x) does not read y.
+  LogBuilder b(3);
+  b.update(5, 2, "y", 1.0, {1, 2}, {0, 0, 1});
+  b.update(10, 1, "x", 1.0, {1, 1}, {0, 1, 0});  // concurrent with y[2]
+  const auto detections =
+      StrobeVectorDetector().run(b.log, parse_predicate("p", "sum(x) > 0"));
+  ASSERT_EQ(detections.size(), 1u);
+  EXPECT_TRUE(detections[0].to_true);
+  EXPECT_FALSE(detections[0].borderline);
+}
+
 TEST(PhysicalClockDetectorTest, ProcessesInTimestampOrder) {
   // Delivery order inverts the sense order; the synced timestamps restore it.
   LogBuilder b(3);

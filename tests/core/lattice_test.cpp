@@ -174,7 +174,7 @@ TEST(ExecutionViewTest, StateAtUsesLatestValues) {
   b.event(0, {0, 1}, "x", 1.0);
   b.event(0, {0, 2}, "x", 7.0);
   const auto view = b.build();
-  EXPECT_FALSE(view.state_at({0}).has(VarRef{1, "x"}));
+  EXPECT_FALSE(view.state_at({0}).get(VarRef{1, "x"}).has_value());
   EXPECT_DOUBLE_EQ(*view.state_at({1}).get(VarRef{1, "x"}), 1.0);
   EXPECT_DOUBLE_EQ(*view.state_at({2}).get(VarRef{1, "x"}), 7.0);
 }

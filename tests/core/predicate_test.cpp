@@ -7,7 +7,9 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <map>
 #include <string>
+#include <vector>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
@@ -43,10 +45,8 @@ TEST(ExprTest, DivisionByZeroThrows) {
 TEST(ExprTest, VariablesReadState) {
   const auto s = state_of({{{1, "x"}, 5.0}});
   EXPECT_DOUBLE_EQ(var(1, "x")->evaluate(s), 5.0);
-  // Missing variable evaluates as 0 but is not "fully defined".
+  // A missing variable evaluates as 0.
   EXPECT_DOUBLE_EQ(var(2, "x")->evaluate(s), 0.0);
-  EXPECT_TRUE(var(1, "x")->is_fully_defined(s));
-  EXPECT_FALSE(var(2, "x")->is_fully_defined(s));
 }
 
 TEST(ExprTest, Comparisons) {
@@ -87,7 +87,6 @@ TEST(ExprTest, AggregatesOverProcesses) {
 TEST(ExprTest, AggregateOverNothingIsZero) {
   const GlobalState empty;
   EXPECT_DOUBLE_EQ(aggregate(AggregateOp::kSum, "x")->evaluate(empty), 0.0);
-  EXPECT_FALSE(aggregate(AggregateOp::kSum, "x")->is_fully_defined(empty));
 }
 
 TEST(ExprTest, ExhibitionHallPredicateShape) {
@@ -104,14 +103,14 @@ TEST(ExprTest, ExhibitionHallPredicateShape) {
   EXPECT_FALSE(phi->holds(s));  // exactly 200 is not > 200
 }
 
-TEST(ExprTest, CollectVarsExpandsAggregates) {
-  const auto s = state_of({{{1, "x"}, 1.0}, {{2, "x"}, 2.0}});
+TEST(ExprTest, ReadSetIsNamedVarsAndAggregatedNames) {
+  const auto e = aggregate(AggregateOp::kSum, "x") + var(3, "y");
   std::set<VarRef> vars;
-  (aggregate(AggregateOp::kSum, "x") + var(3, "y"))->collect_vars(s, vars);
-  EXPECT_EQ(vars.size(), 3u);
-  EXPECT_TRUE(vars.contains(VarRef{1, "x"}));
-  EXPECT_TRUE(vars.contains(VarRef{2, "x"}));
-  EXPECT_TRUE(vars.contains(VarRef{3, "y"}));
+  e->collect_vars(vars);
+  EXPECT_EQ(vars, (std::set<VarRef>{{3, "y"}}));
+  std::set<std::string> names;
+  e->collect_aggregate_names(names);
+  EXPECT_EQ(names, (std::set<std::string>{"x"}));
 }
 
 TEST(ExprTest, ToStringRoundTripShape) {
@@ -157,13 +156,13 @@ TEST(PredicateTest, DisjunctionAcrossProcessesIsOneConjunct) {
 // --- incremental aggregates (DESIGN.md §11) ---------------------------------
 
 /// The pid-ordered fold sum/count/min/max are defined by: one pass over
-/// values() in map order.
-double reference_fold(const GlobalState& s, AggregateOp op,
+/// every variable in (pid, name) order, which is std::map's order.
+double reference_fold(const std::map<VarRef, double>& values, AggregateOp op,
                       const std::string& name) {
   bool first = true;
   double acc = 0.0;
   std::size_t n = 0;
-  for (const auto& [ref, v] : s.values()) {
+  for (const auto& [ref, v] : values) {
     if (ref.name != name) continue;
     switch (op) {
       case AggregateOp::kSum: acc += v; break;
@@ -195,6 +194,7 @@ TEST(AggregateExactnessTest, RandomSetsMatchPidOrderedFoldBitForBit) {
     const std::int64_t num_names = rng.uniform_int(2, 3);
     const std::int64_t num_pids = rng.uniform_int(1, 64);
     GlobalState s;
+    std::map<VarRef, double> reference;
     for (int step = 0; step < 400; step++) {
       double v = 0.0;
       switch (rng.uniform_int(0, 9)) {
@@ -208,11 +208,13 @@ TEST(AggregateExactnessTest, RandomSetsMatchPidOrderedFoldBitForBit) {
       }
       // A narrow pid range, so most steps overwrite an existing variable.
       const auto pid = static_cast<ProcessId>(rng.uniform_int(0, num_pids - 1));
-      s.set({pid, names[rng.uniform_int(0, num_names - 1)]}, v);
+      const VarRef ref{pid, names[rng.uniform_int(0, num_names - 1)]};
+      s.set(ref, v);
+      reference[ref] = v;
       for (std::int64_t n = 0; n < num_names; n++) {
         for (const AggregateOp op : ops) {
           const double got = aggregate(op, names[n])->evaluate(s);
-          const double want = reference_fold(s, op, names[n]);
+          const double want = reference_fold(reference, op, names[n]);
           ASSERT_TRUE(same_bits(got, want))
               << "seed " << seed << " step " << step << " "
               << to_string(op) << "(" << names[n] << "): got " << got
@@ -247,12 +249,28 @@ TEST(AggregateExactnessTest, AllZeroStateWithNegativeZeroSumsToPositiveZero) {
   EXPECT_EQ(bits(sum->evaluate(only_negative)), bits(0.0));
 }
 
-TEST(GlobalStateTest, VarsNamed) {
+TEST(GlobalStateTest, CountsVariablesPerName) {
   const auto s = state_of({{{1, "x"}, 1.0}, {{3, "x"}, 2.0}, {{1, "y"}, 3.0}});
-  const auto xs = s.vars_named("x");
-  EXPECT_EQ(xs.size(), 2u);
-  EXPECT_EQ(s.vars_named("z").size(), 0u);
-  EXPECT_EQ(s.size(), 3u);
+  EXPECT_EQ(s.count_named("x"), 2u);
+  EXPECT_EQ(s.count_named("y"), 1u);
+  EXPECT_EQ(s.count_named("z"), 0u);
+  EXPECT_EQ(s.get({3, "x"}), 2.0);
+  EXPECT_EQ(s.get({2, "x"}), std::nullopt);
+  EXPECT_EQ(s.get({1, "z"}), std::nullopt);
+}
+
+TEST(GlobalStateTest, FoldIsInPidOrderWhateverTheArrivalOrder) {
+  // Arrival order 7, 2, 4. 2^53 is inexact, so sum(x) folds: in pid order
+  // 2^53 + 1 rounds back to 2^53 and the fold ends at 0; in arrival order
+  // it would end at 1.
+  GlobalState s;
+  s.set({7, "x"}, -0x1p53);
+  s.set({2, "x"}, 0x1p53);
+  s.set({4, "x"}, 1.0);
+  std::vector<ProcessId> visited;
+  s.for_each_named("x", [&](ProcessId pid, double) { visited.push_back(pid); });
+  EXPECT_EQ(visited, (std::vector<ProcessId>{2, 4, 7}));
+  EXPECT_EQ(bits(aggregate(AggregateOp::kSum, "x")->evaluate(s)), bits(0.0));
 }
 
 }  // namespace

@@ -17,18 +17,11 @@ TEST(SensingMapTest, AssignAndLookup) {
   EXPECT_EQ(map.sensor_of(4, "temp"), 1u);
   EXPECT_EQ(map.sensor_of(9, "temp"), kNoProcess);
   EXPECT_EQ(map.sensor_of(3, "pressure"), kNoProcess);
-  EXPECT_TRUE(map.is_assigned(3, "temp"));
-  EXPECT_FALSE(map.is_assigned(3, "pressure"));
 }
 
-TEST(SensingMapTest, VarOfBuildsPaperSubscript) {
-  SensingMap map;
-  map.assign(0, "entered", 5);
-  const VarRef v = map.var_of(0, "entered");
-  EXPECT_EQ(v.pid, 5u);
-  EXPECT_EQ(v.name, "entered");
+TEST(VarRefTest, ToStringIsPaperSubscript) {
+  const VarRef v{5, "entered"};
   EXPECT_EQ(v.to_string(), "entered[5]");
-  EXPECT_THROW(map.var_of(0, "exited"), InvariantError);
 }
 
 TEST(SensingMapTest, DoubleAssignmentRejected) {

@@ -219,8 +219,8 @@ std::uint64_t detector_feed_allocs(std::size_t rounds,
       updates.push_back(std::move(u));
     }
   }
-  // Warmup: the first quarter interns variables, sizes the dense tables, and
-  // settles GlobalState's node map.
+  // Warmup: the first quarter sizes the detector's per-variable tables and
+  // the state's columns.
   const std::size_t warmup = updates.size() / 4;
   std::uint64_t transitions = 0;
   for (std::size_t i = 0; i < warmup; i++) {

@@ -22,7 +22,6 @@ TEST(WorldModelTest, CreateAndAccessObjects) {
   const ObjectId b = world.create_object("room");
   EXPECT_EQ(a, 0u);
   EXPECT_EQ(b, 1u);
-  EXPECT_EQ(world.num_objects(), 2u);
   EXPECT_EQ(world.object(a).name(), "door");
   EXPECT_THROW(world.object(7), InvariantError);
 }
