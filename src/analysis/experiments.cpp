@@ -114,12 +114,7 @@ const DetectorOutcome& OccupancyRunResult::outcome(
 }
 
 OccupancyRunResult run_occupancy_experiment(const OccupancyConfig& config) {
-  return run_occupancy_experiment(Validated<OccupancyConfig>(config));
-}
-
-OccupancyRunResult run_occupancy_experiment(
-    const Validated<OccupancyConfig>& validated) {
-  const OccupancyConfig& config = validated.get();
+  validate(config);
   core::ShardedSystemConfig scfg;
   core::SystemConfig& sys = scfg.base;
   sys.num_sensors = config.doors;

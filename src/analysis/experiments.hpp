@@ -8,7 +8,6 @@
 #include "analysis/scoring.hpp"
 #include "check/check.hpp"
 #include "common/metrics.hpp"
-#include "common/validated.hpp"
 #include "core/system.hpp"
 #include "net/transport.hpp"
 #include "sim/fault.hpp"
@@ -151,16 +150,12 @@ struct OccupancyRunResult {
 /// Rejects nonsensical configs (zero doors, a non-positive movement rate,
 /// negative capacity, Δ < 0, Δ = 0 under the bounded or exponential model,
 /// ε < 0, horizon ≤ 0, loss outside [0, 1], degenerate duty cycles, shards
-/// over a delay model with zero minimum delay) with ConfigError. Found by
-/// ADL from `Validated<OccupancyConfig>`, which is how experiment entry
-/// points check configs exactly once at the boundary.
+/// over a delay model with zero minimum delay) with ConfigError.
 void validate(const OccupancyConfig& config);
 
-/// Builds the hall system, runs it, runs every online detector over the
-/// observation log, and scores each against the oracle.
-OccupancyRunResult run_occupancy_experiment(
-    const Validated<OccupancyConfig>& config);
-/// Convenience overload: validates (throwing ConfigError) and runs.
+/// Validates `config` (throwing ConfigError), builds the hall system, runs
+/// it, runs every online detector over the observation log, and scores each
+/// against the oracle.
 OccupancyRunResult run_occupancy_experiment(const OccupancyConfig& config);
 
 /// Aggregate of several seeds of the same configuration.

@@ -5,7 +5,6 @@
 
 #include "common/error.hpp"
 #include "common/thread_pool.hpp"
-#include "common/validated.hpp"
 
 namespace psn::analysis {
 
@@ -134,7 +133,7 @@ std::vector<OccupancyConfig> SweepSpec::point_configs() const {
     configs = std::move(next);
   }
   for (const OccupancyConfig& cfg : configs) {
-    (void)Validated<OccupancyConfig>(cfg);  // throws ConfigError on nonsense
+    validate(cfg);  // throws ConfigError on nonsense
   }
   return configs;
 }
@@ -186,9 +185,7 @@ SweepSpec sweep(OccupancyConfig base) { return SweepSpec(std::move(base)); }
 
 std::vector<OccupancyRunResult> run_specs(
     const std::vector<OccupancyConfig>& configs, unsigned threads) {
-  for (const OccupancyConfig& cfg : configs) {
-    (void)Validated<OccupancyConfig>(cfg);
-  }
+  for (const OccupancyConfig& cfg : configs) validate(cfg);
   ThreadPool pool(threads);
   return parallel_map(pool, configs, [](const OccupancyConfig& cfg) {
     return run_occupancy_experiment(cfg);

@@ -92,8 +92,6 @@ class ClockBundle {
   DriftingClock& drifting() { return drifting_; }
   EpsSynchronizedClock& synced() { return synced_; }
 
-  bool tracks_vectors() const { return track_vectors_; }
-
  private:
   ProcessId pid_;
   bool track_vectors_;

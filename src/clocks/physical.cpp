@@ -28,10 +28,6 @@ void DriftingClock::apply_correction(Duration adjustment) {
   correction_ += adjustment;
 }
 
-Duration DriftingClock::true_error_at(SimTime t) const {
-  return read_exact(t) - t;
-}
-
 EpsSynchronizedClock::EpsSynchronizedClock(Duration epsilon, Rng rng)
     : epsilon_(epsilon), rng_(rng) {
   PSN_CHECK(epsilon_ >= Duration::zero(), "epsilon must be non-negative");

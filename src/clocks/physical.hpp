@@ -33,10 +33,6 @@ class DriftingClock {
   /// (positive = advance).
   void apply_correction(Duration adjustment);
 
-  /// True offset from real time at true time `t` (for evaluation only; a
-  /// real node cannot observe this).
-  Duration true_error_at(SimTime t) const;
-
   const DriftingClockConfig& config() const { return config_; }
 
  private:

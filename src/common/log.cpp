@@ -1,32 +1,12 @@
 #include "common/log.hpp"
 
-#include <atomic>
 #include <cstdio>
 
 namespace psn {
 
-namespace {
-std::atomic<LogLevel> g_level{LogLevel::kWarn};
-
-const char* level_name(LogLevel l) {
-  switch (l) {
-    case LogLevel::kDebug: return "DEBUG";
-    case LogLevel::kInfo: return "INFO ";
-    case LogLevel::kWarn: return "WARN ";
-    case LogLevel::kError: return "ERROR";
-    case LogLevel::kOff: return "OFF  ";
-  }
-  return "?";
+void log_warning(std::string_view msg) {
+  std::fprintf(stderr, "[psn WARN ] %.*s\n", static_cast<int>(msg.size()),
+               msg.data());
 }
-}  // namespace
-
-void set_log_level(LogLevel level) { g_level.store(level); }
-LogLevel log_level() { return g_level.load(); }
-
-namespace detail {
-void log_emit(LogLevel level, const std::string& msg) {
-  std::fprintf(stderr, "[psn %s] %s\n", level_name(level), msg.c_str());
-}
-}  // namespace detail
 
 }  // namespace psn

@@ -1,47 +1,11 @@
 #pragma once
 
-#include <sstream>
-#include <string>
+#include <string_view>
 
 namespace psn {
 
-enum class LogLevel { kDebug = 0, kInfo = 1, kWarn = 2, kError = 3, kOff = 4 };
-
-/// Process-wide minimum level; default Warn so library users see problems but
-/// simulations stay quiet. Benchmarks/tests may lower it.
-void set_log_level(LogLevel level);
-LogLevel log_level();
-
-namespace detail {
-void log_emit(LogLevel level, const std::string& msg);
-
-class LogLine {
- public:
-  explicit LogLine(LogLevel level) : level_(level) {}
-  ~LogLine() { log_emit(level_, os_.str()); }
-  LogLine(const LogLine&) = delete;
-  LogLine& operator=(const LogLine&) = delete;
-
-  template <typename T>
-  LogLine& operator<<(const T& v) {
-    os_ << v;
-    return *this;
-  }
-
- private:
-  LogLevel level_;
-  std::ostringstream os_;
-};
-}  // namespace detail
+/// Writes `msg` to stderr as one `[psn WARN ] ...` line. Unconditional: the
+/// library warns only when a run stops short of its horizon.
+void log_warning(std::string_view msg);
 
 }  // namespace psn
-
-#define PSN_LOG(level)                                  \
-  if (static_cast<int>(level) < static_cast<int>(::psn::log_level())) { \
-  } else                                                \
-    ::psn::detail::LogLine(level)
-
-#define PSN_DEBUG PSN_LOG(::psn::LogLevel::kDebug)
-#define PSN_INFO PSN_LOG(::psn::LogLevel::kInfo)
-#define PSN_WARN PSN_LOG(::psn::LogLevel::kWarn)
-#define PSN_ERROR PSN_LOG(::psn::LogLevel::kError)

@@ -57,9 +57,6 @@ class PoolArena {
     }
   }
 
-  /// Blocks ever carved from the global allocator (diagnostics/tests).
-  std::size_t blocks_allocated() const { return blocks_.size(); }
-
  private:
   struct FreeList {
     std::size_t bytes = 0;

@@ -23,7 +23,6 @@ class Table {
   Table& cell(int value);
 
   std::size_t num_rows() const { return rows_.size(); }
-  std::size_t num_cols() const { return columns_.size(); }
   const std::string& at(std::size_t row, std::size_t col) const;
 
   /// Aligned fixed-width rendering with a header rule.

@@ -37,11 +37,6 @@ void ThreadPool::enqueue(std::function<void()> fn) {
   work_cv_.notify_one();
 }
 
-void ThreadPool::wait_idle() {
-  std::unique_lock<std::mutex> lock(mu_);
-  idle_cv_.wait(lock, [this] { return queue_.empty() && busy_ == 0; });
-}
-
 void ThreadPool::worker_loop() {
   for (;;) {
     std::function<void()> task;
@@ -51,14 +46,8 @@ void ThreadPool::worker_loop() {
       if (queue_.empty()) return;  // stopping_ and fully drained
       task = std::move(queue_.front());
       queue_.pop_front();
-      busy_++;
     }
     task();  // a packaged_task: exceptions land in the caller's future
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      busy_--;
-      if (queue_.empty() && busy_ == 0) idle_cv_.notify_all();
-    }
   }
 }
 

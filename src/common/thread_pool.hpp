@@ -33,9 +33,6 @@ class ThreadPool {
 
   unsigned size() const { return static_cast<unsigned>(workers_.size()); }
 
-  /// Blocks until the queue is empty and every worker is idle.
-  void wait_idle();
-
   template <typename F>
   auto submit(F&& fn) -> std::future<std::invoke_result_t<std::decay_t<F>>> {
     using R = std::invoke_result_t<std::decay_t<F>>;
@@ -53,10 +50,8 @@ class ThreadPool {
 
   mutable std::mutex mu_;
   std::condition_variable work_cv_;
-  std::condition_variable idle_cv_;
   std::deque<std::function<void()>> queue_;
   std::vector<std::thread> workers_;
-  unsigned busy_ = 0;
   bool stopping_ = false;
 };
 

@@ -1,7 +1,7 @@
 #include "core/predicate_parser.hpp"
 
 #include <cctype>
-#include <cstdlib>
+#include <charconv>
 #include <string>
 
 #include "common/error.hpp"
@@ -182,9 +182,11 @@ class Parser {
         pos_++;
       }
       if (pos_ == start) fail("expected process id in '[...]'");
-      const auto pid = static_cast<ProcessId>(
-          std::strtoul(std::string(text_.substr(start, pos_ - start)).c_str(),
-                       nullptr, 10));
+      ProcessId pid = 0;
+      if (std::from_chars(text_.data() + start, text_.data() + pos_, pid).ec !=
+          std::errc()) {
+        fail("process id out of range in '[...]'");
+      }
       if (!eat("]")) fail("expected ']'");
       return var(pid, ident);
     }
@@ -202,10 +204,15 @@ class Parser {
              (text_[pos_ - 1] == 'e' || text_[pos_ - 1] == 'E')))) {
       pos_++;
     }
-    const std::string num(text_.substr(start, pos_ - start));
-    char* end = nullptr;
-    const double v = std::strtod(num.c_str(), &end);
-    if (end == nullptr || *end != '\0') fail("bad number '" + num + "'");
+    // from_chars, not strtod: the grammar's decimal point is '.' under any
+    // LC_NUMERIC.
+    const std::string_view num = text_.substr(start, pos_ - start);
+    const char* last = num.data() + num.size();
+    double v = 0.0;
+    const auto [ptr, ec] = std::from_chars(num.data(), last, v);
+    if (ec != std::errc() || ptr != last) {
+      fail("bad number '" + std::string(num) + "'");
+    }
     return constant(v);
   }
 

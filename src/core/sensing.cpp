@@ -7,16 +7,20 @@ namespace psn::core {
 void SensingMap::assign(world::ObjectId object, const std::string& attribute,
                         ProcessId sensor) {
   PSN_CHECK(sensor != kNoProcess, "invalid sensor pid");
-  const auto key = std::make_pair(object, attribute);
-  PSN_CHECK(!map_.contains(key),
+  PSN_CHECK(object != world::kNoObject, "invalid world object id");
+  PSN_CHECK(sensor_of(object, attribute) == kNoProcess,
             "(object, attribute) already assigned to a sensor");
-  map_[key] = sensor;
+  if (object >= by_object_.size()) by_object_.resize(object + std::size_t{1});
+  by_object_[object].emplace_back(attribute, sensor);
 }
 
 ProcessId SensingMap::sensor_of(world::ObjectId object,
                                 const std::string& attribute) const {
-  const auto it = map_.find({object, attribute});
-  return it == map_.end() ? kNoProcess : it->second;
+  if (object >= by_object_.size()) return kNoProcess;
+  for (const auto& [name, sensor] : by_object_[object]) {
+    if (name == attribute) return sensor;
+  }
+  return kNoProcess;
 }
 
 SensorNode::SensorNode(ProcessId pid, std::size_t n, sim::Simulation& sim,

@@ -1,7 +1,6 @@
 #pragma once
 
 #include <functional>
-#include <map>
 #include <string>
 #include <utility>
 #include <vector>
@@ -20,6 +19,10 @@ namespace psn::core {
 /// (object, attribute) → sensor pid, so the variable is VarRef{pid,
 /// attribute}. The oracle uses it to translate world events into predicate
 /// variables; the system uses it to route world events to sensors.
+///
+/// Indexed by object id (world objects are numbered densely from 0), each
+/// object keeping its few (attribute, sensor) pairs, so a lookup per world
+/// event is a bounds check plus a short scan and builds no key.
 class SensingMap {
  public:
   void assign(world::ObjectId object, const std::string& attribute,
@@ -29,7 +32,7 @@ class SensingMap {
                       const std::string& attribute) const;
 
  private:
-  std::map<std::pair<world::ObjectId, std::string>, ProcessId> map_;
+  std::vector<std::vector<std::pair<std::string, ProcessId>>> by_object_;
 };
 
 /// A sensor/actuator process p ∈ P. Implements the paper's event rules:

@@ -348,8 +348,8 @@ std::size_t ShardedPervasiveSystem::run() {
     truncated_ = driver.truncated();
     windows_ = driver.windows();
     if (truncated_) {
-      PSN_WARN << "sharded run hit max_events before horizon; results are "
-                  "truncated";
+      log_warning(
+          "sharded run hit max_events before horizon; results are truncated");
     }
   }
   merge_root_logs();

@@ -4,14 +4,6 @@
 
 namespace psn::net {
 
-bool DutyCycle::is_awake(SimTime t) const {
-  PSN_CHECK(valid(), "invalid duty cycle");
-  const std::int64_t p = period.count_nanos();
-  std::int64_t offset = (t.count_nanos() - phase.count_nanos()) % p;
-  if (offset < 0) offset += p;
-  return offset < window.count_nanos();
-}
-
 SimTime DutyCycle::next_wake(SimTime t) const {
   PSN_CHECK(valid(), "invalid duty cycle");
   const std::int64_t p = period.count_nanos();
@@ -19,11 +11,6 @@ SimTime DutyCycle::next_wake(SimTime t) const {
   if (offset < 0) offset += p;
   if (offset < window.count_nanos()) return t;  // already awake
   return t + Duration(p - offset);              // next window start
-}
-
-Duration worst_case_wait(const DutyCycle& schedule) {
-  PSN_CHECK(schedule.valid(), "invalid duty cycle");
-  return schedule.period - schedule.window;
 }
 
 }  // namespace psn::net

@@ -29,14 +29,8 @@ struct DutyCycle {
            static_cast<double>(period.count_nanos());
   }
 
-  /// Is the receiver on at instant `t`?
-  bool is_awake(SimTime t) const;
   /// Earliest instant ≥ t at which the receiver is on (t itself if awake).
   SimTime next_wake(SimTime t) const;
 };
-
-/// Worst-case extra delivery latency caused by a schedule: a message can
-/// arrive just after the window closes and wait out the sleep.
-Duration worst_case_wait(const DutyCycle& schedule);
 
 }  // namespace psn::net

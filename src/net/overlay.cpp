@@ -8,16 +8,14 @@
 
 namespace psn::net {
 
-Overlay::Overlay(std::size_t n, std::optional<TopologyKind> kind,
-                 ProcessId hub, const std::vector<Edge>& edges)
+Overlay::Overlay(std::size_t n, TopologyKind kind, ProcessId hub,
+                 const std::vector<Edge>& edges)
     : n_(n), kind_(kind), hub_(hub) {
   PSN_CHECK(n > 0, "overlay needs at least one process");
   auto adj = std::make_shared<Adjacency>();
   // Counting sort into CSR: each list receives its edges in listing order.
   adj->offsets.assign(n + 1, 0);
   for (const auto& [a, b] : edges) {
-    PSN_CHECK(a < n && b < n, "edge endpoint out of range");
-    PSN_CHECK(a != b, "self-loops not allowed");
     adj->offsets[a + 1]++;
     adj->offsets[b + 1]++;
   }
@@ -28,23 +26,6 @@ Overlay::Overlay(std::size_t n, std::optional<TopologyKind> kind,
     adj->targets[fill[a]++] = b;
     adj->targets[fill[b]++] = a;
   }
-  // Drop repeated edges, keeping each neighbour's first listing: seen[q] ==
-  // p marks q as already in p's list. Compacts in place (write <= read).
-  std::vector<ProcessId> seen(n, kNoProcess);
-  std::size_t write = 0;
-  for (std::size_t p = 0; p < n; ++p) {
-    const std::size_t begin = adj->offsets[p];
-    const std::size_t end = adj->offsets[p + 1];
-    adj->offsets[p] = write;
-    for (std::size_t i = begin; i < end; ++i) {
-      const ProcessId q = adj->targets[i];
-      if (seen[q] == p) continue;
-      seen[q] = static_cast<ProcessId>(p);
-      adj->targets[write++] = q;
-    }
-  }
-  adj->offsets[n] = write;
-  adj->targets.resize(write);
   adj_ = std::move(adj);
 }
 
@@ -68,9 +49,10 @@ Overlay Overlay::star(std::size_t n, ProcessId hub) {
 }
 
 Overlay Overlay::ring(std::size_t n) {
+  // ring(2)'s closing edge 1-0 would repeat 0-1, so it has one edge.
   std::vector<Edge> edges;
-  // ring(2)'s closing edge 1-0 repeats 0-1 and is dropped: one edge.
-  if (n > 1) {
+  if (n == 2) edges.emplace_back(0, 1);
+  if (n > 2) {
     edges.reserve(n);
     for (ProcessId p = 0; p < n; ++p) {
       edges.emplace_back(p, static_cast<ProcessId>((p + 1) % n));
@@ -96,10 +78,6 @@ Overlay Overlay::build(TopologyKind kind, std::size_t n) {
   return line(n);
 }
 
-Overlay Overlay::from_edges(std::size_t n, const std::vector<Edge>& edges) {
-  return Overlay(n, std::nullopt, 0, edges);
-}
-
 bool Overlay::has_edge(ProcessId a, ProcessId b) const {
   PSN_CHECK(a < n_ && b < n_, "edge endpoint out of range");
   // Scan the shorter list: a star leaf's, never the hub's.
@@ -120,9 +98,8 @@ std::span<const ProcessId> Overlay::neighbors(ProcessId p) const {
 std::size_t Overlay::hop_distance(ProcessId from, ProcessId to) const {
   PSN_CHECK(from < n_ && to < n_, "process out of range");
   if (from == to) return 0;
-  if (!kind_.has_value()) return CutMask(*this).hop_distance(from, to);
   const std::size_t d = from < to ? to - from : from - to;
-  switch (*kind_) {
+  switch (kind_) {
     case TopologyKind::kComplete: return 1;
     case TopologyKind::kStar: return from == hub_ || to == hub_ ? 1 : 2;
     case TopologyKind::kRing: return std::min(d, n_ - d);
@@ -133,9 +110,8 @@ std::size_t Overlay::hop_distance(ProcessId from, ProcessId to) const {
 }
 
 std::size_t Overlay::diameter() const {
-  PSN_CHECK(kind_.has_value(), "diameter needs a closed-form topology");
   if (n_ == 1) return 0;
-  switch (*kind_) {
+  switch (kind_) {
     case TopologyKind::kComplete: return 1;
     case TopologyKind::kStar: return n_ == 2 ? 1 : 2;
     case TopologyKind::kRing: return n_ / 2;
@@ -170,9 +146,7 @@ bool CutMask::is_cut(ProcessId a, ProcessId b) const {
 }
 
 PSN_HOT std::size_t CutMask::hop_distance(ProcessId from, ProcessId to) {
-  if (cuts_.empty() && overlay_.kind().has_value()) {
-    return overlay_.hop_distance(from, to);
-  }
+  if (cuts_.empty()) return overlay_.hop_distance(from, to);
   PSN_CHECK(from < overlay_.size() && to < overlay_.size(),
             "process out of range");
   if (row_source_ != from && row_source_ != to) {

@@ -2,7 +2,6 @@
 
 #include <cstddef>
 #include <memory>
-#include <optional>
 #include <span>
 #include <utility>
 #include <vector>
@@ -36,22 +35,15 @@ class Overlay {
   static Overlay line(std::size_t n);
   /// The `kind` topology over n processes (a star is centered on P_0).
   static Overlay build(TopologyKind kind, std::size_t n);
-  /// A hand-built graph. An edge listed more than once, in either
-  /// orientation, is kept once; each neighbour list is in order of first
-  /// listing. It has no kind, so its distances come from a graph search.
-  static Overlay from_edges(std::size_t n, const std::vector<Edge>& edges);
 
   std::size_t size() const { return n_; }
-  /// The builder's shape; nullopt for a from_edges graph.
-  std::optional<TopologyKind> kind() const { return kind_; }
+  TopologyKind kind() const { return kind_; }
   bool has_edge(ProcessId a, ProcessId b) const;
   std::span<const ProcessId> neighbors(ProcessId p) const;
 
-  /// Hop count of the shortest path, or SIZE_MAX if unreachable. O(1) in
-  /// closed form for the four kinds; a from_edges graph runs a graph search
-  /// per call (CutMask keeps a row for repeated queries).
+  /// Hop count of the shortest path, in O(1) closed form.
   std::size_t hop_distance(ProcessId from, ProcessId to) const;
-  /// The longest shortest path, in closed form (PSN_CHECKs a kind).
+  /// The longest shortest path, in closed form.
   std::size_t diameter() const;
 
  private:
@@ -60,18 +52,19 @@ class Overlay {
     std::vector<ProcessId> targets;
   };
 
-  Overlay(std::size_t n, std::optional<TopologyKind> kind, ProcessId hub,
+  /// `edges` lists each edge once.
+  Overlay(std::size_t n, TopologyKind kind, ProcessId hub,
           const std::vector<Edge>& edges);
 
   std::size_t n_;
-  std::optional<TopologyKind> kind_;
+  TopologyKind kind_;
   ProcessId hub_ = 0;  ///< the star's center
   std::shared_ptr<const Adjacency> adj_;
 };
 
 /// Hop distances over a shared Overlay minus a set of cut edges: the
 /// partition cuts a Transport has replayed from its fault schedule
-/// (DESIGN.md §15). With no cut, a closed-form topology answers directly.
+/// (DESIGN.md §15). With no cut, the closed form answers directly.
 /// Otherwise a breadth-first search over the overlay minus the cuts fills
 /// one cached row, kept until the next cut or heal. On a miss the row is
 /// computed from the higher-degree endpoint (ties: `from`), so leaf→hub

@@ -54,11 +54,6 @@ ShardMap ShardMap::partition(const Overlay& overlay, std::size_t shards) {
       m.shard_of_[p] = static_cast<std::uint32_t>(k);
     }
   }
-  for (ProcessId a = 0; a < n; ++a) {
-    for (const ProcessId b : overlay.neighbors(a)) {
-      if (a < b && m.shard_of_[a] != m.shard_of_[b]) m.cut_edges_++;
-    }
-  }
   return m;
 }
 

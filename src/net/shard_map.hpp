@@ -45,20 +45,12 @@ class ShardMap {
   /// Shard k owns pids [begin(k), end(k)).
   ProcessId begin(std::size_t shard) const { return starts_[shard]; }
   ProcessId end(std::size_t shard) const { return starts_[shard + 1]; }
-  std::size_t shard_size(std::size_t shard) const {
-    return end(shard) - begin(shard);
-  }
-  /// Overlay edges whose endpoints landed in different shards — the cut the
-  /// greedy boundary placement minimizes; every cut edge is a potential
-  /// outbox entry per window.
-  std::size_t cut_edges() const { return cut_edges_; }
 
  private:
   ShardMap() = default;
 
   std::vector<ProcessId> starts_;  ///< K+1 fence posts; [0]=0, [K]=n
   std::vector<std::uint32_t> shard_of_;  ///< dense pid -> shard table
-  std::size_t cut_edges_ = 0;
 };
 
 }  // namespace psn::net

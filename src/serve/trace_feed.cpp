@@ -6,13 +6,6 @@
 #include <cstdint>
 #include <string>
 
-#if !defined(__cpp_lib_to_chars) || __cpp_lib_to_chars < 201611L
-#include <cerrno>
-#include <clocale>
-#include <cstdlib>
-#include <cstring>
-#endif
-
 #include "analysis/export.hpp"
 #include "net/message.hpp"
 
@@ -254,44 +247,10 @@ class LineParser {
   // specification and needs no NUL terminator. Out of line: exporter lines
   // take the fixed-point path.
   [[gnu::noinline]] bool parse_double(double& out) {
-#if defined(__cpp_lib_to_chars) && __cpp_lib_to_chars >= 201611L
     const auto res = std::from_chars(p_, end_, out);
     if (res.ec != std::errc() || res.ptr == p_) return false;
     p_ = res.ptr;
     return true;
-#else
-    // Shim for standard libraries without floating-point from_chars: copy
-    // the number token, substitute the active locale's decimal point for
-    // '.', and let strtod parse the localized copy. Character counts map
-    // 1:1, so the input cursor advances by exactly what strtod consumed.
-    char buf[64];
-    std::size_t n = 0;
-    const char* q = p_;
-    if (q != end_ && (*q == '-' || *q == '+')) buf[n++] = *q++;
-    char point = '.';
-    if (const struct lconv* lc = std::localeconv()) {
-      if (lc->decimal_point != nullptr && lc->decimal_point[0] != '\0' &&
-          std::strlen(lc->decimal_point) == 1) {
-        point = lc->decimal_point[0];
-      }
-    }
-    while (q != end_ && n + 1 < sizeof(buf) &&
-           ((*q >= '0' && *q <= '9') || *q == '.' || *q == 'e' || *q == 'E' ||
-            *q == '+' || *q == '-')) {
-      buf[n++] = *q == '.' ? point : *q;
-      q++;
-    }
-    buf[n] = '\0';
-    errno = 0;
-    char* after = nullptr;
-    // Sanctioned no-<charconv> fallback: the digits above were rewritten to
-    // the active locale's decimal point, so strtod parses them correctly
-    // under any locale. psn-lint: allow(psn-locale-safe-io)
-    out = std::strtod(buf, &after);
-    if (errno == ERANGE || after == buf) return false;
-    p_ += after - buf;
-    return true;
-#endif
   }
 
   bool parse_time(SimTime& at) {

@@ -1,7 +1,7 @@
 #include "sim/fault.hpp"
 
 #include <algorithm>
-#include <cstdlib>
+#include <charconv>
 #include <tuple>
 #include <utility>
 
@@ -24,15 +24,19 @@ std::string trimmed(const std::string& s) {
   return s.substr(b, e - b + 1);
 }
 
-/// Parses a non-negative decimal-seconds field (e.g. "2", "0.25").
+/// Parses a non-negative decimal-seconds field (e.g. "2", "0.25"). Numbers go
+/// through std::from_chars, which ignores the process locale (strtod would
+/// stop at the '.' under a comma-decimal LC_NUMERIC).
 SimTime parse_seconds(const std::string& clause, const std::string& field) {
   if (field.empty()) bad_spec(clause, "empty time field");
-  char* end = nullptr;
-  const double s = std::strtod(field.c_str(), &end);
-  if (end == nullptr || *end != '\0' || s < 0.0) {
+  double s = 0.0;
+  const char* last = field.data() + field.size();
+  const auto [ptr, ec] = std::from_chars(field.data(), last, s);
+  const bool out_of_range = ec == std::errc::result_out_of_range;
+  if (ptr != last || (ec != std::errc() && !out_of_range) || s < 0.0) {
     bad_spec(clause, "'" + field + "' is not a non-negative seconds value");
   }
-  if (!seconds_fit_nanos(s)) {
+  if (out_of_range || !seconds_fit_nanos(s)) {
     bad_spec(clause,
              "'" + field + "' is out of range (must be finite, below 2^63 ns)");
   }
@@ -41,12 +45,13 @@ SimTime parse_seconds(const std::string& clause, const std::string& field) {
 
 std::int64_t parse_int(const std::string& clause, const std::string& field) {
   if (field.empty()) bad_spec(clause, "empty integer field");
-  char* end = nullptr;
-  const long long v = std::strtoll(field.c_str(), &end, 10);
-  if (end == nullptr || *end != '\0') {
+  std::int64_t v = 0;
+  const char* last = field.data() + field.size();
+  const auto [ptr, ec] = std::from_chars(field.data(), last, v);
+  if (ec != std::errc() || ptr != last) {
     bad_spec(clause, "'" + field + "' is not an integer");
   }
-  return static_cast<std::int64_t>(v);
+  return v;
 }
 
 ProcessId parse_pid(const std::string& clause, const std::string& field) {

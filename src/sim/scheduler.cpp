@@ -53,7 +53,7 @@ PSN_HOT void Scheduler::schedule_at(SimTime at, std::uint64_t tie,
     run_.push_back(key);
   } else if (!(run_.back() > key)) {
     // Nondecreasing (at, tie) and strictly increasing seq: appending keeps
-    // the run sorted. This is the overwhelmingly common case.
+    // the run sorted (timer chains, fixed-delay fan-outs).
     run_.push_back(key);
   } else {
     heap_.push_back(key);

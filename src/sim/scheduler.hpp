@@ -25,16 +25,15 @@ namespace psn::sim {
 ///
 /// Hot-path layout (DESIGN.md §11): callbacks live in a slab of slots
 /// recycled through a free list, and the calendar itself is split into two
-/// key containers exploiting how discrete-event time behaves: a *monotone
-/// run* — a sorted vector appended to whenever a new event lands at or after
-/// the run's tail, consumed from the front — and an overflow binary min-heap
-/// for out-of-order inserts. Simulation workloads schedule overwhelmingly in
-/// nondecreasing time order (timers and deliveries are offsets from a
-/// forward-moving now), so the common schedule/execute round trip is O(1),
-/// falling back to the heap's O(log n) only for the inserts that genuinely
-/// land before the tail. Dequeue takes the (at, tie, seq)-minimum of the two
-/// fronts, so execution order is identical to a single heap's. Zero heap
-/// allocations whenever the closure fits the Callback's inline buffer.
+/// key containers: a *monotone run* — a sorted vector appended to whenever a
+/// new event lands at or after the run's tail, consumed from the front — and
+/// an overflow binary min-heap for every other insert. The run makes a timer
+/// chain or a fixed-delay fan-out O(1) per schedule/execute round trip;
+/// deliveries with random delays mostly land before the tail and take the
+/// heap's O(log n) (over 99% of a benchmark run's inserts, DESIGN.md §11).
+/// Dequeue takes the (at, tie, seq)-minimum of the two fronts, so execution
+/// order is identical to a single heap's. Zero heap allocations whenever the
+/// closure fits the Callback's inline buffer.
 class Scheduler {
  public:
   /// Small-buffer-optimized callback: closures up to kCallbackInlineBytes

@@ -1,5 +1,7 @@
 #include "sim/simulation.hpp"
 
+#include <string>
+
 #include "common/error.hpp"
 #include "common/log.hpp"
 
@@ -32,8 +34,9 @@ std::size_t Simulation::run() {
     total++;
   }
   if (truncated_) {
-    PSN_WARN << "simulation hit max_events=" << config_.max_events
-             << " before horizon; results are truncated";
+    log_warning("simulation hit max_events=" +
+                std::to_string(config_.max_events) +
+                " before horizon; results are truncated");
   }
   return total;
 }

@@ -108,7 +108,6 @@ class HospitalWard {
   void start();
 
   ObjectId waiting_door_object(int k) const;
-  int waiting_doors() const { return config_.waiting_room_doors; }
   /// Ward object: attributes "occupied" (bool), "restricted" (bool).
   ObjectId ward_object() const { return ward_; }
 

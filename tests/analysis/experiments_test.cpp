@@ -82,14 +82,6 @@ TEST(OccupancyExperimentTest, EffectiveToleranceAuto) {
   EXPECT_EQ(unbounded.effective_tolerance(), 2_s);
 }
 
-TEST(OccupancyExperimentTest, ValidatedOverloadMatchesRawOverload) {
-  const Validated<OccupancyConfig> checked(small_config(6));
-  const auto via_validated = run_occupancy_experiment(checked);
-  const auto via_raw = run_occupancy_experiment(small_config(6));
-  EXPECT_EQ(via_validated.world_events, via_raw.world_events);
-  EXPECT_EQ(via_validated.observed_updates, via_raw.observed_updates);
-}
-
 TEST(OccupancyExperimentTest, RejectsInvalidConfig) {
   OccupancyConfig bad = small_config();
   bad.doors = 0;

@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include "common/error.hpp"
-#include "common/validated.hpp"
 
 namespace psn::analysis {
 namespace {
@@ -126,7 +125,7 @@ TEST(SweepValidationTest, RejectsNonsenseConfigsBeforeRunning) {
   zero_delta.delta = Duration::zero();  // nonsense under kUniformBounded
   EXPECT_THROW(sweep(zero_delta).run(), ConfigError);
   zero_delta.delay_kind = core::DelayKind::kSynchronous;
-  EXPECT_NO_THROW((void)Validated<OccupancyConfig>(zero_delta));
+  EXPECT_NO_THROW(validate(zero_delta));
 
   EXPECT_THROW(sweep(small_base()).replications(0), ConfigError);
 }
@@ -141,7 +140,7 @@ TEST(SweepValidationTest, ValidatedRejectsAtExperimentBoundary) {
   bad = small_base();
   bad.horizon = Duration::zero();
   EXPECT_THROW(run_occupancy_experiment(bad), ConfigError);
-  EXPECT_NO_THROW((void)Validated<OccupancyConfig>(small_base()));
+  EXPECT_NO_THROW(validate(small_base()));
 }
 
 }  // namespace

@@ -12,9 +12,9 @@ TEST(TableTest, BuildsRowsInOrder) {
   t.row().cell("x").cell(std::int64_t{1});
   t.row().cell("y").cell(std::int64_t{2});
   EXPECT_EQ(t.num_rows(), 2u);
-  EXPECT_EQ(t.num_cols(), 2u);
   EXPECT_EQ(t.at(0, 0), "x");
   EXPECT_EQ(t.at(1, 1), "2");
+  EXPECT_THROW((void)t.at(0, 2), InvariantError);  // two columns
 }
 
 TEST(TableTest, DoubleFormatting) {

@@ -32,19 +32,6 @@ TEST(ThreadPoolTest, ZeroMeansHardwareThreads) {
   EXPECT_GE(pool.size(), 1u);
 }
 
-TEST(ThreadPoolTest, WaitIdleDrainsTheQueue) {
-  ThreadPool pool(2);
-  std::atomic<int> done{0};
-  for (int i = 0; i < 64; ++i) {
-    pool.submit([&done] {
-      std::this_thread::sleep_for(std::chrono::microseconds(100));
-      done.fetch_add(1);
-    });
-  }
-  pool.wait_idle();
-  EXPECT_EQ(done.load(), 64);
-}
-
 TEST(ThreadPoolTest, TaskExceptionPropagatesThroughFuture) {
   ThreadPool pool(2);
   auto bad = pool.submit(
@@ -56,17 +43,20 @@ TEST(ThreadPoolTest, TaskExceptionPropagatesThroughFuture) {
 }
 
 TEST(ThreadPoolTest, DestructionDrainsQueuedWork) {
-  std::atomic<int> ran{0};
-  {
-    ThreadPool pool(1);  // single worker: tasks genuinely queue up
-    for (int i = 0; i < 32; ++i) {
-      pool.submit([&ran] {
-        std::this_thread::sleep_for(std::chrono::microseconds(200));
-        ran.fetch_add(1);
-      });
-    }
-  }  // destructor joins — every queued task must have executed, not dropped
-  EXPECT_EQ(ran.load(), 32);
+  // One worker, so tasks genuinely queue up; two, so they also overlap.
+  for (const unsigned workers : {1u, 2u}) {
+    std::atomic<int> ran{0};
+    {
+      ThreadPool pool(workers);
+      for (int i = 0; i < 32; ++i) {
+        pool.submit([&ran] {
+          std::this_thread::sleep_for(std::chrono::microseconds(200));
+          ran.fetch_add(1);
+        });
+      }
+    }  // destructor joins — every queued task must have executed, not dropped
+    EXPECT_EQ(ran.load(), 32) << workers << " workers";
+  }
 }
 
 TEST(ThreadPoolTest, ParallelMapPreservesInputOrder) {
@@ -86,18 +76,19 @@ TEST(ThreadPoolTest, ParallelMapPreservesInputOrder) {
 }
 
 TEST(ThreadPoolTest, ManyProducersOneQueue) {
-  ThreadPool pool(4);
   std::atomic<long> sum{0};
-  std::vector<std::thread> producers;
-  for (int t = 0; t < 4; ++t) {
-    producers.emplace_back([&pool, &sum] {
-      for (int i = 1; i <= 250; ++i) {
-        pool.submit([&sum, i] { sum.fetch_add(i); });
-      }
-    });
-  }
-  for (auto& p : producers) p.join();
-  pool.wait_idle();
+  {
+    ThreadPool pool(4);
+    std::vector<std::thread> producers;
+    for (int t = 0; t < 4; ++t) {
+      producers.emplace_back([&pool, &sum] {
+        for (int i = 1; i <= 250; ++i) {
+          pool.submit([&sum, i] { sum.fetch_add(i); });
+        }
+      });
+    }
+    for (auto& p : producers) p.join();
+  }  // the destructor drains the queue
   EXPECT_EQ(sum.load(), 4L * 250 * 251 / 2);
 }
 

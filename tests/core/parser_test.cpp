@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <clocale>
+
 #include "common/error.hpp"
+#include "sim/fault.hpp"
 
 namespace psn::core {
 namespace {
@@ -119,7 +122,8 @@ TEST(ParserTest, RoundTripThroughToString) {
 
 TEST(ParserTest, ErrorsCarryPosition) {
   for (const char* bad : {"", "x[", "x[1", "x[a]", "sum(", "sum(x", "1 +",
-                          "x", "((1)", "1 2", "@", "foo(x)"}) {
+                          "x", "((1)", "1 2", "@", "foo(x)", "1e400",
+                          "x[4294967296]"}) {
     EXPECT_THROW(parse_expr(bad), ConfigError) << "input: " << bad;
   }
 }
@@ -130,6 +134,36 @@ TEST(ParserTest, WordOperatorsDontEatIdentifiers) {
   EXPECT_TRUE(parse_expr("order[1] == 1")->holds(s));
   const auto a = state_of({{{1, "android"}, 1.0}});
   EXPECT_TRUE(parse_expr("android[1]")->holds(a));
+}
+
+// strtod honours LC_NUMERIC, so under a comma-decimal locale the fault and
+// predicate grammars stopped at the '.' of "0.5" and "30.5" and rejected the
+// rest. Both parse with from_chars now; this parses each with LC_NUMERIC
+// forced to a comma-decimal locale when the host has one.
+TEST(ParserTest, GrammarsIgnoreACommaDecimalLocale) {
+  const char* comma_locales[] = {"de_DE.UTF-8", "de_DE.utf8", "de_DE",
+                                 "fr_FR.UTF-8", "fr_FR.utf8", "fr_FR"};
+  const char* active = nullptr;
+  for (const char* name : comma_locales) {
+    if (std::setlocale(LC_NUMERIC, name) != nullptr) {
+      active = name;
+      break;
+    }
+  }
+  if (active == nullptr) {
+    GTEST_SKIP() << "no comma-decimal locale installed on this host";
+  }
+  struct RestoreC {
+    ~RestoreC() { std::setlocale(LC_NUMERIC, "C"); }
+  } restore;
+
+  const sim::FaultPlan plan = sim::parse_fault_plan("crash:2@0.5+2");
+  ASSERT_EQ(plan.crashes.size(), 1u);
+  EXPECT_EQ(plan.crashes[0].begin, SimTime::from_seconds(0.5));
+  EXPECT_EQ(plan.crashes[0].end, SimTime::from_seconds(2.5));
+  const ExprPtr hot = parse_expr("temp[1] > 30.5");
+  EXPECT_TRUE(hot->holds(state_of({{{1, "temp"}, 30.75}})));
+  EXPECT_FALSE(hot->holds(state_of({{{1, "temp"}, 30.25}})));
 }
 
 }  // namespace

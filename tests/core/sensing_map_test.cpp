@@ -1,7 +1,6 @@
 #include <gtest/gtest.h>
 
 #include "common/error.hpp"
-#include "common/log.hpp"
 #include "core/sensing.hpp"
 
 namespace psn::core {
@@ -44,25 +43,6 @@ TEST(EventTypeTest, Names) {
   EXPECT_STREQ(to_string(EventType::kActuate), "actuate");
   EXPECT_STREQ(to_string(EventType::kSend), "send");
   EXPECT_STREQ(to_string(EventType::kReceive), "receive");
-}
-
-TEST(LogLevelTest, ThresholdFilters) {
-  const LogLevel before = log_level();
-  set_log_level(LogLevel::kError);
-  EXPECT_EQ(log_level(), LogLevel::kError);
-  // Below-threshold statements are skipped (their stream expressions never
-  // run — verified by the side effect).
-  int evaluations = 0;
-  auto touch = [&]() {
-    evaluations++;
-    return "x";
-  };
-  PSN_WARN << touch();
-  EXPECT_EQ(evaluations, 0);
-  set_log_level(LogLevel::kDebug);
-  PSN_WARN << touch();
-  EXPECT_EQ(evaluations, 1);
-  set_log_level(before);
 }
 
 }  // namespace

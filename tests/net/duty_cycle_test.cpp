@@ -17,12 +17,12 @@ TEST(DutyCycleTest, AwakeWindows) {
   DutyCycle dc;
   dc.period = 1000_ms;
   dc.window = 100_ms;
-  EXPECT_TRUE(dc.is_awake(t(0)));
-  EXPECT_TRUE(dc.is_awake(t(99)));
-  EXPECT_FALSE(dc.is_awake(t(100)));
-  EXPECT_FALSE(dc.is_awake(t(999)));
-  EXPECT_TRUE(dc.is_awake(t(1000)));
-  EXPECT_TRUE(dc.is_awake(t(2050)));
+  EXPECT_EQ(dc.next_wake(t(0)), t(0));
+  EXPECT_EQ(dc.next_wake(t(99)), t(99));
+  EXPECT_NE(dc.next_wake(t(100)), t(100));
+  EXPECT_NE(dc.next_wake(t(999)), t(999));
+  EXPECT_EQ(dc.next_wake(t(1000)), t(1000));
+  EXPECT_EQ(dc.next_wake(t(2050)), t(2050));
 }
 
 TEST(DutyCycleTest, PhaseShiftsWindows) {
@@ -30,11 +30,11 @@ TEST(DutyCycleTest, PhaseShiftsWindows) {
   dc.period = 1000_ms;
   dc.window = 100_ms;
   dc.phase = 300_ms;
-  EXPECT_FALSE(dc.is_awake(t(0)));
-  EXPECT_TRUE(dc.is_awake(t(300)));
-  EXPECT_TRUE(dc.is_awake(t(399)));
-  EXPECT_FALSE(dc.is_awake(t(400)));
-  EXPECT_TRUE(dc.is_awake(t(1350)));
+  EXPECT_NE(dc.next_wake(t(0)), t(0));
+  EXPECT_EQ(dc.next_wake(t(300)), t(300));
+  EXPECT_EQ(dc.next_wake(t(399)), t(399));
+  EXPECT_NE(dc.next_wake(t(400)), t(400));
+  EXPECT_EQ(dc.next_wake(t(1350)), t(1350));
 }
 
 TEST(DutyCycleTest, NextWake) {
@@ -55,7 +55,8 @@ TEST(DutyCycleTest, DutyFractionAndWorstCase) {
   dc.period = 1000_ms;
   dc.window = 100_ms;
   EXPECT_DOUBLE_EQ(dc.duty_fraction(), 0.1);
-  EXPECT_EQ(worst_case_wait(dc), 900_ms);
+  // The worst-case wait: arriving just as the window closes.
+  EXPECT_EQ(dc.next_wake(t(100)) - t(100), 900_ms);
 }
 
 TEST(DutyCycleTest, Validity) {

@@ -2,11 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "common/error.hpp"
+#include "sim/fault.hpp"
+#include "sim/trace.hpp"
 
 namespace psn::net {
 namespace {
@@ -21,6 +24,7 @@ struct Fixture {
       : sim([] {
           sim::SimConfig cfg;
           cfg.horizon = SimTime::zero() + 100_s;
+          cfg.trace_capacity = 64;
           return cfg;
         }()),
         transport(sim, std::move(overlay), std::move(delay), std::move(loss),
@@ -94,19 +98,48 @@ TEST(TransportTest, MultiHopDelayScalesWithDistance) {
             SimTime::zero() + 30_ms);  // 3 hops x 10 ms
 }
 
+/// A line 0-1-2 whose edge 1-2 is cut for the first 10 s, so node 2 is
+/// unreachable from 0 and 1 until the heal.
+struct CutFixture : Fixture {
+  CutFixture() : Fixture(Overlay::line(3)) {
+    sim::FaultPlan plan;
+    plan.partitions.push_back(
+        {1, 2, SimTime::zero(), SimTime::zero() + 10_s});
+    faults = std::make_unique<sim::FaultSchedule>(std::move(plan));
+    transport.set_fault_schedule(faults.get());
+  }
+
+  std::vector<sim::TraceRecord> records_of(sim::TraceKind kind) {
+    std::vector<sim::TraceRecord> out;
+    for (sim::TraceRecord& r : sim.trace()->take()) {
+      if (r.kind == kind) out.push_back(std::move(r));
+    }
+    return out;
+  }
+
+  std::unique_ptr<sim::FaultSchedule> faults;
+};
+
 TEST(TransportTest, UnreachableDestinationCounted) {
-  Fixture f(Overlay::from_edges(3, {{0, 1}}));  // node 2 isolated
+  CutFixture f;
   f.transport.unicast(f.computation(0, 2));
   f.sim.run();
   EXPECT_TRUE(f.deliveries.empty());
   EXPECT_EQ(f.transport.stats().of(MessageKind::kComputation).unreachable, 1u);
+  EXPECT_EQ(f.transport.stats().drops.partition, 1u);
+  const std::vector<sim::TraceRecord> lost =
+      f.records_of(sim::TraceKind::kUnreachable);
+  ASSERT_EQ(lost.size(), 1u);
+  EXPECT_EQ(lost[0].pid, 0u);
+  EXPECT_EQ(lost[0].peer, 2u);
+  EXPECT_EQ(lost[0].note, "partition");
 }
 
 // Regression: transmit() used to count sent/bytes_sent before discovering
 // the destination was unreachable, so partition scenarios overstated radio
 // traffic. A message that never leaves the node must not be "sent".
 TEST(TransportTest, UnreachableNotCountedAsSent) {
-  Fixture f(Overlay::from_edges(3, {{0, 1}}));  // node 2 isolated
+  CutFixture f;
   f.transport.unicast(f.computation(0, 2));
   f.transport.unicast(f.computation(0, 1));  // reachable control message
   f.sim.run();
@@ -116,6 +149,7 @@ TEST(TransportTest, UnreachableNotCountedAsSent) {
   EXPECT_EQ(ks.bytes_sent,
             wire_bytes(f.computation(0, 1), ClockMode::kVectorStrobe));
   EXPECT_EQ(f.transport.stats().total().sent, 1u);
+  EXPECT_EQ(f.records_of(sim::TraceKind::kUnreachable).size(), 1u);
 }
 
 TEST(TransportTest, LossDropsAndCounts) {

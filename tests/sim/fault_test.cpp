@@ -44,6 +44,8 @@ TEST(FaultPlanParseTest, RejectsMalformedClauses) {
   EXPECT_THROW(parse_fault_plan("cut:1@10+5"), ConfigError);     // no '-'
   EXPECT_THROW(parse_fault_plan("drift:1@10+5"), ConfigError);   // no ppm
   EXPECT_THROW(parse_fault_plan("melt:1@10+5"), ConfigError);    // bad verb
+  EXPECT_THROW(parse_fault_plan("drift:1@1+1:99999999999999999999"),
+               ConfigError);  // ppm beyond int64
   // Times must be finite and below 2^63 ns, the window end included.
   EXPECT_THROW(parse_fault_plan("crash:2@inf+4"), ConfigError);
   EXPECT_THROW(parse_fault_plan("crash:2@nan+4"), ConfigError);

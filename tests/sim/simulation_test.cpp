@@ -34,7 +34,11 @@ TEST(SimulationTest, MaxEventsSafetyValve) {
     sim.scheduler().schedule_after(Duration::nanos(1), loop);
   };
   sim.scheduler().schedule_after(Duration::nanos(1), loop);
+  testing::internal::CaptureStderr();
   const std::size_t executed = sim.run();
+  EXPECT_EQ(testing::internal::GetCapturedStderr(),
+            "[psn WARN ] simulation hit max_events=25 before horizon; results "
+            "are truncated\n");
   EXPECT_EQ(executed, 25u);
   EXPECT_EQ(fired, 25);
 }

@@ -20,9 +20,12 @@
 //
 //   psn-locale-safe-io  Float text in src/serve and src/analysis/export is
 //                       wire format, not UI: it must round-trip under any
-//                       process locale. Only the repo's json_fixed /
-//                       json_general / from_chars paths are allowed —
-//                       strtod/atof/sscanf/printf-family formatting are not.
+//                       process locale. The --faults grammar (src/sim/fault)
+//                       and the predicate grammar (src/core/predicate_parser)
+//                       read numbers from user text under the same rule.
+//                       Only the repo's json_fixed / json_general /
+//                       from_chars paths are allowed — the strto* family,
+//                       atof, sscanf and printf-family formatting are not.
 //
 // Implementation: a dependency-free token-level analyzer — a small C++
 // lexer (comments, strings, raw strings, char literals, continuations,
@@ -323,8 +326,9 @@ const std::vector<std::string_view> kOutputFeedingPaths = {
     // there is drop order, which is output order.
     "src/sim/fault", "src/net/transport", "src/net/overlay"};
 
-const std::vector<std::string_view> kLocaleSafeDirs = {"src/serve/",
-                                                       "src/analysis/export"};
+const std::vector<std::string_view> kLocaleSafeDirs = {
+    "src/serve/", "src/analysis/export", "src/sim/fault",
+    "src/core/predicate_parser"};
 
 // --------------------------------------------------------------------------
 // Check 1: psn-determinism
@@ -529,10 +533,11 @@ void check_hot_path_alloc(const std::string& path,
 // --------------------------------------------------------------------------
 
 const std::set<std::string, std::less<>> kLocaleSensitive = {
-    "strtod",   "strtof",  "strtold",  "atof",     "stod",      "stof",
-    "stold",    "sscanf",  "vsscanf",  "fscanf",   "scanf",     "printf",
-    "fprintf",  "sprintf", "snprintf", "vsprintf", "vsnprintf", "vprintf",
-    "setprecision", "setlocale"};
+    "strtod",    "strtof",   "strtold",      "strtol",     "strtoll",
+    "strtoul",   "strtoull", "atof",         "stod",       "stof",
+    "stold",     "sscanf",   "vsscanf",      "fscanf",     "scanf",
+    "printf",    "fprintf",  "sprintf",      "snprintf",   "vsprintf",
+    "vsnprintf", "vprintf",  "setprecision", "setlocale"};
 
 void check_locale_safe_io(const std::string& path, const std::vector<Tok>& toks,
                           const Suppressions& sup, std::vector<Finding>& out) {

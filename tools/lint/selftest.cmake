@@ -8,6 +8,7 @@ set(BAD_FILES
   src/sim/bad_hot_alloc.cpp
   src/sim/clean.cpp
   src/sim/fault_bad_order.cpp
+  src/sim/fault_bad_locale.cpp
   src/check/bad_range_for.cpp
   src/serve/bad_locale.cpp)
 

@@ -14,6 +14,6 @@ int format_value(char* out, std::size_t n, double v) {
 }
 
 double sanctioned(const char* s) {
-  // The documented no-<charconv> fallback shim, locale-pinned by its caller.
+  // A justified call keeps an inline suppression and is not reported.
   return std::strtod(s, nullptr);  // psn-lint: allow(psn-locale-safe-io)
 }
