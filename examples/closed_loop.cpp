@@ -12,8 +12,8 @@
 // Usage: closed_loop [seconds] [seed]
 
 #include <algorithm>
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 
 #include "common/stats.hpp"
 #include "common/table.hpp"
@@ -21,13 +21,16 @@
 #include "core/oracle.hpp"
 #include "core/predicate_parser.hpp"
 #include "core/temporal_logic.hpp"
+#include "example_args.hpp"
 #include "world/generators.hpp"
 
 int main(int argc, char** argv) {
   using namespace psn;
 
-  const auto seconds = argc > 1 ? std::atoll(argv[1]) : 300;
-  const auto seed = argc > 2 ? static_cast<std::uint64_t>(std::atoll(argv[2])) : 17;
+  const examples::Args args(argc, argv, "closed_loop [seconds] [seed]");
+  const auto seconds =
+      args.get<long long>(1, "seconds", 300, 1, examples::kMaxSeconds);
+  const auto seed = args.get<std::uint64_t>(2, "seed", 17, 0, UINT64_MAX);
 
   core::ShardedSystemConfig config;
   core::SystemConfig& sys = config.base;

@@ -12,18 +12,22 @@
 //
 // Usage: secure_banking [sessions] [seed]
 
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 
 #include "common/table.hpp"
 #include "core/interval_algebra.hpp"
 #include "core/sharded_system.hpp"
+#include "example_args.hpp"
 
 int main(int argc, char** argv) {
   using namespace psn;
 
-  const int sessions = argc > 1 ? std::atoi(argv[1]) : 12;
-  const auto seed = argc > 2 ? static_cast<std::uint64_t>(std::atoll(argv[2])) : 8;
+  const examples::Args args(argc, argv, "secure_banking [sessions] [seed]");
+  // Each session takes 10 simulated seconds.
+  const int sessions =
+      args.get<int>(1, "sessions", 12, 1, examples::kMaxSeconds / 10 - 1);
+  const auto seed = args.get<std::uint64_t>(2, "seed", 8, 0, UINT64_MAX);
 
   core::ShardedSystemConfig config;
   core::SystemConfig& sys = config.base;

@@ -16,8 +16,8 @@
 //
 // Usage: smart_office [seconds] [seed]
 
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 
 #include "analysis/scoring.hpp"
 #include "common/table.hpp"
@@ -27,14 +27,16 @@
 #include "core/oracle.hpp"
 #include "core/predicate_parser.hpp"
 #include "core/sharded_system.hpp"
+#include "example_args.hpp"
 #include "world/scenarios.hpp"
 
 int main(int argc, char** argv) {
   using namespace psn;
 
-  const auto seconds = argc > 1 ? std::atoll(argv[1]) : 300;
-  const auto seed =
-      argc > 2 ? static_cast<std::uint64_t>(std::atoll(argv[2])) : 1;
+  const examples::Args args(argc, argv, "smart_office [seconds] [seed]");
+  const auto seconds =
+      args.get<long long>(1, "seconds", 300, 1, examples::kMaxSeconds);
+  const auto seed = args.get<std::uint64_t>(2, "seed", 1, 0, UINT64_MAX);
 
   core::ShardedSystemConfig config;
   core::SystemConfig& sys = config.base;

@@ -31,7 +31,8 @@ std::string time_field(SimTime t) {
 Session::Session(const SessionConfig& config, Writer writer)
     : cfg_(config),
       writer_(std::move(writer)),
-      checker_(checker_config(config.soak)) {}
+      checker_(checker_config(config.soak)),
+      records_to_metrics_(config.soak.metrics_every) {}
 
 std::string Session::event_head(std::string_view name) const {
   std::string out = "{\"event\":\"";
@@ -189,9 +190,10 @@ void Session::ingest_line(std::string_view line) {
   report_.peak_pending_sends =
       std::max(report_.peak_pending_sends, checker_.pending_sends());
 
-  if (cfg_.soak.metrics_every != 0 &&
-      report_.records_fed % cfg_.soak.metrics_every == 0) {
+  // metrics_every == 0 starts the countdown at 0, which never fires.
+  if (records_to_metrics_ != 0 && --records_to_metrics_ == 0) {
     emit_metrics();
+    records_to_metrics_ = cfg_.soak.metrics_every;
   }
 }
 

@@ -148,6 +148,8 @@ class Session {
   /// stream whose length is an exact multiple of metrics_every must not get
   /// a duplicate trailing metrics line before `eof`.
   std::size_t last_metrics_records_ = SIZE_MAX;
+  /// Records left until the next periodic metrics line; 0 when disabled.
+  std::size_t records_to_metrics_;
   bool stop_reading_ = false;
   bool rejected_ = false;  ///< strict-mode rejection seen → exit 3
   bool write_failed_ = false;

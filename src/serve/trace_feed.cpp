@@ -1,9 +1,11 @@
 #include "serve/trace_feed.hpp"
 
+#include <algorithm>
 #include <array>
 #include <charconv>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <string>
 
 #include "analysis/export.hpp"
@@ -75,13 +77,16 @@ class LineParser {
     skip_ws();
     if (!consume('}')) {
       while (true) {
-        std::string_view name;
-        if (!scan_string(name)) return fail("expected key string");
+        int k = match_key();
+        if (k < 0) {
+          std::string_view name;
+          if (!scan_string(name)) return fail("expected key string");
+          skip_ws();
+          if (!consume(':')) return fail("expected ':' after key ", name);
+          k = find_name(kKeyNames, name);
+          if (k < 0) return fail("unknown key ", name);
+        }
         skip_ws();
-        if (!consume(':')) return fail("expected ':' after key ", name);
-        skip_ws();
-        const int k = find_name(kKeyNames, name);
-        if (k < 0) return fail("unknown key ", name);
         const Key key = static_cast<Key>(k);
         if (!parse_value(key)) return false;
         skip_ws();
@@ -133,6 +138,58 @@ class LineParser {
     if (p_ == end_ || *p_ != c) return false;
     p_++;
     return true;
+  }
+
+  /// A key as the exporter spells it, `"<key>":`, matched in place and
+  /// consumed; returns its index. Anything else (an escape, whitespace
+  /// before ':', an unknown key, a cut line) returns -1 having consumed
+  /// nothing, and the caller scans the token from the same byte.
+  int match_key() {
+    if (end_ - p_ < 4 || *p_ != '"') return -1;
+    switch (p_[1]) {
+      case 't': return take_key("\"t\":", Key::kT);
+      case 'k': return take_key("\"kind\":", Key::kKind);
+      case 'p':
+        return p_[2] == 'i' ? take_key("\"pid\":", Key::kPid)
+                            : take_key("\"peer\":", Key::kPeer);
+      case 'm': return take_key("\"msg\":", Key::kMsg);
+      case 'b': return take_key("\"bytes\":", Key::kBytes);
+      case 's': return take_key("\"seq\":", Key::kSeq);
+      case 'n': return take_key("\"note\":", Key::kNote);
+      default: return -1;
+    }
+  }
+
+  /// `key`'s index if the line continues with `literal` (consumed), else
+  /// -1. N - 1 is a constant, so the compare compiles to a few loads.
+  template <std::size_t N>
+  int take_key(const char (&literal)[N], Key key) {
+    if (static_cast<std::size_t>(end_ - p_) < N - 1 ||
+        std::memcmp(p_, literal, N - 1) != 0) {
+      return -1;
+    }
+    p_ += N - 1;
+    return static_cast<int>(key);
+  }
+
+  /// An enum value as the exporter spells it, `"<name>"` for one of
+  /// `names`, matched in place and consumed; returns its index, else -1
+  /// having consumed nothing. The closing quote is part of the compare, so
+  /// a name never matches a longer one it is a prefix of (send/sense).
+  template <std::size_t N>
+  int match_name(const std::array<std::string_view, N>& names) {
+    if (p_ == end_ || *p_ != '"') return -1;
+    const char* const q = p_ + 1;
+    const auto left = static_cast<std::size_t>(end_ - q);
+    for (std::size_t k = 0; k < N; ++k) {
+      const std::string_view name = names[k];
+      if (left > name.size() && q[0] == name[0] && q[name.size()] == '"' &&
+          std::equal(name.begin() + 1, name.end(), q + 1)) {
+        p_ = q + name.size() + 1;
+        return static_cast<int>(k);
+      }
+    }
+    return -1;
   }
 
   /// Scans a string token. `out` views the line when the token has no
@@ -196,16 +253,21 @@ class LineParser {
 
   /// Decimal digits into a uint64: exactly the strings std::from_chars
   /// base 10 accepts (at least one digit, no sign), failing on overflow.
+  /// 19 digits stay below 10^19 < 2^64, so only later digits are checked.
   bool parse_uint(std::uint64_t& out) {
     constexpr std::uint64_t kMax = UINT64_MAX;
     if (p_ == end_ || !is_digit(*p_)) return false;
+    const char* const unchecked_end = end_ - p_ > 19 ? p_ + 19 : end_;
     std::uint64_t v = 0;
     do {
+      v = v * 10 + static_cast<std::uint64_t>(*p_++ - '0');
+    } while (p_ != unchecked_end && is_digit(*p_));
+    while (p_ != end_ && is_digit(*p_)) {
       const auto d = static_cast<std::uint64_t>(*p_ - '0');
       if (v > kMax / 10 || (v == kMax / 10 && d > kMax % 10)) return false;
       v = v * 10 + d;
       p_++;
-    } while (p_ != end_ && is_digit(*p_));
+    }
     out = v;
     return true;
   }
@@ -280,11 +342,15 @@ class LineParser {
     switch (key) {
       case Key::kT: return parse_time(r.at);
       case Key::kKind: {
-        std::string_view name;
-        if (!scan_string(name)) return fail("\"kind\" must be a string");
-        const int kind = find_name(
-            wire_names<sim::TraceKind, kTraceKinds>(sim::to_string), name);
-        if (kind < 0) return fail("unknown trace kind ", name);
+        const auto& kinds =
+            wire_names<sim::TraceKind, kTraceKinds>(sim::to_string);
+        int kind = match_name(kinds);
+        if (kind < 0) {
+          std::string_view name;
+          if (!scan_string(name)) return fail("\"kind\" must be a string");
+          kind = find_name(kinds, name);
+          if (kind < 0) return fail("unknown trace kind ", name);
+        }
         r.kind = static_cast<sim::TraceKind>(kind);
         return true;
       }
@@ -298,11 +364,15 @@ class LineParser {
         return true;
       }
       case Key::kMsg: {
-        std::string_view name;
-        if (!scan_string(name)) return fail("\"msg\" must be a string");
-        r.message_kind = find_name(
-            wire_names<net::MessageKind, kMessageKinds>(net::to_string), name);
-        if (r.message_kind < 0) return fail("unknown message kind ", name);
+        const auto& kinds =
+            wire_names<net::MessageKind, kMessageKinds>(net::to_string);
+        r.message_kind = match_name(kinds);
+        if (r.message_kind < 0) {
+          std::string_view name;
+          if (!scan_string(name)) return fail("\"msg\" must be a string");
+          r.message_kind = find_name(kinds, name);
+          if (r.message_kind < 0) return fail("unknown message kind ", name);
+        }
         return true;
       }
       case Key::kBytes:

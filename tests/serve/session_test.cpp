@@ -7,7 +7,8 @@
 // line at metrics_every boundaries, write-failure teardown, and the
 // strict-vs-lenient exit-code precedence. The single-pass parser is pinned
 // against the double path on exporter times up to 2^62 ns, against seeded
-// byte mutations, and against read chunking from 1 byte to the whole input.
+// byte mutations, against read chunking from 1 byte to the whole input, and
+// its in-place key and name match against the scan-and-lookup fallback.
 
 #include "serve/session.hpp"
 
@@ -22,6 +23,7 @@
 #include <sstream>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "analysis/experiments.hpp"
@@ -180,6 +182,24 @@ TEST(TraceFeedTest, RejectsGarbageWithSpecificDiagnostics) {
       {"{\"t\":9300000000,\"kind\":\"sense\",\"pid\":1}", "out of range"},
       {"{\"t\":9223372036.854775808,\"kind\":\"sense\",\"pid\":1}",
        "out of range"},
+      // Near misses of the in-place key and name match: a prefix, an
+      // extension or another case of a real spelling, and lines cut inside
+      // a key or a name, get the general path's diagnostics.
+      {"{\"t\":1.0,\"tt\":2,\"kind\":\"sense\",\"pid\":1}",
+       "unknown key \"tt\""},
+      {"{\"t\":1.0,\"kind\":\"sense\",\"pi\":1}", "unknown key \"pi\""},
+      {"{\"t\":1.0,\"kind\":\"sense\",\"pidx\":1}", "unknown key \"pidx\""},
+      {"{\"t\":1.0,\"kind\":\"send\",\"pid\":1,\"peers\":2}",
+       "unknown key \"peers\""},
+      {"{\"t\":1.0,\"kind\":\"sen\",\"pid\":1}", "unknown trace kind \"sen\""},
+      {"{\"t\":1.0,\"kind\":\"sendx\",\"pid\":1}",
+       "unknown trace kind \"sendx\""},
+      {"{\"t\":1.0,\"kind\":\"Send\",\"pid\":1}",
+       "unknown trace kind \"Send\""},
+      {"{\"t\":1.0,\"kind\":\"send\",\"pid\":1,\"msg\":\"strob\"}",
+       "unknown message kind \"strob\""},
+      {"{\"t\":1.0,\"ki", "expected key string"},
+      {"{\"t\":1.0,\"kind\":\"sen", "\"kind\" must be a string"},
   };
   for (const auto& c : cases) {
     const ParsedRecord parsed = parse_trace_line(c.line);
@@ -297,6 +317,101 @@ TEST(TraceFeedTest, MutatedLinesRejectCleanlyOrRoundTrip) {
   // The round exercises both outcomes.
   EXPECT_GT(accepted, 1000u);
   EXPECT_LT(accepted, 29'000u);
+}
+
+/// The top-level `"key":value` members of a flat exporter line, as written.
+std::vector<std::pair<std::string, std::string>> members(
+    std::string_view line) {
+  std::vector<std::pair<std::string, std::string>> out;
+  std::size_t i = 1;  // past '{'
+  const auto token_end = [&line](std::size_t at) {
+    bool in_string = false;
+    for (; at < line.size(); ++at) {
+      const char c = line[at];
+      if (in_string && c == '\\') {
+        ++at;
+      } else if (c == '"') {
+        in_string = !in_string;
+      } else if (!in_string && (c == ':' || c == ',' || c == '}')) {
+        break;
+      }
+    }
+    return at;
+  };
+  while (i < line.size() && line[i] != '}') {
+    const std::size_t colon = token_end(i);
+    const std::size_t stop = token_end(colon + 1);
+    out.emplace_back(std::string(line.substr(i, colon - i)),
+                     std::string(line.substr(colon + 1, stop - colon - 1)));
+    i = stop + 1;
+  }
+  return out;
+}
+
+/// Replaces one byte between the quotes of a string token by its \u00XX
+/// escape, the hex digits in a random case.
+void escape_one_byte(std::string& token, Rng& rng) {
+  const auto pos = static_cast<std::size_t>(
+      rng.uniform_int(1, static_cast<std::int64_t>(token.size()) - 2));
+  const char* const digits =
+      rng.bernoulli(0.5) ? "0123456789abcdef" : "0123456789ABCDEF";
+  const auto byte = static_cast<unsigned char>(token[pos]);
+  const std::string escape = std::string("\\u00") + digits[byte >> 4] +
+                             digits[byte & 0xf];
+  token.replace(pos, 1, escape);
+}
+
+// Spellings the exporter never writes must parse exactly as its own line:
+// shuffled keys, blanks around every ':' and ',', one byte of one key and
+// one byte of the kind or msg name \u-escaped. Whitespace before ':' and
+// the escapes send each respelled token down the general scan + lookup
+// path, so this pins it against the in-place match the exporter line takes.
+TEST(TraceFeedTest, RespelledLinesParseAsTheExporterLine) {
+  const std::vector<std::string> lines = run_trace_lines();
+  ASSERT_FALSE(lines.empty());
+  Rng rng(30);
+  const auto pick = [&rng](std::size_t n) {
+    return static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(n) - 1));
+  };
+  const auto blanks = [&rng] {
+    std::string out;
+    for (std::int64_t n = rng.uniform_int(1, 3); n > 0; --n) {
+      out += rng.bernoulli(0.5) ? ' ' : '\t';
+    }
+    return out;
+  };
+  for (const std::string& line : lines) {
+    const ParsedRecord canonical = parse_trace_line(line);
+    ASSERT_TRUE(canonical.ok()) << line << ": " << canonical.error;
+
+    auto fields = members(line);
+    ASSERT_GE(fields.size(), 3u) << line;
+    // One byte of the kind or (when present) the msg name, then one byte
+    // of one key: the names are found while the keys still read plainly.
+    std::vector<std::string*> names;
+    for (auto& [key, value] : fields) {
+      if (key == "\"kind\"" || key == "\"msg\"") names.push_back(&value);
+    }
+    escape_one_byte(*names[pick(names.size())], rng);
+    escape_one_byte(fields[pick(fields.size())].first, rng);
+    for (std::size_t k = fields.size() - 1; k > 0; --k) {
+      std::swap(fields[k], fields[pick(k + 1)]);
+    }
+
+    std::string respelled = "{";
+    for (std::size_t k = 0; k < fields.size(); ++k) {
+      if (k > 0) respelled += blanks() + "," + blanks();
+      respelled += fields[k].first + blanks() + ":" + blanks() +
+                   fields[k].second;
+    }
+    respelled += "}";
+
+    const ParsedRecord parsed = parse_trace_line(respelled);
+    ASSERT_TRUE(parsed.ok()) << respelled << ": " << parsed.error;
+    EXPECT_TRUE(same_record(parsed.record, canonical.record))
+        << "line: " << line << " respelled: " << respelled;
+  }
 }
 
 TEST(SoakServerTest, VerifiesARealRunTraceClean) {
