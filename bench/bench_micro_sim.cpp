@@ -1,7 +1,7 @@
 // Micro-benchmarks of the simulation substrate: event-calendar throughput,
 // strobe broadcast fan-out through the transport, end-to-end system steps,
 // detector and oracle evaluation, trace recording and ordering, wire ingest,
-// the race audit, and lattice enumeration cost.
+// stream checking, the race audit, and lattice enumeration cost.
 
 #include <benchmark/benchmark.h>
 
@@ -13,6 +13,7 @@
 #include "analysis/experiments.hpp"
 #include "analysis/export.hpp"
 #include "check/race_scan.hpp"
+#include "check/stream_checker.hpp"
 #include "common/alloc_guard.hpp"
 #include "core/detectors.hpp"
 #include "core/execution_view.hpp"
@@ -348,15 +349,21 @@ const std::string& exporter_trace() {
   return wire;
 }
 
-void BM_TraceFeedParse(benchmark::State& state) {
-  // trace_feed ladder row: serve::parse_trace_line over every line of an
-  // exporter trace, the record dropped as the Session drops it.
+/// exporter_trace() split into its lines, newlines dropped.
+std::vector<std::string_view> exporter_lines() {
   std::vector<std::string_view> lines;
   const std::string& wire = exporter_trace();
   for (std::size_t i = 0, nl; i < wire.size(); i = nl + 1) {
     nl = wire.find('\n', i);
     lines.emplace_back(wire.data() + i, nl - i);
   }
+  return lines;
+}
+
+void BM_TraceFeedParse(benchmark::State& state) {
+  // trace_feed ladder row: serve::parse_trace_line over every line of an
+  // exporter trace, the record dropped as the Session drops it.
+  const std::vector<std::string_view> lines = exporter_lines();
   std::uint64_t allocs = 0;
   for (auto _ : state) {
     const std::uint64_t allocs_before = alloc_guard::thread_allocations();
@@ -398,6 +405,50 @@ void BM_SessionOnData(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(records));
 }
 BENCHMARK(BM_SessionOnData);
+
+void BM_StreamCheckerFeed(benchmark::State& state) {
+  // StreamChecker::feed ladder row: trace-only mode at serve's default
+  // retention, over the exporter trace's records. Every pass shifts them
+  // past the previous pass in time and seq, so the stream never rewinds and
+  // the checker stays warm; one untimed pass first fills and drains the
+  // retention window. Items = records fed.
+  std::vector<sim::TraceRecord> records;
+  for (const std::string_view line : exporter_lines()) {
+    records.push_back(serve::parse_trace_line(line).record);
+  }
+  SimTime last = SimTime::zero();
+  std::uint64_t max_seq = 0;
+  for (const sim::TraceRecord& r : records) {
+    last = std::max(last, r.at);
+    max_seq = std::max(max_seq, r.seq);
+  }
+  const Duration time_shift = (last - SimTime::zero()) + Duration::seconds(1);
+
+  check::StreamCheckerConfig cfg;
+  cfg.num_processes = 9;
+  cfg.send_retention = serve::SoakServerConfig{}.send_retention;
+  check::StreamChecker checker(cfg);
+  const auto feed_pass = [&] {
+    for (sim::TraceRecord& r : records) {
+      r.at = r.at + time_shift;
+      if (r.seq != 0) r.seq += max_seq;
+      checker.feed(r);
+    }
+  };
+  feed_pass();
+  std::uint64_t allocs = 0;
+  for (auto _ : state) {
+    const std::uint64_t allocs_before = alloc_guard::thread_allocations();
+    feed_pass();
+    allocs += alloc_guard::thread_allocations() - allocs_before;
+  }
+  if (!checker.finish().clean()) state.SkipWithError("stream did not verify");
+  const auto processed = static_cast<double>(state.iterations()) *
+                         static_cast<double>(records.size());
+  state.SetItemsProcessed(static_cast<std::int64_t>(processed));
+  state.counters["allocs_per_record"] = static_cast<double>(allocs) / processed;
+}
+BENCHMARK(BM_StreamCheckerFeed);
 
 void BM_LatticeCount(benchmark::State& state) {
   // Consistent-cut counting cost on a strobe execution of growing size.

@@ -89,6 +89,8 @@ jq -s --slurpfile base "${baseline}" \
            then {bytes_per_record: .bytes_per_record} else {} end)
         + (if .allocs_per_line != null
            then {allocs_per_line: .allocs_per_line} else {} end)
+        + (if .allocs_per_record != null
+           then {allocs_per_record: .allocs_per_record} else {} end)
         + (if .allocs_per_op != null
            then {allocs_per_op: .allocs_per_op} else {} end)
         + (if .ns_per_process != null

@@ -82,10 +82,7 @@ void validate(const OccupancyConfig& config) {
     throw ConfigError("OccupancyConfig: shard_threads must be >= 1");
   }
   if (config.shards > 1) {
-    core::SystemConfig delay;
-    delay.delay_kind = config.delay_kind;
-    delay.delta = config.delta;
-    if (core::make_delay_model(delay)->min_delay() <= Duration::zero()) {
+    if (core::make_delay_model(config)->min_delay() <= Duration::zero()) {
       throw ConfigError(
           "OccupancyConfig: sharded execution needs a positive minimum "
           "one-hop delay and this delay model's is zero; use --delay uniform "
@@ -117,6 +114,7 @@ OccupancyRunResult run_occupancy_experiment(const OccupancyConfig& config) {
   validate(config);
   core::ShardedSystemConfig scfg;
   core::SystemConfig& sys = scfg.base;
+  static_cast<core::DeploymentConfig&>(sys) = config;
   sys.num_sensors = config.doors;
   sys.sim.seed = config.seed;
   sys.sim.horizon = SimTime::zero() + config.horizon;
@@ -125,20 +123,8 @@ OccupancyRunResult run_occupancy_experiment(const OccupancyConfig& config) {
     // The checker's happens-before oracle needs the complete trace window.
     sys.sim.trace_capacity = std::size_t{1} << 18;
   }
-  sys.delay_kind = config.delay_kind;
-  sys.delta = config.delta;
-  sys.clock_mode = config.clock_mode;
   sys.clock_config.sync_epsilon = config.sync_epsilon;
   sys.clock_config.track_vectors = !config.lean_clocks;
-  sys.topology = config.topology;
-  sys.loss_probability = config.loss_probability;
-  sys.loss_windows = config.loss_windows;
-  sys.gilbert_elliott = config.gilbert_elliott;
-  sys.faults = config.faults;
-  sys.duty_cycle = config.duty_cycle;
-  sys.duty_phases_aligned = config.duty_phases_aligned;
-  sys.fifo_channels = config.fifo_channels;
-  sys.validity_horizon = config.validity_horizon;
   scfg.shards = config.shards;
   scfg.pool_threads = config.shard_threads;
   scfg.unicast_reports = config.unicast_reports;

@@ -20,47 +20,16 @@ namespace psn::analysis {
 /// sensors, occupancy predicate Σ(entered_i − exited_i) > capacity, all four
 /// online detectors scored against the oracle on the same run. Most benches
 /// (E1, E2, E4, E6, E8, E9) are parameter sweeps over this.
-struct OccupancyConfig {
+struct OccupancyConfig : core::DeploymentConfig {
   std::size_t doors = 2;
   int capacity = 200;
   /// Total people movements per second — the world-event rate λ the paper's
   /// viability condition compares against Δ.
   double movement_rate = 20.0;
 
-  core::DelayKind delay_kind = core::DelayKind::kUniformBounded;
-  Duration delta = Duration::millis(100);
   Duration sync_epsilon = Duration::micros(100);
-  double loss_probability = 0.0;
-  std::vector<net::ScheduledBurstLoss::Window> loss_windows;
-
-  /// Optional Gilbert–Elliott burst-loss channel (stateful per transmission
-  /// order; validate() rejects it with shards > 1 — use loss_windows for
-  /// shard-stable bursts).
-  std::optional<core::SystemConfig::GilbertElliottParams> gilbert_elliott;
-
-  /// Deterministic fault plan (sim/fault, DESIGN.md §15): crash/restart
-  /// windows, overlay partition windows, clock-fault drift spikes. The plan
-  /// is validated against the topology when the system is built; every
-  /// injected fault emits trace records, and with `check` on the audit
-  /// attributes detector errors to the recorded faults.
-  sim::FaultPlan faults;
-
   Duration horizon = Duration::seconds(60);
   std::uint64_t seed = 1;
-
-  /// Optional receiver duty cycling for the door sensors (A3 ablation).
-  std::optional<net::DutyCycle> duty_cycle;
-  bool duty_phases_aligned = true;
-
-  /// Clock mode charged on the wire (per-mode E7 byte accounting; see
-  /// net::ClockMode). Detection always scores every model side by side.
-  net::ClockMode clock_mode = net::ClockMode::kVectorStrobe;
-
-  /// Kopetz-Steiner temporal validity horizon stamped on every observation
-  /// (core::ValidityHorizon). Unbounded by default; when bounded, the
-  /// incremental detector flags evaluations over expired state and the
-  /// checker (config.check) runs the validity-horizon contract.
-  core::ValidityHorizon validity_horizon;
 
   /// Event-trace ring capacity (records); 0 = tracing off. When on, the
   /// run's sense/send/receive/deliver/drop/detect records are returned in
@@ -84,9 +53,6 @@ struct OccupancyConfig {
   /// Worker threads for the per-window shard fan-out (1 = inline). Changes
   /// wall-clock time only, never results.
   std::size_t shard_threads = 1;
-  /// Overlay topology. The city-scale scenario uses kStar (sensors report
-  /// up to the mains-powered root).
-  core::TopologyKind topology = core::TopologyKind::kComplete;
   /// Drops the O(n)-wide vector clocks (city scale: 10^5 processes make
   /// every snapshot O(n)). The strobe-vector detector is skipped — its
   /// stamps are inert — and combining with `check` is rejected (the checker
@@ -96,9 +62,6 @@ struct OccupancyConfig {
   /// strobe broadcast (the city-scale star deployment; O(n) vs O(n^2)
   /// messages per world tick).
   bool unicast_reports = false;
-  /// Per-channel FIFO (causal) delivery on the transport. Supported only
-  /// unsharded; validate() rejects it with shards > 1.
-  bool fifo_channels = false;
 
   /// Scoring tolerance; zero means "auto": 2Δ + 1 ms.
   Duration score_tolerance = Duration::zero();

@@ -8,19 +8,6 @@
 
 namespace psn::analysis {
 
-Table detections_table(const std::vector<core::Detection>& detections) {
-  Table t({"detected_s", "to_true", "borderline", "cause_s", "update_index"});
-  for (const auto& d : detections) {
-    t.row()
-        .cell(d.detected_at.to_seconds(), 9)
-        .cell(d.to_true ? "1" : "0")
-        .cell(d.borderline ? "1" : "0")
-        .cell(d.cause_true_time.to_seconds(), 9)
-        .cell(d.update_index);
-  }
-  return t;
-}
-
 std::string json_escape(const std::string& s) {
   std::string out;
   out.reserve(s.size());

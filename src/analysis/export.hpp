@@ -14,11 +14,6 @@ namespace psn::analysis {
 /// Exporters for the run artifacts — the interchange layer a user needs to
 /// plot results or post-process detections outside C++.
 
-/// A detector's transition stream as a Table (ASCII-renderable,
-/// CSV-writable via Table::write_csv / Table::csv): detected_s, to_true,
-/// borderline, cause_s, update_index.
-Table detections_table(const std::vector<core::Detection>& detections);
-
 /// Escapes a string for embedding in a JSON string literal (quotes,
 /// backslashes, and control characters; no surrounding quotes added).
 std::string json_escape(const std::string& s);

@@ -19,12 +19,6 @@ double DetectionScore::recall() const {
                             : 1.0;
 }
 
-double DetectionScore::f1() const {
-  const double p = precision();
-  const double r = recall();
-  return (p + r) > 0.0 ? 2.0 * p * r / (p + r) : 0.0;
-}
-
 double DetectionScore::recall_with_borderline() const {
   return oracle_occurrences
              ? static_cast<double>(true_positives + fn_covered_by_borderline) /

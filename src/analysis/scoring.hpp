@@ -50,7 +50,6 @@ struct DetectionScore {
 
   double precision() const;
   double recall() const;
-  double f1() const;
   /// Recall when borderline detections are treated as positives — the
   /// "err on the safe side" reading of the borderline bin (§5).
   double recall_with_borderline() const;

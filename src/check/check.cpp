@@ -28,6 +28,7 @@ const char* to_string(ViolationKind k) {
     case ViolationKind::kStaleObservation: return "stale-observation";
     case ViolationKind::kFaultPairing: return "fault-pairing";
     case ViolationKind::kActivityWhileDown: return "activity-while-down";
+    case ViolationKind::kRaceScanTruncated: return "race-scan-truncated";
   }
   return "?";
 }

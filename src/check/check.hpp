@@ -54,6 +54,7 @@ enum class ViolationKind : std::uint8_t {
   kStaleObservation,  ///< observation delivered after its validity horizon
   kFaultPairing,      ///< malformed crash/restart or partition/heal pairing
   kActivityWhileDown,  ///< activity from (or delivery to) a crashed process
+  kRaceScanTruncated,  ///< detector error past a race scan cut at kMaxRaces
 };
 
 const char* to_string(ViolationKind k);

@@ -276,6 +276,12 @@ ContractResult audit_detector(const std::string& detector,
     return reach == SimTime::max() || t <= reach + slack;
   };
 
+  // A scan cut at kMaxRaces left out pairs whose true_a is no earlier than
+  // the last scanned one's; such a race reaches back to true_a - slack.
+  const SimTime unscanned_from = races.size() >= kMaxRaces
+                                     ? races.back().true_a - slack
+                                     : SimTime::max();
+
   auto audit = [&](const std::vector<SimTime>& times, ViolationKind kind,
                    const char* label) {
     for (const SimTime t : times) {
@@ -285,12 +291,20 @@ ContractResult audit_detector(const std::string& detector,
       result.violations_total++;
       if (result.violations.size() < kMaxAuditWitnesses) {
         CheckViolation v;
-        v.kind = kind;
         v.at = t;
         v.detail = detector + ": confident " + label + " at t=" +
-                   std::to_string(t.to_seconds()) +
-                   "s has no Δ-race or recorded fault within the audit "
-                   "window to explain it";
+                   std::to_string(t.to_seconds()) + "s ";
+        if (t >= unscanned_from) {
+          v.kind = ViolationKind::kRaceScanTruncated;
+          v.detail += "lies past the race scan, which stopped at its cap of " +
+                      std::to_string(kMaxRaces) +
+                      " pairs; no scanned race or recorded fault explains it";
+        } else {
+          v.kind = kind;
+          v.detail +=
+              "has no Δ-race or recorded fault within the audit window to "
+              "explain it";
+        }
         result.violations.push_back(std::move(v));
       }
     }

@@ -35,6 +35,8 @@ struct RaceEvent {
 
 /// Safety cap on emitted races (the scan is a sliding window, so pathological
 /// inputs — everything simultaneous — are quadratic in the window population).
+/// A scan that reaches it stops there; audit_detector reports the errors the
+/// unscanned pairs might explain as kRaceScanTruncated.
 inline constexpr std::size_t kMaxRaces = 100000;
 
 struct RaceScanConfig {
@@ -114,10 +116,15 @@ struct AuditConfig {
 /// and the run's fault spans: each false positive (by cause true time) and
 /// false negative (by missed occurrence start) must fall inside some race or
 /// fault span, or it becomes a violation (kUnexplainedFalsePositive /
-/// kUnexplainedFalseNegative). Sound whenever every non-race error source is
-/// visible to the audit: Δ-bounded delay plus an untruncated trace window,
-/// with losses, crashes, partitions, duty deferrals, and expired horizons
-/// supplied as fault spans. `races` must be nondecreasing in true_a (as
+/// kUnexplainedFalseNegative). When `races` holds kMaxRaces entries the scan
+/// was cut short, and an unexplained error at or after the last race's
+/// true_a less the slack — where an unscanned race could still reach — is a
+/// kRaceScanTruncated violation instead: the verdict stays non-clean, but
+/// names the cap rather than the detector. Sound whenever every non-race
+/// error source is visible to the audit: Δ-bounded delay plus an
+/// untruncated trace window, with losses, crashes, partitions, duty
+/// deferrals, and expired horizons supplied as fault spans. `races` must be
+/// nondecreasing in true_a (as
 /// scan_races emits them) and `fault_spans` in begin (as collect_fault_spans
 /// returns them); unsorted input throws InvariantError. Costs O(R + S) for
 /// one prefix pass plus O(log R + log S) per error time. Returns a

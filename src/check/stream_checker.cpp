@@ -22,9 +22,9 @@ constexpr int kComputationKind =
 StreamChecker::StreamChecker(const StreamCheckerConfig& config)
     : cfg_(config),
       executions_(config.executions),
-      comp_sent_(SeqMap<SentComputation>::allocator_type(arena_)),
-      strobe_sent_(SeqMap<SentStrobe>::allocator_type(arena_)),
-      pending_order_(PoolAllocator<PendingEntry>(arena_)) {
+      comp_sent_(&pool_),
+      strobe_sent_(&pool_),
+      pending_order_(&pool_) {
   if (bound()) {
     PSN_CHECK(executions_->size() == cfg_.num_processes,
               "StreamChecker: executions must have one entry per process");
@@ -54,16 +54,6 @@ void StreamChecker::add(ContractResult& c, CheckViolation v) {
   if (c.violations.size() < cfg_.options.max_recorded_violations) {
     c.violations.push_back(std::move(v));
   }
-}
-
-std::size_t StreamChecker::violations_so_far() const {
-  std::size_t n = 0;
-  for (const ContractResult* c :
-       {&hb_, &lamport_, &vector_, &strobe_scalar_, &strobe_vector_,
-        &soundness_, &epsilon_, &drift_, &validity_, &fault_}) {
-    n += c->violations_total;
-  }
-  return n;
 }
 
 PSN_HOT std::optional<CheckViolation> StreamChecker::feed(

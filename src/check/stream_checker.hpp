@@ -2,13 +2,13 @@
 
 #include <cstdint>
 #include <deque>
+#include <memory_resource>
 #include <optional>
 #include <unordered_map>
 #include <vector>
 
 #include "check/check.hpp"
 #include "clocks/timestamp.hpp"
-#include "common/pool_alloc.hpp"
 #include "common/sim_time.hpp"
 #include "common/types.hpp"
 #include "core/event.hpp"
@@ -79,9 +79,6 @@ class StreamChecker {
   std::size_t pending_sends() const {
     return comp_sent_.size() + strobe_sent_.size();
   }
-  /// Violations recorded so far across all contracts (witness caps do not
-  /// stop the count).
-  std::size_t violations_so_far() const;
   /// kStaleObservation count so far (the validity-horizon contract).
   std::size_t stale_observations() const {
     return validity_.violations_total;
@@ -144,21 +141,18 @@ class StreamChecker {
     std::uint64_t seq = 0;
     bool strobe = false;
   };
-  /// Recycling arena backing the streaming working set below. Declared
-  /// before the containers (members destroy in reverse order, and the
-  /// containers hand their nodes back to the arena as they die). With it,
-  /// steady-state feed in trace-only mode performs zero global allocations
-  /// per record once the in-flight window has peaked — pinned by the
-  /// alloc-guard suite (`ctest -L lint`).
-  PoolArena arena_;
+  /// Pool backing the streaming working set below. Declared before the
+  /// containers (members destroy in reverse order, and the containers hand
+  /// their nodes back to the pool as they die). With it, steady-state feed
+  /// in trace-only mode performs zero global allocations per record once the
+  /// in-flight window has peaked — pinned by the alloc-guard suite
+  /// (`ctest -L lint`).
+  std::pmr::unsynchronized_pool_resource pool_;
   template <typename V>
-  using SeqMap =
-      std::unordered_map<std::uint64_t, V, std::hash<std::uint64_t>,
-                         std::equal_to<std::uint64_t>,
-                         PoolAllocator<std::pair<const std::uint64_t, V>>>;
+  using SeqMap = std::pmr::unordered_map<std::uint64_t, V>;
   SeqMap<SentComputation> comp_sent_;
   SeqMap<SentStrobe> strobe_sent_;
-  std::deque<PendingEntry, PoolAllocator<PendingEntry>> pending_order_;
+  std::pmr::deque<PendingEntry> pending_order_;
   std::vector<SenseSample> senses_;
   ContractResult hb_, lamport_, vector_, strobe_scalar_, strobe_vector_,
       soundness_, epsilon_, drift_, validity_, fault_;

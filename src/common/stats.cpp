@@ -113,11 +113,6 @@ void Histogram::add(double x) {
   counts_[idx]++;
 }
 
-std::size_t Histogram::bin_count(std::size_t i) const {
-  PSN_CHECK(i < counts_.size(), "histogram bin index out of range");
-  return counts_[i];
-}
-
 void Histogram::merge(const Histogram& other) {
   PSN_CHECK(lo_ == other.lo_ && hi_ == other.hi_ &&
                 counts_.size() == other.counts_.size(),

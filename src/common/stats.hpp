@@ -67,7 +67,6 @@ class Histogram {
  public:
   Histogram(double lo, double hi, std::size_t bins);
   void add(double x);
-  std::size_t bin_count(std::size_t i) const;
   std::size_t bins() const { return counts_.size(); }
   std::size_t total() const { return total_; }
   double bin_lo(std::size_t i) const;

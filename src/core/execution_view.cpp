@@ -39,32 +39,6 @@ ExecutionView ExecutionView::from_strobe_stamps(
   return ExecutionView(std::move(pids), std::move(histories));
 }
 
-ExecutionView ExecutionView::from_causal_stamps(
-    const ShardedPervasiveSystem& system) {
-  std::vector<ProcessId> pids;
-  std::vector<std::vector<Event>> histories;
-  for (const auto* events : system.sensor_executions()) {
-    std::vector<Event> hist;
-    ProcessId pid = kNoProcess;
-    for (const auto& pe : *events) {
-      // Every recorded event type ticks the causal clocks exactly once, so
-      // local indices align with causal-vector own-components.
-      pid = pe.pid;
-      Event e;
-      e.stamp = pe.clocks.causal_vector;
-      e.has_var = pe.var.has_value();
-      if (pe.var) e.var = *pe.var;
-      e.value = pe.value;
-      e.when = pe.clocks.true_time;
-      hist.push_back(std::move(e));
-    }
-    if (pid == kNoProcess && !events->empty()) pid = events->front().pid;
-    pids.push_back(pid);
-    histories.push_back(std::move(hist));
-  }
-  return ExecutionView(std::move(pids), std::move(histories));
-}
-
 std::size_t ExecutionView::total_events() const {
   std::size_t n = 0;
   for (const auto& h : events_) n += h.size();

@@ -15,9 +15,9 @@ namespace psn::core {
 /// their vector stamps. Which vector is used decides what the lattice means:
 ///   - strobe stamps → the strobe-induced sublattice of world observations
 ///     (paper §4.2.4, the slim-lattice postulate), over sense events only;
-///   - causal Mattern/Fidge stamps → the classic lattice of consistent
-///     global states of the network-plane program (paper §4.1), over every
-///     event that ticks the causal clock.
+///   - causal Mattern/Fidge stamps, built through the constructor → the
+///     classic lattice of consistent global states of the network-plane
+///     program (paper §4.1), over every event that ticks the causal clock.
 class ExecutionView {
  public:
   struct Event {
@@ -33,10 +33,6 @@ class ExecutionView {
 
   /// Sense events of all sensors, stamped with the *strobe* vector clock.
   static ExecutionView from_strobe_stamps(
-      const ShardedPervasiveSystem& system);
-  /// Every causal-ticking event of all sensors, stamped with the causal
-  /// Mattern/Fidge clock.
-  static ExecutionView from_causal_stamps(
       const ShardedPervasiveSystem& system);
 
   std::size_t num_processes() const { return events_.size(); }

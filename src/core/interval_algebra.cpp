@@ -8,44 +8,6 @@
 
 namespace psn::core {
 
-const char* to_string(AllenRelation r) {
-  switch (r) {
-    case AllenRelation::kBefore: return "before";
-    case AllenRelation::kMeets: return "meets";
-    case AllenRelation::kOverlaps: return "overlaps";
-    case AllenRelation::kStarts: return "starts";
-    case AllenRelation::kDuring: return "during";
-    case AllenRelation::kFinishes: return "finishes";
-    case AllenRelation::kEqual: return "equal";
-    case AllenRelation::kFinishedBy: return "finished-by";
-    case AllenRelation::kContains: return "contains";
-    case AllenRelation::kStartedBy: return "started-by";
-    case AllenRelation::kOverlappedBy: return "overlapped-by";
-    case AllenRelation::kMetBy: return "met-by";
-    case AllenRelation::kAfter: return "after";
-  }
-  return "?";
-}
-
-AllenRelation inverse(AllenRelation r) {
-  switch (r) {
-    case AllenRelation::kBefore: return AllenRelation::kAfter;
-    case AllenRelation::kMeets: return AllenRelation::kMetBy;
-    case AllenRelation::kOverlaps: return AllenRelation::kOverlappedBy;
-    case AllenRelation::kStarts: return AllenRelation::kStartedBy;
-    case AllenRelation::kDuring: return AllenRelation::kContains;
-    case AllenRelation::kFinishes: return AllenRelation::kFinishedBy;
-    case AllenRelation::kEqual: return AllenRelation::kEqual;
-    case AllenRelation::kFinishedBy: return AllenRelation::kFinishes;
-    case AllenRelation::kContains: return AllenRelation::kDuring;
-    case AllenRelation::kStartedBy: return AllenRelation::kStarts;
-    case AllenRelation::kOverlappedBy: return AllenRelation::kOverlaps;
-    case AllenRelation::kMetBy: return AllenRelation::kMeets;
-    case AllenRelation::kAfter: return AllenRelation::kBefore;
-  }
-  return AllenRelation::kEqual;
-}
-
 AllenRelation classify(const TimeInterval& a, const TimeInterval& b) {
   PSN_CHECK(a.begin < a.end && b.begin < b.end,
             "Allen classification requires non-empty intervals");
@@ -66,15 +28,6 @@ AllenRelation classify(const TimeInterval& a, const TimeInterval& b) {
   if (b.begin > a.begin && b.end < a.end) return AllenRelation::kContains;
   return a.begin < b.begin ? AllenRelation::kOverlaps
                            : AllenRelation::kOverlappedBy;
-}
-
-const char* to_string(CausalIntervalRelation r) {
-  switch (r) {
-    case CausalIntervalRelation::kPrecedes: return "precedes";
-    case CausalIntervalRelation::kPrecededBy: return "preceded-by";
-    case CausalIntervalRelation::kConcurrent: return "concurrent";
-  }
-  return "?";
 }
 
 CausalIntervalRelation classify_causal(const StampedInterval& a,

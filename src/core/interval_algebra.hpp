@@ -42,9 +42,6 @@ enum class AllenRelation {
   kAfter,         ///< inverse of kBefore
 };
 
-const char* to_string(AllenRelation r);
-AllenRelation inverse(AllenRelation r);
-
 /// Exact Allen classification on a shared (single) time axis. Requires both
 /// intervals non-empty (begin < end).
 AllenRelation classify(const TimeInterval& a, const TimeInterval& b);
@@ -58,8 +55,6 @@ enum class CausalIntervalRelation {
   kPrecededBy,   ///< symmetric
   kConcurrent,   ///< neither end precedes the other begin — they *may* overlap
 };
-
-const char* to_string(CausalIntervalRelation r);
 
 /// An interval of a variable satisfying a condition, bounded by vector
 /// stamps (for causal classification) and by true/physical times.

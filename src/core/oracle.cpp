@@ -43,7 +43,6 @@ OracleResult GroundTruthOracle::evaluate(const world::WorldTimeline& timeline,
   if (holding) {
     result.occurrences.push_back({hold_begin, horizon});
     total_true += horizon - hold_begin;
-    result.true_at_horizon = true;
   }
   result.fraction_true =
       horizon > SimTime::zero()

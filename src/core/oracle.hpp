@@ -29,7 +29,6 @@ struct OracleResult {
   std::vector<Occurrence> occurrences;
   /// Fraction of [0, horizon) during which φ held.
   double fraction_true = 0.0;
-  bool true_at_horizon = false;
 };
 
 /// Replays the world timeline in true-time order, translating world events

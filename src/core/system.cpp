@@ -6,7 +6,8 @@
 
 namespace psn::core {
 
-std::unique_ptr<net::DelayModel> make_delay_model(const SystemConfig& cfg) {
+std::unique_ptr<net::DelayModel> make_delay_model(
+    const DeploymentConfig& cfg) {
   switch (cfg.delay_kind) {
     case DelayKind::kSynchronous:
       return std::make_unique<net::SynchronousDelay>();
@@ -45,7 +46,7 @@ class CombinedLoss final : public net::LossModel {
 
 }  // namespace
 
-std::unique_ptr<net::LossModel> make_loss_model(const SystemConfig& cfg) {
+std::unique_ptr<net::LossModel> make_loss_model(const DeploymentConfig& cfg) {
   std::vector<std::unique_ptr<net::LossModel>> parts;
   if (cfg.loss_probability > 0.0) {
     parts.push_back(std::make_unique<net::BernoulliLoss>(cfg.loss_probability));

@@ -21,12 +21,11 @@ enum class DelayKind {
 
 using net::TopologyKind;
 
-/// Everything needed to stand up one ⟨P, L, O, C⟩ system instance.
-struct SystemConfig {
-  std::size_t num_sensors = 2;  ///< processes 1..num_sensors; P_0 is the root
-  sim::SimConfig sim;
-  clocks::ClockBundleConfig clock_config;
-
+/// The deployment a run simulates — delay and loss models, wire clock mode,
+/// topology, faults, duty cycling, validity horizon — declared once for
+/// both the system (SystemConfig) and the occupancy experiment
+/// (analysis::OccupancyConfig), which copies it across whole.
+struct DeploymentConfig {
   DelayKind delay_kind = DelayKind::kUniformBounded;
   /// The Δ of the delay model (bound, mean, or fixed value by kind).
   Duration delta = Duration::millis(100);
@@ -35,6 +34,8 @@ struct SystemConfig {
   /// accounting). Default: vector strobes, the fattest option.
   net::ClockMode clock_mode = net::ClockMode::kVectorStrobe;
 
+  /// Overlay topology. The city-scale scenario uses kStar (sensors report
+  /// up to the mains-powered root).
   TopologyKind topology = TopologyKind::kComplete;
 
   /// Independent per-transmission loss probability (0 = lossless).
@@ -58,12 +59,13 @@ struct SystemConfig {
   /// crash/restart windows, overlay partition windows, and clock-fault
   /// drift spikes. Empty = fault-free. Compiled once into a FaultSchedule
   /// shared by the transport and every sensor; partition edges must exist
-  /// in the configured topology.
+  /// in the configured topology. Every injected fault emits trace records,
+  /// and the checker's race audit attributes detector errors to them.
   sim::FaultPlan faults;
 
   /// Optional receiver duty cycling for the sensor nodes (paper §5: MAC-
-  /// layer duty cycles in habitat monitoring). The root's radio is always
-  /// on (it is the mains-powered back-end).
+  /// layer duty cycles in habitat monitoring; the A3 ablation). The root's
+  /// radio is always on (it is the mains-powered back-end).
   std::optional<net::DutyCycle> duty_cycle;
   /// Synchronized duty cycles (all sensors share a phase) versus the
   /// unsynchronized baseline (per-node random phases).
@@ -76,15 +78,25 @@ struct SystemConfig {
 
   /// Temporal-validity policy stamped onto every received observation
   /// (Kopetz-Steiner validity intervals). Default: observations never
-  /// expire, which reproduces the paper's original semantics exactly.
+  /// expire, which reproduces the paper's original semantics exactly. When
+  /// bounded, the incremental detector flags evaluations over expired state
+  /// and the checker runs the validity-horizon contract.
   ValidityHorizon validity_horizon;
 };
 
-/// Factories mapping a SystemConfig onto concrete network models — one
+/// Everything needed to stand up one ⟨P, L, O, C⟩ system instance.
+struct SystemConfig : DeploymentConfig {
+  std::size_t num_sensors = 2;  ///< processes 1..num_sensors; P_0 is the root
+  sim::SimConfig sim;
+  clocks::ClockBundleConfig clock_config;
+};
+
+/// Factories mapping a deployment onto concrete network models — one
 /// definition every shard of a ShardedPervasiveSystem (DESIGN.md §14) builds
 /// from, so all shards assemble bit-identical planes from the same config.
-std::unique_ptr<net::DelayModel> make_delay_model(const SystemConfig& config);
-std::unique_ptr<net::LossModel> make_loss_model(const SystemConfig& config);
+std::unique_ptr<net::DelayModel> make_delay_model(
+    const DeploymentConfig& config);
+std::unique_ptr<net::LossModel> make_loss_model(const DeploymentConfig& config);
 
 /// Compiles (and validates) a fault plan against the system's topology:
 /// every cut edge must exist in it, and crash/drift pids must name real

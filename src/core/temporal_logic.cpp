@@ -52,45 +52,12 @@ BoolSignal::BoolSignal(bool initial, std::vector<Transition> transitions,
   intervals_ = normalize(std::move(intervals), horizon);
 }
 
-BoolSignal BoolSignal::from_oracle(const OracleResult& oracle,
-                                   SimTime horizon) {
-  return BoolSignal(false, oracle.transitions, horizon);
-}
-
-BoolSignal BoolSignal::constant(bool value, SimTime horizon) {
-  std::vector<Occurrence> intervals;
-  if (value) intervals.push_back({SimTime::zero(), horizon});
-  return from_intervals(std::move(intervals), horizon);
-}
-
 BoolSignal BoolSignal::from_intervals(std::vector<Occurrence> intervals,
                                       SimTime horizon) {
   PSN_CHECK(horizon > SimTime::zero(), "signal horizon must be positive");
   BoolSignal s(false, {}, horizon);
   s.intervals_ = normalize(std::move(intervals), horizon);
   return s;
-}
-
-bool BoolSignal::value_at(SimTime t) const {
-  PSN_CHECK(t >= SimTime::zero() && t < horizon_,
-            "signal sampled outside [0, horizon)");
-  // Last interval with begin <= t.
-  auto it = std::upper_bound(
-      intervals_.begin(), intervals_.end(), t,
-      [](SimTime when, const Occurrence& occ) { return when < occ.begin; });
-  if (it == intervals_.begin()) return false;
-  return t < std::prev(it)->end;
-}
-
-double BoolSignal::fraction_true() const {
-  Duration total = Duration::zero();
-  for (const auto& x : intervals_) total += x.end - x.begin;
-  return total.to_seconds() / (horizon_ - SimTime::zero()).to_seconds();
-}
-
-bool BoolSignal::always() const {
-  return intervals_.size() == 1 && intervals_[0].begin == SimTime::zero() &&
-         intervals_[0].end == horizon_;
 }
 
 BoolSignal BoolSignal::operator!() const {
@@ -123,13 +90,6 @@ BoolSignal BoolSignal::operator&&(const BoolSignal& other) const {
   return from_intervals(std::move(out), horizon_);
 }
 
-BoolSignal BoolSignal::operator||(const BoolSignal& other) const {
-  PSN_CHECK(horizon_ == other.horizon_, "signal horizons differ");
-  std::vector<Occurrence> out = intervals_;
-  out.insert(out.end(), other.intervals_.begin(), other.intervals_.end());
-  return from_intervals(std::move(out), horizon_);
-}
-
 BoolSignal BoolSignal::eventually(Duration lo, Duration hi) const {
   PSN_CHECK(Duration::zero() <= lo && lo <= hi,
             "eventually needs 0 <= lo <= hi");
@@ -144,27 +104,6 @@ BoolSignal BoolSignal::eventually(Duration lo, Duration hi) const {
   return from_intervals(std::move(out), horizon_);
 }
 
-BoolSignal BoolSignal::always_within(Duration lo, Duration hi) const {
-  return !((!*this).eventually(lo, hi));
-}
-
-BoolSignal BoolSignal::until(const BoolSignal& other) const {
-  PSN_CHECK(horizon_ == other.horizon_, "signal horizons differ");
-  // φ U ψ at t: ψ now, or ψ at some t' > t with φ covering [t, t').
-  std::vector<Occurrence> out = other.intervals_;
-  for (const auto& phi : intervals_) {
-    for (const auto& psi : other.intervals_) {
-      // ψ begins inside (or right at the end of) this φ-interval: every
-      // t ∈ [phi.begin, psi.begin) reaches ψ through φ.
-      if (psi.begin >= phi.begin && psi.begin <= phi.end &&
-          phi.begin < psi.begin) {
-        out.push_back({phi.begin, psi.begin});
-      }
-    }
-  }
-  return from_intervals(std::move(out), horizon_);
-}
-
 bool responds_within(const BoolSignal& trigger, const BoolSignal& response,
                      Duration deadline) {
   // G (trigger → F[0, deadline] response): the set of trigger-times not
@@ -173,7 +112,5 @@ bool responds_within(const BoolSignal& trigger, const BoolSignal& response,
   const BoolSignal violation = trigger && !satisfied;
   return !violation.ever();
 }
-
-bool never(const BoolSignal& bad) { return !bad.ever(); }
 
 }  // namespace psn::core::mtl

@@ -1,7 +1,5 @@
 #pragma once
 
-#include <memory>
-#include <string>
 #include <vector>
 
 #include "common/sim_time.hpp"
@@ -20,33 +18,17 @@ class BoolSignal {
   /// value on [0, first transition).
   BoolSignal(bool initial, std::vector<Transition> transitions,
              SimTime horizon);
-  /// From an oracle result (its transitions define the signal).
-  static BoolSignal from_oracle(const OracleResult& oracle, SimTime horizon);
-  /// Constant signal.
-  static BoolSignal constant(bool value, SimTime horizon);
-
-  bool value_at(SimTime t) const;
   SimTime horizon() const { return horizon_; }
-  /// Maximal intervals [begin, end) during which the signal is true.
-  const std::vector<Occurrence>& true_intervals() const { return intervals_; }
-  /// Total true time / horizon.
-  double fraction_true() const;
-  /// True somewhere / everywhere on [0, horizon).
+  /// True somewhere on [0, horizon).
   bool ever() const { return !intervals_.empty(); }
-  bool always() const;
 
   // --- signal algebra (all results share this signal's horizon) ---
   BoolSignal operator!() const;
   BoolSignal operator&&(const BoolSignal& other) const;
-  BoolSignal operator||(const BoolSignal& other) const;
 
   /// Eventually within [lo, hi]:  result(t) ⇔ ∃ t' ∈ [t+lo, t+hi] ∩ [0,H):
   /// this(t'). The metric "F" operator.
   BoolSignal eventually(Duration lo, Duration hi) const;
-  /// Always within [lo, hi]: the metric "G" operator (dual of eventually).
-  BoolSignal always_within(Duration lo, Duration hi) const;
-  /// Untimed until: result(t) ⇔ ∃ t' ≥ t: other(t') ∧ this holds on [t, t').
-  BoolSignal until(const BoolSignal& other) const;
 
   /// Construct directly from true-intervals (clamped to [0, horizon)).
   static BoolSignal from_intervals(std::vector<Occurrence> intervals,
@@ -57,14 +39,10 @@ class BoolSignal {
   std::vector<Occurrence> intervals_;  // disjoint, sorted, non-empty each
 };
 
-/// Convenience checks for the common specification idioms:
-///   response: G (trigger → F[0, deadline] response)
-/// — e.g. "every hot-and-occupied episode is followed by a thermostat
-/// reset within a second".
+/// The response idiom G (trigger → F[0, deadline] response) — e.g. "every
+/// hot-and-occupied episode is followed by a thermostat reset within a
+/// second".
 bool responds_within(const BoolSignal& trigger, const BoolSignal& response,
                      Duration deadline);
-
-/// invariant: G ¬bad — `bad` never holds.
-bool never(const BoolSignal& bad);
 
 }  // namespace psn::core::mtl

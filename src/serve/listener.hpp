@@ -88,8 +88,6 @@ class Listener {
   /// Bound TCP port (after open); 0 for unix-path listeners.
   std::uint16_t port() const { return port_; }
 
-  std::size_t streams_served() const { return streams_served_; }
-
   /// The listener's counts plus the per-stream labeled metrics of the
   /// streams finished so far.
   MetricsSnapshot server_metrics() const;

@@ -16,20 +16,6 @@ Duration PoissonArrivals::next_gap(Rng& rng) {
   return rng.exponential_gap(rate_);
 }
 
-PeriodicArrivals::PeriodicArrivals(Duration period, Duration jitter)
-    : period_(period), jitter_(jitter) {
-  PSN_CHECK(period_ > Duration::zero(), "period must be positive");
-  PSN_CHECK(jitter_ >= Duration::zero() && jitter_ < period_,
-            "jitter must be in [0, period)");
-}
-
-Duration PeriodicArrivals::next_gap(Rng& rng) {
-  if (jitter_ == Duration::zero()) return period_;
-  const Duration j = rng.uniform_duration(-jitter_, jitter_);
-  const Duration gap = period_ + j;
-  return gap < Duration::nanos(1) ? Duration::nanos(1) : gap;
-}
-
 AttributeValue CounterValue::next(const AttributeValue& current, Rng&) {
   return AttributeValue(current.is_int() ? current.as_int() + step_ : step_);
 }

@@ -27,17 +27,6 @@ class PoissonArrivals final : public ArrivalProcess {
   double rate_;
 };
 
-/// Fixed period with optional uniform jitter in [-jitter, +jitter].
-class PeriodicArrivals final : public ArrivalProcess {
- public:
-  explicit PeriodicArrivals(Duration period, Duration jitter = Duration::zero());
-  Duration next_gap(Rng& rng) override;
-
- private:
-  Duration period_;
-  Duration jitter_;
-};
-
 /// How the attribute's value evolves at each change.
 class ValueProcess {
  public:

@@ -10,29 +10,10 @@
 namespace psn::analysis {
 namespace {
 
-using namespace psn::time_literals;
-
-SimTime t(std::int64_t ms) { return SimTime::zero() + Duration::millis(ms); }
-
-core::Detection detection(std::int64_t at_ms, std::size_t update_index) {
-  core::Detection d;
-  d.detected_at = t(at_ms);
-  d.to_true = true;
-  d.borderline = true;
-  d.cause_true_time = t(at_ms - 50);
-  d.update_index = update_index;
-  return d;
-}
-
-TEST(ExportTest, DetectionsTable) {
-  const Table table = detections_table({detection(300, 9)});
-  EXPECT_EQ(table.at(0, 1), "1");
-  EXPECT_EQ(table.at(0, 2), "1");
-  EXPECT_EQ(table.at(0, 4), "9");
-}
-
 TEST(ExportTest, CsvRoundTripThroughFile) {
-  const Table table = detections_table({detection(300, 1), detection(900, 2)});
+  Table table({"detected_s", "update_index"});
+  table.row().cell(0.3, 9).cell(std::size_t{1});
+  table.row().cell(0.9, 9).cell(std::size_t{2});
 
   const std::string path = "/tmp/psn_export_roundtrip_test.csv";
   table.write_csv(path);

@@ -22,6 +22,7 @@
 #include "analysis/experiments.hpp"
 #include "analysis/export.hpp"
 #include "analysis/sweep.hpp"
+#include "common/table.hpp"
 #include "net/message.hpp"
 
 namespace psn::analysis {
@@ -55,12 +56,23 @@ OccupancyConfig stock(net::ClockMode mode) {
   return cfg;
 }
 
+/// Each detector's name, then its transition stream as CSV: detected_s,
+/// to_true, borderline, cause_s, update_index.
 std::string detections_bytes(const OccupancyRunResult& run) {
   std::string out;
   for (const DetectorOutcome& o : run.outcomes) {
     out += o.detector;
     out += '\n';
-    out += detections_table(o.detections).csv();
+    Table t({"detected_s", "to_true", "borderline", "cause_s", "update_index"});
+    for (const core::Detection& d : o.detections) {
+      t.row()
+          .cell(d.detected_at.to_seconds(), 9)
+          .cell(d.to_true ? "1" : "0")
+          .cell(d.borderline ? "1" : "0")
+          .cell(d.cause_true_time.to_seconds(), 9)
+          .cell(d.update_index);
+    }
+    out += t.csv();
   }
   return out;
 }

@@ -45,7 +45,6 @@ TEST(ScoringTest, PerfectDetection) {
   EXPECT_EQ(s.false_negatives, 0u);
   EXPECT_DOUBLE_EQ(s.precision(), 1.0);
   EXPECT_DOUBLE_EQ(s.recall(), 1.0);
-  EXPECT_DOUBLE_EQ(s.f1(), 1.0);
   // Latencies recorded for matched pairs.
   EXPECT_EQ(s.latency_s.count(), 3u);
   EXPECT_NEAR(s.latency_s.mean(), (0.020 + 0.030 + 0.040) / 3.0, 1e-9);

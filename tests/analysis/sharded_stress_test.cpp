@@ -14,6 +14,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -155,9 +156,16 @@ TEST(ShardedStressTest, DutyChurnSystemRunIsByteIdenticalAcrossRepeats) {
   EXPECT_EQ(trace_jsonl(first.trace), trace_jsonl(second.trace));
   EXPECT_EQ(first.metrics.csv(), second.metrics.csv());
   ASSERT_EQ(first.outcomes.size(), second.outcomes.size());
+  const auto same = [](const core::Detection& a, const core::Detection& b) {
+    return a.detected_at == b.detected_at && a.to_true == b.to_true &&
+           a.borderline == b.borderline &&
+           a.cause_true_time == b.cause_true_time &&
+           a.update_index == b.update_index;
+  };
   for (std::size_t i = 0; i < first.outcomes.size(); ++i) {
-    EXPECT_EQ(detections_table(first.outcomes[i].detections).csv(),
-              detections_table(second.outcomes[i].detections).csv())
+    const auto& a = first.outcomes[i].detections;
+    const auto& b = second.outcomes[i].detections;
+    EXPECT_TRUE(std::equal(a.begin(), a.end(), b.begin(), b.end(), same))
         << first.outcomes[i].detector;
   }
 }

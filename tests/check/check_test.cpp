@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "core/sharded_system.hpp"
+#include "support/periodic_arrivals.hpp"
 #include "world/generators.hpp"
 
 namespace psn::check {
@@ -40,7 +41,7 @@ RunInputs clean_inputs(std::uint64_t seed = 7) {
     system.assign(obj, "count", pid);
     drivers.push_back(std::make_unique<world::AttributeDriver>(
         system.world(), obj, "count",
-        std::make_unique<world::PeriodicArrivals>(800_ms, 50_ms),
+        std::make_unique<test_support::PeriodicArrivals>(800_ms, 50_ms),
         std::make_unique<world::CounterValue>(),
         system.sim().rng_for("driver", pid)));
     drivers.back()->start();

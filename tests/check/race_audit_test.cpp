@@ -231,5 +231,54 @@ TEST(RaceAuditEquivalenceTest, UnsortedInputThrows) {
   EXPECT_NO_THROW(audit_detector("probe", races, spans, {at_ms(12)}, {}, {}));
 }
 
+TEST(RaceAuditTest, ErrorsPastACappedRaceScanReportTheTruncation) {
+  // 448 reports from distinct sensors inside one Δ window: C(448, 2) =
+  // 100,128 racing pairs, more than scan_races keeps.
+  core::ObservationLog log;
+  for (std::size_t i = 0; i < 448; ++i) {
+    core::ReceivedUpdate u;
+    u.reporter = static_cast<ProcessId>(i + 1);
+    u.report.true_sense_time =
+        at_ms(1000) + Duration::micros(static_cast<std::int64_t>(i));
+    u.delivered_at = u.report.true_sense_time + Duration::millis(50);
+    log.updates.push_back(u);
+  }
+  RaceScanConfig scan;
+  scan.window = Duration::millis(100);
+  const std::vector<RaceEvent> races = scan_races(log, scan);
+  ASSERT_EQ(races.size(), kMaxRaces);
+
+  // A confident false positive long after the cluster: only an unscanned
+  // race could explain it. A false negative long before it is plainly
+  // unexplained, cap or no cap.
+  AuditConfig cfg;
+  cfg.slack = Duration::millis(20);
+  const ContractResult got =
+      audit_detector("probe", races, {}, {at_ms(5000)}, {at_ms(100)}, cfg);
+  EXPECT_EQ(got.events_checked, 2u);
+  EXPECT_EQ(got.violations_total, 2u);
+  ASSERT_EQ(got.violations.size(), 2u);
+  EXPECT_EQ(got.violations[0].kind, ViolationKind::kRaceScanTruncated);
+  EXPECT_EQ(got.violations[0].detail,
+            "probe: confident false positive at t=5.000000s lies past the "
+            "race scan, which stopped at its cap of 100000 pairs; no "
+            "scanned race or recorded fault explains it");
+  EXPECT_EQ(got.violations[1].kind, ViolationKind::kUnexplainedFalseNegative);
+
+  CheckReport report;
+  report.add_contract(got);
+  EXPECT_FALSE(report.clean());
+  EXPECT_NE(report.summary().find("[race-scan-truncated] @5.000000s"),
+            std::string::npos);
+
+  // One race fewer is a complete scan: the same error is unexplained.
+  const std::vector<RaceEvent> complete(races.begin(), races.end() - 1);
+  const ContractResult uncapped =
+      audit_detector("probe", complete, {}, {at_ms(5000)}, {}, cfg);
+  ASSERT_EQ(uncapped.violations.size(), 1u);
+  EXPECT_EQ(uncapped.violations[0].kind,
+            ViolationKind::kUnexplainedFalsePositive);
+}
+
 }  // namespace
 }  // namespace psn::check

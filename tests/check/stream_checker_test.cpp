@@ -14,6 +14,7 @@
 #include "check/check.hpp"
 #include "core/sharded_system.hpp"
 #include "net/message.hpp"
+#include "support/periodic_arrivals.hpp"
 #include "world/generators.hpp"
 
 namespace psn::check {
@@ -42,7 +43,7 @@ RunInputs traced_run(net::ClockMode mode, std::uint64_t seed = 7) {
     system.assign(obj, "count", pid);
     drivers.push_back(std::make_unique<world::AttributeDriver>(
         system.world(), obj, "count",
-        std::make_unique<world::PeriodicArrivals>(800_ms, 50_ms),
+        std::make_unique<test_support::PeriodicArrivals>(800_ms, 50_ms),
         std::make_unique<world::CounterValue>(),
         system.sim().rng_for("driver", pid)));
     drivers.back()->start();

@@ -12,6 +12,13 @@ using namespace psn::time_literals;
 SimTime t(std::int64_t ms) { return SimTime::zero() + Duration::millis(ms); }
 TimeInterval iv(std::int64_t b, std::int64_t e) { return {t(b), t(e)}; }
 
+/// The enum lists each relation's inverse at the mirrored position (before
+/// and after at the ends, equal in the middle).
+AllenRelation inverse(AllenRelation r) {
+  return static_cast<AllenRelation>(
+      static_cast<int>(AllenRelation::kAfter) - static_cast<int>(r));
+}
+
 TEST(AllenTest, AllThirteenRelations) {
   EXPECT_EQ(classify(iv(0, 10), iv(20, 30)), AllenRelation::kBefore);
   EXPECT_EQ(classify(iv(0, 10), iv(10, 30)), AllenRelation::kMeets);
@@ -38,7 +45,7 @@ TEST(AllenTest, InverseIsInvolutionAndMatchesSwap) {
   for (const auto& c : cases) {
     const AllenRelation r = classify(c[0], c[1]);
     EXPECT_EQ(inverse(inverse(r)), r);
-    EXPECT_EQ(classify(c[1], c[0]), inverse(r)) << to_string(r);
+    EXPECT_EQ(classify(c[1], c[0]), inverse(r)) << static_cast<int>(r);
   }
 }
 

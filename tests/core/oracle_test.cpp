@@ -49,7 +49,6 @@ TEST(OracleTest, SingleOccurrence) {
   EXPECT_EQ(r.occurrences[0].end, t(300));
   EXPECT_EQ(r.occurrences[0].duration(), 200_ms);
   EXPECT_NEAR(r.fraction_true, 0.2, 1e-9);
-  EXPECT_FALSE(r.true_at_horizon);
 }
 
 TEST(OracleTest, EveryOccurrenceCounted) {
@@ -73,7 +72,6 @@ TEST(OracleTest, OpenAtHorizon) {
   const OracleResult r = oracle.evaluate(f.timeline, t(1000));
   ASSERT_EQ(r.occurrences.size(), 1u);
   EXPECT_EQ(r.occurrences[0].end, t(1000));
-  EXPECT_TRUE(r.true_at_horizon);
   EXPECT_NEAR(r.fraction_true, 0.6, 1e-9);
 }
 

@@ -21,9 +21,10 @@
 //      detection); and the root-side GlobalState::set + Predicate::holds of
 //      sum(a) - sum(b) > c on the running aggregate totals.
 //   4. StreamChecker::feed in trace-only mode — the soak server's always-on
-//      mode — with a bounded retention window (PoolArena recycles the
-//      matching working set). Bound mode is NOT pinned: replaying claimed
-//      executions retains a full VectorStamp per send entry by design.
+//      mode — with a bounded retention window (the checker's std::pmr
+//      pool recycles the matching working set). Bound mode is NOT pinned:
+//      replaying claimed executions retains a full VectorStamp per send
+//      entry by design.
 //   5. The Δ-windowed shard driver (DESIGN.md §14): window loop, outbox
 //      traffic, and fence exchange recycle everything once warm.
 //   6. The fault layer (DESIGN.md §15): FaultSchedule's per-message queries,
@@ -52,7 +53,6 @@
 #include "check/stream_checker.hpp"
 #include "clocks/timestamp.hpp"
 #include "common/alloc_guard.hpp"
-#include "common/pool_alloc.hpp"
 #include "common/sim_time.hpp"
 #include "core/detectors.hpp"
 #include "core/sharded_system.hpp"
@@ -85,17 +85,6 @@ TEST(AllocGuard, HooksAreInstalledAndCount) {
   EXPECT_GE(scope.bytes(), sizeof(std::uint64_t));
   p.reset();
   EXPECT_GE(scope.deallocations(), 1u);
-}
-
-TEST(AllocGuard, PoolArenaRecyclesExactSizes) {
-  PoolArena arena;
-  void* a = arena.allocate(64);
-  arena.deallocate(a, 64);
-  Scope scope;
-  void* b = arena.allocate(64);  // must come off the free list
-  EXPECT_EQ(scope.allocations(), 0u);
-  EXPECT_EQ(a, b);
-  arena.deallocate(b, 64);
 }
 
 // --- 1. slab scheduler -----------------------------------------------------
@@ -277,7 +266,7 @@ std::uint64_t stream_checker_feed_allocs(std::size_t rounds,
 
   // One logical second of traffic per round: every process strobes (sense +
   // 7 deliveries) and unicasts one computation message to the root. The
-  // in-flight window is constant, so after warmup the PoolArena recycles
+  // in-flight window is constant, so after warmup the checker's pool recycles
   // every map node and deque block and feed never touches the global
   // allocator.
   std::uint64_t seq = 1;
@@ -323,8 +312,11 @@ std::uint64_t stream_checker_feed_allocs(std::size_t rounds,
 
   Scope scope;
   for (std::uint64_t r = 0; r < rounds; r++) run_round(warmup_rounds + r);
-  if (violations_out != nullptr) *violations_out = checker.violations_so_far();
-  return scope.allocations();
+  const std::uint64_t allocs = scope.allocations();
+  if (violations_out != nullptr) {
+    *violations_out = checker.finish().total_violations();
+  }
+  return allocs;
 }
 
 TEST(AllocGuard, StreamCheckerTraceOnlyFeedIsAllocationFree) {
@@ -484,8 +476,10 @@ std::uint64_t checker_fault_feed_allocs(std::uint64_t rounds) {
   for (std::uint64_t r = 0; r < warmup_rounds; r++) run_round(r);
   Scope scope;
   for (std::uint64_t r = 0; r < rounds; r++) run_round(warmup_rounds + r);
-  EXPECT_EQ(checker.violations_so_far(), 0u) << "workload must be clean";
-  return scope.allocations();
+  const std::uint64_t allocs = scope.allocations();
+  EXPECT_EQ(checker.finish().total_violations(), 0u)
+      << "workload must be clean";
+  return allocs;
 }
 
 TEST(AllocGuard, FaultScheduleQueriesAreAllocationFree) {

@@ -322,7 +322,8 @@ TEST(ListenerTest, OverLimitClientGetsOneRejectLineAndCleanClose) {
   first.read_to_eof();
   EXPECT_NE(first.received().find("\"event\":\"eof\""), std::string::npos);
   EXPECT_EQ(harness.stop_and_join(), 0);  // flow control, not a failure
-  EXPECT_EQ(harness.listener.streams_served(), 1u);
+  EXPECT_NE(harness.log.str().find("\"event\":\"shutdown\",\"streams\":1,"),
+            std::string::npos);
   EXPECT_NE(harness.log.str().find("\"reason\":\"max-streams\""),
             std::string::npos);
   EXPECT_EQ(
@@ -353,7 +354,8 @@ TEST(ListenerTest, SurvivesAbruptClientDisconnectAndServesTheNext) {
   next.read_to_eof();
   EXPECT_NE(next.received().find("\"verdict\":\"clean\""), std::string::npos);
   EXPECT_EQ(harness.stop_and_join(), 0);
-  EXPECT_EQ(harness.listener.streams_served(), 2u);
+  EXPECT_NE(harness.log.str().find("\"event\":\"shutdown\",\"streams\":2,"),
+            std::string::npos);
 }
 
 TEST(ListenerTest, GracefulStopDrainsLiveSessionsThroughEof) {
@@ -461,7 +463,8 @@ TEST(ListenerTest, AggregatesExitCodesWithRejectionOutrankingViolations) {
               std::string::npos);
   }
   EXPECT_EQ(harness.stop_and_join(), 3);
-  EXPECT_EQ(harness.listener.streams_served(), 3u);
+  EXPECT_NE(harness.log.str().find("\"event\":\"shutdown\",\"streams\":3,"),
+            std::string::npos);
 }
 
 TEST(ListenerTest, ViolationsAloneAggregateToExitOne) {

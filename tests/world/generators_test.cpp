@@ -4,11 +4,13 @@
 
 #include "common/error.hpp"
 #include "common/stats.hpp"
+#include "support/periodic_arrivals.hpp"
 
 namespace psn::world {
 namespace {
 
 using namespace psn::time_literals;
+using test_support::PeriodicArrivals;
 
 TEST(PoissonArrivalsTest, MeanGapMatchesRate) {
   PoissonArrivals p(20.0);
