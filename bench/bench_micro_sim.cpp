@@ -297,6 +297,8 @@ void BM_TraceRecord(benchmark::State& state) {
   constexpr std::size_t kRecords = std::size_t{1} << 16;
   constexpr ProcessId kFanOut = 8;
   const bool presized = state.range(0) != 0;
+  // Resolved once, as a sensor node resolves each attribute's note.
+  const sim::TraceNote entered("entered");
   std::uint64_t allocs = 0;
   for (auto _ : state) {
     state.PauseTiming();
@@ -310,7 +312,7 @@ void BM_TraceRecord(benchmark::State& state) {
       t = t + Duration::micros(50);
       const auto pid = static_cast<ProcessId>(seq % 32 + 1);
       recorder->record({t, sim::TraceKind::kSense, pid, kNoProcess, -1, 0,
-                        "entered", seq});
+                        entered, seq});
       ++n;
       for (ProcessId peer = 0; peer < kFanOut && n < kRecords; ++peer, ++n) {
         recorder->record({t, sim::TraceKind::kSend, pid, peer, 1, 57, {}, seq});
@@ -330,6 +332,8 @@ void BM_TraceRecord(benchmark::State& state) {
       static_cast<double>(state.iterations()) * static_cast<double>(kRecords);
   state.SetItemsProcessed(static_cast<std::int64_t>(processed));
   state.counters["allocs_per_op"] = static_cast<double>(allocs) / processed;
+  state.counters["record_bytes"] =
+      static_cast<double>(sizeof(sim::TraceRecord));
 }
 BENCHMARK(BM_TraceRecord)->ArgName("presized")->Arg(0)->Arg(1);
 

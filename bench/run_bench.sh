@@ -93,6 +93,8 @@ jq -s --slurpfile base "${baseline}" \
            then {allocs_per_record: .allocs_per_record} else {} end)
         + (if .allocs_per_op != null
            then {allocs_per_op: .allocs_per_op} else {} end)
+        + (if .record_bytes != null
+           then {record_bytes: .record_bytes} else {} end)
         + (if .ns_per_process != null
            then {ns_per_process: .ns_per_process} else {} end)
         + (if .allocs_per_process != null

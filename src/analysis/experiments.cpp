@@ -238,10 +238,12 @@ OccupancyRunResult run_occupancy_experiment(const OccupancyConfig& config) {
       // network records (the detectors replay the log offline); `at` is
       // still sim-time. The append order is the fixed detector-loop order,
       // so the trace stays byte-identical across shard counts.
+      const sim::TraceNote became_true(out.detector + ":true");
+      const sim::TraceNote became_false(out.detector + ":false");
       for (const core::Detection& d : out.detections) {
         result.trace.push_back({d.detected_at, sim::TraceKind::kDetect, 0,
                                 kNoProcess, -1, 0,
-                                out.detector + (d.to_true ? ":true" : ":false")});
+                                d.to_true ? became_true : became_false});
       }
     }
     result.outcomes.push_back(std::move(out));

@@ -8,7 +8,7 @@
 
 namespace psn::analysis {
 
-std::string json_escape(const std::string& s) {
+std::string json_escape(std::string_view s) {
   std::string out;
   out.reserve(s.size());
   for (const char c : s) {
@@ -93,7 +93,7 @@ void append_trace_line(std::string& out, const sim::TraceRecord& r) {
   }
   if (!r.note.empty()) {
     out += ",\"note\":\"";
-    out += json_escape(r.note);
+    out += json_escape(r.note.str());
     out += '"';
   }
   out += "}\n";

@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/metrics.hpp"
@@ -16,7 +17,7 @@ namespace psn::analysis {
 
 /// Escapes a string for embedding in a JSON string literal (quotes,
 /// backslashes, and control characters; no surrounding quotes added).
-std::string json_escape(const std::string& s);
+std::string json_escape(std::string_view s);
 
 /// Locale-independent "%.<precision>f" — JSON number fields must always use
 /// '.' as the decimal point, but printf honors LC_NUMERIC (a comma-decimal

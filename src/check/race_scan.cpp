@@ -4,6 +4,7 @@
 #include <map>
 #include <set>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <utility>
 
@@ -95,9 +96,9 @@ std::vector<FaultSpan> collect_fault_spans(
   for (const core::ReceivedUpdate& u : log.updates) {
     by_attr[{u.reporter, u.report.attribute}].push_back(&u);
   }
-  const auto healed_at = [&](ProcessId reporter, const std::string& attr,
+  const auto healed_at = [&](ProcessId reporter, std::string_view attr,
                              SimTime missing_since) {
-    const auto it = by_attr.find({reporter, attr});
+    const auto it = by_attr.find({reporter, std::string(attr)});
     if (it == by_attr.end()) return SimTime::max();
     for (const core::ReceivedUpdate* u : it->second) {
       if (u->report.true_sense_time >= missing_since) return u->delivered_at;
@@ -108,7 +109,7 @@ std::vector<FaultSpan> collect_fault_spans(
   // One pass over the (canonical) trace: index sense records by strobe seq,
   // collect each reporter's attribute set, and pair up fault windows.
   std::unordered_map<std::uint64_t, const sim::TraceRecord*> sense_by_seq;
-  std::map<ProcessId, std::set<std::string>> attrs_of;
+  std::map<ProcessId, std::set<std::string_view>> attrs_of;
   std::map<ProcessId, SimTime> open_crash;
   std::map<std::pair<ProcessId, ProcessId>, SimTime> open_cut;
   std::vector<const sim::TraceRecord*> root_drops;
@@ -116,7 +117,7 @@ std::vector<FaultSpan> collect_fault_spans(
     switch (r.kind) {
       case sim::TraceKind::kSense:
         if (r.seq != 0) sense_by_seq.emplace(r.seq, &r);
-        if (!r.note.empty()) attrs_of[r.pid].insert(r.note);
+        if (!r.note.empty()) attrs_of[r.pid].insert(r.note.str());
         break;
       case sim::TraceKind::kDrop:
       case sim::TraceKind::kUnreachable:
@@ -141,7 +142,7 @@ std::vector<FaultSpan> collect_fault_spans(
           spans.push_back({begin, r.at, r.pid, FaultSpan::Cause::kCrash});
           break;
         }
-        for (const std::string& attr : attrs->second) {
+        for (const std::string_view attr : attrs->second) {
           spans.push_back({begin, healed_at(r.pid, attr, begin), r.pid,
                            FaultSpan::Cause::kCrash});
         }
@@ -181,7 +182,7 @@ std::vector<FaultSpan> collect_fault_spans(
     const auto it = sense_by_seq.find(d->seq);
     if (it == sense_by_seq.end()) continue;  // sense outside the window
     const sim::TraceRecord& sense = *it->second;
-    spans.push_back({sense.at, healed_at(sense.pid, sense.note, sense.at),
+    spans.push_back({sense.at, healed_at(sense.pid, sense.note.str(), sense.at),
                      sense.pid, FaultSpan::Cause::kDrop});
   }
 

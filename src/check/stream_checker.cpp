@@ -23,8 +23,7 @@ StreamChecker::StreamChecker(const StreamCheckerConfig& config)
     : cfg_(config),
       executions_(config.executions),
       comp_sent_(&pool_),
-      strobe_sent_(&pool_),
-      pending_order_(&pool_) {
+      strobe_sent_(&pool_) {
   if (bound()) {
     PSN_CHECK(executions_->size() == cfg_.num_processes,
               "StreamChecker: executions must have one entry per process");
@@ -513,6 +512,15 @@ void StreamChecker::check_validity(const sim::TraceRecord& r,
                  cfg_.options.validity_horizon.lifetime.to_seconds()) +
              "s"});
   }
+}
+
+void StreamChecker::PendingQueue::grow() {
+  std::vector<PendingEntry> bigger(std::max<std::size_t>(16, 2 * ring_.size()));
+  for (std::size_t i = 0; i < size_; ++i) {
+    bigger[i] = ring_[(head_ + i) & (ring_.size() - 1)];
+  }
+  ring_ = std::move(bigger);
+  head_ = 0;
 }
 
 PSN_HOT void StreamChecker::evict_expired(SimTime now) {

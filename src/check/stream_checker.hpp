@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <memory_resource>
 #include <optional>
 #include <unordered_map>
@@ -141,10 +140,34 @@ class StreamChecker {
     std::uint64_t seq = 0;
     bool strobe = false;
   };
-  /// Pool backing the streaming working set below. Declared before the
-  /// containers (members destroy in reverse order, and the containers hand
-  /// their nodes back to the pool as they die). With it, steady-state feed
-  /// in trace-only mode performs zero global allocations per record once the
+  /// FIFO of PendingEntry on one ring that doubles when full, so it
+  /// allocates only when the number of queued entries reaches a new high.
+  /// A deque would also take a new block whenever the same number of
+  /// entries straddles one more block boundary than before.
+  class PendingQueue {
+   public:
+    bool empty() const { return size_ == 0; }
+    const PendingEntry& front() const { return ring_[head_]; }
+    void pop_front() {
+      head_ = (head_ + 1) & (ring_.size() - 1);
+      size_--;
+    }
+    void push_back(const PendingEntry& e) {
+      if (size_ == ring_.size()) grow();
+      ring_[(head_ + size_) & (ring_.size() - 1)] = e;
+      size_++;
+    }
+
+   private:
+    void grow();
+    std::vector<PendingEntry> ring_;  ///< size 0 or a power of two
+    std::size_t head_ = 0;
+    std::size_t size_ = 0;
+  };
+  /// Pool backing the send maps below. Declared before them (members
+  /// destroy in reverse order, and the maps hand their nodes back to the
+  /// pool as they die). With it and the ring above, steady-state feed in
+  /// trace-only mode performs zero global allocations per record once the
   /// in-flight window has peaked — pinned by the alloc-guard suite
   /// (`ctest -L lint`).
   std::pmr::unsynchronized_pool_resource pool_;
@@ -152,7 +175,7 @@ class StreamChecker {
   using SeqMap = std::pmr::unordered_map<std::uint64_t, V>;
   SeqMap<SentComputation> comp_sent_;
   SeqMap<SentStrobe> strobe_sent_;
-  std::pmr::deque<PendingEntry> pending_order_;
+  PendingQueue pending_order_;
   std::vector<SenseSample> senses_;
   ContractResult hb_, lamport_, vector_, strobe_scalar_, strobe_vector_,
       soundness_, epsilon_, drift_, validity_, fault_;

@@ -114,8 +114,15 @@ void SensorNode::sense(const world::WorldEvent& ev) {
   record_event(EventType::kSense, var, ev.value.numeric(), ev.index, seq);
   if (sim::TraceRecorder* tr = sim_.trace()) {
     tr->record({now, sim::TraceKind::kSense, pid_, kNoProcess, -1, 0,
-                ev.attribute, seq});
+                trace_note(ev.attribute), seq});
   }
+}
+
+sim::TraceNote SensorNode::trace_note(const std::string& attribute) {
+  for (const auto& [name, note] : notes_) {
+    if (name == attribute) return note;
+  }
+  return notes_.emplace_back(attribute, sim::TraceNote(attribute)).second;
 }
 
 void SensorNode::send_computation(ProcessId dst, const std::string& tag) {

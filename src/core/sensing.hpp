@@ -11,6 +11,7 @@
 #include "core/event.hpp"
 #include "core/observation.hpp"
 #include "net/transport.hpp"
+#include "sim/trace.hpp"
 #include "world/world_model.hpp"
 
 namespace psn::core {
@@ -104,6 +105,8 @@ class SensorNode {
                     double value = 0.0,
                     world::WorldEventIndex world_event = world::kNoWorldEvent,
                     std::uint64_t message_seq = 0);
+  /// The trace note of `attribute`, interned on its first sense here.
+  sim::TraceNote trace_note(const std::string& attribute);
 
   ProcessId pid_;
   sim::Simulation& sim_;
@@ -115,6 +118,9 @@ class SensorNode {
   bool observing_ = false;
   ProcessId report_target_ = kNoProcess;  ///< kNoProcess = strobe broadcast
   ObservationLog local_log_;
+  /// The attributes this node has sensed on a traced run, with their notes:
+  /// a node senses a handful, so a scan beats the note table's lock.
+  std::vector<std::pair<std::string, sim::TraceNote>> notes_;
 };
 
 /// The distinguished root/back-end process P_0 (paper §2.1). It does not

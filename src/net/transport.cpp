@@ -1,5 +1,6 @@
 #include "net/transport.hpp"
 
+#include <cstdint>
 #include <utility>
 
 #include "common/error.hpp"
@@ -198,6 +199,9 @@ PSN_HOT std::uint64_t Transport::broadcast(Message msg) {
 }
 
 PSN_HOT void Transport::transmit(Message msg, std::size_t bytes) {
+  // Trace records carry the wire size in 32 bits.
+  PSN_CHECK(bytes <= UINT32_MAX, "wire size does not fit a trace record");
+  const auto wire_bytes = static_cast<std::uint32_t>(bytes);
   auto& ks = stats_.of(msg.kind);
   const auto kind_index = static_cast<int>(msg.kind);
 
@@ -216,9 +220,9 @@ PSN_HOT void Transport::transmit(Message msg, std::size_t bytes) {
     const bool partitioned = faults_ != nullptr && routes_.active() > 0;
     if (partitioned) stats_.drops.partition++;
     if (sim::TraceRecorder* tr = sim_.trace()) {
+      static const sim::TraceNote kPartition("partition");
       tr->record({sim_.now(), sim::TraceKind::kUnreachable, msg.src, msg.dst,
-                  kind_index, 0,
-                  partitioned ? std::string("partition") : std::string(),
+                  kind_index, 0, partitioned ? kPartition : sim::TraceNote(),
                   msg.seq});
     }
     return;
@@ -236,7 +240,7 @@ PSN_HOT void Transport::transmit(Message msg, std::size_t bytes) {
   msg.sent_at = sim_.now();
   if (sim::TraceRecorder* tr = sim_.trace()) {
     tr->record({sim_.now(), sim::TraceKind::kSend, msg.src, msg.dst,
-                kind_index, bytes, {}, msg.seq});
+                kind_index, wire_bytes, {}, msg.seq});
   }
 
   // A private Rng per copy, keyed by (transport seed, seq, dst): delay and
@@ -253,7 +257,7 @@ PSN_HOT void Transport::transmit(Message msg, std::size_t bytes) {
       stats_.drops.loss++;
       if (sim::TraceRecorder* tr = sim_.trace()) {
         tr->record({sim_.now(), sim::TraceKind::kDrop, msg.src, msg.dst,
-                    kind_index, bytes, {}, msg.seq});
+                    kind_index, wire_bytes, {}, msg.seq});
       }
       return;
     }
@@ -284,11 +288,11 @@ PSN_HOT void Transport::transmit(Message msg, std::size_t bytes) {
       stats_.drops.crashed_dst++;
     }
     if (sim::TraceRecorder* tr = sim_.trace()) {
+      static const sim::TraceNote kDutyCycle("duty-cycle");
+      static const sim::TraceNote kCrash("crash");
       tr->record({sim_.now(), sim::TraceKind::kDrop, msg.src, msg.dst,
-                  kind_index, bytes,
-                  deferred_into_crash ? std::string("duty-cycle")
-                                      : std::string("crash"),
-                  msg.seq});
+                  kind_index, wire_bytes,
+                  deferred_into_crash ? kDutyCycle : kCrash, msg.seq});
     }
     return;
   }
@@ -333,7 +337,8 @@ PSN_HOT void Transport::deliver_now(Message msg, std::size_t bytes) {
   delivery_delay_ms_.add((msg.delivered_at - msg.sent_at).to_millis());
   if (sim::TraceRecorder* tr = sim_.trace()) {
     tr->record({sim_.now(), sim::TraceKind::kDeliver, dst, msg.src,
-                static_cast<int>(msg.kind), bytes, {}, msg.seq});
+                static_cast<int>(msg.kind), static_cast<std::uint32_t>(bytes),
+                {}, msg.seq});
   }
   handlers_[dst](msg);
 }

@@ -173,8 +173,8 @@ void Session::ingest_line(std::string_view line) {
     report_.detect_records++;
     std::string line_out = "{\"event\":\"detect\",\"t\":" + time_field(r.at) +
                            ",\"pid\":" + std::to_string(r.pid);
-    if (!r.note.empty()) {
-      line_out += ",\"detector\":\"" + analysis::json_escape(r.note) + '"';
+    if (const std::string_view note = parsed.note(); !note.empty()) {
+      line_out += ",\"detector\":\"" + analysis::json_escape(note) + '"';
     }
     line_out += "}\n";
     emit(line_out);

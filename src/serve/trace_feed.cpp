@@ -121,7 +121,7 @@ class LineParser {
                                             std::string_view after = {}) {
     out_.error.assign(before);
     out_.error += '"';
-    out_.error += analysis::json_escape(std::string(name));
+    out_.error += analysis::json_escape(name);
     out_.error += '"';
     out_.error += after;
     return false;
@@ -381,14 +381,23 @@ class LineParser {
         if (!parse_uint(v)) {
           return fail("", kKeyNames[k], " must be a non-negative integer");
         }
-        if (key == Key::kBytes) r.bytes = static_cast<std::size_t>(v);
-        else r.seq = v;
+        if (key == Key::kSeq) {
+          r.seq = v;
+        } else if (v <= UINT32_MAX) {
+          r.bytes = static_cast<std::uint32_t>(v);
+        } else {
+          return fail("\"bytes\" is out of range: must be at most 4294967295");
+        }
         return true;
       }
       case Key::kNote: {
         std::string_view note;
         if (!scan_string(note)) return fail("\"note\" must be a string");
-        r.note.assign(note);
+        if (note.data() == scratch_.data()) {
+          out_.decoded_note = std::move(scratch_);
+        } else {
+          out_.line_note = note;
+        }
         return true;
       }
     }

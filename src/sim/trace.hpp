@@ -2,6 +2,8 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
+#include <type_traits>
 #include <vector>
 
 #include "common/sim_time.hpp"
@@ -28,25 +30,67 @@ enum class TraceKind : std::uint8_t {
 
 const char* to_string(TraceKind k);
 
+/// A trace record's note as a 4-byte handle. Notes come from a small
+/// vocabulary (attribute names, "<detector>:true|false", fault causes), so
+/// each distinct string is stored once in a process-wide, append-only table
+/// and a record carries its index. Handle 0 is the empty note.
+///
+/// Building a handle from a string interns it: a lock and a hash lookup, so
+/// a per-record path resolves each name once and reuses the handle. Reading
+/// a handle's string takes no lock. Both are safe from any thread. Ids
+/// depend on the order names were first seen, so no output ever shows one:
+/// exporters write str(), and the canonical trace order ignores notes.
+class TraceNote {
+ public:
+  /// Distinct non-empty notes the table holds; interning one more fails a
+  /// PSN_CHECK rather than growing without bound.
+  static constexpr std::uint32_t kCapacity = (1u << 16) - 1;
+
+  TraceNote() = default;
+  // Implicit on purpose: records are aggregate-initialised with a string.
+  TraceNote(std::string_view name);
+  TraceNote(const std::string& name) : TraceNote(std::string_view(name)) {}
+  TraceNote(const char* name) : TraceNote(std::string_view(name)) {}
+
+  bool empty() const { return id_ == 0; }
+  /// The interned string; empty for handle 0. Valid for the process's life.
+  std::string_view str() const;
+
+  /// Equal names always get equal handles.
+  friend bool operator==(TraceNote a, TraceNote b) { return a.id_ == b.id_; }
+
+  /// Distinct non-empty notes interned so far in this process.
+  static std::size_t table_size();
+
+ private:
+  std::uint32_t id_ = 0;
+};
+
 /// One trace record. `message_kind` is the numeric net::MessageKind for
 /// message records and -1 otherwise (the sim layer cannot name net types —
 /// exporters translate). `bytes` is the on-the-wire size charged by the
 /// transport's active clock mode, so summing kSend bytes per message kind
-/// reproduces MessageStats exactly.
+/// reproduces MessageStats exactly. The record is a 40-byte trivially
+/// copyable value: a checked run keeps every record of the run, and moving,
+/// sorting and freeing them is then plain memory traffic.
 struct TraceRecord {
   SimTime at;
   TraceKind kind = TraceKind::kSense;
   ProcessId pid = kNoProcess;   ///< acting process
   ProcessId peer = kNoProcess;  ///< other endpoint, if any
   int message_kind = -1;
-  std::size_t bytes = 0;
-  std::string note;  ///< attribute on kSense, detector name on kDetect
+  std::uint32_t bytes = 0;
+  /// Attribute on kSense, "<detector>:true|false" on kDetect, the cause on
+  /// a kDrop/kUnreachable lost to a fault.
+  TraceNote note;
   /// net::Message::seq of the message involved (0 = none). Send/deliver/drop
   /// records of one message share it; kSense carries the seq of the strobe
   /// broadcast the sense triggered, kReceive the seq of the computation
   /// message processed. psn::check keys its happens-before edges on it.
   std::uint64_t seq = 0;
 };
+static_assert(std::is_trivially_copyable_v<TraceRecord>);
+static_assert(sizeof(TraceRecord) == 40);
 
 /// Sorts `records` into the canonical co-instant order shared by every
 /// shard layout (DESIGN.md §14). Records are keyed by
@@ -78,7 +122,17 @@ class TraceRecorder {
  public:
   explicit TraceRecorder(std::size_t capacity);
 
-  void record(TraceRecord r);
+  /// Inline, so a caller builds the record in the ring slot itself: passed
+  /// through the stack, its field-wise stores would be read back by wider
+  /// loads, which defeats store-to-load forwarding.
+  void record(const TraceRecord& r) {
+    recorded_++;
+    if (ring_.size() < capacity_) {
+      ring_.push_back(r);
+    } else {
+      overwrite_oldest(r);
+    }
+  }
   /// Pre-sizes the ring for `records` records (capped at the capacity), so
   /// a run whose volume is known up front never grows it by doubling.
   void reserve(std::size_t records);
@@ -97,6 +151,8 @@ class TraceRecorder {
   std::vector<TraceRecord> take();
 
  private:
+  void overwrite_oldest(const TraceRecord& r);
+
   std::size_t capacity_;
   std::vector<TraceRecord> ring_;
   std::size_t head_ = 0;  ///< next slot to overwrite once the ring is full

@@ -91,15 +91,15 @@ TEST(TraceReconciliationTest, PerCauseDropCountersMatchTraceRecords) {
   std::size_t loss = 0, crashed = 0, duty = 0, partition = 0;
   for (const sim::TraceRecord& r : run.trace) {
     if (r.kind == sim::TraceKind::kDrop) {
-      if (r.note == "crash") {
+      if (r.note.str() == "crash") {
         crashed++;
-      } else if (r.note == "duty-cycle") {
+      } else if (r.note.str() == "duty-cycle") {
         duty++;
       } else {
         loss++;
       }
     } else if (r.kind == sim::TraceKind::kUnreachable &&
-               r.note == "partition") {
+               r.note.str() == "partition") {
       partition++;
     }
   }

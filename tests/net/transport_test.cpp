@@ -132,7 +132,7 @@ TEST(TransportTest, UnreachableDestinationCounted) {
   ASSERT_EQ(lost.size(), 1u);
   EXPECT_EQ(lost[0].pid, 0u);
   EXPECT_EQ(lost[0].peer, 2u);
-  EXPECT_EQ(lost[0].note, "partition");
+  EXPECT_EQ(lost[0].note.str(), "partition");
 }
 
 // Regression: transmit() used to count sent/bytes_sent before discovering

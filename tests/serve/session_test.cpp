@@ -73,10 +73,13 @@ SoakReport serve_input(const SoakServerConfig& config, std::string_view input,
   return session.finish();
 }
 
-bool same_record(const sim::TraceRecord& a, const sim::TraceRecord& b) {
+/// Every field of two parsed lines, the notes compared as text.
+bool same_record(const ParsedRecord& pa, const ParsedRecord& pb) {
+  const sim::TraceRecord& a = pa.record;
+  const sim::TraceRecord& b = pb.record;
   return a.at == b.at && a.kind == b.kind && a.pid == b.pid &&
          a.peer == b.peer && a.message_kind == b.message_kind &&
-         a.bytes == b.bytes && a.seq == b.seq && a.note == b.note;
+         a.bytes == b.bytes && a.seq == b.seq && pa.note() == pb.note();
 }
 
 /// One record as the exporter writes it, without the trailing newline.
@@ -84,6 +87,18 @@ std::string exported_line(const sim::TraceRecord& r) {
   std::string out;
   analysis::append_trace_line(out, r);
   out.pop_back();
+  return out;
+}
+
+/// A parsed line as the exporter writes it, note included. The note is
+/// spliced in as the exporter's last key rather than interned, so these
+/// tests leave the note table as they found it.
+std::string exported_line(const ParsedRecord& parsed) {
+  std::string out = exported_line(parsed.record);
+  if (!parsed.note().empty()) {
+    out.pop_back();
+    out += ",\"note\":\"" + analysis::json_escape(parsed.note()) + "\"}";
+  }
   return out;
 }
 
@@ -125,9 +140,10 @@ TEST(TraceFeedTest, RoundTripsTheBatchExporterByteForByte) {
   EXPECT_EQ(parsed.record.message_kind, r.message_kind);
   EXPECT_EQ(parsed.record.bytes, r.bytes);
   EXPECT_EQ(parsed.record.seq, r.seq);
-  EXPECT_EQ(parsed.record.note, r.note);
+  EXPECT_TRUE(parsed.record.note.empty());
+  EXPECT_EQ(parsed.note(), r.note.str());
   // Re-serializing the parse must reproduce the wire line exactly.
-  EXPECT_EQ(exported_line(parsed.record), line);
+  EXPECT_EQ(exported_line(parsed), line);
 }
 
 TEST(TraceFeedTest, ParsesMinimalRecordAndAnyKeyOrder) {
@@ -239,6 +255,42 @@ TEST(TraceFeedTest, RejectsGarbageWithSpecificDiagnostics) {
   EXPECT_EQ(big.record.seq, 18446744073709551615u);
 }
 
+// The record keeps `bytes` in 32 bits: the largest such value round-trips
+// through the exporter, and one more is rejected, never truncated.
+TEST(TraceFeedTest, BytesAboveThirtyTwoBitsAreRejected) {
+  sim::TraceRecord r;
+  r.at = SimTime::zero() + Duration::millis(1250);
+  r.kind = sim::TraceKind::kSend;
+  r.pid = 3;
+  r.peer = 0;
+  r.message_kind = static_cast<int>(net::MessageKind::kComputation);
+  r.bytes = 4294967295u;
+  r.seq = 91;
+  const std::string max_line = exported_line(r);
+  ASSERT_NE(max_line.find("\"bytes\":4294967295,"), std::string::npos);
+  std::string over_line = max_line;
+  over_line.replace(over_line.find("4294967295"), 10, "4294967296");
+
+  const ParsedRecord max = parse_trace_line(max_line);
+  ASSERT_TRUE(max.ok()) << max.error;
+  EXPECT_EQ(max.record.bytes, 4294967295u);
+  EXPECT_EQ(exported_line(max.record), max_line);
+
+  const std::string diagnostic =
+      "\"bytes\" is out of range: must be at most 4294967295";
+  EXPECT_EQ(parse_trace_line(over_line).error, diagnostic);
+
+  // Through a session: the first line is fed, the second stops the stream.
+  CollectingWriter out;
+  const SoakReport report =
+      serve_input({}, max_line + "\n" + over_line + "\n", out);
+  EXPECT_EQ(report.records_fed, 1u);
+  EXPECT_EQ(report.malformed_lines, 1u);
+  EXPECT_EQ(report.exit_code, 3);
+  EXPECT_EQ(count_occurrences(out.text, analysis::json_escape(diagnostic)), 1u)
+      << out.text;
+}
+
 // The fixed-point `t` path must give exactly what the double path gives:
 // llround(from_chars(token) * 1e9), for times in the exporter's format.
 // N is drawn log-uniformly so every magnitude up to 2^62 ns is covered,
@@ -309,10 +361,11 @@ TEST(TraceFeedTest, MutatedLinesRejectCleanlyOrRoundTrip) {
       continue;
     }
     accepted++;
-    const ParsedRecord again = parse_trace_line(exported_line(parsed.record));
+    const std::string rewritten = exported_line(parsed);
+    const ParsedRecord again = parse_trace_line(rewritten);
     ASSERT_TRUE(again.ok()) << "line: " << line << " error: " << again.error;
-    EXPECT_TRUE(same_record(again.record, parsed.record))
-        << "line: " << line << " rewritten: " << exported_line(parsed.record);
+    EXPECT_TRUE(same_record(again, parsed))
+        << "line: " << line << " rewritten: " << rewritten;
   }
   // The round exercises both outcomes.
   EXPECT_GT(accepted, 1000u);
@@ -409,7 +462,7 @@ TEST(TraceFeedTest, RespelledLinesParseAsTheExporterLine) {
 
     const ParsedRecord parsed = parse_trace_line(respelled);
     ASSERT_TRUE(parsed.ok()) << respelled << ": " << parsed.error;
-    EXPECT_TRUE(same_record(parsed.record, canonical.record))
+    EXPECT_TRUE(same_record(parsed, canonical))
         << "line: " << line << " respelled: " << respelled;
   }
 }
@@ -445,6 +498,43 @@ TEST(SoakServerTest, VerifiesARealRunTraceClean) {
   EXPECT_NE(text.find("\"event\":\"detect\""), std::string::npos);
   EXPECT_NE(text.find("\"event\":\"eof\",\"verdict\":\"clean\""),
             std::string::npos);
+}
+
+// Wire notes are never interned, so a stream of distinct notes cannot grow
+// the process's note table, and each detect event echoes its line's note.
+TEST(SoakServerTest, EchoesDistinctWireNotesWithoutInterningThem) {
+  constexpr std::size_t kLines = 10'000;
+  std::vector<std::string> wire_notes;
+  std::string input;
+  for (std::size_t i = 0; i < kLines; ++i) {
+    std::string note = "wire-" + std::to_string(i);
+    note += i % 2 == 0 ? ":false" : ":true";
+    if (i % 100 == 0) note += "\t\"escaped\"\\";
+    wire_notes.push_back(analysis::json_escape(note));
+    input += "{\"t\":1.000000000,\"kind\":\"detect\",\"pid\":0,\"note\":\"";
+    input += wire_notes.back() + "\"}\n";
+  }
+
+  const std::size_t table_size = sim::TraceNote::table_size();
+  CollectingWriter out;
+  const SoakReport report = serve_input({}, input, out);
+  EXPECT_EQ(sim::TraceNote::table_size(), table_size);
+  EXPECT_EQ(report.exit_code, 0);
+  EXPECT_EQ(report.detect_records, kLines);
+
+  // The detector field of every detect event, in order, as written.
+  const std::string key = "\"detector\":\"";
+  std::vector<std::string> echoed;
+  std::istringstream lines(out.text);
+  for (std::string line; std::getline(lines, line);) {
+    if (line.rfind("{\"event\":\"detect\"", 0) != 0) continue;
+    const std::size_t begin = line.find(key);
+    ASSERT_NE(begin, std::string::npos) << line;
+    ASSERT_EQ(line.substr(line.size() - 2), "\"}") << line;
+    echoed.push_back(line.substr(begin + key.size(),
+                                 line.size() - 2 - begin - key.size()));
+  }
+  EXPECT_EQ(echoed, wire_notes);
 }
 
 TEST(SoakServerTest, StrictModeStopsAtOutOfOrderInput) {

@@ -3,8 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <cstdio>
+#include <cstdlib>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <tuple>
 #include <vector>
 
@@ -21,8 +25,40 @@ TraceRecord at_step(std::size_t i) {
   r.at = SimTime::from_seconds(static_cast<double>(i));
   r.kind = TraceKind::kSend;
   r.pid = static_cast<ProcessId>(i);
-  r.bytes = i;
+  r.bytes = static_cast<std::uint32_t>(i);
   return r;
+}
+
+TEST(TraceNoteTest, InternsEqualNamesToEqualHandles) {
+  const TraceNote entered("entered");
+  EXPECT_FALSE(entered.empty());
+  EXPECT_EQ(entered.str(), "entered");
+  EXPECT_TRUE(TraceNote(std::string("entered")) == entered);
+  EXPECT_TRUE(TraceNote(std::string_view("entered")) == entered);
+  EXPECT_FALSE(TraceNote("exited") == entered);
+  // The empty name is handle 0 and takes no table entry.
+  const std::size_t size = TraceNote::table_size();
+  EXPECT_TRUE(TraceNote("").empty());
+  EXPECT_TRUE(TraceNote("") == TraceNote());
+  EXPECT_EQ(TraceNote().str(), "");
+  EXPECT_EQ(TraceNote::table_size(), size);
+}
+
+TEST(TraceNoteDeathTest, InterningPastTheCapacityFails) {
+  // In a forked child, so the filled table dies with it.
+  EXPECT_EXIT(
+      {
+        try {
+          for (std::uint32_t i = 0; i <= TraceNote::kCapacity; ++i) {
+            TraceNote("cap-" + std::to_string(i));
+          }
+        } catch (const InvariantError& e) {
+          std::fputs(e.what(), stderr);
+          std::exit(3);
+        }
+        std::exit(0);
+      },
+      testing::ExitedWithCode(3), "trace note table full");
 }
 
 TEST(TraceRecorderTest, RejectsZeroCapacity) {
@@ -172,8 +208,8 @@ void expect_same_records(const std::vector<TraceRecord>& got,
     ASSERT_TRUE(g.at == w.at && g.kind == w.kind && g.pid == w.pid &&
                 g.peer == w.peer && g.message_kind == w.message_kind &&
                 g.bytes == w.bytes && g.note == w.note && g.seq == w.seq)
-        << "first difference at record " << i << ": got note " << g.note
-        << ", want note " << w.note;
+        << "first difference at record " << i << ": got note "
+        << g.note.str() << ", want note " << w.note.str();
   }
 }
 
@@ -193,7 +229,7 @@ TraceRecord random_record(Rng& rng, SimTime at, std::size_t serial) {
   r.peer = rng.bernoulli(0.25) ? kNoProcess
                                : static_cast<ProcessId>(rng.uniform_int(0, 3));
   r.message_kind = static_cast<int>(rng.uniform_int(-1, 3));
-  r.bytes = static_cast<std::size_t>(rng.uniform_int(0, 64));
+  r.bytes = static_cast<std::uint32_t>(rng.uniform_int(0, 64));
   r.seq = static_cast<std::uint64_t>(rng.uniform_int(0, 3));
   r.note = "r" + std::to_string(serial);
   return r;
