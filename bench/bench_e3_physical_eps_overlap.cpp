@@ -45,10 +45,11 @@ EpisodeResult run_pulses(Duration overlap, Duration epsilon,
 
   const auto o1 = system.world().create_object("pulse1");
   const auto o2 = system.world().create_object("pulse2");
-  system.world().object(o1).set_attribute("x", std::int64_t{0});
-  system.world().object(o2).set_attribute("x", std::int64_t{0});
-  system.assign(o1, "x", 1);
-  system.assign(o2, "x", 2);
+  const Name x("x");
+  system.world().object(o1).set_attribute(x, std::int64_t{0});
+  system.world().object(o2).set_attribute(x, std::int64_t{0});
+  system.assign(o1, x, 1);
+  system.assign(o2, x, 2);
 
   auto& sched = system.sim().scheduler();
   for (int e = 0; e < kEpisodes; ++e) {
@@ -56,17 +57,17 @@ EpisodeResult run_pulses(Duration overlap, Duration epsilon,
     // x1 high during [base, base+pulse); x2 high starting so that the pulses
     // overlap by exactly `overlap` at the tail of x1's pulse.
     const SimTime x2_rise = base + pulse - overlap;
-    sched.schedule_at(base, [&system, o1] {
-      system.world().emit(o1, "x", std::int64_t{1});
+    sched.schedule_at(base, [&system, o1, x] {
+      system.world().emit(o1, x, std::int64_t{1});
     });
-    sched.schedule_at(x2_rise, [&system, o2] {
-      system.world().emit(o2, "x", std::int64_t{1});
+    sched.schedule_at(x2_rise, [&system, o2, x] {
+      system.world().emit(o2, x, std::int64_t{1});
     });
-    sched.schedule_at(base + pulse, [&system, o1] {
-      system.world().emit(o1, "x", std::int64_t{0});
+    sched.schedule_at(base + pulse, [&system, o1, x] {
+      system.world().emit(o1, x, std::int64_t{0});
     });
-    sched.schedule_at(x2_rise + pulse, [&system, o2] {
-      system.world().emit(o2, "x", std::int64_t{0});
+    sched.schedule_at(x2_rise + pulse, [&system, o2, x] {
+      system.world().emit(o2, x, std::int64_t{0});
     });
   }
   system.run();

@@ -46,6 +46,32 @@ void BM_SchedulerScheduleAndRun(benchmark::State& state) {
 }
 BENCHMARK(BM_SchedulerScheduleAndRun)->Range(1 << 10, 1 << 16);
 
+/// n self-rearming timers, each re-armed at now() plus a uniform delay in
+/// [0.1 ms, 1 ms]: the calendar shape random network delays give.
+struct RandomDelayTimers {
+  sim::Scheduler sched;
+  Rng rng{1};
+  void arm() {
+    sched.schedule_after(Duration::nanos(rng.uniform_int(100'000, 1'000'000)),
+                         [this] { arm(); });
+  }
+};
+
+void BM_SchedulerRandomDelay(benchmark::State& state) {
+  // Random-delay scheduler row: a re-armed timer lands before the monotone
+  // run's tail almost always, so this row prices the overflow heap at n
+  // pending events (DESIGN.md §11). Each iteration runs a fixed number of
+  // events on the warm calendar.
+  constexpr std::size_t kEvents = std::size_t{1} << 16;
+  const auto n = static_cast<std::size_t>(state.range(0));
+  RandomDelayTimers timers;
+  for (std::size_t i = 0; i < n; ++i) timers.arm();
+  for (auto _ : state) benchmark::DoNotOptimize(timers.sched.run(kEvents));
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(kEvents));
+}
+BENCHMARK(BM_SchedulerRandomDelay)->Range(1 << 10, 1 << 16);
+
 void BM_TransportBroadcast(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   sim::SimConfig cfg;
@@ -298,7 +324,7 @@ void BM_TraceRecord(benchmark::State& state) {
   constexpr ProcessId kFanOut = 8;
   const bool presized = state.range(0) != 0;
   // Resolved once, as a sensor node resolves each attribute's note.
-  const sim::TraceNote entered("entered");
+  const Name entered("entered");
   std::uint64_t allocs = 0;
   for (auto _ : state) {
     state.PauseTiming();

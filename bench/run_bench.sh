@@ -42,6 +42,12 @@ if [[ "${build_type}" != "Release" && "${build_type}" != "RelWithDebInfo" ]]; th
   fi
   echo "warning: recording ${build_type}-build numbers (BENCH_ALLOW_NONRELEASE=1)" >&2
 fi
+# glibc adapts its mmap and trim thresholds to what a process frees, so a
+# row that grows and frees large buffers (BM_TraceRecord/presized:0 above
+# all) measured heap layout: the same binary read 33-54 M records/s at
+# min_time 0.2 and 11-16 M at 0.5. Both thresholds are pinned for every
+# micro binary and the setting is stamped into the output context.
+glibc_tunables="glibc.malloc.mmap_threshold=33554432:glibc.malloc.trim_threshold=134217728"
 baseline="${repo_root}/bench/BASELINE_micro.json"
 out="${repo_root}/BENCH_micro.json"
 tmp_dir="$(mktemp -d)"
@@ -54,20 +60,23 @@ for bench in bench_micro_sim bench_micro_clocks bench_micro_shards; do
     exit 1
   fi
   echo "== ${bench} (min_time=${min_time}s)" >&2
-  "${bin}" --benchmark_min_time="${min_time}" \
+  GLIBC_TUNABLES="${glibc_tunables}" "${bin}" \
+           --benchmark_min_time="${min_time}" \
            --benchmark_out="${tmp_dir}/${bench}.json" \
            --benchmark_out_format=json >&2
 done
 
 jq -s --slurpfile base "${baseline}" \
    --arg build_type "${build_type}" \
-   --arg override "${BENCH_ALLOW_NONRELEASE:-0}" '
+   --arg override "${BENCH_ALLOW_NONRELEASE:-0}" \
+   --arg tunables "${glibc_tunables}" '
   ($base[0].benchmarks) as $before |
   {
     generated_by: "bench/run_bench.sh",
     baseline: "bench/BASELINE_micro.json (pre hot-path overhaul)",
     context: ((.[0].context | {date, num_cpus, mhz_per_cpu, library_build_type})
-              + {cmake_build_type: $build_type, nonrelease_override: $override}),
+              + {cmake_build_type: $build_type, nonrelease_override: $override,
+                 glibc_tunables: $tunables}),
     benchmarks: [
       .[].benchmarks[] | select(.run_type == "iteration") |
       ($before[.name]) as $b |

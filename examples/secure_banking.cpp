@@ -39,10 +39,12 @@ int main(int argc, char** argv) {
 
   const auto pwd_terminal = system.world().create_object("password_terminal");
   const auto bio_terminal = system.world().create_object("biometric_reader");
-  system.world().object(pwd_terminal).set_attribute("password_ok", false);
-  system.world().object(bio_terminal).set_attribute("biometric_ok", false);
-  system.assign(pwd_terminal, "password_ok", 1);
-  system.assign(bio_terminal, "biometric_ok", 2);
+  const Name password_ok("password_ok");
+  const Name biometric_ok("biometric_ok");
+  system.world().object(pwd_terminal).set_attribute(password_ok, false);
+  system.world().object(bio_terminal).set_attribute(biometric_ok, false);
+  system.assign(pwd_terminal, password_ok, 1);
+  system.assign(bio_terminal, biometric_ok, 2);
 
   // Script the sessions: most are legitimate (biometric follows the
   // password within the window); some are violations (biometric too late,
@@ -56,12 +58,12 @@ int main(int argc, char** argv) {
     if (valid) legitimate++;
     // Password entry session: 1.5 s.
     if (valid || rng.bernoulli(0.5)) {
-      sched.schedule_at(base, [&system, pwd_terminal] {
-        system.world().emit(pwd_terminal, "password_ok", true);
+      sched.schedule_at(base, [&system, pwd_terminal, password_ok] {
+        system.world().emit(pwd_terminal, password_ok, true);
       });
       sched.schedule_at(base + Duration::millis(1500),
-                        [&system, pwd_terminal] {
-                          system.world().emit(pwd_terminal, "password_ok",
+                        [&system, pwd_terminal, password_ok] {
+                          system.world().emit(pwd_terminal, password_ok,
                                               false);
                         });
     }
@@ -70,12 +72,12 @@ int main(int argc, char** argv) {
         valid ? Duration::millis(rng.uniform_int(200, 2000))
               : Duration::millis(rng.uniform_int(8000, 9000));
     const SimTime bio_at = base + Duration::millis(1500) + gap;
-    sched.schedule_at(bio_at, [&system, bio_terminal] {
-      system.world().emit(bio_terminal, "biometric_ok", true);
+    sched.schedule_at(bio_at, [&system, bio_terminal, biometric_ok] {
+      system.world().emit(bio_terminal, biometric_ok, true);
     });
     sched.schedule_at(bio_at + Duration::millis(800),
-                      [&system, bio_terminal] {
-                        system.world().emit(bio_terminal, "biometric_ok",
+                      [&system, bio_terminal, biometric_ok] {
+                        system.world().emit(bio_terminal, biometric_ok,
                                             false);
                       });
   }

@@ -44,30 +44,32 @@ EveryOccurrence every_occurrence(std::size_t occurrences, std::uint64_t seed) {
 
   // The paper's thermostat rule: "reset thermostat to 28 C each time
   // 'motion detected' AND 'temp > 30 C'".
+  const Name temp("temp");
+  const Name motion("motion");
   const auto room = system.world().create_object("room");
-  system.world().object(room).set_attribute("temp", 22.0);
+  system.world().object(room).set_attribute(temp, 22.0);
   const auto hall = system.world().create_object("hallway");
-  system.world().object(hall).set_attribute("motion", false);
-  system.assign(room, "temp", 1);
-  system.assign(hall, "motion", 2);
+  system.world().object(hall).set_attribute(motion, false);
+  system.assign(room, temp, 1);
+  system.assign(hall, motion, 2);
 
   auto& sched = system.sim().scheduler();
   for (std::size_t k = 0; k < occurrences; ++k) {
     const SimTime base =
         SimTime::zero() + period * static_cast<std::int64_t>(k);
-    sched.schedule_at(base + Duration::millis(100), [&system, hall] {
-      system.world().emit(hall, "motion", true);
+    sched.schedule_at(base + Duration::millis(100), [&system, hall, motion] {
+      system.world().emit(hall, motion, true);
     });
-    sched.schedule_at(base + Duration::millis(500), [&system, room] {
-      system.world().emit(room, "temp", 31.5);
+    sched.schedule_at(base + Duration::millis(500), [&system, room, temp] {
+      system.world().emit(room, temp, 31.5);
     });
     sched.schedule_at(base + Duration::millis(500) + hot_for,
-                      [&system, room] {
-                        system.world().emit(room, "temp", 24.0);
+                      [&system, room, temp] {
+                        system.world().emit(room, temp, 24.0);
                       });
     sched.schedule_at(base + period - Duration::millis(100),
-                      [&system, hall] {
-                        system.world().emit(hall, "motion", false);
+                      [&system, hall, motion] {
+                        system.world().emit(hall, motion, false);
                       });
   }
   system.run();

@@ -153,10 +153,12 @@ OccupancyRunResult run_occupancy_experiment(const OccupancyConfig& config) {
   core::ShardedPervasiveSystem system(scfg);
 
   // Door k is sensed by process k+1 (P_0 is the root monitor).
+  const Name entered("entered");
+  const Name exited("exited");
   for (int k = 0; k < hall_cfg.doors; ++k) {
     const auto pid = static_cast<ProcessId>(k + 1);
-    system.assign(hall.door_object(k), "entered", pid);
-    system.assign(hall.door_object(k), "exited", pid);
+    system.assign(hall.door_object(k), entered, pid);
+    system.assign(hall.door_object(k), exited, pid);
   }
   system.set_world_events(world.timeline().events());
 
@@ -238,8 +240,8 @@ OccupancyRunResult run_occupancy_experiment(const OccupancyConfig& config) {
       // network records (the detectors replay the log offline); `at` is
       // still sim-time. The append order is the fixed detector-loop order,
       // so the trace stays byte-identical across shard counts.
-      const sim::TraceNote became_true(out.detector + ":true");
-      const sim::TraceNote became_false(out.detector + ":false");
+      const Name became_true(out.detector + ":true");
+      const Name became_false(out.detector + ":false");
       for (const core::Detection& d : out.detections) {
         result.trace.push_back({d.detected_at, sim::TraceKind::kDetect, 0,
                                 kNoProcess, -1, 0,

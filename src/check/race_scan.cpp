@@ -4,15 +4,27 @@
 #include <map>
 #include <set>
 #include <string>
-#include <string_view>
 #include <unordered_map>
 #include <utility>
 
 #include "clocks/timestamp.hpp"
 #include "common/error.hpp"
+#include "common/name.hpp"
 #include "net/message.hpp"
 
 namespace psn::check {
+
+namespace {
+/// Orders names, alone or after a reporter, by text, never by handle.
+struct ByText {
+  bool operator()(Name a, Name b) const { return a.str() < b.str(); }
+  bool operator()(std::pair<ProcessId, Name> a,
+                  std::pair<ProcessId, Name> b) const {
+    return a.first != b.first ? a.first < b.first
+                              : a.second.str() < b.second.str();
+  }
+};
+}  // namespace
 
 std::vector<RaceEvent> scan_races(const core::ObservationLog& log,
                                   const RaceScanConfig& config) {
@@ -90,15 +102,15 @@ std::vector<FaultSpan> collect_fault_spans(
   // Index the root's log by (reporter, attribute) in delivery order: healing
   // a span means finding the first delivered report of that attribute
   // carrying information at least as new as what went missing.
-  std::map<std::pair<ProcessId, std::string>,
-           std::vector<const core::ReceivedUpdate*>>
+  std::map<std::pair<ProcessId, Name>, std::vector<const core::ReceivedUpdate*>,
+           ByText>
       by_attr;
   for (const core::ReceivedUpdate& u : log.updates) {
     by_attr[{u.reporter, u.report.attribute}].push_back(&u);
   }
-  const auto healed_at = [&](ProcessId reporter, std::string_view attr,
+  const auto healed_at = [&](ProcessId reporter, Name attr,
                              SimTime missing_since) {
-    const auto it = by_attr.find({reporter, std::string(attr)});
+    const auto it = by_attr.find({reporter, attr});
     if (it == by_attr.end()) return SimTime::max();
     for (const core::ReceivedUpdate* u : it->second) {
       if (u->report.true_sense_time >= missing_since) return u->delivered_at;
@@ -109,7 +121,7 @@ std::vector<FaultSpan> collect_fault_spans(
   // One pass over the (canonical) trace: index sense records by strobe seq,
   // collect each reporter's attribute set, and pair up fault windows.
   std::unordered_map<std::uint64_t, const sim::TraceRecord*> sense_by_seq;
-  std::map<ProcessId, std::set<std::string_view>> attrs_of;
+  std::map<ProcessId, std::set<Name, ByText>> attrs_of;
   std::map<ProcessId, SimTime> open_crash;
   std::map<std::pair<ProcessId, ProcessId>, SimTime> open_cut;
   std::vector<const sim::TraceRecord*> root_drops;
@@ -117,7 +129,7 @@ std::vector<FaultSpan> collect_fault_spans(
     switch (r.kind) {
       case sim::TraceKind::kSense:
         if (r.seq != 0) sense_by_seq.emplace(r.seq, &r);
-        if (!r.note.empty()) attrs_of[r.pid].insert(r.note.str());
+        if (!r.note.empty()) attrs_of[r.pid].insert(r.note);
         break;
       case sim::TraceKind::kDrop:
       case sim::TraceKind::kUnreachable:
@@ -142,7 +154,7 @@ std::vector<FaultSpan> collect_fault_spans(
           spans.push_back({begin, r.at, r.pid, FaultSpan::Cause::kCrash});
           break;
         }
-        for (const std::string_view attr : attrs->second) {
+        for (const Name attr : attrs->second) {
           spans.push_back({begin, healed_at(r.pid, attr, begin), r.pid,
                            FaultSpan::Cause::kCrash});
         }
@@ -182,7 +194,7 @@ std::vector<FaultSpan> collect_fault_spans(
     const auto it = sense_by_seq.find(d->seq);
     if (it == sense_by_seq.end()) continue;  // sense outside the window
     const sim::TraceRecord& sense = *it->second;
-    spans.push_back({sense.at, healed_at(sense.pid, sense.note.str(), sense.at),
+    spans.push_back({sense.at, healed_at(sense.pid, sense.note, sense.at),
                      sense.pid, FaultSpan::Cause::kDrop});
   }
 

@@ -33,7 +33,7 @@ std::vector<ConjunctInterval> WeakConjunctiveDetector::local_intervals(
   ConjunctInterval current;
   for (std::size_t k = 0; k < events.size(); ++k) {
     const auto& e = events[k];
-    if (e.has_var) local.set(e.var, e.value);
+    if (!e.var.name.empty()) local.set(e.var, e.value);
     const bool now = conjunct->evaluate(local) != 0.0;
     if (now == holding) continue;
     if (now) {

@@ -1,12 +1,9 @@
 #pragma once
 
-#include <optional>
-#include <string>
-
 #include "clocks/clock_bundle.hpp"
+#include "common/name.hpp"
 #include "common/sim_time.hpp"
 #include "common/types.hpp"
-#include "core/variables.hpp"
 #include "world/event.hpp"
 
 namespace psn::core {
@@ -33,8 +30,9 @@ struct ProcessEvent {
   std::size_t local_index = 0;
   clocks::ClockSnapshot clocks;
 
-  /// For sense events: the variable updated and its new value.
-  std::optional<VarRef> var;
+  /// For sense events: the attribute sensed and its new value (the variable
+  /// is VarRef{pid, attribute}); empty for every other event type.
+  Name attribute;
   double value = 0.0;
   /// For sense events: which world event was observed.
   world::WorldEventIndex world_event = world::kNoWorldEvent;
@@ -42,18 +40,6 @@ struct ProcessEvent {
   /// the strobe broadcast triggered by an n event, the computation message of
   /// an s or r event. psn::check matches s/r pairs on it.
   std::uint64_t message_seq = 0;
-};
-
-/// The interval between two successive relevant local events (paper §2.2:
-/// "the time duration between two successive events at a process identifies
-/// an interval"); the variable holds `value` throughout.
-struct LocalInterval {
-  ProcessId pid = kNoProcess;
-  VarRef var;
-  double value = 0.0;
-  SimTime begin;             ///< true time the value was sensed
-  SimTime end;               ///< true time of the next change (or horizon)
-  std::size_t begin_event = 0;  ///< local index of the opening sense event
 };
 
 }  // namespace psn::core

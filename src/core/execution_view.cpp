@@ -24,13 +24,9 @@ ExecutionView ExecutionView::from_strobe_stamps(
     for (const auto& pe : *events) {
       if (pe.type != EventType::kSense) continue;  // strobes tick on sense only
       pid = pe.pid;
-      Event e;
-      e.stamp = pe.clocks.strobe_vector;
-      e.has_var = pe.var.has_value();
-      if (pe.var) e.var = *pe.var;
-      e.value = pe.value;
-      e.when = pe.clocks.true_time;
-      hist.push_back(std::move(e));
+      hist.push_back({pe.clocks.strobe_vector,
+                      VarRef{pe.pid, std::string(pe.attribute.str())},
+                      pe.value, pe.clocks.true_time});
     }
     if (pid == kNoProcess && !events->empty()) pid = events->front().pid;
     pids.push_back(pid);
@@ -66,7 +62,7 @@ GlobalState ExecutionView::state_at(const std::vector<std::size_t>& cut) const {
   for (std::size_t i = 0; i < cut.size(); ++i) {
     for (std::size_t k = 0; k < cut[i]; ++k) {
       const Event& e = events_[i][k];
-      if (e.has_var) state.set(e.var, e.value);
+      if (!e.var.name.empty()) state.set(e.var, e.value);
     }
   }
   return state;

@@ -22,8 +22,7 @@ class ExecutionView {
  public:
   struct Event {
     clocks::VectorStamp stamp;  ///< post-event stamp
-    bool has_var = false;
-    VarRef var;
+    VarRef var;                 ///< the variable set; empty name = none
     double value = 0.0;
     SimTime when;
   };

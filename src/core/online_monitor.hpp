@@ -23,7 +23,7 @@ struct ActuationRule {
 
   ProcessId actuator = kNoProcess;  ///< node that performs the a-event
   world::ObjectId object = world::kNoObject;
-  std::string attribute;
+  Name attribute;
   world::AttributeValue value;
   std::string command;  ///< label for reporting
 };

@@ -4,7 +4,7 @@
 
 namespace psn::core {
 
-void SensingMap::assign(world::ObjectId object, const std::string& attribute,
+void SensingMap::assign(world::ObjectId object, Name attribute,
                         ProcessId sensor) {
   PSN_CHECK(sensor != kNoProcess, "invalid sensor pid");
   PSN_CHECK(object != world::kNoObject, "invalid world object id");
@@ -14,8 +14,7 @@ void SensingMap::assign(world::ObjectId object, const std::string& attribute,
   by_object_[object].emplace_back(attribute, sensor);
 }
 
-ProcessId SensingMap::sensor_of(world::ObjectId object,
-                                const std::string& attribute) const {
+ProcessId SensingMap::sensor_of(world::ObjectId object, Name attribute) const {
   if (object >= by_object_.size()) return kNoProcess;
   for (const auto& [name, sensor] : by_object_[object]) {
     if (name == attribute) return sensor;
@@ -31,8 +30,7 @@ SensorNode::SensorNode(ProcessId pid, std::size_t n, sim::Simulation& sim,
       transport_(transport),
       bundle_(pid, n, clock_config, rng) {}
 
-void SensorNode::record_event(EventType type, std::optional<VarRef> var,
-                              double value,
+void SensorNode::record_event(EventType type, Name attribute, double value,
                               world::WorldEventIndex world_event,
                               std::uint64_t message_seq) {
   ProcessEvent ev;
@@ -43,7 +41,7 @@ void SensorNode::record_event(EventType type, std::optional<VarRef> var,
   if (faults_ != nullptr) {
     ev.clocks.physical_local += faults_->drift_offset(pid_, sim_.now());
   }
-  ev.var = std::move(var);
+  ev.attribute = attribute;
   ev.value = value;
   ev.world_event = world_event;
   ev.message_seq = message_seq;
@@ -110,19 +108,12 @@ void SensorNode::sense(const world::WorldEvent& ev) {
     seq = transport_.unicast(std::move(msg));
   }
 
-  const VarRef var{pid_, ev.attribute};
-  record_event(EventType::kSense, var, ev.value.numeric(), ev.index, seq);
+  record_event(EventType::kSense, ev.attribute, ev.value.numeric(), ev.index,
+               seq);
   if (sim::TraceRecorder* tr = sim_.trace()) {
     tr->record({now, sim::TraceKind::kSense, pid_, kNoProcess, -1, 0,
-                trace_note(ev.attribute), seq});
+                ev.attribute, seq});
   }
-}
-
-sim::TraceNote SensorNode::trace_note(const std::string& attribute) {
-  for (const auto& [name, note] : notes_) {
-    if (name == attribute) return note;
-  }
-  return notes_.emplace_back(attribute, sim::TraceNote(attribute)).second;
 }
 
 void SensorNode::send_computation(ProcessId dst, const std::string& tag) {
@@ -136,7 +127,7 @@ void SensorNode::send_computation(ProcessId dst, const std::string& tag) {
   payload.tag = tag;
   msg.payload = std::move(payload);
   const std::uint64_t seq = transport_.unicast(std::move(msg));
-  record_event(EventType::kSend, std::nullopt, 0.0, world::kNoWorldEvent, seq);
+  record_event(EventType::kSend, {}, 0.0, world::kNoWorldEvent, seq);
 }
 
 void SensorNode::compute() {
@@ -145,8 +136,7 @@ void SensorNode::compute() {
 }
 
 void SensorNode::actuate(world::WorldModel& world, world::ObjectId object,
-                         const std::string& attribute,
-                         world::AttributeValue value) {
+                         Name attribute, world::AttributeValue value) {
   bundle_.on_internal_event();
   record_event(EventType::kActuate);
   world.emit(object, attribute, value);
@@ -172,8 +162,8 @@ void SensorNode::on_message(const net::Message& msg) {
     }
     case net::MessageKind::kComputation: {
       bundle_.on_receive(msg.computation().stamps);  // SC3/VC3
-      record_event(EventType::kReceive, std::nullopt, 0.0,
-                   world::kNoWorldEvent, msg.seq);
+      record_event(EventType::kReceive, {}, 0.0, world::kNoWorldEvent,
+                   msg.seq);
       if (sim::TraceRecorder* tr = sim_.trace()) {
         tr->record({sim_.now(), sim::TraceKind::kReceive, pid_, msg.src,
                     static_cast<int>(msg.kind), 0, {}, msg.seq});

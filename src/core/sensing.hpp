@@ -23,17 +23,15 @@ namespace psn::core {
 ///
 /// Indexed by object id (world objects are numbered densely from 0), each
 /// object keeping its few (attribute, sensor) pairs, so a lookup per world
-/// event is a bounds check plus a short scan and builds no key.
+/// event is a bounds check plus a short scan of handles.
 class SensingMap {
  public:
-  void assign(world::ObjectId object, const std::string& attribute,
-              ProcessId sensor);
+  void assign(world::ObjectId object, Name attribute, ProcessId sensor);
   /// Sensor responsible for (object, attribute), or kNoProcess.
-  ProcessId sensor_of(world::ObjectId object,
-                      const std::string& attribute) const;
+  ProcessId sensor_of(world::ObjectId object, Name attribute) const;
 
  private:
-  std::vector<std::vector<std::pair<std::string, ProcessId>>> by_object_;
+  std::vector<std::vector<std::pair<Name, ProcessId>>> by_object_;
 };
 
 /// A sensor/actuator process p ∈ P. Implements the paper's event rules:
@@ -65,7 +63,7 @@ class SensorNode {
 
   /// Records an actuate event (a) targeting a world object.
   void actuate(world::WorldModel& world, world::ObjectId object,
-               const std::string& attribute, world::AttributeValue value);
+               Name attribute, world::AttributeValue value);
 
   /// Binds the world plane so incoming actuation commands (kActuation
   /// messages) can be applied as a-events. Set by
@@ -100,13 +98,9 @@ class SensorNode {
   void on_message(const net::Message& msg);
 
  private:
-  void record_event(EventType type,
-                    std::optional<VarRef> var = std::nullopt,
-                    double value = 0.0,
+  void record_event(EventType type, Name attribute = {}, double value = 0.0,
                     world::WorldEventIndex world_event = world::kNoWorldEvent,
                     std::uint64_t message_seq = 0);
-  /// The trace note of `attribute`, interned on its first sense here.
-  sim::TraceNote trace_note(const std::string& attribute);
 
   ProcessId pid_;
   sim::Simulation& sim_;
@@ -118,9 +112,6 @@ class SensorNode {
   bool observing_ = false;
   ProcessId report_target_ = kNoProcess;  ///< kNoProcess = strobe broadcast
   ObservationLog local_log_;
-  /// The attributes this node has sensed on a traced run, with their notes:
-  /// a node senses a handful, so a scan beats the note table's lock.
-  std::vector<std::pair<std::string, sim::TraceNote>> notes_;
 };
 
 /// The distinguished root/back-end process P_0 (paper §2.1). It does not

@@ -191,8 +191,7 @@ ShardedPervasiveSystem::build_shard(std::size_t s) {
   return sh;
 }
 
-void ShardedPervasiveSystem::assign(world::ObjectId object,
-                                    const std::string& attribute,
+void ShardedPervasiveSystem::assign(world::ObjectId object, Name attribute,
                                     ProcessId sensor) {
   PSN_CHECK(sensor >= 1 && sensor < n_,
             "sensing must be assigned to a sensor process (1..n)");

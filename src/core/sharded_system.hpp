@@ -85,8 +85,7 @@ class ShardedPervasiveSystem {
   ~ShardedPervasiveSystem();
 
   /// Routes (object, attribute) world events to `sensor`.
-  void assign(world::ObjectId object, const std::string& attribute,
-              ProcessId sensor);
+  void assign(world::ObjectId object, Name attribute, ProcessId sensor);
   const SensingMap& sensing() const { return sensing_; }
 
   /// Installs the pre-rolled ground-truth timeline to replay (`when`

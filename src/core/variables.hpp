@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "common/error.hpp"
+#include "common/name.hpp"
 #include "common/types.hpp"
 
 namespace psn::core {
@@ -44,10 +45,10 @@ class GlobalState {
   using ColumnId = std::uint32_t;
 
   /// The column of attribute `name`, added on first sight. A scenario senses
-  /// a handful of attributes, so a linear scan finds it.
-  ColumnId column(std::string_view name) {
-    if (const Column* c = find(name)) {
-      return static_cast<ColumnId>(c - columns_.data());
+  /// a handful of attributes, so a scan of the columns' handles finds it.
+  ColumnId column(Name name) {
+    for (std::size_t c = 0; c < columns_.size(); ++c) {
+      if (columns_[c].name == name) return static_cast<ColumnId>(c);
     }
     columns_.emplace_back().name = name;
     return static_cast<ColumnId>(columns_.size() - 1);
@@ -69,10 +70,15 @@ class GlobalState {
     c.values[pid] = value;
     c.totals.enter(value);
   }
-  void set(ProcessId pid, std::string_view name, double value) {
+  void set(ProcessId pid, Name name, double value) {
     set(column(name), pid, value);
   }
-  void set(const VarRef& var, double value) { set(var.pid, var.name, value); }
+  void set(const VarRef& var, double value) {  // interns a new column only
+    const Column* c = find(var.name);
+    set(c != nullptr ? static_cast<ColumnId>(c - columns_.data())
+                     : column(Name(var.name)),
+        var.pid, value);
+  }
 
   std::optional<double> get(const VarRef& var) const {
     const Column* c = find(var.name);
@@ -146,7 +152,7 @@ class GlobalState {
 
   /// Every variable of one attribute name, indexed by pid.
   struct Column {
-    std::string name;
+    Name name;
     std::vector<double> values;
     std::vector<char> present;
     NameTotals totals;
@@ -154,7 +160,7 @@ class GlobalState {
 
   const Column* find(std::string_view name) const {
     for (const Column& c : columns_) {
-      if (c.name == name) return &c;
+      if (c.name.str() == name) return &c;
     }
     return nullptr;
   }

@@ -8,6 +8,7 @@
 
 #include "clocks/clock_bundle.hpp"
 #include "clocks/timestamp.hpp"
+#include "common/name.hpp"
 #include "common/sim_time.hpp"
 #include "common/types.hpp"
 #include "world/event.hpp"
@@ -50,7 +51,7 @@ const char* to_string(ClockMode m);
 struct SenseReportPayload {
   // --- the sensed update ---
   world::ObjectId object = world::kNoObject;
-  std::string attribute;
+  Name attribute;
   world::AttributeValue value;
 
   // --- timestamps a real node could attach ---
@@ -89,7 +90,7 @@ struct ActuationPayload {
   std::string command;
   SimTime issued_at;
   world::ObjectId object = world::kNoObject;
-  std::string attribute;
+  Name attribute;
   world::AttributeValue value;
 };
 

@@ -220,9 +220,9 @@ PSN_HOT void Transport::transmit(Message msg, std::size_t bytes) {
     const bool partitioned = faults_ != nullptr && routes_.active() > 0;
     if (partitioned) stats_.drops.partition++;
     if (sim::TraceRecorder* tr = sim_.trace()) {
-      static const sim::TraceNote kPartition("partition");
+      static const Name kPartition("partition");
       tr->record({sim_.now(), sim::TraceKind::kUnreachable, msg.src, msg.dst,
-                  kind_index, 0, partitioned ? kPartition : sim::TraceNote(),
+                  kind_index, 0, partitioned ? kPartition : Name(),
                   msg.seq});
     }
     return;
@@ -288,8 +288,8 @@ PSN_HOT void Transport::transmit(Message msg, std::size_t bytes) {
       stats_.drops.crashed_dst++;
     }
     if (sim::TraceRecorder* tr = sim_.trace()) {
-      static const sim::TraceNote kDutyCycle("duty-cycle");
-      static const sim::TraceNote kCrash("crash");
+      static const Name kDutyCycle("duty-cycle");
+      static const Name kCrash("crash");
       tr->record({sim_.now(), sim::TraceKind::kDrop, msg.src, msg.dst,
                   kind_index, wire_bytes,
                   deferred_into_crash ? kDutyCycle : kCrash, msg.seq});

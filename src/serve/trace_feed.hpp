@@ -15,7 +15,7 @@ namespace psn::serve {
 /// Outcome of parsing one wire line: either a record or a diagnostic.
 struct ParsedRecord {
   /// The record. Its `note` stays empty: a wire note is never interned, so
-  /// a stream of distinct notes cannot grow sim::TraceNote's table.
+  /// a stream of distinct notes cannot grow psn::Name's table.
   sim::TraceRecord record;
   std::string error;           ///< non-empty iff the line was rejected
   std::string_view line_note;  ///< the note as it stands in the line

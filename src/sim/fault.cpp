@@ -236,20 +236,20 @@ void FaultSchedule::append_trace_records(std::vector<TraceRecord>& out,
   for (const CrashWindow& w : crashes_by_pid_) {
     if (w.begin <= horizon) {
       out.push_back({w.begin, TraceKind::kCrash, w.pid, kNoProcess, -1, 0,
-                     TraceNote(), 0});
+                     Name(), 0});
     }
     if (w.end <= horizon) {
       out.push_back({w.end, TraceKind::kRestart, w.pid, kNoProcess, -1, 0,
-                     TraceNote(), 0});
+                     Name(), 0});
     }
   }
   for (const PartitionWindow& w : plan_.partitions) {
     if (w.begin <= horizon) {
       out.push_back({w.begin, TraceKind::kPartition, w.a, w.b, -1, 0,
-                     TraceNote(), 0});
+                     Name(), 0});
     }
     if (w.end <= horizon) {
-      out.push_back({w.end, TraceKind::kHeal, w.a, w.b, -1, 0, TraceNote(), 0});
+      out.push_back({w.end, TraceKind::kHeal, w.a, w.b, -1, 0, Name(), 0});
     }
   }
 }

@@ -1,13 +1,8 @@
 #include "sim/trace.hpp"
 
 #include <algorithm>
-#include <array>
-#include <atomic>
 #include <cstddef>
-#include <deque>
-#include <mutex>
 #include <tuple>
-#include <unordered_map>
 #include <utility>
 
 #include "common/error.hpp"
@@ -15,26 +10,6 @@
 namespace psn::sim {
 
 namespace {
-/// The note table's strings, by id. Constant-initialised, so it is usable
-/// from any static initialiser, and its untouched pages cost no memory.
-/// Slot 0 (the empty note) stays null.
-using NoteSlot = std::atomic<const std::string*>;
-constinit std::array<NoteSlot, TraceNote::kCapacity + 1> note_slots{};
-
-/// The interning side of the note table, guarded by its mutex.
-struct NoteTable {
-  std::mutex mu;
-  /// Every name once, in id order; a deque never moves its strings.
-  std::deque<std::string> names;
-  /// Name to id, keyed by views into `names`.
-  std::unordered_map<std::string_view, std::uint32_t> ids;
-};
-
-NoteTable& note_table() {
-  static NoteTable table;
-  return table;
-}
-
 /// Rank of a record within its (at, seq) bucket: the message lifecycle.
 int co_instant_group(TraceKind k) {
   switch (k) {
@@ -124,34 +99,6 @@ const char* to_string(TraceKind k) {
     case TraceKind::kHeal: return "heal";
   }
   return "?";
-}
-
-TraceNote::TraceNote(std::string_view name) {
-  if (name.empty()) return;
-  NoteTable& t = note_table();
-  const std::lock_guard<std::mutex> lock(t.mu);
-  if (const auto it = t.ids.find(name); it != t.ids.end()) {
-    id_ = it->second;
-    return;
-  }
-  PSN_CHECK(t.names.size() < kCapacity,
-            "trace note table full: more than " + std::to_string(kCapacity) +
-                " distinct notes");
-  const std::string& stored = t.names.emplace_back(name);
-  id_ = static_cast<std::uint32_t>(t.names.size());
-  t.ids.emplace(stored, id_);
-  note_slots[id_].store(&stored, std::memory_order_release);
-}
-
-std::string_view TraceNote::str() const {
-  if (id_ == 0) return {};
-  return *note_slots[id_].load(std::memory_order_acquire);
-}
-
-std::size_t TraceNote::table_size() {
-  NoteTable& t = note_table();
-  const std::lock_guard<std::mutex> lock(t.mu);
-  return t.names.size();
 }
 
 TraceRecorder::TraceRecorder(std::size_t capacity) : capacity_(capacity) {

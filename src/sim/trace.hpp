@@ -1,11 +1,10 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
-#include <string_view>
 #include <type_traits>
 #include <vector>
 
+#include "common/name.hpp"
 #include "common/sim_time.hpp"
 #include "common/types.hpp"
 
@@ -30,42 +29,6 @@ enum class TraceKind : std::uint8_t {
 
 const char* to_string(TraceKind k);
 
-/// A trace record's note as a 4-byte handle. Notes come from a small
-/// vocabulary (attribute names, "<detector>:true|false", fault causes), so
-/// each distinct string is stored once in a process-wide, append-only table
-/// and a record carries its index. Handle 0 is the empty note.
-///
-/// Building a handle from a string interns it: a lock and a hash lookup, so
-/// a per-record path resolves each name once and reuses the handle. Reading
-/// a handle's string takes no lock. Both are safe from any thread. Ids
-/// depend on the order names were first seen, so no output ever shows one:
-/// exporters write str(), and the canonical trace order ignores notes.
-class TraceNote {
- public:
-  /// Distinct non-empty notes the table holds; interning one more fails a
-  /// PSN_CHECK rather than growing without bound.
-  static constexpr std::uint32_t kCapacity = (1u << 16) - 1;
-
-  TraceNote() = default;
-  // Implicit on purpose: records are aggregate-initialised with a string.
-  TraceNote(std::string_view name);
-  TraceNote(const std::string& name) : TraceNote(std::string_view(name)) {}
-  TraceNote(const char* name) : TraceNote(std::string_view(name)) {}
-
-  bool empty() const { return id_ == 0; }
-  /// The interned string; empty for handle 0. Valid for the process's life.
-  std::string_view str() const;
-
-  /// Equal names always get equal handles.
-  friend bool operator==(TraceNote a, TraceNote b) { return a.id_ == b.id_; }
-
-  /// Distinct non-empty notes interned so far in this process.
-  static std::size_t table_size();
-
- private:
-  std::uint32_t id_ = 0;
-};
-
 /// One trace record. `message_kind` is the numeric net::MessageKind for
 /// message records and -1 otherwise (the sim layer cannot name net types —
 /// exporters translate). `bytes` is the on-the-wire size charged by the
@@ -82,7 +45,7 @@ struct TraceRecord {
   std::uint32_t bytes = 0;
   /// Attribute on kSense, "<detector>:true|false" on kDetect, the cause on
   /// a kDrop/kUnreachable lost to a fault.
-  TraceNote note;
+  Name note;
   /// net::Message::seq of the message involved (0 = none). Send/deliver/drop
   /// records of one message share it; kSense carries the seq of the strobe
   /// broadcast the sense triggered, kReceive the seq of the computation
@@ -137,7 +100,6 @@ class TraceRecorder {
   /// a run whose volume is known up front never grows it by doubling.
   void reserve(std::size_t records);
 
-  std::size_t capacity() const { return capacity_; }
   /// Records currently retained (≤ capacity).
   std::size_t size() const { return ring_.size(); }
   /// Records ever recorded, including evicted ones. Unchanged by take().

@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <variant>
 
 #include "common/error.hpp"
@@ -45,12 +44,6 @@ class AttributeValue {
   }
 
   bool operator==(const AttributeValue& o) const { return v_ == o.v_; }
-
-  std::string to_string() const {
-    if (is_int()) return std::to_string(as_int());
-    if (is_bool()) return as_bool() ? "true" : "false";
-    return std::to_string(as_double());
-  }
 
  private:
   std::variant<std::int64_t, double, bool> v_;

@@ -2,8 +2,8 @@
 
 #include <cstdint>
 #include <limits>
-#include <string>
 
+#include "common/name.hpp"
 #include "common/sim_time.hpp"
 #include "world/attribute.hpp"
 #include "world/object.hpp"
@@ -21,7 +21,7 @@ inline constexpr WorldEventIndex kNoWorldEvent =
 struct WorldEvent {
   SimTime when;
   ObjectId object = kNoObject;
-  std::string attribute;
+  Name attribute;
   AttributeValue value;
 
   /// Sequence number assigned by the timeline on insertion.

@@ -37,12 +37,12 @@ AttributeValue RandomWalkValue::next(const AttributeValue& current, Rng& rng) {
 }
 
 AttributeDriver::AttributeDriver(WorldModel& world, ObjectId object,
-                                 std::string attribute,
+                                 Name attribute,
                                  std::unique_ptr<ArrivalProcess> arrivals,
                                  std::unique_ptr<ValueProcess> values, Rng rng)
     : world_(world),
       object_(object),
-      attribute_(std::move(attribute)),
+      attribute_(attribute),
       arrivals_(std::move(arrivals)),
       values_(std::move(values)),
       rng_(rng) {
@@ -58,11 +58,10 @@ void AttributeDriver::schedule_next() {
 }
 
 void AttributeDriver::fire() {
-  const WorldObject& obj = world_.object(object_);
-  const AttributeValue current = obj.has_attribute(attribute_)
-                                     ? obj.attribute(attribute_)
-                                     : AttributeValue();
-  world_.emit(object_, attribute_, values_->next(current, rng_));
+  const AttributeValue* current = world_.object(object_).find(attribute_);
+  world_.emit(object_, attribute_,
+              values_->next(current != nullptr ? *current : AttributeValue(),
+                            rng_));
   schedule_next();
 }
 

@@ -1,7 +1,6 @@
 #pragma once
 
 #include <memory>
-#include <string>
 
 #include "common/rng.hpp"
 #include "world/world_model.hpp"
@@ -65,7 +64,7 @@ class RandomWalkValue final : public ValueProcess {
 /// simulation horizon. Create via WorldModel's simulation; call start() once.
 class AttributeDriver {
  public:
-  AttributeDriver(WorldModel& world, ObjectId object, std::string attribute,
+  AttributeDriver(WorldModel& world, ObjectId object, Name attribute,
                   std::unique_ptr<ArrivalProcess> arrivals,
                   std::unique_ptr<ValueProcess> values, Rng rng);
 
@@ -77,7 +76,7 @@ class AttributeDriver {
 
   WorldModel& world_;
   ObjectId object_;
-  std::string attribute_;
+  Name attribute_;
   std::unique_ptr<ArrivalProcess> arrivals_;
   std::unique_ptr<ValueProcess> values_;
   Rng rng_;

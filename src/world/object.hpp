@@ -1,9 +1,11 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <string>
+#include <utility>
+#include <vector>
 
+#include "common/name.hpp"
 #include "world/attribute.hpp"
 
 namespace psn::world {
@@ -22,21 +24,15 @@ class WorldObject {
   ObjectId id() const { return id_; }
   const std::string& name() const { return name_; }
 
-  bool has_attribute(const std::string& attr) const {
-    return attrs_.contains(attr);
-  }
-  const AttributeValue& attribute(const std::string& attr) const;
-  void set_attribute(const std::string& attr, AttributeValue value) {
-    attrs_[attr] = value;
-  }
-  const std::map<std::string, AttributeValue>& attributes() const {
-    return attrs_;
-  }
+  /// The attribute's value, or nullptr if it was never set.
+  const AttributeValue* find(Name attr) const;
+  const AttributeValue& attribute(Name attr) const;
+  void set_attribute(Name attr, AttributeValue value);
 
  private:
   ObjectId id_;
   std::string name_;
-  std::map<std::string, AttributeValue> attrs_;
+  std::vector<std::pair<Name, AttributeValue>> attrs_;  ///< a handful
 };
 
 }  // namespace psn::world

@@ -20,8 +20,8 @@ ExhibitionHall::ExhibitionHall(WorldModel& world, ExhibitionHallConfig config,
   for (int k = 0; k < config_.doors; ++k) {
     const auto id =
         world_.create_object(config_.name_prefix + "_" + std::to_string(k));
-    world_.object(id).set_attribute("entered", std::int64_t{0});
-    world_.object(id).set_attribute("exited", std::int64_t{0});
+    world_.object(id).set_attribute(entered_name_, std::int64_t{0});
+    world_.object(id).set_attribute(exited_name_, std::int64_t{0});
     door_objects_.push_back(id);
   }
 }
@@ -38,7 +38,7 @@ void ExhibitionHall::start() {
     const auto k = static_cast<std::size_t>(
         rng_.uniform_int(0, config_.doors - 1));
     entered_[k]++;
-    world_.emit(door_objects_[k], "entered", entered_[k]);
+    world_.emit(door_objects_[k], entered_name_, entered_[k]);
   }
   occupancy_ = config_.initial_occupancy;
   schedule_next();
@@ -63,11 +63,11 @@ void ExhibitionHall::movement() {
   if (entry) {
     entered_[k]++;
     occupancy_++;
-    world_.emit(door_objects_[k], "entered", entered_[k]);
+    world_.emit(door_objects_[k], entered_name_, entered_[k]);
   } else {
     exited_[k]++;
     occupancy_--;
-    world_.emit(door_objects_[k], "exited", exited_[k]);
+    world_.emit(door_objects_[k], exited_name_, exited_[k]);
   }
   schedule_next();
 }
@@ -77,18 +77,18 @@ SmartOffice::SmartOffice(WorldModel& world, SmartOfficeConfig config, Rng rng)
   PSN_CHECK(config_.rooms > 0, "office needs at least one room");
   for (int k = 0; k < config_.rooms; ++k) {
     const auto id = world_.create_object("room_" + std::to_string(k));
-    world_.object(id).set_attribute("temp", 22.0);
-    world_.object(id).set_attribute("occupied", false);
+    world_.object(id).set_attribute(temp_, 22.0);
+    world_.object(id).set_attribute(occupied_, false);
     room_objects_.push_back(id);
 
     drivers_.push_back(std::make_unique<AttributeDriver>(
-        world_, id, "temp",
+        world_, id, temp_,
         std::make_unique<PoissonArrivals>(config_.temp_change_rate),
         std::make_unique<RandomWalkValue>(config_.temp_step, config_.temp_lo,
                                           config_.temp_hi),
         rng.substream("temp", static_cast<std::uint64_t>(k))));
     drivers_.push_back(std::make_unique<AttributeDriver>(
-        world_, id, "occupied",
+        world_, id, occupied_,
         std::make_unique<PoissonArrivals>(config_.motion_rate),
         std::make_unique<ToggleValue>(),
         rng.substream("motion", static_cast<std::uint64_t>(k))));
@@ -104,8 +104,8 @@ void SmartOffice::start() {
   // Publish initial conditions as world events so sensors and the oracle
   // share a defined starting state.
   for (const auto id : room_objects_) {
-    world_.emit(id, "temp", world_.object(id).attribute("temp"));
-    world_.emit(id, "occupied", world_.object(id).attribute("occupied"));
+    world_.emit(id, temp_, world_.object(id).attribute(temp_));
+    world_.emit(id, occupied_, world_.object(id).attribute(occupied_));
   }
   for (const auto& d : drivers_) d->start();
 }
@@ -124,15 +124,15 @@ HospitalWard::HospitalWard(WorldModel& world, HospitalWardConfig config,
                                                    rng.substream("waiting"));
 
   ward_ = world_.create_object("infectious_ward");
-  world_.object(ward_).set_attribute("occupied", false);
-  world_.object(ward_).set_attribute("restricted", true);
+  world_.object(ward_).set_attribute(occupied_, false);
+  world_.object(ward_).set_attribute(restricted_, true);
 
   drivers_.push_back(std::make_unique<AttributeDriver>(
-      world_, ward_, "occupied",
+      world_, ward_, occupied_,
       std::make_unique<PoissonArrivals>(config_.ward_visit_rate),
       std::make_unique<ToggleValue>(), rng.substream("ward_visits")));
   drivers_.push_back(std::make_unique<AttributeDriver>(
-      world_, ward_, "restricted",
+      world_, ward_, restricted_,
       std::make_unique<PoissonArrivals>(config_.restriction_toggle_rate),
       std::make_unique<ToggleValue>(), rng.substream("restriction")));
 }
@@ -143,9 +143,8 @@ ObjectId HospitalWard::waiting_door_object(int k) const {
 
 void HospitalWard::start() {
   waiting_room_->start();
-  world_.emit(ward_, "occupied", world_.object(ward_).attribute("occupied"));
-  world_.emit(ward_, "restricted",
-              world_.object(ward_).attribute("restricted"));
+  world_.emit(ward_, occupied_, world_.object(ward_).attribute(occupied_));
+  world_.emit(ward_, restricted_, world_.object(ward_).attribute(restricted_));
   for (const auto& d : drivers_) d->start();
 }
 

@@ -54,6 +54,8 @@ class ExhibitionHall {
   WorldModel& world_;
   ExhibitionHallConfig config_;
   Rng rng_;
+  const Name entered_name_{"entered"};
+  const Name exited_name_{"exited"};
   std::vector<ObjectId> door_objects_;
   std::vector<std::int64_t> entered_, exited_;
   int occupancy_ = 0;
@@ -82,6 +84,8 @@ class SmartOffice {
  private:
   WorldModel& world_;
   SmartOfficeConfig config_;
+  const Name temp_{"temp"};
+  const Name occupied_{"occupied"};
   std::vector<ObjectId> room_objects_;
   std::vector<std::unique_ptr<AttributeDriver>> drivers_;
 };
@@ -114,6 +118,8 @@ class HospitalWard {
  private:
   WorldModel& world_;
   HospitalWardConfig config_;
+  const Name occupied_{"occupied"};
+  const Name restricted_{"restricted"};
   std::unique_ptr<ExhibitionHall> waiting_room_;  // reuse the crowd process
   ObjectId ward_ = kNoObject;
   std::vector<std::unique_ptr<AttributeDriver>> drivers_;

@@ -1,7 +1,5 @@
 #include "world/world_model.hpp"
 
-#include <utility>
-
 #include "common/error.hpp"
 
 namespace psn::world {
@@ -22,18 +20,13 @@ const WorldObject& WorldModel::object(ObjectId id) const {
   return objects_[id];
 }
 
-WorldEventIndex WorldModel::emit(ObjectId object_id,
-                                 const std::string& attribute,
+WorldEventIndex WorldModel::emit(ObjectId object_id, Name attribute,
                                  AttributeValue value) {
   WorldObject& obj = object(object_id);
   obj.set_attribute(attribute, value);
 
-  WorldEvent ev;
-  ev.when = sim_.now();
-  ev.object = object_id;
-  ev.attribute = attribute;
-  ev.value = std::move(value);
-  const WorldEventIndex idx = timeline_.append(std::move(ev));
+  const WorldEventIndex idx =
+      timeline_.append({sim_.now(), object_id, attribute, value});
 
   // Sinks observe the recorded (indexed) event.
   const WorldEvent& recorded = timeline_.at(idx);

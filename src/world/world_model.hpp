@@ -32,8 +32,7 @@ class WorldModel {
   void add_sink(Sink sink) { sinks_.push_back(std::move(sink)); }
 
   /// Records a change of `attribute` of `object` to `value`, now.
-  WorldEventIndex emit(ObjectId object, const std::string& attribute,
-                       AttributeValue value);
+  WorldEventIndex emit(ObjectId object, Name attribute, AttributeValue value);
 
   const WorldTimeline& timeline() const { return timeline_; }
   sim::Simulation& simulation() { return sim_; }

@@ -14,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
 #include <sstream>
 #include <string>
@@ -22,8 +23,13 @@
 #include "analysis/experiments.hpp"
 #include "analysis/export.hpp"
 #include "analysis/sweep.hpp"
+#include "common/error.hpp"
+#include "common/name.hpp"
 #include "common/table.hpp"
+#include "core/detectors.hpp"
+#include "core/predicate_parser.hpp"
 #include "net/message.hpp"
+#include "sim/fault.hpp"
 
 namespace psn::analysis {
 namespace {
@@ -344,6 +350,112 @@ TEST(ShardedGoldenTest, ChurnHeavyConfigStaysIdenticalAcrossShards) {
     EXPECT_EQ(got.metrics_csv, want.metrics_csv) << shards << " shards";
     EXPECT_EQ(got.trace_jsonl, want.trace_jsonl) << shards << " shards";
   }
+}
+
+// --- interning order never reaches an output (DESIGN.md §9) ---------------
+//
+// A Name's handle depends on which names a process interned first. A run
+// must not care: every golden above was pinned in processes that interned
+// the vocabulary in the order a run meets it, and the same hashes must come
+// out when that order is reversed.
+
+/// Every name a golden run interns: the scenarios' attributes, each
+/// detector's two transition notes and the transport's fault causes. A run
+/// meets "entered" first and the detector notes in loop order, so interning
+/// this list backwards reverses their handle order.
+std::vector<std::string> run_vocabulary() {
+  std::vector<std::string> names = {"entered", "exited",     "temp",
+                                    "occupied", "restricted"};
+  for (const auto& detector : core::all_online_detectors()) {
+    names.push_back(detector->name() + ":true");
+    names.push_back(detector->name() + ":false");
+  }
+  for (const char* cause : {"partition", "crash", "duty-cycle"}) {
+    names.emplace_back(cause);
+  }
+  return names;
+}
+
+/// The 1-shard golden configs with their pinned hashes.
+struct PinnedRun {
+  OccupancyConfig config;
+  GoldenHashes hashes;
+};
+
+std::vector<PinnedRun> pinned_runs() {
+  const net::ClockMode modes[] = {net::ClockMode::kScalarStrobe,
+                                  net::ClockMode::kVectorStrobe,
+                                  net::ClockMode::kPhysical};
+  std::vector<PinnedRun> runs;
+  for (std::size_t i = 0; i < 3; ++i) {
+    runs.push_back({stock(modes[i]), kGolden[i]});
+    runs.push_back({shard_grid_config(modes[i]), kShardGolden[i]});
+    runs.push_back({faulty_grid_config(modes[i]), kFaultyGolden[i]});
+  }
+  return runs;
+}
+
+TEST(InterningOrderDeathTest, ReverseInterningLeavesEveryGoldenUnchanged) {
+  if (print_mode()) GTEST_SKIP() << "re-pinning: the fixtures may be stale";
+  // Death tests run before every other test, so the forked child starts
+  // from an empty table and the reverse order fixes every handle a run
+  // takes; the child's exit code is the verdict.
+  EXPECT_EXIT(
+      {
+        if (Name::table_size() != 0) {
+          std::fputs("name table not empty at fork\n", stderr);
+          std::exit(2);
+        }
+        const std::vector<std::string> names = run_vocabulary();
+        for (auto it = names.rbegin(); it != names.rend(); ++it) {
+          [[maybe_unused]] const Name name(*it);
+        }
+        int diverged = 0;
+        for (const PinnedRun& pinned : pinned_runs()) {
+          const ShardArtifacts got =
+              artifacts_of(run_occupancy_experiment(pinned.config));
+          if (got.detections != pinned.hashes.detections ||
+              got.metrics_csv != pinned.hashes.metrics_csv ||
+              got.trace_jsonl != pinned.hashes.trace_jsonl) {
+            std::fprintf(stderr, "%s run diverged\n", pinned.hashes.mode);
+            diverged++;
+          }
+        }
+        std::exit(diverged == 0 ? 0 : 1);
+      },
+      testing::ExitedWithCode(0), "");
+}
+
+// --- names resolve once; parsers never intern ----------------------------
+
+TEST(NameTableTest, TracedRerunsInternNothing) {
+  const std::vector<PinnedRun> runs = pinned_runs();
+  for (const PinnedRun& pinned : runs) run_occupancy_experiment(pinned.config);
+  const std::size_t size = Name::table_size();
+  for (const PinnedRun& pinned : runs) {
+    const OccupancyRunResult run = run_occupancy_experiment(pinned.config);
+    EXPECT_FALSE(run.trace.empty()) << pinned.hashes.mode;
+    EXPECT_EQ(Name::table_size(), size) << pinned.hashes.mode;
+  }
+}
+
+TEST(NameTableTest, PredicateAndFaultParsersNeverIntern) {
+  const std::size_t size = Name::table_size();
+  for (int i = 0; i < 10'000; ++i) {
+    const std::string id = "fresh_" + std::to_string(i);
+    const core::Predicate p = core::parse_predicate(
+        "p" + std::to_string(i),
+        "sum(" + id + ") - " + id + "_x[2] > " + std::to_string(i) +
+            " && count(" + id + "_y) >= 1");
+    EXPECT_FALSE(p.is_conjunctive());
+  }
+  for (const char* plan :
+       {"crash:", "crash:x@1+2", "crash:3@", "crash:3@1+0", "crash:3@1e400+2",
+        "cut:1@1+2", "cut:1-2@1", "drift:2@1+5", "drift:2@1+5:ppm",
+        "bogus:1@1+1", "fresh_name:1@1+1"}) {
+    EXPECT_THROW(sim::parse_fault_plan(plan), ConfigError) << plan;
+  }
+  EXPECT_EQ(Name::table_size(), size);
 }
 
 }  // namespace

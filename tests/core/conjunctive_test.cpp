@@ -18,7 +18,6 @@ struct ViewBuilder {
                      const std::string& var, double value, std::int64_t ms) {
     ExecutionView::Event e;
     e.stamp = clocks::VectorStamp(std::move(stamp));
-    e.has_var = true;
     e.var = VarRef{pids_[process], var};
     e.value = value;
     e.when = t(ms);

@@ -20,7 +20,6 @@ struct ViewBuilder {
                      std::int64_t ms = 0) {
     ExecutionView::Event e;
     e.stamp = clocks::VectorStamp(std::move(stamp));
-    e.has_var = true;
     e.var = VarRef{pids_[process], var};
     e.value = value;
     e.when = t(ms);

@@ -2,6 +2,7 @@
 
 #include "common/error.hpp"
 #include "core/sensing.hpp"
+#include "core/variables.hpp"
 
 namespace psn::core {
 namespace {

@@ -55,6 +55,7 @@
 #include "check/stream_checker.hpp"
 #include "clocks/timestamp.hpp"
 #include "common/alloc_guard.hpp"
+#include "common/name.hpp"
 #include "common/sim_time.hpp"
 #include "core/detectors.hpp"
 #include "core/sharded_system.hpp"
@@ -636,7 +637,7 @@ std::string wire_rounds(std::uint64_t first, std::uint64_t rounds) {
   constexpr ProcessId kProcesses = 8;
   std::string out;
   sim::TraceRecord rec;
-  const sim::TraceNote entered("entered");
+  const Name entered("entered");
   for (std::uint64_t round = first; round < first + rounds; round++) {
     SimTime at = SimTime::zero() +
                  Duration::millis(static_cast<std::int64_t>(round) * 10);
@@ -650,7 +651,7 @@ std::string wire_rounds(std::uint64_t first, std::uint64_t rounds) {
       rec.message_kind = static_cast<int>(msg);
       rec.bytes = kind == sim::TraceKind::kSense ? 0 : 57;
       rec.seq = seq;
-      rec.note = kind == sim::TraceKind::kSense ? entered : sim::TraceNote();
+      rec.note = kind == sim::TraceKind::kSense ? entered : Name();
       analysis::append_trace_line(out, rec);
     };
     for (ProcessId p = 1; p < kProcesses; p++) {

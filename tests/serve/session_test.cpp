@@ -28,6 +28,7 @@
 
 #include "analysis/experiments.hpp"
 #include "analysis/export.hpp"
+#include "common/name.hpp"
 #include "common/rng.hpp"
 #include "net/message.hpp"
 #include "serve/trace_feed.hpp"
@@ -515,10 +516,10 @@ TEST(SoakServerTest, EchoesDistinctWireNotesWithoutInterningThem) {
     input += wire_notes.back() + "\"}\n";
   }
 
-  const std::size_t table_size = sim::TraceNote::table_size();
+  const std::size_t table_size = Name::table_size();
   CollectingWriter out;
   const SoakReport report = serve_input({}, input, out);
-  EXPECT_EQ(sim::TraceNote::table_size(), table_size);
+  EXPECT_EQ(Name::table_size(), table_size);
   EXPECT_EQ(report.exit_code, 0);
   EXPECT_EQ(report.detect_records, kLines);
 

@@ -4,11 +4,8 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <cstdio>
-#include <cstdlib>
 #include <memory>
 #include <string>
-#include <string_view>
 #include <tuple>
 #include <vector>
 
@@ -27,38 +24,6 @@ TraceRecord at_step(std::size_t i) {
   r.pid = static_cast<ProcessId>(i);
   r.bytes = static_cast<std::uint32_t>(i);
   return r;
-}
-
-TEST(TraceNoteTest, InternsEqualNamesToEqualHandles) {
-  const TraceNote entered("entered");
-  EXPECT_FALSE(entered.empty());
-  EXPECT_EQ(entered.str(), "entered");
-  EXPECT_TRUE(TraceNote(std::string("entered")) == entered);
-  EXPECT_TRUE(TraceNote(std::string_view("entered")) == entered);
-  EXPECT_FALSE(TraceNote("exited") == entered);
-  // The empty name is handle 0 and takes no table entry.
-  const std::size_t size = TraceNote::table_size();
-  EXPECT_TRUE(TraceNote("").empty());
-  EXPECT_TRUE(TraceNote("") == TraceNote());
-  EXPECT_EQ(TraceNote().str(), "");
-  EXPECT_EQ(TraceNote::table_size(), size);
-}
-
-TEST(TraceNoteDeathTest, InterningPastTheCapacityFails) {
-  // In a forked child, so the filled table dies with it.
-  EXPECT_EXIT(
-      {
-        try {
-          for (std::uint32_t i = 0; i <= TraceNote::kCapacity; ++i) {
-            TraceNote("cap-" + std::to_string(i));
-          }
-        } catch (const InvariantError& e) {
-          std::fputs(e.what(), stderr);
-          std::exit(3);
-        }
-        std::exit(0);
-      },
-      testing::ExitedWithCode(3), "trace note table full");
 }
 
 TEST(TraceRecorderTest, RejectsZeroCapacity) {

@@ -21,8 +21,8 @@ sim::SimConfig config_for(std::int64_t seconds, std::uint64_t seed = 1) {
 std::int64_t replayed_occupancy(const WorldModel& world) {
   std::int64_t occupancy = 0;
   for (const WorldEvent& ev : world.timeline().events()) {
-    if (ev.attribute == "entered") occupancy++;
-    if (ev.attribute == "exited") occupancy--;
+    if (ev.attribute.str() == "entered") occupancy++;
+    if (ev.attribute.str() == "exited") occupancy--;
   }
   return occupancy;
 }
@@ -97,8 +97,8 @@ TEST(ExhibitionHallTest, ThresholdGetsCrossedRepeatedly) {
   int crossings = 0;
   bool above = false;
   for (const auto& ev : world.timeline().events()) {
-    if (ev.attribute == "entered") occupancy++;
-    if (ev.attribute == "exited") occupancy--;
+    if (ev.attribute.str() == "entered") occupancy++;
+    if (ev.attribute.str() == "exited") occupancy--;
     const bool now_above = occupancy > cfg.capacity;
     if (now_above != above) crossings++;
     above = now_above;
@@ -155,8 +155,8 @@ TEST(SmartOfficeTest, InitialConditionsPublished) {
   SmartOffice office(world, cfg, Rng(7));
   office.start();
   ASSERT_GE(world.timeline().size(), 2u);
-  EXPECT_EQ(world.timeline().at(0).attribute, "temp");
-  EXPECT_EQ(world.timeline().at(1).attribute, "occupied");
+  EXPECT_EQ(world.timeline().at(0).attribute.str(), "temp");
+  EXPECT_EQ(world.timeline().at(1).attribute.str(), "occupied");
 }
 
 TEST(HospitalWardTest, BuildsWaitingRoomAndWard) {
