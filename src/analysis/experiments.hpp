@@ -50,8 +50,8 @@ struct OccupancyConfig : core::DeploymentConfig {
   /// with delta > 0) — validate() rejects the rest. Results are
   /// byte-identical at every K.
   std::size_t shards = 1;
-  /// Worker threads for the per-window shard fan-out (1 = inline). Changes
-  /// wall-clock time only, never results.
+  /// Threads that run shard turns, the caller included (1 = inline; capped
+  /// at `shards`). Changes wall-clock time only, never results.
   std::size_t shard_threads = 1;
   /// Drops the O(n)-wide vector clocks (city scale: 10^5 processes make
   /// every snapshot O(n)). The strobe-vector detector is skipped — its

@@ -243,34 +243,6 @@ ExprPtr binary(BinaryOp op, ExprPtr lhs, ExprPtr rhs) {
   return std::make_shared<BinaryExpr>(op, std::move(lhs), std::move(rhs));
 }
 
-ExprPtr operator+(ExprPtr a, ExprPtr b) {
-  return binary(BinaryOp::kAdd, std::move(a), std::move(b));
-}
-ExprPtr operator-(ExprPtr a, ExprPtr b) {
-  return binary(BinaryOp::kSub, std::move(a), std::move(b));
-}
-ExprPtr operator*(ExprPtr a, ExprPtr b) {
-  return binary(BinaryOp::kMul, std::move(a), std::move(b));
-}
-ExprPtr operator&&(ExprPtr a, ExprPtr b) {
-  return binary(BinaryOp::kAnd, std::move(a), std::move(b));
-}
-ExprPtr operator||(ExprPtr a, ExprPtr b) {
-  return binary(BinaryOp::kOr, std::move(a), std::move(b));
-}
-ExprPtr operator>(ExprPtr a, double v) {
-  return binary(BinaryOp::kGt, std::move(a), constant(v));
-}
-ExprPtr operator<(ExprPtr a, double v) {
-  return binary(BinaryOp::kLt, std::move(a), constant(v));
-}
-ExprPtr operator>=(ExprPtr a, double v) {
-  return binary(BinaryOp::kGe, std::move(a), constant(v));
-}
-ExprPtr operator==(ExprPtr a, double v) {
-  return binary(BinaryOp::kEq, std::move(a), constant(v));
-}
-
 Predicate::Predicate(std::string name, ExprPtr expr)
     : name_(std::move(name)), expr_(std::move(expr)) {
   PSN_CHECK(expr_ != nullptr, "predicate needs an expression");

@@ -57,17 +57,6 @@ ExprPtr aggregate(AggregateOp op, const std::string& name);
 ExprPtr unary(UnaryOp op, ExprPtr e);
 ExprPtr binary(BinaryOp op, ExprPtr lhs, ExprPtr rhs);
 
-// Convenience builders.
-ExprPtr operator+(ExprPtr a, ExprPtr b);
-ExprPtr operator-(ExprPtr a, ExprPtr b);
-ExprPtr operator*(ExprPtr a, ExprPtr b);
-ExprPtr operator&&(ExprPtr a, ExprPtr b);
-ExprPtr operator||(ExprPtr a, ExprPtr b);
-ExprPtr operator>(ExprPtr a, double v);
-ExprPtr operator<(ExprPtr a, double v);
-ExprPtr operator>=(ExprPtr a, double v);
-ExprPtr operator==(ExprPtr a, double v);
-
 /// A named global predicate with classification helpers.
 class Predicate {
  public:

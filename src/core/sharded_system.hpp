@@ -27,9 +27,9 @@ struct ShardedSystemConfig {
   /// the whole system in one shard with no window machinery and supports
   /// every delay kind; K > 1 requires a positive minimum one-hop delay.
   std::size_t shards = 1;
-  /// Worker threads driving the per-window shard fan-out (K > 1 only).
-  /// 1 = run shard turns inline on the caller. Determinism is independent
-  /// of this value; only wall-clock time changes.
+  /// Threads that run shard turns, the caller included (K > 1 only;
+  /// capped at K). 1 = run shard turns inline on the caller. Determinism is
+  /// independent of this value; only wall-clock time changes.
   std::size_t pool_threads = 1;
   /// Route every sense report as one unicast to the root P_0 instead of the
   /// system-wide strobe broadcast (the city-scale star deployment).

@@ -89,7 +89,6 @@ class TraceRecorder {
   /// through the stack, its field-wise stores would be read back by wider
   /// loads, which defeats store-to-load forwarding.
   void record(const TraceRecord& r) {
-    recorded_++;
     if (ring_.size() < capacity_) {
       ring_.push_back(r);
     } else {
@@ -102,14 +101,12 @@ class TraceRecorder {
 
   /// Records currently retained (≤ capacity).
   std::size_t size() const { return ring_.size(); }
-  /// Records ever recorded, including evicted ones. Unchanged by take().
-  std::size_t recorded() const { return recorded_; }
   /// Records the ring overwrote. Unchanged by take().
   std::size_t evicted() const { return evicted_; }
 
   /// Moves the retained records out, oldest first, without copying one: a
   /// wrapped ring is rotated in place first. The ring is left empty (same
-  /// capacity), while recorded() and evicted() keep describing the run.
+  /// capacity), while evicted() keeps describing the run.
   std::vector<TraceRecord> take();
 
  private:
@@ -118,7 +115,6 @@ class TraceRecorder {
   std::size_t capacity_;
   std::vector<TraceRecord> ring_;
   std::size_t head_ = 0;  ///< next slot to overwrite once the ring is full
-  std::size_t recorded_ = 0;
   std::size_t evicted_ = 0;
 };
 

@@ -27,9 +27,15 @@ GlobalState state_of(
 TEST(ExprTest, ConstantsAndArithmetic) {
   const GlobalState empty;
   EXPECT_DOUBLE_EQ(constant(5.0)->evaluate(empty), 5.0);
-  EXPECT_DOUBLE_EQ((constant(2.0) + constant(3.0))->evaluate(empty), 5.0);
-  EXPECT_DOUBLE_EQ((constant(2.0) - constant(3.0))->evaluate(empty), -1.0);
-  EXPECT_DOUBLE_EQ((constant(2.0) * constant(3.0))->evaluate(empty), 6.0);
+  EXPECT_DOUBLE_EQ(
+      binary(BinaryOp::kAdd, constant(2.0), constant(3.0))->evaluate(empty),
+      5.0);
+  EXPECT_DOUBLE_EQ(
+      binary(BinaryOp::kSub, constant(2.0), constant(3.0))->evaluate(empty),
+      -1.0);
+  EXPECT_DOUBLE_EQ(
+      binary(BinaryOp::kMul, constant(2.0), constant(3.0))->evaluate(empty),
+      6.0);
   EXPECT_DOUBLE_EQ(
       binary(BinaryOp::kDiv, constant(6.0), constant(3.0))->evaluate(empty),
       2.0);
@@ -51,19 +57,19 @@ TEST(ExprTest, VariablesReadState) {
 
 TEST(ExprTest, Comparisons) {
   const auto s = state_of({{{1, "x"}, 5.0}});
-  EXPECT_TRUE((var(1, "x") > 4.0)->holds(s));
-  EXPECT_FALSE((var(1, "x") > 5.0)->holds(s));
-  EXPECT_TRUE((var(1, "x") >= 5.0)->holds(s));
-  EXPECT_TRUE((var(1, "x") < 6.0)->holds(s));
-  EXPECT_TRUE((var(1, "x") == 5.0)->holds(s));
+  EXPECT_TRUE(binary(BinaryOp::kGt, var(1, "x"), constant(4.0))->holds(s));
+  EXPECT_FALSE(binary(BinaryOp::kGt, var(1, "x"), constant(5.0))->holds(s));
+  EXPECT_TRUE(binary(BinaryOp::kGe, var(1, "x"), constant(5.0))->holds(s));
+  EXPECT_TRUE(binary(BinaryOp::kLt, var(1, "x"), constant(6.0))->holds(s));
+  EXPECT_TRUE(binary(BinaryOp::kEq, var(1, "x"), constant(5.0))->holds(s));
   EXPECT_TRUE(binary(BinaryOp::kNe, var(1, "x"), constant(4.0))->holds(s));
   EXPECT_TRUE(binary(BinaryOp::kLe, var(1, "x"), constant(5.0))->holds(s));
 }
 
 TEST(ExprTest, LogicalOperators) {
   const auto s = state_of({{{1, "x"}, 1.0}, {{2, "y"}, 0.0}});
-  EXPECT_FALSE((var(1, "x") && var(2, "y"))->holds(s));
-  EXPECT_TRUE((var(1, "x") || var(2, "y"))->holds(s));
+  EXPECT_FALSE(binary(BinaryOp::kAnd, var(1, "x"), var(2, "y"))->holds(s));
+  EXPECT_TRUE(binary(BinaryOp::kOr, var(1, "x"), var(2, "y"))->holds(s));
   EXPECT_TRUE(unary(UnaryOp::kNot, var(2, "y"))->holds(s));
   EXPECT_FALSE(unary(UnaryOp::kNot, var(1, "x"))->holds(s));
   EXPECT_DOUBLE_EQ(unary(UnaryOp::kNeg, var(1, "x"))->evaluate(s), -1.0);
@@ -71,8 +77,10 @@ TEST(ExprTest, LogicalOperators) {
 
 TEST(ExprTest, LogicalResultIsBoolean01) {
   const auto s = state_of({{{1, "x"}, 7.0}});
-  EXPECT_DOUBLE_EQ((var(1, "x") && var(1, "x"))->evaluate(s), 1.0);
-  EXPECT_DOUBLE_EQ((var(1, "x") || var(1, "x"))->evaluate(s), 1.0);
+  EXPECT_DOUBLE_EQ(
+      binary(BinaryOp::kAnd, var(1, "x"), var(1, "x"))->evaluate(s), 1.0);
+  EXPECT_DOUBLE_EQ(
+      binary(BinaryOp::kOr, var(1, "x"), var(1, "x"))->evaluate(s), 1.0);
 }
 
 TEST(ExprTest, AggregatesOverProcesses) {
@@ -91,9 +99,11 @@ TEST(ExprTest, AggregateOverNothingIsZero) {
 
 TEST(ExprTest, ExhibitionHallPredicateShape) {
   // sum(entered) - sum(exited) > 200 — the paper's §5 predicate.
-  const auto phi =
-      (aggregate(AggregateOp::kSum, "entered") -
-       aggregate(AggregateOp::kSum, "exited")) > 200.0;
+  const auto phi = binary(
+      BinaryOp::kGt,
+      binary(BinaryOp::kSub, aggregate(AggregateOp::kSum, "entered"),
+             aggregate(AggregateOp::kSum, "exited")),
+      constant(200.0));
   auto s = state_of({{{1, "entered"}, 150.0},
                      {{2, "entered"}, 60.0},
                      {{1, "exited"}, 5.0},
@@ -104,7 +114,8 @@ TEST(ExprTest, ExhibitionHallPredicateShape) {
 }
 
 TEST(ExprTest, ReadSetIsNamedVarsAndAggregatedNames) {
-  const auto e = aggregate(AggregateOp::kSum, "x") + var(3, "y");
+  const auto e =
+      binary(BinaryOp::kAdd, aggregate(AggregateOp::kSum, "x"), var(3, "y"));
   std::set<VarRef> vars;
   e->collect_vars(vars);
   EXPECT_EQ(vars, (std::set<VarRef>{{3, "y"}}));
@@ -114,27 +125,42 @@ TEST(ExprTest, ReadSetIsNamedVarsAndAggregatedNames) {
 }
 
 TEST(ExprTest, ToStringRoundTripShape) {
-  const auto e = (var(1, "temp") > 30.0) && var(2, "occupied");
+  const auto e =
+      binary(BinaryOp::kAnd,
+             binary(BinaryOp::kGt, var(1, "temp"), constant(30.0)),
+             var(2, "occupied"));
   EXPECT_EQ(e->to_string(), "((temp[1] > 30) && occupied[2])");
 }
 
 TEST(PredicateTest, ConjunctiveClassification) {
   // Paper §3.1.2: ψ = (x_i = 5) ∧ (y_j > 7) is conjunctive...
-  const Predicate psi("psi", (var(1, "x") == 5.0) && (var(2, "y") > 7.0));
+  const Predicate psi(
+      "psi", binary(BinaryOp::kAnd,
+                    binary(BinaryOp::kEq, var(1, "x"), constant(5.0)),
+                    binary(BinaryOp::kGt, var(2, "y"), constant(7.0))));
   EXPECT_TRUE(psi.is_conjunctive());
   // ...while φ = x_i + y_j > 7 is relational.
-  const Predicate phi("phi", (var(1, "x") + var(2, "y")) > 7.0);
+  const Predicate phi(
+      "phi", binary(BinaryOp::kGt,
+                    binary(BinaryOp::kAdd, var(1, "x"), var(2, "y")),
+                    constant(7.0)));
   EXPECT_FALSE(phi.is_conjunctive());
 }
 
 TEST(PredicateTest, AggregateMakesRelational) {
-  const Predicate p("p", aggregate(AggregateOp::kSum, "x") > 1.0);
+  const Predicate p("p", binary(BinaryOp::kGt,
+                                aggregate(AggregateOp::kSum, "x"),
+                                constant(1.0)));
   EXPECT_FALSE(p.is_conjunctive());
 }
 
 TEST(PredicateTest, MultiConjunctsSameProcessStayConjunctive) {
-  const Predicate p("p", ((var(1, "temp") > 30.0) && (var(1, "hum") < 40.0)) &&
-                             var(2, "occ"));
+  const Predicate p(
+      "p", binary(BinaryOp::kAnd,
+                  binary(BinaryOp::kAnd,
+                         binary(BinaryOp::kGt, var(1, "temp"), constant(30.0)),
+                         binary(BinaryOp::kLt, var(1, "hum"), constant(40.0))),
+                  var(2, "occ")));
   EXPECT_TRUE(p.is_conjunctive());
   const auto locals = p.local_conjuncts();
   EXPECT_EQ(locals.at(1).size(), 2u);
@@ -142,14 +168,20 @@ TEST(PredicateTest, MultiConjunctsSameProcessStayConjunctive) {
 }
 
 TEST(PredicateTest, LocalConjunctsRequireConjunctive) {
-  const Predicate p("p", (var(1, "x") + var(2, "y")) > 7.0);
+  const Predicate p(
+      "p", binary(BinaryOp::kGt,
+                  binary(BinaryOp::kAdd, var(1, "x"), var(2, "y")),
+                  constant(7.0)));
   EXPECT_THROW(p.local_conjuncts(), InvariantError);
 }
 
 TEST(PredicateTest, DisjunctionAcrossProcessesIsOneConjunct) {
   // (x[1] > 0 || y[2] > 0) spans two processes inside one conjunct →
   // not conjunctive.
-  const Predicate p("p", (var(1, "x") > 0.0) || (var(2, "y") > 0.0));
+  const Predicate p(
+      "p", binary(BinaryOp::kOr,
+                  binary(BinaryOp::kGt, var(1, "x"), constant(0.0)),
+                  binary(BinaryOp::kGt, var(2, "y"), constant(0.0))));
   EXPECT_FALSE(p.is_conjunctive());
 }
 

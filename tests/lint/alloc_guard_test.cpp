@@ -187,8 +187,10 @@ TEST(AllocGuard, BroadcastScheduleCostIsIndependentOfFanOut) {
 std::uint64_t detector_feed_allocs(std::size_t rounds,
                                    std::uint64_t* transitions_out) {
   const std::size_t kProcs = 5;
-  core::Predicate phi("load", core::aggregate(core::AggregateOp::kSum, "x") >
-                                  100.0);
+  core::Predicate phi(
+      "load", core::binary(core::BinaryOp::kGt,
+                           core::aggregate(core::AggregateOp::kSum, "x"),
+                           core::constant(100.0)));
   core::IncrementalStrobeVectorDetector det(phi);
 
   // Pre-built update stream: reporters 1..4 alternate high/low values so the
@@ -239,8 +241,12 @@ TEST(AllocGuard, DetectorFeedIsAllocationFreeIncludingTransitions) {
 // date in place, and sum/count read them without building anything.
 TEST(AllocGuard, AggregateSetAndHoldsIsAllocationFree) {
   const core::Predicate phi(
-      "hall", (core::aggregate(core::AggregateOp::kSum, "a") -
-               core::aggregate(core::AggregateOp::kSum, "b")) > 40.0);
+      "hall",
+      core::binary(core::BinaryOp::kGt,
+                   core::binary(core::BinaryOp::kSub,
+                                core::aggregate(core::AggregateOp::kSum, "a"),
+                                core::aggregate(core::AggregateOp::kSum, "b")),
+                   core::constant(40.0)));
   core::GlobalState state;
   const std::vector<core::VarRef> vars = {
       {1, "a"}, {2, "a"}, {3, "a"}, {1, "b"}, {2, "b"}, {3, "b"}};
@@ -382,10 +388,14 @@ TEST(AllocGuard, StreamCheckerSecondExporterPassIsAllocationFree) {
 // timer chains that emit cross-shard traffic into outboxes, drained at every
 // fence by the exchange hook. Once the schedulers' slabs and the outbox
 // vectors reach their peak capacity, a whole measured run — schedule, fire,
-// outbox push, exchange, inject — must never touch the allocator. The
-// driver runs inline (pool_threads = 1: the counters are thread-local), as
-// the ShardedSimulation contract documents; the transport delivery path the
-// exchange replays is pinned separately by the broadcast tests above.
+// outbox push, exchange, inject — must never touch the allocator. It runs
+// inline (pool_threads = 1) and on a crew of two: the window hand-off, the
+// barrier and the driver thread's own share of shard turns allocate
+// nothing per window either. The counters are thread-local, so the crew
+// case counts the driver thread only; a helper's allocations are not
+// counted (the crew is started by the constructor, outside the scope). The
+// transport delivery path the exchange replays is pinned separately by the
+// broadcast tests above.
 
 struct WindowChain {
   sim::Scheduler* sched = nullptr;
@@ -406,7 +416,8 @@ struct WindowChain {
   }
 };
 
-std::uint64_t sharded_window_allocs(std::size_t ticks, std::uint64_t* fired_out) {
+std::uint64_t sharded_window_allocs(std::size_t ticks, std::size_t pool_threads,
+                                    std::uint64_t* fired_out) {
   constexpr std::size_t kShards = 4;
   std::vector<std::unique_ptr<sim::Simulation>> sims;
   std::vector<sim::Simulation*> raw;
@@ -441,7 +452,7 @@ std::uint64_t sharded_window_allocs(std::size_t ticks, std::uint64_t* fired_out)
     cfg.window = Duration::millis(5);
     cfg.horizon = chains[0].sched->now() +
                   Duration::millis(static_cast<std::int64_t>(n) + 16);
-    cfg.pool_threads = 1;
+    cfg.pool_threads = pool_threads;
     return sim::ShardedSimulation(raw, cfg);
   };
 
@@ -460,10 +471,14 @@ std::uint64_t sharded_window_allocs(std::size_t ticks, std::uint64_t* fired_out)
 }
 
 TEST(AllocGuard, ShardedWindowSteadyStateIsAllocationFree) {
-  std::uint64_t fired = 0;
-  const std::uint64_t allocs = sharded_window_allocs(2'000, &fired);
-  EXPECT_EQ(fired, 4u * (256 + 2'000));  // warmup + measured, all shards
-  EXPECT_EQ(allocs, 0u);
+  for (const std::size_t pool_threads : {std::size_t{1}, std::size_t{2}}) {
+    std::uint64_t fired = 0;
+    const std::uint64_t allocs =
+        sharded_window_allocs(2'000, pool_threads, &fired);
+    // warmup + measured, all shards
+    EXPECT_EQ(fired, 4u * (256 + 2'000)) << pool_threads << " threads";
+    EXPECT_EQ(allocs, 0u) << pool_threads << " threads";
+  }
 }
 
 // --- 6. fault layer --------------------------------------------------------
@@ -755,7 +770,7 @@ TEST(AllocGuard, AllPinnedPathsStayAllocationFreeOn8Threads) {
           total = stream_checker_feed_allocs(256, nullptr);
           break;
         case 4:
-          total = sharded_window_allocs(512, nullptr);
+          total = sharded_window_allocs(512, 1, nullptr);
           break;
         case 5:
           total = fault_schedule_query_allocs(2'000);

@@ -34,7 +34,7 @@ TEST(TraceRecorderTest, KeepsEverythingBelowCapacity) {
   TraceRecorder tr(8);
   for (std::size_t i = 0; i < 5; ++i) tr.record(at_step(i));
   EXPECT_EQ(tr.size(), 5u);
-  EXPECT_EQ(tr.recorded(), 5u);
+  EXPECT_EQ(tr.size() + tr.evicted(), 5u);
   EXPECT_EQ(tr.evicted(), 0u);
   const auto records = tr.take();
   ASSERT_EQ(records.size(), 5u);
@@ -45,7 +45,7 @@ TEST(TraceRecorderTest, EvictsOldestWhenFull) {
   TraceRecorder tr(3);
   for (std::size_t i = 0; i < 7; ++i) tr.record(at_step(i));
   EXPECT_EQ(tr.size(), 3u);
-  EXPECT_EQ(tr.recorded(), 7u);
+  EXPECT_EQ(tr.size() + tr.evicted(), 7u);
   EXPECT_EQ(tr.evicted(), 4u);
   const auto records = tr.take();  // oldest retained first
   ASSERT_EQ(records.size(), 3u);
@@ -74,8 +74,10 @@ TEST(TraceRecorderTest, TakeOfWrappedRingIsOldestFirst) {
 TEST(TraceRecorderTest, RecordedAndEvictedSurviveTake) {
   TraceRecorder tr(3);
   for (std::size_t i = 0; i < 5; ++i) tr.record(at_step(i));
-  ASSERT_EQ(tr.take().size(), 3u);
-  EXPECT_EQ(tr.recorded(), 5u);
+  const auto records = tr.take();
+  ASSERT_EQ(records.size(), 3u);
+  // Every record is either taken or counted as evicted.
+  EXPECT_EQ(records.size() + tr.evicted(), 5u);
   EXPECT_EQ(tr.evicted(), 2u);
   EXPECT_EQ(tr.size(), 0u);
 }
@@ -84,7 +86,7 @@ TEST(TraceRecorderTest, ReserveBeyondCapacityKeepsTheRingBounded) {
   TraceRecorder tr(3);
   tr.reserve(100);  // capped at the capacity
   EXPECT_EQ(tr.size(), 0u);
-  EXPECT_EQ(tr.recorded(), 0u);
+  EXPECT_EQ(tr.evicted(), 0u);
   for (std::size_t i = 0; i < 5; ++i) tr.record(at_step(i));
   EXPECT_EQ(tr.size(), 3u);
   EXPECT_EQ(tr.evicted(), 2u);
