@@ -68,7 +68,8 @@ SeedScores run_consensus_seed(std::int64_t delta_ms, std::uint64_t seed) {
   analysis::ScoreConfig score_cfg;
   score_cfg.tolerance = Duration::millis(2 * delta_ms + 1);
 
-  const auto single_dets = core::StrobeVectorDetector().run(system.log(), phi);
+  const auto single_dets =
+      core::Detector(core::DetectorKind::kStrobeVector).run(system.log(), phi);
   const auto logs = core::ConsensusStrobeDetector::observer_logs(system);
   const auto consensus_dets = core::ConsensusStrobeDetector().run(logs, phi);
 

@@ -78,7 +78,7 @@ EpisodeResult run_pulses(Duration overlap, Duration epsilon,
       oracle.evaluate(system.world().timeline(), sys.sim.horizon);
 
   const auto detections =
-      core::PhysicalClockDetector().run(system.log(), phi);
+      core::Detector(core::DetectorKind::kPhysicalEps).run(system.log(), phi);
   analysis::ScoreConfig score_cfg;
   score_cfg.tolerance = Duration::millis(10);
   const auto score = analysis::score_detections(truth, detections, score_cfg);

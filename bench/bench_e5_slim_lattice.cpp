@@ -10,9 +10,12 @@
 // compare with the unconstrained O(p^n) cut count.
 //
 // Expected shape: |lattice| falls monotonically with Δ, reaching exactly
-// total_events + 1 (a chain) at Δ = 0.
+// total_events + 1 (a chain) at Δ = 0. The binary exits 1 when either half
+// of that shape fails: a row's mean cut count exceeds the previous (larger
+// Δ) row's, or some Δ = 0 run is not a chain of total_events + 1 cuts.
 
 #include <cstdio>
+#include <vector>
 
 #include "common/table.hpp"
 #include "core/execution_view.hpp"
@@ -39,6 +42,8 @@ int main() {
     int linear = 0;
   };
 
+  std::vector<double> mean_cuts;  // one per row, Δ decreasing
+  bool chains_at_zero = true;
   for (const std::int64_t delta_ms : {-1, 400, 100, 25, 5, 0}) {
     Row acc;
     for (std::uint64_t seed = 1; seed <= kReps; ++seed) {
@@ -81,8 +86,13 @@ int main() {
       acc.unconstrained += core::lattice::unconstrained_cuts(view);
       acc.cuts += static_cast<double>(stats.consistent_cuts);
       acc.linear += stats.linear ? 1 : 0;
+      if (delta_ms == 0 &&
+          stats.consistent_cuts != stats.total_events + 1) {
+        chains_at_zero = false;
+      }
     }
     const double r = static_cast<double>(kReps);
+    mean_cuts.push_back(acc.cuts / r);
     table.row()
         .cell(delta_ms < 0 ? std::string("no strobes")
                            : std::to_string(delta_ms))
@@ -96,5 +106,20 @@ int main() {
   std::printf(
       "Claim check: sublattice shrinks monotonically as Delta falls; at\n"
       "Delta = 0 every run is a chain of exactly (total events + 1) states.\n");
+  for (std::size_t i = 1; i < mean_cuts.size(); ++i) {
+    if (mean_cuts[i] > mean_cuts[i - 1]) {
+      std::fprintf(stderr,
+                   "E5 claim failed: mean strobe sublattice grew from %.6g "
+                   "to %.6g cuts as Delta fell (row %zu)\n",
+                   mean_cuts[i - 1], mean_cuts[i], i + 1);
+      return 1;
+    }
+  }
+  if (!chains_at_zero) {
+    std::fprintf(stderr,
+                 "E5 claim failed: a Delta = 0 run is not a chain of "
+                 "total_events + 1 cuts\n");
+    return 1;
+  }
   return 0;
 }

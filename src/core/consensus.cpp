@@ -32,7 +32,7 @@ std::vector<Detection> ConsensusStrobeDetector::run(
   PSN_CHECK(logs.size() >= 2,
             "consensus needs the root plus at least one sensor observer");
 
-  const StrobeVectorDetector single;
+  const Detector single(DetectorKind::kStrobeVector);
   // Observer 0 (the root) provides the spine of reported transitions.
   std::vector<Detection> spine = single.run(*logs[0], predicate);
 

@@ -25,7 +25,7 @@ namespace psn::core {
 ///   - transitions every observer reports identically → confident,
 ///   - anything else → borderline (a race, by construction).
 /// This sharpens the single-observer stamp-concurrency heuristic of
-/// StrobeVectorDetector: disagreement is direct evidence of a race.
+/// the strobe-vector detector: disagreement is direct evidence of a race.
 class ConsensusStrobeDetector {
  public:
   /// Runs the vector-strobe detector over each observer's log and merges

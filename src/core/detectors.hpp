@@ -1,8 +1,11 @@
 #pragma once
 
-#include <memory>
+#include <array>
+#include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/observation.hpp"
@@ -14,7 +17,7 @@ namespace psn::core {
 /// is scoring metadata (the true time of the sense that triggered the
 /// report); the detector's *decision* never reads it.
 struct Detection {
-  SimTime detected_at;      ///< when the root could have acted (delivery time)
+  SimTime detected_at;  ///< when the root could have acted (see feed)
   bool to_true = false;
   /// Vector-strobe detectors flag a transition as borderline when the
   /// deciding updates were concurrent (a race within Δ) — the paper's
@@ -25,94 +28,112 @@ struct Detection {
   std::size_t update_index = 0;  ///< index into ObservationLog::updates
 };
 
+/// The four online detectors (DESIGN.md §6.8). They differ only in the order
+/// they consume the root's updates, in which stamp marks an update stale,
+/// and in whether a race or expired state flags a transition borderline.
+enum class DetectorKind : std::uint8_t {
+  /// Raw delivery order, no staleness filter: shows what the strobe
+  /// machinery buys (ablation ◊).
+  kDeliveryOrder,
+  /// Strobe *scalar* clock (paper §4.2.2 + [25]): the total order
+  /// (stamp value, pid) simulates the single time axis, and an update whose
+  /// stamp is not newer than its variable's is discarded. Races are
+  /// invisible in a total order, so wrong interleavings are reported
+  /// confidently: the scalar clock's false positives (§3.3).
+  kStrobeScalar,
+  /// Strobe *vector* clock (paper §4.2.1 + [24]): staleness uses the vector
+  /// partial order, and a transition decided by pairwise concurrent updates
+  /// (or by expired state) is flagged borderline instead of asserted.
+  kStrobeVector,
+  /// ε-synchronized physical clocks (Mayo–Kearns / Stoller style, paper
+  /// §3.1.1.a.i): updates in synchronized-timestamp order. Mis-ordering
+  /// happens only within the clock service's skew — the 2ε false-negative
+  /// window of [28].
+  kPhysicalEps,
+};
+
 /// Online every-occurrence global-predicate detector over the root's
-/// observation stream. Unlike the "detect once then hang" algorithms the
-/// paper criticizes (§3.3), all implementations emit a full transition
-/// stream: became-true and became-false, every time.
+/// observation stream, fed one update at a time in its kind's order. Unlike
+/// the "detect once then hang" algorithms the paper criticizes (§3.3), it
+/// emits a full transition stream: became-true and became-false, every time.
+class OnlineDetector {
+ public:
+  OnlineDetector(DetectorKind kind, Predicate predicate);
+
+  /// Consumes one update; returns a Detection whenever φ's truth value
+  /// changed. `detected_at` is the latest delivery among the updates
+  /// consumed so far: the earliest instant the root could have acted.
+  std::optional<Detection> feed(const ReceivedUpdate& update,
+                                std::size_t index);
+  bool holding() const { return holding_; }
+
+ private:
+  using ColumnId = GlobalState::ColumnId;
+
+  /// A per-variable table, keyed by the tracked state's own (column, pid)
+  /// index. Rows grow on first sight of a variable; steady state neither
+  /// searches nor allocates.
+  template <typename T>
+  class VarTable {
+   public:
+    T& at(ColumnId column, ProcessId pid) {
+      if (column >= rows_.size()) rows_.resize(std::size_t{column} + 1);
+      std::vector<T>& row = rows_[column];
+      if (pid >= row.size()) row.resize(std::size_t{pid} + 1);
+      return row[pid];
+    }
+    /// The column's entries by pid (empty if none was ever touched).
+    std::span<const T> row(ColumnId column) const {
+      if (column >= rows_.size()) return {};
+      return rows_[column];
+    }
+
+   private:
+    std::vector<std::vector<T>> rows_;
+  };
+
+  /// What strobe-vector retains per variable.
+  struct Fresh {
+    /// Freshest accepted vector stamp; nullopt until the first one.
+    std::optional<clocks::VectorStamp> stamp;
+    /// Instant the retained observation expires (temporal validity;
+    /// SimTime::max() while unbounded).
+    SimTime expires = SimTime::max();
+  };
+
+  template <typename Pred>
+  bool any_other_read(ColumnId column, ProcessId pid, Pred pred) const;
+
+  DetectorKind kind_;
+  Predicate predicate_;
+  GlobalState state_;
+  bool holding_;
+  SimTime watermark_ = SimTime::zero();
+  VarTable<std::optional<clocks::ScalarStamp>> scalar_;
+  VarTable<Fresh> vector_;
+  /// φ's read set in the state's columns: whole columns for aggregated
+  /// names, single variables for the ones named outright.
+  std::vector<ColumnId> read_columns_;
+  std::vector<std::pair<ColumnId, ProcessId>> read_vars_;
+};
+
+/// A detector kind over a finished log: run() folds a fresh OnlineDetector's
+/// feed over the log in the kind's order.
 class Detector {
  public:
-  virtual ~Detector() = default;
-  virtual std::string name() const = 0;
-  virtual std::vector<Detection> run(const ObservationLog& log,
-                                     const Predicate& predicate) const = 0;
-};
+  constexpr explicit Detector(DetectorKind kind) : kind_(kind) {}
 
-/// Baseline: applies updates in raw delivery order with no staleness
-/// filtering at all. Shows what the strobe machinery buys (ablation ◊).
-class DeliveryOrderDetector final : public Detector {
- public:
-  std::string name() const override { return "delivery-order"; }
+  DetectorKind kind() const { return kind_; }
+  /// delivery-order, strobe-scalar, strobe-vector or physical-eps.
+  std::string name() const;
   std::vector<Detection> run(const ObservationLog& log,
-                             const Predicate& predicate) const override;
-};
+                             const Predicate& predicate) const;
 
-/// Strobe *scalar* clock detection (paper §4.2.2 + [25]): the total order
-/// (stamp value, pid) simulates the single time axis. Stale updates — those
-/// whose stamp is not newer than the variable's current stamp — are
-/// discarded. Races are invisible in a total order, so wrong interleavings
-/// are reported confidently: this is where the scalar clock's false
-/// positives come from (§3.3).
-class StrobeScalarDetector final : public Detector {
- public:
-  std::string name() const override { return "strobe-scalar"; }
-  std::vector<Detection> run(const ObservationLog& log,
-                             const Predicate& predicate) const override;
-};
-
-/// Strobe *vector* clock detection (paper §4.2.1 + [24]): staleness uses the
-/// vector partial order, and — crucially — a transition decided by updates
-/// whose stamps are pairwise concurrent is flagged `borderline` instead of
-/// being asserted. Vector strobes thus trade the scalar's false positives
-/// for classified races (§3.3, §5).
-class StrobeVectorDetector final : public Detector {
- public:
-  std::string name() const override { return "strobe-vector"; }
-  std::vector<Detection> run(const ObservationLog& log,
-                             const Predicate& predicate) const override;
-};
-
-/// ε-synchronized physical-clock detection (Mayo–Kearns / Stoller style,
-/// paper §3.1.1.a.i): updates are ordered by their synchronized timestamps.
-/// Mis-ordering happens only when two events fall within the clock service's
-/// skew — the 2ε false-negative window of [28].
-class PhysicalClockDetector final : public Detector {
- public:
-  std::string name() const override { return "physical-eps"; }
-  std::vector<Detection> run(const ObservationLog& log,
-                             const Predicate& predicate) const override;
+ private:
+  DetectorKind kind_;
 };
 
 /// All four online detectors, for side-by-side experiment sweeps.
-std::vector<std::unique_ptr<Detector>> all_online_detectors();
-
-/// Incremental form of the strobe-vector detector, for true online use
-/// inside a running simulation (core/online_monitor): feed updates one at a
-/// time; a Detection is returned whenever φ's truth value changed.
-/// StrobeVectorDetector::run() is exactly a fold of this over the log.
-class IncrementalStrobeVectorDetector {
- public:
-  explicit IncrementalStrobeVectorDetector(Predicate predicate);
-  ~IncrementalStrobeVectorDetector();
-  IncrementalStrobeVectorDetector(IncrementalStrobeVectorDetector&&) noexcept;
-  IncrementalStrobeVectorDetector& operator=(
-      IncrementalStrobeVectorDetector&&) noexcept;
-
-  std::optional<Detection> feed(const ReceivedUpdate& update,
-                                std::size_t index);
-  bool holding() const;
-  const Predicate& predicate() const;
-
-  /// Feeds whose evaluation involved temporally expired state (the update's
-  /// own validity interval had lapsed before delivery, or a retained
-  /// read-set variable's had lapsed by the evaluation instant — Kopetz-
-  /// Steiner temporal validity). Such evaluations are flagged `borderline`
-  /// in the emitted Detection: acting on expired state must be visible.
-  /// Always 0 under the default unbounded ValidityHorizon.
-  std::size_t stale_observations() const;
-
- private:
-  struct Impl;
-  std::unique_ptr<Impl> impl_;
-};
+std::array<const Detector*, 4> all_online_detectors();
 
 }  // namespace psn::core

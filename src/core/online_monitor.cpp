@@ -11,7 +11,7 @@ OnlineMonitor::OnlineMonitor(ShardedPervasiveSystem& system,
                              Predicate predicate,
                              std::vector<ActuationRule> rules)
     : system_(system),
-      detector_(std::move(predicate)),
+      detector_(DetectorKind::kStrobeVector, std::move(predicate)),
       rules_(std::move(rules)) {
   for (const auto& rule : rules_) {
     PSN_CHECK(rule.actuator >= 1 && rule.actuator < system_.num_processes(),

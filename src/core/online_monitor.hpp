@@ -29,11 +29,11 @@ struct ActuationRule {
 };
 
 /// In-simulation global-predicate monitor at the root P_0: feeds every
-/// incoming sense report to an incremental strobe-vector detector and sends
-/// actuation commands per the rules, while the simulation runs. This is the
-/// online counterpart of the offline Detector interface; it closes the
-/// control loop, so actuation effects become world events that are sensed
-/// again.
+/// incoming sense report to a strobe-vector OnlineDetector and sends
+/// actuation commands per the rules, while the simulation runs. Its
+/// detections equal Detector::run over the finished log; unlike that fold,
+/// it closes the control loop, so actuation effects become world events that
+/// are sensed again.
 ///
 /// Construct after the system and before run(); keep alive for the whole
 /// run. Needs a live single-shard system (it sends through transport()).
@@ -60,17 +60,11 @@ class OnlineMonitor {
   /// a-events against issued commands.
   std::vector<Duration> actuation_latencies() const;
 
-  /// Evaluations the detector made on expired state (kStaleObservation);
-  /// stays 0 under the default unbounded validity policy.
-  std::size_t stale_observations() const {
-    return detector_.stale_observations();
-  }
-
  private:
   void on_update(const ReceivedUpdate& update, std::size_t index);
 
   ShardedPervasiveSystem& system_;
-  IncrementalStrobeVectorDetector detector_;
+  OnlineDetector detector_;
   std::vector<ActuationRule> rules_;
   std::vector<Detection> detections_;
   std::vector<ActuationRecord> actuations_;

@@ -146,7 +146,8 @@ TEST_P(ConsensusPropertyTest, ConsensusBorderlineCoversErrors) {
   score_cfg.tolerance = 300_ms;
   const auto logs = ConsensusStrobeDetector::observer_logs(system);
   const auto consensus_dets = ConsensusStrobeDetector().run(logs, phi);
-  const auto single_dets = StrobeVectorDetector().run(system.log(), phi);
+  const auto single_dets =
+      Detector(DetectorKind::kStrobeVector).run(system.log(), phi);
 
   const auto consensus =
       analysis::score_detections(truth, consensus_dets, score_cfg);

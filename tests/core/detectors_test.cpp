@@ -44,6 +44,11 @@ struct LogBuilder {
   ObservationLog log;
 };
 
+constexpr Detector kDeliveryOrder(DetectorKind::kDeliveryOrder);
+constexpr Detector kStrobeScalar(DetectorKind::kStrobeScalar);
+constexpr Detector kStrobeVector(DetectorKind::kStrobeVector);
+constexpr Detector kPhysicalEps(DetectorKind::kPhysicalEps);
+
 Predicate both_positive() { return parse_predicate("p", "x[1] > 0 && x[2] > 0"); }
 
 TEST(DeliveryOrderDetectorTest, AppliesEverythingInArrivalOrder) {
@@ -51,7 +56,7 @@ TEST(DeliveryOrderDetectorTest, AppliesEverythingInArrivalOrder) {
   b.update(10, 1, "x", 1.0, {1, 1}, {0, 1, 0});
   b.update(20, 2, "x", 1.0, {1, 2}, {0, 0, 1});
   b.update(30, 1, "x", 0.0, {2, 1}, {0, 2, 1});
-  const auto detections = DeliveryOrderDetector().run(b.log, both_positive());
+  const auto detections = kDeliveryOrder.run(b.log, both_positive());
   ASSERT_EQ(detections.size(), 2u);
   EXPECT_TRUE(detections[0].to_true);
   EXPECT_EQ(detections[0].detected_at, t(20));
@@ -67,7 +72,7 @@ TEST(StrobeScalarDetectorTest, DiscardsStaleUpdates) {
   b.update(10, 1, "x", 5.0, {3, 1}, {0, 3});   // newer arrives first
   b.update(20, 1, "x", 1.0, {2, 1}, {0, 2});   // stale — must be dropped
   const auto detections =
-      StrobeScalarDetector().run(b.log, parse_predicate("p", "x[1] > 3"));
+      kStrobeScalar.run(b.log, parse_predicate("p", "x[1] > 3"));
   ASSERT_EQ(detections.size(), 1u);  // only the became-true at t=10
   EXPECT_TRUE(detections[0].to_true);
 }
@@ -78,7 +83,7 @@ TEST(StrobeScalarDetectorTest, NoBorderlineEver) {
   LogBuilder b(3);
   b.update(10, 1, "x", 1.0, {1, 1}, {0, 1, 0});
   b.update(11, 2, "x", 1.0, {1, 2}, {0, 0, 1});  // concurrent in vector terms
-  const auto detections = StrobeScalarDetector().run(b.log, both_positive());
+  const auto detections = kStrobeScalar.run(b.log, both_positive());
   for (const auto& d : detections) EXPECT_FALSE(d.borderline);
   ASSERT_EQ(detections.size(), 1u);
 }
@@ -90,7 +95,7 @@ TEST(StrobeScalarDetectorTest, EqualStampsBreakByPid) {
   // variable it still applies.
   b.update(20, 1, "x", 3.0, {5, 1}, {0, 5, 0});
   const auto detections =
-      StrobeScalarDetector().run(b.log, parse_predicate("p", "x[1] + x[2] > 4"));
+      kStrobeScalar.run(b.log, parse_predicate("p", "x[1] + x[2] > 4"));
   ASSERT_EQ(detections.size(), 1u);
   EXPECT_TRUE(detections[0].to_true);
 }
@@ -100,7 +105,7 @@ TEST(StrobeVectorDetectorTest, DropsCausallySupersededUpdate) {
   b.update(10, 1, "x", 5.0, {3, 1}, {0, 3});
   b.update(20, 1, "x", 1.0, {2, 1}, {0, 2});  // happens-before the applied one
   const auto detections =
-      StrobeVectorDetector().run(b.log, parse_predicate("p", "x[1] > 3"));
+      kStrobeVector.run(b.log, parse_predicate("p", "x[1] > 3"));
   ASSERT_EQ(detections.size(), 1u);
   EXPECT_TRUE(detections[0].to_true);
 }
@@ -111,7 +116,7 @@ TEST(StrobeVectorDetectorTest, FlagsRaceAsBorderline) {
   LogBuilder b(3);
   b.update(10, 1, "x", 1.0, {1, 1}, {0, 1, 0});
   b.update(12, 2, "x", 1.0, {1, 2}, {0, 0, 1});  // concurrent with the above
-  const auto detections = StrobeVectorDetector().run(b.log, both_positive());
+  const auto detections = kStrobeVector.run(b.log, both_positive());
   ASSERT_EQ(detections.size(), 1u);
   EXPECT_TRUE(detections[0].to_true);
   EXPECT_TRUE(detections[0].borderline);
@@ -122,7 +127,7 @@ TEST(StrobeVectorDetectorTest, OrderedUpdatesAreConfident) {
   LogBuilder b(3);
   b.update(10, 1, "x", 1.0, {1, 1}, {0, 1, 0});
   b.update(30, 2, "x", 1.0, {2, 2}, {0, 1, 1});  // dominates P1's stamp
-  const auto detections = StrobeVectorDetector().run(b.log, both_positive());
+  const auto detections = kStrobeVector.run(b.log, both_positive());
   ASSERT_EQ(detections.size(), 1u);
   EXPECT_TRUE(detections[0].to_true);
   EXPECT_FALSE(detections[0].borderline);
@@ -135,7 +140,7 @@ TEST(StrobeVectorDetectorTest, RaceWithIrrelevantVariableIgnored) {
   b.update(5, 2, "noise", 1.0, {1, 2}, {0, 0, 1});
   b.update(10, 1, "x", 5.0, {1, 1}, {0, 1, 0});  // concurrent with noise
   const auto detections =
-      StrobeVectorDetector().run(b.log, parse_predicate("p", "x[1] > 3"));
+      kStrobeVector.run(b.log, parse_predicate("p", "x[1] > 3"));
   ASSERT_EQ(detections.size(), 1u);
   EXPECT_FALSE(detections[0].borderline);
 }
@@ -147,7 +152,7 @@ TEST(StrobeVectorDetectorTest, AggregateReadsEveryVariableOfItsName) {
   b.update(10, 1, "x", 1.0, {1, 1}, {0, 1, 0});
   b.update(12, 2, "x", 1.0, {1, 2}, {0, 0, 1});  // concurrent with the above
   const auto detections =
-      StrobeVectorDetector().run(b.log, parse_predicate("p", "sum(x) > 1"));
+      kStrobeVector.run(b.log, parse_predicate("p", "sum(x) > 1"));
   ASSERT_EQ(detections.size(), 1u);
   EXPECT_TRUE(detections[0].to_true);
   EXPECT_TRUE(detections[0].borderline);
@@ -159,7 +164,7 @@ TEST(StrobeVectorDetectorTest, AggregateIgnoresRaceWithAnotherName) {
   b.update(5, 2, "y", 1.0, {1, 2}, {0, 0, 1});
   b.update(10, 1, "x", 1.0, {1, 1}, {0, 1, 0});  // concurrent with y[2]
   const auto detections =
-      StrobeVectorDetector().run(b.log, parse_predicate("p", "sum(x) > 0"));
+      kStrobeVector.run(b.log, parse_predicate("p", "sum(x) > 0"));
   ASSERT_EQ(detections.size(), 1u);
   EXPECT_TRUE(detections[0].to_true);
   EXPECT_FALSE(detections[0].borderline);
@@ -177,7 +182,7 @@ TEST(PhysicalClockDetectorTest, ProcessesInTimestampOrder) {
   // Falsifier sensed at 250 ms.
   b.update(/*delivered=*/260, 1, "x", 0.0, {2, 1}, {0, 2, 0},
            /*sensed=*/250);
-  const auto detections = PhysicalClockDetector().run(b.log, both_positive());
+  const auto detections = kPhysicalEps.run(b.log, both_positive());
   // Correct order: x1=1 (100), x2=1 (200) → true, x1=0 (250) → false.
   ASSERT_EQ(detections.size(), 2u);
   EXPECT_TRUE(detections[0].to_true);
@@ -195,7 +200,7 @@ TEST(PhysicalClockDetectorTest, SkewCanInvertCloseEvents) {
            /*synced_us_offset=*/-2000);
   // In true time: x1 then x2, so φ becomes true at x2 (51 ms).
   // In synced order: x2 (49 ms) then x1 (52 ms) — φ "becomes true" at x1.
-  const auto detections = PhysicalClockDetector().run(b.log, both_positive());
+  const auto detections = kPhysicalEps.run(b.log, both_positive());
   ASSERT_EQ(detections.size(), 1u);
   EXPECT_EQ(detections[0].cause_true_time, t(50));  // the wrong culprit
 }

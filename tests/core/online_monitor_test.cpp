@@ -63,16 +63,16 @@ TEST(OnlineMonitorTest, DetectsTransitionsLive) {
   EXPECT_TRUE(monitor.detections()[0].to_true);
   EXPECT_FALSE(monitor.detections()[1].to_true);
   // Online detections match the offline detector on the same log.
-  const auto offline = StrobeVectorDetector().run(
+  const auto offline = Detector(DetectorKind::kStrobeVector).run(
       f.system->log(), parse_predicate("hot", "temp[1] > 30 && motion[2]"));
   ASSERT_EQ(offline.size(), 2u);
   EXPECT_EQ(offline[0].cause_true_time,
             monitor.detections()[0].cause_true_time);
 }
 
-// Under a bounded validity horizon the monitor's stale count is its
-// detector's own: the same count an offline incremental detector gets from
-// the same log.
+// Under a bounded validity horizon the monitor flags the transitions it
+// decides on expired state borderline, exactly as the offline fold of the
+// same detector over the same log does.
 TEST(OnlineMonitorTest, StaleObservationsMatchTheOfflineDetector) {
   ValidityHorizon validity;
   validity.lifetime = 250_ms;
@@ -90,11 +90,19 @@ TEST(OnlineMonitorTest, StaleObservationsMatchTheOfflineDetector) {
                     [&] { f.system->world().emit(f.room, "temp", 33.0); });
   f.system->run();
 
-  IncrementalStrobeVectorDetector offline(phi);
-  const auto& updates = f.system->log().updates;
-  for (std::size_t i = 0; i < updates.size(); ++i) offline.feed(updates[i], i);
-  EXPECT_GT(monitor.stale_observations(), 0u);
-  EXPECT_EQ(monitor.stale_observations(), offline.stale_observations());
+  const auto offline =
+      Detector(DetectorKind::kStrobeVector).run(f.system->log(), phi);
+  const auto& online = monitor.detections();
+  ASSERT_EQ(online.size(), offline.size());
+  std::size_t borderline = 0;
+  for (std::size_t i = 0; i < online.size(); ++i) {
+    EXPECT_EQ(online[i].update_index, offline[i].update_index);
+    EXPECT_EQ(online[i].detected_at, offline[i].detected_at);
+    EXPECT_EQ(online[i].borderline, offline[i].borderline);
+    if (online[i].borderline) borderline++;
+  }
+  // motion[2] expires at 350 ms; the 400 ms and 900 ms evaluations read it.
+  EXPECT_GT(borderline, 0u);
 }
 
 TEST(OnlineMonitorTest, ClosedLoopActuationChangesWorld) {

@@ -16,8 +16,8 @@
 //      the schedule phase's allocation count is independent of fan-out N
 //      (the SharedPayload is allocated once per logical message, never per
 //      copy).
-//   3. IncrementalStrobeVectorDetector::feed, including feeds that flip the
-//      predicate (transitions must not build a vector to return one
+//   3. OnlineDetector::feed of every detector kind, including feeds that
+//      flip the predicate (transitions must not build a vector to return one
 //      detection); and the root-side GlobalState::set + Predicate::holds of
 //      sum(a) - sum(b) > c on the running aggregate totals.
 //   4. StreamChecker::feed in trace-only mode — the soak server's always-on
@@ -182,21 +182,22 @@ TEST(AllocGuard, BroadcastScheduleCostIsIndependentOfFanOut) {
   EXPECT_EQ(small.schedule, 0u);
 }
 
-// --- 3. dense strobe-vector detector --------------------------------------
+// --- 3. online detectors ---------------------------------------------------
 
-std::uint64_t detector_feed_allocs(std::size_t rounds,
+std::uint64_t detector_feed_allocs(core::DetectorKind kind, std::size_t rounds,
                                    std::uint64_t* transitions_out) {
   const std::size_t kProcs = 5;
   core::Predicate phi(
       "load", core::binary(core::BinaryOp::kGt,
                            core::aggregate(core::AggregateOp::kSum, "x"),
                            core::constant(100.0)));
-  core::IncrementalStrobeVectorDetector det(phi);
+  core::OnlineDetector det(kind, phi);
 
   // Pre-built update stream: reporters 1..4 alternate high/low values so the
   // sum crosses the threshold repeatedly — transitions are the interesting
-  // case (they used to build a std::vector per feed). Stamps advance per
-  // reporter so nothing is discarded as stale.
+  // case (they used to build a std::vector per feed). Stamps and synced
+  // timestamps advance, so nothing is discarded as stale and delivery order
+  // is every kind's consumption order.
   std::vector<core::ReceivedUpdate> updates;
   std::uint64_t tick = 1;
   for (std::size_t r = 0; r < rounds; r++) {
@@ -208,6 +209,7 @@ std::uint64_t detector_feed_allocs(std::size_t rounds,
       u.report.value = (r % 2 == 0) ? 50.0 : 0.0;
       u.report.strobe_vector = clocks::VectorStamp(kProcs);
       u.report.strobe_vector[p] = tick;
+      u.report.strobe_scalar = {tick, p};
       u.report.synced_timestamp = u.delivered_at;
       tick++;
       updates.push_back(std::move(u));
@@ -229,11 +231,14 @@ std::uint64_t detector_feed_allocs(std::size_t rounds,
 }
 
 TEST(AllocGuard, DetectorFeedIsAllocationFreeIncludingTransitions) {
-  std::uint64_t transitions = 0;
-  const std::uint64_t allocs = detector_feed_allocs(512, &transitions);
-  // The workload must actually exercise the transition branch, at scale.
-  EXPECT_GT(transitions, 100u);
-  EXPECT_EQ(allocs, 0u);
+  for (const core::Detector* d : core::all_online_detectors()) {
+    std::uint64_t transitions = 0;
+    const std::uint64_t allocs =
+        detector_feed_allocs(d->kind(), 512, &transitions);
+    // The workload must actually exercise the transition branch, at scale.
+    EXPECT_GT(transitions, 100u) << d->name();
+    EXPECT_EQ(allocs, 0u) << d->name();
+  }
 }
 
 // Root-side evaluation of the exhibition-hall predicate in steady state:
@@ -621,7 +626,11 @@ TEST(AllocGuard, TraceHandOffCopiesNoRecords) {
   core::ShardedPervasiveSystem system(config);
   std::vector<std::unique_ptr<world::AttributeDriver>> drivers;
   for (ProcessId pid = 1; pid <= 6; ++pid) {
-    const auto obj = system.world().create_object("o" + std::to_string(pid));
+    // Built with += : GCC 12's -Wrestrict false-fires on `"o" + <rvalue
+    // string>` under -O3.
+    std::string name = "o";
+    name += std::to_string(pid);
+    const auto obj = system.world().create_object(name);
     system.world().object(obj).set_attribute("count", std::int64_t{0});
     system.assign(obj, "count", pid);
     drivers.push_back(std::make_unique<world::AttributeDriver>(
@@ -764,7 +773,9 @@ TEST(AllocGuard, AllPinnedPathsStayAllocationFreeOn8Threads) {
           total = broadcast_allocs(8, 16).deliver;
           break;
         case 2:
-          total = detector_feed_allocs(128, nullptr);
+          for (const core::Detector* d : core::all_online_detectors()) {
+            total += detector_feed_allocs(d->kind(), 128, nullptr);
+          }
           break;
         case 3:
           total = stream_checker_feed_allocs(256, nullptr);

@@ -198,7 +198,11 @@ TraceRecord random_record(Rng& rng, SimTime at, std::size_t serial) {
   r.message_kind = static_cast<int>(rng.uniform_int(-1, 3));
   r.bytes = static_cast<std::uint32_t>(rng.uniform_int(0, 64));
   r.seq = static_cast<std::uint64_t>(rng.uniform_int(0, 3));
-  r.note = "r" + std::to_string(serial);
+  // Built with += : GCC 12's -Wrestrict false-fires on `"r" + <rvalue
+  // string>` under -O3.
+  std::string note = "r";
+  note += std::to_string(serial);
+  r.note = note;
   return r;
 }
 
