@@ -10,14 +10,14 @@
 // catches stale-ordering races the stamp rule misses), at the cost of a
 // larger borderline bin and O(n) observer state.
 
+#include <algorithm>
 #include <cstdio>
-#include <numeric>
 #include <utility>
 #include <vector>
 
 #include "analysis/scoring.hpp"
+#include "common/crew.hpp"
 #include "common/table.hpp"
-#include "common/thread_pool.hpp"
 #include "core/consensus.hpp"
 #include "core/oracle.hpp"
 #include "core/predicate_parser.hpp"
@@ -33,7 +33,7 @@ struct SeedScores {
 };
 
 /// One full system build + run + consensus scoring for one seed. Pure
-/// function of (delta_ms, seed), so seeds fan out across the pool.
+/// function of (delta_ms, seed), so seeds fan out across the crew.
 SeedScores run_consensus_seed(std::int64_t delta_ms, std::uint64_t seed) {
   core::ShardedSystemConfig config;
   core::SystemConfig& sys = config.base;
@@ -95,17 +95,15 @@ int main() {
                "single precision", "consensus precision", "single bin",
                "consensus bin", "recall w/ bin (cons.)"});
 
-  ThreadPool pool(0);  // one worker per hardware thread
-  std::vector<std::uint64_t> seeds(kReps);
-  std::iota(seeds.begin(), seeds.end(), 1);
+  Crew crew(std::min(Crew::hardware_threads(), kReps));
+  std::vector<SeedScores> per_seed(kReps);
 
   for (const std::int64_t delta_ms : {25, 75, 150, 300}) {
-    // Seeds are independent runs; merge in seed order keeps the totals
-    // identical to the old sequential loop at any pool size.
-    const auto per_seed =
-        parallel_map(pool, seeds, [delta_ms](const std::uint64_t& seed) {
-          return run_consensus_seed(delta_ms, seed);
-        });
+    // Seeds 1..kReps are independent runs; merge in seed order keeps the
+    // totals identical to a sequential loop at any crew size.
+    crew.for_each(kReps, [&](std::size_t i) {
+      per_seed[i] = run_consensus_seed(delta_ms, i + 1);
+    });
     analysis::DetectionScore single_total, consensus_total;
     for (const SeedScores& s : per_seed) {
       single_total += s.single;

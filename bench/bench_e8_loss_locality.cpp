@@ -9,14 +9,19 @@
 // run of the same seed.
 //
 // Expected shape: errors concentrate in the padded window; outside it the
-// lossy run matches the clean run (no ripple).
+// lossy run matches the clean run (no ripple). The binary exits 1 unless,
+// for both strobe detectors, the lossy run has more in-window errors than
+// the clean one and that excess is at least 5x the outside difference.
 //
 // The clean/lossy run pairs need the raw per-run results (error *locations*,
 // not merged scores), so this bench uses the sweep engine's lower-level
-// run_specs() fan-out: all 2×kReps simulations run across the pool, results
+// run_specs() fan-out: all 2×kReps simulations run across its crew, results
 // come back in input order.
 
 #include <cstdio>
+#include <cstdlib>
+#include <map>
+#include <string>
 
 #include "analysis/sweep.hpp"
 #include "common/table.hpp"
@@ -91,9 +96,9 @@ int main() {
       "run (Delta = 150 ms, %zu seeds)\n\n",
       kReps);
 
-  Table table({"detector", "errors in window+2D (lossy)",
-               "errors elsewhere (lossy)", "errors elsewhere (clean)",
-               "window fraction of run"});
+  Table table({"detector", "errors in window+2D (clean)",
+               "errors in window+2D (lossy)", "errors elsewhere (clean)",
+               "errors elsewhere (lossy)", "window fraction of run"});
 
   // Interleaved (clean, lossy) pairs per seed; run_specs preserves order.
   std::vector<analysis::OccupancyConfig> configs;
@@ -113,7 +118,11 @@ int main() {
   }
   const auto runs = analysis::run_specs(configs);
 
-  std::map<std::string, std::array<std::size_t, 3>> tally;
+  struct Tally {
+    ErrorLocations clean;
+    ErrorLocations lossy;
+  };
+  std::map<std::string, Tally> tally;
   for (std::size_t i = 0; i < kReps; ++i) {
     const auto& clean = runs[2 * i];
     const auto& lossy = runs[2 * i + 1];
@@ -123,19 +132,22 @@ int main() {
           locate_errors(lossy, det, w_begin, w_end, delta * 2);
       const auto clean_loc =
           locate_errors(clean, det, w_begin, w_end, delta * 2);
-      tally[det][0] += lossy_loc.inside;
-      tally[det][1] += lossy_loc.outside;
-      tally[det][2] += clean_loc.inside + clean_loc.outside;
+      Tally& t = tally[det];
+      t.clean.inside += clean_loc.inside;
+      t.clean.outside += clean_loc.outside;
+      t.lossy.inside += lossy_loc.inside;
+      t.lossy.outside += lossy_loc.outside;
     }
   }
 
   const double window_fraction = (4.0 + 2 * delta.to_seconds()) / 120.0;
-  for (const auto& [det, counts] : tally) {
+  for (const auto& [det, t] : tally) {
     table.row()
         .cell(det)
-        .cell(counts[0])
-        .cell(counts[1])
-        .cell(counts[2])
+        .cell(t.clean.inside)
+        .cell(t.lossy.inside)
+        .cell(t.clean.outside)
+        .cell(t.lossy.outside)
         .cell(window_fraction, 3);
   }
   std::printf("%s\n", table.ascii().c_str());
@@ -144,5 +156,19 @@ int main() {
       "(which covers only ~%.1f%% of the run); outside it the error count\n"
       "matches the clean control — losses do not ripple forward.\n",
       100.0 * window_fraction);
+  for (const auto& [det, t] : tally) {
+    const long excess_in = static_cast<long>(t.lossy.inside) -
+                           static_cast<long>(t.clean.inside);
+    const long ripple = std::labs(static_cast<long>(t.lossy.outside) -
+                                  static_cast<long>(t.clean.outside));
+    if (excess_in <= 0 || excess_in < 5 * ripple) {
+      std::fprintf(stderr,
+                   "E8 claim failed: %s has %ld more errors in window+2D "
+                   "with loss; need > 0 and >= 5x the outside difference "
+                   "%ld\n",
+                   det.c_str(), excess_in, ripple);
+      return 1;
+    }
+  }
   return 0;
 }

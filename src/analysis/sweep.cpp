@@ -1,10 +1,11 @@
 #include "analysis/sweep.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <utility>
 
+#include "common/crew.hpp"
 #include "common/error.hpp"
-#include "common/thread_pool.hpp"
 
 namespace psn::analysis {
 
@@ -168,7 +169,8 @@ SweepResult SweepSpec::run() const {
   SweepResult result;
   result.runs = specs.size();
   result.threads_used =
-      threads_ == 0 ? ThreadPool::hardware_threads() : threads_;
+      threads_ == 0 ? static_cast<unsigned>(Crew::hardware_threads())
+                    : threads_;
   result.wall_seconds = std::chrono::duration<double>(t1 - t0).count();
   result.points.resize(specs.size() / replications_);
   // Deterministic merge: flat run order is (point-major, seed order), and a
@@ -186,10 +188,14 @@ SweepSpec sweep(OccupancyConfig base) { return SweepSpec(std::move(base)); }
 std::vector<OccupancyRunResult> run_specs(
     const std::vector<OccupancyConfig>& configs, unsigned threads) {
   for (const OccupancyConfig& cfg : configs) validate(cfg);
-  ThreadPool pool(threads);
-  return parallel_map(pool, configs, [](const OccupancyConfig& cfg) {
-    return run_occupancy_experiment(cfg);
+  std::vector<OccupancyRunResult> results(configs.size());
+  if (configs.empty()) return results;
+  Crew crew(std::min<std::size_t>(
+      threads == 0 ? Crew::hardware_threads() : threads, configs.size()));
+  crew.for_each(configs.size(), [&](std::size_t i) {
+    results[i] = run_occupancy_experiment(configs[i]);
   });
+  return results;
 }
 
 }  // namespace psn::analysis

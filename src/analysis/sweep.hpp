@@ -13,7 +13,7 @@ namespace psn::analysis {
 
 /// One fully-resolved executable point of a sweep: a validated-ready config
 /// (seed included) plus its coordinates in the grid. RunSpecs are what the
-/// engine fans out across the thread pool; each is an independent simulation
+/// engine fans out across its crew; each is an independent simulation
 /// (every `Simulation` derives all randomness from its own seed), so running
 /// them concurrently cannot change any individual result.
 struct RunSpec {
@@ -72,8 +72,8 @@ struct SweepResult {
 /// Axes combine as a cross product in declaration order, first axis slowest
 /// (row-major) — exactly the nesting order of the hand-rolled loops this
 /// replaces. Each point runs `replications` seeds (base seed, +1, …); the
-/// engine fans every run out across a fixed thread pool and merges results
-/// in grid order, so the output is byte-identical at every thread count.
+/// engine fans every run out across one Crew and merges results in grid
+/// order, so the output is byte-identical at every thread count.
 class SweepSpec {
  public:
   /// An axis value: an edit applied to the base config to reach the point.
@@ -90,7 +90,8 @@ class SweepSpec {
 
   /// Seeds per point: base.seed, base.seed + 1, … (default 1).
   SweepSpec& replications(std::size_t n);
-  /// Worker threads; 0 (default) = one per hardware thread.
+  /// Threads that run the sweep, the calling thread included; 0 (default)
+  /// = one per hardware thread.
   SweepSpec& threads(unsigned n);
 
   /// The grid's resolved configs in row-major order, each validated
@@ -110,12 +111,13 @@ class SweepSpec {
 
 SweepSpec sweep(OccupancyConfig base);
 
-/// Lower-level engine: runs every config across a fixed pool of `threads`
-/// workers (0 = hardware) and returns the full per-run results **in input
-/// order**. SweepSpec::run fans out through it; so do callers that need raw
-/// runs rather than merged scores (E8's paired clean/lossy comparison,
-/// `psn_cli run`'s trace of its first seed). All configs are validated
-/// before any simulation starts.
+/// Lower-level engine: runs every config on a Crew of min(`threads`,
+/// configs) members (`threads` 0 = hardware; the calling thread is one of
+/// them, so a single config runs inline) and returns the full per-run
+/// results **in input order**. SweepSpec::run fans out through it; so do
+/// callers that need raw runs rather than merged scores (E8's paired
+/// clean/lossy comparison, `psn_cli run`'s trace of its first seed). All
+/// configs are validated before any simulation starts.
 std::vector<OccupancyRunResult> run_specs(
     const std::vector<OccupancyConfig>& configs, unsigned threads = 0);
 

@@ -356,13 +356,14 @@ std::size_t ShardedPervasiveSystem::run() {
 }
 
 const ObservationLog& ShardedPervasiveSystem::log() const {
-  return world_ != nullptr ? shards_[0]->root->log() : merged_log_;
+  return shards_.size() == 1 ? shards_[0]->root->log() : merged_log_;
 }
 
 void ShardedPervasiveSystem::merge_root_logs() {
-  // A live run has one root, whose log is already the serial delivery
-  // order; sorting it could reorder same-instant deliveries under Δ = 0.
-  if (world_ != nullptr) return;
+  // One root's log is already in (delivered_at, seq) order: deliveries at
+  // one instant fire in tie order, which for the root is seq order, and a
+  // live run's log is the serial delivery order by definition.
+  if (shards_.size() == 1) return;
   merged_log_ = ObservationLog{};
   merged_log_.num_processes = n_;
   merged_log_.delta_bound = delta_bound_;

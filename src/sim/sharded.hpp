@@ -1,13 +1,10 @@
 #pragma once
 
-#include <atomic>
 #include <cstddef>
-#include <cstdint>
-#include <exception>
 #include <functional>
-#include <thread>
 #include <vector>
 
+#include "common/crew.hpp"
 #include "common/sim_time.hpp"
 #include "sim/simulation.hpp"
 
@@ -27,23 +24,18 @@ namespace psn::sim {
 ///      the owner shards' calendars, serially and in a canonical order;
 ///   3. fence += W, until the horizon is passed and the system quiesces.
 ///
-/// Step 1 runs on a crew of min(pool_threads, K) threads, started by the
-/// constructor and joined by the destructor. The calling thread is crew
-/// member 0; the others wait between windows. Per window the driver
-/// publishes the fence and bumps a generation counter, every member claims
-/// shards through one atomic index and writes each shard's event count into
-/// that shard's slot, and the driver waits for a per-shard countdown, then
-/// sums the slots in shard order. A helper that wakes after the shards are
-/// all claimed has nothing to do, and nobody waits for it. Every wait is a
-/// bounded spin, then `std::atomic::wait`. An exception from a shard is
-/// held in its slot and rethrown from run() after the barrier (the lowest
-/// failing shard's).
+/// Step 1 is one Crew::for_each over the K shards on a crew of
+/// min(pool_threads, K) members, started by the constructor and joined by
+/// the destructor; the calling thread is member 0. Each shard's event count
+/// lands in its own slot and the slots are summed in shard order, so which
+/// member ran which shard never reaches a result. An exception from a shard
+/// leaves run() after the barrier (the lowest failing shard's).
 ///
 /// The driver is deliberately ignorant of the network layer: the exchange
 /// hook (installed by the sharded system, which owns the transports and
 /// outboxes) is the only channel between shards. With `pool_threads == 1`
 /// shard turns run inline on the calling thread — same event order, no
-/// crew at all.
+/// helper thread.
 class ShardedSimulation {
  public:
   /// Drains every cross-shard outbox into its owner's calendar; returns the
@@ -67,10 +59,6 @@ class ShardedSimulation {
   /// exactly one crew member; between windows only the driver thread
   /// touches any of them).
   ShardedSimulation(std::vector<Simulation*> shards, Config config);
-  ~ShardedSimulation();
-
-  ShardedSimulation(const ShardedSimulation&) = delete;
-  ShardedSimulation& operator=(const ShardedSimulation&) = delete;
 
   /// Runs the window loop until the horizon is passed, every outbox is
   /// empty, and no shard has pending work at or before the horizon.
@@ -86,11 +74,6 @@ class ShardedSimulation {
 
  private:
   std::size_t drain_all(SimTime fence);
-  /// One crew member's part of the current window: claims shards until none
-  /// is left.
-  void run_claimed_shards();
-  void helper_loop();
-  void stop_crew();
   bool quiescent(SimTime horizon) const;
 
   std::vector<Simulation*> shards_;
@@ -98,17 +81,8 @@ class ShardedSimulation {
   bool truncated_ = false;
   std::size_t windows_ = 0;
 
-  // Window state. The driver writes fence_ before it opens a window
-  // (resets next_shard_) and again only after pending_ reaches zero; a
-  // member reads it only after claiming a shard of the open window.
-  SimTime fence_;
-  std::vector<std::size_t> executed_;          ///< per shard, this window
-  std::vector<std::exception_ptr> errors_;     ///< per shard, this window
-  std::atomic<std::uint32_t> generation_{0};   ///< bumped once per window
-  std::atomic<std::uint32_t> next_shard_{0};   ///< next unclaimed shard
-  std::atomic<std::uint32_t> pending_{0};      ///< shards not yet run
-  std::atomic<bool> stopping_{false};
-  std::vector<std::thread> helpers_;  ///< crew members 1.., declared last
+  std::vector<std::size_t> executed_;  ///< per shard, this window
+  Crew crew_;
 };
 
 }  // namespace psn::sim
