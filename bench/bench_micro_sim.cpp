@@ -169,24 +169,28 @@ BENCHMARK(BM_DetectorThroughput)->DenseRange(0, 3);
 void BM_AggregateEvaluate(benchmark::State& state) {
   // Detector-evaluation ladder row: one steady-state update of the
   // exhibition-hall predicate over n doors (2·n variables), i.e. what the
-  // oracle and every detector do per delivered report.
+  // oracle and every detector do per delivered report: find the update's
+  // column in the state bound to φ, set the variable, evaluate φ.
   const auto n = static_cast<std::size_t>(state.range(0));
   const auto phi =
       core::parse_predicate("hall", "sum(entered) - sum(exited) > 0");
-  core::GlobalState global;
+  core::GlobalState global(phi);
   std::vector<core::VarRef> vars;
   for (ProcessId pid = 1; pid <= n; ++pid) {
     vars.push_back({pid, "entered"});
     vars.push_back({pid, "exited"});
   }
   std::vector<double> counts(vars.size(), 0.0);
-  for (const core::VarRef& v : vars) global.set(v, 0.0);
+  for (const core::VarRef& v : vars) {
+    global.set(*global.column(v.name), v.pid, 0.0);
+  }
   std::size_t next = 0;
   std::uint64_t allocs = 0;  // counted per update, so the harness's own
                              // start/stop allocations are not charged
   for (auto _ : state) {
     const std::uint64_t before = alloc_guard::thread_allocations();
-    global.set(vars[next], ++counts[next]);
+    const core::VarRef& v = vars[next];
+    global.set(*global.column(v.name), v.pid, ++counts[next]);
     benchmark::DoNotOptimize(phi.holds(global));
     allocs += alloc_guard::thread_allocations() - before;
     if (++next == vars.size()) next = 0;
@@ -506,9 +510,18 @@ void BM_LatticeCount(benchmark::State& state) {
   }
   system.run();
   const auto view = core::ExecutionView::from_strobe_stamps(system);
+  std::uint64_t cuts = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(core::lattice::count_consistent_cuts(view));
+    const auto stats = core::lattice::count_consistent_cuts(view);
+    benchmark::DoNotOptimize(stats);
+    cuts = stats.consistent_cuts;
   }
+  // Items are consistent cuts, so the row reads per cut whatever the
+  // simulated execution's size; the counters pin that size.
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(cuts));
+  state.counters["events"] = static_cast<double>(view.total_events());
+  state.counters["cuts"] = static_cast<double>(cuts);
 }
 BENCHMARK(BM_LatticeCount)->DenseRange(4, 20, 8);
 

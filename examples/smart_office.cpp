@@ -62,7 +62,7 @@ int main(int argc, char** argv) {
   const core::Predicate phi =
       core::parse_predicate("hot_and_occupied", "temp[1] > 30 && occupied[2]");
   std::printf("predicate: %s  (conjunctive: %s)\n\n",
-              phi.expr()->to_string().c_str(),
+              phi.to_string().c_str(),
               phi.is_conjunctive() ? "yes" : "no");
 
   office.start();

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <deque>
-#include <map>
 
 #include "common/error.hpp"
 
@@ -20,10 +19,20 @@ bool precedes(const ConjunctInterval& x, const ConjunctInterval& y) {
 }  // namespace
 
 std::vector<ConjunctInterval> WeakConjunctiveDetector::local_intervals(
-    const ExecutionView& view, std::size_t process, const ExprPtr& conjunct) {
+    const ExecutionView& view, std::size_t process,
+    const Predicate& predicate) {
+  const auto by_pid = predicate.local_conjuncts();
+  const auto it = by_pid.find(view.pid(process));
+  PSN_CHECK(it != by_pid.end(), "no local conjunct at this process");
+  GlobalState local(predicate);
+  const auto conjunction = [&] {
+    return std::all_of(it->second.begin(), it->second.end(),
+                       [&](Predicate::NodeId c) {
+                         return predicate.evaluate(local, c) != 0.0;
+                       });
+  };
   std::vector<ConjunctInterval> out;
-  GlobalState local;
-  bool holding = conjunct->evaluate(local) != 0.0;
+  bool holding = conjunction();
   PSN_CHECK(!holding,
             "local conjunct must be false on the empty state (no sensed "
             "values yet); rewrite the conjunct so an unreported variable "
@@ -33,8 +42,10 @@ std::vector<ConjunctInterval> WeakConjunctiveDetector::local_intervals(
   ConjunctInterval current;
   for (std::size_t k = 0; k < events.size(); ++k) {
     const auto& e = events[k];
-    if (!e.var.name.empty()) local.set(e.var, e.value);
-    const bool now = conjunct->evaluate(local) != 0.0;
+    if (const auto column = local.column(e.var.name)) {
+      local.set(*column, e.var.pid, e.value);
+    }
+    const bool now = conjunction();
     if (now == holding) continue;
     if (now) {
       current = ConjunctInterval{};
@@ -64,13 +75,8 @@ std::vector<ConjunctiveMatch> WeakConjunctiveDetector::run(
   // constrain the match.
   std::vector<std::deque<ConjunctInterval>> queues;
   for (std::size_t p = 0; p < view.num_processes(); ++p) {
-    const auto it = by_pid.find(view.pid(p));
-    if (it == by_pid.end()) continue;
-    ExprPtr conj = it->second.front();
-    for (std::size_t c = 1; c < it->second.size(); ++c) {
-      conj = binary(BinaryOp::kAnd, conj, it->second[c]);
-    }
-    auto intervals = local_intervals(view, p, conj);
+    if (!by_pid.contains(view.pid(p))) continue;
+    auto intervals = local_intervals(view, p, predicate);
     queues.emplace_back(intervals.begin(), intervals.end());
   }
   if (queues.empty()) return {};

@@ -45,10 +45,12 @@ class WeakConjunctiveDetector {
   std::vector<ConjunctiveMatch> run(const ExecutionView& view,
                                     const Predicate& predicate) const;
 
-  /// The per-process true-intervals of a local conjunct (exposed for tests
-  /// and for the examples that display them).
+  /// The true-intervals of the conjunction of `predicate`'s local conjuncts
+  /// at view process `process` (exposed for tests and for the examples that
+  /// display them). `predicate` must be conjunctive with a conjunct there.
   static std::vector<ConjunctInterval> local_intervals(
-      const ExecutionView& view, std::size_t process, const ExprPtr& conjunct);
+      const ExecutionView& view, std::size_t process,
+      const Predicate& predicate);
 };
 
 }  // namespace psn::core

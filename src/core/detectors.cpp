@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <numeric>
-#include <set>
 #include <utility>
 
 #include "clocks/timestamp.hpp"
@@ -14,21 +13,25 @@ namespace psn::core {
 OnlineDetector::OnlineDetector(DetectorKind kind, Predicate predicate)
     : kind_(kind),
       predicate_(std::move(predicate)),
+      state_(predicate_),
       holding_(predicate_.holds(state_)) {
   // φ's read set, which strobe-vector's race and validity scans walk, fixed
   // for the detector's lifetime: whole columns for aggregated names, single
   // variables for the ones named outright (unless their whole column is read
-  // anyway).
-  std::set<std::string> names;
-  predicate_.expr()->collect_aggregate_names(names);
-  std::set<VarRef> vars;
-  predicate_.expr()->collect_vars(vars);
-  for (const std::string& name : names) {
-    read_columns_.push_back(state_.column(name));
+  // anyway). A column is its name's slot.
+  const auto& nodes = predicate_.nodes();
+  for (const Predicate::Node& n : nodes) {
+    if (is_aggregate(n.op) && std::ranges::find(read_columns_, n.slot) ==
+                                  read_columns_.end()) {
+      read_columns_.push_back(n.slot);
+    }
   }
-  for (const VarRef& v : vars) {
-    if (!names.contains(v.name)) {
-      read_vars_.emplace_back(state_.column(v.name), v.pid);
+  for (const Predicate::Node& n : nodes) {
+    const std::pair<ColumnId, ProcessId> var(n.slot, n.pid);
+    if (n.op == Op::kVar &&
+        std::ranges::find(read_columns_, n.slot) == read_columns_.end() &&
+        std::ranges::find(read_vars_, var) == read_vars_.end()) {
+      read_vars_.push_back(var);
     }
   }
 }
@@ -57,7 +60,9 @@ bool OnlineDetector::any_other_read(ColumnId column, ProcessId pid,
 PSN_HOT std::optional<Detection> OnlineDetector::feed(const ReceivedUpdate& u,
                                                       std::size_t index) {
   watermark_ = std::max(watermark_, u.delivered_at);
-  const ColumnId column = state_.column(u.report.attribute);
+  const std::optional<ColumnId> read = state_.column(u.report.attribute);
+  if (!read.has_value()) return std::nullopt;  // φ does not read it
+  const ColumnId column = *read;
   bool borderline = false;
   switch (kind_) {
     case DetectorKind::kDeliveryOrder:

@@ -24,8 +24,7 @@ ExecutionView ExecutionView::from_strobe_stamps(
     for (const auto& pe : *events) {
       if (pe.type != EventType::kSense) continue;  // strobes tick on sense only
       pid = pe.pid;
-      hist.push_back({pe.clocks.strobe_vector,
-                      VarRef{pe.pid, std::string(pe.attribute.str())},
+      hist.push_back({pe.clocks.strobe_vector, VarRef{pe.pid, pe.attribute},
                       pe.value, pe.clocks.true_time});
     }
     if (pid == kNoProcess && !events->empty()) pid = events->front().pid;
@@ -56,16 +55,18 @@ bool ExecutionView::consistent(const std::vector<std::size_t>& cut) const {
   return true;
 }
 
-GlobalState ExecutionView::state_at(const std::vector<std::size_t>& cut) const {
+void ExecutionView::state_at(const std::vector<std::size_t>& cut,
+                             GlobalState& state) const {
   PSN_CHECK(cut.size() == events_.size(), "cut dimension mismatch");
-  GlobalState state;
+  state.clear();
   for (std::size_t i = 0; i < cut.size(); ++i) {
     for (std::size_t k = 0; k < cut[i]; ++k) {
       const Event& e = events_[i][k];
-      if (!e.var.name.empty()) state.set(e.var, e.value);
+      if (const auto column = state.column(e.var.name)) {
+        state.set(*column, e.var.pid, e.value);
+      }
     }
   }
-  return state;
 }
 
 std::vector<std::size_t> ExecutionView::final_cut() const {

@@ -44,9 +44,11 @@ class ExecutionView {
   /// excluded event.
   bool consistent(const std::vector<std::size_t>& cut) const;
 
-  /// The assembled global variable state at a cut: the latest value each
-  /// process's included events gave to each of its variables.
-  GlobalState state_at(const std::vector<std::size_t>& cut) const;
+  /// Fills `state` with the assembled global variable state at a cut: the
+  /// latest value each process's included events gave to each variable that
+  /// the state's predicate reads. The caller owns the bound state, so a
+  /// lattice walk interns φ's names once rather than once per cut.
+  void state_at(const std::vector<std::size_t>& cut, GlobalState& state) const;
 
   /// The final (all-events) cut.
   std::vector<std::size_t> final_cut() const;

@@ -55,7 +55,7 @@ std::vector<StampedInterval> extract_intervals(
   };
   std::vector<Item> items;
   for (const auto& u : log.updates) {
-    if (u.reporter != var.pid || u.report.attribute.str() != var.name) continue;
+    if (u.reporter != var.pid || u.report.attribute != var.name) continue;
     items.push_back({u.report.strobe_vector[var.pid], &u});
   }
   std::sort(items.begin(), items.end(),

@@ -80,10 +80,13 @@ double unconstrained_cuts(const ExecutionView& view) {
 std::optional<std::vector<std::size_t>> possibly_witness(
     const ExecutionView& view, const Predicate& predicate, std::uint64_t cap) {
   std::optional<std::vector<std::size_t>> witness;
+  GlobalState state(predicate);
   walk(
       view, cap,
       [&](const std::vector<std::size_t>& cut) {
-        if (!witness && predicate.holds(view.state_at(cut))) witness = cut;
+        if (witness) return;
+        view.state_at(cut, state);
+        if (predicate.holds(state)) witness = cut;
       },
       [&](const auto&) { return !witness.has_value(); });
   return witness;
@@ -101,16 +104,17 @@ bool definitely(const ExecutionView& view, const Predicate& predicate,
   // passing through them already satisfies φ.
   const std::vector<std::size_t> top = view.final_cut();
   bool top_reached_via_false = false;
+  GlobalState state(predicate);
+  const auto holds_at = [&](const std::vector<std::size_t>& cut) {
+    view.state_at(cut, state);
+    return predicate.holds(state);
+  };
   walk(
       view, cap,
       [&](const std::vector<std::size_t>& cut) {
-        if (cut == top && !predicate.holds(view.state_at(cut))) {
-          top_reached_via_false = true;
-        }
+        if (cut == top && !holds_at(cut)) top_reached_via_false = true;
       },
-      [&](const std::vector<std::size_t>& cut) {
-        return !predicate.holds(view.state_at(cut));
-      });
+      [&](const std::vector<std::size_t>& cut) { return !holds_at(cut); });
   return !top_reached_via_false;
 }
 

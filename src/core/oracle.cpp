@@ -1,5 +1,6 @@
 #include "core/oracle.hpp"
 
+#include <optional>
 #include <utility>
 
 #include "common/error.hpp"
@@ -13,7 +14,7 @@ GroundTruthOracle::GroundTruthOracle(Predicate predicate,
 OracleResult GroundTruthOracle::evaluate(const world::WorldTimeline& timeline,
                                          SimTime horizon) const {
   OracleResult result;
-  GlobalState state;
+  GlobalState state(predicate_);
 
   bool holding = predicate_.holds(state);
   SimTime hold_begin = SimTime::zero();
@@ -24,9 +25,12 @@ OracleResult GroundTruthOracle::evaluate(const world::WorldTimeline& timeline,
   Duration total_true = Duration::zero();
   for (const auto& ev : timeline.events()) {
     if (ev.when > horizon) break;
+    const std::optional<GlobalState::ColumnId> column =
+        state.column(ev.attribute);
+    if (!column.has_value()) continue;  // φ does not read this attribute
     const ProcessId pid = sensing_.sensor_of(ev.object, ev.attribute);
     if (pid == kNoProcess) continue;
-    state.set(pid, ev.attribute, ev.value.numeric());
+    state.set(*column, pid, ev.value.numeric());
 
     const bool now_holds = predicate_.holds(state);
     if (now_holds == holding) continue;

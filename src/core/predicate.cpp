@@ -1,7 +1,6 @@
 #include "core/predicate.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
 #include <utility>
 
@@ -9,268 +8,195 @@
 
 namespace psn::core {
 
-const char* to_string(BinaryOp op) {
+const char* to_string(Op op) {
   switch (op) {
-    case BinaryOp::kAdd: return "+";
-    case BinaryOp::kSub: return "-";
-    case BinaryOp::kMul: return "*";
-    case BinaryOp::kDiv: return "/";
-    case BinaryOp::kLt: return "<";
-    case BinaryOp::kLe: return "<=";
-    case BinaryOp::kGt: return ">";
-    case BinaryOp::kGe: return ">=";
-    case BinaryOp::kEq: return "==";
-    case BinaryOp::kNe: return "!=";
-    case BinaryOp::kAnd: return "&&";
-    case BinaryOp::kOr: return "||";
+    case Op::kConst: return "const";
+    case Op::kVar: return "var";
+    case Op::kSum: return "sum";
+    case Op::kMin: return "min";
+    case Op::kMax: return "max";
+    case Op::kCount: return "count";
+    case Op::kNeg: return "-";
+    case Op::kNot: return "!";
+    case Op::kAdd: return "+";
+    case Op::kSub: return "-";
+    case Op::kMul: return "*";
+    case Op::kDiv: return "/";
+    case Op::kLt: return "<";
+    case Op::kLe: return "<=";
+    case Op::kGt: return ">";
+    case Op::kGe: return ">=";
+    case Op::kEq: return "==";
+    case Op::kNe: return "!=";
+    case Op::kAnd: return "&&";
+    case Op::kOr: return "||";
   }
   return "?";
 }
 
-const char* to_string(UnaryOp op) {
-  return op == UnaryOp::kNeg ? "-" : "!";
+GlobalState::GlobalState(const Predicate& predicate) {
+  for (const std::string& name : predicate.names()) {
+    columns_.emplace_back().name = Name(name);
+  }
 }
 
-const char* to_string(AggregateOp op) {
-  switch (op) {
-    case AggregateOp::kSum: return "sum";
-    case AggregateOp::kMin: return "min";
-    case AggregateOp::kMax: return "max";
-    case AggregateOp::kCount: return "count";
-  }
-  return "?";
+Predicate::Predicate(std::string name, std::vector<Node> nodes,
+                     std::vector<std::string> names)
+    : name_(std::move(name)),
+      nodes_(std::move(nodes)),
+      names_(std::move(names)) {
+  PSN_CHECK(!nodes_.empty(), "predicate needs an expression");
 }
 
-namespace {
-
-class ConstExpr final : public Expr {
- public:
-  explicit ConstExpr(double v) : v_(v) {}
-  double evaluate(const GlobalState&) const override { return v_; }
-  void collect_vars(std::set<VarRef>&) const override {}
-  void collect_aggregate_names(std::set<std::string>&) const override {}
-  std::string to_string() const override {
-    char buf[32];
-    std::snprintf(buf, sizeof buf, "%g", v_);
-    return buf;
-  }
-
- private:
-  double v_;
-};
-
-class VarExpr final : public Expr {
- public:
-  VarExpr(ProcessId pid, std::string name) : ref_{pid, std::move(name)} {}
-  double evaluate(const GlobalState& state) const override {
-    return state.get(ref_).value_or(0.0);
-  }
-  void collect_vars(std::set<VarRef>& out) const override { out.insert(ref_); }
-  void collect_aggregate_names(std::set<std::string>&) const override {}
-  std::string to_string() const override { return ref_.to_string(); }
-
- private:
-  VarRef ref_;
-};
-
-class AggregateExpr final : public Expr {
- public:
-  AggregateExpr(AggregateOp op, std::string name)
-      : op_(op), name_(std::move(name)) {}
-
-  double evaluate(const GlobalState& state) const override {
-    // This runs once per delivered update inside the PSN_HOT detector feed:
-    // sum and count come from GlobalState's running totals in O(1); only
-    // min, max, and a sum the totals cannot reproduce bit for bit fold over
-    // the variables (allocation-free, in pid order).
-    if (op_ == AggregateOp::kCount) {
-      return static_cast<double>(state.count_named(name_));
-    }
-    if (op_ == AggregateOp::kSum) {
-      if (const auto sum = state.exact_sum_named(name_)) return *sum;
-    }
+PSN_HOT double Predicate::evaluate(const GlobalState& state,
+                                   NodeId node) const {
+  // This runs once per delivered update inside the PSN_HOT detector feed:
+  // sum and count come from GlobalState's running totals in O(1); only
+  // min, max, and a sum the totals cannot reproduce bit for bit fold over
+  // the column (allocation-free, in pid order).
+  const Node& n = nodes_[node];
+  const auto fold = [&] {
     bool first = true;
     double acc = 0.0;
-    state.for_each_named(name_, [&](ProcessId, double v) {
-      switch (op_) {
-        case AggregateOp::kSum: acc += v; break;
-        case AggregateOp::kMin: acc = first ? v : std::min(acc, v); break;
-        case AggregateOp::kMax: acc = first ? v : std::max(acc, v); break;
-        case AggregateOp::kCount: break;  // answered above
+    state.for_each(n.slot, [&](ProcessId, double v) {
+      if (n.op == Op::kSum) {
+        acc += v;
+      } else if (first) {
+        acc = v;
+      } else {
+        acc = n.op == Op::kMin ? std::min(acc, v) : std::max(acc, v);
       }
       first = false;
     });
     return acc;
-  }
-  void collect_vars(std::set<VarRef>&) const override {}
-  void collect_aggregate_names(std::set<std::string>& out) const override {
-    out.insert(name_);
-  }
-  std::string to_string() const override {
-    return std::string(psn::core::to_string(op_)) + "(" + name_ + ")";
-  }
-
- private:
-  AggregateOp op_;
-  std::string name_;
-};
-
-class UnaryExpr final : public Expr {
- public:
-  UnaryExpr(UnaryOp op, ExprPtr e) : op_(op), e_(std::move(e)) {
-    PSN_CHECK(e_ != nullptr, "null operand");
-  }
-  double evaluate(const GlobalState& state) const override {
-    const double v = e_->evaluate(state);
-    return op_ == UnaryOp::kNeg ? -v : (v == 0.0 ? 1.0 : 0.0);
-  }
-  void collect_vars(std::set<VarRef>& out) const override {
-    e_->collect_vars(out);
-  }
-  void collect_aggregate_names(std::set<std::string>& out) const override {
-    e_->collect_aggregate_names(out);
-  }
-  std::string to_string() const override {
-    return std::string(psn::core::to_string(op_)) + "(" + e_->to_string() + ")";
-  }
-
- private:
-  UnaryOp op_;
-  ExprPtr e_;
-};
-
-class BinaryExpr final : public Expr {
- public:
-  BinaryExpr(BinaryOp op, ExprPtr lhs, ExprPtr rhs)
-      : op_(op), lhs_(std::move(lhs)), rhs_(std::move(rhs)) {
-    PSN_CHECK(lhs_ != nullptr && rhs_ != nullptr, "null operand");
-  }
-
-  double evaluate(const GlobalState& state) const override {
-    const double a = lhs_->evaluate(state);
-    // Short-circuit the logical operators.
-    if (op_ == BinaryOp::kAnd) {
-      return (a != 0.0 && rhs_->evaluate(state) != 0.0) ? 1.0 : 0.0;
+  };
+  const auto lhs = [&] { return evaluate(state, n.lhs); };
+  const auto rhs = [&] { return evaluate(state, n.rhs); };
+  const auto truth = [](bool b) { return b ? 1.0 : 0.0; };
+  switch (n.op) {
+    case Op::kConst: return n.value;
+    case Op::kVar: return state.get(n.slot, n.pid).value_or(0.0);
+    case Op::kCount: return static_cast<double>(state.count(n.slot));
+    case Op::kSum:
+      if (const auto sum = state.exact_sum(n.slot)) return *sum;
+      return fold();
+    case Op::kMin:
+    case Op::kMax: return fold();
+    case Op::kNeg: return -lhs();
+    case Op::kNot: return truth(lhs() == 0.0);
+    case Op::kAdd: return lhs() + rhs();
+    case Op::kSub: return lhs() - rhs();
+    case Op::kMul: return lhs() * rhs();
+    case Op::kDiv: {
+      const double a = lhs();
+      const double b = rhs();
+      PSN_CHECK(b != 0.0, "division by zero in predicate");
+      return a / b;
     }
-    if (op_ == BinaryOp::kOr) {
-      return (a != 0.0 || rhs_->evaluate(state) != 0.0) ? 1.0 : 0.0;
-    }
-    const double b = rhs_->evaluate(state);
-    switch (op_) {
-      case BinaryOp::kAdd: return a + b;
-      case BinaryOp::kSub: return a - b;
-      case BinaryOp::kMul: return a * b;
-      case BinaryOp::kDiv:
-        PSN_CHECK(b != 0.0, "division by zero in predicate");
-        return a / b;
-      case BinaryOp::kLt: return a < b ? 1.0 : 0.0;
-      case BinaryOp::kLe: return a <= b ? 1.0 : 0.0;
-      case BinaryOp::kGt: return a > b ? 1.0 : 0.0;
-      case BinaryOp::kGe: return a >= b ? 1.0 : 0.0;
-      case BinaryOp::kEq: return a == b ? 1.0 : 0.0;
-      case BinaryOp::kNe: return a != b ? 1.0 : 0.0;
-      case BinaryOp::kAnd:
-      case BinaryOp::kOr: break;  // handled above
-    }
-    return 0.0;
+    case Op::kLt: return truth(lhs() < rhs());
+    case Op::kLe: return truth(lhs() <= rhs());
+    case Op::kGt: return truth(lhs() > rhs());
+    case Op::kGe: return truth(lhs() >= rhs());
+    case Op::kEq: return truth(lhs() == rhs());
+    case Op::kNe: return truth(lhs() != rhs());
+    case Op::kAnd: return truth(lhs() != 0.0 && rhs() != 0.0);
+    case Op::kOr: return truth(lhs() != 0.0 || rhs() != 0.0);
   }
-  void collect_vars(std::set<VarRef>& out) const override {
-    lhs_->collect_vars(out);
-    rhs_->collect_vars(out);
-  }
-  void collect_aggregate_names(std::set<std::string>& out) const override {
-    lhs_->collect_aggregate_names(out);
-    rhs_->collect_aggregate_names(out);
-  }
-  std::string to_string() const override {
-    // Built up via += rather than operator+ chaining: GCC 12's -Wrestrict
-    // false-fires on `"(" + <rvalue string>` under -O3 (PR 105651).
-    std::string out = "(";
-    out += lhs_->to_string();
-    out += ' ';
-    out += psn::core::to_string(op_);
-    out += ' ';
-    out += rhs_->to_string();
+  return 0.0;
+}
+
+std::string Predicate::to_string(NodeId node) const {
+  const Node& n = nodes_[node];
+  std::string out;
+  if (is_aggregate(n.op)) {
+    out = core::to_string(n.op);
+    out += '(';
+    out += names_[n.slot];
     out += ')';
     return out;
   }
-
-  BinaryOp op() const { return op_; }
-  const ExprPtr& lhs() const { return lhs_; }
-  const ExprPtr& rhs() const { return rhs_; }
-
- private:
-  BinaryOp op_;
-  ExprPtr lhs_, rhs_;
-};
-
-/// Collects the pids of the variables `e` names outright; returns false if
-/// the expression aggregates a name (an aggregate spans all processes).
-bool collect_pids(const ExprPtr& e, std::set<ProcessId>& pids) {
-  std::set<std::string> names;
-  e->collect_aggregate_names(names);
-  if (!names.empty()) return false;
-  std::set<VarRef> vars;
-  e->collect_vars(vars);
-  for (const VarRef& v : vars) pids.insert(v.pid);
-  return true;
+  switch (n.op) {
+    case Op::kConst: {
+      char buf[32];
+      std::snprintf(buf, sizeof buf, "%g", n.value);
+      return buf;
+    }
+    case Op::kVar:
+      out = names_[n.slot];
+      out += '[';
+      out += std::to_string(n.pid);
+      out += ']';
+      return out;
+    case Op::kNeg:
+    case Op::kNot:
+      out = core::to_string(n.op);
+      out += '(';
+      out += to_string(n.lhs);
+      out += ')';
+      return out;
+    default:
+      // Built up via += rather than operator+ chaining: GCC 12's -Wrestrict
+      // false-fires on `"(" + <rvalue string>` under -O3 (PR 105651).
+      out = "(";
+      out += to_string(n.lhs);
+      out += ' ';
+      out += core::to_string(n.op);
+      out += ' ';
+      out += to_string(n.rhs);
+      out += ')';
+      return out;
+  }
 }
 
-/// Flattens nested ANDs into conjuncts.
-void flatten_and(const ExprPtr& e, std::vector<ExprPtr>& out) {
-  if (const auto* b = dynamic_cast<const BinaryExpr*>(e.get());
-      b != nullptr && b->op() == BinaryOp::kAnd) {
-    flatten_and(b->lhs(), out);
-    flatten_and(b->rhs(), out);
+void Predicate::flatten_and(NodeId node, std::vector<NodeId>& out) const {
+  const Node& n = nodes_[node];
+  if (n.op == Op::kAnd) {
+    flatten_and(n.lhs, out);
+    flatten_and(n.rhs, out);
     return;
   }
-  out.push_back(e);
+  out.push_back(node);
 }
 
-}  // namespace
-
-ExprPtr constant(double v) { return std::make_shared<ConstExpr>(v); }
-ExprPtr var(ProcessId pid, const std::string& name) {
-  return std::make_shared<VarExpr>(pid, name);
-}
-ExprPtr aggregate(AggregateOp op, const std::string& name) {
-  return std::make_shared<AggregateExpr>(op, name);
-}
-ExprPtr unary(UnaryOp op, ExprPtr e) {
-  return std::make_shared<UnaryExpr>(op, std::move(e));
-}
-ExprPtr binary(BinaryOp op, ExprPtr lhs, ExprPtr rhs) {
-  return std::make_shared<BinaryExpr>(op, std::move(lhs), std::move(rhs));
-}
-
-Predicate::Predicate(std::string name, ExprPtr expr)
-    : name_(std::move(name)), expr_(std::move(expr)) {
-  PSN_CHECK(expr_ != nullptr, "predicate needs an expression");
+bool Predicate::collect_pids(NodeId node, std::vector<ProcessId>& pids) const {
+  const Node& n = nodes_[node];
+  if (is_aggregate(n.op)) return false;
+  switch (n.op) {
+    case Op::kConst: return true;
+    case Op::kVar:
+      if (std::find(pids.begin(), pids.end(), n.pid) == pids.end()) {
+        pids.push_back(n.pid);
+      }
+      return true;
+    case Op::kNeg:
+    case Op::kNot: return collect_pids(n.lhs, pids);
+    default: return collect_pids(n.lhs, pids) && collect_pids(n.rhs, pids);
+  }
 }
 
 bool Predicate::is_conjunctive() const {
-  std::vector<ExprPtr> conjuncts;
-  flatten_and(expr_, conjuncts);
-  for (const auto& c : conjuncts) {
-    std::set<ProcessId> pids;
+  std::vector<NodeId> conjuncts;
+  flatten_and(root(), conjuncts);
+  for (const NodeId c : conjuncts) {
+    std::vector<ProcessId> pids;
     if (!collect_pids(c, pids)) return false;  // aggregate present
     if (pids.size() > 1) return false;         // conjunct spans processes
   }
   return true;
 }
 
-std::map<ProcessId, std::vector<ExprPtr>> Predicate::local_conjuncts() const {
+std::map<ProcessId, std::vector<Predicate::NodeId>> Predicate::local_conjuncts()
+    const {
   PSN_CHECK(is_conjunctive(), "predicate is not conjunctive");
-  std::map<ProcessId, std::vector<ExprPtr>> out;
-  std::vector<ExprPtr> conjuncts;
-  flatten_and(expr_, conjuncts);
-  for (const auto& c : conjuncts) {
-    std::set<ProcessId> pids;
+  std::map<ProcessId, std::vector<NodeId>> out;
+  std::vector<NodeId> conjuncts;
+  flatten_and(root(), conjuncts);
+  for (const NodeId c : conjuncts) {
+    std::vector<ProcessId> pids;
     collect_pids(c, pids);
     // A constant conjunct binds to no process; attach it to process 0 so it
     // still participates in evaluation.
-    const ProcessId pid = pids.empty() ? 0 : *pids.begin();
-    out[pid].push_back(c);
+    out[pids.empty() ? 0 : pids.front()].push_back(c);
   }
   return out;
 }

@@ -1,8 +1,11 @@
 #include "core/predicate_parser.hpp"
 
+#include <algorithm>
 #include <cctype>
 #include <charconv>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "common/error.hpp"
 
@@ -14,14 +17,35 @@ class Parser {
  public:
   explicit Parser(std::string_view text) : text_(text) {}
 
-  ExprPtr parse() {
-    ExprPtr e = parse_or();
+  /// Parses the whole text; returns φ's nodes (root last) and the names
+  /// they read, in first-appearance order.
+  std::pair<std::vector<Predicate::Node>, std::vector<std::string>> parse() && {
+    parse_or();
     skip_ws();
     if (pos_ != text_.size()) fail("unexpected trailing input");
-    return e;
+    return {std::move(nodes_), std::move(names_)};
   }
 
  private:
+  using NodeId = Predicate::NodeId;
+
+  NodeId add(Predicate::Node node) {
+    nodes_.push_back(node);
+    return static_cast<NodeId>(nodes_.size() - 1);
+  }
+  NodeId add_constant(double v) { return add({.op = Op::kConst, .value = v}); }
+  NodeId add_unary(Op op, NodeId e) { return add({.op = op, .lhs = e}); }
+  NodeId add_binary(Op op, NodeId lhs, NodeId rhs) {
+    return add({.op = op, .lhs = lhs, .rhs = rhs});
+  }
+  /// A var (pid given) or aggregate node reading `name`'s slot.
+  NodeId add_read(Op op, std::string_view name, ProcessId pid = kNoProcess) {
+    auto it = std::find(names_.begin(), names_.end(), name);
+    if (it == names_.end()) it = names_.emplace(names_.end(), name);
+    const auto slot = static_cast<std::uint32_t>(it - names_.begin());
+    return add({.op = op, .pid = pid, .slot = slot});
+  }
+
   [[noreturn]] void fail(const std::string& why) const {
     throw ConfigError("predicate parse error at offset " +
                       std::to_string(pos_) + ": " + why + " in \"" +
@@ -56,51 +80,51 @@ class Parser {
 
   char peek() const { return pos_ < text_.size() ? text_[pos_] : '\0'; }
 
-  ExprPtr parse_or() {
-    ExprPtr lhs = parse_and();
+  NodeId parse_or() {
+    NodeId lhs = parse_and();
     for (;;) {
       if (eat("||") || eat("or")) {
-        lhs = binary(BinaryOp::kOr, lhs, parse_and());
+        lhs = add_binary(Op::kOr, lhs, parse_and());
       } else {
         return lhs;
       }
     }
   }
 
-  ExprPtr parse_and() {
-    ExprPtr lhs = parse_cmp();
+  NodeId parse_and() {
+    NodeId lhs = parse_cmp();
     for (;;) {
       if (eat("&&") || eat("and")) {
-        lhs = binary(BinaryOp::kAnd, lhs, parse_cmp());
+        lhs = add_binary(Op::kAnd, lhs, parse_cmp());
       } else {
         return lhs;
       }
     }
   }
 
-  ExprPtr parse_cmp() {
-    ExprPtr lhs = parse_sum();
+  NodeId parse_cmp() {
+    NodeId lhs = parse_sum();
     // Order matters: match two-character operators first.
-    if (eat("<=")) return binary(BinaryOp::kLe, lhs, parse_sum());
-    if (eat(">=")) return binary(BinaryOp::kGe, lhs, parse_sum());
-    if (eat("==")) return binary(BinaryOp::kEq, lhs, parse_sum());
-    if (eat("!=")) return binary(BinaryOp::kNe, lhs, parse_sum());
-    if (eat("<")) return binary(BinaryOp::kLt, lhs, parse_sum());
-    if (eat(">")) return binary(BinaryOp::kGt, lhs, parse_sum());
+    if (eat("<=")) return add_binary(Op::kLe, lhs, parse_sum());
+    if (eat(">=")) return add_binary(Op::kGe, lhs, parse_sum());
+    if (eat("==")) return add_binary(Op::kEq, lhs, parse_sum());
+    if (eat("!=")) return add_binary(Op::kNe, lhs, parse_sum());
+    if (eat("<")) return add_binary(Op::kLt, lhs, parse_sum());
+    if (eat(">")) return add_binary(Op::kGt, lhs, parse_sum());
     return lhs;
   }
 
-  ExprPtr parse_sum() {
-    ExprPtr lhs = parse_term();
+  NodeId parse_sum() {
+    NodeId lhs = parse_term();
     for (;;) {
       if (eat("+")) {
-        lhs = binary(BinaryOp::kAdd, lhs, parse_term());
+        lhs = add_binary(Op::kAdd, lhs, parse_term());
       } else {
         skip_ws();
         // "-" only as a binary op here; unary minus is handled in factor.
         if (peek() == '-') {
           pos_++;
-          lhs = binary(BinaryOp::kSub, lhs, parse_term());
+          lhs = add_binary(Op::kSub, lhs, parse_term());
         } else {
           return lhs;
         }
@@ -108,23 +132,23 @@ class Parser {
     }
   }
 
-  ExprPtr parse_term() {
-    ExprPtr lhs = parse_factor();
+  NodeId parse_term() {
+    NodeId lhs = parse_factor();
     for (;;) {
       if (eat("*")) {
-        lhs = binary(BinaryOp::kMul, lhs, parse_factor());
+        lhs = add_binary(Op::kMul, lhs, parse_factor());
       } else if (eat("/")) {
-        lhs = binary(BinaryOp::kDiv, lhs, parse_factor());
+        lhs = add_binary(Op::kDiv, lhs, parse_factor());
       } else {
         return lhs;
       }
     }
   }
 
-  ExprPtr parse_factor() {
+  NodeId parse_factor() {
     skip_ws();
-    if (eat("-")) return unary(UnaryOp::kNeg, parse_factor());
-    if (eat("!")) return unary(UnaryOp::kNot, parse_factor());
+    if (eat("-")) return add_unary(Op::kNeg, parse_factor());
+    if (eat("!")) return add_unary(Op::kNot, parse_factor());
     return parse_primary();
   }
 
@@ -140,12 +164,12 @@ class Parser {
     return std::string(text_.substr(start, pos_ - start));
   }
 
-  ExprPtr parse_primary() {
+  NodeId parse_primary() {
     skip_ws();
     if (pos_ >= text_.size()) fail("unexpected end of input");
 
     if (eat("(")) {
-      ExprPtr e = parse_or();
+      const NodeId e = parse_or();
       if (!eat(")")) fail("expected ')'");
       return e;
     }
@@ -159,18 +183,18 @@ class Parser {
     }
 
     const std::string ident = parse_ident();
-    if (ident == "true") return constant(1.0);
-    if (ident == "false") return constant(0.0);
+    if (ident == "true") return add_constant(1.0);
+    if (ident == "false") return add_constant(0.0);
 
     skip_ws();
     if (peek() == '(') {
       pos_++;
       const std::string attr = parse_ident();
       if (!eat(")")) fail("expected ')' after aggregate argument");
-      if (ident == "sum") return aggregate(AggregateOp::kSum, attr);
-      if (ident == "min") return aggregate(AggregateOp::kMin, attr);
-      if (ident == "max") return aggregate(AggregateOp::kMax, attr);
-      if (ident == "count") return aggregate(AggregateOp::kCount, attr);
+      if (ident == "sum") return add_read(Op::kSum, attr);
+      if (ident == "min") return add_read(Op::kMin, attr);
+      if (ident == "max") return add_read(Op::kMax, attr);
+      if (ident == "count") return add_read(Op::kCount, attr);
       fail("unknown aggregate '" + ident + "' (want sum/min/max/count)");
     }
     if (peek() == '[') {
@@ -188,14 +212,14 @@ class Parser {
         fail("process id out of range in '[...]'");
       }
       if (!eat("]")) fail("expected ']'");
-      return var(pid, ident);
+      return add_read(Op::kVar, ident, pid);
     }
     fail("variable '" + ident +
          "' needs a process subscript like '" + ident +
          "[0]' or an aggregate like 'sum(" + ident + ")'");
   }
 
-  ExprPtr parse_number() {
+  NodeId parse_number() {
     const std::size_t start = pos_;
     while (pos_ < text_.size() &&
            (std::isdigit(static_cast<unsigned char>(text_[pos_])) ||
@@ -213,19 +237,20 @@ class Parser {
     if (ec != std::errc() || ptr != last) {
       fail("bad number '" + std::string(num) + "'");
     }
-    return constant(v);
+    return add_constant(v);
   }
 
   std::string_view text_;
   std::size_t pos_ = 0;
+  std::vector<Predicate::Node> nodes_;
+  std::vector<std::string> names_;
 };
 
 }  // namespace
 
-ExprPtr parse_expr(std::string_view text) { return Parser(text).parse(); }
-
 Predicate parse_predicate(const std::string& name, std::string_view text) {
-  return Predicate(name, parse_expr(text));
+  auto [nodes, names] = Parser(text).parse();
+  return Predicate(name, std::move(nodes), std::move(names));
 }
 
 }  // namespace psn::core

@@ -7,7 +7,7 @@
 
 namespace psn::core {
 
-/// Parses a predicate expression from text. Grammar (C-like precedence):
+/// Parses a named predicate from text. Grammar (C-like precedence):
 ///
 ///   expr    := or
 ///   or      := and ( ("||" | "or") and )*
@@ -30,10 +30,8 @@ namespace psn::core {
 ///   "x[1] == 5 && y[2] > 7"                       (§3.1.2 conjunctive ψ)
 ///   "x[1] + y[2] > 7"                             (§3.1.2 relational φ)
 ///
-/// Throws ConfigError with position information on malformed input.
-ExprPtr parse_expr(std::string_view text);
-
-/// Convenience: parse and wrap into a named Predicate.
+/// Throws ConfigError with position information on malformed input. Names
+/// stay text: parsing interns nothing (DESIGN.md §11).
 Predicate parse_predicate(const std::string& name, std::string_view text);
 
 }  // namespace psn::core

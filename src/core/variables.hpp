@@ -1,12 +1,11 @@
 #pragma once
 
+#include <algorithm>
 #include <cmath>
-#include <compare>
 #include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "common/error.hpp"
@@ -19,22 +18,29 @@ namespace psn::core {
 /// process (paper §2.2: "each sensor/actuator process p_i has local variables
 /// to track object attributes"). The paper's subscript convention —
 /// "the subscript on a variable denotes the location where the variable is
-/// sensed" — is exactly this pair.
+/// sensed" — is exactly this pair. Handles never order (DESIGN.md §11), so a
+/// VarRef only compares equal.
 struct VarRef {
   ProcessId pid = kNoProcess;
-  std::string name;
+  Name name;
 
-  auto operator<=>(const VarRef&) const = default;
+  friend bool operator==(const VarRef&, const VarRef&) = default;
   std::string to_string() const {
-    return name + "[" + std::to_string(pid) + "]";
+    std::string out(name.str());
+    out += '[';
+    out += std::to_string(pid);
+    out += ']';
+    return out;
   }
 };
 
+class Predicate;
+
 /// A (possibly partial) assembled global state: numeric values of sensed
 /// variables across the system, as known to an observer at some point. Both
-/// the ground-truth oracle and every detector evaluate predicates against
-/// one of these, and it is the only index of sensed variables: a variable
-/// is (column, pid), where the column is its attribute name's small id.
+/// the ground-truth oracle and every detector evaluate a predicate against
+/// one of these, bound to that predicate: a variable is (column, pid), and
+/// column i holds φ's i-th name (Predicate::names()).
 ///
 /// Variable store (DESIGN.md §11): each column holds its values and present
 /// flags in vectors indexed by pid, so a column is walked in pid order, plus
@@ -44,14 +50,16 @@ class GlobalState {
  public:
   using ColumnId = std::uint32_t;
 
-  /// The column of attribute `name`, added on first sight. A scenario senses
-  /// a handful of attributes, so a scan of the columns' handles finds it.
-  ColumnId column(Name name) {
+  /// Interns φ's names, once: column i is slot i of predicate.names().
+  explicit GlobalState(const Predicate& predicate);
+
+  /// The column of attribute `name`; nullopt when φ does not read it. φ
+  /// reads a handful of names, so a scan of the columns' handles finds it.
+  std::optional<ColumnId> column(Name name) const {
     for (std::size_t c = 0; c < columns_.size(); ++c) {
       if (columns_[c].name == name) return static_cast<ColumnId>(c);
     }
-    columns_.emplace_back().name = name;
-    return static_cast<ColumnId>(columns_.size() - 1);
+    return std::nullopt;
   }
 
   void set(ColumnId column, ProcessId pid, double value) {
@@ -70,53 +78,46 @@ class GlobalState {
     c.values[pid] = value;
     c.totals.enter(value);
   }
-  void set(ProcessId pid, Name name, double value) {
-    set(column(name), pid, value);
-  }
-  void set(const VarRef& var, double value) {  // interns a new column only
-    const Column* c = find(var.name);
-    set(c != nullptr ? static_cast<ColumnId>(c - columns_.data())
-                     : column(Name(var.name)),
-        var.pid, value);
+
+  std::optional<double> get(ColumnId column, ProcessId pid) const {
+    const Column& c = columns_[column];
+    if (pid >= c.values.size() || c.present[pid] == 0) return std::nullopt;
+    return c.values[pid];
   }
 
-  std::optional<double> get(const VarRef& var) const {
-    const Column* c = find(var.name);
-    if (c == nullptr || var.pid >= c->values.size() ||
-        c->present[var.pid] == 0) {
-      return std::nullopt;
-    }
-    return c->values[var.pid];
-  }
-
-  /// Allocation-free visitation of every (pid, value) of this name, in pid
+  /// Allocation-free visitation of every (pid, value) of the column, in pid
   /// order — the fold min/max (and a sum the running total cannot
   /// reproduce exactly) evaluate through.
   template <typename Fn>
-  void for_each_named(std::string_view name, Fn&& fn) const {
-    const Column* c = find(name);
-    if (c == nullptr) return;
-    for (std::size_t pid = 0; pid < c->values.size(); ++pid) {
-      if (c->present[pid] != 0) fn(static_cast<ProcessId>(pid), c->values[pid]);
+  void for_each(ColumnId column, Fn&& fn) const {
+    const Column& c = columns_[column];
+    for (std::size_t pid = 0; pid < c.values.size(); ++pid) {
+      if (c.present[pid] != 0) fn(static_cast<ProcessId>(pid), c.values[pid]);
     }
   }
-  /// Number of variables with this name.
-  std::size_t count_named(std::string_view name) const {
-    const Column* c = find(name);
-    return c == nullptr ? 0 : c->totals.count;
+  /// Number of variables in the column.
+  std::size_t count(ColumnId column) const {
+    return columns_[column].totals.count;
   }
-  /// The sum of every variable with this name, when the running total is
+  /// The sum of the column's variables, when the running total is
   /// bit-identical to a fold over them in pid order; nullopt otherwise.
   /// Every present value is exact (an integer of magnitude at most 2^32)
   /// and there are at most 2^20 of them, so every partial sum of any fold
-  /// is an integer below 2^52 and no addition rounds. Variables are never
-  /// removed, so once the count passes 2^20 the total is never read again.
-  std::optional<double> exact_sum_named(std::string_view name) const {
-    const Column* c = find(name);
-    if (c == nullptr) return 0.0;
-    const NameTotals& t = c->totals;
+  /// is an integer below 2^52 and no addition rounds. Variables are only
+  /// removed all at once (clear), so once the count passes 2^20 the total
+  /// is not read again until then.
+  std::optional<double> exact_sum(ColumnId column) const {
+    const NameTotals& t = columns_[column].totals;
     if (t.inexact != 0 || t.count > kMaxExactCount) return std::nullopt;
     return t.exact_sum;
+  }
+
+  /// Forgets every value; the columns and their capacity stay.
+  void clear() {
+    for (Column& c : columns_) {
+      std::fill(c.present.begin(), c.present.end(), char{0});
+      c.totals = {};
+    }
   }
 
  private:
@@ -157,13 +158,6 @@ class GlobalState {
     std::vector<char> present;
     NameTotals totals;
   };
-
-  const Column* find(std::string_view name) const {
-    for (const Column& c : columns_) {
-      if (c.name.str() == name) return &c;
-    }
-    return nullptr;
-  }
 
   std::vector<Column> columns_;
 };

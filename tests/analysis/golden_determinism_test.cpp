@@ -26,7 +26,10 @@
 #include "common/error.hpp"
 #include "common/name.hpp"
 #include "common/table.hpp"
+#include "clocks/timestamp.hpp"
 #include "core/detectors.hpp"
+#include "core/lattice.hpp"
+#include "core/oracle.hpp"
 #include "core/predicate_parser.hpp"
 #include "net/message.hpp"
 #include "sim/fault.hpp"
@@ -437,6 +440,68 @@ TEST(NameTableTest, TracedRerunsInternNothing) {
     EXPECT_FALSE(run.trace.empty()) << pinned.hashes.mode;
     EXPECT_EQ(Name::table_size(), size) << pinned.hashes.mode;
   }
+}
+
+TEST(NameTableTest, BindingInternsEachNameOnce) {
+  // A fresh predicate's names enter the table when a detector, an oracle
+  // or a lattice walk first binds a state to it; nothing after that adds a
+  // name, however often it binds.
+  const core::Predicate p = core::parse_predicate(
+      "bind", "sum(bind_a) - bind_b[2] > 0 && max(bind_c) < 9");
+  ASSERT_EQ(p.names().size(), 3u);
+  const core::SensingMap sensing;
+  const world::WorldTimeline timeline;
+  const SimTime horizon = SimTime::zero() + Duration::seconds(1);
+  const core::ExecutionView bottom_only({1}, {{}});
+
+  const std::size_t size = Name::table_size();
+  const core::OnlineDetector detector(core::DetectorKind::kStrobeVector, p);
+  EXPECT_EQ(Name::table_size(), size + p.names().size());
+  const core::GroundTruthOracle oracle(p, sensing);
+  oracle.evaluate(timeline, horizon);
+  EXPECT_FALSE(core::lattice::possibly(bottom_only, p));
+  EXPECT_FALSE(core::lattice::definitely(bottom_only, p));
+  const std::size_t bound = size + p.names().size();
+  EXPECT_EQ(Name::table_size(), bound);
+
+  // φ's names at two processes, so the runs and the walk have work to do.
+  core::ObservationLog log;
+  log.num_processes = 3;
+  std::vector<std::vector<core::ExecutionView::Event>> events(2);
+  for (std::uint64_t tick = 1; tick <= 8; ++tick) {
+    const auto pid = static_cast<ProcessId>(1 + tick % 2);
+    const Name name = pid == 1 ? Name("bind_a") : Name("bind_b");
+    core::ReceivedUpdate u;
+    u.delivered_at = SimTime::zero() + Duration::millis(
+                                           static_cast<std::int64_t>(tick));
+    u.reporter = pid;
+    u.report.attribute = name;
+    u.report.value = static_cast<double>(tick % 3);
+    u.report.strobe_vector = clocks::VectorStamp(3);
+    u.report.strobe_vector[pid] = tick;
+    u.report.strobe_scalar = {tick, pid};
+    u.report.synced_timestamp = u.delivered_at;
+    core::ExecutionView::Event e;
+    e.stamp = u.report.strobe_vector;
+    e.var = core::VarRef{pid, name};
+    e.value = u.report.value.numeric();
+    e.when = u.delivered_at;
+    events[pid - 1].push_back(e);
+    log.updates.push_back(u);
+  }
+  const core::ExecutionView view({1, 2}, events);
+  EXPECT_EQ(Name::table_size(), bound);
+
+  const core::OnlineDetector again(core::DetectorKind::kDeliveryOrder, p);
+  std::size_t detections = 0;
+  for (std::size_t i = 0; i < 1000; ++i) {
+    const core::Detector* d = core::all_online_detectors()[i % 4];
+    detections += d->run(log, p).size();
+  }
+  EXPECT_GT(detections, 0u);
+  EXPECT_TRUE(core::lattice::possibly(view, p));
+  core::lattice::definitely(view, p);
+  EXPECT_EQ(Name::table_size(), bound);
 }
 
 TEST(NameTableTest, PredicateAndFaultParsersNeverIntern) {

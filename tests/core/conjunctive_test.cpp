@@ -38,7 +38,7 @@ TEST(LocalIntervalsTest, ExtractsTrueRuns) {
   b.event(0, {0, 3}, "x", 2.0, 30);   // true again, open-ended
   const auto view = b.build();
   const auto intervals = WeakConjunctiveDetector::local_intervals(
-      view, 0, parse_expr("x[1] > 0"));
+      view, 0, parse_predicate("c", "x[1] > 0"));
   ASSERT_EQ(intervals.size(), 2u);
   EXPECT_EQ(intervals[0].begin_time, t(10));
   ASSERT_TRUE(intervals[0].end_time.has_value());
@@ -52,7 +52,7 @@ TEST(LocalIntervalsTest, RejectsConjunctTrueOnEmptyState) {
   b.event(0, {0, 1}, "x", 1.0, 10);
   const auto view = b.build();
   EXPECT_THROW(WeakConjunctiveDetector::local_intervals(
-                   view, 0, parse_expr("x[1] < 5")),
+                   view, 0, parse_predicate("c", "x[1] < 5")),
                InvariantError);
 }
 

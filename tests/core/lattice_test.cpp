@@ -153,7 +153,9 @@ TEST(PossiblyWitnessTest, WitnessSatisfiesPredicate) {
   const auto witness = lattice::possibly_witness(view, p);
   ASSERT_TRUE(witness.has_value());
   EXPECT_TRUE(view.consistent(*witness));
-  EXPECT_TRUE(p.holds(view.state_at(*witness)));
+  GlobalState state(p);
+  view.state_at(*witness, state);
+  EXPECT_TRUE(p.holds(state));
   EXPECT_EQ(*witness, (std::vector<std::size_t>{1, 0}));
 }
 
@@ -173,9 +175,15 @@ TEST(ExecutionViewTest, StateAtUsesLatestValues) {
   b.event(0, {0, 1}, "x", 1.0);
   b.event(0, {0, 2}, "x", 7.0);
   const auto view = b.build();
-  EXPECT_FALSE(view.state_at({0}).get(VarRef{1, "x"}).has_value());
-  EXPECT_DOUBLE_EQ(*view.state_at({1}).get(VarRef{1, "x"}), 1.0);
-  EXPECT_DOUBLE_EQ(*view.state_at({2}).get(VarRef{1, "x"}), 7.0);
+  // The caller's bound state is refilled at each cut.
+  GlobalState state(parse_predicate("p", "x[1]"));
+  const GlobalState::ColumnId x = *state.column("x");
+  view.state_at({2}, state);
+  EXPECT_DOUBLE_EQ(*state.get(x, 1), 7.0);
+  view.state_at({0}, state);
+  EXPECT_FALSE(state.get(x, 1).has_value());
+  view.state_at({1}, state);
+  EXPECT_DOUBLE_EQ(*state.get(x, 1), 1.0);
 }
 
 TEST(ExecutionViewTest, FinalCutAndTotals) {

@@ -6,86 +6,78 @@
 
 #include "common/error.hpp"
 #include "sim/fault.hpp"
+#include "support/bound_state.hpp"
 
 namespace psn::core {
 namespace {
 
-GlobalState state_of(
-    std::initializer_list<std::pair<VarRef, double>> entries) {
-  GlobalState s;
-  for (const auto& [ref, v] : entries) s.set(ref, v);
-  return s;
-}
+using test_support::bound_state;
+using test_support::eval;
+using test_support::holds;
 
 TEST(ParserTest, NumbersAndArithmetic) {
-  const GlobalState empty;
-  EXPECT_DOUBLE_EQ(parse_expr("42")->evaluate(empty), 42.0);
-  EXPECT_DOUBLE_EQ(parse_expr("2 + 3 * 4")->evaluate(empty), 14.0);
-  EXPECT_DOUBLE_EQ(parse_expr("(2 + 3) * 4")->evaluate(empty), 20.0);
-  EXPECT_DOUBLE_EQ(parse_expr("10 - 4 - 3")->evaluate(empty), 3.0);
-  EXPECT_DOUBLE_EQ(parse_expr("8 / 2 / 2")->evaluate(empty), 2.0);
-  EXPECT_DOUBLE_EQ(parse_expr("1.5e2")->evaluate(empty), 150.0);
-  EXPECT_DOUBLE_EQ(parse_expr("-5 + 2")->evaluate(empty), -3.0);
+  EXPECT_DOUBLE_EQ(eval("42"), 42.0);
+  EXPECT_DOUBLE_EQ(eval("2 + 3 * 4"), 14.0);
+  EXPECT_DOUBLE_EQ(eval("(2 + 3) * 4"), 20.0);
+  EXPECT_DOUBLE_EQ(eval("10 - 4 - 3"), 3.0);
+  EXPECT_DOUBLE_EQ(eval("8 / 2 / 2"), 2.0);
+  EXPECT_DOUBLE_EQ(eval("1.5e2"), 150.0);
+  EXPECT_DOUBLE_EQ(eval("-5 + 2"), -3.0);
 }
 
 TEST(ParserTest, Variables) {
-  const auto s = state_of({{{2, "entered"}, 7.0}});
-  EXPECT_DOUBLE_EQ(parse_expr("entered[2]")->evaluate(s), 7.0);
-  EXPECT_DOUBLE_EQ(parse_expr("entered[2] * 2")->evaluate(s), 14.0);
+  const test_support::Entries s = {{{2, "entered"}, 7.0}};
+  EXPECT_DOUBLE_EQ(eval("entered[2]", s), 7.0);
+  EXPECT_DOUBLE_EQ(eval("entered[2] * 2", s), 14.0);
 }
 
 TEST(ParserTest, Aggregates) {
-  const auto s = state_of({{{1, "x"}, 2.0}, {{2, "x"}, 5.0}});
-  EXPECT_DOUBLE_EQ(parse_expr("sum(x)")->evaluate(s), 7.0);
-  EXPECT_DOUBLE_EQ(parse_expr("min(x)")->evaluate(s), 2.0);
-  EXPECT_DOUBLE_EQ(parse_expr("max(x)")->evaluate(s), 5.0);
-  EXPECT_DOUBLE_EQ(parse_expr("count(x)")->evaluate(s), 2.0);
+  const test_support::Entries s = {{{1, "x"}, 2.0}, {{2, "x"}, 5.0}};
+  EXPECT_DOUBLE_EQ(eval("sum(x)", s), 7.0);
+  EXPECT_DOUBLE_EQ(eval("min(x)", s), 2.0);
+  EXPECT_DOUBLE_EQ(eval("max(x)", s), 5.0);
+  EXPECT_DOUBLE_EQ(eval("count(x)", s), 2.0);
 }
 
 TEST(ParserTest, ComparisonsAndLogic) {
-  const auto s = state_of({{{1, "x"}, 5.0}, {{2, "y"}, 8.0}});
-  EXPECT_TRUE(parse_expr("x[1] == 5 && y[2] > 7")->holds(s));
-  EXPECT_TRUE(parse_expr("x[1] == 5 and y[2] > 7")->holds(s));
-  EXPECT_FALSE(parse_expr("x[1] != 5 || y[2] <= 7")->holds(s));
-  EXPECT_TRUE(parse_expr("x[1] >= 5 or false")->holds(s));
-  EXPECT_TRUE(parse_expr("!(x[1] < 5)")->holds(s));
+  const test_support::Entries s = {{{1, "x"}, 5.0}, {{2, "y"}, 8.0}};
+  EXPECT_TRUE(holds("x[1] == 5 && y[2] > 7", s));
+  EXPECT_TRUE(holds("x[1] == 5 and y[2] > 7", s));
+  EXPECT_FALSE(holds("x[1] != 5 || y[2] <= 7", s));
+  EXPECT_TRUE(holds("x[1] >= 5 or false", s));
+  EXPECT_TRUE(holds("!(x[1] < 5)", s));
 }
 
 TEST(ParserTest, PrecedenceAndOverCmp) {
-  const auto s = state_of({{{1, "x"}, 5.0}});
+  const test_support::Entries s = {{{1, "x"}, 5.0}};
   // "x[1] > 4 && x[1] < 6" must parse as (x>4) && (x<6).
-  EXPECT_TRUE(parse_expr("x[1] > 4 && x[1] < 6")->holds(s));
+  EXPECT_TRUE(holds("x[1] > 4 && x[1] < 6", s));
   // Or binds looser than and: "false && false || true" is true.
-  EXPECT_TRUE(parse_expr("false && false || true")->holds(s));
+  EXPECT_TRUE(holds("false && false || true", s));
 }
 
 TEST(ParserTest, PaperExamples) {
   // §5 exhibition hall.
-  const auto hall = parse_expr("sum(entered) - sum(exited) > 200");
-  auto s = state_of({{{1, "entered"}, 201.0}, {{1, "exited"}, 0.0}});
-  EXPECT_TRUE(hall->holds(s));
+  EXPECT_TRUE(holds("sum(entered) - sum(exited) > 200",
+                    {{{1, "entered"}, 201.0}, {{1, "exited"}, 0.0}}));
   // §3.1 smart office.
-  const auto office = parse_expr("temp[1] > 30 && occupied[2]");
-  auto o = state_of({{{1, "temp"}, 31.0}, {{2, "occupied"}, 1.0}});
-  EXPECT_TRUE(office->holds(o));
+  EXPECT_TRUE(holds("temp[1] > 30 && occupied[2]",
+                    {{{1, "temp"}, 31.0}, {{2, "occupied"}, 1.0}}));
   // §3.1.2 relational φ = x_i + y_j > 7.
-  const auto rel = parse_expr("x[1] + y[2] > 7");
-  auto r = state_of({{{1, "x"}, 4.0}, {{2, "y"}, 4.0}});
-  EXPECT_TRUE(rel->holds(r));
+  EXPECT_TRUE(holds("x[1] + y[2] > 7", {{{1, "x"}, 4.0}, {{2, "y"}, 4.0}}));
 }
 
 TEST(ParserTest, BooleansAndUnary) {
-  const GlobalState empty;
-  EXPECT_TRUE(parse_expr("true")->holds(empty));
-  EXPECT_FALSE(parse_expr("false")->holds(empty));
-  EXPECT_TRUE(parse_expr("!false")->holds(empty));
-  EXPECT_DOUBLE_EQ(parse_expr("--5")->evaluate(empty), 5.0);
+  EXPECT_TRUE(holds("true"));
+  EXPECT_FALSE(holds("false"));
+  EXPECT_TRUE(holds("!false"));
+  EXPECT_DOUBLE_EQ(eval("--5"), 5.0);
 }
 
 TEST(ParserTest, WhitespaceInsensitive) {
-  const auto s = state_of({{{1, "x"}, 5.0}});
-  EXPECT_TRUE(parse_expr("  x[ 1 ]>4  ")->holds(s));
-  EXPECT_TRUE(parse_expr("x[1]>4&&x[1]<6")->holds(s));
+  const test_support::Entries s = {{{1, "x"}, 5.0}};
+  EXPECT_TRUE(holds("  x[ 1 ]>4  ", s));
+  EXPECT_TRUE(holds("x[1]>4&&x[1]<6", s));
 }
 
 TEST(ParserTest, ClassificationSurvivesParsing) {
@@ -105,18 +97,20 @@ TEST(ParserTest, RoundTripThroughToString) {
       "x[1] + y[2] * 3 >= 7",
       "!(a[0] == 1) || b[3] < 2",
   };
-  const auto s = state_of({{{0, "a"}, 1.0},
-                           {{3, "b"}, 5.0},
-                           {{1, "x"}, 2.0},
-                           {{2, "y"}, 3.0},
-                           {{1, "temp"}, 31.0},
-                           {{2, "occupied"}, 1.0},
-                           {{1, "entered"}, 300.0},
-                           {{1, "exited"}, 10.0}});
+  const test_support::Entries s = {{{0, "a"}, 1.0},
+                                   {{3, "b"}, 5.0},
+                                   {{1, "x"}, 2.0},
+                                   {{2, "y"}, 3.0},
+                                   {{1, "temp"}, 31.0},
+                                   {{2, "occupied"}, 1.0},
+                                   {{1, "entered"}, 300.0},
+                                   {{1, "exited"}, 10.0}};
   for (const char* text : inputs) {
-    const auto once = parse_expr(text);
-    const auto twice = parse_expr(once->to_string());
-    EXPECT_DOUBLE_EQ(once->evaluate(s), twice->evaluate(s)) << text;
+    const Predicate once = parse_predicate("once", text);
+    const Predicate twice = parse_predicate("twice", once.to_string());
+    EXPECT_DOUBLE_EQ(once.evaluate(bound_state(once, s)),
+                     twice.evaluate(bound_state(twice, s)))
+        << text;
   }
 }
 
@@ -124,16 +118,16 @@ TEST(ParserTest, ErrorsCarryPosition) {
   for (const char* bad : {"", "x[", "x[1", "x[a]", "sum(", "sum(x", "1 +",
                           "x", "((1)", "1 2", "@", "foo(x)", "1e400",
                           "x[4294967296]"}) {
-    EXPECT_THROW(parse_expr(bad), ConfigError) << "input: " << bad;
+    EXPECT_THROW(parse_predicate("bad", bad), ConfigError) << "input: " << bad;
   }
 }
 
 TEST(ParserTest, WordOperatorsDontEatIdentifiers) {
   // "order" must not be parsed as "or" + "der".
-  const auto s = state_of({{{1, "order"}, 1.0}});
-  EXPECT_TRUE(parse_expr("order[1] == 1")->holds(s));
-  const auto a = state_of({{{1, "android"}, 1.0}});
-  EXPECT_TRUE(parse_expr("android[1]")->holds(a));
+  const test_support::Entries s = {{{1, "order"}, 1.0}};
+  EXPECT_TRUE(holds("order[1] == 1", s));
+  const test_support::Entries a = {{{1, "android"}, 1.0}};
+  EXPECT_TRUE(holds("android[1]", a));
 }
 
 // strtod honours LC_NUMERIC, so under a comma-decimal locale the fault and
@@ -161,9 +155,8 @@ TEST(ParserTest, GrammarsIgnoreACommaDecimalLocale) {
   ASSERT_EQ(plan.crashes.size(), 1u);
   EXPECT_EQ(plan.crashes[0].begin, SimTime::from_seconds(0.5));
   EXPECT_EQ(plan.crashes[0].end, SimTime::from_seconds(2.5));
-  const ExprPtr hot = parse_expr("temp[1] > 30.5");
-  EXPECT_TRUE(hot->holds(state_of({{{1, "temp"}, 30.75}})));
-  EXPECT_FALSE(hot->holds(state_of({{{1, "temp"}, 30.25}})));
+  EXPECT_TRUE(holds("temp[1] > 30.5", {{{1, "temp"}, 30.75}}));
+  EXPECT_FALSE(holds("temp[1] > 30.5", {{{1, "temp"}, 30.25}}));
 }
 
 }  // namespace

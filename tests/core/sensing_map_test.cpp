@@ -31,11 +31,12 @@ TEST(SensingMapTest, DoubleAssignmentRejected) {
   EXPECT_THROW(map.assign(2, "y", kNoProcess), InvariantError);
 }
 
-TEST(VarRefTest, OrderingIsByPidThenName) {
+TEST(VarRefTest, EqualityIsPidAndName) {
+  // Name handles never order (DESIGN.md §11), so a VarRef only compares.
   const VarRef a{1, "a"}, b{1, "b"}, c{2, "a"};
-  EXPECT_LT(a, b);
-  EXPECT_LT(b, c);
   EXPECT_EQ(a, (VarRef{1, "a"}));
+  EXPECT_NE(a, b);
+  EXPECT_NE(a, c);
 }
 
 TEST(EventTypeTest, Names) {

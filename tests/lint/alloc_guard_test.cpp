@@ -19,7 +19,7 @@
 //   3. OnlineDetector::feed of every detector kind, including feeds that
 //      flip the predicate (transitions must not build a vector to return one
 //      detection); and the root-side GlobalState::set + Predicate::holds of
-//      sum(a) - sum(b) > c on the running aggregate totals.
+//      sum(a) - sum(b) + max(a) - min(b) - a[2] > c on a state bound to it.
 //   4. StreamChecker::feed in trace-only mode — the soak server's always-on
 //      mode — with a bounded retention window (the checker's std::pmr
 //      pool recycles the matching working set). Bound mode is NOT pinned:
@@ -60,7 +60,7 @@
 #include "core/detectors.hpp"
 #include "core/sharded_system.hpp"
 #include "core/observation.hpp"
-#include "core/predicate.hpp"
+#include "core/predicate_parser.hpp"
 #include "net/delay_model.hpp"
 #include "net/loss_model.hpp"
 #include "net/message.hpp"
@@ -187,11 +187,8 @@ TEST(AllocGuard, BroadcastScheduleCostIsIndependentOfFanOut) {
 std::uint64_t detector_feed_allocs(core::DetectorKind kind, std::size_t rounds,
                                    std::uint64_t* transitions_out) {
   const std::size_t kProcs = 5;
-  core::Predicate phi(
-      "load", core::binary(core::BinaryOp::kGt,
-                           core::aggregate(core::AggregateOp::kSum, "x"),
-                           core::constant(100.0)));
-  core::OnlineDetector det(kind, phi);
+  core::OnlineDetector det(kind,
+                           core::parse_predicate("load", "sum(x) > 100"));
 
   // Pre-built update stream: reporters 1..4 alternate high/low values so the
   // sum crosses the threshold repeatedly — transitions are the interesting
@@ -241,27 +238,27 @@ TEST(AllocGuard, DetectorFeedIsAllocationFreeIncludingTransitions) {
   }
 }
 
-// Root-side evaluation of the exhibition-hall predicate in steady state:
+// Root-side evaluation of the exhibition-hall predicate, plus min, max and
+// a variable named outright, on a state bound to it, in steady state:
 // overwriting an existing variable keeps the per-name running totals up to
-// date in place, and sum/count read them without building anything.
+// date in place, sum/count read them, and min/max fold the column without
+// building anything.
 TEST(AllocGuard, AggregateSetAndHoldsIsAllocationFree) {
-  const core::Predicate phi(
-      "hall",
-      core::binary(core::BinaryOp::kGt,
-                   core::binary(core::BinaryOp::kSub,
-                                core::aggregate(core::AggregateOp::kSum, "a"),
-                                core::aggregate(core::AggregateOp::kSum, "b")),
-                   core::constant(40.0)));
-  core::GlobalState state;
+  const core::Predicate phi = core::parse_predicate(
+      "hall", "sum(a) - sum(b) + max(a) - min(b) - a[2] > 40");
+  core::GlobalState state(phi);
   const std::vector<core::VarRef> vars = {
       {1, "a"}, {2, "a"}, {3, "a"}, {1, "b"}, {2, "b"}, {3, "b"}};
-  for (const core::VarRef& v : vars) state.set(v, 0.0);
+  for (const core::VarRef& v : vars) {
+    state.set(*state.column(v.name), v.pid, 0.0);
+  }
 
   std::uint64_t holds = 0;
   Scope scope;
   for (std::size_t i = 0; i < 4096; i++) {
     const core::VarRef& v = vars[i % vars.size()];
-    state.set(v, static_cast<double>((i * 7) % 31));
+    state.set(*state.column(v.name), v.pid,
+              static_cast<double>((i * 7) % 31));
     if (phi.holds(state)) holds++;
   }
   EXPECT_EQ(scope.allocations(), 0u);
