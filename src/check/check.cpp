@@ -95,11 +95,10 @@ std::string CheckReport::summary() const {
   return out;
 }
 
-// The batch checker is now a thin loop over the incremental StreamChecker
-// (stream_checker.cpp holds the actual oracle replay). With unbounded
-// send_retention the streaming replay retains exactly the state the old
-// one-shot Replay did, so batch reports are byte-identical by construction
-// — the equivalence test pins this.
+// The batch checker is a thin loop over the incremental StreamChecker
+// (stream_checker.cpp holds the actual oracle replay) with unbounded
+// send_retention, so batch and streaming reports are byte-identical by
+// construction — the equivalence test pins this.
 CheckReport check_run(const RunInputs& inputs, const CheckOptions& options) {
   if (inputs.num_processes == 0) {
     throw ConfigError("psn::check: num_processes must be >= 1");

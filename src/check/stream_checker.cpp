@@ -56,148 +56,114 @@ void StreamChecker::add(ContractResult& c, CheckViolation v) {
 }
 
 PSN_HOT std::optional<CheckViolation> StreamChecker::feed(
-    const sim::TraceRecord& record) {
-  records_fed_++;
+    const sim::TraceRecord& r) {
   feed_violation_.reset();
   in_feed_ = true;
   // kDetect records are appended out-of-band (batch traces rewind their
   // timestamps to the causing sense), so they neither advance the eviction
   // clock nor participate in matching.
-  if (record.kind != sim::TraceKind::kDetect) evict_expired(record.at);
+  if (r.kind != sim::TraceKind::kDetect) evict_expired(r.at);
+  if (saw_fault_records_) check_down_activity(r);
 
-  // Fault records are mode-independent: they drive the crash/partition
-  // replay (fault-model contract) whether or not executions are bound.
-  switch (record.kind) {
+  // One dispatch for both modes: the record drives the happens-before
+  // bookkeeping; bound mode then steps the claimed execution to it.
+  const bool computation = r.message_kind == kComputationKind;
+  switch (r.kind) {
+    case sim::TraceKind::kSense: {
+      if (!admit(r)) break;
+      Sent* entry = r.seq != 0 ? &remember(r, /*strobe=*/true) : nullptr;
+      if (bound()) advance(r, core::EventType::kSense, entry);
+      break;
+    }
+    case sim::TraceKind::kSend: {
+      if (!admit(r) || !computation) break;
+      Sent* entry = r.seq != 0 ? &remember(r, /*strobe=*/false) : nullptr;
+      if (bound()) advance(r, core::EventType::kSend, entry);
+      break;
+    }
+    case sim::TraceKind::kReceive: {
+      if (!computation || !admit(r)) break;
+      const auto it = comp_sent_.find(r.seq);
+      const bool matched = it != comp_sent_.end();
+      if (!matched) {
+        add(hb_, {ViolationKind::kUnmatchedReceive, r.pid, 0, r.seq, r.at,
+                  "receive record has no matching send (dropped "
+                  "send->receive edge)"});
+      }
+      if (bound()) {
+        advance(r, core::EventType::kReceive, matched ? &it->second : nullptr);
+      }
+      // Unicast: matched once and released at once — this is what keeps
+      // the working set proportional to traffic in flight.
+      if (matched) comp_sent_.erase(it);
+      break;
+    }
+    case sim::TraceKind::kDeliver: {
+      if (r.message_kind != kStrobeKind || !admit(r)) break;
+      const auto it = strobe_sent_.find(r.seq);
+      if (it == strobe_sent_.end()) {
+        add(hb_, {ViolationKind::kUnmatchedDeliver, r.pid, 0, r.seq, r.at,
+                  "strobe delivery from an unknown sense broadcast"});
+        break;
+      }
+      // Broadcast copies share the seq, so the entry stays until the
+      // retention window passes it.
+      check_validity(r, it->second.at);
+      if (bound()) {
+        // SSC2/SVC2: merge, no tick. An entry whose sense the execution
+        // lacks (already flagged) has no vector to merge.
+        OracleState& s = states_[r.pid];
+        s.strobe_scalar = std::max(s.strobe_scalar, it->second.scalar);
+        if (it->second.vector.size() == s.strobe_vc.size()) {
+          s.strobe_vc.merge(it->second.vector);
+        }
+      }
+      break;
+    }
+    case sim::TraceKind::kDrop:
+    case sim::TraceKind::kUnreachable:
+      // A dropped unicast computation message can never be received;
+      // release its entry now rather than waiting out the window.
+      if (computation) comp_sent_.erase(r.seq);
+      break;
     case sim::TraceKind::kCrash:
     case sim::TraceKind::kRestart:
     case sim::TraceKind::kPartition:
     case sim::TraceKind::kHeal:
-      on_fault_record(record);
-      in_feed_ = false;
-      return std::exchange(feed_violation_, std::nullopt);
-    default:
+      on_fault_record(r);
       break;
-  }
-  if (saw_fault_records_) check_down_activity(record);
-
-  if (bound()) {
-    switch (record.kind) {
-      case sim::TraceKind::kSense:
-        consume_target(record.pid, core::EventType::kSense, record.seq,
-                       record);
-        break;
-      case sim::TraceKind::kSend:
-        if (record.message_kind == kComputationKind) {
-          consume_target(record.pid, core::EventType::kSend, record.seq,
-                         record);
-        }
-        break;
-      case sim::TraceKind::kReceive:
-        if (record.message_kind == kComputationKind) {
-          consume_target(record.pid, core::EventType::kReceive, record.seq,
-                         record);
-        }
-        break;
-      case sim::TraceKind::kDeliver:
-        if (record.message_kind == kStrobeKind) on_strobe_delivery(record);
-        break;
-      case sim::TraceKind::kDrop:
-      case sim::TraceKind::kUnreachable:
-      case sim::TraceKind::kDetect:
-      case sim::TraceKind::kCrash:
-      case sim::TraceKind::kRestart:
-      case sim::TraceKind::kPartition:
-      case sim::TraceKind::kHeal:  // fault kinds returned above
-        break;
-    }
-  } else {
-    // Trace-only mode: no claimed executions to replay clocks against, so
-    // only the structural send/receive + sense/deliver matching and the
-    // temporal-validity contract run. This is the soak server's mode — the
-    // wire carries trace records, never per-process clock claims.
-    const bool pid_known =
-        cfg_.num_processes == 0 || record.pid < cfg_.num_processes;
-    switch (record.kind) {
-      case sim::TraceKind::kSense:
-        hb_.events_checked++;
-        if (!pid_known) {
-          add(hb_, {ViolationKind::kUnmatchedSend, record.pid, 0, record.seq,
-                    record.at, "trace names pid out of range"});
-          break;
-        }
-        if (record.seq != 0) {
-          strobe_sent_[record.seq] =
-              SentStrobe{0, clocks::VectorStamp(), record.at};
-          if (cfg_.send_retention != Duration::max()) {
-            pending_order_.push_back({record.at, record.seq, true});
-          }
-        }
-        break;
-      case sim::TraceKind::kSend:
-        hb_.events_checked++;
-        if (!pid_known) {
-          add(hb_, {ViolationKind::kUnmatchedSend, record.pid, 0, record.seq,
-                    record.at, "trace names pid out of range"});
-          break;
-        }
-        if (record.message_kind == kComputationKind && record.seq != 0) {
-          comp_sent_[record.seq] =
-              SentComputation{clocks::VectorStamp(), 0, record.at};
-          if (cfg_.send_retention != Duration::max()) {
-            pending_order_.push_back({record.at, record.seq, false});
-          }
-        }
-        break;
-      case sim::TraceKind::kReceive:
-        if (record.message_kind == kComputationKind) {
-          hb_.events_checked++;
-          const auto it = comp_sent_.find(record.seq);
-          if (record.seq == 0 || it == comp_sent_.end()) {
-            add(hb_, {ViolationKind::kUnmatchedReceive, record.pid, 0,
-                      record.seq, record.at,
-                      "receive record has no matching send (dropped "
-                      "send->receive edge)"});
-          } else {
-            // Unicast: matched once, evict immediately — this is what keeps
-            // the working set proportional to traffic in flight.
-            comp_sent_.erase(it);
-          }
-        }
-        break;
-      case sim::TraceKind::kDeliver:
-        if (record.message_kind == kStrobeKind) {
-          hb_.events_checked++;
-          const auto it = strobe_sent_.find(record.seq);
-          if (record.seq == 0 || it == strobe_sent_.end()) {
-            add(hb_,
-                {ViolationKind::kUnmatchedDeliver, record.pid, 0, record.seq,
-                 record.at, "strobe delivery from an unknown sense broadcast"});
-          } else {
-            // Broadcast copies share the seq, so the entry stays until the
-            // retention window passes it.
-            check_validity(record, it->second.sensed_at);
-          }
-        }
-        break;
-      case sim::TraceKind::kDrop:
-      case sim::TraceKind::kUnreachable:
-        // A dropped unicast computation message can never be received;
-        // release its entry now rather than waiting out the window.
-        if (record.message_kind == kComputationKind) {
-          comp_sent_.erase(record.seq);
-        }
-        break;
-      case sim::TraceKind::kDetect:
-      case sim::TraceKind::kCrash:
-      case sim::TraceKind::kRestart:
-      case sim::TraceKind::kPartition:
-      case sim::TraceKind::kHeal:  // fault kinds returned above
-        break;
-    }
+    case sim::TraceKind::kDetect:
+      break;
   }
 
   in_feed_ = false;
   return std::exchange(feed_violation_, std::nullopt);
+}
+
+/// Counts a record that carries a happens-before endpoint and checks its
+/// pid against the declared topology (0 processes = unknown, trace-only).
+bool StreamChecker::admit(const sim::TraceRecord& r) {
+  hb_.events_checked++;
+  const bool in_range = cfg_.num_processes == 0
+                            ? !bound()
+                            : r.pid < cfg_.num_processes;
+  if (!in_range) {
+    add(hb_, {ViolationKind::kUnmatchedSend, r.pid, 0, r.seq, r.at,
+              "trace names pid out of range"});
+  }
+  return in_range;
+}
+
+/// Makes the entry a send or sense record leaves under its seq, queued for
+/// eviction when the retention window is finite.
+StreamChecker::Sent& StreamChecker::remember(const sim::TraceRecord& r,
+                                             bool strobe) {
+  Sent& entry = (strobe ? strobe_sent_ : comp_sent_)[r.seq];
+  entry = Sent{0, clocks::VectorStamp(), r.at};
+  if (cfg_.send_retention != Duration::max()) {
+    pending_order_.push_back({r.at, r.seq, strobe});
+  }
+  return entry;
 }
 
 /// Replays one fault record into the down/cut state, flagging malformed
@@ -279,55 +245,57 @@ void StreamChecker::check_down_activity(const sim::TraceRecord& r) {
   }
 }
 
-/// Consumes execution events of `p` up to and including the one matching
-/// (type, seq). Intermediate events are consumed as catch-up: internal
-/// compute/actuate events are expected there; message-bearing events are
-/// not (their own trace records should have consumed them first) and are
-/// flagged kUntracedEvent. If no matching event remains, flags
-/// kUnmatchedSend/kUnmatchedReceive and consumes nothing.
-void StreamChecker::consume_target(ProcessId p, core::EventType type,
-                                   std::uint64_t seq,
-                                   const sim::TraceRecord& r) {
-  if (p >= cfg_.num_processes) {
-    add(hb_, {ViolationKind::kUnmatchedSend, p, 0, seq, r.at,
-              "trace names pid out of range"});
-    return;
-  }
-  const auto& events = (*executions_)[p];
-  std::size_t target = states_[p].cursor;
-  while (target < events.size() &&
-         !(events[target].type == type && events[target].message_seq == seq)) {
+/// Bound mode: steps the record's process to the execution event it names,
+/// (type, seq), and replays that event with the record's entry. Events
+/// before it are catch-up. If no matching event remains, the record has no
+/// execution event: flags kUnmatchedSend/kUnmatchedReceive and consumes
+/// nothing.
+void StreamChecker::advance(const sim::TraceRecord& r, core::EventType type,
+                            Sent* entry) {
+  const auto& events = (*executions_)[r.pid];
+  std::size_t target = states_[r.pid].cursor;
+  while (target < events.size() && !(events[target].type == type &&
+                                     events[target].message_seq == r.seq)) {
     target++;
   }
   if (target == events.size()) {
     const auto kind = type == core::EventType::kReceive
                           ? ViolationKind::kUnmatchedReceive
                           : ViolationKind::kUnmatchedSend;
-    add(hb_, {kind, p, 0, seq, r.at,
+    add(hb_, {kind, r.pid, 0, r.seq, r.at,
               std::string("trace record has no matching ") +
                   core::to_string(type) + " event in the execution"});
     return;
   }
-  while (states_[p].cursor < target) {
-    const core::ProcessEvent& e = events[states_[p].cursor];
+  catch_up(r.pid, target);
+  consume_one(r.pid, entry, /*synced_with_trace=*/true);
+}
+
+/// Consumes `p`'s execution events before index `end` with no record of
+/// their own. Internal compute/actuate events are expected there; a
+/// message-bearing one lost its record and is flagged kUntracedEvent.
+void StreamChecker::catch_up(ProcessId p, std::size_t end) {
+  while (states_[p].cursor < end) {
+    const core::ProcessEvent& e = (*executions_)[p][states_[p].cursor];
     if (e.type != core::EventType::kCompute &&
         e.type != core::EventType::kActuate) {
       add(hb_, {ViolationKind::kUntracedEvent, p, e.local_index,
                 e.message_seq, e.clocks.true_time,
                 std::string(core::to_string(e.type)) +
-                    " event skipped by the trace (record missing?)"});
+                    " event has no record in the trace"});
     }
-    consume_one(p, /*synced_with_trace=*/false);
+    consume_one(p, nullptr, /*synced_with_trace=*/false);
   }
-  consume_one(p, /*synced_with_trace=*/true);
 }
 
-/// Processes one execution event of `p` against every oracle.
-/// `synced_with_trace` is true when this event is being consumed by its
-/// own trace record, i.e. the strobe oracle state is exactly current —
-/// only then are the strobe clocks compared (catch-up consumption has
-/// ambiguous ordering against strobe deliveries).
-void StreamChecker::consume_one(ProcessId p, bool synced_with_trace) {
+/// Processes one execution event of `p` against every oracle. `entry` is
+/// the entry its record made (send, sense) or matched (receive); catch-up
+/// events have none. `synced_with_trace` is true when this event is being
+/// consumed by its own trace record, i.e. the strobe oracle state is
+/// exactly current — only then are the strobe clocks compared (catch-up
+/// consumption has ambiguous ordering against strobe deliveries).
+void StreamChecker::consume_one(ProcessId p, Sent* entry,
+                                bool synced_with_trace) {
   OracleState& s = states_[p];
   const core::ProcessEvent& e = (*executions_)[p][s.cursor++];
   check_physical(p, e);
@@ -336,14 +304,10 @@ void StreamChecker::consume_one(ProcessId p, bool synced_with_trace) {
 
   switch (e.type) {
     case core::EventType::kReceive: {
-      const auto it = comp_sent_.find(e.message_seq);
-      if (e.message_seq == 0 || it == comp_sent_.end()) {
-        add(hb_, {ViolationKind::kUnmatchedReceive, p, e.local_index,
-                  e.message_seq, e.clocks.true_time,
-                  "receive event has no matching send (dropped "
-                  "send->receive edge)"});
-        // Resync the oracle to the claimed stamps so one severed edge does
-        // not cascade into mismatch reports for every later event.
+      if (entry == nullptr || entry->vector.size() != s.causal_vc.size()) {
+        // No send stamps to merge — the gap is already flagged. Resync the
+        // oracle to the claimed stamps so one severed edge does not
+        // cascade into mismatch reports for every later event.
         if (e.clocks.causal_vector.size() == s.causal_vc.size()) {
           s.causal_vc = e.clocks.causal_vector;
         }
@@ -351,47 +315,33 @@ void StreamChecker::consume_one(ProcessId p, bool synced_with_trace) {
         return;
       }
       // VC3: merge the sender's oracle stamp, then tick own component.
-      s.causal_vc.merge(it->second.oracle_vc);
+      s.causal_vc.merge(entry->vector);
       if (p < s.causal_vc.size()) s.causal_vc[p]++;
       // Lamport message edge: C(receive) must exceed C(send).
-      if (e.clocks.lamport.value <= it->second.claimed_lamport) {
+      if (e.clocks.lamport.value <= entry->scalar) {
         add(lamport_,
             {ViolationKind::kLamportOrder, p, e.local_index, e.message_seq,
              e.clocks.true_time,
              "C(receive)=" + std::to_string(e.clocks.lamport.value) +
-                 " not greater than C(send)=" +
-                 std::to_string(it->second.claimed_lamport)});
+                 " not greater than C(send)=" + std::to_string(entry->scalar)});
       }
-      // Unicast: matched, so the entry can go — but only under a finite
-      // retention window. Batch mode (unbounded) keeps every entry so its
-      // reports stay byte-identical to the original one-shot checker, even
-      // on adversarial inputs that receive the same seq twice.
-      if (cfg_.send_retention != Duration::max()) comp_sent_.erase(it);
       break;
     }
     case core::EventType::kSend:
       if (p < s.causal_vc.size()) s.causal_vc[p]++;  // VC2
-      if (e.message_seq != 0) {
-        comp_sent_[e.message_seq] = SentComputation{
-            s.causal_vc, e.clocks.lamport.value, e.clocks.true_time};
-        if (cfg_.send_retention != Duration::max()) {
-          pending_order_.push_back(
-              {e.clocks.true_time, e.message_seq, false});
-        }
+      if (entry != nullptr) {
+        entry->scalar = e.clocks.lamport.value;
+        entry->vector = s.causal_vc;
       }
       break;
     case core::EventType::kSense: {
       if (p < s.causal_vc.size()) s.causal_vc[p]++;  // VC1
-      // SSC1/SVC1: tick the strobe oracles and remember the broadcast.
+      // SSC1/SVC1: tick the strobe oracles and stamp the broadcast.
       s.strobe_scalar++;
       if (p < s.strobe_vc.size()) s.strobe_vc[p]++;
-      if (e.message_seq != 0) {
-        strobe_sent_[e.message_seq] =
-            SentStrobe{s.strobe_scalar, s.strobe_vc, e.clocks.true_time};
-        if (cfg_.send_retention != Duration::max()) {
-          pending_order_.push_back(
-              {e.clocks.true_time, e.message_seq, true});
-        }
+      if (entry != nullptr) {
+        entry->scalar = s.strobe_scalar;
+        entry->vector = s.strobe_vc;
       }
       if (synced_with_trace) {
         strobe_scalar_.events_checked++;
@@ -428,21 +378,6 @@ void StreamChecker::consume_one(ProcessId p, bool synced_with_trace) {
                   "claimed " + e.clocks.causal_vector.to_string() +
                       " != oracle " + s.causal_vc.to_string()});
   }
-}
-
-void StreamChecker::on_strobe_delivery(const sim::TraceRecord& r) {
-  if (r.pid >= cfg_.num_processes) return;
-  const auto it = strobe_sent_.find(r.seq);
-  if (r.seq == 0 || it == strobe_sent_.end()) {
-    add(hb_, {ViolationKind::kUnmatchedDeliver, r.pid, 0, r.seq, r.at,
-              "strobe delivery from an unknown sense broadcast"});
-    return;
-  }
-  check_validity(r, it->second.sensed_at);
-  // SSC2/SVC2: merge, no tick.
-  OracleState& s = states_[r.pid];
-  s.strobe_scalar = std::max(s.strobe_scalar, it->second.scalar);
-  s.strobe_vc.merge(it->second.vector);
 }
 
 /// Lamport program-order edge: C strictly increases at every local event
@@ -531,11 +466,7 @@ PSN_HOT void StreamChecker::evict_expired(SimTime now) {
     pending_order_.pop_front();
     // Matched entries were already erased from the map; this is the lazy
     // skip for them and the actual eviction for expired ones.
-    if (entry.strobe) {
-      strobe_sent_.erase(entry.seq);
-    } else {
-      comp_sent_.erase(entry.seq);
-    }
+    (entry.strobe ? strobe_sent_ : comp_sent_).erase(entry.seq);
   }
 }
 
@@ -582,17 +513,7 @@ CheckReport StreamChecker::finish() {
     // Drain events past the last trace record (trailing compute/actuate
     // events; anything message-bearing left here was never traced).
     for (ProcessId p = 0; p < cfg_.num_processes; ++p) {
-      while (states_[p].cursor < (*executions_)[p].size()) {
-        const core::ProcessEvent& e = (*executions_)[p][states_[p].cursor];
-        if (e.type != core::EventType::kCompute &&
-            e.type != core::EventType::kActuate) {
-          add(hb_, {ViolationKind::kUntracedEvent, p, e.local_index,
-                    e.message_seq, e.clocks.true_time,
-                    std::string(core::to_string(e.type)) +
-                        " event never appeared in the trace"});
-        }
-        consume_one(p, /*synced_with_trace=*/false);
-      }
+      catch_up(p, (*executions_)[p].size());
     }
   }
   scan_soundness();

@@ -27,7 +27,15 @@
 /// evicted-window refusal disappears: feed records as they happen and no
 /// ring is needed at all.
 ///
-/// `check_run` is now a thin loop over this class, so batch and streaming
+/// There is one happens-before replay. The trace records drive every edge
+/// — sense/send entries keyed by seq, receive and deliver matching, drop
+/// release, the retention window, validity horizons and the fault replay —
+/// whether or not claimed executions are bound. Bound executions only add
+/// the clock-claim contracts on top: each record steps its process's
+/// execution to the event it names and fills the oracle stamps into the
+/// entry the record made.
+///
+/// `check_run` is a thin loop over this class, so batch and streaming
 /// verdicts are identical by construction (and pinned by test).
 namespace psn::check {
 
@@ -41,11 +49,12 @@ struct StreamCheckerConfig {
   CheckOptions options;
 
   /// Claimed per-process local executions (indexed by pid; the root's entry
-  /// empty), consumed in lockstep with the trace — the full clock-contract
-  /// replay of DESIGN.md §10. May be nullptr: *trace-only mode*, where only
-  /// the contracts derivable from the wire records run (send/receive and
-  /// sense/deliver matching, validity horizons). The pointee must outlive
-  /// the checker.
+  /// empty), consumed in lockstep with the trace. They add the clock-claim
+  /// contracts of DESIGN.md §10 (lamport, vector, strobe, soundness,
+  /// epsilon, drift) to the replay the trace drives on its own. May be
+  /// nullptr — *trace-only mode*, the wire's: hb-graph, validity-horizon
+  /// and fault-model then run exactly as they do when bound. The pointee
+  /// must outlive the checker.
   const std::vector<std::vector<core::ProcessEvent>>* executions = nullptr;
 
   /// Unmatched send entries older than this (against the fed record clock)
@@ -71,7 +80,6 @@ class StreamChecker {
   /// is spent afterwards.
   CheckReport finish();
 
-  std::size_t records_fed() const { return records_fed_; }
   /// Send/sense entries currently retained awaiting a match — the streaming
   /// working set. Bounded by traffic in flight when send_retention is
   /// finite; the 10^6-record soak test pins this.
@@ -84,19 +92,15 @@ class StreamChecker {
   }
 
  private:
-  /// Oracle stamps of a computation message at its send event, plus the
-  /// claimed Lamport value the receiver must exceed.
-  struct SentComputation {
-    clocks::VectorStamp oracle_vc;
-    std::uint64_t claimed_lamport = 0;
-    SimTime sent_at;
-  };
-
-  /// Oracle strobe stamps broadcast by a sense event (SSC1/SVC1 output).
-  struct SentStrobe {
+  /// The entry a send or sense record makes under its seq. Bound mode
+  /// fills the stamps from the claimed execution: for a computation message
+  /// the claimed Lamport value the receiver must exceed and the sender's
+  /// oracle vector; for a strobe broadcast the SSC1/SVC1 replay stamps.
+  /// Trace-only entries leave them empty.
+  struct Sent {
     std::uint64_t scalar = 0;
     clocks::VectorStamp vector;
-    SimTime sensed_at;
+    SimTime at;  ///< the record's time
   };
 
   /// Claimed strobe vector of one sense event, for the pairwise scan.
@@ -118,12 +122,13 @@ class StreamChecker {
 
   bool bound() const { return executions_ != nullptr; }
   void add(ContractResult& c, CheckViolation v);
+  bool admit(const sim::TraceRecord& r);
+  Sent& remember(const sim::TraceRecord& r, bool strobe);
   void on_fault_record(const sim::TraceRecord& r);
   void check_down_activity(const sim::TraceRecord& r);
-  void consume_target(ProcessId p, core::EventType type, std::uint64_t seq,
-                      const sim::TraceRecord& r);
-  void consume_one(ProcessId p, bool synced_with_trace);
-  void on_strobe_delivery(const sim::TraceRecord& r);
+  void advance(const sim::TraceRecord& r, core::EventType type, Sent* entry);
+  void catch_up(ProcessId p, std::size_t end);
+  void consume_one(ProcessId p, Sent* entry, bool synced_with_trace);
   void check_lamport_program_order(ProcessId p, const core::ProcessEvent& e);
   void check_physical(ProcessId p, const core::ProcessEvent& e);
   void check_validity(const sim::TraceRecord& r, SimTime sensed_at);
@@ -171,10 +176,9 @@ class StreamChecker {
   /// in-flight window has peaked — pinned by the alloc-guard suite
   /// (`ctest -L lint`).
   std::pmr::unsynchronized_pool_resource pool_;
-  template <typename V>
-  using SeqMap = std::pmr::unordered_map<std::uint64_t, V>;
-  SeqMap<SentComputation> comp_sent_;
-  SeqMap<SentStrobe> strobe_sent_;
+  using SeqMap = std::pmr::unordered_map<std::uint64_t, Sent>;
+  SeqMap comp_sent_;
+  SeqMap strobe_sent_;
   PendingQueue pending_order_;
   std::vector<SenseSample> senses_;
   ContractResult hb_, lamport_, vector_, strobe_scalar_, strobe_vector_,
@@ -186,7 +190,6 @@ class StreamChecker {
   bool saw_fault_records_ = false;
   std::vector<unsigned char> down_;
   std::vector<std::pair<ProcessId, ProcessId>> cut_edges_;
-  std::size_t records_fed_ = 0;
   /// First violation witnessed by the in-flight feed() call, for its return.
   std::optional<CheckViolation> feed_violation_;
   bool in_feed_ = false;

@@ -1,7 +1,7 @@
 #include "core/predicate.hpp"
 
 #include <algorithm>
-#include <cstdio>
+#include <charconv>
 #include <utility>
 
 #include "common/error.hpp"
@@ -117,9 +117,10 @@ std::string Predicate::to_string(NodeId node) const {
   }
   switch (n.op) {
     case Op::kConst: {
+      // The shortest text that parses back to the same double, with '.'
+      // under any locale.
       char buf[32];
-      std::snprintf(buf, sizeof buf, "%g", n.value);
-      return buf;
+      return {buf, std::to_chars(buf, buf + sizeof buf, n.value).ptr};
     }
     case Op::kVar:
       out = names_[n.slot];

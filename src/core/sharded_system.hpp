@@ -116,8 +116,6 @@ class ShardedPervasiveSystem {
   /// computed once at construction), or Duration::max() if the delay model
   /// is unbounded.
   Duration delta_bound() const { return delta_bound_; }
-  /// Window width W used by the K > 1 drive loop (zero when K = 1).
-  Duration window() const { return window_; }
 
   /// Runs all shards to the horizon; returns total events executed. Call
   /// once.
@@ -172,6 +170,7 @@ class ShardedPervasiveSystem {
   net::Overlay topology_;
   std::unique_ptr<sim::FaultSchedule> faults_;
   Duration delta_bound_ = Duration::max();
+  /// Window width W used by the K > 1 drive loop (zero when K = 1).
   Duration window_ = Duration::zero();
   net::ShardMap shard_map_;
   std::vector<std::unique_ptr<Shard>> shards_;

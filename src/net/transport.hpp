@@ -117,7 +117,6 @@ class Transport {
   /// the simulated broadcast actually carries. Scalar/physical deployments
   /// must set their mode or byte accounting overstates their cost.
   void set_clock_mode(ClockMode mode) { clock_mode_ = mode; }
-  ClockMode clock_mode() const { return clock_mode_; }
 
   /// When enabled, deliveries between each ordered (src, dst) pair never
   /// overtake one another: a message's delivery time is clamped to be after

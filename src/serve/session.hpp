@@ -105,7 +105,6 @@ class Session {
   /// or downstream write failure. finish() must still be called.
   bool stopped() const { return stop_reading_ || finished_; }
   bool write_failed() const { return write_failed_; }
-  bool finished() const { return finished_; }
 
   /// Producer EOF (or teardown): feeds any trailing unterminated line,
   /// finishes the checker, emits the final metrics + `eof` verdict events,

@@ -50,7 +50,7 @@ TEST(CheckSummaryGoldenTest, FaultyLossyRunIsClean) {
 
   EXPECT_EQ(summary_of(cfg),
             "psn-check verdict: clean (0 violation(s))\n"
-            "  hb-graph: 0 event(s), 0 violation(s)\n"
+            "  hb-graph: 57249 event(s), 0 violation(s)\n"
             "  lamport: 2524 event(s), 0 violation(s)\n"
             "  vector: 2524 event(s), 0 violation(s)\n"
             "  strobe-scalar: 2524 event(s), 0 violation(s)\n"
@@ -83,7 +83,7 @@ TEST(CheckSummaryGoldenTest, LosslessRunFlagsUnexplainedErrors) {
 
   EXPECT_EQ(summary_of(cli_check_config(20, 450, 48)),
             "psn-check verdict: violations (5 violation(s))\n"
-            "  hb-graph: 0 event(s), 0 violation(s)\n"
+            "  hb-graph: 387756 event(s), 0 violation(s)\n"
             "  lamport: 9458 event(s), 0 violation(s)\n"
             "  vector: 9458 event(s), 0 violation(s)\n"
             "  strobe-scalar: 9458 event(s), 0 violation(s)\n"

@@ -134,16 +134,17 @@ TEST(ExprTest, ToStringRoundTripShape) {
 }
 
 TEST(ExprTest, ToStringPinsEveryNodeKind) {
-  // Captured from the printer this one replaced: %g constants, a binary
-  // node in parentheses, a unary node as op(operand), an aggregate as
-  // op(name), a variable as name[pid].
+  // Captured from the printer this one replaced (a binary node in
+  // parentheses, a unary node as op(operand), an aggregate as op(name), a
+  // variable as name[pid]), except that a constant prints as the shortest
+  // text that parses back to it (std::to_chars), not with %g's six digits.
   const std::pair<const char*, const char*> table[] = {
       {"42", "42"},
       {"0.5", "0.5"},
       {"1e21", "1e+21"},
       {"1.5e-7", "1.5e-07"},
-      {"123456789", "1.23457e+08"},
-      {"100000", "100000"},
+      {"123456789", "123456789"},
+      {"100000", "1e+05"},
       {"1000000", "1e+06"},
       {"true", "1"},
       {"false", "0"},

@@ -169,6 +169,28 @@ TEST_P(ParserFuzzTest, ClassificationStableUnderRoundTrip) {
   }
 }
 
+// A constant of up to 17 significant digits (as many as a double holds)
+// must print as text that parses back to the same double.
+TEST_P(ParserFuzzTest, ConstantsSurviveTheirOwnPrintout) {
+  Rng rng(GetParam() + 9000);
+  for (int trial = 0; trial < 200; ++trial) {
+    const std::int64_t digits = rng.uniform_int(1, 17);
+    std::string text(1, static_cast<char>('1' + rng.uniform_int(0, 8)));
+    if (digits > 1 && rng.bernoulli(0.5)) text += '.';
+    for (std::int64_t i = 1; i < digits; ++i) {
+      text += static_cast<char>('0' + rng.uniform_int(0, 9));
+    }
+    text += 'e';
+    text += std::to_string(rng.uniform_int(-30, 30));
+    const Predicate p = parse_predicate("a", text);
+    const std::string printed = p.to_string();
+    const Predicate reparsed = parse_predicate("b", printed);
+    EXPECT_EQ(reparsed.to_string(), printed) << text;
+    EXPECT_EQ(evaluate_on(p, {}), evaluate_on(reparsed, {}))
+        << text << " printed " << printed;
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, ParserFuzzTest,
                          ::testing::Range<std::uint64_t>(1, 11));
 

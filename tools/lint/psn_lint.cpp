@@ -21,8 +21,8 @@
 //   psn-locale-safe-io  Float text in src/serve and src/analysis/export is
 //                       wire format, not UI: it must round-trip under any
 //                       process locale. The --faults grammar (src/sim/fault)
-//                       and the predicate grammar (src/core/predicate_parser)
-//                       read numbers from user text under the same rule.
+//                       and the predicate grammar (src/core/predicate*)
+//                       read and print numbers under the same rule.
 //                       Only the repo's json_fixed / json_general /
 //                       from_chars paths are allowed — the strto* family,
 //                       atof, sscanf and printf-family formatting are not.
@@ -328,7 +328,7 @@ const std::vector<std::string_view> kOutputFeedingPaths = {
 
 const std::vector<std::string_view> kLocaleSafeDirs = {
     "src/serve/", "src/analysis/export", "src/sim/fault",
-    "src/core/predicate_parser"};
+    "src/core/predicate"};
 
 // --------------------------------------------------------------------------
 // Check 1: psn-determinism
