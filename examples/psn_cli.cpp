@@ -18,12 +18,15 @@
 // under check. Multi-stream serve aggregates across sessions: 3 beats 1
 // beats 0.
 //
-// Exit 2 covers every option combination the sharded driver cannot honor,
-// each rejected with a one-line remedy before anything runs:
+// Exit 2 covers every config the system cannot honor, each rejected by
+// core::validate with a one-line remedy before anything is printed:
 //   --shards K>1 with --delay sync|exp,  (zero minimum one-hop delay — no
 //     or fixed with --delta 0             conservative window exists)
-//   --shards K>1 with --fifo             (delivery-state coupling)
+//   --shards K>1 with --fifo or --ge     (delivery-state coupling)
 //   --shards K > doors+1                 (more shards than processes)
+//   --faults crashing pid 0, naming a    (the root never crashes; no such
+//     pid past doors or an edge the       process or edge; a pid or edge
+//     --topology lacks, overlapping       is down once at a time)
 //   --lean-clocks with `check`           (the checker replays vector stamps)
 //
 // Examples:
@@ -257,8 +260,11 @@ void apply_scenario(Invocation& in) {
   }
 }
 
-/// Reads `run`/`check` flags, applies the scenario preset, and validates
-/// the resulting config, so a bad one exits 2 before anything is printed.
+/// Reads `run`/`check` flags, applies the scenario preset, and admits the
+/// resulting config through analysis::validate — the hall's rules, then
+/// core::validate's for the system, fault plan included — so a bad one
+/// exits 2 before anything is printed. Only flags no config holds (--reps,
+/// --trace-cap) are checked here.
 Invocation parse_cli(const std::vector<std::string>& args, Command cmd) {
   Invocation in;
   analysis::OccupancyConfig& cfg = in.config;
@@ -305,10 +311,8 @@ Invocation parse_cli(const std::vector<std::string>& args, Command cmd) {
       cfg.validity_horizon = parse_validity(value());
     } else if (flag == "--shards") {
       number(cfg.shards);
-      if (cfg.shards == 0) usage_error("--shards must be >= 1");
     } else if (flag == "--shard-threads") {
       number(cfg.shard_threads);
-      if (cfg.shard_threads == 0) usage_error("--shard-threads must be >= 1");
     } else if (flag == "--topology") {
       cfg.topology = value_named(kTopologies, value(), "topology");
       in.topology_given = true;
@@ -343,9 +347,7 @@ Invocation parse_cli(const std::vector<std::string>& args, Command cmd) {
       usage_error("unknown flag " + flag);
     }
   }
-  if (cfg.doors == 0 || in.reps == 0 || cfg.horizon <= Duration::zero()) {
-    usage_error("doors, reps, and seconds must be positive");
-  }
+  if (in.reps == 0) usage_error("--reps must be >= 1");
   apply_scenario(in);
   cfg.check = cmd == Command::kCheck;
   try {
@@ -392,13 +394,9 @@ int cmd_run(const Invocation& in) {
   std::vector<analysis::OccupancyConfig> configs(in.reps, in.config);
   for (std::size_t r = 0; r < configs.size(); ++r) configs[r].seed += r;
   if (!in.trace.empty()) configs.front().trace_capacity = in.trace_cap;
-  std::vector<analysis::OccupancyRunResult> runs;
-  try {
-    runs = analysis::run_specs(configs, in.threads);
-  } catch (const ConfigError& e) {
-    std::fprintf(stderr, "psn_cli: %s\n", e.what());
-    return 2;
-  }
+  // parse_cli admitted the config; the replications differ only in seed.
+  const std::vector<analysis::OccupancyRunResult> runs =
+      analysis::run_specs(configs, in.threads);
   analysis::PointResult merged;
   for (const analysis::OccupancyRunResult& run : runs) merged.add(run);
 
@@ -458,6 +456,7 @@ int cmd_run(const Invocation& in) {
 }
 
 /// `check`: one traced run through the checker. Returns the exit code.
+/// parse_cli admitted the config, so the run raises no ConfigError.
 int cmd_check(Invocation in) {
   print_header(stdout, in);
   in.config.trace_capacity = in.trace_cap;
@@ -473,11 +472,6 @@ int cmd_check(Invocation in) {
                  "record count, or pipe the trace through `psn_cli serve` "
                  "(streaming needs no ring)\n");
     return 4;
-  } catch (const ConfigError& e) {
-    // A config the system rejects while it is built (e.g. a fault plan
-    // naming a process the topology lacks): one line, exit 2.
-    std::fprintf(stderr, "psn_cli: %s\n", e.what());
-    return 2;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "psn_cli: %s\n", e.what());
     return 1;

@@ -1,5 +1,7 @@
 #include "analysis/experiments.hpp"
 
+#include <algorithm>
+#include <iterator>
 #include <utility>
 
 #include "analysis/sweep.hpp"
@@ -13,105 +15,7 @@
 
 namespace psn::analysis {
 
-void validate(const OccupancyConfig& config) {
-  if (config.doors == 0) {
-    throw ConfigError("OccupancyConfig: doors must be >= 1");
-  }
-  if (config.movement_rate <= 0.0) {
-    throw ConfigError("OccupancyConfig: movement_rate must be > 0, got " +
-                      std::to_string(config.movement_rate));
-  }
-  if (config.capacity < 0) {
-    throw ConfigError("OccupancyConfig: capacity must be >= 0, got " +
-                      std::to_string(config.capacity));
-  }
-  if (config.horizon <= Duration::zero()) {
-    throw ConfigError("OccupancyConfig: horizon must be positive");
-  }
-  if (config.delta < Duration::zero()) {
-    throw ConfigError("OccupancyConfig: delta must be >= 0, got " +
-                      config.delta.to_string());
-  }
-  if (config.delta == Duration::zero() &&
-      (config.delay_kind == core::DelayKind::kUniformBounded ||
-       config.delay_kind == core::DelayKind::kExponential)) {
-    throw ConfigError(
-        "OccupancyConfig: delta must be positive under kUniformBounded and "
-        "kExponential (use kSynchronous for the Delta = 0 model)");
-  }
-  if (config.sync_epsilon < Duration::zero()) {
-    throw ConfigError("OccupancyConfig: sync_epsilon must be >= 0, got " +
-                      config.sync_epsilon.to_string());
-  }
-  if (config.loss_probability < 0.0 || config.loss_probability > 1.0) {
-    throw ConfigError("OccupancyConfig: loss_probability must be in [0, 1]");
-  }
-  if (config.gilbert_elliott) {
-    const auto& ge = *config.gilbert_elliott;
-    for (const double p : {ge.p_good_to_bad, ge.p_bad_to_good, ge.loss_in_good,
-                           ge.loss_in_bad}) {
-      if (p < 0.0 || p > 1.0) {
-        throw ConfigError(
-            "OccupancyConfig: Gilbert-Elliott parameters must be in [0, 1]");
-      }
-    }
-    if (config.shards > 1) {
-      throw ConfigError(
-          "OccupancyConfig: Gilbert-Elliott loss advances per transmission "
-          "and is not shard-stable; use loss_windows or run with --shards 1");
-    }
-  }
-  if (config.duty_cycle) {
-    if (config.duty_cycle->period <= Duration::zero() ||
-        config.duty_cycle->window <= Duration::zero() ||
-        config.duty_cycle->window > config.duty_cycle->period) {
-      throw ConfigError(
-          "OccupancyConfig: duty cycle needs 0 < window <= period");
-    }
-  }
-  if (config.shards == 0) {
-    throw ConfigError("OccupancyConfig: shards must be >= 1");
-  }
-  if (config.shards > config.doors + 1) {
-    throw ConfigError(
-        "OccupancyConfig: shards must be <= doors + 1 (got " +
-        std::to_string(config.shards) + " shards for " +
-        std::to_string(config.doors) + " doors); lower --shards");
-  }
-  if (config.shard_threads == 0) {
-    throw ConfigError("OccupancyConfig: shard_threads must be >= 1");
-  }
-  if (config.shards > 1) {
-    if (core::make_delay_model(config)->min_delay() <= Duration::zero()) {
-      throw ConfigError(
-          "OccupancyConfig: sharded execution needs a positive minimum "
-          "one-hop delay and this delay model's is zero; use --delay uniform "
-          "or fixed with a positive --delta, or run with --shards 1");
-    }
-  }
-  if (config.shards > 1 && config.fifo_channels) {
-    throw ConfigError(
-        "OccupancyConfig: FIFO/causal delivery is unsupported with shards; "
-        "drop --fifo or run with --shards 1");
-  }
-  if (config.check && config.lean_clocks) {
-    throw ConfigError(
-        "OccupancyConfig: the checker replays vector-clock stamps, which "
-        "--lean-clocks disables; drop one of the two");
-  }
-}
-
-const DetectorOutcome& OccupancyRunResult::outcome(
-    const std::string& detector) const {
-  for (const auto& o : outcomes) {
-    if (o.detector == detector) return o;
-  }
-  PSN_CHECK(false, "no outcome for detector: " + detector);
-  return outcomes.front();
-}
-
-OccupancyRunResult run_occupancy_experiment(const OccupancyConfig& config) {
-  validate(config);
+core::ShardedSystemConfig make_system_config(const OccupancyConfig& config) {
   core::ShardedSystemConfig scfg;
   core::SystemConfig& sys = scfg.base;
   static_cast<core::DeploymentConfig&>(sys) = config;
@@ -128,6 +32,39 @@ OccupancyRunResult run_occupancy_experiment(const OccupancyConfig& config) {
   scfg.shards = config.shards;
   scfg.pool_threads = config.shard_threads;
   scfg.unicast_reports = config.unicast_reports;
+  return scfg;
+}
+
+void validate(const OccupancyConfig& config) {
+  if (config.movement_rate <= 0.0) {
+    throw ConfigError("OccupancyConfig: movement_rate must be > 0, got " +
+                      std::to_string(config.movement_rate));
+  }
+  if (config.capacity < 0) {
+    throw ConfigError("OccupancyConfig: capacity must be >= 0, got " +
+                      std::to_string(config.capacity));
+  }
+  if (config.check && config.lean_clocks) {
+    throw ConfigError(
+        "OccupancyConfig: the checker replays vector-clock stamps, which "
+        "--lean-clocks disables; drop one of the two");
+  }
+  core::validate(make_system_config(config));
+}
+
+const DetectorOutcome& OccupancyRunResult::outcome(
+    const std::string& detector) const {
+  for (const auto& o : outcomes) {
+    if (o.detector == detector) return o;
+  }
+  PSN_CHECK(false, "no outcome for detector: " + detector);
+  return outcomes.front();
+}
+
+OccupancyRunResult run_occupancy_experiment(const OccupancyConfig& config) {
+  validate(config);
+  const core::ShardedSystemConfig scfg = make_system_config(config);
+  const core::SystemConfig& sys = scfg.base;
 
   // Pre-roll the world plane. Scenarios are autonomous — the hall draws
   // only from its own "hall" substream — so the ground-truth timeline is
@@ -255,9 +192,10 @@ OccupancyRunResult run_occupancy_experiment(const OccupancyConfig& config) {
   // every confident detector error must have an admissible cause — a Δ/2ε
   // race (paper §5), or a recorded fault: a dropped root-bound report, a
   // crash or partition window, a duty-cycle deferral past Δ, an expired
-  // validity horizon (DESIGN.md §15). An error none of those cover is a
-  // checker violation. Lossy, faulty, and duty-cycled runs audit at full
-  // strictness — their non-race causes are in the trace, not excuses.
+  // validity horizon (DESIGN.md §15), or, for delivery-order, a same-sender
+  // reorder. An error none of those cover is a checker violation. Lossy,
+  // faulty, and duty-cycled runs audit at full strictness — their non-race
+  // causes are in the trace, not excuses.
   if (result.check) {
     if (config.delay_kind == core::DelayKind::kUniformBounded) {
       check::RaceScanConfig delta_scan;
@@ -272,6 +210,14 @@ OccupancyRunResult run_occupancy_experiment(const OccupancyConfig& config) {
       span_cfg.delta_bound = result.delta_bound;
       const std::vector<check::FaultSpan> fault_spans =
           check::collect_fault_spans(result.trace, system.log(), span_cfg);
+      // A same-sender reorder misleads only the detector that applies
+      // reports in delivery order; the others order reports by their stamps.
+      std::vector<check::FaultSpan> stamp_spans;
+      std::copy_if(fault_spans.begin(), fault_spans.end(),
+                   std::back_inserter(stamp_spans),
+                   [](const check::FaultSpan& s) {
+                     return s.cause != check::FaultSpan::Cause::kReorder;
+                   });
       check::AuditConfig audit;
       audit.slack = score_cfg.tolerance;
       for (const DetectorOutcome& out : result.outcomes) {
@@ -279,7 +225,8 @@ OccupancyRunResult run_occupancy_experiment(const OccupancyConfig& config) {
         // race window is 2ε; the delivery/strobe detectors resolve down to Δ.
         const bool physical = out.detector == "physical-eps";
         result.check->add_contract(check::audit_detector(
-            out.detector, physical ? eps_races : delta_races, fault_spans,
+            out.detector, physical ? eps_races : delta_races,
+            out.detector == "delivery-order" ? fault_spans : stamp_spans,
             out.score.fp_cause_times, out.score.fn_occurrence_times, audit));
       }
     }

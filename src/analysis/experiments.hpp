@@ -8,7 +8,7 @@
 #include "analysis/scoring.hpp"
 #include "check/check.hpp"
 #include "common/metrics.hpp"
-#include "core/system.hpp"
+#include "core/sharded_system.hpp"
 #include "net/transport.hpp"
 #include "sim/fault.hpp"
 #include "sim/trace.hpp"
@@ -45,10 +45,8 @@ struct OccupancyConfig : core::DeploymentConfig {
 
   /// Space partitions K for the sharded runner (DESIGN.md §14). Every run
   /// goes through core::ShardedPervasiveSystem; K = 1 is one shard with no
-  /// window machinery (every delay kind works there). K > 1 needs a delay
-  /// model with a positive minimum one-hop delay (kUniformBounded, or kFixed
-  /// with delta > 0) — validate() rejects the rest. Results are
-  /// byte-identical at every K.
+  /// window machinery (every delay kind works there); core::validate states
+  /// what K > 1 needs. Results are byte-identical at every K.
   std::size_t shards = 1;
   /// Threads that run shard turns, the caller included (1 = inline; capped
   /// at `shards`). Changes wall-clock time only, never results.
@@ -110,10 +108,14 @@ struct OccupancyRunResult {
   const DetectorOutcome& outcome(const std::string& detector) const;
 };
 
-/// Rejects nonsensical configs (zero doors, a non-positive movement rate,
-/// negative capacity, Δ < 0, Δ = 0 under the bounded or exponential model,
-/// ε < 0, horizon ≤ 0, loss outside [0, 1], degenerate duty cycles, shards
-/// over a delay model with zero minimum delay) with ConfigError.
+/// The system a run of `config` builds (`check` turns on a 2^18-record
+/// trace ring when tracing is off).
+core::ShardedSystemConfig make_system_config(const OccupancyConfig& config);
+
+/// Rejects, with ConfigError, a hall the world model cannot run (a
+/// non-positive movement rate, negative capacity, or `check` with
+/// `lean_clocks`), then admits make_system_config(config) through
+/// core::validate, which holds every rule on the deployment.
 void validate(const OccupancyConfig& config);
 
 /// Validates `config` (throwing ConfigError), builds the hall system, runs

@@ -89,6 +89,7 @@ const char* to_string(FaultSpan::Cause c) {
     case FaultSpan::Cause::kPartition: return "partition";
     case FaultSpan::Cause::kStale: return "stale";
     case FaultSpan::Cause::kLateDelivery: return "late-delivery";
+    case FaultSpan::Cause::kReorder: return "reorder";
   }
   return "?";
 }
@@ -211,6 +212,30 @@ std::vector<FaultSpan> collect_fault_spans(
       if (expiry < next) {
         spans.push_back({expiry, next, key.first, FaultSpan::Cause::kStale});
       }
+    }
+  }
+
+  // Same-sender reorders: from an overwrite until a report at least as new
+  // as the overwritten one lands, the root holds that pair's older state.
+  for (const auto& [key, updates] : by_attr) {
+    SimTime newest = SimTime::zero();  // sense of the newest report delivered
+    bool stale = false;
+    for (const core::ReceivedUpdate* u : updates) {
+      const SimTime sensed = u->report.true_sense_time;
+      if (sensed < newest) {
+        stale = true;
+        continue;
+      }
+      if (stale) {
+        spans.push_back(
+            {newest, u->delivered_at, key.first, FaultSpan::Cause::kReorder});
+        stale = false;
+      }
+      newest = sensed;
+    }
+    if (stale) {
+      spans.push_back(
+          {newest, SimTime::max(), key.first, FaultSpan::Cause::kReorder});
     }
   }
 

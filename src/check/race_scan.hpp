@@ -61,6 +61,7 @@ struct FaultSpan {
     kPartition,     ///< an overlay partition window was open
     kStale,         ///< the last report's validity horizon expired
     kLateDelivery,  ///< a report arrived later than the Δ bound (duty defer)
+    kReorder,       ///< an older report overwrote a newer one at the root
   };
 
   SimTime begin;
@@ -94,7 +95,11 @@ struct FaultSpanConfig {
 ///  - a bounded validity horizon opens a kStale span from each report's
 ///    expiry to the next delivery of that (reporter, attribute);
 ///  - a delivery beyond the Δ bound opens a kLateDelivery span from its
-///    sense to its delivery.
+///    sense to its delivery;
+///  - an older report of a (reporter, attribute) delivered after a newer
+///    one overwrites it (the transport is not FIFO): a kReorder span opens
+///    at the overwritten report's sense and heals like a drop, at the next
+///    delivered report of that pair at least as new as the overwritten one.
 ///
 /// Returns spans sorted by begin. The list is empty for a clean lossless
 /// run, in which case the audit below degenerates to the pure race audit.

@@ -185,16 +185,14 @@ void SensorNode::on_message(const net::Message& msg) {
   }
 }
 
-RootMonitor::RootMonitor(ProcessId pid, std::size_t n, sim::Simulation& sim,
-                         clocks::ClockBundleConfig clock_config, Rng rng)
-    : pid_(pid), sim_(sim), bundle_(pid, n, clock_config, rng) {
+RootMonitor::RootMonitor(ProcessId pid, std::size_t n, sim::Simulation& sim)
+    : pid_(pid), sim_(sim) {
   log_.num_processes = n;
 }
 
 void RootMonitor::on_message(const net::Message& msg) {
   if (msg.kind != net::MessageKind::kStrobe) return;
   const auto& report = msg.sense_report();
-  bundle_.on_strobe(report.strobe_scalar, report.strobe_vector);
   ReceivedUpdate u;
   u.delivered_at = sim_.now();
   u.reporter = msg.src;

@@ -47,7 +47,6 @@ class SensorNode {
   ProcessId id() const { return pid_; }
   /// The transport of this sensor's shard.
   const net::Transport& transport() const { return transport_; }
-  clocks::ClockBundle& clocks() { return bundle_; }
   const std::vector<ProcessEvent>& events() const { return events_; }
 
   /// Called by the system when a world event this sensor is assigned to
@@ -115,16 +114,14 @@ class SensorNode {
 };
 
 /// The distinguished root/back-end process P_0 (paper §2.1). It does not
-/// sense; it collects strobe reports into the ObservationLog that detectors
-/// consume, and keeps its own strobe clocks merged (SSC2/SVC2) like any
-/// other process.
+/// sense or send; it collects strobe reports into the ObservationLog that
+/// detectors consume. It keeps no clocks: every stamp it would merge already
+/// travels in the reports it logs, and nothing reads a root clock.
 class RootMonitor {
  public:
-  RootMonitor(ProcessId pid, std::size_t n, sim::Simulation& sim,
-              clocks::ClockBundleConfig clock_config, Rng rng);
+  RootMonitor(ProcessId pid, std::size_t n, sim::Simulation& sim);
 
   ProcessId id() const { return pid_; }
-  clocks::ClockBundle& clocks() { return bundle_; }
   ObservationLog& log() { return log_; }
   const ObservationLog& log() const { return log_; }
 
@@ -141,7 +138,6 @@ class RootMonitor {
  private:
   ProcessId pid_;
   sim::Simulation& sim_;
-  clocks::ClockBundle bundle_;
   ObservationLog log_;
   std::vector<UpdateObserver> observers_;
 };

@@ -62,41 +62,123 @@ std::size_t per_shard_share(std::size_t total, std::size_t shards) {
   return total / shards + total / (4 * shards) + 64;
 }
 
-net::ShardMap make_shard_map(const ShardedSystemConfig& cfg,
-                             const net::Overlay& topology) {
-  PSN_CHECK(cfg.base.num_sensors >= 1, "need at least one sensor");
-  return net::ShardMap::partition(topology, cfg.shards);
+[[noreturn]] void reject(const std::string& why) {
+  throw ConfigError("system config: " + why);
+}
+
+bool is_probability(double p) { return p >= 0.0 && p <= 1.0; }
+
+ShardedSystemConfig admitted(ShardedSystemConfig config) {
+  validate(config);
+  return config;
 }
 
 }  // namespace
 
+void validate(const ShardedSystemConfig& config) {
+  const SystemConfig& base = config.base;
+  const std::size_t n = base.num_sensors + 1;
+  if (base.num_sensors == 0) reject("need at least one sensor process");
+  if (base.sim.horizon <= SimTime::zero()) {
+    reject("the horizon must be positive");
+  }
+  if (base.delta < Duration::zero()) {
+    reject("delta must be >= 0, got " + base.delta.to_string());
+  }
+  if (base.delta == Duration::zero() &&
+      (base.delay_kind == DelayKind::kUniformBounded ||
+       base.delay_kind == DelayKind::kExponential)) {
+    reject(
+        "delta must be positive under the uniform and exponential delay "
+        "kinds (use the synchronous kind for the Delta = 0 model)");
+  }
+  if (base.clock_config.sync_epsilon < Duration::zero()) {
+    reject("sync epsilon must be >= 0, got " +
+           base.clock_config.sync_epsilon.to_string());
+  }
+  if (!is_probability(base.loss_probability)) {
+    reject("the loss probability must be in [0, 1]");
+  }
+  if (base.gilbert_elliott) {
+    const auto& ge = *base.gilbert_elliott;
+    for (const double p : {ge.p_good_to_bad, ge.p_bad_to_good, ge.loss_in_good,
+                           ge.loss_in_bad}) {
+      if (!is_probability(p)) {
+        reject("Gilbert-Elliott parameters must be in [0, 1]");
+      }
+    }
+  }
+  if (base.duty_cycle && !base.duty_cycle->valid()) {
+    reject("a duty cycle needs 0 < window <= period and 0 <= phase < period");
+  }
+  if (config.shards == 0 || config.shards > n) {
+    reject("shards must be in [1, n] (got " + std::to_string(config.shards) +
+           " for n = " + std::to_string(n) +
+           " processes); pick a shard count in that range");
+  }
+  if (config.pool_threads == 0) reject("pool threads must be >= 1");
+  if (config.shards > 1) {
+    // Conservative lookahead: the window W must be covered by the minimum
+    // one-hop delay, or a send inside a window could land inside the same
+    // window on another shard.
+    if (make_delay_model(base)->min_delay() <= Duration::zero()) {
+      reject(
+          "sharded execution needs a positive minimum one-hop delay and this "
+          "delay model's is zero; use the uniform or fixed delay with a "
+          "positive delta, or run one shard");
+    }
+    if (base.fifo_channels) {
+      reject("FIFO/causal delivery is unsupported with shards; drop FIFO "
+             "channels or run one shard");
+    }
+    if (base.gilbert_elliott) {
+      reject(
+          "Gilbert-Elliott loss advances per transmission and is not "
+          "shard-stable; use loss windows or run one shard");
+    }
+  }
+  // The fault plan: its pids name processes, sim::FaultSchedule's own rules
+  // hold, and every cut edge exists in the topology the system will build.
+  const sim::FaultPlan& plan = base.faults;
+  const auto check_pid = [n](ProcessId pid) {
+    if (pid >= n) {
+      throw ConfigError("fault plan: pid " + std::to_string(pid) +
+                        " is not a process (n = " + std::to_string(n) +
+                        "); name a pid below n");
+    }
+  };
+  for (const sim::CrashWindow& w : plan.crashes) check_pid(w.pid);
+  for (const sim::ClockFaultWindow& w : plan.clock_faults) check_pid(w.pid);
+  for (const sim::PartitionWindow& w : plan.partitions) {
+    check_pid(w.a);
+    check_pid(w.b);
+  }
+  const sim::FaultSchedule compiled(plan);  // throws on the plan's own rules
+  for (const sim::PartitionWindow& w : plan.partitions) {
+    if (!net::Overlay::has_edge(base.topology, n, w.a, w.b)) {
+      throw ConfigError("fault plan: cut edge " + std::to_string(w.a) + "-" +
+                        std::to_string(w.b) +
+                        " is not in the configured topology; cut an overlay "
+                        "edge");
+    }
+  }
+}
+
 ShardedPervasiveSystem::ShardedPervasiveSystem(ShardedSystemConfig config)
-    : config_(std::move(config)),
+    : config_(admitted(std::move(config))),
       n_(config_.base.num_sensors + 1),
       topology_(net::Overlay::build(config_.base.topology, n_)),
-      faults_(make_fault_schedule(config_.base.faults, topology_)),
-      shard_map_(make_shard_map(config_, topology_)) {
-  PSN_CHECK(config_.pool_threads >= 1, "pool_threads must be >= 1");
-  // Gilbert–Elliott loss keeps good/bad state across drop() calls, so its
-  // draws depend on the global transmission order — only the K = 1 layout
-  // reproduces the serial run (callers reject with a friendly error first).
-  PSN_CHECK(!config_.base.gilbert_elliott.has_value() || config_.shards == 1,
-            "Gilbert-Elliott loss is not supported with shards > 1");
+      faults_(config_.base.faults.empty()
+                  ? nullptr
+                  : std::make_unique<sim::FaultSchedule>(config_.base.faults)),
+      shard_map_(net::ShardMap::partition(topology_, config_.shards)) {
   const std::unique_ptr<net::DelayModel> delay = make_delay_model(config_.base);
   const Duration hop = delay->bound();
   if (hop != Duration::max()) {
     delta_bound_ = hop * static_cast<std::int64_t>(topology_.diameter());
   }
-  if (config_.shards > 1) {
-    // Conservative lookahead: the window W must be covered by the minimum
-    // one-hop delay, or a send inside a window could land inside the same
-    // window on another shard. Callers reject zero-lookahead delay kinds
-    // with a friendly error before getting here; this is the backstop.
-    window_ = delay->min_delay();
-    PSN_CHECK(window_ > Duration::zero(),
-              "sharded execution needs a delay model with a positive minimum "
-              "one-hop delay (fixed or Delta-bounded kinds)");
-  }
+  // The window W is the minimum one-hop delay, positive at K > 1.
+  if (config_.shards > 1) window_ = delay->min_delay();
   outboxes_.resize(config_.shards);
   for (auto& row : outboxes_) row.resize(config_.shards);
   shards_.reserve(config_.shards);
@@ -120,11 +202,6 @@ ShardedPervasiveSystem::build_shard(std::size_t s) {
       make_delay_model(base), make_loss_model(base),
       sh->sim->rng_for("transport"));
   sh->transport->set_clock_mode(base.clock_mode);
-  // FIFO channels are rejected for shards > 1 (ctor backstop below the
-  // callers' friendly errors); at one shard they behave as in the serial
-  // system.
-  PSN_CHECK(!base.fifo_channels || config_.shards == 1,
-            "FIFO channels are not supported with shards > 1");
   sh->transport->set_fifo_channels(base.fifo_channels);
   // Every shard installs the shared fault schedule: crash/partition drops
   // are decided in the *sender's* shard (like the wake-schedule clamp), so
@@ -135,8 +212,7 @@ ShardedPervasiveSystem::build_shard(std::size_t s) {
   // executes locally in the *sender's* shard against the local replica (the
   // root only folds observations, it never sends), and the per-shard logs
   // merge into the serial delivery order after the run.
-  sh->root = std::make_unique<RootMonitor>(0, n_, *sh->sim, base.clock_config,
-                                           sh->sim->rng_for("clock", 0));
+  sh->root = std::make_unique<RootMonitor>(0, n_, *sh->sim);
   sh->root->log().delta_bound = delta_bound_;
   sh->root->log().validity = base.validity_horizon;
   RootMonitor* root = sh->root.get();
@@ -163,7 +239,6 @@ ShardedPervasiveSystem::build_shard(std::size_t s) {
   // adjustment happens in the sender's shard, which must know the wake
   // schedule of any destination.
   if (base.duty_cycle.has_value()) {
-    PSN_CHECK(base.duty_cycle->valid(), "invalid duty cycle");
     Rng phase_rng = sh->sim->rng_for("duty_phase");
     for (ProcessId pid = 1; pid < n_; ++pid) {
       net::DutyCycle dc = *base.duty_cycle;

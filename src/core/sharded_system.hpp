@@ -25,7 +25,7 @@ struct ShardedSystemConfig {
   SystemConfig base;
   /// Number of space partitions K (1 <= K <= num_sensors + 1). K = 1 runs
   /// the whole system in one shard with no window machinery and supports
-  /// every delay kind; K > 1 requires a positive minimum one-hop delay.
+  /// every delay kind; validate() states what K > 1 needs.
   std::size_t shards = 1;
   /// Threads that run shard turns, the caller included (K > 1 only;
   /// capped at K). 1 = run shard turns inline on the caller. Determinism is
@@ -35,6 +35,14 @@ struct ShardedSystemConfig {
   /// system-wide strobe broadcast (the city-scale star deployment).
   bool unicast_reports = false;
 };
+
+/// Admission: the one place that decides whether a system can run
+/// `config`, called by ShardedPervasiveSystem's constructor before it builds
+/// anything. Throws ConfigError, with a one-line remedy, on a value no
+/// model accepts, on what K > 1 cannot run (a zero minimum one-hop delay,
+/// FIFO channels, Gilbert–Elliott loss), or on a fault plan naming a pid
+/// or cut edge the configured system lacks (DESIGN.md §14, §15).
+void validate(const ShardedSystemConfig& config);
 
 /// The assembled ⟨P, L, O, C⟩ system — the repo's one system type: world
 /// plane ⟨O, C⟩, network plane ⟨P, L⟩ with the root monitor P_0 and sensor
@@ -76,9 +84,8 @@ struct ShardedSystemConfig {
 ///    runs and scripted emits work. The root's log is the single shard's
 ///    delivery order, unsorted.
 ///
-/// Not supported at K > 1 (callers reject these before construction): FIFO
-/// channels, Gilbert–Elliott loss, and delay models with a zero minimum
-/// one-hop delay.
+/// The constructor admits its config through validate() first, so a
+/// config no layout can honour is a ConfigError before any shard exists.
 class ShardedPervasiveSystem {
  public:
   explicit ShardedPervasiveSystem(ShardedSystemConfig config);
@@ -165,8 +172,8 @@ class ShardedPervasiveSystem {
 
   ShardedSystemConfig config_;
   std::size_t n_ = 0;              ///< processes incl. the root
-  /// The one topology: the shard map, the fault-plan validation and every
-  /// shard's transport read this adjacency.
+  /// The one topology: the shard map and every shard's transport read this
+  /// adjacency.
   net::Overlay topology_;
   std::unique_ptr<sim::FaultSchedule> faults_;
   Duration delta_bound_ = Duration::max();

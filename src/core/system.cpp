@@ -64,30 +64,4 @@ std::unique_ptr<net::LossModel> make_loss_model(const DeploymentConfig& cfg) {
   return std::make_unique<CombinedLoss>(std::move(parts));
 }
 
-std::unique_ptr<sim::FaultSchedule> make_fault_schedule(
-    const sim::FaultPlan& plan, const net::Overlay& topology) {
-  if (plan.empty()) return nullptr;
-  const std::size_t n = topology.size();
-  for (const sim::CrashWindow& w : plan.crashes) {
-    if (w.pid >= n) {
-      throw ConfigError("fault plan: crash pid " + std::to_string(w.pid) +
-                        " is not a process (n = " + std::to_string(n) + ")");
-    }
-  }
-  for (const sim::ClockFaultWindow& w : plan.clock_faults) {
-    if (w.pid >= n) {
-      throw ConfigError("fault plan: drift pid " + std::to_string(w.pid) +
-                        " is not a process (n = " + std::to_string(n) + ")");
-    }
-  }
-  for (const sim::PartitionWindow& w : plan.partitions) {
-    if (w.a >= n || w.b >= n || !topology.has_edge(w.a, w.b)) {
-      throw ConfigError("fault plan: cut edge " + std::to_string(w.a) + "-" +
-                        std::to_string(w.b) +
-                        " does not exist in the configured topology");
-    }
-  }
-  return std::make_unique<sim::FaultSchedule>(plan);
-}
-
 }  // namespace psn::core

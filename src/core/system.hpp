@@ -45,8 +45,8 @@ struct DeploymentConfig {
 
   /// Optional Gilbert–Elliott burst-loss channel, combined with the other
   /// loss sources. Its good/bad state advances per drop() call, so results
-  /// depend on the global transmission order: it is rejected at K > 1
-  /// shards (use loss_windows for shard-stable bursts).
+  /// depend on the global transmission order (use loss_windows for
+  /// shard-stable bursts).
   struct GilbertElliottParams {
     double p_good_to_bad = 0.0;
     double p_bad_to_good = 0.0;
@@ -58,8 +58,8 @@ struct DeploymentConfig {
   /// Deterministic fault plan (sim/fault, DESIGN.md §15): process
   /// crash/restart windows, overlay partition windows, and clock-fault
   /// drift spikes. Empty = fault-free. Compiled once into a FaultSchedule
-  /// shared by the transport and every sensor; partition edges must exist
-  /// in the configured topology. Every injected fault emits trace records,
+  /// shared by the transport and every sensor; core::validate checks it
+  /// against the configured topology. Every injected fault emits trace records,
   /// and the checker's race audit attributes detector errors to them.
   sim::FaultPlan faults;
 
@@ -71,9 +71,7 @@ struct DeploymentConfig {
   /// unsynchronized baseline (per-node random phases).
   bool duty_phases_aligned = true;
 
-  /// Per-channel FIFO (causal) delivery on the transport. Rejected at
-  /// K > 1 shards (arrival instants would depend on delivery state the
-  /// verbatim outbox replay does not re-examine).
+  /// Per-channel FIFO (causal) delivery on the transport.
   bool fifo_channels = false;
 
   /// Temporal-validity policy stamped onto every received observation
@@ -97,11 +95,5 @@ struct SystemConfig : DeploymentConfig {
 std::unique_ptr<net::DelayModel> make_delay_model(
     const DeploymentConfig& config);
 std::unique_ptr<net::LossModel> make_loss_model(const DeploymentConfig& config);
-
-/// Compiles (and validates) a fault plan against the system's topology:
-/// every cut edge must exist in it, and crash/drift pids must name real
-/// processes. Returns nullptr for an empty plan.
-std::unique_ptr<sim::FaultSchedule> make_fault_schedule(
-    const sim::FaultPlan& plan, const net::Overlay& topology);
 
 }  // namespace psn::core

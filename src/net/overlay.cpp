@@ -80,13 +80,13 @@ Overlay Overlay::build(TopologyKind kind, std::size_t n) {
 
 bool Overlay::has_edge(ProcessId a, ProcessId b) const {
   PSN_CHECK(a < n_ && b < n_, "edge endpoint out of range");
-  // Scan the shorter list: a star leaf's, never the hub's.
-  const std::span<const ProcessId> na = neighbors(a);
-  const std::span<const ProcessId> nb = neighbors(b);
-  if (na.size() <= nb.size()) {
-    return std::find(na.begin(), na.end(), b) != na.end();
-  }
-  return std::find(nb.begin(), nb.end(), a) != nb.end();
+  return a != b && hops(kind_, n_, hub_, a, b) == 1;
+}
+
+bool Overlay::has_edge(TopologyKind kind, std::size_t n, ProcessId a,
+                       ProcessId b) {
+  PSN_CHECK(a < n && b < n, "edge endpoint out of range");
+  return a != b && hops(kind, n, /*hub=*/0, a, b) == 1;
 }
 
 std::span<const ProcessId> Overlay::neighbors(ProcessId p) const {
@@ -97,12 +97,17 @@ std::span<const ProcessId> Overlay::neighbors(ProcessId p) const {
 
 std::size_t Overlay::hop_distance(ProcessId from, ProcessId to) const {
   PSN_CHECK(from < n_ && to < n_, "process out of range");
+  return hops(kind_, n_, hub_, from, to);
+}
+
+std::size_t Overlay::hops(TopologyKind kind, std::size_t n, ProcessId hub,
+                          ProcessId from, ProcessId to) {
   if (from == to) return 0;
   const std::size_t d = from < to ? to - from : from - to;
-  switch (kind_) {
+  switch (kind) {
     case TopologyKind::kComplete: return 1;
-    case TopologyKind::kStar: return from == hub_ || to == hub_ ? 1 : 2;
-    case TopologyKind::kRing: return std::min(d, n_ - d);
+    case TopologyKind::kStar: return from == hub || to == hub ? 1 : 2;
+    case TopologyKind::kRing: return std::min(d, n - d);
     case TopologyKind::kLine: return d;
   }
   PSN_CHECK(false, "unknown topology kind");

@@ -38,7 +38,11 @@ class Overlay {
 
   std::size_t size() const { return n_; }
   TopologyKind kind() const { return kind_; }
+  /// Closed form too: an edge joins two processes at hop distance 1.
   bool has_edge(ProcessId a, ProcessId b) const;
+  /// build(kind, n).has_edge(a, b), answered without building the overlay.
+  static bool has_edge(TopologyKind kind, std::size_t n, ProcessId a,
+                       ProcessId b);
   std::span<const ProcessId> neighbors(ProcessId p) const;
 
   /// Hop count of the shortest path, in O(1) closed form.
@@ -55,6 +59,9 @@ class Overlay {
   /// `edges` lists each edge once.
   Overlay(std::size_t n, TopologyKind kind, ProcessId hub,
           const std::vector<Edge>& edges);
+  /// The closed-form hop count of the `kind` topology over n processes.
+  static std::size_t hops(TopologyKind kind, std::size_t n, ProcessId hub,
+                          ProcessId from, ProcessId to);
 
   std::size_t n_;
   TopologyKind kind_;

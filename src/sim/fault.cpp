@@ -132,7 +132,8 @@ FaultSchedule::FaultSchedule(FaultPlan plan) : plan_(std::move(plan)) {
     PSN_CHECK(w.pid != kNoProcess, "crash window needs a process id");
     if (w.pid == 0) {
       throw ConfigError(
-          "fault plan: process 0 (the mains-powered root) cannot crash");
+          "fault plan: process 0 (the mains-powered root) cannot crash; "
+          "crash a sensor pid");
     }
     if (!(w.begin < w.end)) {
       throw ConfigError("fault plan: crash window must have begin < end");
@@ -141,7 +142,7 @@ FaultSchedule::FaultSchedule(FaultPlan plan) : plan_(std::move(plan)) {
   for (PartitionWindow& w : plan_.partitions) {
     PSN_CHECK(w.a != kNoProcess && w.b != kNoProcess,
               "cut window needs two process ids");
-    if (w.a == w.b) throw ConfigError("fault plan: cannot cut a self-loop");
+    if (w.a == w.b) throw ConfigError("fault plan: a cut needs two pids");
     if (w.a > w.b) std::swap(w.a, w.b);
     if (!(w.begin < w.end)) {
       throw ConfigError("fault plan: cut window must have begin < end");
@@ -168,7 +169,7 @@ FaultSchedule::FaultSchedule(FaultPlan plan) : plan_(std::move(plan)) {
     const CrashWindow& next = crashes_by_pid_[i];
     if (prev.pid == next.pid && next.begin < prev.end) {
       throw ConfigError("fault plan: overlapping crash windows for process " +
-                        std::to_string(prev.pid));
+                        std::to_string(prev.pid) + "; merge them into one");
     }
   }
 
@@ -182,7 +183,8 @@ FaultSchedule::FaultSchedule(FaultPlan plan) : plan_(std::move(plan)) {
     const PartitionWindow& next = plan_.partitions[i];
     if (prev.a == next.a && prev.b == next.b && next.begin < prev.end) {
       throw ConfigError("fault plan: overlapping cut windows for edge " +
-                        std::to_string(prev.a) + "-" + std::to_string(prev.b));
+                        std::to_string(prev.a) + "-" + std::to_string(prev.b) +
+                        "; merge them into one");
     }
   }
 

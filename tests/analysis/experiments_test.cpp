@@ -123,6 +123,26 @@ TEST(OccupancyExperimentTest, RejectsConfigsTheModelsWouldAbortOn) {
   cfg = small_config();
   cfg.movement_rate = 0.0;
   EXPECT_THROW(validate(cfg), ConfigError);
+
+  // These passed validate() and then aborted, or failed with a ConfigError
+  // only once the pre-roll had run, while the system was being built.
+  cfg = small_config();
+  net::DutyCycle dc;
+  dc.phase = dc.period;
+  cfg.duty_cycle = dc;
+  EXPECT_THROW(validate(cfg), ConfigError);
+  const auto with_faults = [](const std::string& plan) {
+    OccupancyConfig faulty = small_config();
+    faulty.faults = sim::parse_fault_plan(plan);
+    return faulty;
+  };
+  EXPECT_THROW(validate(with_faults("crash:3@1+1")), ConfigError);  // 2 doors
+  EXPECT_THROW(validate(with_faults("crash:0@1+2")), ConfigError);
+  EXPECT_THROW(validate(with_faults("crash:1@1+2;crash:1@2+2")), ConfigError);
+  cfg = with_faults("cut:1-2@1+1");
+  EXPECT_NO_THROW(validate(cfg));  // the complete overlay has the edge
+  cfg.topology = core::TopologyKind::kStar;
+  EXPECT_THROW(validate(cfg), ConfigError);
 }
 
 TEST(ReplicationTest, SumsAcrossSeeds) {

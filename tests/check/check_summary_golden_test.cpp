@@ -82,7 +82,7 @@ TEST(CheckSummaryGoldenTest, LosslessRunFlagsUnexplainedErrors) {
   };
 
   EXPECT_EQ(summary_of(cli_check_config(20, 450, 48)),
-            "psn-check verdict: violations (5 violation(s))\n"
+            "psn-check verdict: violations (4 violation(s))\n"
             "  hb-graph: 387756 event(s), 0 violation(s)\n"
             "  lamport: 9458 event(s), 0 violation(s)\n"
             "  vector: 9458 event(s), 0 violation(s)\n"
@@ -93,11 +93,8 @@ TEST(CheckSummaryGoldenTest, LosslessRunFlagsUnexplainedErrors) {
             "  physical-epsilon: 9458 event(s), 0 violation(s)\n"
             "  physical-drift: 9458 event(s), 0 violation(s)\n"
             "  race-audit.delivery-order: 169 event(s), 35529 pair(s), "
-            "1 violation(s)\n"
-            "    [unexplained-false-positive] @120.024342s: delivery-order: "
-            "confident false positive at t=120.024342s" +
-                tail +
-                "  race-audit.strobe-scalar: 115 event(s), 35529 pair(s), "
+            "0 violation(s)\n"
+            "  race-audit.strobe-scalar: 115 event(s), 35529 pair(s), "
                 "0 violation(s)\n"
                 "  race-audit.strobe-vector: 219 event(s), 35529 pair(s), "
                 "0 violation(s)\n"

@@ -280,5 +280,46 @@ TEST(RaceAuditTest, ErrorsPastACappedRaceScanReportTheTruncation) {
             ViolationKind::kUnexplainedFalsePositive);
 }
 
+TEST(FaultSpanTest, OlderReportDeliveredLateOpensAReorderSpan) {
+  // Reporter 1's "x" report sensed at 2.0 s lands first; the one sensed at
+  // 1.9 s lands after it and overwrites it at the root. So does the one
+  // sensed at 1.95 s, which is still older. The report sensed at 3.0 s is
+  // the first delivered one at least as new as the overwritten 2.0 s one,
+  // and heals the pair. Reporter 2 ends on an overwrite nothing heals, and
+  // its "y" reports arrive in order.
+  core::ObservationLog log;
+  auto deliver = [&log](ProcessId pid, const char* attr, int sensed_ms,
+                        int delivered_ms) {
+    core::ReceivedUpdate u;
+    u.reporter = pid;
+    u.report.attribute = Name(attr);
+    u.report.true_sense_time = at_ms(sensed_ms);
+    u.delivered_at = at_ms(delivered_ms);
+    log.updates.push_back(u);
+  };
+  deliver(1, "x", 1000, 1050);
+  deliver(1, "x", 2000, 2010);
+  deliver(1, "x", 1900, 2080);
+  deliver(2, "y", 2100, 2150);
+  deliver(1, "x", 1950, 2500);
+  deliver(2, "x", 2600, 2610);
+  deliver(2, "y", 2700, 2750);
+  deliver(2, "x", 2550, 2800);
+  deliver(1, "x", 3000, 3040);
+
+  const std::vector<FaultSpan> spans =
+      collect_fault_spans(/*trace=*/{}, log, FaultSpanConfig{});
+  ASSERT_EQ(spans.size(), 2u);
+  EXPECT_EQ(spans[0].begin, at_ms(2000));
+  EXPECT_EQ(spans[0].end, at_ms(3040));
+  EXPECT_EQ(spans[0].reporter, 1u);
+  EXPECT_EQ(spans[0].cause, FaultSpan::Cause::kReorder);
+  EXPECT_EQ(spans[1].begin, at_ms(2600));
+  EXPECT_EQ(spans[1].end, SimTime::max());
+  EXPECT_EQ(spans[1].reporter, 2u);
+  EXPECT_EQ(spans[1].cause, FaultSpan::Cause::kReorder);
+  EXPECT_STREQ(to_string(FaultSpan::Cause::kReorder), "reorder");
+}
+
 }  // namespace
 }  // namespace psn::check

@@ -7,8 +7,10 @@
 # used to start). So must every config analysis::validate rejects, such as
 # a delay model with no usable delta, a negative epsilon, a zero movement
 # rate, shards over a zero minimum one-hop delay, or lean clocks under
-# check: none may print the scenario header first. A well-formed invocation
-# still runs. Run via
+# check: none may print the scenario header first. Nor may a fault plan the
+# system cannot inject (a crash of the root, a pid past the doors, a
+# self-loop, an edge the topology lacks, overlapping windows), under run
+# and under check. A well-formed invocation still runs. Run via
 #   cmake -DPSN_CLI=<psn_cli binary> -P cli_flags.cmake
 
 set(bad_invocations
@@ -55,6 +57,37 @@ foreach(invocation IN LISTS bad_invocations)
                         "stderr line, got exit ${code}\nstderr:\n${err}\n"
                         "stdout:\n${out}")
   endif()
+endforeach()
+
+# One plan per case, then any further flags; `|` stands for the `;` that
+# separates clauses, which a CMake list would split on.
+set(bad_fault_plans
+  "crash:0@1+2"
+  "crash:9@1+1"
+  "cut:3-3@1+2"
+  "cut:1-2@1+1 --topology star"
+  "crash:1@1+2|crash:1@2+2")
+
+foreach(fault_case IN LISTS bad_fault_plans)
+  separate_arguments(extra UNIX_COMMAND "${fault_case}")
+  list(POP_FRONT extra plan)
+  string(REPLACE "|" ";" plan "${plan}")
+  foreach(subcommand run check)
+    execute_process(
+      COMMAND ${PSN_CLI} ${subcommand} --seconds 2 --faults "${plan}" ${extra}
+      INPUT_FILE /dev/null
+      OUTPUT_VARIABLE out
+      ERROR_VARIABLE err
+      RESULT_VARIABLE code
+      TIMEOUT 10)
+    string(REGEX MATCHALL "\n" newlines "${err}")
+    list(LENGTH newlines lines)
+    if(NOT code EQUAL 2 OR NOT lines EQUAL 1 OR NOT out STREQUAL "")
+      message(FATAL_ERROR "psn_cli ${subcommand} --faults '${plan}' ${extra}: "
+                          "expected exit 2 and one stderr line, got exit "
+                          "${code}\nstderr:\n${err}\nstdout:\n${out}")
+    endif()
+  endforeach()
 endforeach()
 
 execute_process(

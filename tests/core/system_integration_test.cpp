@@ -326,7 +326,38 @@ TEST(SystemIntegrationTest, AssignValidation) {
   system.assign(obj, "x", 1);
   EXPECT_THROW(system.assign(obj, "x", 2), InvariantError);   // double assign
   EXPECT_THROW(system.sensor(0), InvariantError);
-  EXPECT_THROW(ShardedPervasiveSystem(base_config(0, 50_ms)), InvariantError);
+  // No sensor is a config the system does not admit, not a library bug.
+  EXPECT_THROW(ShardedPervasiveSystem(base_config(0, 50_ms)), ConfigError);
+}
+
+TEST(SystemIntegrationTest, ConstructorAdmitsConfigsWithConfigError) {
+  // Each of these once reached a PSN_CHECK backstop while the system was
+  // being built, which reports a library bug; admission names the config.
+  auto sharded = [](auto&& edit) {
+    ShardedSystemConfig cfg = base_config(4, 50_ms);
+    cfg.shards = 2;
+    edit(cfg.base);
+    return cfg;
+  };
+  EXPECT_THROW(ShardedPervasiveSystem(sharded(
+                   [](SystemConfig& base) { base.fifo_channels = true; })),
+               ConfigError);
+  EXPECT_THROW(ShardedPervasiveSystem(sharded([](SystemConfig& base) {
+                 base.gilbert_elliott = SystemConfig::GilbertElliottParams{};
+               })),
+               ConfigError);
+  EXPECT_THROW(ShardedPervasiveSystem(sharded([](SystemConfig& base) {
+                 base.delay_kind = DelayKind::kSynchronous;
+               })),
+               ConfigError);
+
+  ShardedSystemConfig duty = base_config(4, 50_ms);
+  net::DutyCycle dc;
+  dc.phase = dc.period;
+  duty.base.duty_cycle = dc;
+  EXPECT_THROW(ShardedPervasiveSystem{duty}, ConfigError);
+  duty.base.duty_cycle->phase = dc.period - 1_ms;
+  EXPECT_NO_THROW(ShardedPervasiveSystem{duty});
 }
 
 }  // namespace

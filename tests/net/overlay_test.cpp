@@ -164,6 +164,7 @@ TEST(OverlayTest, ClosedFormDistancesMatchBfs) {
               << "kind " << static_cast<int>(kind) << " n " << n << " " << a
               << "->" << b;
           ASSERT_EQ(o.has_edge(a, b), dist[b] == 1);
+          ASSERT_EQ(Overlay::has_edge(kind, n, a, b), dist[b] == 1);
           diameter = std::max(diameter, dist[b]);
         }
       }
