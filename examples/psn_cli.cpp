@@ -2,7 +2,7 @@
 //
 //   psn_cli run    [options]   simulate a scenario, print the detector
 //                              scorecard (optionally CSV / metrics / trace)
-//   psn_cli check  [options]   one traced run through the causality &
+//   psn_cli check  [options]   one run streamed through the causality &
 //                              clock-contract checker and the Δ-race audit
 //   psn_cli serve  [options]   soak server: verify JSONL trace streams
 //                              incrementally with bounded memory — from
@@ -14,9 +14,10 @@
 // exits 2.
 //
 // Exit codes: 0 ok · 1 violations · 2 usage/config error or missing/unknown
-// subcommand · 3 stream input rejected (serve) · 4 trace ring truncated
-// under check. Multi-stream serve aggregates across sessions: 3 beats 1
-// beats 0.
+// subcommand · 3 stream input rejected (serve). Multi-stream serve
+// aggregates across sessions: 3 beats 1 beats 0. `check` streams the trace
+// into the checker while the run executes, so it keeps no trace ring and
+// `--trace-cap` is accepted but inert there.
 //
 // Exit 2 covers every config the system cannot honor, each rejected by
 // core::validate with a one-line remedy before anything is printed:
@@ -212,10 +213,9 @@ void print_shared_usage() {
       "  run    simulate and print the detector scorecard\n"
       "         [--reps N] [--threads N] [--csv PATH] [--metrics]\n"
       "         [--trace PATH] [--trace-cap N]\n"
-      "  check  replay one traced run through the clock-contract checker\n"
-      "         and the Delta-race audit; exit 1 on violations, 4 if the\n"
-      "         trace ring truncated\n"
-      "         [--trace-cap N]\n"
+      "  check  stream one run through the clock-contract checker and the\n"
+      "         Delta-race audit as it executes; exit 1 on violations\n"
+      "         [--trace-cap N]  (accepted, inert: check keeps no ring)\n"
       "  serve  verify JSONL trace streams incrementally: stdin by\n"
       "         default, or a multi-stream socket server via --listen\n"
       "         (all-digit spec = TCP port on 127.0.0.1, 0 = ephemeral;\n"
@@ -228,7 +228,7 @@ void print_shared_usage() {
   print_shared_usage();
   std::printf(
       "\nexit codes: 0 ok, 1 violations, 2 usage/config error,\n"
-      "            3 stream input rejected, 4 trace ring truncated\n");
+      "            3 stream input rejected\n");
   std::exit(0);
 }
 
@@ -455,23 +455,15 @@ int cmd_run(const Invocation& in) {
   return 0;
 }
 
-/// `check`: one traced run through the checker. Returns the exit code.
+/// `check`: one run streamed through the checker. Returns the exit code.
 /// parse_cli admitted the config, so the run raises no ConfigError.
-int cmd_check(Invocation in) {
+int cmd_check(const Invocation& in) {
   print_header(stdout, in);
-  in.config.trace_capacity = in.trace_cap;
   try {
     const analysis::OccupancyRunResult run =
         analysis::run_occupancy_experiment(in.config);
     std::printf("\n%s", run.check->summary().c_str());
     if (!run.check->clean()) return 1;
-  } catch (const check::TraceWindowError& e) {
-    std::fprintf(stderr, "psn_cli: %s\n", e.what());
-    std::fprintf(stderr,
-                 "psn_cli: remedy: rerun with --trace-cap above the run's "
-                 "record count, or pipe the trace through `psn_cli serve` "
-                 "(streaming needs no ring)\n");
-    return 4;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "psn_cli: %s\n", e.what());
     return 1;

@@ -123,10 +123,25 @@ CheckReport check_run(const RunInputs& inputs, const CheckOptions& options) {
   cfg.sync_epsilon = inputs.sync_epsilon;
   cfg.drifting = inputs.drifting;
   cfg.options = options;
-  cfg.executions = &inputs.executions;
+  cfg.executions = bind_executions(inputs.executions);
   StreamChecker checker(cfg);
   for (const sim::TraceRecord& r : inputs.trace) checker.feed(r);
   return checker.finish();
+}
+
+BoundExecutions bind_executions(
+    const std::vector<std::vector<core::ProcessEvent>>& executions) {
+  BoundExecutions out;
+  out.reserve(executions.size());
+  for (const auto& e : executions) out.push_back(&e);
+  return out;
+}
+
+BoundExecutions bind_executions(const core::ShardedPervasiveSystem& system) {
+  BoundExecutions out{nullptr};  // the root P_0 records no events
+  const auto sensors = system.sensor_executions();
+  out.insert(out.end(), sensors.begin(), sensors.end());
+  return out;
 }
 
 RunInputs inputs_from(const core::ShardedPervasiveSystem& system,

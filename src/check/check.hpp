@@ -127,13 +127,24 @@ struct CheckOptions {
 };
 
 /// Thrown when the trace ring evicted records: the happens-before oracle
-/// needs the complete window. A distinct type so callers (psn_cli) can exit
-/// with a dedicated status and a concrete remedy — raise the ring capacity,
-/// or switch to the streaming checker, which needs no retained window.
+/// needs the complete window. The remedy is a larger ring, or the stream:
+/// core::ShardedPervasiveSystem::stream_trace feeds a StreamChecker as the
+/// run executes and keeps no window at all.
 class TraceWindowError : public ConfigError {
  public:
   explicit TraceWindowError(const std::string& what) : ConfigError(what) {}
 };
+
+/// Per-process local executions a checker reads where they live, indexed
+/// by pid; nullptr = a process with no recorded events (the root).
+using BoundExecutions = std::vector<const std::vector<core::ProcessEvent>*>;
+
+/// Binds `executions` (one entry per pid) without copying an event.
+BoundExecutions bind_executions(
+    const std::vector<std::vector<core::ProcessEvent>>& executions);
+/// Binds a system's sensor executions where the sensors keep them, so a
+/// checker can follow a run while it executes; the root's entry is nullptr.
+BoundExecutions bind_executions(const core::ShardedPervasiveSystem& system);
 
 /// Everything the checker needs from one finished run. Synthesize (and
 /// corrupt) these directly in mutation tests; `inputs_from` extracts them

@@ -94,11 +94,28 @@ const char* to_string(FaultSpan::Cause c) {
   return "?";
 }
 
+bool read_by_fault_spans(const sim::TraceRecord& r) {
+  switch (r.kind) {
+    case sim::TraceKind::kSense:
+    case sim::TraceKind::kCrash:
+    case sim::TraceKind::kRestart:
+    case sim::TraceKind::kPartition:
+    case sim::TraceKind::kHeal:
+      return true;
+    case sim::TraceKind::kDrop:
+    case sim::TraceKind::kUnreachable:
+      // Only the root-bound copy of a strobe matters to the detectors.
+      return r.message_kind == static_cast<int>(net::MessageKind::kStrobe) &&
+             r.peer == 0 && r.seq != 0;
+    default:
+      return false;
+  }
+}
+
 std::vector<FaultSpan> collect_fault_spans(
     const std::vector<sim::TraceRecord>& trace,
     const core::ObservationLog& log, const FaultSpanConfig& config) {
   std::vector<FaultSpan> spans;
-  constexpr int kStrobeKind = static_cast<int>(net::MessageKind::kStrobe);
 
   // Index the root's log by (reporter, attribute) in delivery order: healing
   // a span means finding the first delivered report of that attribute
@@ -134,10 +151,7 @@ std::vector<FaultSpan> collect_fault_spans(
         break;
       case sim::TraceKind::kDrop:
       case sim::TraceKind::kUnreachable:
-        // Only the root-bound copy of a strobe matters to the detectors.
-        if (r.message_kind == kStrobeKind && r.peer == 0 && r.seq != 0) {
-          root_drops.push_back(&r);
-        }
+        if (read_by_fault_spans(r)) root_drops.push_back(&r);
         break;
       case sim::TraceKind::kCrash:
         open_crash[r.pid] = r.at;

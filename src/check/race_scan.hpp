@@ -107,6 +107,12 @@ std::vector<FaultSpan> collect_fault_spans(
     const std::vector<sim::TraceRecord>& trace,
     const core::ObservationLog& log, const FaultSpanConfig& config);
 
+/// True iff collect_fault_spans reads `r`: a kSense, a root-bound strobe
+/// kDrop/kUnreachable, or a fault-plan record. Every other record it skips,
+/// so a run that streams its trace keeps only these, in trace order, and
+/// gets the spans the whole trace gives.
+bool read_by_fault_spans(const sim::TraceRecord& r);
+
 /// Violation witnesses an audit keeps; counting continues past the cap.
 inline constexpr std::size_t kMaxAuditWitnesses = 16;
 

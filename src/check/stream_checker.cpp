@@ -20,12 +20,9 @@ constexpr int kComputationKind =
 }  // namespace
 
 StreamChecker::StreamChecker(const StreamCheckerConfig& config)
-    : cfg_(config),
-      executions_(config.executions),
-      comp_sent_(&pool_),
-      strobe_sent_(&pool_) {
+    : cfg_(config), comp_sent_(&pool_), strobe_sent_(&pool_) {
   if (bound()) {
-    PSN_CHECK(executions_->size() == cfg_.num_processes,
+    PSN_CHECK(cfg_.executions.size() == cfg_.num_processes,
               "StreamChecker: executions must have one entry per process");
   }
   states_.resize(cfg_.num_processes);
@@ -45,6 +42,13 @@ StreamChecker::StreamChecker(const StreamCheckerConfig& config)
   fault_.contract = "fault-model";
   down_.resize(cfg_.num_processes, 0);
   cut_edges_.reserve(8);
+}
+
+const std::vector<core::ProcessEvent>& StreamChecker::events(
+    ProcessId p) const {
+  static const std::vector<core::ProcessEvent> kNone;
+  const std::vector<core::ProcessEvent>* claimed = cfg_.executions[p];
+  return claimed != nullptr ? *claimed : kNone;
 }
 
 void StreamChecker::add(ContractResult& c, CheckViolation v) {
@@ -252,13 +256,13 @@ void StreamChecker::check_down_activity(const sim::TraceRecord& r) {
 /// nothing.
 void StreamChecker::advance(const sim::TraceRecord& r, core::EventType type,
                             Sent* entry) {
-  const auto& events = (*executions_)[r.pid];
+  const auto& claimed = events(r.pid);
   std::size_t target = states_[r.pid].cursor;
-  while (target < events.size() && !(events[target].type == type &&
-                                     events[target].message_seq == r.seq)) {
+  while (target < claimed.size() && !(claimed[target].type == type &&
+                                      claimed[target].message_seq == r.seq)) {
     target++;
   }
-  if (target == events.size()) {
+  if (target == claimed.size()) {
     const auto kind = type == core::EventType::kReceive
                           ? ViolationKind::kUnmatchedReceive
                           : ViolationKind::kUnmatchedSend;
@@ -276,7 +280,7 @@ void StreamChecker::advance(const sim::TraceRecord& r, core::EventType type,
 /// message-bearing one lost its record and is flagged kUntracedEvent.
 void StreamChecker::catch_up(ProcessId p, std::size_t end) {
   while (states_[p].cursor < end) {
-    const core::ProcessEvent& e = (*executions_)[p][states_[p].cursor];
+    const core::ProcessEvent& e = events(p)[states_[p].cursor];
     if (e.type != core::EventType::kCompute &&
         e.type != core::EventType::kActuate) {
       add(hb_, {ViolationKind::kUntracedEvent, p, e.local_index,
@@ -297,7 +301,7 @@ void StreamChecker::catch_up(ProcessId p, std::size_t end) {
 void StreamChecker::consume_one(ProcessId p, Sent* entry,
                                 bool synced_with_trace) {
   OracleState& s = states_[p];
-  const core::ProcessEvent& e = (*executions_)[p][s.cursor++];
+  const core::ProcessEvent& e = events(p)[s.cursor++];
   check_physical(p, e);
   check_lamport_program_order(p, e);
   lamport_.events_checked++;
@@ -513,7 +517,7 @@ CheckReport StreamChecker::finish() {
     // Drain events past the last trace record (trailing compute/actuate
     // events; anything message-bearing left here was never traced).
     for (ProcessId p = 0; p < cfg_.num_processes; ++p) {
-      catch_up(p, (*executions_)[p].size());
+      catch_up(p, events(p).size());
     }
   }
   scan_soundness();

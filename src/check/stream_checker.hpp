@@ -48,14 +48,16 @@ struct StreamCheckerConfig {
   clocks::DriftingClockConfig drifting;  ///< for the drift envelope
   CheckOptions options;
 
-  /// Claimed per-process local executions (indexed by pid; the root's entry
-  /// empty), consumed in lockstep with the trace. They add the clock-claim
-  /// contracts of DESIGN.md §10 (lamport, vector, strobe, soundness,
-  /// epsilon, drift) to the replay the trace drives on its own. May be
-  /// nullptr — *trace-only mode*, the wire's: hb-graph, validity-horizon
-  /// and fault-model then run exactly as they do when bound. The pointee
-  /// must outlive the checker.
-  const std::vector<std::vector<core::ProcessEvent>>* executions = nullptr;
+  /// Claimed per-process local executions, read where they live (indexed
+  /// by pid; nullptr = no events, as for the root), consumed in lockstep
+  /// with the trace. They add the clock-claim contracts of DESIGN.md §10
+  /// (lamport, vector, strobe, soundness, epsilon, drift) to the replay the
+  /// trace drives on its own. Empty — *trace-only mode*, the wire's:
+  /// hb-graph, validity-horizon and fault-model then run exactly as they
+  /// do when bound. The pointees must outlive the checker. They may grow
+  /// while it runs, as a live run's do: a record is fed only once its
+  /// process's events up to the record's instant are in place.
+  BoundExecutions executions;
 
   /// Unmatched send entries older than this (against the fed record clock)
   /// are evicted — the Δ-window of the paper's bounded-delay model: a
@@ -120,7 +122,9 @@ class StreamChecker {
     std::size_t cursor = 0;           ///< next unconsumed execution event
   };
 
-  bool bound() const { return executions_ != nullptr; }
+  bool bound() const { return !cfg_.executions.empty(); }
+  /// Process p's claimed execution (empty if none was bound for it).
+  const std::vector<core::ProcessEvent>& events(ProcessId p) const;
   void add(ContractResult& c, CheckViolation v);
   bool admit(const sim::TraceRecord& r);
   Sent& remember(const sim::TraceRecord& r, bool strobe);
@@ -136,7 +140,6 @@ class StreamChecker {
   void scan_soundness();
 
   StreamCheckerConfig cfg_;
-  const std::vector<std::vector<core::ProcessEvent>>* executions_ = nullptr;
   std::vector<OracleState> states_;
   /// Eviction queue entry: (entry time, seq, is_strobe) in feed order.
   /// Entries whose seq was already matched away are skipped lazily.

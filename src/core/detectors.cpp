@@ -36,13 +36,28 @@ OnlineDetector::OnlineDetector(DetectorKind kind, Predicate predicate)
   }
 }
 
-/// True iff `pred` holds for some read variable other than (column, pid)
-/// that has an accepted vector stamp.
+bool strobe_superseded(const clocks::VectorStamp& u,
+                       const clocks::VectorStamp& mine, ProcessId i) {
+  if (i >= u.size() || u.size() != mine.size()) {
+    const clocks::Ordering ord = clocks::compare(u, mine);
+    return ord == clocks::Ordering::kBefore || ord == clocks::Ordering::kEqual;
+  }
+  return u[i] <= mine[i];
+}
+
+bool strobe_concurrent(const clocks::VectorStamp& u, ProcessId i,
+                       const clocks::VectorStamp& f, ProcessId p) {
+  if (i >= u.size() || p >= u.size() || u.size() != f.size()) {
+    return clocks::concurrent(u, f);
+  }
+  return u[i] > f[i] && f[p] > u[p];
+}
+
 template <typename Pred>
 bool OnlineDetector::any_other_read(ColumnId column, ProcessId pid,
                                     Pred pred) const {
   const auto test = [&](ColumnId c, ProcessId p, const Fresh& f) {
-    return (c != column || p != pid) && f.stamp.has_value() && pred(f);
+    return (c != column || p != pid) && f.stamp.has_value() && pred(f, p);
   };
   for (const ColumnId c : read_columns_) {
     const std::span<const Fresh> row = vector_.row(c);
@@ -81,20 +96,17 @@ PSN_HOT std::optional<Detection> OnlineDetector::feed(const ReceivedUpdate& u,
     case DetectorKind::kStrobeVector: {
       Fresh& mine = vector_.at(column, u.reporter);
       const clocks::VectorStamp& stamp = u.report.strobe_vector;
-      if (mine.stamp.has_value()) {
-        const clocks::Ordering ord = clocks::compare(stamp, *mine.stamp);
-        if (ord == clocks::Ordering::kBefore ||
-            ord == clocks::Ordering::kEqual) {
-          return std::nullopt;  // causally superseded by what we applied
-        }
+      if (mine.stamp.has_value() &&
+          strobe_superseded(stamp, *mine.stamp, u.reporter)) {
+        return std::nullopt;  // causally superseded by what we applied
       }
       // Race check (the borderline-bin rule, DESIGN.md §6.3): is this
       // update concurrent with the current update of any *other* variable
       // that the predicate reads? If so, the assembled state may not
       // correspond to any instant of the single time axis.
-      const bool race =
-          any_other_read(column, u.reporter, [&](const Fresh& f) {
-            return clocks::concurrent(stamp, *f.stamp);
+      const bool race = any_other_read(
+          column, u.reporter, [&](const Fresh& f, ProcessId reporter) {
+            return strobe_concurrent(stamp, u.reporter, *f.stamp, reporter);
           });
       // Temporal validity (Kopetz-Steiner): an evaluation is stale when
       // this update's own validity interval lapsed before it arrived, or
@@ -105,9 +117,10 @@ PSN_HOT std::optional<Detection> OnlineDetector::feed(const ReceivedUpdate& u,
       bool stale =
           u.validity.expired(u.report.synced_timestamp, u.delivered_at);
       if (u.validity.bounded() && !stale) {
-        stale = any_other_read(column, u.reporter, [&](const Fresh& f) {
-          return u.delivered_at > f.expires;
-        });
+        stale = any_other_read(column, u.reporter,
+                               [&](const Fresh& f, ProcessId) {
+                                 return u.delivered_at > f.expires;
+                               });
       }
       mine.stamp = stamp;
       mine.expires = u.validity.expires_at(u.report.synced_timestamp);

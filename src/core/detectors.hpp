@@ -52,6 +52,20 @@ enum class DetectorKind : std::uint8_t {
   kPhysicalEps,
 };
 
+/// The strobe-vector detector's order tests, O(1) per pair (DESIGN.md
+/// §6.3). Under SVC1–SVC2 the stamp of reporter i's sense counts i's senses
+/// in component i, and a sense of p is strobe-known to a later sense of i
+/// exactly when the later stamp's component p has reached the earlier's.
+/// So stamp u of reporter i and stamp f of reporter p are concurrent iff
+/// u[i] > f[i] and f[p] > u[p]; and u is superseded by i's own earlier
+/// stamp `mine` (before or equal to it) iff u[i] <= mine[i]. Stamps that
+/// lack the component, such as the dimension-0 stamps of lean clocks, take
+/// the full componentwise clocks::concurrent / clocks::compare.
+bool strobe_concurrent(const clocks::VectorStamp& u, ProcessId i,
+                       const clocks::VectorStamp& f, ProcessId p);
+bool strobe_superseded(const clocks::VectorStamp& u,
+                       const clocks::VectorStamp& mine, ProcessId i);
+
 /// Online every-occurrence global-predicate detector over the root's
 /// observation stream, fed one update at a time in its kind's order. Unlike
 /// the "detect once then hang" algorithms the paper criticizes (§3.3), it
@@ -101,6 +115,8 @@ class OnlineDetector {
     SimTime expires = SimTime::max();
   };
 
+  /// True iff `pred(fresh, reporter)` holds for some read variable other
+  /// than (column, pid) that has an accepted vector stamp.
   template <typename Pred>
   bool any_other_read(ColumnId column, ProcessId pid, Pred pred) const;
 

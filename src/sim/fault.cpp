@@ -234,23 +234,26 @@ std::size_t FaultSchedule::partition_epoch(SimTime t) const {
 }
 
 void FaultSchedule::append_trace_records(std::vector<TraceRecord>& out,
-                                         SimTime horizon) const {
+                                         SimTime from, SimTime until) const {
+  const auto inside = [from, until](SimTime at) {
+    return from <= at && at < until;
+  };
   for (const CrashWindow& w : crashes_by_pid_) {
-    if (w.begin <= horizon) {
+    if (inside(w.begin)) {
       out.push_back({w.begin, TraceKind::kCrash, w.pid, kNoProcess, -1, 0,
                      Name(), 0});
     }
-    if (w.end <= horizon) {
+    if (inside(w.end)) {
       out.push_back({w.end, TraceKind::kRestart, w.pid, kNoProcess, -1, 0,
                      Name(), 0});
     }
   }
   for (const PartitionWindow& w : plan_.partitions) {
-    if (w.begin <= horizon) {
+    if (inside(w.begin)) {
       out.push_back({w.begin, TraceKind::kPartition, w.a, w.b, -1, 0,
                      Name(), 0});
     }
-    if (w.end <= horizon) {
+    if (inside(w.end)) {
       out.push_back({w.end, TraceKind::kHeal, w.a, w.b, -1, 0, Name(), 0});
     }
   }

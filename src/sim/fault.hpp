@@ -102,14 +102,15 @@ class FaultSchedule {
   }
   std::size_t partition_epoch(SimTime t) const;
 
-  /// Appends one trace record per fault transition inside [0, horizon]:
-  /// kCrash/kRestart for crash windows (pid = the node), kPartition/kHeal
-  /// for cut windows (pid = a, peer = b). Restart/heal records past the
-  /// horizon are omitted — the run ended with the fault still active.
-  /// Records carry seq 0, so the canonical order places them ahead of every
-  /// message record at their instant.
-  void append_trace_records(std::vector<TraceRecord>& out,
-                            SimTime horizon) const;
+  /// Appends one trace record per fault transition at `from <= at <
+  /// until`: kCrash/kRestart for crash windows (pid = the node),
+  /// kPartition/kHeal for cut windows (pid = a, peer = b). A run passes
+  /// `until` at most one tick past its horizon, so restart/heal records
+  /// past the horizon are omitted — the run ended with the fault still
+  /// active. Records carry seq 0, so the canonical order places them ahead
+  /// of every message record at their instant.
+  void append_trace_records(std::vector<TraceRecord>& out, SimTime from,
+                            SimTime until) const;
 
  private:
   FaultPlan plan_;

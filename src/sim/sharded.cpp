@@ -65,7 +65,7 @@ std::size_t ShardedSimulation::run(const ExchangeFn& exchange) {
   for (;;) {
     total += drain_all(fence);
     windows_++;
-    const std::size_t injected = exchange();
+    const std::size_t injected = exchange(fence);
     if (total >= max_events) {
       // Safety valve, checked at window granularity (the serial driver
       // checks per event): results are truncated, never an endless spin.

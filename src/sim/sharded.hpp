@@ -40,8 +40,9 @@ class ShardedSimulation {
  public:
   /// Drains every cross-shard outbox into its owner's calendar; returns the
   /// number of deliveries moved. Runs on the driver thread, between windows,
-  /// with every shard parked at the barrier.
-  using ExchangeFn = std::function<std::size_t()>;
+  /// with every shard parked at the barrier; `fence` is the window's
+  /// exclusive end, so every shard has executed all its events before it.
+  using ExchangeFn = std::function<std::size_t(SimTime fence)>;
 
   struct Config {
     /// Window width W; must be positive and <= the minimum one-hop delay of

@@ -48,6 +48,13 @@ class Simulation {
   /// a disabled trace costs one branch.
   TraceRecorder* trace() { return trace_.get(); }
   const TraceRecorder* trace() const { return trace_.get(); }
+  /// Installs `recorder` as the run's trace (nullptr turns tracing off) and
+  /// hands back the one it replaces. Call before run().
+  std::unique_ptr<TraceRecorder> replace_trace(
+      std::unique_ptr<TraceRecorder> recorder) {
+    trace_.swap(recorder);
+    return recorder;
+  }
 
   /// Independent RNG stream for a named component.
   Rng rng_for(const std::string& name, std::uint64_t index = 0) const;

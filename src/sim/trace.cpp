@@ -105,10 +105,29 @@ TraceRecorder::TraceRecorder(std::size_t capacity) : capacity_(capacity) {
   PSN_CHECK(capacity_ > 0, "trace capacity must be positive");
 }
 
-void TraceRecorder::overwrite_oldest(const TraceRecord& r) {
+void TraceRecorder::on_full(const TraceRecord& r) {
+  if (drain_) {
+    drain_();
+    if (ring_.size() > capacity_ / 2) capacity_ *= 2;
+    ring_.push_back(r);
+    return;
+  }
   ring_[head_] = r;
   head_ = (head_ + 1) % capacity_;
   evicted_++;
+}
+
+void TraceRecorder::drain_when_full(std::function<void()> drain) {
+  drain_ = std::move(drain);
+}
+
+void TraceRecorder::drain_before(SimTime cut, std::vector<TraceRecord>& out) {
+  PSN_CHECK(evicted_ == 0, "a trace ring that evicted records cannot drain");
+  const auto end = std::partition_point(
+      ring_.begin(), ring_.end(),
+      [cut](const TraceRecord& r) { return r.at < cut; });
+  out.insert(out.end(), ring_.begin(), end);
+  ring_.erase(ring_.begin(), end);
 }
 
 void TraceRecorder::reserve(std::size_t records) {

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <type_traits>
 #include <vector>
 
@@ -34,8 +35,8 @@ const char* to_string(TraceKind k);
 /// exporters translate). `bytes` is the on-the-wire size charged by the
 /// transport's active clock mode, so summing kSend bytes per message kind
 /// reproduces MessageStats exactly. The record is a 40-byte trivially
-/// copyable value: a checked run keeps every record of the run, and moving,
-/// sorting and freeing them is then plain memory traffic.
+/// copyable value: an exported trace keeps every record of the run, and
+/// moving, sorting and freeing them is then plain memory traffic.
 struct TraceRecord {
   SimTime at;
   TraceKind kind = TraceKind::kSense;
@@ -75,12 +76,21 @@ static_assert(sizeof(TraceRecord) == 40);
 /// them pairwise with a stable merge on `at` alone, and then sorts only the
 /// equal-`at` buckets that are not already in key order. Input with no run
 /// structure still sorts in O(n log n).
+///
+/// The key leads with `at`, so sorting the records of [t0, t1) and those of
+/// [t1, t2) separately and concatenating the two gives what one sort of
+/// the union gives: that is what lets a run stream its trace window by
+/// window (core::ShardedPervasiveSystem::stream_trace).
 void canonical_trace_order(std::vector<TraceRecord>& records);
 
 /// Bounded ring buffer of TraceRecords: when full, the oldest record is
 /// evicted, so memory is capped no matter how long the run is. `evicted()`
 /// says whether the retained window is complete — any analysis that needs
 /// totals (e.g. reconciling byte counts against MessageStats) must check it.
+///
+/// A recorder given a drain hook (drain_when_full) is a streaming buffer
+/// instead: when full it calls the hook, which moves the final records out
+/// with drain_before(), and it never evicts.
 class TraceRecorder {
  public:
   explicit TraceRecorder(std::size_t capacity);
@@ -92,7 +102,7 @@ class TraceRecorder {
     if (ring_.size() < capacity_) {
       ring_.push_back(r);
     } else {
-      overwrite_oldest(r);
+      on_full(r);
     }
   }
   /// Pre-sizes the ring for `records` records (capped at the capacity), so
@@ -109,13 +119,27 @@ class TraceRecorder {
   /// capacity), while evicted() keeps describing the run.
   std::vector<TraceRecord> take();
 
+  /// Makes a full recorder call `drain` instead of evicting its oldest
+  /// record. `drain` should move records out with drain_before(); when it
+  /// leaves the buffer over half full (one instant holds that many
+  /// records), the capacity doubles, so such an instant costs amortized
+  /// O(1) per record rather than one drain per record.
+  void drain_when_full(std::function<void()> drain);
+
+  /// Appends the records stamped before `cut` to `out`, in record order,
+  /// and removes them; later records stay. The records must be
+  /// nondecreasing in `at` (each is stamped with its simulation's current
+  /// time) and none may have been evicted.
+  void drain_before(SimTime cut, std::vector<TraceRecord>& out);
+
  private:
-  void overwrite_oldest(const TraceRecord& r);
+  void on_full(const TraceRecord& r);
 
   std::size_t capacity_;
   std::vector<TraceRecord> ring_;
   std::size_t head_ = 0;  ///< next slot to overwrite once the ring is full
   std::size_t evicted_ = 0;
+  std::function<void()> drain_;  ///< set: stream instead of evicting
 };
 
 }  // namespace psn::sim

@@ -98,7 +98,7 @@ StormTotals run_ring_storm(std::size_t shards, std::size_t pool_threads,
   cfg.pool_threads = pool_threads;
   sim::ShardedSimulation driver(raw, cfg);
 
-  const auto exchange = [&]() -> std::size_t {
+  const auto exchange = [&](SimTime) -> std::size_t {
     std::size_t moved = 0;
     for (std::size_t s = 0; s < shards; ++s) {
       StormShard& dst = chains[(s + 1) % shards];  // ring traffic
@@ -215,7 +215,7 @@ TEST(ShardedStressTest, HelperShardFailureLeavesRunAsTheSameException) {
   {
     sim::ShardedSimulation driver(raw, cfg);
     try {
-      driver.run([] { return std::size_t{0}; });
+      driver.run([](SimTime) { return std::size_t{0}; });
       ADD_FAILURE() << "run() returned despite a failed shard";
     } catch (const InvariantError& e) {
       EXPECT_NE(std::string(e.what()).find("shard turn failed on a helper"),

@@ -93,6 +93,7 @@ TEST(CheckedOccupancyTest, FaultyRunAuditsCleanWithEveryErrorAttributed) {
   ge.loss_in_bad = 0.6;
   cfg.gilbert_elliott = ge;
   cfg.check = true;
+  cfg.trace_capacity = std::size_t{1} << 18;  // exported for the spans below
 
   const OccupancyRunResult run = run_occupancy_experiment(cfg);
   ASSERT_TRUE(run.check.has_value());
@@ -199,7 +200,9 @@ TEST(CheckedOccupancyTest, SameSenderReorderExplainsDeliveryOrderErrors) {
   }
 }
 
-TEST(CheckedOccupancyTest, CheckAutoEnablesTracing) {
+TEST(CheckedOccupancyTest, CheckKeepsATraceOnlyWhenExported) {
+  // The checker takes the trace as the run streams it: a checked run keeps
+  // no trace of its own, and an exported one is the same run's trace.
   OccupancyConfig cfg;
   cfg.horizon = Duration::seconds(10);
   cfg.check = true;
@@ -207,8 +210,17 @@ TEST(CheckedOccupancyTest, CheckAutoEnablesTracing) {
 
   const OccupancyRunResult run = run_occupancy_experiment(cfg);
   ASSERT_TRUE(run.check.has_value());
-  EXPECT_GT(run.trace.size(), 0u);
+  EXPECT_TRUE(run.check->clean()) << run.check->summary();
+  EXPECT_TRUE(run.trace.empty());
   EXPECT_EQ(run.trace_evicted, 0u);
+
+  OccupancyConfig exported = cfg;
+  exported.trace_capacity = std::size_t{1} << 18;
+  const OccupancyRunResult traced = run_occupancy_experiment(exported);
+  ASSERT_TRUE(traced.check.has_value());
+  EXPECT_EQ(traced.check->summary(), run.check->summary());
+  EXPECT_GT(traced.trace.size(), 0u);
+  EXPECT_EQ(traced.trace_evicted, 0u);
 }
 
 TEST(RaceScanTest, FindsPlantedDeltaRaceAndInversion) {

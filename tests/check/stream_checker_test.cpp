@@ -82,7 +82,7 @@ CheckReport stream_report(const RunInputs& in, const CheckOptions& opt = {}) {
   cfg.sync_epsilon = in.sync_epsilon;
   cfg.drifting = in.drifting;
   cfg.options = opt;
-  cfg.executions = &in.executions;
+  cfg.executions = bind_executions(in.executions);
   StreamChecker checker(cfg);
   for (const sim::TraceRecord& r : in.trace) checker.feed(r);
   return checker.finish();
@@ -160,7 +160,7 @@ TEST(StreamCheckerTest, FeedSurfacesViolationsAsTheyAreWitnessed) {
   cfg.num_processes = inputs.num_processes;
   cfg.sync_epsilon = inputs.sync_epsilon;
   cfg.drifting = inputs.drifting;
-  cfg.executions = &inputs.executions;
+  cfg.executions = bind_executions(inputs.executions);
   StreamChecker checker(cfg);
   bool saw_violation = false;
   for (sim::TraceRecord r : inputs.trace) {

@@ -6,8 +6,9 @@
 # idle timeout past INT_MAX ms (the TIMEOUT stops the server such a value
 # used to start). So must every config analysis::validate rejects, such as
 # a delay model with no usable delta, a negative epsilon, a zero movement
-# rate, shards over a zero minimum one-hop delay, or lean clocks under
-# check: none may print the scenario header first. Nor may a fault plan the
+# rate, shards over a zero minimum one-hop delay, lean clocks under check,
+# or more doors than the hall counts in an int: none may print the scenario
+# header first. Nor may a fault plan the
 # system cannot inject (a crash of the root, a pid past the doors, a
 # self-loop, an edge the topology lacks, overlapping windows), under run
 # and under check. A well-formed invocation still runs. Run via
@@ -39,7 +40,8 @@ set(bad_invocations
   "run --shards 2 --delay sync"
   "check --lean-clocks"
   "run --eps -5"
-  "run --rate 0")
+  "run --rate 0"
+  "run --doors 3000000000 --seconds 1")
 
 foreach(invocation IN LISTS bad_invocations)
   separate_arguments(args UNIX_COMMAND "${invocation}")

@@ -432,7 +432,7 @@ std::uint64_t sharded_window_allocs(std::size_t ticks, std::size_t pool_threads,
     chains[s].sched = &sims.back()->scheduler();
     chains[s].outbox = &outboxes[s];
   }
-  const auto exchange = [&]() -> std::size_t {
+  const auto exchange = [&](SimTime) -> std::size_t {
     std::size_t moved = 0;
     for (std::size_t s = 0; s < kShards; ++s) {
       WindowChain& dst = chains[(s + 1) % kShards];

@@ -127,8 +127,9 @@ TEST(FaultScheduleTest, BackToBackWindowsLeaveEdgeCutAtTheSeam) {
 TEST(FaultScheduleTest, AppendTraceRecordsRespectsHorizon) {
   const FaultSchedule sched(
       parse_fault_plan("crash:2@10+5;cut:1-3@20+100;drift:4@1+1:50"));
+  const SimTime past_horizon = SimTime::from_seconds(60) + Duration::nanos(1);
   std::vector<TraceRecord> out;
-  sched.append_trace_records(out, SimTime::from_seconds(60));
+  sched.append_trace_records(out, SimTime::zero(), past_horizon);
   // crash@10, restart@15, partition@20; heal@120 is past the horizon and the
   // drift window emits no records (it is compensated, not an outage).
   ASSERT_EQ(out.size(), 3u);
@@ -140,6 +141,18 @@ TEST(FaultScheduleTest, AppendTraceRecordsRespectsHorizon) {
   EXPECT_EQ(out[2].kind, TraceKind::kPartition);
   EXPECT_EQ(out[2].pid, 1u);
   EXPECT_EQ(out[2].peer, 3u);
+
+  // Windows split at an instant: [0, 15 s) holds the crash, [15 s, past
+  // the horizon) the restart at 15 s and the partition.
+  std::vector<TraceRecord> early;
+  std::vector<TraceRecord> late;
+  sched.append_trace_records(early, SimTime::zero(), SimTime::from_seconds(15));
+  sched.append_trace_records(late, SimTime::from_seconds(15), past_horizon);
+  ASSERT_EQ(early.size(), 1u);
+  EXPECT_EQ(early[0].kind, TraceKind::kCrash);
+  ASSERT_EQ(late.size(), 2u);
+  EXPECT_EQ(late[0].kind, TraceKind::kRestart);
+  EXPECT_EQ(late[1].kind, TraceKind::kPartition);
 }
 
 }  // namespace

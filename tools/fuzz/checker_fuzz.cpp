@@ -158,9 +158,8 @@ psn::analysis::OccupancyConfig draw_config(std::uint64_t round_seed) {
 /// the *environment* breaking the deployment's freshness claim, which the
 /// contract exists to surface; it is not a simulator defect. Every other
 /// contract (causality, clock replays, soundness, epsilon/drift envelopes)
-/// must be spotless. An evicted trace never gets here: the checker throws
-/// TraceWindowError, which fails the round — the ring was sized for the
-/// horizon, so eviction means the harness itself is wrong.
+/// must be spotless. The run streams its trace into the checker, so no
+/// horizon leaves it an incomplete window.
 bool acceptable(const psn::check::CheckReport& report,
                 const psn::analysis::OccupancyConfig& cfg) {
   if (report.clean()) return true;
