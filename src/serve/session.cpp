@@ -16,7 +16,7 @@ check::StreamCheckerConfig checker_config(const SoakServerConfig& cfg) {
   out.send_retention = cfg.send_retention;
   out.options.validity_horizon = cfg.validity_horizon;
   out.options.max_recorded_violations = cfg.max_recorded_violations;
-  // executions stays nullptr: the wire carries trace records, never
+  // executions stays empty: the wire carries trace records, never
   // per-process clock claims, so the checker runs in trace-only mode.
   return out;
 }

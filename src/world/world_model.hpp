@@ -3,6 +3,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "sim/simulation.hpp"
@@ -35,6 +36,9 @@ class WorldModel {
   WorldEventIndex emit(ObjectId object, Name attribute, AttributeValue value);
 
   const WorldTimeline& timeline() const { return timeline_; }
+  /// Moves the timeline out (the model's is left empty), for a caller that
+  /// keeps the ground truth past the model's simulation.
+  WorldTimeline take_timeline() { return std::move(timeline_); }
   sim::Simulation& simulation() { return sim_; }
 
  private:
