@@ -250,9 +250,10 @@ void BM_OracleEvaluate(benchmark::State& state) {
 BENCHMARK(BM_OracleEvaluate)->Arg(3000)->Arg(100000);
 
 void BM_TraceMerge(benchmark::State& state) {
-  // Trace-recording ladder row: canonical_trace_order over what a 4-shard
-  // run hands over — four rings, each nondecreasing in `at` with a strobe's
-  // co-instant send fan-out and sense, then the fault plan's unsorted tail.
+  // Trace-recording ladder row: canonical_trace_order over one batch of a
+  // 4-shard run — four shards' drained records, each nondecreasing in `at`
+  // with a strobe's co-instant send fan-out and sense, then the fault
+  // plan's unsorted tail.
   constexpr std::size_t kRecords = std::size_t{1} << 18;
   constexpr std::size_t kRings = 4;
   constexpr std::size_t kFaults = 16;
@@ -322,7 +323,7 @@ BENCHMARK(BM_TraceMerge);
 void BM_TraceRecord(benchmark::State& state) {
   // Trace-recording ladder row: TraceRecorder::record per record, in the
   // pattern a broadcast run writes (a sense, then a send and a delivery per
-  // copy of its strobe). Arg 1 pre-sizes the ring as a replayed run does;
+  // copy of its strobe). Arg 1 pre-sizes the buffer as an export does;
   // arg 0 grows it by doubling.
   constexpr std::size_t kRecords = std::size_t{1} << 16;
   constexpr ProcessId kFanOut = 8;

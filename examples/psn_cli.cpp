@@ -15,9 +15,10 @@
 //
 // Exit codes: 0 ok · 1 violations · 2 usage/config error or missing/unknown
 // subcommand · 3 stream input rejected (serve). Multi-stream serve
-// aggregates across sessions: 3 beats 1 beats 0. `check` streams the trace
-// into the checker while the run executes, so it keeps no trace ring and
-// `--trace-cap` is accepted but inert there.
+// aggregates across sessions: 3 beats 1 beats 0. Every trace streams out
+// of the run as it executes, whole: `check` feeds it to the checker and
+// keeps none, `run --trace` exports all of it. `--trace-cap` is accepted
+// but inert under both, kept only for the benchmark's commands.
 //
 // Exit 2 covers every config the system cannot honor, each rejected by
 // core::validate with a one-line remedy before anything is printed:
@@ -35,7 +36,7 @@
 //   psn_cli run --delay sync --delta 0       # the Δ=0 collapse
 //   psn_cli run --trace /tmp/run.jsonl       # first seed's event log
 //   psn_cli check --mode scalar              # clock-contract replay, CI-style
-//   psn_cli run --trace /dev/stdout --trace-cap 200000 | psn_cli serve
+//   psn_cli run --trace /dev/stdout | psn_cli serve
 //   psn_cli serve --listen 7070 --max-streams 16   # socket soak server
 
 #include <unistd.h>
@@ -77,7 +78,6 @@ struct Invocation {
   unsigned threads = 0;  // 0 = one worker per hardware thread
   std::string csv;
   std::string trace;
-  std::size_t trace_cap = 1000000;
   bool metrics = false;
   // Flags the city preset yields to, but only when they were given.
   bool doors_given = false;
@@ -212,10 +212,11 @@ void print_shared_usage() {
       "usage: psn_cli <run|check|serve> [options]\n\n"
       "  run    simulate and print the detector scorecard\n"
       "         [--reps N] [--threads N] [--csv PATH] [--metrics]\n"
-      "         [--trace PATH] [--trace-cap N]\n"
+      "         [--trace PATH]  (the first seed's whole trace)\n"
       "  check  stream one run through the clock-contract checker and the\n"
       "         Delta-race audit as it executes; exit 1 on violations\n"
-      "         [--trace-cap N]  (accepted, inert: check keeps no ring)\n"
+      "  run, check:\n"
+      "         [--trace-cap N]  (accepted, inert: no trace is truncated)\n"
       "  serve  verify JSONL trace streams incrementally: stdin by\n"
       "         default, or a multi-stream socket server via --listen\n"
       "         (all-digit spec = TCP port on 127.0.0.1, 0 = ephemeral;\n"
@@ -331,8 +332,10 @@ Invocation parse_cli(const std::vector<std::string>& args, Command cmd) {
     } else if (flag == "--ge") {
       cfg.gilbert_elliott = parse_ge(value());
     } else if (flag == "--trace-cap") {
-      number(in.trace_cap);
-      if (in.trace_cap == 0) usage_error("--trace-cap must be > 0");
+      // Inert, read by bench/suite, dropped by ROADMAP item 4.
+      std::size_t inert = 0;
+      number(inert);
+      if (inert == 0) usage_error("--trace-cap must be > 0");
     } else if (run_like && flag == "--reps") {
       number(in.reps);
     } else if (run_like && flag == "--threads") {
@@ -393,7 +396,7 @@ int cmd_run(const Invocation& in) {
 
   std::vector<analysis::OccupancyConfig> configs(in.reps, in.config);
   for (std::size_t r = 0; r < configs.size(); ++r) configs[r].seed += r;
-  if (!in.trace.empty()) configs.front().trace_capacity = in.trace_cap;
+  if (!in.trace.empty()) configs.front().trace_capacity = 1;
   // parse_cli admitted the config; the replications differ only in seed.
   const std::vector<analysis::OccupancyRunResult> runs =
       analysis::run_specs(configs, in.threads);
@@ -436,21 +439,12 @@ int cmd_run(const Invocation& in) {
                    traced.trace.size());
     } else {
       analysis::write_trace_jsonl(traced.trace, in.trace);
-      std::printf("\nwrote %s (%zu records%s)\n", in.trace.c_str(),
-                  traced.trace.size(),
-                  traced.trace_evicted > 0
-                      ? ", ring overflowed — oldest evicted"
-                      : "");
+      std::printf("\nwrote %s (%zu records)\n", in.trace.c_str(),
+                  traced.trace.size());
     }
   } catch (const std::exception& e) {
     std::fprintf(stderr, "psn_cli: %s\n", e.what());
     return 1;
-  }
-  if (traced.trace_evicted > 0) {
-    std::fprintf(stderr,
-                 "psn_cli: trace ring evicted %zu records; rerun with "
-                 "--trace-cap > %zu for a complete trace\n",
-                 traced.trace_evicted, in.trace_cap);
   }
   return 0;
 }

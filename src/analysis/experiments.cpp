@@ -122,10 +122,14 @@ OccupancyRunResult run_occupancy_experiment(const OccupancyConfig& config) {
       config.movement_rate * config.horizon.to_seconds()) + 1;
   system.reserve_root_logs(expected_updates);
 
-  // A checked run streams its trace into one checker bound to the sensors'
-  // executions where they live, so neither the trace nor an execution is
-  // kept for it. Of the records, only what the race audit's fault spans
-  // read is kept.
+  // The run streams its trace into one sink. A checked run feeds one
+  // checker bound to the sensors' executions where they live, so no
+  // execution is copied for it, and of the records keeps only what the race
+  // audit's fault spans read; an exported run appends every record to its
+  // result.
+  OccupancyRunResult result;
+  const bool exporting = sys.sim.trace_capacity > 0;
+  if (exporting) result.trace.reserve(system.expected_trace_records());
   std::optional<check::StreamChecker> checker;
   std::vector<sim::TraceRecord> span_records;
   if (config.check) {
@@ -138,17 +142,23 @@ OccupancyRunResult run_occupancy_experiment(const OccupancyConfig& config) {
     check_cfg.options.faults = system.faults();
     check_cfg.executions = check::bind_executions(system);
     checker.emplace(check_cfg);
+  }
+  if (checker || exporting) {
     system.stream_trace([&](std::span<const sim::TraceRecord> batch) {
-      for (const sim::TraceRecord& r : batch) {
-        checker->feed(r);
-        if (check::read_by_fault_spans(r)) span_records.push_back(r);
+      if (checker) {
+        for (const sim::TraceRecord& r : batch) {
+          checker->feed(r);
+          if (check::read_by_fault_spans(r)) span_records.push_back(r);
+        }
+      }
+      if (exporting) {
+        result.trace.insert(result.trace.end(), batch.begin(), batch.end());
       }
     });
   }
 
   system.run();
 
-  OccupancyRunResult result;
   core::GroundTruthOracle oracle(predicate, system.sensing());
   result.oracle = oracle.evaluate(hall.timeline, sys.sim.horizon);
   result.message_stats = system.message_stats();
@@ -156,12 +166,6 @@ OccupancyRunResult run_occupancy_experiment(const OccupancyConfig& config) {
   result.world_events = hall.timeline.size();
   result.delta_bound = system.delta_bound();
   result.shard_windows = system.windows();
-
-  const bool tracing = sys.sim.trace_capacity > 0;
-  if (tracing) {
-    result.trace = system.trace_records();
-    result.trace_evicted = system.trace_evicted();
-  }
 
   ScoreConfig score_cfg;
   score_cfg.tolerance = config.effective_tolerance();
@@ -193,7 +197,7 @@ OccupancyRunResult run_occupancy_experiment(const OccupancyConfig& config) {
     counters[prefix + ".false_negatives"] += out.score.false_negatives;
     counters[prefix + ".borderline"] += out.score.borderline_detections;
     result.metrics.stats[prefix + ".belief_accuracy"].add(out.belief_accuracy);
-    if (tracing) {
+    if (exporting) {
       // Detection records are appended after the canonically ordered
       // network records (the detectors replay the log offline); `at` is
       // still sim-time. The append order is the fixed detector-loop order,
@@ -209,14 +213,14 @@ OccupancyRunResult run_occupancy_experiment(const OccupancyConfig& config) {
     result.outcomes.push_back(std::move(out));
   }
 
-  // Δ-race audit: under Δ-bounded delivery with a complete trace window,
-  // every confident detector error must have an admissible cause — a Δ/2ε
-  // race (paper §5), or a recorded fault: a dropped root-bound report, a
-  // crash or partition window, a duty-cycle deferral past Δ, an expired
-  // validity horizon (DESIGN.md §15), or, for delivery-order, a same-sender
-  // reorder. An error none of those cover is a checker violation. Lossy,
-  // faulty, and duty-cycled runs audit at full strictness — their non-race
-  // causes are in the trace, not excuses.
+  // Δ-race audit: under Δ-bounded delivery (the streamed trace is always
+  // complete), every confident detector error must have an admissible
+  // cause — a Δ/2ε race (paper §5), or a recorded fault: a dropped
+  // root-bound report, a crash or partition window, a duty-cycle deferral
+  // past Δ, an expired validity horizon (DESIGN.md §15), or, for
+  // delivery-order, a same-sender reorder. An error none of those cover is
+  // a checker violation. Lossy, faulty, and duty-cycled runs audit at full
+  // strictness — their non-race causes are in the trace, not excuses.
   if (result.check) {
     if (config.delay_kind == core::DelayKind::kUniformBounded) {
       check::RaceScanConfig delta_scan;

@@ -33,15 +33,16 @@ struct OccupancyConfig : core::DeploymentConfig {
   Duration horizon = Duration::seconds(60);
   std::uint64_t seed = 1;
 
-  /// Event-trace ring capacity (records); 0 = no trace exported. When on,
-  /// the run's sense/send/receive/deliver/drop/detect records are returned
-  /// in OccupancyRunResult::trace.
+  /// Any positive value exports the trace: the run's whole
+  /// sense/send/receive/deliver/drop/detect record stream is returned in
+  /// OccupancyRunResult::trace; 0 = no trace exported. The value itself is
+  /// inert, read by bench/suite, dropped by ROADMAP item 4.
   std::size_t trace_capacity = 0;
 
   /// Runs the causality & clock-contract checker (check/stream_checker.hpp)
   /// over the run as it executes and, under uniform Δ-bounded delay, the
   /// Δ-race audit of every detector's errors. The trace streams into the
-  /// checker, so checking keeps no ring: trace_capacity only decides what
+  /// checker, so checking keeps no trace: trace_capacity only decides what
   /// OccupancyRunResult::trace exports. The report lands in
   /// OccupancyRunResult::check.
   bool check = false;
@@ -95,10 +96,8 @@ struct OccupancyRunResult {
   /// harness's world.*, root.*, detector.* and check.* names (the sweep
   /// engine merges these per grid point, deterministically).
   MetricsSnapshot metrics;
-  /// The run's event trace (empty unless config.trace_capacity > 0).
+  /// The run's whole event trace (empty unless config.trace_capacity > 0).
   std::vector<sim::TraceRecord> trace;
-  /// Records the trace ring evicted; 0 means `trace` is complete.
-  std::size_t trace_evicted = 0;
 
   /// Clock-contract + Δ-race-audit report (set iff config.check was on).
   std::optional<check::CheckReport> check;

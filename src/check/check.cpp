@@ -109,14 +109,6 @@ CheckReport check_run(const RunInputs& inputs, const CheckOptions& options) {
         std::to_string(inputs.executions.size()) + ", want " +
         std::to_string(inputs.num_processes) + ")");
   }
-  if (inputs.trace_evicted > 0) {
-    throw TraceWindowError(
-        "psn::check: trace ring evicted " +
-        std::to_string(inputs.trace_evicted) +
-        " record(s); the happens-before oracle needs the complete window. "
-        "Raise trace_capacity, or stream records through "
-        "check::StreamChecker (psn_cli serve), which needs no ring.");
-  }
 
   StreamCheckerConfig cfg;
   cfg.num_processes = inputs.num_processes;
@@ -162,7 +154,6 @@ RunInputs inputs_from(const core::ShardedPervasiveSystem& system,
     in.executions[p] = *executions[p - 1];
   }
   in.trace = std::move(trace);
-  in.trace_evicted = system.trace_evicted();
   return in;
 }
 

@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "clocks/physical.hpp"
-#include "common/error.hpp"
 #include "common/sim_time.hpp"
 #include "common/types.hpp"
 #include "core/event.hpp"
@@ -90,8 +89,8 @@ const char* to_string(Verdict v);
 
 struct CheckReport {
   Verdict verdict = Verdict::kClean;
-  /// Always 0: check_run refuses an evicted trace. Kept for bench/suite,
-  /// which reads it.
+  /// Always 0: a trace is never truncated. Inert, read by bench/suite,
+  /// dropped by ROADMAP item 4.
   std::size_t trace_evicted = 0;
   std::vector<ContractResult> contracts;
 
@@ -126,15 +125,6 @@ struct CheckOptions {
   const sim::FaultSchedule* faults = nullptr;
 };
 
-/// Thrown when the trace ring evicted records: the happens-before oracle
-/// needs the complete window. The remedy is a larger ring, or the stream:
-/// core::ShardedPervasiveSystem::stream_trace feeds a StreamChecker as the
-/// run executes and keeps no window at all.
-class TraceWindowError : public ConfigError {
- public:
-  explicit TraceWindowError(const std::string& what) : ConfigError(what) {}
-};
-
 /// Per-process local executions a checker reads where they live, indexed
 /// by pid; nullptr = a process with no recorded events (the root).
 using BoundExecutions = std::vector<const std::vector<core::ProcessEvent>*>;
@@ -156,19 +146,20 @@ struct RunInputs {
   /// Per-process local executions, indexed by pid (the root's is empty).
   std::vector<std::vector<core::ProcessEvent>> executions;
   std::vector<sim::TraceRecord> trace;
+  /// Always 0 and never read: a trace is never truncated. Inert, read by
+  /// bench/suite, dropped by ROADMAP item 4.
   std::size_t trace_evicted = 0;
 };
 
 /// Runs every contract check over one run. Throws ConfigError on
-/// structurally unusable inputs (no processes or executions/pid mismatch)
-/// and TraceWindowError on an evicted trace.
+/// structurally unusable inputs (no processes or executions/pid mismatch).
 CheckReport check_run(const RunInputs& inputs, const CheckOptions& options = {});
 
 /// Extracts RunInputs from a finished run of a core::ShardedPervasiveSystem
 /// at any shard count. Requires tracing to have been enabled
 /// (SimConfig::trace_capacity > 0). `trace` is the system's trace_records():
-/// every shard's ring plus the fault plan's records in canonical order. It
-/// is taken by rvalue so the trace moves in; a caller that still needs it
+/// the whole canonical trace, the fault plan's records included. It is
+/// taken by rvalue so the trace moves in; a caller that still needs it
 /// moves it back out of RunInputs::trace after check_run.
 RunInputs inputs_from(const core::ShardedPervasiveSystem& system,
                       std::vector<sim::TraceRecord>&& trace);

@@ -22,9 +22,6 @@ struct ShardedPervasiveSystem::Shard {
   std::unique_ptr<RootMonitor> root;
   std::vector<std::unique_ptr<SensorNode>> sensors;  ///< owned pids only
   ProcessId sensor_base = 1;                         ///< pid of sensors[0]
-  /// The ring SimConfig::trace_capacity asks for: what an export keeps of
-  /// the records drained from the sim's trace buffer (nullptr = none).
-  std::unique_ptr<sim::TraceRecorder> kept;
 
   SensorNode& sensor(ProcessId pid) const {
     return *sensors[pid - sensor_base];
@@ -299,17 +296,19 @@ void ShardedPervasiveSystem::reserve_root_logs(std::size_t expected_updates) {
   for (const auto& sh : shards_) sh->root->log().updates.reserve(per_shard);
 }
 
-void ShardedPervasiveSystem::reserve_trace_rings() {
-  if (shards_[0]->kept == nullptr) return;
+std::size_t ShardedPervasiveSystem::expected_trace_records() const {
   std::size_t senses = 0;
-  for (const auto& cur : cursors_) senses += cur->events.size();
-  if (senses == 0) return;
+  for (const world::WorldEvent& ev : timeline_) {
+    if (sensing_.sensor_of(ev.object, ev.attribute) != kNoProcess) ++senses;
+  }
+  if (senses == 0) return 0;
   // A sense records itself, then one send and one delivery (or drop) per
   // copy of its report: n-1 copies of a strobe broadcast, one unicast.
+  // Padded 25% and 64 records, as a root log is, for what the formula
+  // misses: fault-plan records, and the detections an export appends.
   const std::size_t fan_out = config_.unicast_reports ? 1 : n_ - 1;
-  const std::size_t per_shard =
-      per_shard_share(senses * (1 + 2 * fan_out), shards_.size());
-  for (const auto& sh : shards_) sh->kept->reserve(per_shard);
+  const std::size_t records = senses * (1 + 2 * fan_out);
+  return records + records / 4 + 64;
 }
 
 ShardedPervasiveSystem::Shard& ShardedPervasiveSystem::single_shard() {
@@ -412,15 +411,20 @@ void ShardedPervasiveSystem::stream_trace(TraceSink sink) {
 }
 
 void ShardedPervasiveSystem::install_trace_buffers() {
-  // The sim's own recorder, if SimConfig::trace_capacity made one, becomes
-  // the kept ring; the sim records into a buffer that drains into it.
-  tracing_ = trace_sink_ || shards_[0]->sim->trace() != nullptr;
+  tracing_ = trace_sink_ || config_.base.sim.trace_capacity > 0;
   if (!tracing_) return;
+  if (!trace_sink_) {
+    // Nobody streams: the batches are kept for trace_records().
+    collected_.reserve(expected_trace_records());
+    trace_sink_ = [this](std::span<const sim::TraceRecord> batch) {
+      collected_.insert(collected_.end(), batch.begin(), batch.end());
+    };
+  }
   // K > 1 drains at every barrier, so its buffers only ever hold one
   // window; K = 1 has no barrier and drains its buffer when it fills.
   const bool serial = shards_.size() == 1;
   for (const auto& sh : shards_) {
-    sh->kept = sh->sim->replace_trace(std::make_unique<sim::TraceRecorder>(
+    sh->sim->replace_trace(std::make_unique<sim::TraceRecorder>(
         serial ? kStreamBatch : SIZE_MAX));
   }
   if (serial) {
@@ -435,7 +439,6 @@ std::size_t ShardedPervasiveSystem::run() {
   ran_ = true;
   install_cursors();
   install_trace_buffers();
-  reserve_trace_rings();
 
   std::size_t total = 0;
   if (shards_.size() == 1) {
@@ -473,15 +476,8 @@ std::size_t ShardedPervasiveSystem::run() {
 void ShardedPervasiveSystem::drain_trace(SimTime cut) {
   trace_batch_.clear();
   for (const auto& sh : shards_) {
-    const std::size_t first = trace_batch_.size();
     sh->sim->trace()->drain_before(cut, trace_batch_);
-    if (sh->kept != nullptr) {
-      for (std::size_t i = first; i < trace_batch_.size(); ++i) {
-        sh->kept->record(trace_batch_[i]);
-      }
-    }
   }
-  if (!trace_sink_) return;
   if (faults_ != nullptr) {
     faults_->append_trace_records(trace_batch_, streamed_until_,
                                   std::min(cut, end_of_run()));
@@ -592,40 +588,9 @@ MetricsSnapshot ShardedPervasiveSystem::metrics_snapshot() const {
 }
 
 std::vector<sim::TraceRecord> ShardedPervasiveSystem::trace_records() {
-  PSN_CHECK(!trace_taken_, "trace_records() drains the rings; call it once");
+  PSN_CHECK(!trace_taken_, "trace_records() moves the trace out; call it once");
   trace_taken_ = true;
-  std::size_t total = 0;
-  for (const auto& sh : shards_) {
-    if (sh->kept != nullptr) total += sh->kept->size();
-  }
-  std::vector<sim::TraceRecord> out;
-  for (const auto& sh : shards_) {
-    if (sh->kept == nullptr) continue;
-    std::vector<sim::TraceRecord> ring = sh->kept->take();
-    if (out.empty()) {
-      out = std::move(ring);
-      out.reserve(total);
-    } else {
-      out.insert(out.end(), std::make_move_iterator(ring.begin()),
-                 std::make_move_iterator(ring.end()));
-    }
-  }
-  // Fault-plan transitions are synthesized from the schedule exactly once,
-  // post-run — live emission would duplicate them per shard and could evict
-  // real records from a full ring.
-  if (faults_ != nullptr) {
-    faults_->append_trace_records(out, SimTime::zero(), end_of_run());
-  }
-  sim::canonical_trace_order(out);
-  return out;
-}
-
-std::size_t ShardedPervasiveSystem::trace_evicted() const {
-  std::size_t evicted = 0;
-  for (const auto& sh : shards_) {
-    if (sh->kept != nullptr) evicted += sh->kept->evicted();
-  }
-  return evicted;
+  return std::exchange(collected_, {});
 }
 
 std::vector<const std::vector<ProcessEvent>*>

@@ -67,10 +67,10 @@ void validate(const ShardedSystemConfig& config);
 ///    in (at, tie) order;
 ///  - observation: P_0 is replicated into every shard — deliveries to the
 ///    root execute locally against the replica, and the per-shard logs merge
-///    by (delivered_at, seq) into exactly the serial delivery order. Traces
-///    merge under sim::canonical_trace_order; registries merge by summation
-///    in shard order, and the sim.*/net.* metrics are built from tallies
-///    summed over shards.
+///    by (delivered_at, seq) into exactly the serial delivery order. Each
+///    drained trace batch is put in sim::canonical_trace_order; registries
+///    merge by summation in shard order, and the sim.*/net.* metrics are
+///    built from tallies summed over shards.
 ///
 /// The world plane enters in one of two ways, decided by whether
 /// set_world_events() was called:
@@ -117,6 +117,10 @@ class ShardedPervasiveSystem {
   /// Pre-sizes every per-shard root log (city-scale runs append millions of
   /// updates; growing the logs inside the window loop would allocate).
   void reserve_root_logs(std::size_t expected_updates);
+  /// The records a traced replay of the installed timeline is expected to
+  /// produce, padded; what a consumer that keeps the whole trace pre-sizes
+  /// its buffer for (0 with no replay timeline).
+  std::size_t expected_trace_records() const;
 
   std::size_t num_processes() const { return n_; }
   std::size_t num_shards() const { return shard_map_.num_shards(); }
@@ -129,22 +133,20 @@ class ShardedPervasiveSystem {
   /// Receives a streamed run's canonical trace, one batch at a time.
   using TraceSink = std::function<void(std::span<const sim::TraceRecord>)>;
 
-  /// Hands the run's canonical trace to `sink` while run() executes instead
-  /// of keeping it. The batches, concatenated, are exactly what
-  /// trace_records() returns: every record, the fault plan's included.
-  /// A batch holds only final records, those stamped before a cut no
-  /// later record can precede: at K > 1 the cut is each window's fence,
-  /// drained at its barrier; at K = 1 it is the current instant, drained
-  /// whenever the shard's buffer fills; the rest goes at the end of run().
-  /// Each batch is in sim::canonical_trace_order, whose key leads with
-  /// `at`, so batch order is whole-run order (DESIGN.md §14). The sink runs
-  /// on the thread driving the run, while no shard executes.
+  /// Hands the run's canonical trace to `sink` while run() executes: every
+  /// record, the fault plan's included, and the system keeps none. A batch
+  /// holds only final records, those stamped before a cut no later record
+  /// can precede: at K > 1 the cut is each window's fence, drained at its
+  /// barrier; at K = 1 it is the current instant, drained whenever the
+  /// shard's buffer fills; the rest goes at the end of run(). Each batch is
+  /// in sim::canonical_trace_order, whose key leads with `at`, so batch
+  /// order is whole-run order (DESIGN.md §14). The sink runs on the thread
+  /// driving the run, while no shard executes.
   ///
-  /// A streamed run records its trace whatever SimConfig::trace_capacity
-  /// says. Every traced run, streamed or not, records into per-shard
-  /// buffers drained at those same cuts; records are kept only in the
-  /// rings that capacity asks for, which trace_records() and
-  /// trace_evicted() read. Call once, before run().
+  /// This is the one trace hand-off: a streamed run records its trace
+  /// whatever SimConfig::trace_capacity says, and a run with
+  /// trace_capacity > 0 and no sink streams into a buffer that
+  /// trace_records() hands back. Call once, before run().
   void stream_trace(TraceSink sink);
 
   /// Runs all shards to the horizon; returns total events executed. Call
@@ -164,12 +166,15 @@ class ShardedPervasiveSystem {
   /// schedule — per drop cause) from message_stats(), and the
   /// net.delivery_delay_ms histogram from the transports.
   MetricsSnapshot metrics_snapshot() const;
-  /// All shards' trace rings plus the fault plan's records, merged under
-  /// sim::canonical_trace_order. Drains the rings (no record is copied), so
-  /// call it once per run; a second call PSN_CHECKs. trace_evicted() stays
-  /// valid afterwards.
+  /// The whole canonical trace of a run with SimConfig::trace_capacity > 0
+  /// that nothing streamed: the batches stream_trace() would have handed
+  /// out, concatenated. Empty when the run was not traced or a sink took
+  /// the batches. Moves the trace out, so call it once per run; a second
+  /// call PSN_CHECKs.
   std::vector<sim::TraceRecord> trace_records();
-  std::size_t trace_evicted() const;
+  /// Always 0: a trace is never truncated. Inert, read by bench/suite,
+  /// dropped by ROADMAP item 4.
+  std::size_t trace_evicted() const { return 0; }
   /// Recorded local executions of the sensors (index 0 = P_1), pid order.
   std::vector<const std::vector<ProcessEvent>*> sensor_executions() const;
 
@@ -188,15 +193,13 @@ class ShardedPervasiveSystem {
   /// The one shard of a K = 1 system (PSN_CHECKs K == 1).
   Shard& single_shard();
   void install_cursors();
-  /// Moves each shard's trace ring aside as its kept ring and gives the sim
-  /// a drained buffer instead, if the run traces or streams.
+  /// Gives each shard's sim a drained trace buffer, if the run traces; with
+  /// no sink installed, installs one that collects for trace_records().
   void install_trace_buffers();
-  /// Pre-sizes each shard's trace ring from the replay timeline.
-  void reserve_trace_rings();
   std::size_t exchange_outboxes();
-  /// Moves every record stamped before `cut` from the shards' buffers into
-  /// their kept rings and, with the fault plan's records up to `cut`, to
-  /// the trace sink as one canonical batch.
+  /// Moves every record stamped before `cut` from the shards' buffers, with
+  /// the fault plan's records up to `cut`, to the trace sink as one
+  /// canonical batch.
   void drain_trace(SimTime cut);
   /// One tick past the horizon: the run executes events at the horizon.
   SimTime end_of_run() const;
@@ -224,10 +227,12 @@ class ShardedPervasiveSystem {
   bool truncated_ = false;
   std::size_t windows_ = 0;
   bool ran_ = false;
-  bool trace_taken_ = false;  ///< trace_records() drained the rings
-  TraceSink trace_sink_;      ///< set by stream_trace()
+  bool trace_taken_ = false;  ///< trace_records() moved the trace out
+  TraceSink trace_sink_;      ///< set by stream_trace() or the collector
   bool tracing_ = false;      ///< run() records into drained buffers
   std::vector<sim::TraceRecord> trace_batch_;  ///< reused per drain
+  /// The batches of a traced run that nothing streamed.
+  std::vector<sim::TraceRecord> collected_;
   /// Fault-plan records before this instant have been streamed.
   SimTime streamed_until_ = SimTime::zero();
 };

@@ -3,6 +3,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <utility>
 
 #include "common/rng.hpp"
 #include "common/sim_time.hpp"
@@ -18,8 +19,10 @@ struct SimConfig {
   SimTime horizon = SimTime::from_seconds(60.0);
   /// Safety valve against runaway event loops.
   std::size_t max_events = 50'000'000;
-  /// Ring-buffer capacity of the optional per-run event trace (sim/trace);
-  /// 0 (default) disables tracing entirely — no record is ever built.
+  /// Any positive value turns on the per-run event trace (sim/trace); 0
+  /// (default) disables tracing entirely — no record is ever built. The
+  /// value itself is inert, read by bench/suite, dropped by ROADMAP item 4:
+  /// a trace is always kept whole.
   std::size_t trace_capacity = 0;
 };
 
@@ -48,12 +51,10 @@ class Simulation {
   /// a disabled trace costs one branch.
   TraceRecorder* trace() { return trace_.get(); }
   const TraceRecorder* trace() const { return trace_.get(); }
-  /// Installs `recorder` as the run's trace (nullptr turns tracing off) and
-  /// hands back the one it replaces. Call before run().
-  std::unique_ptr<TraceRecorder> replace_trace(
-      std::unique_ptr<TraceRecorder> recorder) {
-    trace_.swap(recorder);
-    return recorder;
+  /// Installs `recorder` as the run's trace (nullptr turns tracing off) in
+  /// place of the current one. Call before run().
+  void replace_trace(std::unique_ptr<TraceRecorder> recorder) {
+    trace_ = std::move(recorder);
   }
 
   /// Independent RNG stream for a named component.

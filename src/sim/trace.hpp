@@ -3,6 +3,7 @@
 #include <cstdint>
 #include <functional>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "common/name.hpp"
@@ -63,19 +64,19 @@ static_assert(sizeof(TraceRecord) == 40);
 /// produced the message, then delivery, then receive processing. Each
 /// message's lifecycle order (send before deliver before receive; sense
 /// between the fan-out and its deliveries) is preserved, so a canonical
-/// trace replays cleanly through psn::check. Both the serial (1-shard) path
-/// and the K-shard merge apply this sort, which is what makes the emitted
+/// trace replays cleanly through psn::check. Every batch a run drains, at
+/// any shard count, is put in this order, which is what makes the emitted
 /// JSONL byte-identical across layouts. kDetect records sort last at their
 /// instant; callers that append them after a post-run detector pass need
 /// not re-sort.
 ///
 /// The result is exactly the permutation std::stable_sort on the key gives,
-/// for any input. The work is linear on what the recorders produce: every
-/// ring is nondecreasing in `at` (each record is stamped with its shard's
-/// current time), so the sort finds the maximal nondecreasing runs, merges
-/// them pairwise with a stable merge on `at` alone, and then sorts only the
-/// equal-`at` buckets that are not already in key order. Input with no run
-/// structure still sorts in O(n log n).
+/// for any input. The work is linear on what the recorders produce: each
+/// recorder's records are nondecreasing in `at` (each is stamped with its
+/// shard's current time), so the sort finds the maximal nondecreasing runs,
+/// merges them pairwise with a stable merge on `at` alone, and then sorts
+/// only the equal-`at` buckets that are not already in key order. Input
+/// with no run structure still sorts in O(n log n).
 ///
 /// The key leads with `at`, so sorting the records of [t0, t1) and those of
 /// [t1, t2) separately and concatenating the two gives what one sort of
@@ -83,63 +84,54 @@ static_assert(sizeof(TraceRecord) == 40);
 /// window (core::ShardedPervasiveSystem::stream_trace).
 void canonical_trace_order(std::vector<TraceRecord>& records);
 
-/// Bounded ring buffer of TraceRecords: when full, the oldest record is
-/// evicted, so memory is capped no matter how long the run is. `evicted()`
-/// says whether the retained window is complete — any analysis that needs
-/// totals (e.g. reconciling byte counts against MessageStats) must check it.
-///
-/// A recorder given a drain hook (drain_when_full) is a streaming buffer
-/// instead: when full it calls the hook, which moves the final records out
-/// with drain_before(), and it never evicts.
+/// The per-run trace buffer. A recorder given a drain hook
+/// (drain_when_full) is a streaming buffer: when it holds `capacity`
+/// records it calls the hook, which moves the final records out with
+/// drain_before(). A recorder with no hook keeps every record, growing as
+/// it fills. It never drops one.
 class TraceRecorder {
  public:
+  /// `capacity`: the records buffered before the drain hook runs.
   explicit TraceRecorder(std::size_t capacity);
 
-  /// Inline, so a caller builds the record in the ring slot itself: passed
-  /// through the stack, its field-wise stores would be read back by wider
-  /// loads, which defeats store-to-load forwarding.
+  /// Inline, so a caller builds the record in the buffer slot itself:
+  /// passed through the stack, its field-wise stores would be read back by
+  /// wider loads, which defeats store-to-load forwarding.
   void record(const TraceRecord& r) {
-    if (ring_.size() < capacity_) {
-      ring_.push_back(r);
-    } else {
-      on_full(r);
-    }
+    if (records_.size() == capacity_) make_room();
+    records_.push_back(r);
   }
-  /// Pre-sizes the ring for `records` records (capped at the capacity), so
-  /// a run whose volume is known up front never grows it by doubling.
-  void reserve(std::size_t records);
+  /// Pre-sizes the buffer for `records` records.
+  void reserve(std::size_t records) { records_.reserve(records); }
 
-  /// Records currently retained (≤ capacity).
-  std::size_t size() const { return ring_.size(); }
-  /// Records the ring overwrote. Unchanged by take().
-  std::size_t evicted() const { return evicted_; }
+  /// Records currently buffered.
+  std::size_t size() const { return records_.size(); }
 
-  /// Moves the retained records out, oldest first, without copying one: a
-  /// wrapped ring is rotated in place first. The ring is left empty (same
-  /// capacity), while evicted() keeps describing the run.
-  std::vector<TraceRecord> take();
+  /// Moves the buffered records out, in record order; the buffer is left
+  /// empty.
+  std::vector<TraceRecord> take() { return std::exchange(records_, {}); }
 
-  /// Makes a full recorder call `drain` instead of evicting its oldest
-  /// record. `drain` should move records out with drain_before(); when it
-  /// leaves the buffer over half full (one instant holds that many
-  /// records), the capacity doubles, so such an instant costs amortized
-  /// O(1) per record rather than one drain per record.
+  /// Makes a full recorder call `drain`. `drain` should move records out
+  /// with drain_before(); when it leaves the buffer over half full (one
+  /// instant holds that many records), the capacity doubles, so such an
+  /// instant costs amortized O(1) per record rather than one drain per
+  /// record.
   void drain_when_full(std::function<void()> drain);
 
   /// Appends the records stamped before `cut` to `out`, in record order,
   /// and removes them; later records stay. The records must be
   /// nondecreasing in `at` (each is stamped with its simulation's current
-  /// time) and none may have been evicted.
+  /// time).
   void drain_before(SimTime cut, std::vector<TraceRecord>& out);
 
  private:
-  void on_full(const TraceRecord& r);
+  /// Drains through the hook, if one is set, and doubles the capacity if
+  /// the buffer is still over half full.
+  void make_room();
 
   std::size_t capacity_;
-  std::vector<TraceRecord> ring_;
-  std::size_t head_ = 0;  ///< next slot to overwrite once the ring is full
-  std::size_t evicted_ = 0;
-  std::function<void()> drain_;  ///< set: stream instead of evicting
+  std::vector<TraceRecord> records_;
+  std::function<void()> drain_;
 };
 
 }  // namespace psn::sim

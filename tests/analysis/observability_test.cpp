@@ -25,7 +25,7 @@ OccupancyConfig traced_base(net::ClockMode mode) {
   cfg.horizon = Duration::seconds(10);
   cfg.seed = 11;
   cfg.clock_mode = mode;
-  cfg.trace_capacity = 1 << 20;  // large enough that nothing is evicted
+  cfg.trace_capacity = 1 << 20;  // exports the whole trace
   return cfg;
 }
 
@@ -35,7 +35,6 @@ class TraceReconciliationTest
 TEST_P(TraceReconciliationTest, SendRecordsMatchMessageStatsExactly) {
   const net::ClockMode mode = GetParam();
   const OccupancyRunResult run = run_occupancy_experiment(traced_base(mode));
-  ASSERT_EQ(run.trace_evicted, 0u) << "trace ring too small for this run";
   ASSERT_FALSE(run.trace.empty());
 
   // Per-kind sent counts and byte totals recomputed from the trace alone.
@@ -86,7 +85,6 @@ TEST(TraceReconciliationTest, PerCauseDropCountersMatchTraceRecords) {
   cfg.duty_cycle = net::DutyCycle{Duration::millis(200),
                                   Duration::millis(60), Duration::zero()};
   const OccupancyRunResult run = run_occupancy_experiment(cfg);
-  ASSERT_EQ(run.trace_evicted, 0u);
 
   std::size_t loss = 0, crashed = 0, duty = 0, partition = 0;
   for (const sim::TraceRecord& r : run.trace) {
@@ -171,7 +169,6 @@ TEST(MetricsResultTest, TracingOffByDefaultAndMetricsStillPresent) {
   cfg.trace_capacity = 0;
   const OccupancyRunResult run = run_occupancy_experiment(cfg);
   EXPECT_TRUE(run.trace.empty());
-  EXPECT_EQ(run.trace_evicted, 0u);
   EXPECT_FALSE(run.metrics.empty());
   EXPECT_GT(run.metrics.counters.at("sim.events_executed"), 0u);
   EXPECT_GT(run.metrics.counters.at("world.events"), 0u);

@@ -181,7 +181,6 @@ void expect_same_artifacts(const OccupancyRunResult& first,
 TEST(ShardedStressTest, DutyChurnSystemRunIsByteIdenticalAcrossRepeats) {
   const OccupancyConfig cfg = duty_churn_config(8, 8);
   const OccupancyRunResult first = run_occupancy_experiment(cfg);
-  ASSERT_EQ(first.trace_evicted, 0u);
   EXPECT_GT(first.shard_windows, 0u);
   expect_same_artifacts(first, run_occupancy_experiment(cfg));
 }
@@ -231,7 +230,6 @@ TEST(ShardedStressTest, CrewLargerThanShardCountMatchesInline) {
   EXPECT_TRUE(run_ring_storm(2, 8, 400) == run_ring_storm(2, 1, 400));
   const OccupancyRunResult inline_run =
       run_occupancy_experiment(duty_churn_config(2, 1));
-  ASSERT_EQ(inline_run.trace_evicted, 0u);
   expect_same_artifacts(inline_run,
                         run_occupancy_experiment(duty_churn_config(2, 8)));
 }
@@ -241,7 +239,6 @@ TEST(ShardedStressTest, ShardCountNotDividedByCrewMatchesUnsharded) {
   EXPECT_TRUE(run_ring_storm(3, 2, 400) == run_ring_storm(3, 1, 400));
   const OccupancyRunResult unsharded =
       run_occupancy_experiment(duty_churn_config(1, 1));
-  ASSERT_EQ(unsharded.trace_evicted, 0u);
   expect_same_artifacts(unsharded,
                         run_occupancy_experiment(duty_churn_config(3, 2)));
 }

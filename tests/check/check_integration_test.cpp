@@ -26,8 +26,6 @@ TEST_P(CheckedOccupancyTest, StockConfigReplaysCleanWithRaceAudit) {
   ASSERT_TRUE(run.check.has_value());
   const check::CheckReport& report = *run.check;
   EXPECT_TRUE(report.clean()) << report.summary();
-  EXPECT_EQ(report.trace_evicted, 0u);
-  EXPECT_EQ(run.trace_evicted, 0u);
 
   // Every clock contract actually ran over a nontrivial run.
   for (const char* contract :
@@ -212,7 +210,6 @@ TEST(CheckedOccupancyTest, CheckKeepsATraceOnlyWhenExported) {
   ASSERT_TRUE(run.check.has_value());
   EXPECT_TRUE(run.check->clean()) << run.check->summary();
   EXPECT_TRUE(run.trace.empty());
-  EXPECT_EQ(run.trace_evicted, 0u);
 
   OccupancyConfig exported = cfg;
   exported.trace_capacity = std::size_t{1} << 18;
@@ -220,7 +217,6 @@ TEST(CheckedOccupancyTest, CheckKeepsATraceOnlyWhenExported) {
   ASSERT_TRUE(traced.check.has_value());
   EXPECT_EQ(traced.check->summary(), run.check->summary());
   EXPECT_GT(traced.trace.size(), 0u);
-  EXPECT_EQ(traced.trace_evicted, 0u);
 }
 
 TEST(RaceScanTest, FindsPlantedDeltaRaceAndInversion) {

@@ -19,8 +19,8 @@
 namespace psn::analysis {
 namespace {
 
-/// The OccupancyConfig `psn_cli check --doors D --seconds S --seed N` builds
-/// (the CLI's default trace ring holds 10^6 records).
+/// The OccupancyConfig `psn_cli check --doors D --seconds S --seed N` builds,
+/// with the trace exported too (which changes nothing the summary shows).
 OccupancyConfig cli_check_config(std::size_t doors, int seconds,
                                  std::uint64_t seed) {
   OccupancyConfig cfg;

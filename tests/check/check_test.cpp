@@ -23,7 +23,7 @@ using namespace psn::time_literals;
 
 /// A small three-sensor run with strobe traffic (periodic counters),
 /// computation messages (full s/r edge coverage), and internal events, with
-/// the trace ring sized to hold everything.
+/// the trace on.
 RunInputs clean_inputs(std::uint64_t seed = 7) {
   core::ShardedSystemConfig config;
   core::SystemConfig& cfg = config.base;

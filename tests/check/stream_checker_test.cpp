@@ -570,14 +570,5 @@ TEST(WireRoundTripTest, ReceiveIsMatchedOnceAndNotAfterItsDrop) {
   }
 }
 
-TEST(StreamCheckerTest, EvictedRingRefusalIsATraceWindowError) {
-  RunInputs inputs = traced_run(net::ClockMode::kVectorStrobe);
-  inputs.trace_evicted = 17;
-  // The dedicated subtype lets psn_cli exit distinctly; it still is a
-  // ConfigError so existing catch sites keep working.
-  EXPECT_THROW(check_run(inputs), TraceWindowError);
-  EXPECT_THROW(check_run(inputs), ConfigError);
-}
-
 }  // namespace
 }  // namespace psn::check

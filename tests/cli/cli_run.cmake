@@ -2,7 +2,8 @@
 # writes the trace of replication 0 from the same runs it scores, so the
 # trace changes nothing else `run` prints or writes, and it is the same
 # whatever the replication count. A scenario preset keeps a --doors that was
-# given, even one equal to the flag's default. Run via
+# given, even one equal to the flag's default. --trace-cap changes nothing:
+# every trace is written whole. Run via
 #   cmake -DPSN_CLI=<psn_cli binary> -DWORK=<scratch dir> -P cli_run.cmake
 
 set(csv "${WORK}/cli_run.csv")
@@ -57,6 +58,26 @@ endif()
 psn_run(city run --scenario city --doors 4 --seconds 1)
 if(NOT city MATCHES "^scenario=city doors=4 ")
   message(FATAL_ERROR "--scenario city --doors 4: expected doors=4\n${city}")
+endif()
+
+# 4. Every trace is whole: --trace-cap is inert, and a cap far below the
+#    run's record count neither truncates the trace nor breaks its replay.
+psn_run(uncapped run --doors 6 --seconds 60 --trace ${trace}.A)
+psn_run(capped run --doors 6 --seconds 60 --trace-cap 5000 --trace ${trace}.B)
+file(READ ${trace}.A trace_a)
+file(READ ${trace}.B trace_b)
+if(trace_a STREQUAL "" OR NOT trace_a STREQUAL trace_b)
+  message(FATAL_ERROR "--trace-cap 5000 changed the trace")
+endif()
+execute_process(
+  COMMAND ${PSN_CLI} serve --procs 7
+  INPUT_FILE ${trace}.B
+  OUTPUT_VARIABLE served
+  RESULT_VARIABLE served_code)
+if(NOT served_code EQUAL 0
+   OR NOT served MATCHES "\\{\"event\":\"eof\",\"verdict\":\"clean\",")
+  message(FATAL_ERROR "serve of the --trace-cap 5000 trace: expected a clean "
+                      "eof, got exit ${served_code}\n${served}")
 endif()
 
 message(STATUS "psn_cli run end-to-end test passed")

@@ -198,7 +198,6 @@ std::string occupancy_trace(std::uint64_t seed) {
   cfg.trace_capacity = std::size_t{1} << 18;
   const analysis::OccupancyRunResult run =
       analysis::run_occupancy_experiment(cfg);
-  EXPECT_EQ(run.trace_evicted, 0u);
   EXPECT_FALSE(run.trace.empty());
   return analysis::trace_jsonl(run.trace);
 }
