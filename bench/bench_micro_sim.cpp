@@ -543,7 +543,6 @@ void BM_RaceAudit(benchmark::State& state) {
     a += rng.uniform_int(0, 30);
     r.true_a = ms(a);
     r.true_b = ms(a + rng.uniform_int(0, 99));
-    r.gap = r.true_b - r.true_a;
   }
   std::vector<check::FaultSpan> spans(kSpans);
   for (check::FaultSpan& s : spans) {

@@ -178,7 +178,12 @@ OccupancyRunResult run_occupancy_experiment(const OccupancyConfig& config) {
   counters["world.events"] += result.world_events;
   counters["root.observed_updates"] += result.observed_updates;
 
-  if (checker) result.check = checker->finish();
+  if (checker) {
+    result.check = checker->finish();
+    // Spent: free its retained entries before the detectors and the audit
+    // allocate.
+    checker.reset();
+  }
 
   for (const auto& detector : core::all_online_detectors()) {
     // Lean clocks make vector stamps inert dummies; scoring the

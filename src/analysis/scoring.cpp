@@ -152,7 +152,7 @@ DetectionScore score_detections(const core::OracleResult& oracle,
 
 double belief_accuracy(const core::OracleResult& oracle,
                        const std::vector<core::Detection>& detections,
-                       SimTime horizon, bool use_detection_time) {
+                       SimTime horizon) {
   // Build both truth signals as sorted transition lists and integrate the
   // agreement time with a two-pointer sweep.
   struct Edge {
@@ -161,10 +161,7 @@ double belief_accuracy(const core::OracleResult& oracle,
   };
   std::vector<Edge> truth, belief;
   for (const auto& t : oracle.transitions) truth.push_back({t.when, t.to_true});
-  for (const auto& d : detections) {
-    belief.push_back(
-        {use_detection_time ? d.detected_at : d.cause_true_time, d.to_true});
-  }
+  for (const auto& d : detections) belief.push_back({d.detected_at, d.to_true});
   std::stable_sort(truth.begin(), truth.end(),
                    [](const Edge& a, const Edge& b) { return a.when < b.when; });
   std::stable_sort(belief.begin(), belief.end(),

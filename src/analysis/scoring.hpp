@@ -70,11 +70,10 @@ DetectionScore score_detections(const core::OracleResult& oracle,
                                 const ScoreConfig& config);
 
 /// Fraction of [0, horizon) during which the detector's belief about φ
-/// equalled ground truth. `use_detection_time` charges reaction latency
-/// (belief changes at detected_at); false compares pure orderings (belief
-/// changes at the causing sense time).
+/// equalled ground truth. Reaction latency is charged: the belief changes
+/// at each detection's detected_at.
 double belief_accuracy(const core::OracleResult& oracle,
                        const std::vector<core::Detection>& detections,
-                       SimTime horizon, bool use_detection_time = true);
+                       SimTime horizon);
 
 }  // namespace psn::analysis

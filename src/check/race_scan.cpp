@@ -1,13 +1,14 @@
 #include "check/race_scan.hpp"
 
 #include <algorithm>
+#include <iterator>
 #include <map>
 #include <set>
 #include <string>
 #include <unordered_map>
 #include <utility>
+#include <vector>
 
-#include "clocks/timestamp.hpp"
 #include "common/error.hpp"
 #include "common/name.hpp"
 #include "net/message.hpp"
@@ -23,6 +24,40 @@ struct ByText {
     return a.first != b.first ? a.first < b.first
                               : a.second.str() < b.second.str();
   }
+};
+
+/// Whether some interval [begin - slack, end + slack] of a list added in
+/// nondecreasing begin holds t; an end of SimTime::max() is open and holds
+/// every later time. The intervals that begin (less slack) at or before t
+/// are a prefix, and one of them reaches t iff the largest end in that
+/// prefix does, so each interval keeps its begin and the prefix's largest
+/// end, and a query costs one binary search.
+class Cover {
+ public:
+  Cover(Duration slack, std::size_t intervals) : slack_(slack) {
+    prefix_.reserve(intervals);
+  }
+
+  void add(SimTime begin, SimTime end, const char* unsorted) {
+    PSN_CHECK(prefix_.empty() || prefix_.back().first <= begin, unsorted);
+    prefix_.emplace_back(
+        begin, prefix_.empty() ? end : std::max(prefix_.back().second, end));
+  }
+
+  bool holds(SimTime t) const {
+    const auto past = std::partition_point(
+        prefix_.begin(), prefix_.end(),
+        [&](const std::pair<SimTime, SimTime>& p) {
+          return p.first <= t + slack_;
+        });
+    if (past == prefix_.begin()) return false;
+    const SimTime reach = std::prev(past)->second;
+    return reach == SimTime::max() || t <= reach + slack_;
+  }
+
+ private:
+  Duration slack_;
+  std::vector<std::pair<SimTime, SimTime>> prefix_;  ///< (begin, reach)
 };
 }  // namespace
 
@@ -60,22 +95,8 @@ std::vector<RaceEvent> scan_races(const core::ObservationLog& log,
         // inversion was invisible to the audit (found by checker_fuzz).
         continue;
       }
-      RaceEvent race;
-      race.update_a = order[i];
-      race.update_b = order[j];
-      race.pid_a = ua.reporter;
-      race.pid_b = ub.reporter;
-      race.true_a = ua.report.true_sense_time;
-      race.true_b = ub.report.true_sense_time;
-      race.gap = gap;
-      // The root sees updates in log order; the later sense arriving at a
-      // smaller index means delivery inverted the true order.
-      race.delivery_inverted = race.update_b < race.update_a;
-      const auto& va = ua.report.strobe_vector;
-      const auto& vb = ub.report.strobe_vector;
-      race.strobe_concurrent = va.size() > 0 && va.size() == vb.size() &&
-                               clocks::concurrent(va, vb);
-      races.push_back(race);
+      races.push_back(
+          {ua.report.true_sense_time, ub.report.true_sense_time});
       if (races.size() >= kMaxRaces) return races;
     }
   }
@@ -218,8 +239,8 @@ std::vector<FaultSpan> collect_fault_spans(
   for (const auto& [key, updates] : by_attr) {
     for (std::size_t i = 0; i < updates.size(); ++i) {
       const core::ReceivedUpdate& u = *updates[i];
-      if (!u.validity.bounded()) continue;
-      const SimTime expiry = u.validity.expires_at(u.report.true_sense_time);
+      if (!log.validity.bounded()) continue;
+      const SimTime expiry = log.validity.expires_at(u.report.true_sense_time);
       const SimTime next = i + 1 < updates.size()
                                ? updates[i + 1]->delivered_at
                                : SimTime::max();
@@ -285,48 +306,16 @@ ContractResult audit_detector(const std::string& detector,
   result.pairs_checked = races.size();
   const Duration slack = config.slack;
 
-  // Both interval lists are sorted by their start, so the intervals that
-  // start (less slack) at or before t are a prefix, and one of them reaches
-  // t iff the largest end in that prefix does. One pass builds the prefix
-  // maxima; each error time then costs two binary searches. A prefix's
-  // largest span end is SimTime::max() exactly when it holds an open-ended
-  // span, which explains every later time without adding slack to it.
-  std::vector<SimTime> race_reach(races.size());
-  for (std::size_t i = 0; i < races.size(); ++i) {
-    PSN_CHECK(i == 0 || races[i - 1].true_a <= races[i].true_a,
-              "race audit needs races sorted by true_a");
-    race_reach[i] =
-        i == 0 ? races[i].true_b : std::max(race_reach[i - 1], races[i].true_b);
+  Cover race_cover(slack, races.size());
+  for (const RaceEvent& r : races) {
+    race_cover.add(r.true_a, r.true_b,
+                   "race audit needs races sorted by true_a");
   }
-  std::vector<SimTime> span_reach(fault_spans.size());
-  for (std::size_t i = 0; i < fault_spans.size(); ++i) {
-    PSN_CHECK(i == 0 || fault_spans[i - 1].begin <= fault_spans[i].begin,
-              "race audit needs fault spans sorted by begin");
-    span_reach[i] = i == 0 ? fault_spans[i].end
-                           : std::max(span_reach[i - 1], fault_spans[i].end);
+  Cover fault_cover(slack, fault_spans.size());
+  for (const FaultSpan& s : fault_spans) {
+    fault_cover.add(s.begin, s.end,
+                    "race audit needs fault spans sorted by begin");
   }
-  // True iff t falls inside some race span [true_a - slack, true_b + slack].
-  const auto explained_by_race = [&](SimTime t) {
-    const auto k = static_cast<std::size_t>(
-        std::partition_point(races.begin(), races.end(),
-                             [&](const RaceEvent& r) {
-                               return !(r.true_a - slack > t);
-                             }) -
-        races.begin());
-    return k > 0 && t <= race_reach[k - 1] + slack;
-  };
-  // True iff t falls inside some fault span [begin - slack, end + slack].
-  const auto explained_by_fault = [&](SimTime t) {
-    const auto k = static_cast<std::size_t>(
-        std::partition_point(fault_spans.begin(), fault_spans.end(),
-                             [&](const FaultSpan& s) {
-                               return !(t + slack < s.begin);
-                             }) -
-        fault_spans.begin());
-    if (k == 0) return false;
-    const SimTime reach = span_reach[k - 1];
-    return reach == SimTime::max() || t <= reach + slack;
-  };
 
   // A scan cut at kMaxRaces left out pairs whose true_a is no earlier than
   // the last scanned one's; such a race reaches back to true_a - slack.
@@ -338,8 +327,7 @@ ContractResult audit_detector(const std::string& detector,
                    const char* label) {
     for (const SimTime t : times) {
       result.events_checked++;
-      if (explained_by_race(t)) continue;
-      if (explained_by_fault(t)) continue;
+      if (race_cover.holds(t) || fault_cover.holds(t)) continue;
       result.violations_total++;
       if (result.violations.size() < kMaxAuditWitnesses) {
         CheckViolation v;

@@ -13,24 +13,14 @@
 namespace psn::check {
 
 /// One Δ-race (or 2ε overlap for physical-clock detectors): two sense
-/// reports from *different* processes whose true sense times are closer than
-/// the detector's resolution window. Inside that window the root cannot
-/// trust any ordering signal — exactly the interval the paper blames
-/// detector errors on (§5).
+/// reports whose true sense times are closer than the detector's resolution
+/// window, from different processes or delivered out of their sender's
+/// order. Inside that window the root cannot trust any ordering signal —
+/// exactly the interval the paper blames detector errors on (§5), so the
+/// race is kept as that interval and nothing more.
 struct RaceEvent {
-  std::size_t update_a = 0;  ///< index into ObservationLog::updates (earlier)
-  std::size_t update_b = 0;  ///< index into ObservationLog::updates (later)
-  ProcessId pid_a = kNoProcess;
-  ProcessId pid_b = kNoProcess;
   SimTime true_a;  ///< true sense time of the earlier report
   SimTime true_b;  ///< true sense time of the later report (>= true_a)
-  Duration gap = Duration::zero();  ///< true_b - true_a (< window)
-  /// The later sense was *delivered* to the root before the earlier one —
-  /// the raw inversion a naive FIFO observer would mis-order on.
-  bool delivery_inverted = false;
-  /// The strobe vector clocks leave the pair concurrent (neither dominates),
-  /// so even the strongest logical clock cannot order it.
-  bool strobe_concurrent = false;
 };
 
 /// Safety cap on emitted races (the scan is a sliding window, so pathological

@@ -301,7 +301,8 @@ void StreamChecker::catch_up(ProcessId p, std::size_t end) {
 void StreamChecker::consume_one(ProcessId p, Sent* entry,
                                 bool synced_with_trace) {
   OracleState& s = states_[p];
-  const core::ProcessEvent& e = events(p)[s.cursor++];
+  const std::size_t index = s.cursor++;
+  const core::ProcessEvent& e = events(p)[index];
   check_physical(p, e);
   check_lamport_program_order(p, e);
   lamport_.events_checked++;
@@ -365,8 +366,7 @@ void StreamChecker::consume_one(ProcessId p, Sent* entry,
                    " != SVC replay " + s.strobe_vc.to_string()});
         }
       }
-      senses_.push_back(
-          {e.clocks.true_time, p, e.local_index, e.clocks.strobe_vector});
+      senses_.push_back({p, index});
       break;
     }
     case core::EventType::kCompute:
@@ -478,34 +478,41 @@ PSN_HOT void StreamChecker::evict_expired(SimTime now) {
 /// way true time did — strobe information travels forward in time, so
 /// V(a) < V(b) with true(b) < true(a) is impossible in a correct run.
 void StreamChecker::scan_soundness() {
-  std::vector<const SenseSample*> picked;
+  // The executions are complete by now and outlive the checker, so each
+  // picked sense is read where it lives.
+  struct Picked {
+    ProcessId pid;
+    const core::ProcessEvent* e;
+  };
+  std::vector<Picked> picked;
   picked.reserve(std::min(senses_.size(), kMaxPairwiseEvents));
-  if (senses_.size() <= kMaxPairwiseEvents) {
-    for (const auto& s : senses_) picked.push_back(&s);
-  } else {
-    const std::size_t stride =
-        (senses_.size() + kMaxPairwiseEvents - 1) / kMaxPairwiseEvents;
-    for (std::size_t i = 0; i < senses_.size(); i += stride) {
-      picked.push_back(&senses_[i]);
-    }
+  const std::size_t stride =
+      senses_.size() <= kMaxPairwiseEvents
+          ? 1
+          : (senses_.size() + kMaxPairwiseEvents - 1) / kMaxPairwiseEvents;
+  for (std::size_t i = 0; i < senses_.size(); i += stride) {
+    const SenseSample& s = senses_[i];
+    picked.push_back({s.pid, &events(s.pid)[s.index]});
   }
-  std::sort(picked.begin(), picked.end(),
-            [](const SenseSample* a, const SenseSample* b) {
-              return a->at < b->at;
-            });
+  std::sort(picked.begin(), picked.end(), [](const Picked& a, const Picked& b) {
+    return a.e->clocks.true_time < b.e->clocks.true_time;
+  });
   for (std::size_t i = 0; i < picked.size(); ++i) {
+    const SimTime at_i = picked[i].e->clocks.true_time;
+    const clocks::VectorStamp& strobe_i = picked[i].e->clocks.strobe_vector;
     for (std::size_t j = i + 1; j < picked.size(); ++j) {
-      if (picked[i]->at == picked[j]->at) continue;  // ties claim nothing
-      if (picked[i]->strobe.size() != picked[j]->strobe.size()) continue;
+      const core::ProcessEvent& e = *picked[j].e;
+      if (at_i == e.clocks.true_time) continue;  // ties claim nothing
+      if (strobe_i.size() != e.clocks.strobe_vector.size()) continue;
       soundness_.pairs_checked++;
-      if (clocks::happens_before(picked[j]->strobe, picked[i]->strobe)) {
+      if (clocks::happens_before(e.clocks.strobe_vector, strobe_i)) {
         add(soundness_,
-            {ViolationKind::kStrobeUnsoundOrder, picked[j]->pid,
-             picked[j]->local_index, 0, picked[j]->at,
-             "sense at " + std::to_string(picked[j]->at.to_seconds()) +
+            {ViolationKind::kStrobeUnsoundOrder, picked[j].pid, e.local_index,
+             0, e.clocks.true_time,
+             "sense at " + std::to_string(e.clocks.true_time.to_seconds()) +
                  "s strobe-ordered before sense at " +
-                 std::to_string(picked[i]->at.to_seconds()) + "s (pid " +
-                 std::to_string(picked[i]->pid) + ")"});
+                 std::to_string(at_i.to_seconds()) + "s (pid " +
+                 std::to_string(picked[i].pid) + ")"});
       }
     }
   }

@@ -78,8 +78,8 @@ class StreamChecker {
   std::optional<CheckViolation> feed(const sim::TraceRecord& record);
 
   /// Drains trailing execution events past the last trace record, runs the
-  /// pairwise strobe-soundness scan, and assembles the report. The checker
-  /// is spent afterwards.
+  /// pairwise strobe-soundness scan over the bound executions, and
+  /// assembles the report. The checker is spent afterwards.
   CheckReport finish();
 
   /// Send/sense entries currently retained awaiting a match — the streaming
@@ -105,12 +105,11 @@ class StreamChecker {
     SimTime at;  ///< the record's time
   };
 
-  /// Claimed strobe vector of one sense event, for the pairwise scan.
+  /// One consumed sense event, for the pairwise scan: its index in its
+  /// process's bound execution, read in place when the scan runs.
   struct SenseSample {
-    SimTime at;
     ProcessId pid = kNoProcess;
-    std::size_t local_index = 0;
-    clocks::VectorStamp strobe;
+    std::size_t index = 0;
   };
 
   /// Per-process oracle state maintained by the replay — the frontier.

@@ -10,9 +10,11 @@
 
 namespace psn::core {
 
-OnlineDetector::OnlineDetector(DetectorKind kind, Predicate predicate)
+OnlineDetector::OnlineDetector(DetectorKind kind, Predicate predicate,
+                               ValidityHorizon validity)
     : kind_(kind),
       predicate_(std::move(predicate)),
+      validity_(validity),
       state_(predicate_),
       holding_(predicate_.holds(state_)) {
   // φ's read set, which strobe-vector's race and validity scans walk, fixed
@@ -115,15 +117,15 @@ PSN_HOT std::optional<Detection> OnlineDetector::feed(const ReceivedUpdate& u,
       // against the deployment-visible ε-synchronized timestamp, never
       // ground truth.
       bool stale =
-          u.validity.expired(u.report.synced_timestamp, u.delivered_at);
-      if (u.validity.bounded() && !stale) {
+          validity_.expired(u.report.synced_timestamp, u.delivered_at);
+      if (validity_.bounded() && !stale) {
         stale = any_other_read(column, u.reporter,
                                [&](const Fresh& f, ProcessId) {
                                  return u.delivered_at > f.expires;
                                });
       }
       mine.stamp = stamp;
-      mine.expires = u.validity.expires_at(u.report.synced_timestamp);
+      mine.expires = validity_.expires_at(u.report.synced_timestamp);
       borderline = race || stale;
       break;
     }
@@ -182,7 +184,7 @@ std::vector<Detection> Detector::run(const ObservationLog& log,
                      });
   }
 
-  OnlineDetector detector(kind_, predicate);
+  OnlineDetector detector(kind_, predicate, log.validity);
   std::vector<Detection> out;
   for (const std::size_t i : order) {
     if (auto d = detector.feed(log.updates[i], i)) out.push_back(*d);

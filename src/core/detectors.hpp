@@ -72,7 +72,10 @@ bool strobe_superseded(const clocks::VectorStamp& u,
 /// emits a full transition stream: became-true and became-false, every time.
 class OnlineDetector {
  public:
-  OnlineDetector(DetectorKind kind, Predicate predicate);
+  /// `validity` is the policy every fed update was received under (the
+  /// log's ObservationLog::validity); unbounded, the default, never expires.
+  OnlineDetector(DetectorKind kind, Predicate predicate,
+                 ValidityHorizon validity = {});
 
   /// Consumes one update; returns a Detection whenever φ's truth value
   /// changed. `detected_at` is the latest delivery among the updates
@@ -122,6 +125,7 @@ class OnlineDetector {
 
   DetectorKind kind_;
   Predicate predicate_;
+  ValidityHorizon validity_;
   GlobalState state_;
   bool holding_;
   SimTime watermark_ = SimTime::zero();

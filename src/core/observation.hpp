@@ -37,9 +37,6 @@ struct ReceivedUpdate {
   SimTime delivered_at;
   ProcessId reporter = kNoProcess;
   net::SenseReportPayload report;
-  /// Validity policy this update was received under (copied from the log's
-  /// policy at append time so per-update overrides remain possible).
-  ValidityHorizon validity;
   /// net::Message::seq of the strobe this update arrived on (0 = a local
   /// self-report, which carries no message). Run-unique, so the sharded
   /// runner's per-shard root logs merge into the serial delivery order by
@@ -54,7 +51,8 @@ struct ObservationLog {
   /// The transport's delay bound Δ (Duration::max() if unbounded); detectors
   /// may use it — the paper's Δ-bounded model makes it known (§3.2.2.b).
   Duration delta_bound = Duration::max();
-  /// Deployment-wide temporal-validity policy stamped onto every update.
+  /// Deployment-wide temporal-validity policy every update is received
+  /// under.
   ValidityHorizon validity;
   std::vector<ReceivedUpdate> updates;
 };

@@ -77,12 +77,6 @@ void SensorNode::sense(const world::WorldEvent& ev) {
   payload.strobe_scalar = strobes.scalar;
   payload.strobe_vector = strobes.vector;
   payload.synced_timestamp = bundle_.synced().read(now);
-  payload.local_timestamp = bundle_.drifting().read(now);
-  if (faults_ != nullptr) {
-    // Declared clock faults shift the hardware reading deterministically;
-    // the checker compensates with the same pure function of (pid, t).
-    payload.local_timestamp += faults_->drift_offset(pid_, now);
-  }
   payload.true_sense_time = now;
   payload.world_event = ev.index;
   if (observing_) {
@@ -91,7 +85,6 @@ void SensorNode::sense(const world::WorldEvent& ev) {
     u.delivered_at = now;
     u.reporter = pid_;
     u.report = payload;
-    u.validity = local_log_.validity;
     local_log_.updates.push_back(std::move(u));
   }
   msg.payload = std::move(payload);
@@ -154,7 +147,6 @@ void SensorNode::on_message(const net::Message& msg) {
         u.delivered_at = sim_.now();
         u.reporter = msg.src;
         u.report = report;
-        u.validity = local_log_.validity;
         u.seq = msg.seq;
         local_log_.updates.push_back(std::move(u));
       }
@@ -179,9 +171,6 @@ void SensorNode::on_message(const net::Message& msg) {
       actuate(*world_, cmd.object, cmd.attribute, cmd.value);
       break;
     }
-    case net::MessageKind::kSync:
-      // Sync traffic is modeled analytically (clocks/sync_protocols).
-      break;
   }
 }
 
@@ -197,7 +186,6 @@ void RootMonitor::on_message(const net::Message& msg) {
   u.delivered_at = sim_.now();
   u.reporter = msg.src;
   u.report = report;
-  u.validity = log_.validity;
   u.seq = msg.seq;
   log_.updates.push_back(std::move(u));
   const std::size_t index = log_.updates.size() - 1;

@@ -558,7 +558,7 @@ MetricsSnapshot ShardedPervasiveSystem::metrics_snapshot() const {
   out.histograms.emplace("net.delivery_delay_ms", std::move(delay_ms));
   for (const net::MessageKind kind :
        {net::MessageKind::kComputation, net::MessageKind::kStrobe,
-        net::MessageKind::kSync, net::MessageKind::kActuation}) {
+        net::MessageKind::kActuation}) {
     const auto& ks = stats.of(kind);
     if (ks.sent == 0 && ks.unreachable == 0) continue;
     const std::string prefix = std::string("net.") + net::to_string(kind);

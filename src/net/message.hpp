@@ -17,12 +17,12 @@ namespace psn::net {
 
 /// Message classes in the network plane. The paper distinguishes *semantic*
 /// computation messages (whose send/receive events drive the causal clocks)
-/// from *control* messages — strobes and sync traffic — which must not
-/// (paper §4.2.3 point 3).
+/// from *control* messages — strobes — which must not (paper §4.2.3 point
+/// 3). Clock-synchronization traffic is modelled analytically
+/// (clocks/sync_protocols), never sent.
 enum class MessageKind : std::uint8_t {
   kComputation,  ///< application send/receive (s/r events)
   kStrobe,       ///< strobe-clock control broadcast (SSC1/SVC1 output)
-  kSync,         ///< clock-synchronization protocol traffic
   kActuation,    ///< command from detector to an actuator node
 };
 
@@ -58,7 +58,6 @@ struct SenseReportPayload {
   clocks::ScalarStamp strobe_scalar;
   clocks::VectorStamp strobe_vector;
   SimTime synced_timestamp;  ///< ε-synchronized clock reading at the sense
-  SimTime local_timestamp;   ///< free-running local clock reading
 
   // --- ground-truth metadata, for scoring only (never read by detectors) ---
   SimTime true_sense_time;

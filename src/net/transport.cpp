@@ -12,7 +12,6 @@ const char* to_string(MessageKind k) {
   switch (k) {
     case MessageKind::kComputation: return "computation";
     case MessageKind::kStrobe: return "strobe";
-    case MessageKind::kSync: return "sync";
     case MessageKind::kActuation: return "actuation";
   }
   return "?";

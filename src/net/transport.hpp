@@ -75,7 +75,7 @@ struct MessageStats {
   DropCauses drops;
 
  private:
-  std::array<KindStats, 4> per_kind_{};
+  std::array<KindStats, 3> per_kind_{};
 };
 
 /// Hook the sharded driver installs to divert deliveries addressed to a

@@ -40,7 +40,7 @@ TEST_P(TraceReconciliationTest, SendRecordsMatchMessageStatsExactly) {
   // Per-kind sent counts and byte totals recomputed from the trace alone.
   for (const net::MessageKind kind :
        {net::MessageKind::kComputation, net::MessageKind::kStrobe,
-        net::MessageKind::kSync, net::MessageKind::kActuation}) {
+        net::MessageKind::kActuation}) {
     std::size_t sends = 0, bytes = 0, drops = 0, delivers = 0;
     for (const sim::TraceRecord& r : run.trace) {
       if (r.message_kind != static_cast<int>(kind)) continue;

@@ -173,10 +173,8 @@ TEST(BeliefAccuracyTest, LatencyChargedWhenUsingDetectionTime) {
   oracle.transitions.push_back({t(100), true, 0});
   // Detector reacts 100 ms late and never reports the falling edge.
   std::vector<core::Detection> dets = {became_true(100, 200)};
-  const double acc = belief_accuracy(oracle, dets, t(1000), true);
+  const double acc = belief_accuracy(oracle, dets, t(1000));
   EXPECT_NEAR(acc, 0.9, 1e-9);
-  const double acc_cause = belief_accuracy(oracle, dets, t(1000), false);
-  EXPECT_NEAR(acc_cause, 1.0, 1e-9);
 }
 
 TEST(BeliefAccuracyTest, AlwaysWrongIsZero) {

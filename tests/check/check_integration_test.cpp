@@ -240,10 +240,8 @@ TEST(RaceScanTest, FindsPlantedDeltaRaceAndInversion) {
   scan.window = 100_ms;
   const auto races = check::scan_races(log, scan);
   ASSERT_EQ(races.size(), 1u);
-  EXPECT_EQ(races[0].pid_a, 1);
-  EXPECT_EQ(races[0].pid_b, 2);
-  EXPECT_EQ(races[0].gap, 1_ms);
-  EXPECT_TRUE(races[0].delivery_inverted);
+  EXPECT_EQ(races[0].true_a, t0 + 1_s);
+  EXPECT_EQ(races[0].true_b, t0 + 1_s + 1_ms);
 
   // An error inside the race span is explained; one far away is not.
   const auto ok = check::audit_detector("probe", races, /*fault_spans=*/{},

@@ -92,7 +92,6 @@ std::vector<RaceEvent> random_races(Rng& rng, std::size_t count) {
     a += draw(rng, 0, 40);
     r.true_a = at_ms(a);
     r.true_b = at_ms(a + draw(rng, 0, 30));
-    r.gap = r.true_b - r.true_a;
   }
   return races;
 }

@@ -10,6 +10,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <ostream>
 #include <span>
 #include <sstream>
 #include <string>
@@ -33,6 +34,10 @@ struct Shape {
   bool lossy_faulty;
   std::size_t shards;
 };
+
+// gtest names a parameter it cannot print by its raw bytes, pointer and
+// padding included, which would make the ctest names differ between builds.
+void PrintTo(const Shape& shape, std::ostream* os) { *os << shape.name; }
 
 // FNV-1a of trace_jsonl over the whole canonical trace (about 33k records,
 // so K = 1 drains several 2^12-record batches), the same at every K.

@@ -37,7 +37,6 @@ struct LogBuilder {
     u.report.true_sense_time = t(sensed);
     u.report.synced_timestamp =
         t(sensed) + Duration::micros(synced_us_offset);
-    u.report.local_timestamp = u.report.synced_timestamp;
     log.updates.push_back(std::move(u));
     return *this;
   }

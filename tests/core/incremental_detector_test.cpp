@@ -140,12 +140,11 @@ TEST(IncrementalDetectorTest, MoveSemanticsPreserveState) {
 
 TEST(IncrementalDetectorTest, ExpiredObservationsAreFlaggedStale) {
   const auto phi = parse_predicate("p", "x[1] > 0 && x[2] > 0");
-  OnlineDetector det(DetectorKind::kStrobeVector, phi);
   ValidityHorizon horizon;
   horizon.lifetime = Duration::millis(50);
+  OnlineDetector det(DetectorKind::kStrobeVector, phi, horizon);
 
   ReceivedUpdate first = update(10, 1, "x", 1.0, {0, 1, 0});
-  first.validity = horizon;
   first.report.synced_timestamp = t(9);
   // x[2] is still unknown: φ stays false and nothing is flagged.
   EXPECT_FALSE(det.feed(first, 0).has_value());
@@ -156,7 +155,6 @@ TEST(IncrementalDetectorTest, ExpiredObservationsAreFlaggedStale) {
   // policy applied to temporal validity). The stamps are ordered, so no
   // race explains the flag.
   ReceivedUpdate second = update(120, 2, "x", 1.0, {0, 1, 1});
-  second.validity = horizon;
   second.report.synced_timestamp = t(119);
   const auto d = det.feed(second, 1);
   ASSERT_TRUE(d.has_value());
@@ -167,8 +165,8 @@ TEST(IncrementalDetectorTest, ExpiredObservationsAreFlaggedStale) {
 TEST(IncrementalDetectorTest, UnboundedHorizonNeverCountsStale) {
   const auto phi = parse_predicate("p", "x[1] > 0 && x[2] > 0");
   OnlineDetector det(DetectorKind::kStrobeVector, phi);
-  // Default ReceivedUpdate::validity is unbounded: arbitrarily old state
-  // stays valid and nothing is flagged.
+  // A detector's default validity policy is unbounded: arbitrarily old
+  // state stays valid and nothing is flagged.
   det.feed(update(10, 1, "x", 1.0, {0, 1, 0}), 0);
   const auto d = det.feed(update(100000, 2, "x", 1.0, {0, 1, 1}), 1);
   ASSERT_TRUE(d.has_value());

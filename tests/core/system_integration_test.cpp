@@ -298,7 +298,7 @@ TEST(SystemIntegrationTest, DirectSnapshotMatchesTalliesAtEveryShardCount) {
                 unreachable = 0;
     for (const net::MessageKind kind :
          {net::MessageKind::kComputation, net::MessageKind::kStrobe,
-          net::MessageKind::kSync, net::MessageKind::kActuation}) {
+          net::MessageKind::kActuation}) {
       const auto& ks = run->stats.of(kind);
       sent += ks.sent;
       bytes += ks.bytes_sent;

@@ -22,9 +22,10 @@
 //      sum(a) - sum(b) + max(a) - min(b) - a[2] > c on a state bound to it.
 //   4. StreamChecker::feed in trace-only mode — the soak server's always-on
 //      mode — with a bounded retention window (the checker's std::pmr
-//      pool recycles the matching working set). Bound mode is NOT pinned:
-//      replaying claimed executions retains a full VectorStamp per send
-//      entry by design.
+//      pool recycles the matching working set). Bound mode is not
+//      allocation-free: replaying claimed executions retains a full
+//      VectorStamp per send entry by design, and that stamp is all a bound
+//      sense may cost.
 //   5. The Δ-windowed shard driver (DESIGN.md §14): window loop, outbox
 //      traffic, and fence exchange recycle everything once warm.
 //   6. The fault layer (DESIGN.md §15): FaultSchedule's per-message queries,
@@ -334,6 +335,55 @@ TEST(AllocGuard, StreamCheckerTraceOnlyFeedIsAllocationFree) {
   const std::uint64_t allocs = stream_checker_feed_allocs(2048, &violations);
   EXPECT_EQ(violations, 0u) << "workload must be a clean stream";
   EXPECT_EQ(allocs, 0u);
+}
+
+// Bound mode keeps one oracle stamp per sense entry (the SVC1 replay vector
+// a later delivery merges) and nothing else per sense: the pairwise
+// soundness scan reads its samples from the bound executions when finish()
+// runs, so a sense costs one allocation plus the amortized growth of the
+// checker's tables.
+TEST(AllocGuard, StreamCheckerBoundSenseCostsOneStampEach) {
+  constexpr std::size_t kProcesses = 4;
+  constexpr std::size_t kSensesPerProcess = 1024;
+  // Sense-only executions whose claims match every replay: process p's
+  // k-th sense ticks component p of both vectors and both scalars to k.
+  std::vector<std::vector<core::ProcessEvent>> executions(kProcesses);
+  std::vector<sim::TraceRecord> records;
+  std::uint64_t seq = 1;
+  for (std::size_t k = 1; k <= kSensesPerProcess; ++k) {
+    for (ProcessId p = 1; p < kProcesses; ++p) {
+      core::ProcessEvent e;
+      e.pid = p;
+      e.type = core::EventType::kSense;
+      e.local_index = k;
+      e.message_seq = seq++;
+      const auto ms = static_cast<std::int64_t>(k * kProcesses + p);
+      e.clocks.true_time = SimTime::zero() + Duration::millis(ms);
+      e.clocks.physical_local = e.clocks.true_time;
+      e.clocks.physical_synced = e.clocks.true_time;
+      e.clocks.lamport = {k, p};
+      e.clocks.strobe_scalar = {k, p};
+      e.clocks.causal_vector = clocks::VectorStamp(kProcesses);
+      e.clocks.causal_vector[p] = k;
+      e.clocks.strobe_vector = e.clocks.causal_vector;
+      records.push_back({e.clocks.true_time, sim::TraceKind::kSense, p,
+                         kNoProcess,
+                         static_cast<int>(net::MessageKind::kStrobe), 0, {},
+                         e.message_seq});
+      executions[p].push_back(std::move(e));
+    }
+  }
+
+  check::StreamCheckerConfig cfg;
+  cfg.num_processes = kProcesses;
+  cfg.executions = check::bind_executions(executions);
+  check::StreamChecker checker(cfg);
+  Scope scope;
+  for (const sim::TraceRecord& r : records) checker.feed(r);
+  const std::uint64_t allocs = scope.allocations();
+  EXPECT_TRUE(checker.finish().clean());
+  // One stamp per sense, plus an eighth for the tables' geometric growth.
+  EXPECT_LE(allocs, records.size() + records.size() / 8);
 }
 
 // The stream-checker ladder row's workload: the exporter trace of a faulty

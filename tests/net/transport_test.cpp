@@ -277,7 +277,6 @@ TEST(TransportTest, ActiveClockModePricesTheWire) {
 TEST(WireBytesTest, MessageKindNames) {
   EXPECT_STREQ(to_string(MessageKind::kStrobe), "strobe");
   EXPECT_STREQ(to_string(MessageKind::kComputation), "computation");
-  EXPECT_STREQ(to_string(MessageKind::kSync), "sync");
   EXPECT_STREQ(to_string(MessageKind::kActuation), "actuation");
 }
 

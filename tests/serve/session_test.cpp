@@ -182,6 +182,9 @@ TEST(TraceFeedTest, RejectsGarbageWithSpecificDiagnostics) {
       {"{\"t\":1.0,\"kind\":\"sense\",\"pid\":\"x\"}", "process id"},
       {"{\"t\":1.0,\"kind\":\"send\",\"pid\":1,\"msg\":\"carrier\"}",
        "unknown message kind"},
+      // Clock-sync traffic is modelled analytically and never sent.
+      {"{\"t\":1.0,\"kind\":\"send\",\"pid\":1,\"msg\":\"sync\"}",
+       "unknown message kind \"sync\""},
       // An escaped key is the key it decodes to.
       {"{\"t\":1.0,\"\\u0074\":2.0,\"kind\":\"sense\",\"pid\":1}",
        "duplicate key \"t\""},
